@@ -7,6 +7,7 @@ package memfss
 // laptop-friendly; run cmd/experiments -scale 1.0 for paper-scale output.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -343,56 +344,15 @@ func BenchmarkAblationIOParallelism(b *testing.B) {
 	}
 }
 
-// Ablation: pipelined wire protocol + parallel replica fan-out vs one
-// round trip per command. Both run the same R=3 replicated multi-stripe
-// write workload over real TCP stores; the only difference is
-// PipelineDepth (1 = per-command baseline, 0 = default burst depth).
-func benchStripeWrite(b *testing.B, depth int) {
-	stores, err := core.StartLocalStores(4, "node", "", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer stores.Close()
-	fs, err := core.New(core.Config{
-		Classes: []core.ClassSpec{{Name: "own", Nodes: stores.Nodes}},
-		// Small stripes make the workload round-trip-bound — the regime
-		// pipelining exists for (many stripes per operation, RTT >> per-
-		// stripe transfer time).
-		StripeSize:    4 << 10,
-		Redundancy:    core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 3},
-		IOParallelism: 4,
-		PipelineDepth: depth,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fs.Close()
-	payload := make([]byte, 2<<20) // 512 stripes, each stored 3x
-	b.SetBytes(2 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.WriteFile("/f", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStripeWritePerCommand(b *testing.B) { benchStripeWrite(b, 1) }
-
-func BenchmarkStripeWritePipelined(b *testing.B) { benchStripeWrite(b, 0) }
-
-func BenchmarkStripeWriteDepth64(b *testing.B)  { benchStripeWrite(b, 64) }
-func BenchmarkStripeWriteDepth128(b *testing.B) { benchStripeWrite(b, 128) }
-
-// Ablation: evacuation drain cost — per-key Get/Exists/Set round trips
-// vs the batched MGET + pipelined SETNX drain. Each iteration rebuilds
+// Ablation: evacuation drain cost by burst size — MGET + pipelined SETNX
+// batches of one key vs the default PipelineDepth. Each iteration rebuilds
 // the deployment (evacuation permanently removes the node), so only the
-// EvacuateNode call itself is timed.
+// Evacuate call itself is timed.
 func BenchmarkEvacuateDrain(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
 		depth int
-	}{{"per-command", 1}, {"pipelined", 0}} {
+	}{{"depth-1", 1}, {"depth-default", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -429,7 +389,7 @@ func BenchmarkEvacuateDrain(b *testing.B) {
 				}
 				victim := victims.Nodes[0].ID
 				b.StartTimer()
-				if err := fs.EvacuateNode(victim); err != nil {
+				if _, err := fs.Evacuate(context.Background(), victim, core.EvacOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

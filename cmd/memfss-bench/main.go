@@ -1,43 +1,32 @@
-// Command memfss-bench runs a real-mode (actual TCP stores) dd-style
-// micro-benchmark against an in-process MemFSS deployment: it launches
-// own and victim stores on loopback, mounts the file system, and drives a
-// bag of write tasks followed by a full read-back, reporting throughput —
-// a laptop-scale analogue of the paper's Figure 2 workload.
+// Command memfss-bench runs the two real-mode (actual TCP stores) legs that
+// the repository's benchmark (benchmark/, `bash benchmark/run.sh`) does not
+// cover. Throughput, latency and per-layer numbers live there; this
+// command gates behaviour under faults and contention:
 //
-// By default the workload runs twice — once in per-command mode (every
-// store command is its own round trip, PipelineDepth=1) and once in
-// pipelined mode — and reports the aggregate MB/s of both side by side,
-// plus histogram-derived p50/p95/p99 latency per op (end-to-end
-// WriteAt/ReadAt) and per node class (per-stripe store ops against own vs
-// victim nodes), read from the deployment's telemetry registry. -json
-// emits the same results as a machine-readable object.
-//
-// With -chaos the victim stores are reached through faultwrap proxies
-// that drop, truncate, and delay connections from a seeded plan, one
-// victim is killed permanently between the write and read phases, and the
-// run reports injected-fault counts, retry volume, degraded writes, the
-// failure detector's time to detection, the repair queue's time to
-// restored redundancy, and a final fsck verdict instead of raw
-// throughput — a reliability soak rather than a speed run.
+//   - -scenario runs named chaos scenarios from internal/chaos (fault
+//     plans, kills, partitions, revocations under live traffic), asserts
+//     each scenario's SLOs and appends a trajectory point per scenario to
+//     BENCH_scenarios.json.
+//   - -tenants runs the multi-tenant QoS leg on an in-process deployment: a
+//     high-priority tenant's write throughput solo vs under low-priority
+//     saturation, then a lease revocation mid-traffic; it fails on an
+//     isolation delta above 25 %, a missed eviction-notice SLO, or any
+//     lost byte.
 //
 // Usage:
 //
-//	memfss-bench -own 2 -victims 6 -alpha 0.25 -tasks 64 -size 8388608
-//	memfss-bench -pipeline=false            # per-command mode only
-//	memfss-bench -depth 64                  # deeper pipeline bursts
-//	memfss-bench -chaos -tasks 16 -size 1048576
+//	memfss-bench -scenario all
+//	memfss-bench -scenario gray-node-ec-read -scenario-out ''
+//	memfss-bench -tenants -own 2 -victims 3 -tasks 12 -size 1048576
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -45,524 +34,81 @@ import (
 	chaospkg "memfss/internal/chaos"
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/faultwrap"
-	"memfss/internal/health"
 	"memfss/internal/hrw"
-	"memfss/internal/obs"
 	"memfss/internal/qos"
 )
 
+// ownFraction is the share of data the tenants leg keeps on own nodes —
+// the paper's 25 % own / 75 % scavenged split.
+const ownFraction = 0.25
+
 func main() {
 	log.SetFlags(0)
-	ownN := flag.Int("own", 2, "number of own-node stores to launch")
-	victimN := flag.Int("victims", 6, "number of victim-node stores to launch")
-	alpha := flag.Float64("alpha", 0.25, "fraction of data kept on own nodes")
-	tasks := flag.Int("tasks", 64, "number of dd tasks")
-	size := flag.Int64("size", 8<<20, "bytes written per task")
-	workers := flag.Int("workers", 8, "concurrent writer tasks")
-	pipeline := flag.Bool("pipeline", true, "also run the pipelined wire mode and report both modes side by side")
-	depth := flag.Int("depth", 0, "pipeline burst depth for the pipelined mode (0 = default)")
-	stripeSize := flag.Int64("stripe", 0, "stripe size in bytes (0 = default); small stripes make the workload round-trip-bound")
-	chaos := flag.Bool("chaos", false, "run the fault-injection soak: victims behind chaos proxies, one killed mid-run, report fault/retry/degraded counters and fsck")
-	chaosSeed := flag.Int64("chaos-seed", 42, "seed for the chaos proxies' fault plan")
-	redFlag := flag.String("redundancy", "", "redundancy mode: replicate or erasure (default: none for throughput runs, replicate for -chaos)")
-	ecK := flag.Int("ec-k", 4, "erasure data shards per stripe (with -redundancy erasure)")
-	ecM := flag.Int("ec-m", 2, "erasure parity shards per stripe (with -redundancy erasure)")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of the human report (non-chaos modes)")
-	benchOut := flag.String("bench-out", "", "append a schema-stable benchmark record (throughput, p50/p95/p99, allocs/op, config) to this JSON file, e.g. BENCH_baseline.json")
-	saturate := flag.Int("saturate", 0, "also run a saturation leg with this many concurrent clients (both write and read phases parallel); 0 disables")
-	poolSize := flag.Int("pool", 0, "connections per store node (0 = default)")
-	tenantsLeg := flag.Bool("tenants", false, "run the multi-tenant QoS leg: a high-priority tenant's throughput solo vs under low-priority saturation, then a mid-workload lease revocation; reports the isolation delta and notice SLO")
-	qosBW := flag.Int64("qos-bw", 8<<20, "tenants leg: aggregate tenant bandwidth budget in bytes/sec, split 3:1 high:low")
 	scenario := flag.String("scenario", "", "run named chaos scenarios from the declarative library and exit nonzero on any SLO violation: 'all' or a comma-separated subset of "+strings.Join(chaospkg.Names(), ", "))
 	scenarioOut := flag.String("scenario-out", "BENCH_scenarios.json", "append each -scenario result as a trajectory point to this JSON file ('' disables)")
+	tenantsLeg := flag.Bool("tenants", false, "run the multi-tenant QoS leg: a high-priority tenant's throughput solo vs under low-priority saturation, then a mid-workload lease revocation; reports the isolation delta and notice SLO")
+	ownN := flag.Int("own", 2, "tenants leg: number of own-node stores to launch")
+	victimN := flag.Int("victims", 6, "tenants leg: number of victim-node stores to launch")
+	tasks := flag.Int("tasks", 64, "tenants leg: files the high-priority tenant writes per run")
+	size := flag.Int64("size", 8<<20, "tenants leg: bytes written per file")
+	qosBW := flag.Int64("qos-bw", 8<<20, "tenants leg: aggregate tenant bandwidth budget in bytes/sec, split 3:1 high:low")
 	flag.Parse()
 
-	// The -scenario leg builds its own clusters per scenario (topology,
-	// redundancy, and fault plans are part of each scenario's declaration),
-	// so it dispatches before any store setup and ignores the flags above.
-	if *scenario != "" {
+	switch {
+	case *scenario != "":
+		// Each scenario declares its own topology, redundancy and fault
+		// plans, so this leg ignores the tenants-leg flags.
 		runScenarios(*scenario, *scenarioOut)
-		return
-	}
-
-	// Resolve the redundancy scheme the workload runs under. The default
-	// preserves the historical shapes — no redundancy for throughput runs,
-	// 2-way replication for the chaos soak — so BENCH_*.json trajectories
-	// stay comparable across PRs.
-	var red core.Redundancy
-	switch *redFlag {
-	case "":
-		if *chaos {
-			red = core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2}
-		}
-	case "replicate":
-		red = core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2}
-	case "erasure":
-		red = core.Redundancy{Mode: core.RedundancyErasure, DataShards: *ecK, ParityShards: *ecM}
-		if need := *ecK + *ecM; *ownN < need || (*victimN > 0 && *victimN < need) {
-			log.Fatalf("memfss-bench: -redundancy erasure RS(%d,%d) needs every class to hold at least %d nodes (got -own %d, -victims %d); try -own %d -victims %d",
-				*ecK, *ecM, need, *ownN, *victimN, need, need+2)
-		}
+	case *tenantsLeg:
+		runTenants(*ownN, *victimN, *tasks, *size, *qosBW)
 	default:
-		log.Fatalf("memfss-bench: unknown -redundancy %q (want replicate or erasure)", *redFlag)
+		fmt.Fprint(os.Stderr, `memfss-bench: select a leg: -scenario <name|all> (chaos scenario matrix, SLO gates)
+                            or -tenants (QoS isolation + eviction-notice SLO gate).
+Throughput, latency and per-layer numbers: bash benchmark/run.sh --workload <name>
+`)
+		os.Exit(2)
 	}
-	if *chaos && red.Mode == core.RedundancyReplicate && (*ownN < 2 || *victimN < 2) {
-		log.Fatal("memfss-bench: -chaos needs -own >= 2 and -victims >= 2 (replication requires 2 nodes per class)")
-	}
+}
 
+// runTenants is the -tenants workload: two tenants (prod, weight 3,
+// high priority; batch, weight 1, low priority) share a loopback
+// deployment under an aggregate bandwidth budget. The leg measures prod's
+// write throughput alone, then again while batch saturates its own share —
+// under strict weighted-fair shares the two numbers should match — and
+// finishes with a lease revocation through the broker mid-traffic,
+// reporting the eviction-notice SLO and verifying zero prod data loss.
+func runTenants(ownN, victimN, tasks int, size, qosBW int64) {
 	const password = "bench-secret"
-	own, err := core.StartLocalStores(*ownN, "own", password, 0)
+	own, err := core.StartLocalStores(ownN, "own", password, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer own.Close()
 	classes := []core.ClassSpec{{Name: "own", Nodes: own.Nodes}}
-	var victims *core.LocalStores
-	if *victimN > 0 {
-		victims, err = core.StartLocalStores(*victimN, "victim", password, 0)
+	if victimN > 0 {
+		victims, err := core.StartLocalStores(victimN, "victim", password, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer victims.Close()
-		d, err := hrw.DeltaForOwnFraction(*alpha)
+		d, err := hrw.DeltaForOwnFraction(ownFraction)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if d >= 0 {
-			classes[0].Weight = d
-		}
-		vc := core.ClassSpec{
+		classes[0].Weight = d
+		classes = append(classes, core.ClassSpec{
 			Name: "victim", Nodes: victims.Nodes, Victim: true,
 			Limits: container.Limits{MemoryBytes: 1 << 34},
-		}
-		if d < 0 {
-			vc.Weight = -d
-		}
-		classes = append(classes, vc)
-	}
-
-	var proxies []*faultwrap.Proxy
-	if *chaos {
-		// Re-point the victim class at chaos proxies; own stores (the
-		// metadata path) stay clean, matching the paper's trust model.
-		plan := faultwrap.Plan{
-			Seed:            *chaosSeed,
-			DropBeforeReply: 0.03,
-			DropMidReply:    0.02,
-			CutRequest:      0.02,
-			DelayProb:       0.05,
-			Delay:           time.Millisecond,
-		}
-		targets := make([]string, len(victims.Nodes))
-		for i, n := range victims.Nodes {
-			targets[i] = n.Addr
-		}
-		var err error
-		proxies, err = faultwrap.WrapAll(targets, plan)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			for _, p := range proxies {
-				p.Close()
-			}
-		}()
-		proxied := make([]core.NodeSpec, len(victims.Nodes))
-		for i, n := range victims.Nodes {
-			proxied[i] = core.NodeSpec{ID: n.ID, Addr: proxies[i].Addr()}
-		}
-		classes[len(classes)-1].Nodes = proxied
-	}
-
-	payload := make([]byte, *size)
-	rand.New(rand.NewSource(42)).Read(payload)
-	total := float64(*tasks) * float64(*size)
-
-	if !*jsonOut {
-		fmt.Printf("memfss-bench: %d tasks x %d B over %d own + %d victim stores (alpha=%.2f)\n",
-			*tasks, *size, *ownN, *victimN, *alpha)
-	}
-
-	if *chaos {
-		runChaos(classes, password, red, *stripeSize, *depth, *tasks, *workers, payload, proxies, victims)
-		return
-	}
-	if *tenantsLeg {
-		runTenants(classes, password, red, *stripeSize, *depth, *tasks, payload, *qosBW, *benchOut, *jsonOut,
-			benchConfig{
-				Tasks: *tasks, Size: *size, Own: *ownN, Victims: *victimN,
-				Alpha: *alpha, Workers: *workers, Depth: *depth,
-				Stripe: *stripeSize, Pool: *poolSize, Redundancy: *redFlag,
-				QoSBW: *qosBW,
-			})
-		return
-	}
-
-	type result struct {
-		label        string
-		wMBs, rMBs   float64
-		wDur, rDur   time.Duration
-		placementFmt string
-		latency      []latencyRow
-		allocsPerOp  float64
-		storeOps     int64
-		workers      int
-	}
-	// runMode runs the full write-then-read workload once. modeWorkers
-	// bounds concurrent writer tasks; parallelRead additionally runs the
-	// read-back phase at the same concurrency (the saturation shape) rather
-	// than the default serial scan. Allocations are sampled around the run
-	// and reported per store operation — the end-to-end allocs/op of the
-	// whole in-process stack (client, wire, server, store).
-	runMode := func(label string, pipeDepth, modeWorkers int, parallelRead bool, dir string) result {
-		fs, err := core.New(core.Config{
-			Classes: classes, Password: password,
-			StripeSize: *stripeSize, PipelineDepth: pipeDepth,
-			PoolSize: *poolSize, Redundancy: red,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer fs.Close()
-		if err := fs.MkdirAll(dir); err != nil {
-			log.Fatal(err)
-		}
-		var msBefore runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, *tasks)
-		sem := make(chan struct{}, modeWorkers)
-		for i := 0; i < *tasks; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				errCh <- fs.WriteFile(fmt.Sprintf("%s/task-%d", dir, i), payload)
-			}(i)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		writeDur := time.Since(start)
-
-		start = time.Now()
-		readOne := func(i int) error {
-			data, err := fs.ReadFile(fmt.Sprintf("%s/task-%d", dir, i))
-			if err != nil {
-				return err
-			}
-			if int64(len(data)) != *size {
-				return fmt.Errorf("task %d: read %d bytes, want %d", i, len(data), *size)
-			}
-			return nil
-		}
-		if parallelRead {
-			rErrCh := make(chan error, *tasks)
-			rSem := make(chan struct{}, modeWorkers)
-			for i := 0; i < *tasks; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					rSem <- struct{}{}
-					defer func() { <-rSem }()
-					rErrCh <- readOne(i)
-				}(i)
-			}
-			wg.Wait()
-			close(rErrCh)
-			for err := range rErrCh {
-				if err != nil {
-					log.Fatal(err)
-				}
-			}
-		} else {
-			for i := 0; i < *tasks; i++ {
-				if err := readOne(i); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		readDur := time.Since(start)
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
-		counters := fs.Counters()
-
-		var ownBytes, victimBytes int64
-		for _, st := range fs.StoreStats() {
-			if st.Class == "own" {
-				ownBytes += st.BytesUsed
-			} else {
-				victimBytes += st.BytesUsed
-			}
-		}
-		res := result{
-			label: label,
-			wMBs:  total / 1e6 / writeDur.Seconds(),
-			rMBs:  total / 1e6 / readDur.Seconds(),
-			wDur:  writeDur, rDur: readDur,
-			latency:  latencyRows(fs.Metrics()),
-			storeOps: counters.StoreOps,
-			workers:  modeWorkers,
-		}
-		if counters.StoreOps > 0 {
-			res.allocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(counters.StoreOps)
-		}
-		if ownBytes+victimBytes > 0 {
-			res.placementFmt = fmt.Sprintf("%.1f%% own / %.1f%% victim (target alpha %.0f%%)",
-				100*float64(ownBytes)/float64(ownBytes+victimBytes),
-				100*float64(victimBytes)/float64(ownBytes+victimBytes), 100**alpha)
-		}
-		// Drop this mode's files so the next mode measures the same
-		// cold-write workload against the shared stores.
-		if err := fs.RemoveAll(dir); err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
+	fmt.Printf("memfss-bench: %d tasks x %d B over %d own + %d victim stores (alpha=%.2f)\n",
+		tasks, size, ownN, victimN, ownFraction)
 
-	results := []result{runMode("per-command", 1, *workers, false, "/bench-percmd")}
-	if *pipeline {
-		results = append(results, runMode("pipelined", *depth, *workers, false, "/bench-pipelined"))
-	}
-	if *saturate > 0 {
-		results = append(results, runMode(fmt.Sprintf("saturated-%d", *saturate),
-			*depth, *saturate, true, "/bench-saturated"))
-	}
-
-	modesJSON := func() []jsonMode {
-		var modes []jsonMode
-		for _, r := range results {
-			modes = append(modes, jsonMode{
-				Label: r.label, WriteMBs: r.wMBs, ReadMBs: r.rMBs,
-				WriteSeconds: r.wDur.Seconds(), ReadSeconds: r.rDur.Seconds(),
-				Placement: r.placementFmt, Latency: r.latency,
-				AllocsPerOp: r.allocsPerOp, StoreOps: r.storeOps, Workers: r.workers,
-			})
-		}
-		return modes
-	}
-
-	if *benchOut != "" {
-		cfg := benchConfig{
-			Tasks: *tasks, Size: *size, Own: *ownN, Victims: *victimN,
-			Alpha: *alpha, Workers: *workers, Depth: *depth,
-			Stripe: *stripeSize, Saturate: *saturate, Pool: *poolSize,
-			Redundancy: *redFlag,
-		}
-		if red.Mode == core.RedundancyErasure {
-			cfg.ECK, cfg.ECM = red.DataShards, red.ParityShards
-		}
-		rec := benchRecord{
-			Time:   time.Now().UTC().Format(time.RFC3339),
-			Config: cfg,
-			Modes:  modesJSON(),
-		}
-		if err := appendBenchRecord(*benchOut, rec); err != nil {
-			log.Fatal(err)
-		}
-		if !*jsonOut {
-			fmt.Printf("bench record appended to %s\n", *benchOut)
-		}
-	}
-
-	if *jsonOut {
-		out := struct {
-			Tasks   int        `json:"tasks"`
-			Size    int64      `json:"size_bytes"`
-			Own     int        `json:"own_nodes"`
-			Victims int        `json:"victim_nodes"`
-			Alpha   float64    `json:"alpha"`
-			Modes   []jsonMode `json:"modes"`
-		}{Tasks: *tasks, Size: *size, Own: *ownN, Victims: *victimN, Alpha: *alpha, Modes: modesJSON()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	for _, r := range results {
-		fmt.Printf("%-12s write: %6.1f MB in %8v (%6.0f MB/s)   read: %6.1f MB in %8v (%6.0f MB/s)   %6.1f allocs/store-op\n",
-			r.label, total/1e6, r.wDur.Round(time.Millisecond), r.wMBs,
-			total/1e6, r.rDur.Round(time.Millisecond), r.rMBs, r.allocsPerOp)
-	}
-	if len(results) >= 2 {
-		fmt.Printf("pipelined vs per-command: %.2fx write, %.2fx read\n",
-			results[1].wMBs/results[0].wMBs, results[1].rMBs/results[0].rMBs)
-	}
-	if p := results[len(results)-1].placementFmt; p != "" {
-		fmt.Printf("placement: %s\n", p)
-	}
-	for _, r := range results {
-		if len(r.latency) == 0 {
-			continue
-		}
-		fmt.Printf("latency (%s):\n  %-46s %8s %10s %10s %10s\n", r.label, "series", "count", "p50", "p95", "p99")
-		for _, row := range r.latency {
-			fmt.Printf("  %-46s %8d %10s %10s %10s\n", row.Series, row.Count,
-				fmtMs(row.P50ms), fmtMs(row.P95ms), fmtMs(row.P99ms))
-		}
-	}
-}
-
-// jsonMode is one workload mode's machine-readable result; the schema is
-// stable across PRs so BENCH_*.json files form a comparable trajectory.
-type jsonMode struct {
-	Label        string       `json:"label"`
-	WriteMBs     float64      `json:"write_mb_s"`
-	ReadMBs      float64      `json:"read_mb_s"`
-	WriteSeconds float64      `json:"write_seconds"`
-	ReadSeconds  float64      `json:"read_seconds"`
-	Placement    string       `json:"placement,omitempty"`
-	Latency      []latencyRow `json:"latency"`
-	AllocsPerOp  float64      `json:"allocs_per_store_op"`
-	StoreOps     int64        `json:"store_ops"`
-	Workers      int          `json:"workers"`
-}
-
-// benchConfig pins the knobs a record was produced under, so two records
-// are only compared when their workloads match.
-type benchConfig struct {
-	Tasks    int     `json:"tasks"`
-	Size     int64   `json:"size_bytes"`
-	Own      int     `json:"own_nodes"`
-	Victims  int     `json:"victim_nodes"`
-	Alpha    float64 `json:"alpha"`
-	Workers  int     `json:"workers"`
-	Depth    int     `json:"depth"`
-	Stripe   int64   `json:"stripe_bytes"`
-	Saturate int     `json:"saturate"`
-	Pool     int     `json:"pool_size"`
-	// Redundancy is the -redundancy flag value ("" = the historical
-	// default: none for throughput runs, replicate for -chaos); ECK/ECM
-	// pin the Reed-Solomon geometry when it is "erasure".
-	Redundancy string `json:"redundancy,omitempty"`
-	ECK        int    `json:"ec_k,omitempty"`
-	ECM        int    `json:"ec_m,omitempty"`
-	// QoSBW is the -tenants leg's aggregate bandwidth budget (0 on
-	// throughput records).
-	QoSBW int64 `json:"qos_bw,omitempty"`
-}
-
-// benchRecord is one -bench-out entry: the perf-trajectory point the
-// ROADMAP expects, appended to a JSON array file.
-type benchRecord struct {
-	Time   string      `json:"time"`
-	Config benchConfig `json:"config"`
-	Modes  []jsonMode  `json:"modes"`
-}
-
-// appendBenchRecord appends rec to the JSON array in path, creating the
-// file if needed. The file stays a valid JSON document after every append.
-func appendBenchRecord(path string, rec benchRecord) error {
-	var records []benchRecord
-	if data, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(data)) > 0 {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("memfss-bench: %s exists but is not a bench-record array: %w", path, err)
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	records = append(records, rec)
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// latencyRow is one histogram series' quantile summary, derived from the
-// deployment's telemetry registry: end-to-end per op, and per-stripe per
-// op and node class.
-type latencyRow struct {
-	Series string  `json:"series"`
-	Count  int64   `json:"count"`
-	P50ms  float64 `json:"p50_ms"`
-	P95ms  float64 `json:"p95_ms"`
-	P99ms  float64 `json:"p99_ms"`
-	// WorstTrace is the exemplar trace ID from the series' highest
-	// occupied latency bucket — the join key from this row's p99 to the
-	// retained trace explaining it (fetch with memfsctl trace get).
-	WorstTrace string `json:"worst_trace,omitempty"`
-}
-
-func latencyRows(fams []obs.FamilySnapshot) []latencyRow {
-	var rows []latencyRow
-	add := func(famName string, labels obs.Labels) {
-		for i := range fams {
-			if fams[i].Name != famName {
-				continue
-			}
-			s := fams[i].Find(labels)
-			if s == nil || s.Count == 0 {
-				return
-			}
-			row := latencyRow{
-				Series: famName + labels.String(),
-				Count:  s.Count,
-				P50ms:  quantileMs(s, fams[i].Bounds, 0.50),
-				P95ms:  quantileMs(s, fams[i].Bounds, 0.95),
-				P99ms:  quantileMs(s, fams[i].Bounds, 0.99),
-			}
-			if ex, ok := s.WorstExemplar(); ok {
-				row.WorstTrace = fmt.Sprintf("%016x", ex.TraceID)
-			}
-			rows = append(rows, row)
-			return
-		}
-	}
-	for _, op := range []string{"write", "read"} {
-		add("memfss_fs_op_seconds", obs.L("op", op))
-		for _, cls := range []string{"own", "victim"} {
-			add("memfss_fs_stripe_seconds", obs.L("op", op, "class", cls))
-		}
-	}
-	return rows
-}
-
-func quantileMs(s *obs.SeriesSnapshot, bounds []time.Duration, q float64) float64 {
-	d := s.Quantile(bounds, q)
-	if d < 0 {
-		return -1
-	}
-	return float64(d) / float64(time.Millisecond)
-}
-
-func fmtMs(ms float64) string {
-	if ms < 0 {
-		return "-"
-	}
-	return time.Duration(ms * float64(time.Millisecond)).Round(time.Microsecond).String()
-}
-
-// runTenants is the -tenants workload: two tenants (prod, weight 3,
-// high priority; batch, weight 1, low priority) share the deployment
-// under an aggregate bandwidth budget. The leg measures prod's write
-// throughput alone, then again while batch saturates its own share —
-// under strict weighted-fair shares the two numbers should match — and
-// finishes with a lease revocation through the broker mid-traffic,
-// reporting the eviction-notice SLO and verifying zero prod data loss.
-// The solo/contended pair lands in -bench-out as two modes of one
-// record, so BENCH_qos.json tracks the isolation delta across PRs.
-func runTenants(classes []core.ClassSpec, password string, red core.Redundancy, stripeSize int64,
-	depth, tasks int, payload []byte, qosBW int64, benchOut string, jsonOut bool, cfg benchConfig) {
-	reg := obs.NewRegistry()
-	tenants := qos.NewRegistry(qos.Options{TotalBandwidth: qosBW, Obs: reg})
+	tenants := qos.NewRegistry(qos.Options{TotalBandwidth: qosBW})
 	defer tenants.Close()
 	fs, err := core.New(core.Config{
 		Classes: classes, Password: password,
-		StripeSize: stripeSize, PipelineDepth: depth,
-		Redundancy: red,
-		Obs:        core.ObsPolicy{Registry: reg},
-		QoS:        core.QoSPolicy{Tenants: tenants},
+		QoS: core.QoSPolicy{Tenants: tenants},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -577,7 +123,9 @@ func runTenants(classes []core.ClassSpec, password string, red core.Redundancy, 
 	if err := fs.ApplyVictimCaps(); err != nil {
 		log.Fatal(err)
 	}
-	total := float64(tasks) * float64(len(payload))
+	payload := make([]byte, size)
+	rand.New(rand.NewSource(42)).Read(payload)
+	total := float64(tasks) * float64(size)
 
 	writeAll := func(dir string) time.Duration {
 		if err := fs.MkdirAll(dir); err != nil {
@@ -591,12 +139,11 @@ func runTenants(classes []core.ClassSpec, password string, red core.Redundancy, 
 		}
 		return time.Since(start)
 	}
-	// refill lets prod's token bucket (burst = 1s of its share) fill back
-	// up so the solo and contended runs start from the same state.
-	refill := func() { time.Sleep(1200 * time.Millisecond) }
 
 	soloDur := writeAll("/tenants/prod/solo")
-	refill()
+	// Let prod's token bucket (burst = 1s of its share) fill back up so the
+	// solo and contended runs start from the same state.
+	time.Sleep(1200 * time.Millisecond)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -620,260 +167,48 @@ func runTenants(classes []core.ClassSpec, password string, red core.Redundancy, 
 	close(stop)
 	wg.Wait()
 
-	soloMBs := total / 1e6 / soloDur.Seconds()
-	contendedMBs := total / 1e6 / contendedDur.Seconds()
 	delta := 100 * (soloDur.Seconds() - contendedDur.Seconds()) / soloDur.Seconds()
 	if delta < 0 {
 		delta = -delta
+	}
+	fmt.Printf("tenants: prod solo  %6.1f MB in %8v (%6.1f MB/s)\n",
+		total/1e6, soloDur.Round(time.Millisecond), total/1e6/soloDur.Seconds())
+	fmt.Printf("tenants: contended  %6.1f MB in %8v (%6.1f MB/s)  delta %.1f%% (isolation target <= 25%%)\n",
+		total/1e6, contendedDur.Round(time.Millisecond), total/1e6/contendedDur.Seconds(), delta)
+	if delta > 25 {
+		log.Fatalf("tenants: isolation violated: %.1f%% > 25%%", delta)
 	}
 
 	// Revocation leg: lease a victim to batch, then take it back through
 	// the broker (notice window + graduated evacuation) and check prod lost
 	// nothing. Skipped when the deployment has no victims to lease.
-	var rev qos.RevokeReport
-	revoked := false
-	if len(classes) > 1 {
-		broker := qos.NewBroker(qos.BrokerOptions{Evac: fs, Obs: reg, Journal: fs.Events()})
-		const noticeSLO = 100 * time.Millisecond
-		if err := fs.AdvertiseCapacity(broker, noticeSLO); err != nil {
-			log.Fatal(err)
-		}
-		lease, err := broker.Request("batch", 1<<20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rev, err = broker.Revoke(context.Background(), lease.Node, qos.RevokeOptions{EvacDeadline: 30 * time.Second})
-		if err != nil {
-			log.Fatalf("tenants: revocation of %s failed: %v", lease.Node, err)
-		}
-		revoked = true
-		for i := 0; i < tasks; i++ {
-			for _, dir := range []string{"/tenants/prod/solo", "/tenants/prod/contended"} {
-				if err := fs.VerifyFile(fmt.Sprintf("%s/task-%d", dir, i)); err != nil {
-					log.Fatalf("tenants: prod data lost to revocation: %v", err)
-				}
+	if victimN == 0 {
+		return
+	}
+	broker := qos.NewBroker(qos.BrokerOptions{Evac: fs, Journal: fs.Events()})
+	const noticeSLO = 100 * time.Millisecond
+	if err := fs.AdvertiseCapacity(broker, noticeSLO); err != nil {
+		log.Fatal(err)
+	}
+	lease, err := broker.Request("batch", 1<<20)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rev, err := broker.Revoke(context.Background(), lease.Node, qos.RevokeOptions{EvacDeadline: 30 * time.Second})
+	if err != nil {
+		log.Fatalf("tenants: revocation of %s failed: %v", lease.Node, err)
+	}
+	for i := 0; i < tasks; i++ {
+		for _, dir := range []string{"/tenants/prod/solo", "/tenants/prod/contended"} {
+			if err := fs.VerifyFile(fmt.Sprintf("%s/task-%d", dir, i)); err != nil {
+				log.Fatalf("tenants: prod data lost to revocation: %v", err)
 			}
 		}
 	}
-
-	modes := []jsonMode{
-		{Label: "qos-solo", WriteMBs: soloMBs, WriteSeconds: soloDur.Seconds(), Latency: latencyRows(fs.Metrics()), Workers: 1},
-		{Label: "qos-contended", WriteMBs: contendedMBs, WriteSeconds: contendedDur.Seconds(), Workers: 1},
+	fmt.Printf("tenants: revoked %s: notice %v (SLO %v, met=%v), evacuated=%v in %v; prod verified, zero loss\n",
+		rev.Node, rev.Notice.Round(time.Millisecond), rev.SLO, rev.SLOMet, rev.Evacuated,
+		rev.Elapsed.Round(time.Millisecond))
+	if !rev.SLOMet {
+		log.Fatal("tenants: eviction-notice SLO violated")
 	}
-	if benchOut != "" {
-		rec := benchRecord{Time: time.Now().UTC().Format(time.RFC3339), Config: cfg, Modes: modes}
-		if err := appendBenchRecord(benchOut, rec); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if jsonOut {
-		out := struct {
-			Modes []jsonMode `json:"modes"`
-			Delta float64    `json:"isolation_delta_pct"`
-		}{Modes: modes, Delta: delta}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	fmt.Printf("tenants: prod solo  %6.1f MB in %8v (%6.1f MB/s)\n",
-		total/1e6, soloDur.Round(time.Millisecond), soloMBs)
-	fmt.Printf("tenants: contended  %6.1f MB in %8v (%6.1f MB/s)  delta %.1f%% (isolation target <= 25%%)\n",
-		total/1e6, contendedDur.Round(time.Millisecond), contendedMBs, delta)
-	if delta > 25 {
-		log.Fatalf("tenants: isolation violated: %.1f%% > 25%%", delta)
-	}
-	if revoked {
-		fmt.Printf("tenants: revoked %s: notice %v (SLO %v, met=%v), evacuated=%v in %v; prod verified, zero loss\n",
-			rev.Node, rev.Notice.Round(time.Millisecond), rev.SLO, rev.SLOMet, rev.Evacuated,
-			rev.Elapsed.Round(time.Millisecond))
-		if !rev.SLOMet {
-			log.Fatal("tenants: eviction-notice SLO violated")
-		}
-	}
-	if benchOut != "" {
-		fmt.Printf("bench record appended to %s\n", benchOut)
-	}
-}
-
-// runChaos is the -chaos workload: write every task under injected
-// faults, kill one victim permanently, read everything back, and report
-// reliability counters and a fsck verdict instead of throughput. The
-// redundancy scheme is the caller's: 2-way replication by default, or
-// RS(k,m) erasure coding with -redundancy erasure — the same soak then
-// exercises degraded shard writes and reconstruction reads instead of
-// replica failover.
-func runChaos(classes []core.ClassSpec, password string, red core.Redundancy, stripeSize int64, depth, tasks, workers int,
-	payload []byte, proxies []*faultwrap.Proxy, victims *core.LocalStores) {
-	fs, err := core.New(core.Config{
-		Classes: classes, Password: password,
-		StripeSize: stripeSize, PipelineDepth: depth,
-		Redundancy: red,
-		Retry: core.RetryPolicy{
-			MaxAttempts: 8,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    8 * time.Millisecond,
-			OpTimeout:   10 * time.Second,
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fs.Close()
-	if err := fs.MkdirAll("/chaos"); err != nil {
-		log.Fatal(err)
-	}
-	// One victim dies for good halfway through the write phase, so the
-	// later writes exercise the degraded-quorum path, not just the reads.
-	var kill sync.Once
-	var killedAt time.Time
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, tasks)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < tasks; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if i >= tasks/2 {
-				kill.Do(func() { proxies[1].Kill(); killedAt = time.Now() })
-			}
-			errCh <- fs.WriteFile(fmt.Sprintf("/chaos/task-%d", i), payload)
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			log.Fatalf("chaos write failed: %v", err)
-		}
-	}
-	writeDur := time.Since(start)
-	kill.Do(func() { proxies[1].Kill(); killedAt = time.Now() })
-	deadID := victims.Nodes[1].ID
-	fmt.Printf("chaos: wrote %d tasks in %v; killed %s permanently at task %d\n",
-		tasks, writeDur.Round(time.Millisecond), deadID, tasks/2)
-
-	// Time to detection: how long the failure detector took (passive
-	// evidence + active probes) to mark the killed node Down.
-	detected := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if fs.Health()[deadID].State == health.Down {
-			detected = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if detected {
-		fmt.Printf("chaos: detector marked %s Down %v after the kill (time to detection)\n",
-			deadID, time.Since(killedAt).Round(time.Millisecond))
-	} else {
-		// A permanently dead node the detector never condemns is a failed
-		// run, not a footnote: every later number (skips, repair, reads)
-		// would be measuring a cluster that still trusts a corpse.
-		log.Fatalf("chaos: detector never marked %s Down within 10s: %+v",
-			deadID, fs.Health()[deadID])
-	}
-
-	start = time.Now()
-	for i := 0; i < tasks; i++ {
-		data, err := fs.ReadFile(fmt.Sprintf("/chaos/task-%d", i))
-		if err != nil {
-			log.Fatalf("chaos read task %d: %v", i, err)
-		}
-		if !bytes.Equal(data, payload) {
-			log.Fatalf("chaos: task %d corrupted", i)
-		}
-	}
-	readDur := time.Since(start)
-
-	// Time to repair: wait for the targeted queue to restore every stripe
-	// it can (units blocked on the dead node stay parked), then let a
-	// scrub confirm there is nothing left that a full scan would find.
-	if !fs.WaitRepairIdle(30 * time.Second) {
-		log.Fatalf("chaos: repair queue never drained: %+v", fs.RepairStats())
-	}
-	mttr := time.Since(killedAt)
-	rs := fs.RepairStats()
-	fmt.Printf("chaos: repair queue idle %v after the kill (time to restored redundancy): enqueued %d, restored %d copies, %d parked on the dead node, %d full scrubs\n",
-		mttr.Round(time.Millisecond), rs.Enqueued, rs.Restored, rs.Parked, rs.FullScrubs)
-	srep, err := fs.Scrub()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("chaos: post-repair scrub restored %d (0 = targeted repair missed nothing), %d deferred on the dead node, %d unrepairable\n",
-		srep.Restored, len(srep.Deferred), len(srep.Unrepairable))
-
-	rep, err := fs.Fsck()
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := fs.Counters()
-	fmt.Printf("chaos: verified %d tasks in %v; fsck: %d files, %d damaged, %d orphan stripes\n",
-		tasks, readDur.Round(time.Millisecond), rep.Files, len(rep.Damaged), rep.OrphanStripes)
-	fmt.Printf("chaos: injected faults: %v\n", faultwrap.TotalStats(proxies))
-	ops := c.StoreOps
-	if ops == 0 {
-		ops = 1
-	}
-	fmt.Printf("chaos: store ops %d, attempts %d (%.2f per op), degraded writes %d, skipped replica writes %d, deep probes %d\n",
-		c.StoreOps, c.StoreAttempts, float64(c.StoreAttempts)/float64(ops),
-		c.DegradedWrites, c.SkippedReplicaWrites, c.DeepProbes)
-	if red.Mode == core.RedundancyErasure {
-		fmt.Printf("chaos: ec reconstructs %d (degraded reads served by Reed-Solomon), generation conflicts %d\n",
-			c.ECReconstructs, c.ECGenConflicts)
-	}
-	if len(rep.Damaged) > 0 {
-		log.Fatalf("chaos: DATA LOSS in %v", rep.Damaged)
-	}
-	if len(srep.Unrepairable) > 0 {
-		log.Fatalf("chaos: UNREPAIRABLE stripes: %v", srep.Unrepairable)
-	}
-
-	// Revocation leg: with one victim already dead, revoke the surviving
-	// one under the same injected faults — the worst-case "tenant wants
-	// its memory back mid-incident" scenario — and demand zero loss again.
-	// Erasure placement needs k+m nodes in the class, so the leg only runs
-	// when the victim class can spare one (run with -victims >= k+m+1).
-	if red.Mode == core.RedundancyErasure && len(victims.Nodes)-1 < red.DataShards+red.ParityShards {
-		fmt.Printf("chaos: skipping revocation leg: revoking a victim would leave %d nodes, below the RS(%d,%d) placement need of %d\n",
-			len(victims.Nodes)-1, red.DataShards, red.ParityShards, red.DataShards+red.ParityShards)
-		fmt.Println("chaos: zero data loss")
-		return
-	}
-	liveID := victims.Nodes[0].ID
-	start = time.Now()
-	evrep, err := fs.Evacuate(context.Background(), liveID, core.EvacOptions{})
-	if err != nil {
-		log.Fatalf("chaos: revocation of %s failed: %v", liveID, err)
-	}
-	fmt.Printf("chaos: revoked %s in %v (deadline %v): moved %d keys, %d orphans, %d deferred to repair, forced=%v\n",
-		liveID, evrep.Elapsed.Round(time.Millisecond), evrep.Deadline,
-		evrep.Moved, evrep.Orphans, evrep.Deferred, evrep.Forced)
-	if evrep.Forced {
-		fmt.Printf("chaos: forced release flushed %d at-risk key(s); repair queue restores redundancy\n", evrep.AtRisk)
-	}
-	if !fs.WaitRepairIdle(30 * time.Second) {
-		log.Fatalf("chaos: repair queue never drained after revocation: %+v", fs.RepairStats())
-	}
-	for i := 0; i < tasks; i++ {
-		data, err := fs.ReadFile(fmt.Sprintf("/chaos/task-%d", i))
-		if err != nil || !bytes.Equal(data, payload) {
-			log.Fatalf("chaos: task %d lost to revocation: %v", i, err)
-		}
-	}
-	rep, err = fs.Fsck()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("chaos: post-revocation fsck %v after revoke: %d files, %d damaged\n",
-		time.Since(start).Round(time.Millisecond), rep.Files, len(rep.Damaged))
-	if len(rep.Damaged) > 0 {
-		log.Fatalf("chaos: DATA LOSS after revocation in %v", rep.Damaged)
-	}
-	fmt.Println("chaos: zero data loss")
 }

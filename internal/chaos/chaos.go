@@ -243,8 +243,7 @@ func SetPlanFault(plan faultwrap.Plan, nodes ...int) Action {
 }
 
 func planIsClean(p faultwrap.Plan) bool {
-	return p.DropBeforeReply == 0 && p.DropMidReply == 0 && p.CutRequest == 0 &&
-		p.DelayProb == 0 && len(p.DropVerbs) == 0 &&
+	return len(p.DropVerbs) == 0 &&
 		p.Request == (faultwrap.DirPlan{}) && p.Reply == (faultwrap.DirPlan{})
 }
 

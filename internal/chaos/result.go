@@ -283,8 +283,8 @@ func (r *run) evaluateSLO(res *Result) []string {
 }
 
 // AppendResult appends one result to the JSON-array trajectory file at
-// path (created if absent) — the same shape memfss-bench uses for its
-// BENCH_*.json files, so tooling reads both alike.
+// path (created if absent); the file stays a valid JSON document after
+// every append.
 func AppendResult(path string, res *Result) error {
 	var records []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {

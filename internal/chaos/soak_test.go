@@ -23,12 +23,9 @@ import (
 // millisecond delays.
 func soakPlan(seed int64) faultwrap.Plan {
 	return faultwrap.Plan{
-		Seed:            seed,
-		DropBeforeReply: 0.03,
-		DropMidReply:    0.02,
-		CutRequest:      0.02,
-		DelayProb:       0.05,
-		Delay:           time.Millisecond,
+		Seed:    seed,
+		Request: faultwrap.DirPlan{Cut: 0.02},
+		Reply:   faultwrap.DirPlan{Drop: 0.03, Cut: 0.02, DelayProb: 0.05, Delay: time.Millisecond},
 	}
 }
 
@@ -193,10 +190,8 @@ func TestRevocationChaosSoak(t *testing.T) {
 		Topology: Topology{
 			OwnNodes: 2, VictimNodes: 3,
 			Plan: faultwrap.Plan{
-				Seed:         13,
-				DropMidReply: 0.15,
-				DelayProb:    0.3,
-				Delay:        2 * time.Millisecond,
+				Seed:  13,
+				Reply: faultwrap.DirPlan{Cut: 0.15, DelayProb: 0.3, Delay: 2 * time.Millisecond},
 			},
 			Redundancy:    core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2},
 			PipelineDepth: 8,
@@ -246,7 +241,7 @@ func TestRevocationChaosSoak(t *testing.T) {
 				// The abort left the node in place; re-run to completion.
 				var err error
 				for try := 0; try < 8; try++ {
-					if err = c.FS.EvacuateNode(victimID); err == nil {
+					if _, err = c.FS.Evacuate(context.Background(), victimID, core.EvacOptions{}); err == nil {
 						return nil
 					}
 				}

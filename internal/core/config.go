@@ -118,11 +118,8 @@ type Config struct {
 	// §II-C).
 	IOParallelism int
 	// PipelineDepth bounds how many commands the data paths queue in one
-	// wire pipeline burst to a store (default 32). Depth 1 is the
-	// per-command mode: every store command is its own round trip and
-	// replica writes go out serially — the ablation baseline the
-	// pipelining benchmarks compare against. Depths >= 2 enable batched
-	// multi-stripe bursts and parallel replica fan-out on writes.
+	// wire pipeline burst to a store (default 32). It is only a burst
+	// size: depth 1 ships bursts of one command through the same engine.
 	PipelineDepth int
 	// Retry is the uniform data-path retry policy applied to every store
 	// operation. Zero fields take defaults.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/kvstore"
+	"memfss/internal/qos"
 )
 
 func TestWriteIntoMissingDirFails(t *testing.T) {
@@ -110,6 +112,59 @@ func TestVictimStoreFullSurfacesOOM(t *testing.T) {
 	}
 }
 
+// TestNoSpaceWritesCountedAtEverySize: a store-full rejection must bump
+// NoSpaceWrites and arm the debounced low-priority reclaim whether the
+// write is one partial stripe (the per-span path) or many stripes (the
+// burst path) — the burst path used to do neither.
+func TestNoSpaceWritesCountedAtEverySize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"one-stripe-3KiB", 3 << 10}, {"multi-stripe-1MiB", 1 << 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const password = "test-secret"
+			own, err := StartLocalStores(1, "own", password, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(own.Close)
+			victims, err := StartLocalStores(1, "victim", password, 2<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(victims.Close)
+			tenants := qos.NewRegistry(qos.Options{})
+			t.Cleanup(tenants.Close)
+			fs, err := New(Config{
+				Classes: []ClassSpec{
+					{Name: "own", Weight: 1, Nodes: own.Nodes}, // weight 1: everything victim-bound
+					{Name: "victim", Nodes: victims.Nodes, Victim: true},
+				},
+				StripeSize: 4 << 10,
+				Password:   password,
+				QoS:        QoSPolicy{Tenants: tenants},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			err = fs.WriteFile("/full", randomBytes(5, tc.size))
+			if !errors.Is(err, kvstore.ErrNoSpace) {
+				t.Fatalf("write to a full victim: %v, want ErrNoSpace", err)
+			}
+			if c := fs.Counters(); c.NoSpaceWrites == 0 {
+				t.Fatal("NoSpaceWrites = 0 after a store-full write failure")
+			}
+			fs.qosMu.Lock()
+			_, armed := fs.lastReclaim[victims.Nodes[0].ID]
+			fs.qosMu.Unlock()
+			if !armed {
+				t.Fatal("store-full rejection did not trigger the debounced reclaim")
+			}
+		})
+	}
+}
+
 func TestMultipleVictimClassesPlacement(t *testing.T) {
 	const password = "test-secret"
 	own, _ := StartLocalStores(2, "own", password, 0)
@@ -160,7 +215,7 @@ func TestErasureEvacuation(t *testing.T) {
 	if err := d.fs.WriteFile("/e", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.fs.EvacuateNode(d.victims.Nodes[0].ID); err != nil {
+	if _, err := d.fs.Evacuate(context.Background(), d.victims.Nodes[0].ID, EvacOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.victims.Server(0).Store().Stats(); st.BytesUsed != 0 {
@@ -257,11 +312,11 @@ func TestEvacuatedNodeKeysRemovedFromProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	victimID := d.victims.Nodes[2].ID
-	if err := d.fs.EvacuateNode(victimID); err != nil {
+	if _, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Evacuating the same node twice must fail cleanly (unknown node).
-	if err := d.fs.EvacuateNode(victimID); err == nil {
+	if _, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err == nil {
 		t.Fatal("double evacuation accepted")
 	}
 	if err := d.fs.VerifyFile("/p"); err != nil {

@@ -207,51 +207,44 @@ func TestErasureDegradedReadRepairsMissingShard(t *testing.T) {
 // TestErasureDegradedWriteExactlyM kills exactly m=2 of the victim
 // stores: every erasure write must degrade (k shards landed) instead of
 // failing, enqueue repair, and stay readable — and a third loss must turn
-// writes into hard failures, not silent unreadable stripes. Both pipeline
-// modes run, because the per-command loop used to stop at the first
-// failure and leave torn stripes.
+// writes into hard failures, not silent unreadable stripes.
 func TestErasureDegradedWriteExactlyM(t *testing.T) {
-	for _, depth := range []int{1, 8} {
-		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			d := newTestFS(t, 6, 6,
-				withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}),
-				withRetry(fastRetry),
-				withPipelineDepth(depth))
-			if err := d.fs.WriteFile("/pre", randomBytes(1, 9000)); err != nil {
-				t.Fatalf("sanity write with every node up: %v", err)
-			}
-			d.victims.Server(4).Close()
-			d.victims.Server(5).Close()
+	d := newTestFS(t, 6, 6,
+		withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}),
+		withRetry(fastRetry))
+	if err := d.fs.WriteFile("/pre", randomBytes(1, 9000)); err != nil {
+		t.Fatalf("sanity write with every node up: %v", err)
+	}
+	d.victims.Server(4).Close()
+	d.victims.Server(5).Close()
 
-			files := map[string][]byte{}
-			for i := 0; i < 4; i++ {
-				path := fmt.Sprintf("/deg%d", i)
-				files[path] = randomBytes(int64(100+i), 12_000)
-				if err := d.fs.WriteFile(path, files[path]); err != nil {
-					t.Fatalf("write with m nodes dead must degrade, not fail: %v", err)
-				}
-			}
-			c := d.fs.Counters()
-			if c.DegradedWrites == 0 {
-				t.Fatal("no degraded writes recorded despite m dead shard targets")
-			}
-			if st := d.fs.RepairStats(); st.Enqueued == 0 {
-				t.Fatal("degraded erasure writes enqueued no repair")
-			}
-			for path, want := range files {
-				got, err := d.fs.ReadFile(path)
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("read %s written under m failures: %v", path, err)
-				}
-			}
+	files := map[string][]byte{}
+	for i := 0; i < 4; i++ {
+		path := fmt.Sprintf("/deg%d", i)
+		files[path] = randomBytes(int64(100+i), 12_000)
+		if err := d.fs.WriteFile(path, files[path]); err != nil {
+			t.Fatalf("write with m nodes dead must degrade, not fail: %v", err)
+		}
+	}
+	c := d.fs.Counters()
+	if c.DegradedWrites == 0 {
+		t.Fatal("no degraded writes recorded despite m dead shard targets")
+	}
+	if st := d.fs.RepairStats(); st.Enqueued == 0 {
+		t.Fatal("degraded erasure writes enqueued no repair")
+	}
+	for path, want := range files {
+		got, err := d.fs.ReadFile(path)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %s written under m failures: %v", path, err)
+		}
+	}
 
-			// m+1 failures: fewer than k shards can land, so the write must
-			// fail loudly.
-			d.victims.Server(3).Close()
-			if err := d.fs.WriteFile("/fail", randomBytes(9, 64_000)); err == nil {
-				t.Fatal("write with m+1 dead shard targets must fail, not fake success")
-			}
-		})
+	// m+1 failures: fewer than k shards can land, so the write must
+	// fail loudly.
+	d.victims.Server(3).Close()
+	if err := d.fs.WriteFile("/fail", randomBytes(9, 64_000)); err == nil {
+		t.Fatal("write with m+1 dead shard targets must fail, not fake success")
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -94,19 +95,16 @@ func TestFaultSoak(t *testing.T) {
 		depth    int
 		replicas int
 	}{
-		{"per-command-R2", 1, 2},
+		{"per-command-R2", 1, 2}, // depth 1: bursts of one command
 		{"pipelined-R2", 8, 2},
 		{"pipelined-R3", 8, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := faultwrap.Plan{
-				Seed:            42,
-				DropBeforeReply: 0.03,
-				DropMidReply:    0.02,
-				CutRequest:      0.02,
-				DelayProb:       0.05,
-				Delay:           time.Millisecond,
+				Seed:    42,
+				Request: faultwrap.DirPlan{Cut: 0.02},
+				Reply:   faultwrap.DirPlan{Drop: 0.03, Cut: 0.02, DelayProb: 0.05, Delay: time.Millisecond},
 			}
 			ownN := 2
 			if tc.replicas > ownN {
@@ -224,7 +222,7 @@ func TestStoreErrorsFailWrites(t *testing.T) {
 // back to the serial per-key path and the drain must still complete with
 // every file intact.
 func TestEvacuateUnderMidPipelineFaults(t *testing.T) {
-	plan := faultwrap.Plan{Seed: 7, DropMidReply: 0.25}
+	plan := faultwrap.Plan{Seed: 7, Reply: faultwrap.DirPlan{Cut: 0.25}}
 	d, proxies := newChaosFS(t, 2, 2, plan,
 		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
 		withPipelineDepth(8),
@@ -240,7 +238,7 @@ func TestEvacuateUnderMidPipelineFaults(t *testing.T) {
 	victimID := d.victims.Nodes[0].ID
 	var err error
 	for try := 0; try < 8; try++ {
-		if err = d.fs.EvacuateNode(victimID); err == nil {
+		if _, err = d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err == nil {
 			break
 		}
 		t.Logf("evacuation attempt %d: %v", try+1, err)

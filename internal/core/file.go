@@ -115,7 +115,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	starts := spanStarts(spans)
 	var okSpans int
-	if f.coder == nil && f.fs.pipeDepth > 1 && len(spans) > 1 {
+	if f.coder == nil && len(spans) > 1 {
 		okSpans, err = f.writeSpansPipelined(tr, spans, starts, p)
 	} else {
 		okSpans, err = f.runSpans(spans, func(i int, span stripe.Span) error {
@@ -278,7 +278,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	starts := spanStarts(spans)
 	var okSpans int
-	if f.coder == nil && f.fs.pipeDepth > 1 && len(spans) > 1 {
+	if f.coder == nil && len(spans) > 1 {
 		okSpans, err = f.readSpansPipelined(tr, spans, starts, p)
 	} else {
 		okSpans, err = f.runSpans(spans, func(i int, span stripe.Span) error {
@@ -423,26 +423,11 @@ func (f *File) writeSpan(tr *opTrace, span stripe.Span, data []byte) error {
 		tr.phaseOp(span.Index, nodes[i], cls, stats[i],
 			phaseOutcome(errs[i], stats[i].Attempts))
 	}
-	if f.fs.pipeDepth <= 1 {
-		// Per-command mode: replicas go out one round trip at a time —
-		// the ablation baseline the pipelining benchmarks compare against.
-		// A store-level rejection (a full store, a wrong-type key) fails
-		// the whole write regardless of the remaining replicas, so stop
-		// early instead of burning round trips that cannot change the
-		// outcome.
-		for i := range nodes {
-			attempt(i)
-			if errs[i] != nil && !isUnavailable(errs[i]) {
-				break
-			}
-		}
-	} else {
-		// All replicas in flight concurrently.
-		_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
-			attempt(i)
-			return nil
-		})
-	}
+	// All replicas in flight concurrently.
+	_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
+		attempt(i)
+		return nil
+	})
 	degraded, err := f.settleReplicaWrite(errs)
 	if degraded {
 		tr.markDegraded()
@@ -647,36 +632,18 @@ func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data [
 		tr.phaseOp(span.Index, nodes[i], cls, stats[i],
 			phaseOutcome(err, stats[i].Attempts))
 	}
-	attempted := len(nodes)
-	if f.fs.pipeDepth <= 1 {
-		// Per-command mode: shards go out one round trip at a time. A
-		// transport failure must NOT stop the loop — the remaining shards
-		// still count toward the k quorum, and stopping early used to
-		// leave a torn stripe with no repair enqueued. A store-level
-		// rejection fails identically everywhere, so stop on those; any
-		// shard that already landed makes the stripe torn until repair
-		// converges it.
-		for i := range nodes {
-			attempt(i)
-			if errs[i] != nil && !isUnavailable(errs[i]) {
-				attempted = i + 1
-				break
-			}
-		}
-	} else {
-		_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
-			attempt(i)
-			return nil
-		})
-	}
-	degraded, err := f.settleErasureWrite(errs[:attempted], k)
-	if degraded || (err != nil && anyLanded(errs[:attempted])) {
+	_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
+		attempt(i)
+		return nil
+	})
+	degraded, err := f.settleErasureWrite(errs, k)
+	if degraded || (err != nil && anyLanded(errs)) {
 		tr.markDegraded()
 		leg := tr.leg("repair-enqueue")
 		f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
 		leg.End(nil)
 	}
-	f.fs.noteNoSpaceOutcomes(nodes[:attempted], errs[:attempted])
+	f.fs.noteNoSpaceOutcomes(nodes, errs)
 	if err != nil && isNoSpace(err) {
 		f.fs.stats.noSpaceWrites.Add(1)
 	}

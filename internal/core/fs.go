@@ -159,7 +159,7 @@ func New(cfg Config) (*FileSystem, error) {
 		cfg:         cfg,
 		layout:      layout,
 		conns:       conns,
-		meta:        newMetaService(ownIDs, conns, pipeDepth),
+		meta:        newMetaService(ownIDs, conns),
 		ioPar:       ioPar,
 		pipeDepth:   pipeDepth,
 		writeQuorum: quorum,

@@ -13,9 +13,8 @@ import (
 // records are stored only on own nodes, sharded by a modulo hash of the
 // path, so latency-bound namespace operations never touch victim nodes.
 type metaService struct {
-	ownIDs    []string // own node IDs in class order; shard targets
-	conns     *connPool
-	pipeDepth int // readDir batches per-entry stats when >= 2
+	ownIDs []string // own node IDs in class order; shard targets
+	conns  *connPool
 }
 
 // EntryInfo describes one namespace entry, as returned by Stat and ReadDir.
@@ -30,10 +29,10 @@ type EntryInfo struct {
 	IsDir bool
 }
 
-func newMetaService(ownIDs []string, conns *connPool, pipeDepth int) *metaService {
+func newMetaService(ownIDs []string, conns *connPool) *metaService {
 	ids := make([]string, len(ownIDs))
 	copy(ids, ownIDs)
-	return &metaService{ownIDs: ids, conns: conns, pipeDepth: pipeDepth}
+	return &metaService{ownIDs: ids, conns: conns}
 }
 
 // shardClient returns the own-node client responsible for a metadata key's
@@ -209,12 +208,7 @@ func (m *metaService) readDir(path string) ([]EntryInfo, error) {
 		}
 		children[i] = child
 	}
-	var entries []EntryInfo
-	if m.pipeDepth >= 2 && len(names) > 1 {
-		entries, err = m.statChildrenBatched(names, children)
-	} else {
-		entries, err = m.statChildrenSerial(names, children)
-	}
+	entries, err := m.statChildren(names, children)
 	if err != nil {
 		return nil, err
 	}
@@ -222,28 +216,12 @@ func (m *metaService) readDir(path string) ([]EntryInfo, error) {
 	return entries, nil
 }
 
-// statChildrenSerial stats each directory entry with an individual get —
-// the pipelining-off (ablation) path, one round trip per entry.
-func (m *metaService) statChildrenSerial(names, children []string) ([]EntryInfo, error) {
-	entries := make([]EntryInfo, 0, len(names))
-	for i, name := range names {
-		rec, err := m.statRecord(children[i])
-		if err != nil {
-			// A concurrent remove can race the listing; skip the ghost.
-			continue
-		}
-		entries = append(entries, entryInfo(name, children[i], rec))
-	}
-	return entries, nil
-}
-
-// statChildrenBatched stats directory entries with one pipelined MGet per
-// metadata shard instead of one Get round trip per entry — the listing
-// cost drops from O(entries) round trips to O(shards). Entries whose
-// record is gone by fetch time (a concurrent remove racing the listing)
-// come back nil and are skipped, matching the serial path; decode errors
-// still surface.
-func (m *metaService) statChildrenBatched(names, children []string) ([]EntryInfo, error) {
+// statChildren stats directory entries with one MGet per metadata shard
+// instead of one Get round trip per entry — the listing costs O(shards)
+// round trips, not O(entries). Entries whose record is gone by fetch time
+// (a concurrent remove racing the listing) come back nil and are skipped;
+// transport and decode errors surface.
+func (m *metaService) statChildren(names, children []string) ([]EntryInfo, error) {
 	// Group entry indexes by the own node that shards their metadata key.
 	byShard := make(map[int][]int)
 	for i, child := range children {

@@ -326,3 +326,47 @@ func TestSharedRegistry(t *testing.T) {
 		t.Fatal("provided registry saw no fs activity")
 	}
 }
+
+// TestPipelineDepthIsOnlyBurstSize pins that PipelineDepth selects no code
+// path: the same 40-stripe R=2 write and read at depth 1, 4 and the
+// default moves the same bytes and counts the same stripe ops, degraded
+// writes and span outcomes.
+func TestPipelineDepthIsOnlyBurstSize(t *testing.T) {
+	type reading struct {
+		stripeWrites, stripeReads, degraded int64
+		writeOutcomes, readOutcomes         int64
+	}
+	outcomeTotal := func(fams []obs.FamilySnapshot, op string) int64 {
+		var total int64
+		if f := findFamily(fams, "memfss_fs_span_outcomes_total"); f != nil {
+			for _, s := range f.Series {
+				if s.Labels.Get("op") == op {
+					total += int64(s.Value)
+				}
+			}
+		}
+		return total
+	}
+	data := randomBytes(17, 40*4<<10)
+	want := reading{stripeWrites: 40, stripeReads: 40, writeOutcomes: 40, readOutcomes: 40}
+	for _, depth := range []int{1, 4, 0} {
+		d := newTestFS(t, 2, 2,
+			withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+			withPipelineDepth(depth))
+		if err := d.fs.WriteFile("/depth", data); err != nil {
+			t.Fatalf("depth %d: write: %v", depth, err)
+		}
+		got, err := d.fs.ReadFile("/depth")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("depth %d: read back differs from written bytes: %v", depth, err)
+		}
+		c, fams := d.fs.Counters(), d.fs.Metrics()
+		r := reading{
+			stripeWrites: c.StripeWrites, stripeReads: c.StripeReads, degraded: c.DegradedWrites,
+			writeOutcomes: outcomeTotal(fams, "write"), readOutcomes: outcomeTotal(fams, "read"),
+		}
+		if r != want {
+			t.Fatalf("depth %d: %+v, want %+v", depth, r, want)
+		}
+	}
+}

@@ -250,9 +250,9 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 const delBatch = 512
 
 // delKeyBatches deletes keys from one node in multi-key DEL commands,
-// pipelined PipelineDepth commands per burst (depth <= 1 degrades to one
-// round trip per DEL). An unreachable node is skipped: Truncate/Remove
-// must succeed even after evacuations shrank the snapshot.
+// pipelined PipelineDepth commands per burst. An unreachable node is
+// skipped: Truncate/Remove must succeed even after evacuations shrank the
+// snapshot.
 func (fs *FileSystem) delKeyBatches(nodeID string, keys []string) error {
 	cli, err := fs.conns.client(nodeID)
 	if err != nil {
@@ -275,12 +275,6 @@ func (fs *FileSystem) delKeyBatches(nodeID string, keys []string) error {
 		end := start + delBatch
 		if end > len(keys) {
 			end = len(keys)
-		}
-		if fs.pipeDepth <= 1 {
-			if _, err := cli.Del(keys[start:end]...); err != nil {
-				return err
-			}
-			continue
 		}
 		pl.Del(keys[start:end]...)
 		if pl.Len() >= fs.pipeDepth {

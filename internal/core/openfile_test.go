@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -234,7 +235,7 @@ func TestCountersTrackActivity(t *testing.T) {
 	}
 	// Displacement causes a deep probe and a repair (reuse the lazy-move
 	// machinery): evacuating a victim forces probes past the primary.
-	if err := fs.EvacuateNode(d.victims.Nodes[0].ID); err != nil {
+	if _, err := fs.Evacuate(context.Background(), d.victims.Nodes[0].ID, EvacOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	fs.ReadFile("/c")

@@ -8,13 +8,12 @@ import (
 	"memfss/internal/stripe"
 )
 
-// This file holds the batched data paths used when Config.PipelineDepth
-// is >= 2: multi-stripe writes and reads are grouped per target node,
-// split into PipelineDepth-sized bursts, and the bursts shipped as wire
-// pipelines — IOParallelism bursts in flight at once, each on its own
-// pooled connection. The per-command engines in file.go remain both the
-// depth-1 ablation baseline and the fallback for everything the fast
-// path cannot serve (erasure coding, probe reads, lazy repair).
+// This file holds the batched data paths: multi-stripe writes and reads
+// are grouped per target node, split into PipelineDepth-sized bursts, and
+// the bursts shipped as wire pipelines — IOParallelism bursts in flight at
+// once, each on its own pooled connection. The per-span engines in file.go
+// serve single-span operations and everything the bursts cannot (erasure
+// coding, probe reads, lazy repair).
 
 // spanCmd pairs one queued store command with the span it serves. It is
 // typed rather than a pre-marshaled [][]byte so queueing encodes straight
@@ -203,6 +202,9 @@ func (f *File) writeSpansPipelined(tr *opTrace, spans []stripe.Span, starts []in
 				return
 			}
 			if rerr := r.Err(); rerr != nil {
+				if isNoSpace(rerr) {
+					f.fs.noteNoSpace(nb.node)
+				}
 				fail(c.span, fmt.Errorf("memfss: %s %s on %s: %w",
 					c.verb(), c.key, nb.node, rerr))
 			}
@@ -222,6 +224,9 @@ func (f *File) writeSpansPipelined(tr *opTrace, spans []stripe.Span, starts []in
 			fsObs.outcome("write", "ok").Inc()
 		case o.storeErr != nil:
 			err = o.storeErr
+			if isNoSpace(err) {
+				f.fs.stats.noSpaceWrites.Add(1)
+			}
 		case replicas[i] > 1 && replicas[i]-failed >= f.fs.writeQuorum:
 			f.fs.stats.degradedWrites.Add(1)
 			tr.markDegraded()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func withPipelineDepth(n int) deployOpt {
 
 // newSharedStoresFS brings up one set of own+victim stores and returns a
 // FileSystem factory over them, so tests can point clients with
-// different configs (pipelined vs per-command) at identical data.
+// different configs (burst depths) at identical data.
 func newSharedStoresFS(t *testing.T, ownN, victimN int) func(opts ...deployOpt) *FileSystem {
 	t.Helper()
 	const password = "test-secret"
@@ -63,9 +64,9 @@ func newSharedStoresFS(t *testing.T, ownN, victimN int) func(opts ...deployOpt) 
 }
 
 // TestPipelinedAndPerCommandIOAgree is the pipelining analogue of
-// TestParallelAndSerialIOAgree: data written through the pipelined path
-// must read back bit-exactly through the per-command path, and vice
-// versa, over the same stores and with full R=3 replication.
+// TestParallelAndSerialIOAgree: data written in depth-4 bursts must read
+// back bit-exactly through a depth-1 client (bursts of one command), and
+// vice versa, over the same stores and with full R=3 replication.
 func TestPipelinedAndPerCommandIOAgree(t *testing.T) {
 	mk := newSharedStoresFS(t, 3, 4)
 	red := withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 3})
@@ -78,21 +79,21 @@ func TestPipelinedAndPerCommandIOAgree(t *testing.T) {
 	}
 	got, err := perCmd.ReadFile("/a")
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("per-command read of pipelined write failed: %v", err)
+		t.Fatalf("depth-1 read of depth-4 write failed: %v", err)
 	}
 
 	if err := perCmd.WriteFile("/b", payload); err != nil {
-		t.Fatalf("per-command write: %v", err)
+		t.Fatalf("depth-1 write: %v", err)
 	}
 	got, err = piped.ReadFile("/b")
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("pipelined read of per-command write failed: %v", err)
+		t.Fatalf("depth-4 read of depth-1 write failed: %v", err)
 	}
 }
 
 // TestPipelinedSparseAndPartialAgree drives the batched paths through
 // their awkward cases — partial-stripe spans at odd offsets and a
-// multi-stripe hole — and checks both modes read the same bytes.
+// multi-stripe hole — and checks both depths read the same bytes.
 func TestPipelinedSparseAndPartialAgree(t *testing.T) {
 	mk := newSharedStoresFS(t, 2, 3)
 	perCmd := mk(withPipelineDepth(1))
@@ -118,7 +119,7 @@ func TestPipelinedSparseAndPartialAgree(t *testing.T) {
 	want := make([]byte, offB+len(chunkB))
 	copy(want[3:], chunkA)
 	copy(want[offB:], chunkB)
-	for name, fs := range map[string]*FileSystem{"per-command": perCmd, "pipelined": piped} {
+	for name, fs := range map[string]*FileSystem{"depth-1": perCmd, "pipelined": piped} {
 		got, err := fs.ReadFile("/sparse")
 		if err != nil {
 			t.Fatalf("%s read: %v", name, err)
@@ -131,7 +132,7 @@ func TestPipelinedSparseAndPartialAgree(t *testing.T) {
 
 // TestBatchedEvacuationDrain writes replicated data, drains a victim
 // with the batched (MGET + pipelined SETNX) path, and checks every byte
-// is still readable through the per-command client — i.e. the batched
+// is still readable through a depth-1 client — i.e. the batched
 // drain re-homed stripes exactly where the probe path looks for them.
 func TestBatchedEvacuationDrain(t *testing.T) {
 	mk := newSharedStoresFS(t, 3, 3)
@@ -146,7 +147,7 @@ func TestBatchedEvacuationDrain(t *testing.T) {
 		}
 	}
 	victim := piped.Classes()[1].Nodes[0].ID
-	if err := piped.EvacuateNode(victim); err != nil {
+	if _, err := piped.Evacuate(context.Background(), victim, EvacOptions{}); err != nil {
 		t.Fatalf("batched evacuation: %v", err)
 	}
 	for _, p := range []string{"/e1", "/e2"} {

@@ -10,7 +10,7 @@ package core
 //   - TestShortWriteKeepsPrefixReadable: File.WriteAt dropped the
 //     successfully-written prefix from f.size/f.dirty on error, so
 //     Sync/Close recorded the stale size and the prefix became unreadable.
-//   - TestScavengeChurnRace: EvacuateNode kept a pointer into fs.classes
+//   - TestScavengeChurnRace: Evacuate kept a pointer into fs.classes
 //     past the read unlock. The race was latent — today nothing mutates
 //     class elements in place, so -race stayed quiet — but any future
 //     in-place update would have made it explode; the test pins the
@@ -24,6 +24,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -152,7 +153,7 @@ func TestShortWriteKeepsPrefixReadable(t *testing.T) {
 	}
 }
 
-// S3: EvacuateNode, AddVictimClass, the pressure monitor and writes all
+// S3: Evacuate, AddVictimClass, the pressure monitor and writes all
 // touch fs.classes; run them concurrently under -race.
 func TestScavengeChurnRace(t *testing.T) {
 	d := newTestFS(t, 2, 3,
@@ -194,7 +195,7 @@ func TestScavengeChurnRace(t *testing.T) {
 	go func() { // evacuator
 		defer wg.Done()
 		for _, id := range []string{d.victims.Nodes[0].ID, d.victims.Nodes[1].ID} {
-			if err := d.fs.EvacuateNode(id); err != nil {
+			if _, err := d.fs.Evacuate(context.Background(), id, EvacOptions{}); err != nil {
 				t.Errorf("evacuate %s: %v", id, err)
 			}
 		}

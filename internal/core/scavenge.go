@@ -167,15 +167,6 @@ func (fs *FileSystem) releaseDrain(nodeID string) {
 	fs.drainMu.Unlock()
 }
 
-// EvacuateNode drains every stripe from a victim node's store and removes
-// the node from MemFSS — the response to the monitor's "tenant needs its
-// memory back" signal (paper §III-A). It is Evacuate with background
-// context and default options.
-func (fs *FileSystem) EvacuateNode(nodeID string) error {
-	_, err := fs.Evacuate(context.Background(), nodeID, EvacOptions{})
-	return err
-}
-
 // Evacuate runs the full revocation protocol against a victim node:
 //
 //  1. fence: the node enters Draining — replicated writes skip it (with

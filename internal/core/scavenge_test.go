@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestEvacuateNode(t *testing.T) {
 		}
 	}
 	victimID := d.victims.Nodes[0].ID
-	if err := d.fs.EvacuateNode(victimID); err != nil {
+	if _, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,10 +122,10 @@ func TestEvacuateNode(t *testing.T) {
 
 func TestEvacuateOwnNodeRefused(t *testing.T) {
 	d := newTestFS(t, 2, 2)
-	if err := d.fs.EvacuateNode(d.own.Nodes[0].ID); err == nil {
+	if _, err := d.fs.Evacuate(context.Background(), d.own.Nodes[0].ID, EvacOptions{}); err == nil {
 		t.Fatal("evacuating an own node must be refused")
 	}
-	if err := d.fs.EvacuateNode("bogus"); err == nil {
+	if _, err := d.fs.Evacuate(context.Background(), "bogus", EvacOptions{}); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
@@ -135,7 +136,7 @@ func TestEvacuateWithReplication(t *testing.T) {
 	if err := d.fs.WriteFile("/rep", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.fs.EvacuateNode(d.victims.Nodes[1].ID); err != nil {
+	if _, err := d.fs.Evacuate(context.Background(), d.victims.Nodes[1].ID, EvacOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.fs.ReadFile("/rep")

@@ -10,7 +10,7 @@
 // after run — deterministic enough for CI soak tests, while goroutine
 // scheduling still varies the exact interleaving. Tests point a ClassSpec
 // node address at Proxy.Addr() instead of the real store; memfss-bench does
-// the same under its -chaos and -scenario flags.
+// the same under its -scenario flag.
 //
 // Plans are per direction (DirPlan): the client->server request stream and
 // the server->client reply stream carry independent fault schedules, which
@@ -67,32 +67,12 @@ func (d DirPlan) active() bool {
 }
 
 // Plan configures which faults a Proxy injects and how often.
-//
-// The legacy top-level fields (DropBeforeReply, DropMidReply, CutRequest,
-// DelayProb/Delay) predate per-direction plans and are folded into
-// Reply/Request when the plan is installed, so existing seeded soaks keep
-// their exact fault sequences. New code should set Request/Reply directly.
 type Plan struct {
 	// Seed drives the PRNG that samples every probability below. SetPlan
 	// keeps the proxy's PRNG stream, so the fault sequence stays a pure
 	// function of the original seed and segment arrival order even across
 	// plan swaps.
 	Seed int64
-
-	// DropBeforeReply is the chance a server->client segment is discarded
-	// and the connection reset before any reply byte reaches the client.
-	// Legacy alias for Reply.Drop.
-	DropBeforeReply float64
-	// DropMidReply is the chance a server->client segment is cut in half.
-	// Legacy alias for Reply.Cut.
-	DropMidReply float64
-	// CutRequest is the chance a client->server segment is truncated.
-	// Legacy alias for Request.Cut.
-	CutRequest float64
-	// DelayProb/Delay hold a server->client segment before forwarding.
-	// Legacy aliases for Reply.DelayProb/Reply.Delay.
-	DelayProb float64
-	Delay     time.Duration
 
 	// Request is the client->server fault schedule.
 	Request DirPlan
@@ -108,19 +88,9 @@ type Plan struct {
 	DropVerbs []string
 }
 
-// normalized folds the legacy aliases into the per-direction plans and
-// pre-compiles the verb matchers.
-func (p Plan) normalized() *compiledPlan {
+// compile pre-builds the verb matchers.
+func (p Plan) compile() *compiledPlan {
 	c := &compiledPlan{plan: p}
-	c.plan.Reply.Drop += p.DropBeforeReply
-	c.plan.Reply.Cut += p.DropMidReply
-	c.plan.Request.Cut += p.CutRequest
-	if p.DelayProb > 0 && p.Delay > 0 {
-		c.plan.Reply.DelayProb += p.DelayProb
-		if c.plan.Reply.Delay == 0 {
-			c.plan.Reply.Delay = p.Delay
-		}
-	}
 	for _, v := range p.DropVerbs {
 		// A verb on the wire is a bulk string: $<len>\r\n<VERB>\r\n.
 		c.verbs = append(c.verbs, []byte(fmt.Sprintf("$%d\r\n%s\r\n", len(v), v)))
@@ -199,7 +169,7 @@ func New(target string, plan Plan) (*Proxy, error) {
 		ln:     ln,
 		conns:  make(map[net.Conn]struct{}),
 	}
-	p.plan.Store(plan.normalized())
+	p.plan.Store(plan.compile())
 	p.wg.Add(1)
 	go p.acceptLoop(ln)
 	return p, nil
@@ -212,8 +182,7 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // Target returns the wrapped store's real address.
 func (p *Proxy) Target() string { return p.target }
 
-// Plan returns the currently installed plan (as given; legacy aliases are
-// not folded back).
+// Plan returns the currently installed plan.
 func (p *Proxy) Plan() Plan { return p.plan.Load().plan }
 
 // SetPlan swaps the fault schedule at runtime. In-flight connections pick
@@ -223,7 +192,7 @@ func (p *Proxy) Plan() Plan { return p.plan.Load().plan }
 // the original seed and segment order.
 func (p *Proxy) SetPlan(plan Plan) {
 	p.planSwaps.Add(1)
-	p.plan.Store(plan.normalized())
+	p.plan.Store(plan.compile())
 }
 
 // Stats snapshots the injected-fault counters.
