@@ -301,3 +301,159 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 
 // TestErasureChaosSoak moved to internal/chaos (runner-based), keeping its
 // name and assertion strength.
+
+// storeOpCount sums memfss_kvstore_op_seconds observations for one
+// command verb across node classes.
+func storeOpCount(fs *FileSystem, op string) int64 {
+	var n int64
+	if f := findFamily(fs.Metrics(), "memfss_kvstore_op_seconds"); f != nil {
+		for _, s := range f.Series {
+			if s.Labels.Get("op") == op {
+				n += s.Count
+			}
+		}
+	}
+	return n
+}
+
+// TestErasureWholeStripeOverwriteReadsHeadersOnly overwrites a full
+// RS(4,2) stripe in place: the write replaces every byte, so all it may
+// fetch is each slot's 18-byte header — one ranged read per slot, no
+// whole-shard GET, no reconstruction — and its generation must still
+// outbid every generation present, an orphan's included.
+func TestErasureWholeStripeOverwriteReadsHeadersOnly(t *testing.T) {
+	const stripeSize = 64 << 10
+	d := newTestFS(t, 6, 0,
+		withStripeSize(stripeSize),
+		withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}))
+	v1 := randomBytes(21, stripeSize)
+	if err := d.fs.WriteFile("/whole", v1); err != nil {
+		t.Fatal(err)
+	}
+	sk, nodes := stripeTargets(t, d, "/whole", 0)
+	stores := storesByID(d)
+
+	// Plant an orphan: slot 5 carries a far newer generation from a write
+	// that never completed. Only a probe of every slot can see it.
+	const orphanGen = 40
+	orphanKey := shardKey(dataKey(sk), 5)
+	raw, ok, err := stores[nodes[5]].Get(orphanKey)
+	if err != nil || !ok {
+		t.Fatalf("shard 5 missing after write: ok=%v err=%v", ok, err)
+	}
+	_, _, body, err := erasure.ParseShard(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stores[nodes[5]].Set(orphanKey, erasure.WrapShard(orphanGen, 0xdead, body)); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := d.fs.OpenFile("/whole", O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets, ranges := storeOpCount(d.fs, "GET"), storeOpCount(d.fs, "GETRANGE")
+	recBefore := d.fs.Counters().ECReconstructs
+	v2 := randomBytes(22, stripeSize)
+	if _, err := f.WriteAt(v2, 0); err != nil {
+		t.Fatal(err)
+	}
+	gets, ranges = storeOpCount(d.fs, "GET")-gets, storeOpCount(d.fs, "GETRANGE")-ranges
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Every read the write issued was a HeaderSize-byte range: bytes read
+	// are bounded by ranges × HeaderSize.
+	if gets != 0 || ranges != 6 {
+		t.Fatalf("whole-stripe overwrite issued %d GET and %d GETRANGE, want 0 and 6 (one header per slot)", gets, ranges)
+	}
+	if read := ranges * erasure.HeaderSize; read >= 1<<10 {
+		t.Fatalf("whole-stripe overwrite read %d bytes, want < 1 KiB", read)
+	}
+	if n := d.fs.Counters().ECReconstructs - recBefore; n != 0 {
+		t.Fatalf("whole-stripe overwrite reconstructed %d times, want 0", n)
+	}
+
+	// The new generation wins on every slot, above the orphan's.
+	for i, node := range nodes {
+		raw, ok, err := stores[node].Get(shardKey(dataKey(sk), i))
+		if err != nil || !ok {
+			t.Fatalf("slot %d empty after overwrite: ok=%v err=%v", i, ok, err)
+		}
+		gen, _, _, err := erasure.ParseShard(raw)
+		if err != nil || gen != orphanGen+1 {
+			t.Fatalf("slot %d generation %d (err %v), want %d", i, gen, err, orphanGen+1)
+		}
+	}
+	got, err := d.fs.ReadFile("/whole")
+	if err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("read after overwrite returned the wrong bytes (err %v)", err)
+	}
+
+	// A partial overwrite still read-modify-writes: whole shards fetched,
+	// no header probe. (>= because a straggler GET the ReadFile above
+	// abandoned may report inside this window.)
+	f, err = d.fs.OpenFile("/whole", O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets, ranges = storeOpCount(d.fs, "GET"), storeOpCount(d.fs, "GETRANGE")
+	if _, err := f.WriteAt([]byte("patch"), 100); err != nil {
+		t.Fatal(err)
+	}
+	gets, ranges = storeOpCount(d.fs, "GET")-gets, storeOpCount(d.fs, "GETRANGE")-ranges
+	if gets < 6 || ranges != 0 {
+		t.Fatalf("partial overwrite issued %d GET and %d GETRANGE, want >= 6 and 0", gets, ranges)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copy(v2[100:], "patch")
+	if got, err = d.fs.ReadFile("/whole"); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("read after partial overwrite returned the wrong bytes (err %v)", err)
+	}
+}
+
+// TestErasureWindowedReads reads windows that start and end inside
+// shards, across shard and stripe boundaries and past the file's end,
+// healthy and with a data shard gone (so the window comes out of
+// reconstructed payloads), then again after a metadata-only truncate
+// that leaves full-size shards behind a shorter stripe.
+func TestErasureWindowedReads(t *testing.T) {
+	d := newTestFS(t, 6, 0,
+		withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}))
+	data := randomBytes(31, 2*4096+1001)
+	if err := d.fs.WriteFile("/win", data); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, want []byte) {
+		t.Helper()
+		f, err := d.fs.Open("/win")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for _, w := range [][2]int{{0, 1}, {1, 1023}, {1023, 2}, {1000, 3100}, {4090, 12}, {4096, 4096}, {8000, 5000}, {0, len(want) + 7}} {
+			off, l := w[0], w[1]
+			buf := bytes.Repeat([]byte{0xaa}, l)
+			n, err := f.ReadAt(buf, int64(off))
+			exp := want[min(off, len(want)):min(off+l, len(want))]
+			if n != len(exp) || !bytes.Equal(buf[:n], exp) || (err != nil && n == l) {
+				t.Fatalf("%s: ReadAt(off=%d,len=%d) = %d bytes, err %v; want the file's %d bytes there", label, off, l, n, err, len(exp))
+			}
+		}
+	}
+	check("healthy", data)
+
+	sk, nodes := stripeTargets(t, d, "/win", 0)
+	if n := storesByID(d)[nodes[1]].Del(shardKey(dataKey(sk), 1)); n != 1 {
+		t.Fatalf("deleted %d shards, want 1", n)
+	}
+	check("data shard 1 of stripe 0 lost", data)
+
+	if err := d.fs.Truncate("/win", 4096+500); err != nil {
+		t.Fatal(err)
+	}
+	check("truncated", data[:4096+500])
+}

@@ -554,9 +554,11 @@ var (
 	ecWriteSeq  atomic.Uint64
 )
 
-// writeSpanErasure read-modify-writes the whole stripe: partial-stripe
-// updates under erasure coding are inherently RMW because every shard
-// depends on every data byte. sk is the raw stripe key.
+// writeSpanErasure writes one span of an erasure-coded stripe. A
+// partial-stripe update read-modify-writes the whole stripe — inherent
+// under erasure coding, because every shard depends on every data byte;
+// a span covering the stripe encodes the caller's bytes directly. sk is
+// the raw stripe key.
 //
 // Every shard of the write carries the same (generation, write ID) tag:
 // generation is the highest generation observed on the stripe plus one,
@@ -574,38 +576,51 @@ func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data [
 	if curLen > newLen {
 		newLen = curLen
 	}
-	buf := make([]byte, newLen)
+	// A span covering the whole stripe needs nothing of the old bytes: the
+	// caller's data is the payload and only the generations are fetched.
+	// Anything narrower read-modify-writes the stripe in a scratch buffer.
+	whole := span.Offset == 0 && span.Length >= curLen
+	payload := data
+	if !whole {
+		payload = make([]byte, newLen)
+	}
 	var gen uint64
 	if curLen > 0 {
-		// The RMW gather probes every slot, not just the first k: the new
+		// The gather probes every slot, not just the first k: the new
 		// generation must exceed every generation present — including a
 		// failed write's orphan shards — or two distinct writes could
 		// share a generation and leave the winner ambiguous.
-		g := f.gatherStripe(tr, sk, span.Index, curLen, true)
+		mode := gatherAll
+		if whole {
+			mode = gatherHeaders
+		}
+		g := f.gatherStripe(tr, sk, span.Index, curLen, mode)
 		gen = g.maxGen
-		if g.found >= k {
-			existing, err := f.reconstructGather(tr, g, curLen)
+		if !whole && g.found >= k {
+			shards, err := f.gatherData(tr, g)
+			if err == nil {
+				_, err = f.coder.JoinInto(payload, shards, 0, int(curLen))
+			}
 			if err != nil {
 				o.outcome("write", "error").Inc()
 				return err
 			}
-			copy(buf, existing)
 		}
 		// Fewer than k shards of any one write: the stripe is a hole, or
 		// its bytes are currently unrecoverable. Either way the overwrite
 		// proceeds over zeros (matching the pre-generation behavior) and
 		// the new, complete generation supersedes the remnants.
 	}
-	copy(buf[span.Offset:], data)
-	shards := f.coder.Split(buf)
-	parity, err := f.coder.Encode(shards)
-	if err != nil {
-		o.outcome("write", "error").Inc()
-		return err
+	if !whole {
+		copy(payload[span.Offset:], data)
 	}
-	all := append(shards, parity...)
 	gen++
 	id := ecWriteBase ^ ecWriteSeq.Add(1)
+	start := time.Now()
+	all := f.coder.EncodeShards(gen, id, payload)
+	elapsed := time.Since(start)
+	tr.recLeg("ec-encode", elapsed, "ok")
+	o.ecEncodeHist().Observe(elapsed)
 	nodes := f.targets(sk)
 	skips := f.fs.writeSkips(nodes, k)
 	errs := make([]error, len(nodes))
@@ -623,7 +638,7 @@ func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data [
 			tr.phase(span.Index, nodes[i], cls, 0, 0, "skipped")
 			return
 		}
-		err := f.put(nodes[i], shardKey(dataKey(sk), i), erasure.WrapShard(gen, id, all[i]), &stats[i])
+		err := f.put(nodes[i], shardKey(dataKey(sk), i), all[i], &stats[i])
 		if err != nil {
 			err = fmt.Errorf("memfss: write shard %d of %s to %s: %w", i, sk, nodes[i], err)
 		}
@@ -730,7 +745,7 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte) error {
 	o := f.fs.obs
 	if f.coder != nil {
 		stripeLen := f.layout.StripeLen(f.size, span.Index)
-		buf, degraded, err := f.readStripeErasure(tr, sk, span.Index, stripeLen)
+		degraded, err := f.readStripeErasure(tr, sk, span, stripeLen, dst)
 		if err != nil {
 			o.outcome("read", "error").Inc()
 			return err
@@ -740,11 +755,6 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte) error {
 		} else {
 			o.outcome("read", "ok").Inc()
 		}
-		n := 0
-		if span.Offset < int64(len(buf)) {
-			n = copy(dst, buf[span.Offset:])
-		}
-		clear(dst[n:])
 		return nil
 	}
 
@@ -849,6 +859,15 @@ type ecSlot struct {
 	err     error
 }
 
+// gatherMode selects how much of a stripe gatherStripe fetches.
+type gatherMode int
+
+const (
+	gatherFirstK  gatherMode = iota // reads: stop at the first write to reach k shards
+	gatherAll                       // RMW writes: every slot's shard
+	gatherHeaders                   // whole-stripe overwrites: every slot's header only
+)
+
 // ecGather is the outcome of one concurrent shard gather over a stripe:
 // per-slot evidence plus the winning write — the (generation, write ID)
 // group that first reached k shards, preferring higher generations.
@@ -873,17 +892,32 @@ type ecGather struct {
 // Hydra's degraded read, racing reconstruction against stragglers
 // instead of waiting out a slow or dead node's retry budget. If the
 // first wave cannot produce a winner the remaining slots are fanned out,
-// so an unsuccessful gather has probed every slot. probeAll disables the
+// so an unsuccessful gather has probed every slot. gatherAll disables the
 // early return (and the spare cap): the RMW write path needs every
-// slot's generation, not just the fastest k.
-func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, probeAll bool) *ecGather {
+// slot's generation, not just the fastest k. gatherHeaders is gatherAll
+// fetching only each slot's shard header — all a whole-stripe overwrite
+// needs, since it replaces the bytes and only has to outbid the
+// generations present.
+func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
 	k, m := f.coder.K(), f.coder.M()
 	n := k + m
 	nodes := f.targets(sk)
 	o := f.fs.obs
+	probeAll := mode != gatherFirstK
 	// Shards are equal-sized Splits of the stripe plus the shard header;
 	// the per-shard estimate meters the throttle before each transfer.
 	shardEst := (stripeLen+int64(k)-1)/int64(k) + erasure.HeaderSize
+	get := func(i int, st *kvstore.OpStat) ([]byte, bool, error) {
+		return f.getFull(nodes[i], shardKey(dataKey(sk), i), shardEst, st)
+	}
+	if mode == gatherHeaders {
+		hdrs := make([]byte, n*erasure.HeaderSize)
+		get = func(i int, st *kvstore.OpStat) ([]byte, bool, error) {
+			hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
+			got, ok, err := f.getInto(nodes[i], shardKey(dataKey(sk), i), 0, erasure.HeaderSize, hdr, st)
+			return hdr[:got], ok, err
+		}
+	}
 	type fetch struct {
 		slot int
 		data []byte
@@ -895,7 +929,7 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, probeA
 	launch := func(i int) {
 		go func() {
 			var st kvstore.OpStat
-			data, ok, err := f.getFull(nodes[i], shardKey(dataKey(sk), i), shardEst, &st)
+			data, ok, err := get(i, &st)
 			cls := f.fs.conns.class(nodes[i])
 			o.stripeHist("read", cls).Observe(st.Dur)
 			out := "miss"
@@ -989,12 +1023,11 @@ func (g *ecGather) winnerShards() [][]byte {
 	return shards
 }
 
-// reconstructGather turns a winning gather into stripe bytes, rebuilding
-// any missing data shards from the survivors.
-func (f *File) reconstructGather(tr *opTrace, g *ecGather, stripeLen int64) ([]byte, error) {
+// gatherData turns a winning gather into the stripe's k data payloads,
+// rebuilding any missing ones from the survivors.
+func (f *File) gatherData(tr *opTrace, g *ecGather) ([][]byte, error) {
 	k := f.coder.K()
 	shards := g.winnerShards()
-	data := shards[:k]
 	for i := 0; i < k; i++ {
 		if shards[i] != nil {
 			continue
@@ -1008,10 +1041,9 @@ func (f *File) reconstructGather(tr *opTrace, g *ecGather, stripeLen int64) ([]b
 		}
 		f.fs.stats.ecReconstructs.Add(1)
 		f.fs.obs.ecReconstructHist().Observe(elapsed)
-		data = rec
-		break
+		return rec, nil
 	}
-	return f.coder.Join(data, int(stripeLen))
+	return shards[:k], nil
 }
 
 // noteStripeState converts gather evidence into repair work. A shard
@@ -1047,14 +1079,16 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 	return needs
 }
 
-// readStripeErasure gathers one write's k shards and reconstructs the
-// stripe's bytes, reporting whether the read was degraded (missing or
-// stale shards observed — repair enqueued). A stripe whose slots all
-// answer "no shard" reads as zeros (hole); fewer than k shards of any
-// single write otherwise is data loss. sk is the raw stripe key.
-func (f *File) readStripeErasure(tr *opTrace, sk string, idx, stripeLen int64) ([]byte, bool, error) {
+// readStripeErasure gathers one write's k shards and copies the span's
+// window of the stripe straight from the data payloads into dst
+// (len(dst) == span.Length; bytes past the stripe's end read as zeros),
+// reporting whether the read was degraded (missing or stale shards
+// observed — repair enqueued). A stripe whose slots all answer "no
+// shard" reads as zeros (hole); fewer than k shards of any single write
+// otherwise is data loss. sk is the raw stripe key.
+func (f *File) readStripeErasure(tr *opTrace, sk string, span stripe.Span, stripeLen int64, dst []byte) (bool, error) {
 	k, m := f.coder.K(), f.coder.M()
-	g := f.gatherStripe(tr, sk, idx, stripeLen, false)
+	g := f.gatherStripe(tr, sk, span.Index, stripeLen, gatherFirstK)
 	if g.found < k {
 		// An unsuccessful gather probed every slot, so the counts below
 		// cover the full shard set.
@@ -1063,20 +1097,26 @@ func (f *File) readStripeErasure(tr *opTrace, sk string, idx, stripeLen int64) (
 			// that had lost its full failure budget would have shown a
 			// survivor among them. The stripe was never written — a hole,
 			// which reads as zeros. (No repair: absence is its state.)
-			return make([]byte, stripeLen), false, nil
+			clear(dst)
+			return false, nil
 		}
-		f.noteStripeState(tr, sk, idx, g)
+		f.noteStripeState(tr, sk, span.Index, g)
 		if g.present == 0 && g.absent == 0 {
-			return nil, false, fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
+			return false, fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
 		}
-		return nil, false, fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, k)
+		return false, fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, k)
 	}
-	degraded := f.noteStripeState(tr, sk, idx, g)
-	buf, err := f.reconstructGather(tr, g, stripeLen)
+	degraded := f.noteStripeState(tr, sk, span.Index, g)
+	shards, err := f.gatherData(tr, g)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return buf, degraded, nil
+	n, err := f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
+	if err != nil {
+		return false, err
+	}
+	clear(dst[n:])
+	return degraded, nil
 }
 
 // getFull reads a whole key from a node, throttled by the expected value

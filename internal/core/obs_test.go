@@ -252,6 +252,13 @@ func TestMetricsFamilyCoverage(t *testing.T) {
 			t.Errorf("no %s* family in the exposition", prefix)
 		}
 	}
+	// Both halves of the erasure coder's cost are declared from mount on,
+	// so a dashboard can chart them before the first coded stripe.
+	for _, name := range []string{"memfss_fs_ec_encode_seconds", "memfss_fs_ec_reconstruct_seconds"} {
+		if page.Types[name] != "histogram" {
+			t.Errorf("family %s has TYPE %q, want histogram", name, page.Types[name])
+		}
+	}
 	// The page must parse back to the same sample set it was written
 	// from: every declared family has a TYPE the parser understood.
 	for name, typ := range page.Types {
@@ -260,6 +267,33 @@ func TestMetricsFamilyCoverage(t *testing.T) {
 		default:
 			t.Errorf("family %s has unexpected TYPE %q", name, typ)
 		}
+	}
+}
+
+// TestECEncodeVisible checks that the erasure encode cost shows on both
+// of the program's own surfaces: one memfss_fs_ec_encode_seconds
+// observation and one ec-encode trace leg per coded stripe write.
+func TestECEncodeVisible(t *testing.T) {
+	d := newTestFS(t, 6, 0,
+		withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}),
+		withObs(ObsPolicy{TraceSampleEvery: 1}))
+	if err := d.fs.WriteFile("/enc", randomBytes(13, 3*4096+100)); err != nil { // 4 stripes
+		t.Fatal(err)
+	}
+	h := findFamily(d.fs.Metrics(), "memfss_fs_ec_encode_seconds")
+	if h == nil || len(h.Series) != 1 || h.Series[0].Count != 4 {
+		t.Fatalf("ec_encode_seconds = %+v, want one series with 4 observations", h)
+	}
+	legs := 0
+	for _, td := range d.fs.Traces().Recent(16) {
+		td.Root.Walk(func(_ int, sp *trace.SpanData) {
+			if sp.Name == "ec-encode" && sp.Outcome == "ok" {
+				legs++
+			}
+		})
+	}
+	if legs != 4 {
+		t.Fatalf("retained traces hold %d ec-encode legs, want 4", legs)
 	}
 }
 

@@ -51,6 +51,9 @@ type fsObs struct {
 	// erasure reads — the CPU price of racing reconstruction instead of
 	// waiting for a straggler shard.
 	ecRebuild *obs.Histogram
+	// ecEncode is the Reed-Solomon encode cost of each erasure stripe
+	// write (memfss_fs_ec_encode_seconds).
+	ecEncode *obs.Histogram
 
 	outcomes   sync.Map // "op/outcome" -> *obs.Counter (memfss_fs_span_outcomes_total)
 	slowOps    sync.Map // op -> *obs.Counter (memfss_fs_slow_ops_total)
@@ -85,6 +88,8 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 			obs.L("op", "read", "class", "victim"), nil),
 		ecRebuild: reg.Histogram("memfss_fs_ec_reconstruct_seconds",
 			"Reed-Solomon reconstruction latency on degraded erasure reads.", nil, nil),
+		ecEncode: reg.Histogram("memfss_fs_ec_encode_seconds",
+			"Reed-Solomon encode latency per erasure stripe write (payload copy, parity, shard headers).", nil, nil),
 		evacKeys: reg.Counter("memfss_fs_evacuated_keys_total",
 			"Data keys drained off evacuating victim nodes.", nil),
 		evacs: reg.Counter("memfss_fs_evacuations_total",
@@ -138,6 +143,15 @@ func (o *fsObs) ecReconstructHist() *obs.Histogram {
 		return nil
 	}
 	return o.ecRebuild
+}
+
+// ecEncodeHist returns the erasure encode-latency histogram; nil-safe on
+// a nil receiver.
+func (o *fsObs) ecEncodeHist() *obs.Histogram {
+	if o == nil {
+		return nil
+	}
+	return o.ecEncode
 }
 
 // stripeHist resolves the per-stripe histogram for an op ("write"/"read")

@@ -11,6 +11,9 @@ package erasure
 var (
 	gfExp [512]byte // doubled so mul can skip the mod-255 reduction
 	gfLog [256]byte
+	// gfMulTable[c][x] = c·x. Row c is the whole multiply-by-c map, so the
+	// coding kernel pays one branch-free load per byte; 64 KiB, L2-resident.
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -27,6 +30,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for a := range gfMulTable {
+		for b := range gfMulTable[a] {
+			gfMulTable[a][b] = gfMul(byte(a), byte(b))
+		}
 	}
 }
 
@@ -52,16 +60,37 @@ func gfDiv(a, b byte) byte {
 // gfInv returns the multiplicative inverse of a non-zero element.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// mulSlice computes dst[i] ^= c * src[i] for all i (accumulating
-// multiply-add, the inner loop of encoding and decoding).
-func mulSliceXor(c byte, src, dst []byte) {
-	if c == 0 {
-		return
+// dotInto computes dst[i] = Σ_j coef[j]·srcs[j][i] — one output shard of
+// an encode or a decode — in a single pass over dst: four sources per
+// iteration, then one at a time for the remainder. The first group
+// stores and later ones accumulate, so dst need not be zeroed. Every
+// source must be at least len(dst) long and len(coef) >= 1.
+func dotInto(coef []byte, srcs [][]byte, dst []byte) {
+	n := len(dst)
+	j := 0
+	for ; j+4 <= len(coef); j += 4 {
+		t0, t1, t2, t3 := &gfMulTable[coef[j]], &gfMulTable[coef[j+1]], &gfMulTable[coef[j+2]], &gfMulTable[coef[j+3]]
+		d0, d1, d2, d3 := srcs[j][:n], srcs[j+1][:n], srcs[j+2][:n], srcs[j+3][:n]
+		if j == 0 {
+			for i := range dst {
+				dst[i] = t0[d0[i]] ^ t1[d1[i]] ^ t2[d2[i]] ^ t3[d3[i]]
+			}
+		} else {
+			for i := range dst {
+				dst[i] ^= t0[d0[i]] ^ t1[d1[i]] ^ t2[d2[i]] ^ t3[d3[i]]
+			}
+		}
 	}
-	logC := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[s])]
+	for ; j < len(coef); j++ {
+		t, d := &gfMulTable[coef[j]], srcs[j][:n]
+		if j == 0 {
+			for i := range dst {
+				dst[i] = t[d[i]]
+			}
+		} else {
+			for i := range dst {
+				dst[i] ^= t[d[i]]
+			}
 		}
 	}
 }

@@ -68,23 +68,35 @@ func (c *Coder) Split(data []byte) [][]byte {
 // a stripe truncated in metadata keeps its full-size shards on disk until
 // the next overwrite, and reads of it must still succeed.
 func (c *Coder) Join(shards [][]byte, n int) ([]byte, error) {
+	out := make([]byte, n)
+	if _, err := c.JoinInto(out, shards, 0, n); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// JoinInto is Join for a window: it copies payload bytes [off, off+len(dst)),
+// clamped to the payload length n, from the k data shards straight into
+// dst and returns how many it copied — no stripe-sized intermediate.
+func (c *Coder) JoinInto(dst []byte, shards [][]byte, off, n int) (int, error) {
 	if len(shards) != c.k {
-		return nil, fmt.Errorf("erasure: Join needs %d data shards, got %d", c.k, len(shards))
+		return 0, fmt.Errorf("erasure: Join needs %d data shards, got %d", c.k, len(shards))
 	}
 	size := len(shards[0])
 	for _, s := range shards {
 		if len(s) != size {
-			return nil, fmt.Errorf("erasure: shard size %d, want %d", len(s), size)
+			return 0, fmt.Errorf("erasure: shard size %d, want %d", len(s), size)
 		}
 	}
 	if n > c.k*size {
-		return nil, fmt.Errorf("erasure: %d-byte shards cannot cover a %d-byte payload", size, n)
+		return 0, fmt.Errorf("erasure: %d-byte shards cannot cover a %d-byte payload", size, n)
 	}
-	out := make([]byte, 0, c.k*size)
-	for _, s := range shards {
-		out = append(out, s...)
+	copied := 0
+	for want := min(len(dst), n-off); copied < want; {
+		pos := off + copied
+		copied += copy(dst[copied:want], shards[pos/size][pos%size:])
 	}
-	return out[:n], nil
+	return copied, nil
 }
 
 // Encode computes the m parity shards for k equal-length data shards.
@@ -99,13 +111,37 @@ func (c *Coder) Encode(data [][]byte) ([][]byte, error) {
 		}
 	}
 	parity := make([][]byte, c.m)
-	for i := 0; i < c.m; i++ {
+	for i := range parity {
 		parity[i] = make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			mulSliceXor(c.parity[i][j], data[j], parity[i])
-		}
+		dotInto(c.parity[i], data, parity[i])
 	}
 	return parity, nil
+}
+
+// EncodeShards is Split, Encode and WrapShard(gen, id, ·) of all k+m
+// shards fused into one allocation and one pass per shard: the payload is
+// copied straight into the data shards' bodies, the parity bodies are
+// computed in place and every header is stamped where it will be stored.
+// The returned shards are in slot order, ready to write; payload is not
+// retained.
+func (c *Coder) EncodeShards(gen, id uint64, payload []byte) [][]byte {
+	size := c.ShardSize(len(payload))
+	stride := HeaderSize + size
+	buf := make([]byte, (c.k+c.m)*stride)
+	shards := make([][]byte, c.k+c.m)
+	bodies := make([][]byte, c.k+c.m)
+	for i := range shards {
+		shards[i] = buf[i*stride : (i+1)*stride : (i+1)*stride]
+		putHeader(shards[i], gen, id)
+		bodies[i] = shards[i][HeaderSize:]
+		if start := i * size; i < c.k && start < len(payload) {
+			copy(bodies[i], payload[start:])
+		}
+	}
+	for i, coef := range c.parity {
+		dotInto(coef, bodies[:c.k], bodies[c.k+i])
+	}
+	return shards
 }
 
 // Reconstruct recovers all k data shards from any k survivors. shards must
@@ -167,7 +203,9 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 	// is the parity coefficient row. Its inverse maps survivors back to
 	// data shards.
 	mat := make([][]byte, c.k)
+	survivors := make([][]byte, c.k)
 	for r, idx := range present {
+		survivors[r] = shards[idx]
 		mat[r] = make([]byte, c.k)
 		if idx < c.k {
 			mat[r][idx] = 1
@@ -200,9 +238,7 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 			}
 		}
 		out[i] = make([]byte, size)
-		for r, idx := range present {
-			mulSliceXor(row[r], shards[idx], out[i])
-		}
+		dotInto(row, survivors, out[i])
 	}
 	return out, nil
 }

@@ -43,12 +43,17 @@ var ErrBadShard = errors.New("erasure: malformed shard header")
 // write ID id) to payload, returning a fresh buffer ready to store.
 func WrapShard(gen, id uint64, payload []byte) []byte {
 	out := make([]byte, HeaderSize+len(payload))
-	out[0] = shardMagic
-	out[1] = shardVersion
-	binary.BigEndian.PutUint64(out[2:], gen)
-	binary.BigEndian.PutUint64(out[10:], id)
+	putHeader(out, gen, id)
 	copy(out[HeaderSize:], payload)
 	return out
+}
+
+// putHeader stamps the shard header into b[:HeaderSize].
+func putHeader(b []byte, gen, id uint64) {
+	b[0] = shardMagic
+	b[1] = shardVersion
+	binary.BigEndian.PutUint64(b[2:], gen)
+	binary.BigEndian.PutUint64(b[10:], id)
 }
 
 // ParseShard splits a stored shard into its header fields and payload.

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# bench_gate.sh — CI allocation gate for the kvstore hot path.
+# bench_gate.sh — CI allocation gate for the kvstore hot path and the
+# erasure coder.
 #
-# Runs the Wire* benchmarks (internal/kvstore/hotpath_bench_test.go)
-# with -benchmem at a fixed iteration count and fails if any
-# benchmark's allocs/op exceeds its budget in scripts/allocs_budget.txt.
+# Runs the Wire* benchmarks (internal/kvstore/hotpath_bench_test.go) and
+# the RS42 benchmarks (internal/erasure/rs_test.go) with -benchmem at a
+# fixed iteration count and fails if any benchmark's allocs/op exceeds
+# its budget in scripts/allocs_budget.txt.
 # Prints a benchstat-style table (measured vs budget, headroom) into
 # the job log either way.
 #
@@ -27,6 +29,9 @@ trap 'rm -f "$OUT"' EXIT
 
 echo "== bench gate: go test -bench Wire -benchmem -benchtime $BENCHTIME ./internal/kvstore/"
 go test -run '^$' -bench Wire -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/kvstore/ | tee "$OUT"
+echo
+echo "== bench gate: go test -bench RS42 -benchmem -benchtime $BENCHTIME ./internal/erasure/"
+go test -run '^$' -bench RS42 -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/erasure/ | tee -a "$OUT"
 echo
 
 awk -v budget_file="$BUDGET_FILE" '
