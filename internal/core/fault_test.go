@@ -10,6 +10,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -17,6 +18,8 @@ import (
 	"memfss/internal/container"
 	"memfss/internal/faultwrap"
 	"memfss/internal/hrw"
+	"memfss/internal/kvstore"
+	"memfss/internal/stripe"
 )
 
 // newChaosFS brings up ownN clean own stores (the metadata path stays
@@ -214,6 +217,97 @@ func TestStoreErrorsFailWrites(t *testing.T) {
 	}
 	if c := d.fs.Counters(); c.DegradedWrites != 0 {
 		t.Fatalf("store errors degraded instead of failing (%d degraded writes)", c.DegradedWrites)
+	}
+}
+
+// TestWriteSettlesSpansAfterFailedSpan: one WriteAt whose early span
+// hard-fails (a full store answers OOM) must still settle the spans after
+// it — a later span that lost a replica to a dead node but met the quorum
+// is a degraded write with repair owed, and every span gets an outcome.
+// The multi-span path used to return at the first failed span, so those
+// later spans vanished from DegradedWrites, the repair queue and
+// memfss_fs_span_outcomes_total.
+func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
+	d, proxies := newChaosFS(t, 2, 3, faultwrap.Plan{},
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withRetry(fastRetry),
+		// No detector skips: every target is attempted, so the counts
+		// below follow from placement alone.
+		withHealth(HealthPolicy{ProbeInterval: -1, SuspectAfter: 1000}))
+	f, err := d.fs.Create("/settle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nStripes = 16
+	stripeN := int(d.fs.layout.Size())
+	// classify counts, for victim full answering OOM and victim dead
+	// killed: the first span that hard-fails (full among its targets), and
+	// the spans that degrade (dead among their targets, full not) overall
+	// and after that first failure.
+	classify := func(full, dead string) (firstFail, degraded, degradedAfter int) {
+		firstFail = -1
+		for i := 0; i < nStripes; i++ {
+			targets := f.targets(stripe.Key(f.rec.ID, int64(i)))
+			switch {
+			case containsString(targets, full):
+				if firstFail < 0 {
+					firstFail = i
+				}
+			case containsString(targets, dead):
+				degraded++
+				if firstFail >= 0 {
+					degradedAfter++
+				}
+			}
+		}
+		return
+	}
+	full, dead, firstFail, degraded := -1, -1, 0, 0
+	for c := range d.victims.Nodes {
+		for k := range d.victims.Nodes {
+			if c == k || full >= 0 {
+				continue
+			}
+			if ff, deg, after := classify(d.victims.Nodes[c].ID, d.victims.Nodes[k].ID); ff >= 0 && after > 0 {
+				full, dead, firstFail, degraded = c, k, ff, deg
+			}
+		}
+	}
+	if full < 0 {
+		t.Fatal("no victim pair puts a degradable span after a failing one")
+	}
+	d.victims.Server(full).Store().SetMaxMemory(1)
+	proxies[dead].Kill()
+
+	data := randomBytes(304, nStripes*stripeN)
+	n, err := f.WriteAt(data, 0)
+	if !errors.Is(err, kvstore.ErrNoSpace) {
+		t.Fatalf("write with a full replica target: %v, want ErrNoSpace", err)
+	}
+	if want := firstFail * stripeN; n != want {
+		t.Fatalf("short write reported %d bytes, want the %d before the first failed span", n, want)
+	}
+	c := d.fs.Counters()
+	if c.DegradedWrites != int64(degraded) {
+		t.Errorf("DegradedWrites = %d, want %d (every span that lost only the dead replica)", c.DegradedWrites, degraded)
+	}
+	if st := d.fs.RepairStats(); st.Enqueued != int64(degraded) {
+		t.Errorf("repair Enqueued = %d, want %d", st.Enqueued, degraded)
+	}
+	var outcomes int64
+	for _, v := range spanOutcomes(d.fs.Metrics(), "write") {
+		outcomes += v
+	}
+	if c.StripeWrites != nStripes || outcomes != c.StripeWrites {
+		t.Errorf("%d write outcomes for %d stripe writes, want %d of each", outcomes, c.StripeWrites, nStripes)
+	}
+	// The short-write contract is unchanged: the leading prefix is readable.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.fs.ReadFile("/settle")
+	if err != nil || !bytes.Equal(got, data[:n]) {
+		t.Fatalf("read of the short write's prefix: %v", err)
 	}
 }
 

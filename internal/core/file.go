@@ -114,13 +114,25 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	starts := spanStarts(spans)
+	f.fs.stats.stripeWrites.Add(int64(len(spans)))
 	var okSpans int
-	if f.coder == nil && len(spans) > 1 {
-		okSpans, err = f.writeSpansPipelined(tr, spans, starts, p)
-	} else {
-		okSpans, err = f.runSpans(spans, func(i int, span stripe.Span) error {
-			return f.writeSpan(tr, span, p[starts[i]:starts[i]+int(span.Length)])
+	if f.coder != nil {
+		// Each span prepares on its own (gather, read-modify-write,
+		// encode) and ships its one plan as soon as it is ready.
+		okSpans, err = f.runSpans(len(spans), func(i int) error {
+			pl, err := f.planErasure(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
+			if err != nil {
+				return err
+			}
+			_, err = f.shipWrites(tr, []stripePlan{pl})
+			return err
 		})
+	} else {
+		plans := make([]stripePlan, len(spans))
+		for i, span := range spans {
+			plans[i] = f.planReplicated(span, p[starts[i]:starts[i]+int(span.Length)])
+		}
+		okSpans, err = f.shipWrites(tr, plans)
 	}
 	f.fs.finishTrace(tr, len(spans), err)
 	written := 0
@@ -170,40 +182,29 @@ func spanStarts(spans []stripe.Span) []int {
 	return starts
 }
 
-// runSpans executes fn for every span, in parallel up to the file
+// runSpans executes fn for each of n spans, in parallel up to the file
 // system's I/O parallelism (spans are distinct stripes, so the operations
 // are independent). It returns how many *leading* spans succeeded — the
 // contiguous prefix a short read/write count can honestly report — and
 // the first error in span order.
-func (f *File) runSpans(spans []stripe.Span, fn func(i int, s stripe.Span) error) (int, error) {
-	par := f.fs.ioPar
-	if len(spans) <= 1 || par <= 1 {
-		for i, s := range spans {
-			if err := fn(i, s); err != nil {
-				return i, err
-			}
-		}
-		return len(spans), nil
-	}
-	errs := make([]error, len(spans))
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, s := range spans {
-		wg.Add(1)
-		go func(i int, s stripe.Span) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = fn(i, s)
-		}(i, s)
-	}
-	wg.Wait()
+func (f *File) runSpans(n int, fn func(i int) error) (int, error) {
+	errs := make([]error, n)
+	_ = fanoutN(f.fs.ioPar, n, func(i int) error {
+		errs[i] = fn(i)
+		return nil
+	})
+	return leadingOK(errs)
+}
+
+// leadingOK returns how many leading entries of errs are nil, and the
+// first error.
+func leadingOK(errs []error) (int, error) {
 	for i, err := range errs {
 		if err != nil {
 			return i, err
 		}
 	}
-	return len(spans), nil
+	return len(errs), nil
 }
 
 // fanoutN runs fn for each of n items concurrently, bounded by par,
@@ -277,13 +278,14 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	starts := spanStarts(spans)
+	f.fs.stats.stripeReads.Add(int64(len(spans)))
 	var okSpans int
-	if f.coder == nil && len(spans) > 1 {
-		okSpans, err = f.readSpansPipelined(tr, spans, starts, p)
-	} else {
-		okSpans, err = f.runSpans(spans, func(i int, span stripe.Span) error {
-			return f.readSpanInto(tr, span, p[starts[i]:starts[i]+int(span.Length)])
+	if f.coder != nil {
+		okSpans, err = f.runSpans(len(spans), func(i int) error {
+			return f.readSpanErasure(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
 		})
+	} else {
+		okSpans, err = f.readSpans(tr, spans, starts, p)
 	}
 	f.fs.finishTrace(tr, len(spans), err)
 	read := 0
@@ -346,8 +348,7 @@ func (f *File) targets(key string) []string {
 }
 
 // put writes value to a node, throttled if the node is a scavenged victim.
-// st, when non-nil, receives the store op's attempt count and duration.
-func (f *File) put(nodeID, key string, value []byte, st *kvstore.OpStat) error {
+func (f *File) put(nodeID, key string, value []byte) error {
 	if err := f.fs.conns.throttle(nodeID).Take(int64(len(value))); err != nil {
 		return err
 	}
@@ -355,101 +356,22 @@ func (f *File) put(nodeID, key string, value []byte, st *kvstore.OpStat) error {
 	if err != nil {
 		return err
 	}
-	return cli.SetStat(key, value, st)
+	return cli.Set(key, value)
 }
 
-// putRange writes value at offset within a node's key, throttled.
-func (f *File) putRange(nodeID, key string, off int64, value []byte, st *kvstore.OpStat) error {
-	if err := f.fs.conns.throttle(nodeID).Take(int64(len(value))); err != nil {
-		return err
-	}
-	cli, err := f.fs.conns.client(nodeID)
-	if err != nil {
-		return err
-	}
-	return cli.SetRangeStat(key, off, value, st)
-}
-
-// writeSpan stores one span of one stripe on all targets. Placement is
-// always computed from the raw stripe key; the store key carries the
-// "data:" prefix.
-func (f *File) writeSpan(tr *opTrace, span stripe.Span, data []byte) error {
-	f.fs.stats.stripeWrites.Add(1)
+// planReplicated plans one span of a replicated (or unreplicated) stripe:
+// every target receives the same SET — or SETRANGE, for a span narrower
+// than the stripe. Placement is always computed from the raw stripe key;
+// the store key carries the "data:" prefix.
+func (f *File) planReplicated(span stripe.Span, data []byte) stripePlan {
 	sk := stripe.Key(f.rec.ID, span.Index)
-	key := dataKey(sk)
-	o := f.fs.obs
-	if f.coder != nil {
-		return f.writeSpanErasure(tr, sk, span, data)
+	cmd := spanCmd{idx: span.Index, op: opSet, key: dataKey(sk), n: int64(len(data)), data: data}
+	if span.Offset != 0 || span.Length != f.layout.Size() {
+		cmd.op = opSetRange
+		cmd.off = span.Offset
 	}
-	full := span.Offset == 0 && span.Length == f.layout.Size()
-	write := func(node string, st *kvstore.OpStat) error {
-		var err error
-		if full {
-			err = f.put(node, key, data, st)
-		} else {
-			err = f.putRange(node, key, span.Offset, data, st)
-		}
-		if err != nil {
-			return fmt.Errorf("memfss: write stripe %s to %s: %w", key, node, err)
-		}
-		return nil
-	}
-	// Every replica is attempted even after a failure: a down victim must
-	// not block the copies that can still land, and the quorum decision
-	// needs the complete per-replica outcome. The one exception is a
-	// replica the failure detector marks Suspect/Down while enough healthy
-	// targets remain for the quorum: attempting it would burn the full
-	// retry budget against a node that is almost certainly gone, so it is
-	// skipped outright and the write degrades immediately.
-	nodes := f.targets(sk)
-	skips := f.fs.replicaSkips(nodes)
-	errs := make([]error, len(nodes))
-	stats := make([]kvstore.OpStat, len(nodes))
-	attempt := func(i int) {
-		cls := f.fs.conns.class(nodes[i])
-		if skips != nil && skips[i] {
-			if f.fs.isDraining(nodes[i]) {
-				f.fs.stats.fencedWrites.Add(1)
-				errs[i] = fmt.Errorf("%w: %s", errNodeDraining, nodes[i])
-			} else {
-				f.fs.stats.skippedReplicaWrites.Add(1)
-				errs[i] = fmt.Errorf("%w: %s", errNodeUnhealthy, nodes[i])
-			}
-			tr.phase(span.Index, nodes[i], cls, 0, 0, "skipped")
-			return
-		}
-		errs[i] = write(nodes[i], &stats[i])
-		o.stripeHist("write", cls).Observe(stats[i].Dur)
-		tr.phaseOp(span.Index, nodes[i], cls, stats[i],
-			phaseOutcome(errs[i], stats[i].Attempts))
-	}
-	// All replicas in flight concurrently.
-	_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
-		attempt(i)
-		return nil
-	})
-	degraded, err := f.settleReplicaWrite(errs)
-	if degraded {
-		tr.markDegraded()
-		leg := tr.leg("repair-enqueue")
-		f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
-		leg.End(nil)
-	}
-	f.fs.noteNoSpaceOutcomes(nodes, errs)
-	if err != nil && isNoSpace(err) {
-		f.fs.stats.noSpaceWrites.Add(1)
-	}
-	switch {
-	case err != nil:
-		o.outcome("write", "error").Inc()
-	case degraded:
-		o.outcome("write", "degraded").Inc()
-	case anyRetry(stats):
-		o.outcome("write", "retry").Inc()
-	default:
-		o.outcome("write", "ok").Inc()
-	}
-	return err
+	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk),
+		quorum: f.fs.writeQuorum, cmd: cmd}
 }
 
 // phaseOutcome names a store op's result for a trace phase.
@@ -461,16 +383,6 @@ func phaseOutcome(err error, attempts int) string {
 		return "retry"
 	}
 	return "ok"
-}
-
-// anyRetry reports whether any op in the batch took more than one attempt.
-func anyRetry(stats []kvstore.OpStat) bool {
-	for _, st := range stats {
-		if st.Attempts > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // writeSkips decides, per write target, whether the write should skip it
@@ -507,44 +419,6 @@ func (fs *FileSystem) writeSkips(nodes []string, need int) []bool {
 	return skips
 }
 
-// replicaSkips is writeSkips with the replicated path's configured quorum.
-func (fs *FileSystem) replicaSkips(nodes []string) []bool {
-	return fs.writeSkips(nodes, fs.writeQuorum)
-}
-
-// settleReplicaWrite decides a replicated span write's fate from its
-// per-replica outcomes. All replicas landed: success. Any store-level
-// error: that error (it would fail identically on retry, so it must
-// surface). Transport-only failures (including detector-skipped
-// replicas): degraded success if at least writeQuorum replicas persisted
-// — the copy that landed keeps the data readable via probe fallback while
-// the vanished victim's replica is under-replicated — otherwise the first
-// error in HRW rank order, matching what the old fail-fast loop reported.
-// The degraded flag tells the caller to hand the stripe to the repair
-// queue.
-func (f *File) settleReplicaWrite(errs []error) (degraded bool, _ error) {
-	ok := 0
-	var firstErr error
-	for _, err := range errs {
-		switch {
-		case err == nil:
-			ok++
-		case !isUnavailable(err):
-			return false, err
-		case firstErr == nil:
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		return false, nil
-	}
-	if len(errs) > 1 && ok >= f.fs.writeQuorum {
-		f.fs.stats.degradedWrites.Add(1)
-		return true, nil
-	}
-	return false, firstErr
-}
-
 // ecWriteBase ^ ecWriteSeq yields process-unique erasure write IDs
 // without a lock; the random base keeps IDs from colliding across
 // processes, so two clients racing the same stripe generation still
@@ -554,22 +428,23 @@ var (
 	ecWriteSeq  atomic.Uint64
 )
 
-// writeSpanErasure writes one span of an erasure-coded stripe. A
+// planErasure prepares one span of an erasure-coded stripe for shipping:
+// k+m shards, each a distinct SET to its own slot's target. A
 // partial-stripe update read-modify-writes the whole stripe — inherent
 // under erasure coding, because every shard depends on every data byte;
-// a span covering the stripe encodes the caller's bytes directly. sk is
-// the raw stripe key.
+// a span covering the stripe encodes the caller's bytes directly.
 //
 // Every shard of the write carries the same (generation, write ID) tag:
 // generation is the highest generation observed on the stripe plus one,
-// so the new write supersedes whatever it read. The write tolerates up
-// to m shard failures the way replicated writes tolerate missing
-// replicas — transport failures degrade the write (repair rebuilds the
-// missing shards from the k+ that landed) instead of failing it, and a
+// so the new write supersedes whatever it read. With quorum k the write
+// tolerates up to m shard failures the way replicated writes tolerate
+// missing replicas — transport failures degrade the write (repair rebuilds
+// the missing shards from the k+ that landed) instead of failing it, and a
 // torn stripe is impossible to mis-read because reconstruction only ever
 // joins shards sharing one tag.
-func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data []byte) error {
+func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePlan, error) {
 	o := f.fs.obs
+	sk := stripe.Key(f.rec.ID, span.Index)
 	k := f.coder.K()
 	curLen := f.layout.StripeLen(f.size, span.Index)
 	newLen := span.Offset + span.Length
@@ -603,7 +478,7 @@ func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data [
 			}
 			if err != nil {
 				o.outcome("write", "error").Inc()
-				return err
+				return stripePlan{}, err
 			}
 		}
 		// Fewer than k shards of any one write: the stripe is a hole, or
@@ -621,100 +496,12 @@ func (f *File) writeSpanErasure(tr *opTrace, sk string, span stripe.Span, data [
 	elapsed := time.Since(start)
 	tr.recLeg("ec-encode", elapsed, "ok")
 	o.ecEncodeHist().Observe(elapsed)
-	nodes := f.targets(sk)
-	skips := f.fs.writeSkips(nodes, k)
-	errs := make([]error, len(nodes))
-	stats := make([]kvstore.OpStat, len(nodes))
-	attempt := func(i int) {
-		cls := f.fs.conns.class(nodes[i])
-		if skips != nil && skips[i] {
-			if f.fs.isDraining(nodes[i]) {
-				f.fs.stats.fencedWrites.Add(1)
-				errs[i] = fmt.Errorf("%w: %s", errNodeDraining, nodes[i])
-			} else {
-				f.fs.stats.skippedReplicaWrites.Add(1)
-				errs[i] = fmt.Errorf("%w: %s", errNodeUnhealthy, nodes[i])
-			}
-			tr.phase(span.Index, nodes[i], cls, 0, 0, "skipped")
-			return
-		}
-		err := f.put(nodes[i], shardKey(dataKey(sk), i), all[i], &stats[i])
-		if err != nil {
-			err = fmt.Errorf("memfss: write shard %d of %s to %s: %w", i, sk, nodes[i], err)
-		}
-		errs[i] = err
-		o.stripeHist("write", cls).Observe(stats[i].Dur)
-		tr.phaseOp(span.Index, nodes[i], cls, stats[i],
-			phaseOutcome(err, stats[i].Attempts))
+	shards := make([]spanCmd, len(all))
+	for i, shard := range all {
+		shards[i] = spanCmd{idx: span.Index, op: opSet, key: shardKey(dataKey(sk), i),
+			n: int64(len(shard)), data: shard}
 	}
-	_ = fanoutN(f.fs.ioPar, len(nodes), func(i int) error {
-		attempt(i)
-		return nil
-	})
-	degraded, err := f.settleErasureWrite(errs, k)
-	if degraded || (err != nil && anyLanded(errs)) {
-		tr.markDegraded()
-		leg := tr.leg("repair-enqueue")
-		f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
-		leg.End(nil)
-	}
-	f.fs.noteNoSpaceOutcomes(nodes, errs)
-	if err != nil && isNoSpace(err) {
-		f.fs.stats.noSpaceWrites.Add(1)
-	}
-	switch {
-	case err != nil:
-		o.outcome("write", "error").Inc()
-	case degraded:
-		o.outcome("write", "degraded").Inc()
-	case anyRetry(stats):
-		o.outcome("write", "retry").Inc()
-	default:
-		o.outcome("write", "ok").Inc()
-	}
-	return err
-}
-
-// settleErasureWrite decides an erasure span write's fate from its
-// per-shard outcomes. The write quorum is k and is not configurable:
-// unlike replication, where a single landed copy is a complete story,
-// fewer than k new-generation shards is a write nothing can read back.
-// All k+m landed: success. Any store-level error: that error (it fails
-// identically everywhere and must surface). Transport-only failures with
-// at least k shards landed: degraded success — the repair queue rebuilds
-// the missing shards from the survivors. Otherwise the first error in
-// slot order.
-func (f *File) settleErasureWrite(errs []error, k int) (degraded bool, _ error) {
-	ok := 0
-	var firstErr error
-	for _, err := range errs {
-		switch {
-		case err == nil:
-			ok++
-		case !isUnavailable(err):
-			return false, err
-		case firstErr == nil:
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		return false, nil
-	}
-	if ok >= k {
-		f.fs.stats.degradedWrites.Add(1)
-		return true, nil
-	}
-	return false, firstErr
-}
-
-// anyLanded reports whether any outcome in the batch succeeded.
-func anyLanded(errs []error) bool {
-	for _, err := range errs {
-		if err == nil {
-			return true
-		}
-	}
-	return false
+	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk), quorum: k, shards: shards}, nil
 }
 
 // getInto reads length bytes at offset from a node's key directly into
@@ -734,29 +521,16 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 	return cli.GetRangeIntoStat(key, off, length, dst, st)
 }
 
-// readSpanInto fetches one span of one stripe into dst (len(dst) ==
-// span.Length), probing down the HRW order and lazily repairing
-// out-of-place stripes (paper §V-C). Holes and short stripes read as
-// zeros: every byte of dst is written on success.
-func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte) error {
-	f.fs.stats.stripeReads.Add(1)
+// readSpanInto is the replicated probe chain: it fetches one span of one
+// stripe into dst (len(dst) == span.Length), probing down the HRW order
+// and lazily repairing out-of-place stripes (paper §V-C). first is what
+// readSpans already learned from one node, which the chain does not ask
+// again. Holes and short stripes read as zeros: every byte of dst is
+// written on success.
+func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first firstRead) error {
 	sk := stripe.Key(f.rec.ID, span.Index)
 	key := dataKey(sk)
 	o := f.fs.obs
-	if f.coder != nil {
-		stripeLen := f.layout.StripeLen(f.size, span.Index)
-		degraded, err := f.readStripeErasure(tr, sk, span, stripeLen, dst)
-		if err != nil {
-			o.outcome("read", "error").Inc()
-			return err
-		}
-		if degraded {
-			o.outcome("read", "degraded").Inc()
-		} else {
-			o.outcome("read", "ok").Inc()
-		}
-		return nil
-	}
 
 	primaries := f.targets(sk)
 	probe := primaries
@@ -772,9 +546,11 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte) error {
 	// node burns a full retry budget before reaching the copy that is
 	// actually reachable.
 	probe = f.fs.healthOrder(probe)
-	sawReachable := false
-	retried := false
+	sawReachable, retried := first.miss, first.retried
 	for _, node := range probe {
+		if node == first.node {
+			continue
+		}
 		var st kvstore.OpStat
 		n, ok, err := f.getInto(node, key, span.Offset, span.Length, dst, &st)
 		cls := f.fs.conns.class(node)
@@ -841,7 +617,7 @@ func (f *File) repairStripe(key, from string, primaries []string) {
 		return
 	}
 	for _, node := range primaries {
-		if f.put(node, key, full, nil) != nil {
+		if f.put(node, key, full) != nil {
 			return // leave the stray copy in place if repair fails
 		}
 	}
@@ -1077,6 +853,23 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 		leg.End(nil)
 	}
 	return needs
+}
+
+// readSpanErasure reads one span of an erasure-coded stripe into dst and
+// counts the span's outcome.
+func (f *File) readSpanErasure(tr *opTrace, span stripe.Span, dst []byte) error {
+	sk := stripe.Key(f.rec.ID, span.Index)
+	stripeLen := f.layout.StripeLen(f.size, span.Index)
+	degraded, err := f.readStripeErasure(tr, sk, span, stripeLen, dst)
+	switch {
+	case err != nil:
+		f.fs.obs.outcome("read", "error").Inc()
+	case degraded:
+		f.fs.obs.outcome("read", "degraded").Inc()
+	default:
+		f.fs.obs.outcome("read", "ok").Inc()
+	}
+	return err
 }
 
 // readStripeErasure gathers one write's k shards and copies the span's

@@ -9,6 +9,7 @@ import (
 
 	"memfss/internal/obs"
 	"memfss/internal/obs/trace"
+	"memfss/internal/stripe"
 )
 
 func withObs(pol ObsPolicy) deployOpt {
@@ -41,6 +42,20 @@ func familyTotal(fams []obs.FamilySnapshot, name string) int64 {
 		}
 	}
 	return total
+}
+
+// spanOutcomes returns memfss_fs_span_outcomes_total{op} by outcome,
+// leaving out outcomes never counted.
+func spanOutcomes(fams []obs.FamilySnapshot, op string) map[string]int64 {
+	out := map[string]int64{}
+	if f := findFamily(fams, "memfss_fs_span_outcomes_total"); f != nil {
+		for _, s := range f.Series {
+			if s.Labels.Get("op") == op && s.Value > 0 {
+				out[s.Labels.Get("outcome")] = int64(s.Value)
+			}
+		}
+	}
+	return out
 }
 
 // TestFSMetricsEndToEnd drives writes and reads through a replicated
@@ -297,12 +312,11 @@ func TestECEncodeVisible(t *testing.T) {
 	}
 }
 
-// benchWriteObs measures write throughput with the given telemetry
-// policy; comparing the On/Off variants bounds the instrumentation
-// overhead on the per-stripe hot path (acceptance budget: <= 5%).
-func benchWriteObs(b *testing.B, pol ObsPolicy) {
+// benchFS mounts the benchmark deployment: two victim in-process stores
+// and one own (one per replica when replicating), 16 KiB stripes.
+func benchFS(b *testing.B, pol ObsPolicy, red Redundancy) *FileSystem {
 	const password = "bench-secret"
-	own, err := StartLocalStores(1, "own", password, 0)
+	own, err := StartLocalStores(max(1, red.Replicas), "own", password, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,6 +332,7 @@ func benchWriteObs(b *testing.B, pol ObsPolicy) {
 			{Name: "victim", Nodes: victims.Nodes, Victim: true},
 		},
 		StripeSize: 16 << 10,
+		Redundancy: red,
 		Password:   password,
 		Obs:        pol,
 	})
@@ -325,6 +340,14 @@ func benchWriteObs(b *testing.B, pol ObsPolicy) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { fs.Close() })
+	return fs
+}
+
+// benchWriteObs measures write throughput with the given telemetry
+// policy; comparing the On/Off variants bounds the instrumentation
+// overhead on the per-stripe hot path (acceptance budget: <= 5%).
+func benchWriteObs(b *testing.B, pol ObsPolicy) {
+	fs := benchFS(b, pol, Redundancy{})
 	payload := randomBytes(17, 256<<10) // 16 stripes per write
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -334,6 +357,39 @@ func benchWriteObs(b *testing.B, pol ObsPolicy) {
 		}
 	}
 }
+
+// benchCoreAt times WriteAt or ReadAt of spans whole 16 KiB stripes on
+// one open R=2 handle — the data path alone, no namespace ops — for the
+// allocs/op gate in scripts/bench_gate.sh.
+func benchCoreAt(b *testing.B, spans int, read bool) {
+	fs := benchFS(b, ObsPolicy{}, Redundancy{Mode: RedundancyReplicate, Replicas: 2})
+	f, err := fs.OpenFile("/bench", O_CREATE|O_RDWR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	buf := randomBytes(19, spans*16<<10)
+	if _, err := f.WriteAt(buf, 0); err != nil {
+		b.Fatal(err)
+	}
+	op := f.WriteAt
+	if read {
+		op = f.ReadAt
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := op(buf, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCoreWriteAt1Span(b *testing.B)  { benchCoreAt(b, 1, false) }
+func BenchmarkCoreWriteAt16Span(b *testing.B) { benchCoreAt(b, 16, false) }
+func BenchmarkCoreReadAt1Span(b *testing.B)   { benchCoreAt(b, 1, true) }
+func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, 16, true) }
 
 func BenchmarkWriteTelemetryOn(b *testing.B)  { benchWriteObs(b, ObsPolicy{}) }
 func BenchmarkWriteTelemetryOff(b *testing.B) { benchWriteObs(b, ObsPolicy{Disable: true}) }
@@ -372,12 +428,8 @@ func TestPipelineDepthIsOnlyBurstSize(t *testing.T) {
 	}
 	outcomeTotal := func(fams []obs.FamilySnapshot, op string) int64 {
 		var total int64
-		if f := findFamily(fams, "memfss_fs_span_outcomes_total"); f != nil {
-			for _, s := range f.Series {
-				if s.Labels.Get("op") == op {
-					total += int64(s.Value)
-				}
-			}
+		for _, v := range spanOutcomes(fams, op) {
+			total += v
 		}
 		return total
 	}
@@ -401,6 +453,104 @@ func TestPipelineDepthIsOnlyBurstSize(t *testing.T) {
 		}
 		if r != want {
 			t.Fatalf("depth %d: %+v, want %+v", depth, r, want)
+		}
+	}
+}
+
+// TestWriteAccountingParity pins that one engine writes every stripe: an
+// R=2 file and an RS(2,1) file, written one span or five at a time, with
+// every target healthy or one of them killed or draining, read back the
+// same bytes and account the write by the same rule — a function of how
+// many spans were written and how many of them had the faulted node among
+// their targets, never of the redundancy mode or the span count.
+func TestWriteAccountingParity(t *testing.T) {
+	type reading struct {
+		stripeWrites, degraded, fenced, skipped, enqueued int64
+		outcomes                                          string
+		stripeSeconds                                     bool // memfss_fs_stripe_seconds{op="write"} observed
+	}
+	modes := []struct {
+		name string
+		red  Redundancy
+	}{
+		{"R2", Redundancy{Mode: RedundancyReplicate, Replicas: 2}},
+		{"RS21", Redundancy{Mode: RedundancyErasure, DataShards: 2, ParityShards: 1}},
+	}
+	for _, mode := range modes {
+		for _, spans := range []int{1, 5} {
+			for _, fault := range []string{"healthy", "killed", "draining"} {
+				t.Run(fmt.Sprintf("%s/%d-span/%s", mode.name, spans, fault), func(t *testing.T) {
+					d := newTestFS(t, 3, 3, withRedundancy(mode.red), withRetry(fastRetry),
+						// No detector skips: only the fence withholds a write.
+						withHealth(HealthPolicy{ProbeInterval: -1, SuspectAfter: 1000}),
+						// Own weight 1: every stripe is victim-bound, so faulting
+						// a data target never touches metadata.
+						func(c *Config) { c.Classes[0].Weight = 1 })
+					f, err := d.fs.OpenFile("/parity", O_CREATE|O_RDWR)
+					if err != nil {
+						t.Fatal(err)
+					}
+					targets := func(i int) []string { return f.targets(stripe.Key(f.rec.ID, int64(i))) }
+					node := targets(0)[1]
+					var hit int64 // spans with the faulted node among their targets
+					for i := 0; i < spans && fault != "healthy"; i++ {
+						if containsString(targets(i), node) {
+							hit++
+						}
+					}
+					switch fault {
+					case "killed":
+						for i, n := range d.victims.Nodes {
+							if n.ID == node {
+								d.victims.Server(i).Close()
+							}
+						}
+					case "draining":
+						d.fs.setDraining(node, true)
+					}
+
+					data := randomBytes(23, spans*int(d.fs.layout.Size()))
+					if n, err := f.WriteAt(data, 0); err != nil || n != len(data) {
+						t.Fatalf("write = %d, %v", n, err)
+					}
+					c, fams := d.fs.Counters(), d.fs.Metrics()
+					got := reading{
+						stripeWrites: c.StripeWrites, degraded: c.DegradedWrites,
+						fenced: c.FencedWrites, skipped: c.SkippedReplicaWrites,
+						enqueued: d.fs.RepairStats().Enqueued,
+						outcomes: fmt.Sprint(spanOutcomes(fams, "write")),
+					}
+					for _, s := range findFamily(fams, "memfss_fs_stripe_seconds").Series {
+						if s.Labels.Get("op") == "write" && s.Count > 0 {
+							got.stripeSeconds = true
+						}
+					}
+					wantOutcomes := map[string]int64{}
+					if ok := int64(spans) - hit; ok > 0 {
+						wantOutcomes["ok"] = ok
+					}
+					if hit > 0 {
+						wantOutcomes["degraded"] = hit
+					}
+					want := reading{
+						stripeWrites: int64(spans), degraded: hit, enqueued: hit,
+						outcomes: fmt.Sprint(wantOutcomes), stripeSeconds: true,
+					}
+					if fault == "draining" {
+						want.fenced = hit
+					}
+					if got != want {
+						t.Errorf("accounting = %+v, want %+v", got, want)
+					}
+					if err := f.Close(); err != nil {
+						t.Fatal(err)
+					}
+					back, err := d.fs.ReadFile("/parity")
+					if err != nil || !bytes.Equal(back, data) {
+						t.Fatalf("read back differs from written bytes: %v", err)
+					}
+				})
+			}
 		}
 	}
 }

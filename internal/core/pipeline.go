@@ -2,26 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
 )
 
-// This file holds the batched data paths: multi-stripe writes and reads
+// This file holds the stripe engine's wire half: every stripe write —
+// replicated or erasure-coded, one span or many — is a stripePlan shipped
+// by shipWrites, and every replicated read starts in readSpans. Commands
 // are grouped per target node, split into PipelineDepth-sized bursts, and
 // the bursts shipped as wire pipelines — IOParallelism bursts in flight at
-// once, each on its own pooled connection. The per-span engines in file.go
-// serve single-span operations and everything the bursts cannot (erasure
-// coding, probe reads, lazy repair).
+// once, each on its own pooled connection. file.go keeps what a burst
+// cannot do: the erasure prepare and gather, probe reads, lazy repair.
 
-// spanCmd pairs one queued store command with the span it serves. It is
-// typed rather than a pre-marshaled [][]byte so queueing encodes straight
-// into the pipeline's wire tape: write payloads and read destinations are
-// referenced zero-copy and must stay valid until the burst completes.
+// spanCmd is one queued store command. It is typed rather than a
+// pre-marshaled [][]byte so queueing encodes straight into the pipeline's
+// wire tape: write payloads and read destinations are referenced zero-copy
+// and must stay valid until the burst completes.
 type spanCmd struct {
-	span int  // index into the operation's span slice
-	op   byte // opSet, opSetRange, or opGetRange
+	slot int   // where the caller files this command's outcome
+	idx  int64 // stripe index, for trace attribution
+	op   byte  // opSet, opSetRange, or opGetRange
 	key  string
 	off  int64  // SETRANGE/GETRANGE offset
 	n    int64  // payload/read bytes, for victim throttling
@@ -68,7 +69,7 @@ type nodeBurst struct {
 // carry commands for distinct keys, so they may run concurrently — even
 // two bursts to the same node, on separate pooled connections.
 func splitBursts(perNode map[string][]spanCmd, nodeOrder []string, depth int) []nodeBurst {
-	var bursts []nodeBurst
+	bursts := make([]nodeBurst, 0, len(nodeOrder))
 	for _, node := range nodeOrder {
 		cmds := perNode[node]
 		for start := 0; start < len(cmds); start += depth {
@@ -82,12 +83,21 @@ func splitBursts(perNode map[string][]spanCmd, nodeOrder []string, depth int) []
 	return bursts
 }
 
-// runBurst throttles and ships one burst, handing each command's reply
-// (or the burst-level transport error) to done. The burst lands in the
-// trace as one phase (stripe -1): per-stripe attribution inside a wire
-// pipeline is meaningless, but the node, class, attempt count, and burst
-// duration are exactly what a slow multi-stripe op needs named.
-func (f *File) runBurst(tr *opTrace, nb nodeBurst, done func(c spanCmd, r *kvstore.Reply, err error)) {
+// runBurst throttles and ships one burst, observes its duration in
+// memfss_fs_stripe_seconds{op,class} and records it in the trace. A burst
+// of one command is a stripe-scoped store span whose outcome includes the
+// command's own reply (error, miss); a longer burst is one anonymous span
+// (stripe -1): per-stripe attribution inside a wire pipeline is
+// meaningless, but the node, class, attempt count, and burst duration are
+// exactly what a slow multi-stripe op needs named. It returns the replies
+// aligned with nb.cmds, whether the burst took more than one attempt, and
+// the burst-level transport error.
+func (f *File) runBurst(tr *opTrace, op string, nb nodeBurst) ([]*kvstore.Reply, bool, error) {
+	cls := f.fs.conns.class(nb.node)
+	idx := int64(-1)
+	if len(nb.cmds) == 1 {
+		idx = nb.cmds[0].idx
+	}
 	cli, err := f.fs.conns.client(nb.node)
 	if err == nil {
 		var total int64
@@ -96,180 +106,223 @@ func (f *File) runBurst(tr *opTrace, nb nodeBurst, done func(c spanCmd, r *kvsto
 		}
 		err = f.fs.conns.throttle(nb.node).Take(total)
 	}
-	if err != nil {
-		tr.phase(-1, nb.node, f.fs.conns.class(nb.node), 0, 0, "error")
-		for _, c := range nb.cmds {
-			done(c, nil, err)
-		}
-		return
-	}
-	pl := cli.Pipeline()
-	for i := range nb.cmds {
-		nb.cmds[i].queue(pl)
-	}
 	var st kvstore.OpStat
-	replies, err := pl.RunStat(&st)
-	tr.phaseOp(-1, nb.node, f.fs.conns.class(nb.node), st,
-		phaseOutcome(err, st.Attempts))
-	if err != nil {
-		for _, c := range nb.cmds {
-			done(c, nil, err)
+	var replies []*kvstore.Reply
+	if err == nil {
+		pl := cli.Pipeline()
+		for i := range nb.cmds {
+			nb.cmds[i].queue(pl)
 		}
-		return
+		replies, err = pl.RunStat(&st)
+		f.fs.obs.stripeHist(op, cls).Observe(st.Dur)
 	}
-	for j, r := range replies {
-		done(nb.cmds[j], r, nil)
+	outcome := phaseOutcome(err, st.Attempts)
+	if err == nil && idx >= 0 {
+		switch r := replies[0]; {
+		case r.Err() != nil:
+			outcome = "error"
+		case r.Nil:
+			outcome = "miss"
+		}
 	}
+	tr.phaseOp(idx, nb.node, cls, st, outcome)
+	return replies, st.Attempts > 1, err
 }
 
-// writeSpansPipelined stores every span on all of its targets using
-// pipelined bursts. Mirroring runSpans, it returns how many leading
-// spans succeeded and the first error in span order. Per-span success is
-// decided by the same degraded-quorum rule as writeSpan: every replica is
-// attempted, store-level errors fail the span, and transport-only
-// failures downgrade to degraded success when writeQuorum replicas
-// landed.
-func (f *File) writeSpansPipelined(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
+// stripePlan is one stripe's write, ready to ship: where it goes, how
+// many targets must take it, and what each target is sent.
+type stripePlan struct {
+	index  int64    // stripe index
+	sk     string   // raw stripe key: placement and the repair queue use it
+	nodes  []string // write targets in HRW rank order, one per slot
+	quorum int      // slots that must land for the write to be acknowledged
+	// cmd is what every replica receives; when shards is set, slot i
+	// receives shards[i] instead — a distinct erasure shard per target, so
+	// a failed write that landed anywhere leaves a torn stripe behind.
+	cmd    spanCmd
+	shards []spanCmd
+}
+
+// shipWrites is the one stripe-write path. It decides per target whether
+// the failure detector or a drain fence skips it, ships the rest as
+// per-node bursts, settles every plan from its per-slot outcomes — also
+// the plans after one that failed: their stripes may have landed on a
+// quorum and need the same accounting and repair — and returns how many
+// leading plans succeeded with the first error in plan order.
+func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
+	type slotResult struct {
+		err     error
+		retried bool
+	}
+	slots := 0
+	for i := range plans {
+		slots += len(plans[i].nodes)
+	}
+	// One entry per (plan, target), plans in order. Each is written by the
+	// skip decision below or by the one burst carrying its command.
+	results := make([]slotResult, slots)
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
-	replicas := make([]int, len(spans))
-	sks := make([]string, len(spans))
-	skipped := make([]int, len(spans))
-	for i, span := range spans {
-		f.fs.stats.stripeWrites.Add(1)
-		sk := stripe.Key(f.rec.ID, span.Index)
-		sks[i] = sk
-		key := dataKey(sk)
-		data := p[starts[i] : starts[i]+int(span.Length)]
-		cmd := spanCmd{span: i, key: key, n: int64(len(data)), data: data}
-		if span.Offset == 0 && span.Length == f.layout.Size() {
-			cmd.op = opSet
-		} else {
-			cmd.op = opSetRange
-			cmd.off = span.Offset
-		}
-		// Same skip rule as writeSpan: replicas the detector marks
-		// Suspect/Down are not even queued when enough healthy targets
-		// remain for the quorum — no commands, no retries, no backoff.
-		targets := f.targets(sk)
-		skips := f.fs.replicaSkips(targets)
-		for ti, node := range targets {
-			replicas[i]++
+	slot := 0
+	for i := range plans {
+		pl := &plans[i]
+		// A target the detector marks Suspect/Down, or one fenced off for
+		// revocation, is not even queued while enough healthy targets
+		// remain for the quorum: attempting it would burn the full retry
+		// budget against a node that is almost certainly gone. The skip
+		// counts as a transport failure, exactly as if the write had been
+		// attempted and the node found unreachable.
+		skips := f.fs.writeSkips(pl.nodes, pl.quorum)
+		for ti, node := range pl.nodes {
 			if skips != nil && skips[ti] {
+				cause := errNodeUnhealthy
 				if f.fs.isDraining(node) {
 					f.fs.stats.fencedWrites.Add(1)
+					cause = errNodeDraining
 				} else {
 					f.fs.stats.skippedReplicaWrites.Add(1)
 				}
-				skipped[i]++
-				continue
+				results[slot].err = fmt.Errorf("%w: %s", cause, node)
+				tr.phaseOp(pl.index, node, f.fs.conns.class(node), kvstore.OpStat{}, "skipped")
+			} else {
+				c := pl.cmd
+				if pl.shards != nil {
+					c = pl.shards[ti]
+				}
+				c.slot = slot
+				if _, ok := perNode[node]; !ok {
+					nodeOrder = append(nodeOrder, node)
+				}
+				perNode[node] = append(perNode[node], c)
 			}
-			if _, ok := perNode[node]; !ok {
-				nodeOrder = append(nodeOrder, node)
-			}
-			perNode[node] = append(perNode[node], cmd)
+			slot++
 		}
 	}
 	bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth)
-
-	// A span's replicas land in different bursts, so outcomes funnel
-	// through one mutex; storeErr/transErr keep the first error of each
-	// class per span for the quorum decision.
-	outcomes := make([]struct {
-		failed   int
-		storeErr error
-		transErr error
-	}, len(spans))
-	var mu sync.Mutex
-	fail := func(span int, err error) {
-		mu.Lock()
-		o := &outcomes[span]
-		o.failed++
-		if isUnavailable(err) {
-			if o.transErr == nil {
-				o.transErr = err
-			}
-		} else if o.storeErr == nil {
-			o.storeErr = err
-		}
-		mu.Unlock()
-	}
+	// Every queued target is attempted even after a failure elsewhere: a
+	// down victim must not block the copies that can still land, and the
+	// quorum decision needs the complete per-slot outcome.
 	_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
 		nb := bursts[k]
-		f.runBurst(tr, nb, func(c spanCmd, r *kvstore.Reply, err error) {
-			if err != nil {
-				fail(c.span, fmt.Errorf("memfss: pipeline to %s: %w", nb.node, err))
-				return
+		replies, retried, err := f.runBurst(tr, "write", nb)
+		for j, c := range nb.cmds {
+			res := &results[c.slot]
+			res.retried = retried
+			rerr := err
+			if rerr == nil {
+				rerr = replies[j].Err()
 			}
-			if rerr := r.Err(); rerr != nil {
+			if rerr != nil {
 				if isNoSpace(rerr) {
 					f.fs.noteNoSpace(nb.node)
 				}
-				fail(c.span, fmt.Errorf("memfss: %s %s on %s: %w",
-					c.verb(), c.key, nb.node, rerr))
+				res.err = fmt.Errorf("memfss: %s %s on %s: %w", c.verb(), c.key, nb.node, rerr)
 			}
-		})
+		}
 		return nil
 	})
+	okPlans, firstErr := len(plans), error(nil)
 	fsObs := f.fs.obs
-	for i := range spans {
-		o := outcomes[i]
-		// Detector-skipped replicas count as transport failures for the
-		// quorum decision, exactly as if the write had been attempted and
-		// the node found unreachable.
-		failed := o.failed + skipped[i]
-		var err error
-		switch {
-		case failed == 0:
-			fsObs.outcome("write", "ok").Inc()
-		case o.storeErr != nil:
-			err = o.storeErr
-			if isNoSpace(err) {
-				f.fs.stats.noSpaceWrites.Add(1)
+	slot = 0
+	for i := range plans {
+		pl := &plans[i]
+		landed, retried := 0, false
+		var storeErr, transErr error // first of each class in slot order
+		for _, res := range results[slot : slot+len(pl.nodes)] {
+			retried = retried || res.retried
+			switch {
+			case res.err == nil:
+				landed++
+			case !isUnavailable(res.err):
+				if storeErr == nil {
+					storeErr = res.err
+				}
+			case transErr == nil:
+				transErr = res.err
 			}
-		case replicas[i] > 1 && replicas[i]-failed >= f.fs.writeQuorum:
-			f.fs.stats.degradedWrites.Add(1)
+		}
+		slot += len(pl.nodes)
+		degraded, err := f.settleWrite(landed, len(pl.nodes), pl.quorum, storeErr, transErr)
+		if err != nil && firstErr == nil {
+			okPlans, firstErr = i, err
+		}
+		if degraded || (err != nil && pl.shards != nil && landed > 0) {
 			tr.markDegraded()
 			leg := tr.leg("repair-enqueue")
-			f.fs.enqueueRepair(f.path, sks[i], spans[i].Index, tr.traceID())
+			f.fs.enqueueRepair(f.path, pl.sk, pl.index, tr.traceID())
 			leg.End(nil)
-			fsObs.outcome("write", "degraded").Inc()
-		default:
-			err = o.transErr
-			if err == nil {
-				// Every failure was a detector skip (possible only when the
-				// quorum knob exceeds the healthy count mid-evaluation).
-				err = fmt.Errorf("%w: replica write quorum unmet", errNodeUnhealthy)
-			}
 		}
-		if err != nil {
+		if err != nil && isNoSpace(err) {
+			f.fs.stats.noSpaceWrites.Add(1)
+		}
+		switch {
+		case err != nil:
 			fsObs.outcome("write", "error").Inc()
-			return i, err
+		case degraded:
+			fsObs.outcome("write", "degraded").Inc()
+		case retried:
+			fsObs.outcome("write", "retry").Inc()
+		default:
+			fsObs.outcome("write", "ok").Inc()
 		}
 	}
-	return len(spans), nil
+	return okPlans, firstErr
 }
 
-// readSpansPipelined fetches every span from its primary target in
-// pipelined GETRANGE bursts decoded straight into p (no intermediate
-// copies), then falls back to the per-span probe path (readSpanInto) for
-// anything the fast path misses: absent keys (strays or holes), error
-// replies, or an unreachable primary. The probe fallback keeps the
-// lazy-repair semantics of paper §V-C intact. Returns the
-// leading-success count and the first error in span order, like
-// runSpans.
-func (f *File) readSpansPipelined(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
+// settleWrite decides one stripe write's fate from its per-slot outcomes.
+// All slots landed: success. Any store-level error: that error (it would
+// fail identically on retry, so it must surface). Transport-only failures
+// (including skipped targets): degraded success if at least quorum slots
+// persisted — the configured WriteQuorum for replicas, where one landed
+// copy keeps the data readable via probe fallback, and k for shards,
+// because fewer than k shards of one write is a write nothing can read
+// back — otherwise the first transport error in slot order. The degraded
+// flag tells the caller to hand the stripe to the repair queue, which
+// re-replicates or rebuilds what is missing from what landed.
+func (f *File) settleWrite(landed, total, quorum int, storeErr, transErr error) (degraded bool, _ error) {
+	switch {
+	case landed == total:
+		return false, nil
+	case storeErr != nil:
+		return false, storeErr
+	case landed >= quorum:
+		f.fs.stats.degradedWrites.Add(1)
+		return true, nil
+	}
+	return false, transErr
+}
+
+// firstRead is what a read burst learned from the one node it asked for a
+// span: done when the bytes arrived; otherwise miss says the node answered
+// "no such key" (reachable) rather than failing. retried marks a burst
+// that took more than one attempt.
+type firstRead struct {
+	node                string
+	done, miss, retried bool
+}
+
+// readSpans fetches every span of a replicated read: one GETRANGE per
+// span to its first healthy target, in pipelined bursts decoded straight
+// into p (no intermediate copies), then the probe chain (readSpanInto) for
+// anything that misses: absent keys (strays or holes), error replies, or
+// an unreachable target. The probe is told what the burst learned about
+// the node it asked, so it never asks that node again, and keeps the
+// lazy-repair semantics of paper §V-C intact. Returns the leading-success
+// count and the first error in span order.
+func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
+	state := make([]firstRead, len(spans))
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
 	for i, span := range spans {
 		sk := stripe.Key(f.rec.ID, span.Index)
 		dst := p[starts[i] : starts[i]+int(span.Length)]
-		cmd := spanCmd{span: i, op: opGetRange, key: dataKey(sk),
+		cmd := spanCmd{slot: i, idx: span.Index, op: opGetRange, key: dataKey(sk),
 			off: span.Offset, n: span.Length, dst: dst}
 		// First *healthy* target, not blindly rank 0: bursting GETRANGEs
 		// at a Down primary would stall every span in the burst behind its
 		// retry budget before falling back.
 		node := f.fs.healthOrder(f.targets(sk))[0]
+		state[i].node = node
 		if _, ok := perNode[node]; !ok {
 			nodeOrder = append(nodeOrder, node)
 		}
@@ -278,45 +331,47 @@ func (f *File) readSpansPipelined(tr *opTrace, spans []stripe.Span, starts []int
 	bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth)
 
 	// Each span appears in exactly one burst, so the burst goroutines
-	// write disjoint done entries and disjoint regions of p (each span's
+	// write disjoint state entries and disjoint regions of p (each span's
 	// reply decodes into its own dst window).
-	done := make([]bool, len(spans))
 	_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
-		f.runBurst(tr, bursts[k], func(c spanCmd, r *kvstore.Reply, err error) {
-			if err != nil || r.Err() != nil || r.Nil {
-				return // stray, hole, or store trouble: the probe decides
+		nb := bursts[k]
+		replies, retried, err := f.runBurst(tr, "read", nb)
+		for j, c := range nb.cmds {
+			s := &state[c.slot]
+			s.retried = retried
+			switch {
+			case err != nil || replies[j].Err() != nil:
+				// unreachable or failed node: the probe decides
+			case replies[j].Nil:
+				s.miss = true // stray or hole: the probe decides
+			default:
+				// The payload is already in place (Bulk aliases c.dst);
+				// a short stripe reads as zeros past its end.
+				clear(c.dst[len(replies[j].Bulk):])
+				s.done = true
 			}
-			// The payload is already in place (r.Bulk aliases c.dst);
-			// a short stripe reads as zeros past its end.
-			clear(c.dst[len(r.Bulk):])
-			done[c.span] = true
-		})
+		}
 		return nil
 	})
 
 	var fallback []int
-	for i := range spans {
-		if done[i] {
-			f.fs.stats.stripeReads.Add(1)
-			f.fs.obs.outcome("read", "ok").Inc()
-		} else {
+	for i, s := range state {
+		switch {
+		case !s.done:
 			fallback = append(fallback, i)
+		case s.retried:
+			f.fs.obs.outcome("read", "retry").Inc()
+		default:
+			f.fs.obs.outcome("read", "ok").Inc()
 		}
 	}
 	errs := make([]error, len(spans))
 	if len(fallback) > 0 {
 		_ = fanoutN(f.fs.ioPar, len(fallback), func(k int) error {
 			i := fallback[k]
-			if err := f.readSpanInto(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)]); err != nil {
-				errs[i] = err
-			}
+			errs[i] = f.readSpanInto(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], state[i])
 			return nil
 		})
 	}
-	for i, err := range errs {
-		if err != nil {
-			return i, err
-		}
-	}
-	return len(spans), nil
+	return leadingOK(errs)
 }

@@ -314,19 +314,6 @@ func (fs *FileSystem) noteNoSpace(nodeID string) {
 	}()
 }
 
-// noteNoSpaceOutcomes scans a span write's per-node outcomes for store-full
-// rejections and triggers the debounced reclaim for each full victim.
-func (fs *FileSystem) noteNoSpaceOutcomes(nodes []string, errs []error) {
-	if fs.tenants() == nil {
-		return
-	}
-	for i, err := range errs {
-		if err != nil && isNoSpace(err) {
-			fs.noteNoSpace(nodes[i])
-		}
-	}
-}
-
 // --- lease marketplace adapters ----------------------------------------------
 
 // EvacuateLeased implements qos.Evacuator: a broker revocation, after its

@@ -388,16 +388,6 @@ func (t *opTrace) noteErr(node, outcome string) {
 	}
 }
 
-// phase records one already-measured store op (or burst) as a completed
-// span; kept for call sites without per-attempt detail.
-func (t *opTrace) phase(stripe int64, node, class string, attempts int, dur time.Duration, outcome string) {
-	if t == nil {
-		return
-	}
-	t.stripeSpan(stripe).Record(storeSpanName(stripe), node, class, stripe, attempts, dur, outcome)
-	t.noteErr(node, outcome)
-}
-
 // phaseOp records a store op from its kvstore OpStat, expanding retried
 // operations into per-attempt child spans (attempt i's duration excludes
 // backoff sleeps; every attempt but the last ended in a retry).

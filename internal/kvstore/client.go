@@ -417,8 +417,10 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // path command is; INCR/SADD callers tolerate re-execution as documented
 // on Pipeline). Exhausted retries yield an error wrapping ErrUnavailable
 // that names the operation, the address, and the attempt count, so the
-// failure is diagnosable — and classifiable — upstream.
-func (c *Client) withRetry(op, label string, st *OpStat, fn func(cc *clientConn) error) error {
+// failure is diagnosable — and classifiable — upstream. burst is the
+// command count of a pipeline, 0 for a single command: it only words the
+// failure, so the text is formatted on that path alone.
+func (c *Client) withRetry(op string, burst int, st *OpStat, fn func(cc *clientConn) error) error {
 	c.ops.Add(1)
 	opStart := time.Now()
 	deadline := opStart.Add(c.opTimeout)
@@ -472,6 +474,10 @@ func (c *Client) withRetry(op, label string, st *OpStat, fn func(cc *clientConn)
 		c.retries.Inc()
 		time.Sleep(d)
 	}
+	label := op
+	if burst > 0 {
+		label = fmt.Sprintf("pipeline of %d commands", burst)
+	}
 	finalErr := fmt.Errorf("%w: %s to %s failed after %d attempts: %v",
 		ErrUnavailable, label, c.addr, attempts, lastErr)
 	c.finishOp(op, opStart, attempts, attDur, st, false)
@@ -514,7 +520,7 @@ func (c *Client) do(args ...[]byte) (*Reply, error) { return c.doStat(nil, args.
 func (c *Client) doStat(st *OpStat, args ...[]byte) (*Reply, error) {
 	var reply *Reply
 	verb := verbOf(args[0])
-	err := c.withRetry(verb, verb, st, func(cc *clientConn) error {
+	err := c.withRetry(verb, 0, st, func(cc *clientConn) error {
 		r, err := cc.roundTrip(c.timeout, args...)
 		if err != nil {
 			return err
@@ -622,7 +628,7 @@ func (c *Client) Set(key string, value []byte) error { return c.SetStat(key, val
 // SetStat is Set with an optional OpStat out-param for trace attribution.
 func (c *Client) SetStat(key string, value []byte, st *OpStat) error {
 	var errMsg string
-	err := c.withRetry("SET", "SET", st, func(cc *clientConn) error {
+	err := c.withRetry("SET", 0, st, func(cc *clientConn) error {
 		if err := cc.startOp(c.timeout); err != nil {
 			return err
 		}
@@ -661,7 +667,7 @@ func (c *Client) Get(key string) (value []byte, ok bool, err error) {
 // GetStat is Get with an optional OpStat out-param for trace attribution.
 func (c *Client) GetStat(key string, st *OpStat) (value []byte, ok bool, err error) {
 	var errMsg string
-	rerr := c.withRetry("GET", "GET", st, func(cc *clientConn) error {
+	rerr := c.withRetry("GET", 0, st, func(cc *clientConn) error {
 		if err := cc.startOp(c.timeout); err != nil {
 			return err
 		}
@@ -697,7 +703,7 @@ func (c *Client) GetRange(key string, offset, length int64) (value []byte, ok bo
 // GetRangeStat is GetRange with an optional OpStat out-param.
 func (c *Client) GetRangeStat(key string, offset, length int64, st *OpStat) (value []byte, ok bool, err error) {
 	var errMsg string
-	rerr := c.withRetry("GETRANGE", "GETRANGE", st, func(cc *clientConn) error {
+	rerr := c.withRetry("GETRANGE", 0, st, func(cc *clientConn) error {
 		if err := cc.sendGetRange(c.timeout, key, offset, length); err != nil {
 			return err
 		}
@@ -733,7 +739,7 @@ func (c *Client) GetRangeIntoStat(key string, offset, length int64, dst []byte, 
 		return 0, false, fmt.Errorf("kvstore: GetRangeInto destination %d short of length %d", len(dst), length)
 	}
 	var errMsg string
-	rerr := c.withRetry("GETRANGE", "GETRANGE", st, func(cc *clientConn) error {
+	rerr := c.withRetry("GETRANGE", 0, st, func(cc *clientConn) error {
 		if err := cc.sendGetRange(c.timeout, key, offset, length); err != nil {
 			return err
 		}
@@ -773,7 +779,7 @@ func (c *Client) SetRange(key string, offset int64, value []byte) error {
 // SetRangeStat is SetRange with an optional OpStat out-param.
 func (c *Client) SetRangeStat(key string, offset int64, value []byte, st *OpStat) error {
 	var errMsg string
-	err := c.withRetry("SETRANGE", "SETRANGE", st, func(cc *clientConn) error {
+	err := c.withRetry("SETRANGE", 0, st, func(cc *clientConn) error {
 		if err := cc.startOp(c.timeout); err != nil {
 			return err
 		}

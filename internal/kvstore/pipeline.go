@@ -184,8 +184,7 @@ func (p *Pipeline) RunStat(st *OpStat) ([]*Reply, error) {
 	defer p.reset()
 	c := p.c
 	var replies []*Reply
-	label := fmt.Sprintf("pipeline of %d commands", p.n)
-	err := c.withRetry("PIPELINE", label, st, func(cc *clientConn) error {
+	err := c.withRetry("PIPELINE", p.n, st, func(cc *clientConn) error {
 		rs, err := p.roundTrip(cc, c.timeout)
 		if err != nil {
 			return err

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# bench_gate.sh — CI allocation gate for the kvstore hot path and the
-# erasure coder.
+# bench_gate.sh — CI allocation gate for the kvstore hot path, the
+# erasure coder and the core data path.
 #
-# Runs the Wire* benchmarks (internal/kvstore/hotpath_bench_test.go) and
-# the RS42 benchmarks (internal/erasure/rs_test.go) with -benchmem at a
-# fixed iteration count and fails if any benchmark's allocs/op exceeds
-# its budget in scripts/allocs_budget.txt.
+# Runs the Wire* benchmarks (internal/kvstore/hotpath_bench_test.go), the
+# RS42 benchmarks (internal/erasure/rs_test.go) and the Core* benchmarks
+# (internal/core/obs_test.go) with -benchmem at a fixed iteration count
+# and fails if any benchmark's allocs/op exceeds its budget in
+# scripts/allocs_budget.txt.
 # Prints a benchstat-style table (measured vs budget, headroom) into
 # the job log either way.
 #
@@ -32,6 +33,9 @@ go test -run '^$' -bench Wire -benchmem -benchtime "$BENCHTIME" -count 1 ./inter
 echo
 echo "== bench gate: go test -bench RS42 -benchmem -benchtime $BENCHTIME ./internal/erasure/"
 go test -run '^$' -bench RS42 -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/erasure/ | tee -a "$OUT"
+echo
+echo "== bench gate: go test -bench '^BenchmarkCore' -benchmem -benchtime $BENCHTIME ./internal/core/"
+go test -run '^$' -bench '^BenchmarkCore' -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/core/ | tee -a "$OUT"
 echo
 
 awk -v budget_file="$BUDGET_FILE" '
