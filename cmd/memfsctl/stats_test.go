@@ -12,7 +12,8 @@ import (
 // TestStatsShowsECHistograms mounts an erasure-coded file system, writes
 // one stripe and reads it degraded, and checks that the latency table `memfsctl
 // stats` renders from the exposition has a row for the encode histogram
-// beside the reconstruct one.
+// beside the reconstruct one, and that the hedged-reads counter says what
+// made the read reconstruct.
 func TestStatsShowsECHistograms(t *testing.T) {
 	stores, err := core.StartLocalStores(6, "own", "pw", 0)
 	if err != nil {
@@ -63,5 +64,11 @@ func TestStatsShowsECHistograms(t *testing.T) {
 		if rows[fam] == 0 {
 			t.Errorf("stats latency table has no populated %s row (rows: %v)", fam, rows)
 		}
+	}
+	// The counter table names why the read decoded: the lost shard's slot
+	// answered a miss, which fetched the parity shard.
+	const hedged = "memfss_fs_ec_hedged_reads_total"
+	if m := page.Find(hedged, obs.L("reason", "miss")); page.Types[hedged] != "counter" || m == nil || m.Value < 1 {
+		t.Errorf("%s{reason=\"miss\"} = %+v (type %q), want a counter >= 1", hedged, m, page.Types[hedged])
 	}
 }

@@ -193,17 +193,18 @@ func AsymPartitionDuringEvac() Scenario {
 // GrayNodeECRead is the gray-failure scenario: one shard holder of an
 // RS(4,2) deployment turns slow — every reply delayed ~40ms — while
 // staying Up (nothing fails, so the detector has nothing to condemn).
-// The racing first-wave gather (k + ReadSpare concurrent fetches,
-// reconstruct as soon as any k arrive) must keep read p99 well under the
-// injected delay: the slow node costs nothing as long as a spare
-// answers.
+// The hedged gather (k data-first fetches; a ReadSpare parity fetch once
+// a straggler has outlasted a delay derived from the shards that did
+// arrive; reconstruct when k are in hand) must keep read p99 well under
+// the injected delay: the slow node costs the hedge delay, at most
+// 10 ms, as long as a spare answers.
 func GrayNodeECRead() Scenario {
 	gray := faultwrap.Plan{
 		Reply: faultwrap.DirPlan{DelayProb: 1, Delay: 40 * time.Millisecond, Jitter: 10 * time.Millisecond},
 	}
 	return Scenario{
 		Name:     "gray-node-ec-read",
-		Describe: "slow-not-dead shard holder: EC racing reads hold p99 under the injected delay",
+		Describe: "slow-not-dead shard holder: EC hedged reads hold p99 under the injected delay",
 		Topology: Topology{
 			OwnNodes: 6, VictimNodes: 6,
 			Plan: faultwrap.Plan{Seed: 31},

@@ -77,13 +77,18 @@ type Redundancy struct {
 	// failing it. WriteQuorum does not apply to erasure mode.
 	DataShards   int
 	ParityShards int
-	// ReadSpare is how many shards beyond DataShards an erasure read
-	// fetches in its first concurrent wave (default 1, capped at
-	// ParityShards by construction since only k+m shards exist). The
-	// spares are the race margin: reconstruction starts as soon as any k
-	// shards of one write arrive, so a slow or dead node costs nothing as
-	// long as a spare answers. Negative means no spares (first wave is
-	// exactly k).
+	// ReadSpare is how many spare shards an erasure read may fetch as a
+	// hedge against slow nodes (default 1; only ParityShards spares exist).
+	// A read starts with exactly DataShards fetches — the data shards,
+	// which join without decoding — and launches the spares only once
+	// they could stand in for every fetch still in flight and those have
+	// taken as long again as the shards already in hand (within 500µs to
+	// 5ms; the delay is derived per read, not configured). Reconstruction
+	// then starts as soon as any k shards of one write are in, so a
+	// slow-not-dead node costs the hedge delay, not its own latency.
+	// Shards a read *needs* — a slot answered miss, error or a stale
+	// write — are fetched at once and do not count against the spares.
+	// Negative means no spares: a read never hedges on slowness.
 	ReadSpare int
 	// WriteQuorum is how many replicas of a RedundancyReplicate write must
 	// land for the write to succeed (default 1). When some replicas fail

@@ -10,10 +10,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"memfss/internal/erasure"
+	"memfss/internal/faultwrap"
+	"memfss/internal/health"
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
 )
@@ -391,9 +394,10 @@ func TestErasureWholeStripeOverwriteReadsHeadersOnly(t *testing.T) {
 		t.Fatalf("read after overwrite returned the wrong bytes (err %v)", err)
 	}
 
-	// A partial overwrite still read-modify-writes: whole shards fetched,
-	// no header probe. (>= because a straggler GET the ReadFile above
-	// abandoned may report inside this window.)
+	// A partial overwrite still read-modify-writes: whole shards fetched
+	// with GET, no header probe. (The ReadFile above fetches with GETRANGE
+	// and abandons at most one straggler, after a hedge, which may report
+	// inside this window.)
 	f, err = d.fs.OpenFile("/whole", O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -403,8 +407,8 @@ func TestErasureWholeStripeOverwriteReadsHeadersOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	gets, ranges = storeOpCount(d.fs, "GET")-gets, storeOpCount(d.fs, "GETRANGE")-ranges
-	if gets < 6 || ranges != 0 {
-		t.Fatalf("partial overwrite issued %d GET and %d GETRANGE, want >= 6 and 0", gets, ranges)
+	if gets != 6 || ranges > 1 {
+		t.Fatalf("partial overwrite issued %d GET and %d GETRANGE, want 6 and no header probes", gets, ranges)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -456,4 +460,358 @@ func TestErasureWindowedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("truncated", data[:4096+500])
+
+	// The shortened stripe keeps its full-size shards: a degraded read of
+	// it rebuilds from shards longer than the stripe's length implies.
+	sk, nodes = stripeTargets(t, d, "/win", 1)
+	if n := storesByID(d)[nodes[0]].Del(shardKey(dataKey(sk), 0)); n != 1 {
+		t.Fatalf("deleted %d shards, want 1", n)
+	}
+	check("truncated, data shard 0 of the shortened stripe lost", data[:4096+500])
+}
+
+// hedgedBy reads memfss_fs_ec_hedged_reads_total{reason}: how many stripe
+// reads fetched beyond their first k shards for that reason.
+func hedgedBy(fs *FileSystem, reason string) int64 {
+	var n int64
+	if f := findFamily(fs.Metrics(), "memfss_fs_ec_hedged_reads_total"); f != nil {
+		for _, s := range f.Series {
+			if s.Labels.Get("reason") == reason {
+				n += int64(s.Value)
+			}
+		}
+	}
+	return n
+}
+
+var rs42 = Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}
+
+// TestErasureHealthyReadsDoNotReconstruct pins what ECReconstructs means:
+// with every shard in place an RS(4,2) read fetches the k data shards and
+// joins them. A reconstruction is only legitimate behind a hedge that
+// fired because a fetch was slow (a scheduling hiccup on the test box),
+// so the counters are bounded by that one; without spares there is no
+// timer and every count is exactly zero.
+func TestErasureHealthyReadsDoNotReconstruct(t *testing.T) {
+	noSpare := rs42
+	noSpare.ReadSpare = -1
+	for _, tc := range []struct {
+		name string
+		opts []deployOpt
+		hard bool // no timed hedge exists: zero is exact
+	}{
+		{"detector-on", []deployOpt{withRedundancy(rs42)}, false},
+		{"detector-off", []deployOpt{withRedundancy(rs42), withHealth(HealthPolicy{Disable: true})}, false},
+		{"no-spares", []deployOpt{withRedundancy(noSpare)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestFS(t, 6, 0, tc.opts...)
+			data := randomBytes(51, 5*4096+777)
+			if err := d.fs.WriteFile("/healthy", data); err != nil {
+				t.Fatal(err)
+			}
+			f, err := d.fs.Open("/healthy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			whole := make([]byte, len(data))
+			for i := 0; i < 64; i++ {
+				if n, err := f.ReadAt(whole, 0); n != len(data) || err != nil || !bytes.Equal(whole, data) {
+					t.Fatalf("whole read %d: %d bytes, err %v", i, n, err)
+				}
+				off, l := (i*331)%len(data), 1+(i*577)%6000
+				l = min(l, len(data)-off)
+				win := whole[:l]
+				if n, err := f.ReadAt(win, int64(off)); n != l || err != nil || !bytes.Equal(win, data[off:off+l]) {
+					t.Fatalf("window read off=%d len=%d: %d bytes, err %v", off, l, n, err)
+				}
+			}
+			c, slow := d.fs.Counters(), hedgedBy(d.fs, "slow")
+			if tc.hard && slow != 0 {
+				t.Fatalf("%d slow hedges without spares", slow)
+			}
+			if c.ECReconstructs > slow {
+				t.Fatalf("healthy reads reconstructed %d times behind %d slow hedges; they must join the data shards", c.ECReconstructs, slow)
+			}
+			if c.ECHedgedReads != slow {
+				t.Fatalf("healthy reads hedged %d times, %d of them for slowness: a healthy shard was taken for missing, failed or stale", c.ECHedgedReads, slow)
+			}
+			if st := d.fs.RepairStats(); st.Enqueued != 0 || st.Repaired != 0 {
+				t.Fatalf("healthy reads produced repair work: %+v", st)
+			}
+		})
+	}
+}
+
+// TestErasureDataShardMissHedgesAtOnce deletes one data shard of one
+// stripe before each read of it: the read reconstructs exactly once and
+// enqueues the stripe, and it is the miss — not the hedge timer — that
+// fetches the parity shard: the no-spares deployment has no timer at all.
+func TestErasureDataShardMissHedgesAtOnce(t *testing.T) {
+	for _, spare := range []int{0, -1} {
+		t.Run(fmt.Sprintf("ReadSpare=%d", spare), func(t *testing.T) {
+			red := rs42
+			red.ReadSpare = spare
+			d := newTestFS(t, 6, 0, withRedundancy(red))
+			data := randomBytes(52, 3*4096)
+			if err := d.fs.WriteFile("/miss1", data); err != nil {
+				t.Fatal(err)
+			}
+			sk, nodes := stripeTargets(t, d, "/miss1", 1)
+			store, key := storesByID(d)[nodes[2]], shardKey(dataKey(sk), 2)
+			f, err := d.fs.Open("/miss1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, 4096)
+			const reads = 16
+			for i := 0; i < reads; i++ {
+				// The previous read's repair has put the shard back.
+				if !d.fs.WaitRepairIdle(10 * time.Second) {
+					t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+				}
+				store.Del(key)
+				before, enq, slow := d.fs.Counters(), d.fs.RepairStats().Enqueued, hedgedBy(d.fs, "slow")
+				if _, err := f.ReadAt(buf, 4096); err != nil || !bytes.Equal(buf, data[4096:8192]) {
+					t.Fatalf("read %d around a lost data shard: err %v", i, err)
+				}
+				after := d.fs.Counters()
+				if n := after.ECReconstructs - before.ECReconstructs; n != 1 {
+					t.Fatalf("read %d reconstructed %d times, want exactly 1", i, n)
+				}
+				if n := after.ECHedgedReads - before.ECHedgedReads; n != 1 {
+					t.Fatalf("read %d counted %d hedged gathers, want 1", i, n)
+				}
+				// A read whose timer beat the miss reply (a loaded test box)
+				// may finish on the spare without ever hearing the miss.
+				if n := d.fs.RepairStats().Enqueued - enq; n != 1 && hedgedBy(d.fs, "slow") == slow {
+					t.Fatalf("read %d enqueued %d repairs, want 1", i, n)
+				}
+			}
+			if miss := hedgedBy(d.fs, "miss"); spare < 0 && miss != reads {
+				t.Fatalf("%d of %d reads hedged on the miss", miss, reads)
+			}
+			// The degraded reads' traces say why they decoded: a hedge leg
+			// under the stripe's span, before the reconstruct leg.
+			legs := 0
+			for _, td := range d.fs.Traces().Degraded(reads) {
+				for _, sp := range td.Root.Children {
+					if sp.Name != "stripe" || sp.Stripe != 1 {
+						continue
+					}
+					for _, leg := range sp.Children {
+						if leg.Name == "hedge" && (leg.Outcome == "miss" || leg.Outcome == "slow") {
+							legs++
+						}
+					}
+				}
+			}
+			if legs == 0 || (spare < 0 && legs != reads) {
+				t.Fatalf("%d hedge legs under stripe 1 in the traces of %d degraded reads", legs, reads)
+			}
+		})
+	}
+}
+
+// TestErasureParityShardMissIsNotARead deletes a parity shard: a healthy
+// read fetches the k data shards only, so it neither reconstructs nor
+// errors — and, no longer probing parity, does not notice. Scrub and the
+// repair queue remain the detectors of lost parity.
+func TestErasureParityShardMissIsNotARead(t *testing.T) {
+	d := newTestFS(t, 6, 0, withRedundancy(rs42))
+	data := randomBytes(53, 4096)
+	if err := d.fs.WriteFile("/parity", data); err != nil {
+		t.Fatal(err)
+	}
+	sk, nodes := stripeTargets(t, d, "/parity", 0)
+	if n := storesByID(d)[nodes[5]].Del(shardKey(dataKey(sk), 5)); n != 1 {
+		t.Fatalf("deleted %d shards, want 1", n)
+	}
+	for i := 0; i < 32; i++ {
+		if got, err := d.fs.ReadFile("/parity"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read %d with a parity shard lost: err %v", i, err)
+		}
+	}
+	if c, slow := d.fs.Counters(), hedgedBy(d.fs, "slow"); c.ECReconstructs > slow || c.ECHedgedReads != slow {
+		t.Fatalf("reads over a lost parity shard: %d reconstructs, %d hedged, %d slow hedges", c.ECReconstructs, c.ECHedgedReads, slow)
+	}
+	rep, err := d.fs.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Restored != 1 {
+		t.Fatalf("scrub restored %d shards, want the one lost parity shard: %+v", rep.Restored, rep)
+	}
+}
+
+// TestErasureMixedGenerationFirstWave puts two writes' shards into the
+// first wave. A newer write that landed on exactly k slots (0, 1, 2, 4)
+// must win over the old shards left in slots 3 and 5; a newer write that
+// tore after two slots must lose to the committed one. Either way the
+// bytes are one write's, the read hedges as stale and reconstructs once.
+func TestErasureMixedGenerationFirstWave(t *testing.T) {
+	coder, err := erasure.NewCoder(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		slots   []int
+		wantNew bool
+	}{
+		{"newer-write-reached-k", []int{0, 1, 2, 4}, true},
+		{"newer-write-torn", []int{0, 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestFS(t, 6, 0, withRedundancy(rs42), withRepair(RepairPolicy{Disable: true}))
+			old, newer := randomBytes(54, 4096), randomBytes(55, 4096)
+			if err := d.fs.WriteFile("/gens", old); err != nil {
+				t.Fatal(err)
+			}
+			sk, nodes := stripeTargets(t, d, "/gens", 0)
+			stores := storesByID(d)
+			raw, ok, err := stores[nodes[0]].Get(shardKey(dataKey(sk), 0))
+			if err != nil || !ok {
+				t.Fatalf("shard 0 missing after write: ok=%v err=%v", ok, err)
+			}
+			gen, id, _, err := erasure.ParseShard(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards := coder.EncodeShards(gen+1, id+1, newer)
+			for _, i := range tc.slots {
+				if err := stores[nodes[i]].Set(shardKey(dataKey(sk), i), shards[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := old
+			if tc.wantNew {
+				want = newer
+			}
+			for i := 0; i < 8; i++ {
+				before, slow := d.fs.Counters(), hedgedBy(d.fs, "slow")
+				got, err := d.fs.ReadFile("/gens")
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("read %d over two generations: err %v, bytes of the wrong write or of both", i, err)
+				}
+				after := d.fs.Counters()
+				if n := after.ECReconstructs - before.ECReconstructs; n != 1 {
+					t.Fatalf("read %d reconstructed %d times, want 1", i, n)
+				}
+				// A read whose timer beat the stale shard's reply (a loaded
+				// test box) may reach k of the newer write without seeing it.
+				if after.ECGenConflicts == before.ECGenConflicts && hedgedBy(d.fs, "slow") == slow {
+					t.Fatalf("read %d counted no generation conflict", i)
+				}
+			}
+			if stale, slow := hedgedBy(d.fs, "stale"), hedgedBy(d.fs, "slow"); stale+slow != 8 || stale == 0 {
+				t.Fatalf("8 mixed-generation reads hedged %d times as stale, %d as slow", stale, slow)
+			}
+		})
+	}
+}
+
+// TestErasureGrayHolderReadsOwnTheirBuffers slows one data-shard holder
+// to 40 ms per reply while it stays Up. No read may wait the slow node
+// out — the hedge fetches a parity shard instead — and the fetch each
+// read abandons must never touch memory another owner holds: not the
+// caller's p after ReadAt returned, and not a pooled buffer a concurrent
+// reader is using. Run under -race.
+func TestErasureGrayHolderReadsOwnTheirBuffers(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	d, proxies := newChaosFS(t, 6, 6, faultwrap.Plan{}, withRedundancy(rs42))
+	data, other := randomBytes(56, 4096), randomBytes(57, 4096)
+	if err := d.fs.WriteFile("/other", other); err != nil {
+		t.Fatal(err)
+	}
+	// A stripe's shards all sit in one class: find a file on the proxied one.
+	path, gray := "", -1
+	for i := 0; gray < 0; i++ {
+		path = fmt.Sprintf("/gray%d", i)
+		if err := d.fs.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		_, nodes := stripeTargets(t, d, path, 0)
+		for v, n := range d.victims.Nodes {
+			if n.ID == nodes[1] {
+				gray = v // holder of data shard 1
+			}
+		}
+	}
+	proxies[gray].SetPlan(faultwrap.Plan{Reply: faultwrap.DirPlan{DelayProb: 1, Delay: delay}})
+
+	// A second reader shares the shard pool for as long as the first runs.
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		f, err := d.fs.Open("/other")
+		if err != nil {
+			done <- err
+			return
+		}
+		defer f.Close()
+		buf := make([]byte, len(other))
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := f.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, other) {
+				done <- fmt.Errorf("concurrent reader: err %v, or bytes of another read", err)
+				return
+			}
+		}
+	}()
+
+	f, err := d.fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const reads = 200
+	bufs := make([][]byte, reads)
+	lat := make([]time.Duration, reads)
+	for i := range bufs {
+		p := make([]byte, len(data))
+		start := time.Now()
+		_, err := f.ReadAt(p, 0)
+		lat[i] = time.Since(start)
+		if err != nil || !bytes.Equal(p, data) {
+			t.Fatalf("read %d beside a gray shard holder: err %v", i, err)
+		}
+		// p is the caller's again: whatever the abandoned fetch does when
+		// its reply finally arrives, it must not land here.
+		for j := range p {
+			p[j] = byte(i)
+		}
+		bufs[i] = p
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// A read that waited the slow node out takes the delay or longer. The
+	// two slowest reads are left to the test box's scheduler.
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if p50, p99 := lat[reads/2], lat[reads*99/100-1]; p50 >= 15*time.Millisecond || p99 >= delay {
+		t.Fatalf("reads beside a node %v slow: p50 %v (want < 15ms), p99 %v (want under the delay)", delay, p50, p99)
+	}
+	time.Sleep(delay + 20*time.Millisecond)
+	for i, p := range bufs {
+		if !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, len(p))) {
+			t.Fatalf("buffer of read %d was written after ReadAt returned", i)
+		}
+	}
+	if proxies[gray].Stats().Delays == 0 {
+		t.Fatal("the gray plan delayed nothing")
+	}
+	if st := d.fs.Health()[d.victims.Nodes[gray].ID]; st.State != health.Up {
+		t.Fatalf("gray node was condemned (%s): the failure was supposed to be gray", st.State)
+	}
+	if slow := hedgedBy(d.fs, "slow"); slow < reads/2 {
+		t.Fatalf("only %d of %d reads hedged on the slow node", slow, reads)
+	}
 }

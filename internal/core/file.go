@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memfss/internal/container"
 	"memfss/internal/erasure"
 	"memfss/internal/fsmeta"
 	"memfss/internal/health"
@@ -633,13 +634,16 @@ type ecSlot struct {
 	id      uint64
 	payload []byte
 	err     error
+	// buf is the pooled buffer payload points into (read gathers only).
+	// The gather owns it from the fetch's delivery until release.
+	buf *[]byte
 }
 
 // gatherMode selects how much of a stripe gatherStripe fetches.
 type gatherMode int
 
 const (
-	gatherFirstK  gatherMode = iota // reads: stop at the first write to reach k shards
+	gatherFirstK  gatherMode = iota // reads: k fetches, hedged; stop at the first write to reach k shards
 	gatherAll                       // RMW writes: every slot's shard
 	gatherHeaders                   // whole-stripe overwrites: every slot's header only
 )
@@ -662,18 +666,55 @@ type ecGather struct {
 	mixed   bool // more than one (generation, write ID) observed
 }
 
-// gatherStripe fetches a stripe's shards concurrently, health-ordered:
-// the first wave covers k+ReadSpare slots the detector believes Up, and
-// the gather returns as soon as any one write's shard group reaches k —
-// Hydra's degraded read, racing reconstruction against stragglers
-// instead of waiting out a slow or dead node's retry budget. If the
-// first wave cannot produce a winner the remaining slots are fanned out,
-// so an unsuccessful gather has probed every slot. gatherAll disables the
-// early return (and the spare cap): the RMW write path needs every
-// slot's generation, not just the fastest k. gatherHeaders is gatherAll
-// fetching only each slot's shard header — all a whole-stripe overwrite
-// needs, since it replaces the bytes and only has to outbid the
-// generations present.
+// release returns the gather's pooled shard buffers; no payload may be
+// used afterwards. A fetch the gather abandoned never delivered its
+// buffer, so it is not among them: the straggler stays its sole owner.
+func (g *ecGather) release(fs *FileSystem) {
+	for i := range g.slots {
+		if s := &g.slots[i]; s.buf != nil {
+			fs.shardBufs.Put(s.buf)
+			s.buf, s.payload = nil, nil
+		}
+	}
+}
+
+// shardBuf returns an n-byte buffer from the per-FileSystem shard pool.
+func (fs *FileSystem) shardBuf(n int) *[]byte {
+	if b, _ := fs.shardBufs.Get().(*[]byte); b != nil && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// hedgeDelay is how much longer a read gather waits for its stragglers
+// before it launches spares, given how long the shards in hand took to
+// land: as long again, within [500µs, 5ms]. The basis is this gather's
+// own arrivals — a fixed delay fires constantly when many gathers share
+// the CPU — and excludes the stragglers themselves.
+func hedgeDelay(landed time.Duration) time.Duration {
+	return min(max(landed, 500*time.Microsecond), 5*time.Millisecond)
+}
+
+// gatherStripe fetches a stripe's shards concurrently, health-ordered.
+//
+// A read (gatherFirstK) launches exactly k fetches — with every node Up,
+// the k data slots, whose payloads concatenate to the stripe without the
+// coder — and returns as soon as any one write's shard group reaches k.
+// Further slots go out only on evidence: at once when the shards in hand
+// plus those in flight can no longer add up to k of one write (a slot
+// answered miss, error, unparseable or with another write's shard), and
+// otherwise as a hedge — up to ReadSpare spares once hedgeDelay has run
+// out on stragglers the spares could cover. That is Hydra's late-binding
+// degraded read: a slow or dead node costs the hedge delay, never its
+// retry budget. An unsuccessful gather has probed every slot.
+//
+// gatherAll launches every slot and waits for all of them: the RMW write
+// path needs every slot's generation, not just the fastest k.
+// gatherHeaders is gatherAll fetching only each slot's shard header — all
+// a whole-stripe overwrite needs, since it replaces the bytes and only
+// has to outbid the generations present.
 func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
 	k, m := f.coder.K(), f.coder.M()
 	n := k + m
@@ -682,39 +723,38 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	probeAll := mode != gatherFirstK
 	// Shards are equal-sized Splits of the stripe plus the shard header;
 	// the per-shard estimate meters the throttle before each transfer.
-	shardEst := (stripeLen+int64(k)-1)/int64(k) + erasure.HeaderSize
-	get := func(i int, st *kvstore.OpStat) ([]byte, bool, error) {
-		return f.getFull(nodes[i], shardKey(dataKey(sk), i), shardEst, st)
-	}
-	if mode == gatherHeaders {
-		hdrs := make([]byte, n*erasure.HeaderSize)
-		get = func(i int, st *kvstore.OpStat) ([]byte, bool, error) {
-			hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
-			got, ok, err := f.getInto(nodes[i], shardKey(dataKey(sk), i), 0, erasure.HeaderSize, hdr, st)
-			return hdr[:got], ok, err
-		}
-	}
+	shardEst := int64(f.coder.ShardSize(int(stripeLen))) + erasure.HeaderSize
 	type fetch struct {
 		slot int
 		data []byte
+		buf  *[]byte
 		ok   bool
 		err  error
 	}
-	// Buffered to n so abandoned stragglers can always deliver and exit.
-	ch := make(chan fetch, n)
-	launch := func(i int) {
-		go func() {
-			var st kvstore.OpStat
-			data, ok, err := get(i, &st)
-			cls := f.fs.conns.class(nodes[i])
-			o.stripeHist("read", cls).Observe(st.Dur)
-			out := "miss"
-			if err != nil || ok {
-				out = phaseOutcome(err, st.Attempts)
-			}
-			tr.phaseOp(idx, nodes[i], cls, st, out)
-			ch <- fetch{slot: i, data: data, ok: ok, err: err}
-		}()
+	var get func(i int, st *kvstore.OpStat) fetch
+	switch mode {
+	case gatherFirstK:
+		// A stored shard can be longer than shardEst — Truncate shortens a
+		// stripe in metadata only — so the fetch and its buffer are sized
+		// from the layout's full stripe.
+		full := f.coder.ShardSize(int(f.layout.Size())) + erasure.HeaderSize
+		get = func(i int, st *kvstore.OpStat) fetch {
+			buf := f.fs.shardBuf(full)
+			got, ok, err := f.getShard(nodes[i], shardKey(dataKey(sk), i), shardEst, *buf, st)
+			return fetch{slot: i, data: (*buf)[:got], buf: buf, ok: ok, err: err}
+		}
+	case gatherAll:
+		get = func(i int, st *kvstore.OpStat) fetch {
+			data, ok, err := f.getFull(nodes[i], shardKey(dataKey(sk), i), shardEst, st)
+			return fetch{slot: i, data: data, ok: ok, err: err}
+		}
+	case gatherHeaders:
+		hdrs := make([]byte, n*erasure.HeaderSize)
+		get = func(i int, st *kvstore.OpStat) fetch {
+			hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
+			got, ok, err := f.getInto(nodes[i], shardKey(dataKey(sk), i), 0, erasure.HeaderSize, hdr, st)
+			return fetch{slot: i, data: hdr[:got], ok: ok, err: err}
+		}
 	}
 	// Health-ordered slots, stable: detector-Up targets first, so the
 	// first wave is shards the evidence says are actually fetchable.
@@ -729,35 +769,84 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		}
 	}
 	order = append(order, rest...)
-	first := n
-	if !probeAll {
-		first = k + f.fs.ecSpare
-		if first > n {
-			first = n
+	// Buffered to n so abandoned stragglers can always deliver and exit.
+	ch := make(chan fetch, n)
+	launched, received := 0, 0
+	launch := func(c int) {
+		for ; c > 0 && launched < n; c-- {
+			i := order[launched]
+			launched++
+			go func() {
+				var st kvstore.OpStat
+				r := get(i, &st)
+				cls := f.fs.conns.class(nodes[i])
+				o.stripeHist("read", cls).Observe(st.Dur)
+				out := "miss"
+				if r.err != nil || r.ok {
+					out = phaseOutcome(r.err, st.Attempts)
+				}
+				tr.phaseOp(idx, nodes[i], cls, st, out)
+				ch <- r
+			}()
 		}
 	}
+	first, spares := n, 0
+	if !probeAll {
+		first, spares = k, f.fs.ecSpare
+	}
+	start := time.Now()
+	launch(first)
+	// hedge records why this gather went beyond its first wave: a trace
+	// leg per launch, the counter once per gather.
+	counted := false
+	hedge := func(reason string) {
+		tr.hedgeLeg(idx, time.Since(start), reason)
+		if !counted {
+			counted = true
+			f.fs.stats.ecHedged[reason].Inc()
+		}
+	}
+	var timer *time.Timer
+	var expired <-chan time.Time
 	g := &ecGather{nodes: nodes, slots: make([]ecSlot, n)}
 	counts := make(map[[2]uint64]int, 1)
-	for _, i := range order[:first] {
-		launch(i)
-	}
-	launched, received := first, 0
+	best := 0 // largest shard group of one write so far
 	for received < launched {
-		r := <-ch
+		// The hedge arms once spares could stand in for every fetch still
+		// in flight; fewer spares than stragglers cannot complete the read.
+		if timer == nil && spares > 0 && launched-received <= spares && launched < n {
+			timer = time.NewTimer(hedgeDelay(time.Since(start)))
+			expired = timer.C
+		}
+		var r fetch
+		select {
+		case r = <-ch:
+		case <-expired:
+			timer, expired = nil, nil
+			c := min(launched-received, spares)
+			spares -= c
+			hedge("slow")
+			launch(c)
+			continue
+		}
 		received++
 		s := &g.slots[r.slot]
-		s.probed = true
+		s.probed, s.buf = true, r.buf
+		reason := "stale"
 		switch {
 		case r.err != nil:
 			s.err = r.err
+			reason = "error"
 		case !r.ok:
 			g.absent++
+			reason = "miss"
 		default:
 			gen, id, payload, perr := erasure.ParseShard(r.data)
 			if perr != nil {
 				// An unparseable shard is as good as missing; the repair
 				// pass rewrites it.
 				g.absent++
+				reason = "miss"
 				break
 			}
 			s.present = true
@@ -767,21 +856,26 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 				g.maxGen = gen
 			}
 			counts[[2]uint64{gen, id}]++
-			if c := counts[[2]uint64{gen, id}]; c >= k {
+			c := counts[[2]uint64{gen, id}]
+			best = max(best, c)
+			if c >= k {
 				if g.found < k || gen > g.gen || (gen == g.gen && id >= g.id) {
 					g.gen, g.id, g.found = gen, id, c
 				}
 			}
 		}
 		if g.found >= k && !probeAll {
-			break // reconstruction can start; stragglers are abandoned
+			break // the stripe is readable; stragglers are abandoned
 		}
-		if g.found < k && received == launched && launched < n {
-			for _, i := range order[launched:] {
-				launch(i)
-			}
-			launched = n
+		// No write can reach k from the shards in hand plus those in
+		// flight: fetch the shortfall now rather than wait for the rest.
+		if need := k - best - (launched - received); need > 0 && launched < n {
+			hedge(reason)
+			launch(need)
 		}
+	}
+	if timer != nil {
+		timer.Stop()
 	}
 	g.mixed = len(counts) > 1
 	return g
@@ -882,6 +976,7 @@ func (f *File) readSpanErasure(tr *opTrace, span stripe.Span, dst []byte) error 
 func (f *File) readStripeErasure(tr *opTrace, sk string, span stripe.Span, stripeLen int64, dst []byte) (bool, error) {
 	k, m := f.coder.K(), f.coder.M()
 	g := f.gatherStripe(tr, sk, span.Index, stripeLen, gatherFirstK)
+	defer g.release(f.fs)
 	if g.found < k {
 		// An unsuccessful gather probed every slot, so the counts below
 		// cover the full shard set.
@@ -918,14 +1013,45 @@ func (f *File) readStripeErasure(tr *opTrace, sk string, span stripe.Span, strip
 // failure would turn an already-successful read into a phantom
 // unreachable-node error.
 func (f *File) getFull(nodeID, key string, length int64, st *kvstore.OpStat) ([]byte, bool, error) {
-	if err := f.fs.conns.throttle(nodeID).Take(length); err != nil {
+	th := f.fs.conns.throttle(nodeID)
+	if err := th.Take(length); err != nil {
 		return nil, false, err
 	}
 	cli, err := f.fs.conns.client(nodeID)
 	if err != nil {
 		return nil, false, err
 	}
-	return cli.GetStat(key, st)
+	v, ok, err := cli.GetStat(key, st)
+	meterExcess(th, int64(len(v)), length)
+	return v, ok, err
+}
+
+// getShard is getFull into buf, the read gather's pooled shard buffer: it
+// asks for len(buf) bytes of the key — the largest shard the layout can
+// store — and reports how many arrived.
+func (f *File) getShard(nodeID, key string, est int64, buf []byte, st *kvstore.OpStat) (int, bool, error) {
+	th := f.fs.conns.throttle(nodeID)
+	if err := th.Take(est); err != nil {
+		return 0, false, err
+	}
+	cli, err := f.fs.conns.client(nodeID)
+	if err != nil {
+		return 0, false, err
+	}
+	n, ok, err := cli.GetRangeIntoStat(key, 0, int64(len(buf)), buf, st)
+	meterExcess(th, int64(n), est)
+	return n, ok, err
+}
+
+// meterExcess charges a throttle for what a shard fetch moved beyond the
+// estimate metered before it: the shards of a stripe that Truncate
+// shortened in metadata are longer than the current stripe length says.
+// The bytes have already crossed the wire, so a closed throttle is not an
+// error here.
+func meterExcess(th *container.Throttle, got, est int64) {
+	if got > est {
+		_ = th.Take(got - est)
+	}
 }
 
 // healthOrder stably reorders a probe list so detector-Up nodes come

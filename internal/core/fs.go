@@ -35,6 +35,9 @@ type FileSystem struct {
 	ecSpare     int
 	stats       fsStats
 	closed      bool
+	// shardBufs pools the erasure read gather's shard fetch buffers
+	// (*[]byte, one wire shard of a full stripe each).
+	shardBufs sync.Pool
 
 	// obsReg is the telemetry registry (nil with Obs.Disable); obs is the
 	// FileSystem-level telemetry bundle on top of it (nil when disabled).

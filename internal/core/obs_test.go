@@ -312,16 +312,18 @@ func TestECEncodeVisible(t *testing.T) {
 	}
 }
 
-// benchFS mounts the benchmark deployment: two victim in-process stores
-// and one own (one per replica when replicating), 16 KiB stripes.
-func benchFS(b *testing.B, pol ObsPolicy, red Redundancy) *FileSystem {
+// benchFS mounts the benchmark deployment over in-process stores: two
+// victims and one own node — or, per class, as many as the redundancy
+// mode needs (one per replica, k+m for erasure).
+func benchFS(b *testing.B, pol ObsPolicy, red Redundancy, stripeSize int64) *FileSystem {
 	const password = "bench-secret"
-	own, err := StartLocalStores(max(1, red.Replicas), "own", password, 0)
+	width := max(red.Replicas, red.DataShards+red.ParityShards)
+	own, err := StartLocalStores(max(1, width), "own", password, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(own.Close)
-	victims, err := StartLocalStores(2, "victim", password, 0)
+	victims, err := StartLocalStores(max(2, red.DataShards+red.ParityShards), "victim", password, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,7 +333,7 @@ func benchFS(b *testing.B, pol ObsPolicy, red Redundancy) *FileSystem {
 			{Name: "own", Nodes: own.Nodes},
 			{Name: "victim", Nodes: victims.Nodes, Victim: true},
 		},
-		StripeSize: 16 << 10,
+		StripeSize: stripeSize,
 		Redundancy: red,
 		Password:   password,
 		Obs:        pol,
@@ -347,7 +349,7 @@ func benchFS(b *testing.B, pol ObsPolicy, red Redundancy) *FileSystem {
 // policy; comparing the On/Off variants bounds the instrumentation
 // overhead on the per-stripe hot path (acceptance budget: <= 5%).
 func benchWriteObs(b *testing.B, pol ObsPolicy) {
-	fs := benchFS(b, pol, Redundancy{})
+	fs := benchFS(b, pol, Redundancy{}, 16<<10)
 	payload := randomBytes(17, 256<<10) // 16 stripes per write
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -358,23 +360,27 @@ func benchWriteObs(b *testing.B, pol ObsPolicy) {
 	}
 }
 
-// benchCoreAt times WriteAt or ReadAt of spans whole 16 KiB stripes on
-// one open R=2 handle — the data path alone, no namespace ops — for the
-// allocs/op gate in scripts/bench_gate.sh.
-func benchCoreAt(b *testing.B, spans int, read bool) {
-	fs := benchFS(b, ObsPolicy{}, Redundancy{Mode: RedundancyReplicate, Replicas: 2})
+// benchCoreAt times WriteAt or ReadAt of spans whole stripes on one open
+// handle — the data path alone, no namespace ops — for the allocs/op
+// gate in scripts/bench_gate.sh.
+func benchCoreAt(b *testing.B, red Redundancy, stripeSize int64, spans int, read bool) {
+	fs := benchFS(b, ObsPolicy{}, red, stripeSize)
 	f, err := fs.OpenFile("/bench", O_CREATE|O_RDWR)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	buf := randomBytes(19, spans*16<<10)
+	buf := randomBytes(19, spans*int(stripeSize))
 	if _, err := f.WriteAt(buf, 0); err != nil {
 		b.Fatal(err)
 	}
 	op := f.WriteAt
 	if read {
 		op = f.ReadAt
+	}
+	// One untimed op fills the pools, so B/op holds at a small -benchtime.
+	if _, err := op(buf, 0); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
@@ -386,10 +392,18 @@ func benchCoreAt(b *testing.B, spans int, read bool) {
 	}
 }
 
-func BenchmarkCoreWriteAt1Span(b *testing.B)  { benchCoreAt(b, 1, false) }
-func BenchmarkCoreWriteAt16Span(b *testing.B) { benchCoreAt(b, 16, false) }
-func BenchmarkCoreReadAt1Span(b *testing.B)   { benchCoreAt(b, 1, true) }
-func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, 16, true) }
+var benchR2 = Redundancy{Mode: RedundancyReplicate, Replicas: 2}
+
+func BenchmarkCoreWriteAt1Span(b *testing.B)  { benchCoreAt(b, benchR2, 16<<10, 1, false) }
+func BenchmarkCoreWriteAt16Span(b *testing.B) { benchCoreAt(b, benchR2, 16<<10, 16, false) }
+func BenchmarkCoreReadAt1Span(b *testing.B)   { benchCoreAt(b, benchR2, 16<<10, 1, true) }
+func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, benchR2, 16<<10, 16, true) }
+
+// BenchmarkCoreReadAtEC8Span reads 8 whole 1 MiB RS(4,2) stripes — the
+// benchmark's ec-stream read op. Its B/op is gated as well as its
+// allocs/op: shard fetches land in pooled buffers, so a read allocates
+// bookkeeping, not payload.
+func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, true) }
 
 func BenchmarkWriteTelemetryOn(b *testing.B)  { benchWriteObs(b, ObsPolicy{}) }
 func BenchmarkWriteTelemetryOff(b *testing.B) { benchWriteObs(b, ObsPolicy{Disable: true}) }

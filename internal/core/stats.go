@@ -22,7 +22,15 @@ type fsStats struct {
 	deferredDeletes      *obs.Counter
 	ecReconstructs       *obs.Counter
 	ecGenConflicts       *obs.Counter
+	// ecHedged counts erasure read gathers that launched a fetch beyond
+	// their first k, by the reason of the first such launch.
+	ecHedged map[string]*obs.Counter
 }
+
+// hedgeReasons are the reason label values of ecHedged: a first-wave slot
+// answered no (or an unparseable) shard, failed, or held another write's
+// shard, or a straggler outlasted the hedge delay.
+var hedgeReasons = [...]string{"miss", "error", "stale", "slow"}
 
 // counterOr resolves a registered counter, or a standalone one when the
 // registry is nil — for counters that must keep counting (the Counters()
@@ -37,6 +45,11 @@ func counterOr(reg *obs.Registry, name, help string, labels obs.Labels) *obs.Cou
 // newFSStats wires the data-path counters, registering them on reg when
 // telemetry is enabled.
 func newFSStats(reg *obs.Registry) fsStats {
+	hedged := make(map[string]*obs.Counter, len(hedgeReasons))
+	for _, reason := range hedgeReasons {
+		hedged[reason] = counterOr(reg, "memfss_fs_ec_hedged_reads_total",
+			"Erasure stripe reads that fetched beyond their first k shards, by what made them.", obs.L("reason", reason))
+	}
 	return fsStats{
 		bytesWritten: counterOr(reg, "memfss_fs_bytes_total",
 			"Payload bytes moved through the file-system client.", obs.L("op", "write")),
@@ -61,9 +74,10 @@ func newFSStats(reg *obs.Registry) fsStats {
 		deferredDeletes: counterOr(reg, "memfss_fs_deferred_deletes_total",
 			"Per-node stripe deletions skipped because the node was unreachable; the stale keys are orphans under a dead file ID.", nil),
 		ecReconstructs: counterOr(reg, "memfss_fs_ec_reconstructs_total",
-			"Erasure stripe reads served by Reed-Solomon reconstruction (some data shard missing).", nil),
+			"Erasure stripe reads served by Reed-Solomon reconstruction (a data shard missing, stale, or slower than the hedge).", nil),
 		ecGenConflicts: counterOr(reg, "memfss_fs_ec_generation_conflicts_total",
 			"Erasure stripe inspections that observed shards from more than one write generation.", nil),
+		ecHedged: hedged,
 	}
 }
 
@@ -109,9 +123,16 @@ type Counters struct {
 	// orphan census until the store reclaims them.
 	DeferredDeletes int64
 	// ECReconstructs counts erasure stripe reads that had to rebuild a
-	// missing data shard via Reed-Solomon reconstruction — each one is a
-	// degraded read that still returned correct bytes.
+	// data shard via Reed-Solomon reconstruction — each one is a read
+	// whose data shard was missing, stale, or slower than the hedge, and
+	// that still returned correct bytes. Healthy reads join the k data
+	// shards and never count here.
 	ECReconstructs int64
+	// ECHedgedReads counts erasure stripe reads that fetched beyond their
+	// first k shards (memfss_fs_ec_hedged_reads_total splits it by
+	// reason: miss, error, stale, slow). With every node Up only these
+	// can reconstruct: the first k are the data shards.
+	ECHedgedReads int64
 	// ECGenConflicts counts stripe inspections that observed shards from
 	// more than one write generation — the leftovers of a torn or
 	// superseded write, converged by the repair pass. Reconstruction never
@@ -128,6 +149,10 @@ type Counters struct {
 // Counters returns a snapshot of the file system's activity counters.
 func (fs *FileSystem) Counters() Counters {
 	ops, attempts := fs.conns.opTotals()
+	var hedged int64
+	for _, c := range fs.stats.ecHedged {
+		hedged += c.Value()
+	}
 	return Counters{
 		BytesWritten:         fs.stats.bytesWritten.Value(),
 		BytesRead:            fs.stats.bytesRead.Value(),
@@ -141,6 +166,7 @@ func (fs *FileSystem) Counters() Counters {
 		NoSpaceWrites:        fs.stats.noSpaceWrites.Value(),
 		DeferredDeletes:      fs.stats.deferredDeletes.Value(),
 		ECReconstructs:       fs.stats.ecReconstructs.Value(),
+		ECHedgedReads:        hedged,
 		ECGenConflicts:       fs.stats.ecGenConflicts.Value(),
 		StoreOps:             ops,
 		StoreAttempts:        attempts,

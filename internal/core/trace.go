@@ -429,6 +429,16 @@ func (t *opTrace) recLeg(name string, dur time.Duration, outcome string) {
 	t.t.Root().Record(name, "", "", -1, 0, dur, outcome)
 }
 
+// hedgeLeg records, under the stripe's span, that an erasure read gather
+// launched fetches beyond its first k: waited is how long the gather had
+// run by then, reason what made it (miss | error | stale | slow).
+func (t *opTrace) hedgeLeg(stripe int64, waited time.Duration, reason string) {
+	if t == nil {
+		return
+	}
+	t.stripeSpan(stripe).Record("hedge", "", "", stripe, 0, waited, reason)
+}
+
 // abort closes a trace for an operation rejected before any store I/O
 // (QoS admission denial): the errored trace is retained for forensics but
 // the op never ran, so it stays out of the latency histograms and the

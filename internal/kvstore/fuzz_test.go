@@ -1,0 +1,172 @@
+package kvstore
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// wire encodes with one of the package's Write* helpers into a byte slice.
+func wire(write func(bw *bufio.Writer) error) []byte {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := write(bw); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// allocated reports the heap bytes fn allocated (the fuzz worker runs one
+// input at a time, so the process-wide counter is fn's).
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeBudget bounds what decoding one frame from in may allocate: the
+// argument slice of the largest legal array, one bulk of the largest
+// legal declared length (allocated before its bytes are known to exist),
+// the bytes actually present, and bufio's own buffer.
+func decodeBudget(in []byte) uint64 {
+	return 24*maxArrayLen + maxBulkLen + 2*uint64(len(in)) + 1<<20
+}
+
+// malformedFrames seeds both fuzz targets with the frames the decoder
+// must refuse: over-bound lengths, truncated payloads, bare LF, overflow.
+var malformedFrames = []string{
+	"", "\r\n", "*", "$", "+OK\n", "*1\r\n$3\r\nab", "$3\r\nabcXY", "*2\r\n$1\r\na\r\n$-1\r\n",
+	"$67108865\r\n", "*1048577\r\n", "*-1\r\n", "$-2\r\n", ":9223372036854775808\r\n",
+	"*1\r\n:1\r\n", "$1x\r\n", "?what\r\n",
+}
+
+// FuzzReadCommand feeds arbitrary bytes to the server-side command
+// decoder. It must never panic, must fail only with a protocol error or
+// an I/O error for a short frame, must stay inside decodeBudget whatever
+// lengths the frame declares, and whatever it accepts must re-encode to a
+// frame that decodes to the same arguments.
+func FuzzReadCommand(f *testing.F) {
+	f.Add(wire(func(bw *bufio.Writer) error { return WriteCommand(bw, []byte("PING")) }))
+	f.Add(wire(func(bw *bufio.Writer) error {
+		return WriteCommand(bw, []byte("SET"), []byte("key"), []byte("val\r\nwith crlf"))
+	}))
+	f.Add(wire(func(bw *bufio.Writer) error {
+		return WriteCommand(bw, []byte("GETRANGE"), []byte("data:7:0/s3"), []byte("0"), []byte("262162"))
+	}))
+	f.Add(wire(func(bw *bufio.Writer) error { return WriteCommand(bw, []byte("SET"), []byte("k"), []byte{}) }))
+	for _, s := range malformedFrames {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var args [][]byte
+		var err error
+		if n := allocated(func() { args, err = ReadCommand(bufio.NewReader(bytes.NewReader(in))) }); n > decodeBudget(in) {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(in), n)
+		}
+		if err != nil {
+			if !errors.Is(err, errProtocol) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("ReadCommand error %v is neither a protocol error nor a short frame", err)
+			}
+			return
+		}
+		total := 0
+		for _, a := range args {
+			if a == nil {
+				t.Fatal("accepted a nil bulk inside a command")
+			}
+			total += len(a)
+		}
+		if len(args) == 0 || total > len(in) {
+			t.Fatalf("%d args of %d bytes out of a %d-byte frame", len(args), total, len(in))
+		}
+		again, err := ReadCommand(bufio.NewReader(bytes.NewReader(
+			wire(func(bw *bufio.Writer) error { return WriteCommand(bw, args...) }))))
+		if err != nil || !reflect.DeepEqual(again, args) {
+			t.Fatalf("re-encoded command decodes to %q (err %v), want %q", again, err, args)
+		}
+	})
+}
+
+// FuzzReadReply feeds arbitrary bytes to the client-side reply decoders:
+// the generic ReadReply and the hot-path status / bulk decoders. None may
+// panic or outgrow decodeBudget; an accepted reply must survive a
+// re-encode; and readBulkReplyInto must agree with readBulkReplyAlloc
+// while writing nothing past len(dst).
+func FuzzReadReply(f *testing.F) {
+	for _, w := range []func(bw *bufio.Writer) error{
+		func(bw *bufio.Writer) error { return WriteSimple(bw, "OK") },
+		func(bw *bufio.Writer) error { return WriteError(bw, "ERR boom") },
+		func(bw *bufio.Writer) error { return WriteError(bw, "OOM store over its memory cap") },
+		func(bw *bufio.Writer) error { return WriteInt(bw, -42) },
+		func(bw *bufio.Writer) error { return WriteBulkReply(bw, []byte("data"), false) },
+		func(bw *bufio.Writer) error { return WriteBulkReply(bw, nil, true) },
+		func(bw *bufio.Writer) error { return WriteBulkReply(bw, []byte{}, false) },
+		func(bw *bufio.Writer) error { return WriteArrayReply(bw, [][]byte{[]byte("a"), nil, []byte("b")}) },
+		func(bw *bufio.Writer) error { return WriteArrayReply(bw, nil) },
+	} {
+		f.Add(wire(w), uint16(4))
+	}
+	for _, s := range malformedFrames {
+		f.Add([]byte(s), uint16(2))
+	}
+	f.Fuzz(func(t *testing.T, in []byte, dstLen uint16) {
+		reader := func() *bufio.Reader { return bufio.NewReader(bytes.NewReader(in)) }
+
+		var r *Reply
+		var err error
+		if n := allocated(func() { r, err = ReadReply(reader()) }); n > decodeBudget(in) {
+			t.Fatalf("decoding a %d-byte reply allocated %d bytes", len(in), n)
+		}
+		if err == nil {
+			again, err := ReadReply(bufio.NewReader(bytes.NewReader(wire(func(bw *bufio.Writer) error {
+				switch r.Kind {
+				case '+':
+					return WriteSimple(bw, r.Str)
+				case '-':
+					return WriteError(bw, r.Str)
+				case ':':
+					return WriteInt(bw, r.Int)
+				case '$':
+					return WriteBulkReply(bw, r.Bulk, r.Nil)
+				case '*':
+					return WriteArrayReply(bw, r.Array)
+				}
+				t.Fatalf("accepted reply of kind %q", r.Kind)
+				return nil
+			}))))
+			if err != nil || !reflect.DeepEqual(again, r) {
+				t.Fatalf("re-encoded reply decodes to %+v (err %v), want %+v", again, err, r)
+			}
+		}
+
+		_, _ = readStatusReply(reader())
+
+		// dst sits inside a larger array: bytes past len(dst) are canaries.
+		const canary = 0xC5
+		backing := bytes.Repeat([]byte{canary}, int(dstLen)+64)
+		dst := backing[:dstLen]
+		n, ok, msg, err := readBulkReplyInto(reader(), dst)
+		for i, b := range backing[dstLen:] {
+			if b != canary {
+				t.Fatalf("readBulkReplyInto wrote %d bytes past a %d-byte destination", i+1, dstLen)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if n > len(dst) || (!ok && n != 0) {
+			t.Fatalf("readBulkReplyInto reports %d bytes (ok=%v) into a %d-byte destination", n, ok, dstLen)
+		}
+		full, okAlloc, msgAlloc, err := readBulkReplyAlloc(reader())
+		if err != nil || ok != okAlloc || msg != msgAlloc || !bytes.Equal(full, dst[:n]) {
+			t.Fatalf("readBulkReplyInto decoded (%q, ok=%v, msg=%q), readBulkReplyAlloc (%q, ok=%v, msg=%q, err %v)",
+				dst[:n], ok, msg, full, okAlloc, msgAlloc, err)
+		}
+	})
+}

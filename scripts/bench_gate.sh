@@ -5,8 +5,8 @@
 # Runs the Wire* benchmarks (internal/kvstore/hotpath_bench_test.go), the
 # RS42 benchmarks (internal/erasure/rs_test.go) and the Core* benchmarks
 # (internal/core/obs_test.go) with -benchmem at a fixed iteration count
-# and fails if any benchmark's allocs/op exceeds its budget in
-# scripts/allocs_budget.txt.
+# and fails if any benchmark's allocs/op (or, where one is given, B/op)
+# exceeds its budget in scripts/allocs_budget.txt.
 # Prints a benchstat-style table (measured vs budget, headroom) into
 # the job log either way.
 #
@@ -44,6 +44,7 @@ BEGIN {
         if (line ~ /^[[:space:]]*(#|$)/) continue
         split(line, f, /[[:space:]]+/)
         budget[f[1]] = f[2] + 0
+        if (f[3] != "") bytes_budget[f[1]] = f[3] + 0
     }
     printf "%-36s %12s %12s %10s   %s\n", "name", "allocs/op", "budget", "headroom", "status"
     fail = 0
@@ -51,8 +52,14 @@ BEGIN {
 /^Benchmark/ && /allocs\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)            # strip GOMAXPROCS suffix
-    for (i = 1; i <= NF; i++)
+    for (i = 1; i <= NF; i++) {
         if ($i == "allocs/op") allocs = $(i - 1) + 0
+        if ($i == "B/op") bytes = $(i - 1) + 0
+    }
+    if ((name in bytes_budget) && bytes > bytes_budget[name]) {
+        printf "%-36s %12d %12d %10s   %s\n", name " B/op", bytes, bytes_budget[name], "-", "FAIL"
+        fail = 1
+    }
     if (!(name in budget)) {
         printf "%-36s %12d %12s %10s   %s\n", name, allocs, "-", "-", "MISSING BUDGET"
         fail = 1
@@ -72,7 +79,7 @@ END {
         }
     if (fail) {
         print ""
-        print "bench gate FAILED: allocs/op over budget, or budget/benchmark mismatch."
+        print "bench gate FAILED: allocs/op or B/op over budget, or budget/benchmark mismatch."
         print "If the regression is intentional, update scripts/allocs_budget.txt with rationale."
         exit 1
     }

@@ -49,6 +49,7 @@ for family in \
     memfss_fs_bytes_total \
     memfss_fs_op_seconds \
     memfss_fs_stripe_ops_total \
+    memfss_fs_ec_hedged_reads_total \
     memfss_health_node_state \
     memfss_repair_queue_depth \
     memfss_repair_enqueued_total
