@@ -80,9 +80,9 @@ func SplitBrainFence() Scenario {
 			Repair:        core.RepairPolicy{QueueCap: 4096},
 		},
 		Workload: Workload{
-			// A fat preload stretches the drain so the fence window overlaps
-			// live writes.
-			Preload: &Stream{Name: "base", Workers: 1, Files: 16, Ops: 16, FileSize: 96 << 10, Seed: 11},
+			// A fat preload stretches the drain (≈ 570 keys, ≈ 30 ms) so the
+			// fence window overlaps live writes.
+			Preload: &Stream{Name: "base", Workers: 1, Files: 48, Ops: 48, FileSize: 96 << 10, Seed: 11},
 			Streams: []Stream{{
 				// Sparse while the detector latches Down (passive data
 				// successes reset the probe-failure streak), then a burst

@@ -311,10 +311,10 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 	}
 }
 
-// TestEvacuateUnderMidPipelineFaults drives an evacuation whose source
-// node keeps cutting pipelined replies in half: rehomeBatch must fall
-// back to the serial per-key path and the drain must still complete with
-// every file intact.
+// TestEvacuateUnderMidPipelineFaults drives an evacuation whose victims
+// keep cutting pipelined replies in half: the mover must send the keys of
+// a cut burst on to their next candidates in the following wave, and the
+// drain must still complete with every file intact.
 func TestEvacuateUnderMidPipelineFaults(t *testing.T) {
 	plan := faultwrap.Plan{Seed: 7, Reply: faultwrap.DirPlan{Cut: 0.25}}
 	d, proxies := newChaosFS(t, 2, 2, plan,

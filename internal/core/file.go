@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -286,7 +289,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			return f.readSpanErasure(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
 		})
 	} else {
-		okSpans, err = f.readSpans(tr, spans, starts, p)
+		okSpans, err = f.readSpans(tr, spans, starts, p, f.fs.moveSeq.Load())
 	}
 	f.fs.finishTrace(tr, len(spans), err)
 	read := 0
@@ -346,18 +349,6 @@ func (f *File) targets(key string) []string {
 	default:
 		return []string{f.placer.Place(key)}
 	}
-}
-
-// put writes value to a node, throttled if the node is a scavenged victim.
-func (f *File) put(nodeID, key string, value []byte) error {
-	if err := f.fs.conns.throttle(nodeID).Take(int64(len(value))); err != nil {
-		return err
-	}
-	cli, err := f.fs.conns.client(nodeID)
-	if err != nil {
-		return err
-	}
-	return cli.Set(key, value)
 }
 
 // planReplicated plans one span of a replicated (or unreplicated) stripe:
@@ -528,7 +519,15 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 // readSpans already learned from one node, which the chain does not ask
 // again. Holes and short stripes read as zeros: every byte of dst is
 // written on success.
-func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first firstRead) error {
+//
+// moveSeq is the file system's move sequence when the read began. "Absent
+// on every reachable node" is a hole only across a walk no move
+// overlapped: a mover bumps the sequence between confirming a copy and
+// releasing its source, so a walk that probed the destination too early
+// and the source too late sees it change and walks again; and a fenced
+// node's stripes may be in transit out of reach (a detached evacuation
+// source), so the walk repeats until no probed node is fenced.
+func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first firstRead, moveSeq uint64) error {
 	sk := stripe.Key(f.rec.ID, span.Index)
 	key := dataKey(sk)
 	o := f.fs.obs
@@ -543,59 +542,72 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first fir
 			probe = append(probe, node)
 		}
 	}
-	// Healthy replicas first: a probe chain that starts at a Suspect/Down
-	// node burns a full retry budget before reaching the copy that is
-	// actually reachable.
-	probe = f.fs.healthOrder(probe)
-	sawReachable, retried := first.miss, first.retried
-	for _, node := range probe {
-		if node == first.node {
-			continue
-		}
-		var st kvstore.OpStat
-		n, ok, err := f.getInto(node, key, span.Offset, span.Length, dst, &st)
-		cls := f.fs.conns.class(node)
-		o.stripeHist("read", cls).Observe(st.Dur)
-		if st.Attempts > 1 {
-			retried = true
-		}
-		if err != nil {
-			tr.phaseOp(span.Index, node, cls, st, "error")
-			continue // unreachable or failed node: probe the next one
-		}
-		sawReachable = true
-		if !ok {
-			tr.phaseOp(span.Index, node, cls, st, "miss")
-			continue
-		}
-		if !containsString(primaries, node) {
-			tr.phaseOp(span.Index, node, cls, st, "deep")
-			tr.markDegraded()
-			f.fs.stats.deepProbes.Add(1)
-			leg := tr.leg("lazy-repair")
-			f.repairStripe(key, node, primaries)
-			leg.End(nil)
-			// A deep-probe miss is also repair-queue evidence: the stripe
-			// sits off its placement until the lazy move (above) or the
-			// background repairer restores it.
-			f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
-			// A read served off its placement is a degraded read: correct
-			// bytes, wrong node, pending repair.
-			o.outcome("read", "degraded").Inc()
-		} else {
-			tr.phaseOp(span.Index, node, cls, st, phaseOutcome(nil, st.Attempts))
-			if retried {
-				o.outcome("read", "retry").Inc()
-			} else {
-				o.outcome("read", "ok").Inc()
+	retried := first.retried
+	for pause := time.Millisecond; ; pause = min(2*pause, movePassPause) {
+		// Healthy replicas first: a probe chain that starts at a
+		// Suspect/Down node burns a full retry budget before reaching the
+		// copy that is actually reachable.
+		sawReachable := first.miss
+		for _, node := range f.fs.healthOrder(probe) {
+			if node == first.node {
+				continue
 			}
+			var st kvstore.OpStat
+			n, ok, err := f.getInto(node, key, span.Offset, span.Length, dst, &st)
+			cls := f.fs.conns.class(node)
+			o.stripeHist("read", cls).Observe(st.Dur)
+			if st.Attempts > 1 {
+				retried = true
+			}
+			if err != nil {
+				tr.phaseOp(span.Index, node, cls, st, "error")
+				continue // unreachable or failed node: probe the next one
+			}
+			sawReachable = true
+			if !ok {
+				tr.phaseOp(span.Index, node, cls, st, "miss")
+				continue
+			}
+			if !containsString(primaries, node) {
+				tr.phaseOp(span.Index, node, cls, st, "deep")
+				tr.markDegraded()
+				f.fs.stats.deepProbes.Add(1)
+				leg := tr.leg("lazy-repair")
+				f.repairStripe(key, node, primaries)
+				leg.End(nil)
+				// A deep-probe miss is also repair-queue evidence: the stripe
+				// sits off its placement until the lazy move (above) or the
+				// background repairer restores it.
+				f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
+				// A read served off its placement is a degraded read: correct
+				// bytes, wrong node, pending repair.
+				o.outcome("read", "degraded").Inc()
+			} else {
+				tr.phaseOp(span.Index, node, cls, st, phaseOutcome(nil, st.Attempts))
+				if retried {
+					o.outcome("read", "retry").Inc()
+				} else {
+					o.outcome("read", "ok").Inc()
+				}
+			}
+			clear(dst[n:]) // a short stripe reads as zeros past its end
+			return nil
 		}
-		clear(dst[n:]) // a short stripe reads as zeros past its end
-		return nil
-	}
-	if !sawReachable {
-		o.outcome("read", "error").Inc()
-		return fmt.Errorf("%w: %s (no reachable replica)", ErrDataLoss, key)
+		if !sawReachable {
+			o.outcome("read", "error").Inc()
+			return fmt.Errorf("%w: %s (no reachable replica)", ErrDataLoss, key)
+		}
+		fenced := slices.ContainsFunc(probe, f.fs.isDraining)
+		seq := f.fs.moveSeq.Load()
+		if seq == moveSeq && !fenced {
+			break
+		}
+		if fenced {
+			time.Sleep(pause)
+		}
+		// Walk again, this time asking every node: the burst's answer
+		// predates the move too.
+		moveSeq, first = seq, firstRead{}
 	}
 	// Every reachable node reports the stripe absent: it is a hole
 	// (written sparsely or never written); holes read as zeros.
@@ -605,25 +617,28 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first fir
 }
 
 // repairStripe lazily moves a stripe found off its HRW placement back to
-// the primary target(s), then removes the stray copy — the "lazy movement"
-// that lets MemFSS change membership without stopping the computation.
-// Best effort: reads already succeeded, repair failures are ignored.
+// it, then removes the stray copy — the "lazy movement" that lets MemFSS
+// change membership without stopping the computation. It is the mover's
+// one-key case, seeded with this handle's record so it costs no metadata
+// round trip: the stray is copied to the first healthy node of the probe
+// order with SETNX (a writer may have refilled the primary since the
+// reader probed it) and compare-deleted. The remaining primaries are the
+// repair queue's. Best effort: the read already succeeded.
 func (f *File) repairStripe(key, from string, primaries []string) {
+	if f.fs.nodeState(f.fs.healthOrder(primaries)[0]) != health.Up {
+		return // no primary to move to: moving would only displace the stray
+	}
 	cli, err := f.fs.conns.client(from)
 	if err != nil {
 		return
 	}
-	full, ok, err := cli.Get(key)
-	if err != nil || !ok {
-		return
-	}
-	for _, node := range primaries {
-		if f.put(node, key, full) != nil {
-			return // leave the stray copy in place if repair fails
+	mv := f.fs.newMover(cli, from)
+	mv.files[f.rec.ID] = &moveFile{path: f.path, placer: f.placer, setNX: true}
+	mv.move(context.Background(), []string{key}, math.MaxInt64, func(_ string, o moveOutcome) {
+		if o == moveMoved {
+			f.fs.stats.repairs.Add(1)
 		}
-	}
-	cli.Del(key)
-	f.fs.stats.repairs.Add(1)
+	})
 }
 
 // ecSlot is one shard slot's observed state during a gather.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memfss/internal/erasure"
@@ -66,6 +67,12 @@ type FileSystem struct {
 	drainMu   sync.RWMutex
 	draining  map[string]bool
 	drainBusy map[string]bool
+
+	// moveMu serializes the stripe mover's batches; moveSeq counts the
+	// points where copies are confirmed and their sources not yet
+	// released (see move.go for both invariants).
+	moveMu  sync.Mutex
+	moveSeq atomic.Uint64
 
 	// qosMu/lastReclaim debounce the no-space-triggered background drains
 	// (see noteNoSpace in qos.go).

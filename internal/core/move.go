@@ -1,0 +1,294 @@
+package core
+
+import (
+	"context"
+	"sort"
+	"strconv"
+	"strings"
+
+	"memfss/internal/fsmeta"
+	"memfss/internal/hrw"
+	"memfss/internal/kvstore"
+	"memfss/internal/qos"
+)
+
+// This file is the one stripe mover: evacuation, the partial drain and a
+// read's lazy repair all move data keys off a source node through
+// moveBatch, which owns two invariants (DESIGN.md, "One stripe mover").
+// Towards readers: fs.moveSeq is bumped after a copy is confirmed and
+// before its source is released, and the probe chain re-walks when the
+// sequence changed under it or a fence is up (readSpanInto), so a stripe
+// in transit is never mistaken for a hole. Between movers: batches are
+// serialized per FileSystem (fs.moveMu), so two moves of one key in
+// opposite directions cannot each take the other's source for their
+// confirmed copy and then both release.
+
+// moveOutcome is what one move did with one key.
+type moveOutcome uint8
+
+const (
+	moveFailed moveOutcome = iota // no destination took it, or the source changed under the move
+	moveLeft                      // not attempted: past the evict budget, or ctx ended first
+	moveGone                      // absent at the source: nothing to move
+	moveMoved                     // copy confirmed elsewhere (and evicted, when asked)
+	moveOrphan                    // owning file is gone (evicted uncopied, when asked)
+)
+
+// moveFile is what a move needs from a key's owning file.
+type moveFile struct {
+	path   string      // for repair-queue deferral
+	placer *hrw.Placer // the file's snapshot placer
+	// setNX: a copy already at the destination may be newer than the
+	// source and must not be clobbered — replicated files, whose writes the
+	// fence diverts to the surviving replicas, and lazy repair, whose
+	// primary a writer may have refilled. Unreplicated and erasure stripes
+	// keep taking writes at a fenced source, so the source is authoritative
+	// and the copy overwrites.
+	setNX bool
+	prio  qos.Priority // owner's reclamation priority
+}
+
+// mover moves data keys off one source node. files caches the per-file
+// resolution for the mover's lifetime: a move touches many keys of few
+// files, so the metadata round trips are paid once per file, not per key
+// per pass.
+type mover struct {
+	fs    *FileSystem
+	src   *kvstore.Client
+	node  string
+	files map[string]*moveFile
+}
+
+func (fs *FileSystem) newMover(src *kvstore.Client, node string) *mover {
+	return &mover{fs: fs, src: src, node: node, files: make(map[string]*moveFile)}
+}
+
+// file resolves a file ID. A nil file with nil error is an orphan (its
+// file is gone). Transport errors against the metadata service propagate:
+// treating an unreachable own node as "file removed" would silently drop
+// live data. Only successful resolutions are cached — an orphan verdict
+// can be a rename caught between the two lookups, and must not stick.
+func (m *mover) file(id string) (*moveFile, error) {
+	if mf := m.files[id]; mf != nil {
+		return mf, nil
+	}
+	path, err := m.fs.meta.lookupFileID(id)
+	var rec *fsmeta.Record
+	if err == nil {
+		rec, err = m.fs.meta.statRecord(path)
+	}
+	if isNotExist(err) || (err == nil && rec.File == nil) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	pl, err := placerFromSnapshot(rec.File.Classes)
+	if err != nil {
+		return nil, err
+	}
+	mf := &moveFile{path: path, placer: pl, setNX: rec.File.Replicas > 1,
+		prio: m.fs.tenants().PriorityFor(path)}
+	m.files[id] = mf
+	return mf, nil
+}
+
+// priority is a key's reclamation priority; unresolvable keys (orphans,
+// transient metadata errors) rank PriorityNormal.
+func (m *mover) priority(key string) qos.Priority {
+	if id, _, ok := parseDataKey(key); ok {
+		if mf, _ := m.file(id); mf != nil {
+			return mf.prio
+		}
+	}
+	return qos.PriorityNormal
+}
+
+// byPriority stably sorts a drain candidate list so low-priority tenants'
+// keys move first: under pressure the cheap data leaves before a
+// high-priority tenant loses anything (paper §III-A's reclamation, made
+// priority-aware). Without QoS the listing order is returned unchanged.
+func (m *mover) byPriority(keys []string) []string {
+	if m.fs.tenants() == nil || len(keys) <= 1 {
+		return keys
+	}
+	prio := make(map[string]qos.Priority, len(keys))
+	for _, k := range keys {
+		prio[k] = m.priority(k)
+	}
+	sort.SliceStable(keys, func(i, j int) bool { return prio[keys[i]] < prio[keys[j]] })
+	return keys
+}
+
+// move runs keys through moveBatch in PipelineDepth-sized batches and
+// reports every key's outcome to visit. evict is how many bytes to free
+// at the source by compare-delete, in key order; 0 copies only (the caller
+// releases the source itself). Keys not reached — the budget was spent, or
+// ctx ended — are reported moveLeft.
+func (m *mover) move(ctx context.Context, keys []string, evict int64, visit func(key string, o moveOutcome)) {
+	done := false
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), max(m.fs.pipeDepth, 1))]
+		keys = keys[len(batch):]
+		if done || ctx.Err() != nil {
+			for _, key := range batch {
+				visit(key, moveLeft)
+			}
+			continue
+		}
+		out, freed := m.moveBatch(batch, evict)
+		if evict > 0 {
+			evict -= freed
+			done = evict <= 0
+		}
+		for i, key := range batch {
+			visit(key, out[i])
+		}
+	}
+}
+
+// moveItem is one key of a batch awaiting its copy.
+type moveItem struct {
+	i     int // index into the batch
+	setNX bool
+	cands []string // destinations still to try, best first
+}
+
+// moveBatch moves one batch: a single MGET at the source, then waves of
+// one pipelined SETNX/SET burst per destination, where a key whose burst
+// or reply failed joins the next wave at its next candidate — failing the
+// whole batch instead would retry the same dead destination next pass.
+// Candidates are the file's snapshot probe order minus the source, healthy
+// nodes first: with a replica concurrently dead, rank order alone would
+// keep steering copies at the Down node. An evicting move then
+// compare-deletes what it copied (and orphans) with the exact bytes read,
+// so a write that raced the move keeps its update and fails the key.
+func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed int64) {
+	fs := m.fs
+	out = make([]moveOutcome, len(keys))
+	fs.moveMu.Lock()
+	defer fs.moveMu.Unlock()
+	vals, err := m.src.MGet(keys...)
+	if err != nil {
+		return out, 0
+	}
+	cost := func(i int) int64 { return int64(len(keys[i])+len(vals[i])) + kvstore.EntryOverhead }
+	var pend []*moveItem
+	budget := evict
+	for i, key := range keys {
+		if evict > 0 && budget <= 0 {
+			// A partial drain evicts only what pressure demands: in
+			// priority order, the tail survives.
+			out[i] = moveLeft
+			continue
+		}
+		if vals[i] == nil {
+			out[i] = moveGone
+			continue
+		}
+		budget -= cost(i)
+		id, sk, _, ok := stripeOfKey(key)
+		if !ok {
+			continue
+		}
+		mf, err := m.file(id)
+		if err != nil {
+			continue
+		}
+		if mf == nil {
+			out[i] = moveOrphan
+			continue
+		}
+		var cands []string
+		for _, c := range mf.placer.ProbeOrder(sk) {
+			if c != m.node {
+				cands = append(cands, c)
+			}
+		}
+		pend = append(pend, &moveItem{i: i, setNX: mf.setNX, cands: fs.healthOrder(cands)})
+	}
+	copied := false
+	for len(pend) > 0 {
+		perDest := make(map[string][]*moveItem)
+		for _, it := range pend {
+			if len(it.cands) > 0 { // else no live node accepts it: failed
+				perDest[it.cands[0]] = append(perDest[it.cands[0]], it)
+				it.cands = it.cands[1:]
+			}
+		}
+		pend = pend[:0]
+		for dest, wave := range perDest {
+			var total int64
+			for _, it := range wave {
+				total += int64(len(vals[it.i]))
+			}
+			var replies []*kvstore.Reply
+			dst, err := fs.conns.client(dest)
+			if err == nil {
+				err = fs.conns.throttle(dest).Take(total)
+			}
+			if err == nil {
+				pl := dst.Pipeline()
+				for _, it := range wave {
+					if it.setNX {
+						pl.SetNX(keys[it.i], vals[it.i])
+					} else {
+						pl.Set(keys[it.i], vals[it.i])
+					}
+				}
+				replies, err = pl.Run()
+			}
+			for j, it := range wave {
+				// A :0 SETNX reply means a copy already lives there — done.
+				// A store-level rejection (destination over its cap) tries
+				// the next candidate like a transport failure does.
+				if err == nil && replies[j].Err() == nil {
+					out[it.i] = moveMoved
+					copied = true
+				} else {
+					pend = append(pend, it)
+				}
+			}
+		}
+	}
+	if copied {
+		// Copies confirmed, sources not yet released: a reader that saw a
+		// key nowhere across this point re-walks (readSpanInto).
+		fs.moveSeq.Add(1)
+	}
+	if evict <= 0 {
+		return out, 0
+	}
+	pl := m.src.Pipeline()
+	var release []int
+	for i, o := range out {
+		if o == moveMoved || o == moveOrphan {
+			pl.DelVal(keys[i], vals[i])
+			release = append(release, i)
+		}
+	}
+	replies, err := pl.Run()
+	for j, i := range release {
+		if err == nil && replies[j].Err() == nil && replies[j].Int == 1 {
+			freed += cost(i)
+		} else {
+			// Mismatch: a write updated the key after it was read. The
+			// update is preserved; the key waits for the next sweep.
+			out[i] = moveFailed
+		}
+	}
+	return out, freed
+}
+
+// stripeOfKey splits a data key into its owning file ID, raw stripe key
+// (shard suffix dropped: what placement and the repair queue key on) and
+// stripe index.
+func stripeOfKey(key string) (fileID, sk string, idx int64, ok bool) {
+	fileID, shard, ok := parseDataKey(key)
+	if !ok {
+		return "", "", 0, false
+	}
+	sk = strings.TrimSuffix(strings.TrimPrefix(key, "data:"), "/s"+shard)
+	idx, _ = strconv.ParseInt(sk[len(fileID)+1:], 10, 64)
+	return fileID, sk, idx, true
+}

@@ -307,9 +307,10 @@ type firstRead struct {
 // anything that misses: absent keys (strays or holes), error replies, or
 // an unreachable target. The probe is told what the burst learned about
 // the node it asked, so it never asks that node again, and keeps the
-// lazy-repair semantics of paper §V-C intact. Returns the leading-success
-// count and the first error in span order.
-func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
+// lazy-repair semantics of paper §V-C intact. moveSeq is the move sequence
+// loaded when the read began (see readSpanInto). Returns the
+// leading-success count and the first error in span order.
+func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte, moveSeq uint64) (int, error) {
 	state := make([]firstRead, len(spans))
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
@@ -369,7 +370,7 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 	if len(fallback) > 0 {
 		_ = fanoutN(f.fs.ioPar, len(fallback), func(k int) error {
 			i := fallback[k]
-			errs[i] = f.readSpanInto(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], state[i])
+			errs[i] = f.readSpanInto(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], state[i], moveSeq)
 			return nil
 		})
 	}

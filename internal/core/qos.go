@@ -12,8 +12,9 @@ import (
 
 // This file is the multi-tenant QoS glue: it threads a qos.Registry
 // through the data path (attribution by namespace, quota charges on file
-// growth, weighted-fair pacing on every transfer), orders pressure
-// reclamation by tenant priority, and adapts the graduated Evacuate
+// growth, weighted-fair pacing on every transfer), answers store-full
+// rejections with a background partial drain (the mover orders its
+// reclamation by tenant priority), and adapts the graduated Evacuate
 // protocol to the lease broker's Evacuator interface. Everything here is
 // inert when Config.QoS.Tenants is nil — the single-tenant deployments of
 // earlier PRs are the nil case and pay nothing.
@@ -226,61 +227,7 @@ func (fs *FileSystem) TenantUsage(name string) int64 {
 	return fs.tenants().Used(name)
 }
 
-// --- priority-ordered reclamation --------------------------------------------
-
-// keyPriority resolves a data key's reclamation priority through its
-// owning file's path, caching per file ID — a drain touches many keys of
-// few files, so the metadata round trips amortize. Unresolvable keys
-// (orphans, transient metadata errors) rank PriorityNormal.
-func (fs *FileSystem) keyPriority(key string, cache map[string]qos.Priority) qos.Priority {
-	fileID, _, ok := parseDataKey(key)
-	if !ok {
-		return qos.PriorityNormal
-	}
-	if p, ok := cache[fileID]; ok {
-		return p
-	}
-	p := qos.PriorityNormal
-	if path, err := fs.meta.lookupFileID(fileID); err == nil {
-		p = fs.tenants().PriorityFor(path)
-	}
-	cache[fileID] = p
-	return p
-}
-
-// qosDrainOrder stably sorts a drain candidate list so low-priority
-// tenants' keys move first: under pressure the cheap data leaves before a
-// high-priority tenant loses anything (paper §III-A's reclamation, made
-// priority-aware). Without QoS the listing order is returned unchanged.
-func (fs *FileSystem) qosDrainOrder(keys []string, cache map[string]qos.Priority) []string {
-	if fs.tenants() == nil || len(keys) <= 1 {
-		return keys
-	}
-	type ranked struct {
-		key string
-		p   qos.Priority
-	}
-	pairs := make([]ranked, len(keys))
-	for i, k := range keys {
-		pairs[i] = ranked{key: k, p: fs.keyPriority(k, cache)}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].p < pairs[j].p })
-	out := make([]string, len(keys))
-	for i, r := range pairs {
-		out[i] = r.key
-	}
-	return out
-}
-
-// noteReclaimed feeds the per-priority reclaim counters as a drain moves
-// keys.
-func (fs *FileSystem) noteReclaimed(key string, cache map[string]qos.Priority) {
-	t := fs.tenants()
-	if t == nil {
-		return
-	}
-	t.NoteReclaim(fs.keyPriority(key, cache), 1)
-}
+// --- no-space reclamation ---------------------------------------------------
 
 // reclaimDebounce spaces the no-space-triggered background drains per
 // node: every write hitting a full victim must not each launch a drain.

@@ -203,9 +203,9 @@ func victimDataPriorities(t *testing.T, fs *FileSystem, nodeID string) map[qos.P
 		t.Fatal(err)
 	}
 	out := make(map[qos.Priority][]string)
-	cache := make(map[string]qos.Priority)
+	mv := fs.newMover(cli, nodeID)
 	for _, k := range keys {
-		p := fs.keyPriority(k, cache)
+		p := mv.priority(k)
 		out[p] = append(out[p], k)
 	}
 	return out

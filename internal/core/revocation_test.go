@@ -344,8 +344,9 @@ func TestForcedReleaseDeadline(t *testing.T) {
 	}
 }
 
-// TestDrainNodePartial: a soft drain evicts data down to the target while
-// the node stays registered and every file stays readable via probing.
+// TestDrainNodePartial: a soft drain evicts data down to the target — and
+// no further than one stripe past it — while the node stays registered
+// and every file stays readable via probing.
 func TestDrainNodePartial(t *testing.T) {
 	d := newTestFS(t, 2, 2)
 	files := map[string][]byte{}
@@ -374,8 +375,15 @@ func TestDrainNodePartial(t *testing.T) {
 	if rep.Moved == 0 {
 		t.Fatal("drain moved nothing")
 	}
-	if got := d.victims.Server(0).Store().Stats().BytesUsed; got > target {
+	got := d.victims.Server(0).Store().Stats().BytesUsed
+	if got > target {
 		t.Fatalf("store at %d bytes, target %d", got, target)
+	}
+	// A partial drain evicts only what pressure demands: the key that
+	// crosses the target is the last one out.
+	if oneKey := int64(4<<10+len("data:f-10#12")) + kvstore.EntryOverhead; got < target-oneKey {
+		t.Fatalf("drain overshot: store at %d bytes, target %d (more than one %d-byte stripe under)",
+			got, target, oneKey)
 	}
 	// The node stays registered and unfenced.
 	foundNode := false
@@ -449,6 +457,69 @@ func TestDrainNodePreservesRacingWrite(t *testing.T) {
 		got, err := d.fs.ReadFile(p)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("racing write %s lost by partial drain: %v", p, err)
+		}
+	}
+}
+
+// TestReadDuringMoveNeverSeesHole is the regression for the hole race
+// (ROADMAP 4d): a reader that probed a move's destination before the copy
+// landed and its source after the release saw the stripe nowhere and
+// returned zeros with a nil error. Readers byte-verify a fixed file set at
+// R=1 while partial drains ping-pong every stripe between the two victims,
+// then an evacuation removes one; nothing may ever read back wrong.
+func TestReadDuringMoveNeverSeesHole(t *testing.T) {
+	d := newTestFS(t, 2, 2)
+	files := map[string][]byte{}
+	for i := 0; i < 6; i++ {
+		p := fmt.Sprintf("/h%d", i)
+		files[p] = randomBytes(int64(1100+i), 40_000)
+		if err := d.fs.WriteFile(p, files[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for p, want := range files {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					got, err := d.fs.ReadFile(p)
+					if err != nil {
+						t.Errorf("%s during a move: %v", p, err)
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s read back wrong during a move (acknowledged bytes as a hole)", p)
+						return
+					}
+				}
+			}
+		}()
+	}
+	ctx := context.Background()
+	for round := 0; round < 4 && !t.Failed(); round++ {
+		for _, n := range d.victims.Nodes {
+			if _, err := d.fs.DrainNode(ctx, n.ID, 1); err != nil {
+				t.Errorf("drain %s: %v", n.ID, err)
+			}
+		}
+	}
+	if _, err := d.fs.Evacuate(ctx, d.victims.Nodes[0].ID, EvacOptions{}); err != nil {
+		t.Errorf("evacuate: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	for p, want := range files {
+		got, err := d.fs.ReadFile(p)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after the moves: %v", p, err)
 		}
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"memfss/internal/hrw"
 	"memfss/internal/kvstore"
-	"memfss/internal/qos"
 )
 
 // AddVictimClass extends the storage space at runtime with a new scavenged
@@ -92,9 +90,9 @@ const (
 	defaultEvacBackoff    = 2 * time.Second
 	defaultEvacMaxBackoff = 30 * time.Second
 
-	// drainPassPause separates drain retry passes so a node with a
+	// movePassPause separates drain retry passes so a node with a
 	// persistent per-key failure is not hammered in a tight loop.
-	drainPassPause = 20 * time.Millisecond
+	movePassPause = 20 * time.Millisecond
 	// drainListBatch bounds one partial-drain listing (plus the skip set,
 	// so skipped keys at the front of the sort order never starve deeper
 	// candidates).
@@ -167,34 +165,9 @@ func (fs *FileSystem) releaseDrain(nodeID string) {
 	fs.drainMu.Unlock()
 }
 
-// Evacuate runs the full revocation protocol against a victim node:
-//
-//  1. fence: the node enters Draining — replicated writes skip it (with
-//     quorum accounting) while reads keep probing it.
-//  2. drain: repeated passes re-home every data key to the next node in
-//     its file's snapshot probe order. Per-key failures are retried on the
-//     next pass; the loop is idempotent, so a crashed or interrupted
-//     evacuation can simply be re-run.
-//  3. detach: the node leaves placement and the connection pool (new
-//     writes cannot route to it), while this evacuation keeps the client.
-//  4. sweep: a final full re-pass over the now-stable listing catches
-//     stripes written during the drain (unreplicated and erasure writes
-//     are not fenced).
-//  5. release: the store is flushed, the node is unregistered, and parked
-//     repair units are re-queued.
-//
-// Replicated stripes are re-homed with SETNX — during the drain the fence
-// diverts writes to the surviving replicas, so a copy already at the
-// destination may be newer than the source and must not be clobbered.
-// Unreplicated and erasure stripes keep taking writes at the source, so
-// the source is authoritative and re-homing overwrites.
-//
-// When ctx is canceled before detach the evacuation aborts cleanly: the
-// fence comes down and the node stays in the deployment. When the deadline
-// expires (the tenant is waiting) the node is force-released: unresolved
-// keys are counted AtRisk, handed to the repair queue, and redundancy is
-// restored from surviving replicas.
-func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOptions) (*EvacReport, error) {
+// claimVictim opens a revocation: it verifies nodeID is a victim node,
+// claims its drain slot (the caller releases it) and returns its client.
+func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
@@ -204,11 +177,40 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	if err := fs.acquireDrain(nodeID); err != nil {
 		return nil, err
 	}
-	defer fs.releaseDrain(nodeID)
 	cli, err := fs.conns.client(nodeID)
+	if err != nil {
+		fs.releaseDrain(nodeID)
+	}
+	return cli, err
+}
+
+// Evacuate runs the full revocation protocol against a victim node:
+//
+//  1. fence: the node enters Draining — replicated writes skip it (with
+//     quorum accounting) while reads keep probing it.
+//  2. drain: repeated mover passes (move.go) copy every data key to the
+//     next node in its file's snapshot probe order. Per-key failures are
+//     retried on the next pass; the loop is idempotent, so a crashed or
+//     interrupted evacuation can simply be re-run.
+//  3. detach: the node leaves placement and the connection pool (new
+//     writes cannot route to it), while this evacuation keeps the client.
+//  4. sweep: a final full re-pass over the now-stable listing catches
+//     stripes written during the drain (unreplicated and erasure writes
+//     are not fenced).
+//  5. release: the store is flushed, the node is unregistered, and parked
+//     repair units are re-queued.
+//
+// When ctx is canceled before detach the evacuation aborts cleanly: the
+// fence comes down and the node stays in the deployment. When the deadline
+// expires (the tenant is waiting) the node is force-released: unresolved
+// keys are counted AtRisk, handed to the repair queue, and redundancy is
+// restored from surviving replicas.
+func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOptions) (*EvacReport, error) {
+	cli, err := fs.claimVictim(nodeID)
 	if err != nil {
 		return nil, err
 	}
+	defer fs.releaseDrain(nodeID)
 	deadline := opts.Deadline
 	if deadline == 0 {
 		deadline = fs.cfg.Evac.Deadline
@@ -232,42 +234,22 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	}
 	rep := &EvacReport{Node: nodeID, Deadline: deadline}
 	resolved := make(map[string]bool)
-	forced := false
 
 	// Phase 1: fence.
 	fs.setDraining(nodeID, true)
 	observePhase("fence")
 
 	// Phase 2: drain passes until a pass resolves every listed key.
-	for {
-		if err := dctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				forced = true
-				break
-			}
+	mv := fs.newMover(cli, nodeID)
+	if err := fs.evacPasses(dctx, mv, rep, resolved, false); err != nil {
+		if !errors.Is(err, context.DeadlineExceeded) {
 			// Canceled: abort cleanly. The node stays in the deployment
 			// and the drain can be re-run from scratch.
 			fs.setDraining(nodeID, false)
 			rep.Elapsed = time.Since(start)
 			return rep, fmt.Errorf("core: evacuate %s: %w", nodeID, err)
 		}
-		keys, err := cli.Keys("data:")
-		if err != nil {
-			time.Sleep(drainPassPause)
-			continue
-		}
-		todo := unresolvedKeys(keys, resolved)
-		if len(todo) > 0 {
-			rep.Passes++
-			res := fs.rehomePass(dctx, cli, nodeID, todo, resolved)
-			rep.Moved += res.moved
-			rep.Orphans += res.orphans
-			if len(res.failed) > 0 {
-				time.Sleep(drainPassPause)
-				continue
-			}
-		}
-		break
+		rep.Forced = true
 	}
 	observePhase("drain")
 
@@ -308,48 +290,25 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	// SETNX no-op). Later passes retry only stragglers. From here the
 	// protocol cannot abort — the node is out of placement — so both
 	// cancellation and deadline expiry escalate to a forced release.
-	if !forced {
-		for pass := 0; ; pass++ {
-			if dctx.Err() != nil {
-				forced = true
-				break
-			}
-			keys, err := cli.Keys("data:")
-			if err != nil {
-				time.Sleep(drainPassPause)
-				continue
-			}
-			todo := keys
-			if pass > 0 {
-				todo = unresolvedKeys(keys, resolved)
-			}
-			if len(todo) == 0 {
-				break
-			}
-			rep.Passes++
-			res := fs.rehomePass(dctx, cli, nodeID, todo, resolved)
-			rep.Moved += res.moved
-			rep.Orphans += res.orphans
-			if pass > 0 && len(res.failed) > 0 {
-				time.Sleep(drainPassPause)
-			}
-		}
+	if !rep.Forced && fs.evacPasses(dctx, mv, rep, resolved, true) != nil {
+		rep.Forced = true
 	}
 	observePhase("sweep")
 
 	// Phase 5: release. On a forced release, list what is about to be
 	// lost from this store and hand every unresolved stripe to the repair
 	// queue — surviving replicas or parity restore redundancy from there.
-	if forced {
-		rep.Forced = true
+	if rep.Forced {
 		if keys, err := cli.Keys("data:"); err == nil {
 			for _, key := range keys {
 				if resolved[key] {
 					continue
 				}
 				rep.Deferred++
-				if tgt, err := fs.rehomeTarget(nodeID, key); err == nil && tgt != nil {
-					fs.enqueueRepair(tgt.path, tgt.sk, tgt.idx, 0)
+				if id, sk, idx, ok := stripeOfKey(key); ok {
+					if mf, _ := mv.file(id); mf != nil {
+						fs.enqueueRepair(mf.path, sk, idx, 0)
+					}
 				}
 			}
 		}
@@ -360,7 +319,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 		if flushErr = cli.FlushAll(); flushErr == nil {
 			break
 		}
-		time.Sleep(drainPassPause)
+		time.Sleep(movePassPause)
 	}
 	fs.conns.retire(cli)
 	if fs.detector != nil {
@@ -385,6 +344,57 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 		return rep, fmt.Errorf("core: evacuate %s: flush: %w", nodeID, flushErr)
 	}
 	return rep, nil
+}
+
+// evacPasses runs mover passes over the source's data listing until one
+// pass resolves every key it listed; it returns ctx's error when ctx ends
+// first (the caller decides between abort and forced release). recheck
+// makes the first pass re-copy keys already resolved. Keys newly confirmed
+// are tallied into rep and resolved.
+func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport, resolved map[string]bool, recheck bool) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		keys, err := mv.src.Keys("data:")
+		if err != nil {
+			time.Sleep(movePassPause)
+			continue
+		}
+		todo := keys
+		if !recheck {
+			todo = unresolvedKeys(keys, resolved)
+		}
+		if len(todo) == 0 {
+			return nil
+		}
+		recheck = false
+		rep.Passes++
+		failed := 0
+		mv.move(ctx, todo, 0, func(key string, o moveOutcome) {
+			switch o {
+			case moveFailed, moveLeft:
+				// A re-copy that failed leaves the earlier copy possibly
+				// stale: the key is unresolved again.
+				delete(resolved, key)
+				failed++
+				return
+			case moveMoved:
+				if !resolved[key] {
+					rep.Moved++
+				}
+			case moveOrphan:
+				if !resolved[key] {
+					rep.Orphans++
+				}
+			}
+			resolved[key] = true
+		})
+		if failed == 0 {
+			return nil
+		}
+		time.Sleep(movePassPause)
+	}
 }
 
 // unresolvedKeys filters a listing down to the keys not yet resolved.
@@ -424,20 +434,11 @@ type DrainReport struct {
 // racing the drain never loses its update — the key is simply skipped and
 // left for the next pressure sweep.
 func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes int64) (*DrainReport, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	if err := fs.victimNode(nodeID); err != nil {
-		return nil, err
-	}
-	if err := fs.acquireDrain(nodeID); err != nil {
-		return nil, err
-	}
-	defer fs.releaseDrain(nodeID)
-	cli, err := fs.conns.client(nodeID)
+	cli, err := fs.claimVictim(nodeID)
 	if err != nil {
 		return nil, err
 	}
+	defer fs.releaseDrain(nodeID)
 	st, err := cli.Info()
 	if err != nil {
 		return nil, fmt.Errorf("core: drain %s: %w", nodeID, err)
@@ -460,428 +461,63 @@ func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes 
 	fs.setDraining(nodeID, true)
 	defer fs.setDraining(nodeID, false)
 	skipped := make(map[string]bool)
-	// prio caches per-file reclamation priorities across passes; onMoved
-	// feeds the per-priority reclaim counters (both inert without QoS).
-	prio := make(map[string]qos.Priority)
-	onMoved := func(key string) { fs.noteReclaimed(key, prio) }
+	// stamp closes the report on every way out.
+	stamp := func(err error) (*DrainReport, error) {
+		rep.Skipped = len(skipped)
+		rep.Elapsed = time.Since(start)
+		return rep, err
+	}
+	mv := fs.newMover(cli, nodeID)
 	for {
 		st, err := cli.Info()
 		if err != nil {
-			rep.Skipped = len(skipped)
-			rep.Elapsed = time.Since(start)
-			return rep, fmt.Errorf("core: drain %s: %w", nodeID, err)
+			return stamp(fmt.Errorf("core: drain %s: %w", nodeID, err))
 		}
 		rep.BytesAfter = st.BytesUsed
 		if st.BytesUsed <= target {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			rep.Skipped = len(skipped)
-			rep.Elapsed = time.Since(start)
 			if errors.Is(err, context.DeadlineExceeded) {
-				return rep, nil // best effort: pressure relief, not a contract
+				return stamp(nil) // best effort: pressure relief, not a contract
 			}
-			return rep, err
+			return stamp(err)
 		}
 		// The skip set grows the listing bound so keys stuck at the front
 		// of the sort order never starve deeper candidates.
 		keys, err := cli.KeysN("data:", drainListBatch+len(skipped))
 		if err != nil {
-			rep.Skipped = len(skipped)
-			rep.Elapsed = time.Since(start)
-			return rep, fmt.Errorf("core: drain %s: %w", nodeID, err)
+			return stamp(fmt.Errorf("core: drain %s: %w", nodeID, err))
 		}
 		todo := unresolvedKeys(keys, skipped)
 		if len(todo) == 0 {
 			break // everything left is unmovable right now
 		}
-		// Priority-ordered reclamation: low-priority tenants' keys leave
-		// the pressured store before anything dearer moves.
-		todo = fs.qosDrainOrder(todo, prio)
 		rep.Passes++
-		rep.Moved += fs.drainPass(ctx, cli, nodeID, todo, skipped, onMoved, target)
+		// Priority-ordered reclamation, cut at the byte budget: low-priority
+		// tenants' keys leave the pressured store first, and the pass stops
+		// evicting once the fill is down to the target.
+		mv.move(ctx, mv.byPriority(todo), st.BytesUsed-target, func(key string, o moveOutcome) {
+			switch o {
+			case moveMoved, moveOrphan:
+				rep.Moved++
+				if t := fs.tenants(); t != nil {
+					t.NoteReclaim(mv.priority(key), 1)
+				}
+			case moveFailed:
+				// No live destination, value changed under us, store
+				// errors: left for the next pressure sweep.
+				skipped[key] = true
+			}
+		})
 	}
-	rep.Skipped = len(skipped)
-	rep.Elapsed = time.Since(start)
+	stamp(nil)
 	fs.obs.drainReport(rep)
 	fs.obs.note("drain", nodeID,
 		fmt.Sprintf("partial drain done: moved=%d passes=%d %d->%d bytes in %s",
 			rep.Moved, rep.Passes, rep.BytesBefore, rep.BytesAfter,
 			rep.Elapsed.Round(time.Millisecond)), 0)
 	return rep, nil
-}
-
-// drainPass evicts one batch of keys: copy each to its re-home target,
-// then compare-and-delete at the source. Keys that cannot move (no live
-// destination, value changed under us, store errors) land in skipped.
-// onMoved, when non-nil, is called for each key confirmed moved. When
-// target > 0 the pass stops as soon as the store's fill drops to it —
-// a partial drain evicts only what pressure demands, which is what makes
-// the priority ordering meaningful (high-priority keys at the tail of the
-// list survive a drain the low-priority head already satisfied).
-func (fs *FileSystem) drainPass(ctx context.Context, cli *kvstore.Client, nodeID string, keys []string, skipped map[string]bool, onMoved func(string), target int64) (moved int) {
-	batch := fs.pipeDepth
-	if batch < 1 {
-		batch = 1
-	}
-	for s := 0; s < len(keys); s += batch {
-		if ctx.Err() != nil {
-			return moved
-		}
-		e := s + batch
-		if e > len(keys) {
-			e = len(keys)
-		}
-		moved += fs.drainBatch(cli, nodeID, keys[s:e], skipped, onMoved)
-		if target > 0 && e < len(keys) {
-			if st, err := cli.Info(); err == nil && st.BytesUsed <= target {
-				return moved
-			}
-		}
-	}
-	return moved
-}
-
-func (fs *FileSystem) drainBatch(cli *kvstore.Client, nodeID string, keys []string, skipped map[string]bool, onMoved func(string)) (moved int) {
-	vals, err := cli.MGet(keys...)
-	if err != nil {
-		for _, k := range keys {
-			skipped[k] = true
-		}
-		return 0
-	}
-	type item struct {
-		key string
-		val []byte
-	}
-	var evict []item // placed (or orphaned) keys ready for compare-delete
-	for i, key := range keys {
-		if vals[i] == nil {
-			continue // gone already
-		}
-		tgt, err := fs.rehomeTarget(nodeID, key)
-		if err != nil {
-			skipped[key] = true
-			continue
-		}
-		if tgt == nil {
-			// Orphan: its file is gone; delete without copying.
-			evict = append(evict, item{key, vals[i]})
-			continue
-		}
-		if err := fs.placeCopy(tgt, key, vals[i]); err != nil {
-			skipped[key] = true
-			continue
-		}
-		evict = append(evict, item{key, vals[i]})
-	}
-	if len(evict) == 0 {
-		return 0
-	}
-	pl := cli.Pipeline()
-	for _, it := range evict {
-		pl.DelVal(it.key, it.val)
-	}
-	replies, err := pl.Run()
-	if err != nil {
-		for _, it := range evict {
-			skipped[it.key] = true
-		}
-		return 0
-	}
-	for j, r := range replies {
-		if r.Err() == nil && r.Int == 1 {
-			moved++
-			if onMoved != nil {
-				onMoved(evict[j].key)
-			}
-		} else {
-			// Mismatch: a write updated the key after we copied it. The
-			// update is preserved; the key waits for the next sweep.
-			skipped[evict[j].key] = true
-		}
-	}
-	return moved
-}
-
-// placeCopy writes one value to the first accepting destination in the
-// target's candidate order, honoring the SETNX-vs-SET authority rule.
-func (fs *FileSystem) placeCopy(tgt *rehomeTarget, key string, value []byte) error {
-	var lastErr error
-	for _, cand := range tgt.order {
-		dst, err := fs.conns.client(cand)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := fs.conns.throttle(cand).Take(int64(len(value))); err != nil {
-			lastErr = err
-			continue
-		}
-		if tgt.setNX {
-			if _, err := dst.SetNX(key, value); err != nil {
-				lastErr = err
-				continue
-			}
-		} else {
-			if err := dst.Set(key, value); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no candidate destinations")
-	}
-	return fmt.Errorf("core: no live node accepts %s: %w", key, lastErr)
-}
-
-// --- re-homing machinery -----------------------------------------------------
-
-// rehomeTarget is the placement answer for one evacuating data key.
-type rehomeTarget struct {
-	order []string // candidate destinations, best first (source excluded)
-	path  string   // owning file's path, for repair-queue deferral
-	sk    string   // stripe key ("<fileID>#<idx>"), the repair unit key
-	idx   int64    // stripe index
-	// setNX: the file is replicated, so the fence diverted its writes to
-	// the surviving replicas — a copy already at the destination may be
-	// newer than the source and must not be clobbered. Unreplicated and
-	// erasure stripes keep the source authoritative and overwrite.
-	setNX bool
-}
-
-// rehomeTarget resolves one data key to its candidate destinations: the
-// file's snapshot probe order minus the evacuating node. A nil target with
-// nil error is an orphan (its file is gone) — the release flush drops it.
-// Transport errors against the metadata service propagate: treating an
-// unreachable own node as "file removed" would silently drop live data.
-func (fs *FileSystem) rehomeTarget(nodeID, key string) (*rehomeTarget, error) {
-	fileID, shardIdx, ok := parseDataKey(key)
-	if !ok {
-		return nil, fmt.Errorf("core: unparseable data key %q", key)
-	}
-	path, err := fs.meta.lookupFileID(fileID)
-	if err != nil {
-		if isNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	rec, err := fs.meta.statRecord(path)
-	if err != nil {
-		if isNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	if rec.File == nil {
-		return nil, nil
-	}
-	pl, err := placerFromSnapshot(rec.File.Classes)
-	if err != nil {
-		return nil, err
-	}
-	// The probe key is the stripe key (without shard suffix).
-	probeKey := strings.TrimSuffix(key, "/s"+shardIdx)
-	sk := strings.TrimPrefix(probeKey, "data:")
-	order := pl.ProbeOrder(sk)
-	out := make([]string, 0, len(order))
-	for _, c := range order {
-		if c != nodeID {
-			out = append(out, c)
-		}
-	}
-	// Healthy candidates first: with a replica concurrently dead, the rank
-	// order alone would keep steering copies at the Down node and the key
-	// would stall pass after pass until the deadline forces the release.
-	out = fs.healthOrder(out)
-	var idx int64
-	if hash := strings.LastIndexByte(sk, '#'); hash >= 0 {
-		idx, _ = strconv.ParseInt(sk[hash+1:], 10, 64)
-	}
-	return &rehomeTarget{
-		order: out,
-		path:  path,
-		sk:    sk,
-		idx:   idx,
-		setNX: rec.File.Replicas > 1,
-	}, nil
-}
-
-// rehomeResult tallies one drain pass.
-type rehomeResult struct {
-	moved   int
-	orphans int
-	failed  []string // keys to retry next pass
-}
-
-// rehomePass re-homes one key list in pipeline-sized batches. Keys already
-// in resolved are not re-counted; ctx expiry fails the remainder (the
-// caller decides between another pass and a forced release).
-func (fs *FileSystem) rehomePass(ctx context.Context, src *kvstore.Client, nodeID string, keys []string, resolved map[string]bool) rehomeResult {
-	var res rehomeResult
-	batch := fs.pipeDepth
-	if batch < 1 {
-		batch = 1
-	}
-	for s := 0; s < len(keys); s += batch {
-		if ctx.Err() != nil {
-			res.failed = append(res.failed, keys[s:]...)
-			return res
-		}
-		e := s + batch
-		if e > len(keys) {
-			e = len(keys)
-		}
-		fs.rehomeBatch(src, nodeID, keys[s:e], resolved, &res)
-	}
-	return res
-}
-
-// rehomeBatch re-homes one batch: a single MGET on the source, then one
-// pipelined SETNX/SET run per destination. Keys whose fast path fails fall
-// back to the per-key candidate walk of rehomeKey; keys that still fail
-// land in res.failed for the next pass.
-func (fs *FileSystem) rehomeBatch(src *kvstore.Client, nodeID string, keys []string, resolved map[string]bool, res *rehomeResult) {
-	vals, err := src.MGet(keys...)
-	if err != nil {
-		res.failed = append(res.failed, keys...)
-		return
-	}
-	markMoved := func(key string) {
-		if !resolved[key] {
-			res.moved++
-			resolved[key] = true
-		}
-	}
-	markOrphan := func(key string) {
-		if !resolved[key] {
-			res.orphans++
-			resolved[key] = true
-		}
-	}
-	type pending struct {
-		key string
-		val []byte
-		tgt *rehomeTarget
-	}
-	perDest := make(map[string][]pending)
-	var destOrder []string
-	for i, key := range keys {
-		if vals[i] == nil {
-			resolved[key] = true // gone from the source: nothing to move
-			continue
-		}
-		tgt, err := fs.rehomeTarget(nodeID, key)
-		if err != nil {
-			res.failed = append(res.failed, key)
-			continue
-		}
-		if tgt == nil {
-			markOrphan(key)
-			continue
-		}
-		dest := ""
-		for _, cand := range tgt.order {
-			if _, err := fs.conns.client(cand); err == nil {
-				dest = cand
-				break
-			}
-		}
-		if dest == "" {
-			res.failed = append(res.failed, key)
-			continue
-		}
-		if _, ok := perDest[dest]; !ok {
-			destOrder = append(destOrder, dest)
-		}
-		perDest[dest] = append(perDest[dest], pending{key: key, val: vals[i], tgt: tgt})
-	}
-	// serialAll walks every candidate per key — the slow path when the
-	// batched destination turned out unreachable mid-burst. Failing the
-	// whole batch instead would retry the same dead destination next pass.
-	serialAll := func(batch []pending) {
-		for _, p := range batch {
-			orphan, err := fs.rehomeKey(src, nodeID, p.key)
-			switch {
-			case err != nil:
-				res.failed = append(res.failed, p.key)
-			case orphan:
-				markOrphan(p.key)
-			default:
-				markMoved(p.key)
-			}
-		}
-	}
-	for _, dest := range destOrder {
-		batch := perDest[dest]
-		dst, err := fs.conns.client(dest)
-		if err != nil {
-			serialAll(batch)
-			continue
-		}
-		var total int64
-		for _, p := range batch {
-			total += int64(len(p.val))
-		}
-		if err := fs.conns.throttle(dest).Take(total); err != nil {
-			serialAll(batch)
-			continue
-		}
-		pl := dst.Pipeline()
-		for _, p := range batch {
-			if p.tgt.setNX {
-				pl.SetNX(p.key, p.val)
-			} else {
-				pl.Set(p.key, p.val)
-			}
-		}
-		replies, err := pl.Run()
-		if err != nil {
-			serialAll(batch)
-			continue
-		}
-		for j, r := range replies {
-			// A :0 SETNX reply means a replica already lives there — done.
-			if r.Err() == nil {
-				markMoved(batch[j].key)
-				continue
-			}
-			// Store-level rejection (e.g. destination over its cap): walk
-			// the remaining candidates serially.
-			orphan, err := fs.rehomeKey(src, nodeID, batch[j].key)
-			switch {
-			case err != nil:
-				res.failed = append(res.failed, batch[j].key)
-			case orphan:
-				markOrphan(batch[j].key)
-			default:
-				markMoved(batch[j].key)
-			}
-		}
-	}
-}
-
-// rehomeKey moves one data key off an evacuating node, walking every
-// candidate destination. orphan reports a key whose file is gone.
-func (fs *FileSystem) rehomeKey(src *kvstore.Client, nodeID, key string) (orphan bool, err error) {
-	tgt, err := fs.rehomeTarget(nodeID, key)
-	if err != nil {
-		return false, err
-	}
-	if tgt == nil {
-		return true, nil
-	}
-	value, ok, err := src.Get(key)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, nil // gone from the source: nothing to move
-	}
-	return false, fs.placeCopy(tgt, key, value)
 }
 
 // parseDataKey splits "data:<fileID>#<idx>[/s<n>]" into the file ID and

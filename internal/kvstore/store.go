@@ -15,10 +15,11 @@ import (
 	"sync"
 )
 
-// entryOverhead approximates the bookkeeping bytes per stored entry
+// EntryOverhead approximates the bookkeeping bytes per stored entry
 // (hash-table slot, headers). It keeps memory accounting honest for
-// many-small-key workloads such as MemFSS metadata.
-const entryOverhead = 64
+// many-small-key workloads such as MemFSS metadata. An entry accounts for
+// len(key) + len(value) + EntryOverhead bytes of Stats.BytesUsed.
+const EntryOverhead = 64
 
 // ErrNoSpace classifies store-full rejections: the write was refused
 // because it would push the store past its memory cap. Unlike transport
@@ -101,7 +102,7 @@ func (s *Store) Set(key string, value []byte) error {
 	if exists {
 		delta -= int64(len(old))
 	} else {
-		delta += int64(len(key)) + entryOverhead
+		delta += int64(len(key)) + EntryOverhead
 	}
 	if delta > 0 && s.wouldOverflow(delta) {
 		return ErrOOM
@@ -141,7 +142,7 @@ func (s *Store) MSet(pairs []KV) error {
 		if exists {
 			delta += int64(len(kv.Value)) - int64(oldLen)
 		} else {
-			delta += int64(len(kv.Key)) + int64(len(kv.Value)) + entryOverhead
+			delta += int64(len(kv.Key)) + int64(len(kv.Value)) + EntryOverhead
 		}
 		pending[kv.Key] = len(kv.Value)
 	}
@@ -186,7 +187,7 @@ func (s *Store) DelPrefix(prefix string) int {
 	n := 0
 	for k, v := range s.data {
 		if strings.HasPrefix(k, prefix) {
-			s.used -= int64(len(v)) + int64(len(k)) + entryOverhead
+			s.used -= int64(len(v)) + int64(len(k)) + EntryOverhead
 			delete(s.data, k)
 			n++
 		}
@@ -196,7 +197,7 @@ func (s *Store) DelPrefix(prefix string) int {
 			for m := range members {
 				s.used -= int64(len(m))
 			}
-			s.used -= int64(len(k)) + entryOverhead
+			s.used -= int64(len(k)) + EntryOverhead
 			delete(s.sets, k)
 			n++
 		}
@@ -216,7 +217,7 @@ func (s *Store) SetNX(key string, value []byte) (bool, error) {
 	if _, exists := s.data[key]; exists {
 		return false, nil
 	}
-	delta := int64(len(key)) + int64(len(value)) + entryOverhead
+	delta := int64(len(key)) + int64(len(value)) + EntryOverhead
 	if s.wouldOverflow(delta) {
 		return false, ErrOOM
 	}
@@ -336,7 +337,7 @@ func (s *Store) SetRange(key string, offset int64, value []byte) error {
 	}
 	delta := newLen - int64(len(old))
 	if !exists {
-		delta += int64(len(key)) + entryOverhead
+		delta += int64(len(key)) + EntryOverhead
 	}
 	if delta > 0 && s.wouldOverflow(delta) {
 		return ErrOOM
@@ -357,7 +358,7 @@ func (s *Store) Del(keys ...string) int {
 	n := 0
 	for _, key := range keys {
 		if v, ok := s.data[key]; ok {
-			s.used -= int64(len(v)) + int64(len(key)) + entryOverhead
+			s.used -= int64(len(v)) + int64(len(key)) + EntryOverhead
 			delete(s.data, key)
 			n++
 			continue
@@ -366,7 +367,7 @@ func (s *Store) Del(keys ...string) int {
 			for m := range members {
 				s.used -= int64(len(m))
 			}
-			s.used -= int64(len(key)) + entryOverhead
+			s.used -= int64(len(key)) + EntryOverhead
 			delete(s.sets, key)
 			n++
 		}
@@ -398,7 +399,7 @@ func (s *Store) SAdd(key string, members ...string) (int, error) {
 	set, ok := s.sets[key]
 	var delta int64
 	if !ok {
-		delta += int64(len(key)) + entryOverhead
+		delta += int64(len(key)) + EntryOverhead
 	}
 	added := 0
 	fresh := make(map[string]struct{}, len(members))
@@ -452,7 +453,7 @@ func (s *Store) SRem(key string, members ...string) (int, error) {
 	}
 	if len(set) == 0 {
 		delete(s.sets, key)
-		s.used -= int64(len(key)) + entryOverhead
+		s.used -= int64(len(key)) + EntryOverhead
 	}
 	return removed, nil
 }
@@ -507,7 +508,7 @@ func (s *Store) Incr(key string) (int64, error) {
 	enc := strconv.FormatInt(n, 10)
 	delta := int64(len(enc)) - int64(len(old))
 	if !exists {
-		delta += int64(len(key)) + entryOverhead
+		delta += int64(len(key)) + EntryOverhead
 	}
 	if delta > 0 && s.wouldOverflow(delta) {
 		return 0, ErrOOM
@@ -564,7 +565,7 @@ func (s *Store) DelIfEquals(key string, value []byte) bool {
 	if !ok || !bytes.Equal(old, value) {
 		return false
 	}
-	s.used -= int64(len(old)) + int64(len(key)) + entryOverhead
+	s.used -= int64(len(old)) + int64(len(key)) + EntryOverhead
 	delete(s.data, key)
 	return true
 }
