@@ -182,10 +182,9 @@ type ObsPolicy struct {
 	EventCapacity int
 	// DisableTracing turns off span construction and trace retention
 	// while keeping every metric family and the flight recorder. It
-	// exists for the tracer-overhead ablation (BenchmarkWriteTraceOn/Off
-	// and the bench-gate budget); production deployments should leave
-	// tracing on — tail-based sampling keeps its cost to span appends on
-	// the operations that already paid for I/O.
+	// exists for tracer-overhead ablations; production deployments should
+	// leave tracing on — tail-based sampling keeps its cost to span
+	// appends on the operations that already paid for I/O.
 	DisableTracing bool
 }
 

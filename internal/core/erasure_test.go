@@ -306,12 +306,12 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 // name and assertion strength.
 
 // storeOpCount sums memfss_kvstore_op_seconds observations for one
-// command verb across node classes.
-func storeOpCount(fs *FileSystem, op string) int64 {
+// command verb on one node class ("" for every class).
+func storeOpCount(fs *FileSystem, op, class string) int64 {
 	var n int64
 	if f := findFamily(fs.Metrics(), "memfss_kvstore_op_seconds"); f != nil {
 		for _, s := range f.Series {
-			if s.Labels.Get("op") == op {
+			if s.Labels.Get("op") == op && (class == "" || s.Labels.Get("class") == class) {
 				n += s.Count
 			}
 		}
@@ -356,13 +356,13 @@ func TestErasureWholeStripeOverwriteReadsHeadersOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gets, ranges := storeOpCount(d.fs, "GET"), storeOpCount(d.fs, "GETRANGE")
+	gets, ranges := storeOpCount(d.fs, "GET", ""), storeOpCount(d.fs, "GETRANGE", "")
 	recBefore := d.fs.Counters().ECReconstructs
 	v2 := randomBytes(22, stripeSize)
 	if _, err := f.WriteAt(v2, 0); err != nil {
 		t.Fatal(err)
 	}
-	gets, ranges = storeOpCount(d.fs, "GET")-gets, storeOpCount(d.fs, "GETRANGE")-ranges
+	gets, ranges = storeOpCount(d.fs, "GET", "")-gets, storeOpCount(d.fs, "GETRANGE", "")-ranges
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +402,11 @@ func TestErasureWholeStripeOverwriteReadsHeadersOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gets, ranges = storeOpCount(d.fs, "GET"), storeOpCount(d.fs, "GETRANGE")
+	gets, ranges = storeOpCount(d.fs, "GET", ""), storeOpCount(d.fs, "GETRANGE", "")
 	if _, err := f.WriteAt([]byte("patch"), 100); err != nil {
 		t.Fatal(err)
 	}
-	gets, ranges = storeOpCount(d.fs, "GET")-gets, storeOpCount(d.fs, "GETRANGE")-ranges
+	gets, ranges = storeOpCount(d.fs, "GET", "")-gets, storeOpCount(d.fs, "GETRANGE", "")-ranges
 	if gets != 6 || ranges > 1 {
 		t.Fatalf("partial overwrite issued %d GET and %d GETRANGE, want 6 and no header probes", gets, ranges)
 	}
@@ -813,5 +813,253 @@ func TestErasureGrayHolderReadsOwnTheirBuffers(t *testing.T) {
 	}
 	if slow := hedgedBy(d.fs, "slow"); slow < reads/2 {
 		t.Fatalf("only %d of %d reads hedged on the slow node", slow, reads)
+	}
+}
+
+// storedTags parses the (generation, write ID) of every slot of a stripe
+// straight from the stores; a slot that is empty or unparseable fails.
+func storedTags(t *testing.T, stores map[string]*kvstore.Store, sk string, nodes []string) [][2]uint64 {
+	t.Helper()
+	tags := make([][2]uint64, len(nodes))
+	for i, node := range nodes {
+		raw, ok, err := stores[node].Get(shardKey(dataKey(sk), i))
+		if err != nil || !ok {
+			t.Fatalf("slot %d empty: ok=%v err=%v", i, ok, err)
+		}
+		gen, id, _, err := erasure.ParseShard(raw)
+		if err != nil {
+			t.Fatalf("slot %d unparseable: %v", i, err)
+		}
+		tags[i] = [2]uint64{gen, id}
+	}
+	return tags
+}
+
+// TestErasureReadAndRepairAgree damages one stripe four ways and demands
+// one verdict from the reader and the repairer, who inspect it through the
+// same gather: the write ReadFile returns is the write RepairFile then
+// makes every one of the k+m slots carry, after which a read finds nothing
+// to hedge on.
+func TestErasureReadAndRepairAgree(t *testing.T) {
+	coder, err := erasure.NewCoder(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(set func(slot int, shard []byte), gen, id uint64, shardLen int)
+	}{
+		{"missing", func(set func(int, []byte), _, _ uint64, _ int) { set(1, nil) }},
+		{"stale", func(set func(int, []byte), gen, id uint64, n int) {
+			set(1, erasure.WrapShard(gen-1, id+7, randomBytes(62, n)))
+		}},
+		{"unparseable", func(set func(int, []byte), _, _ uint64, _ int) { set(1, []byte("not a shard header, nor a shard")) }},
+		{"torn-newer-write", func(set func(int, []byte), gen, id uint64, _ int) {
+			// Two shards of a later write landed before its writer died:
+			// fewer than k, beside the complete older write.
+			torn := coder.EncodeShards(gen+1, id+1, randomBytes(63, 4096))
+			set(0, torn[0])
+			set(1, torn[1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestFS(t, 6, 0, withRedundancy(rs42), withRepair(RepairPolicy{Disable: true}))
+			data := randomBytes(64, 4096)
+			if err := d.fs.WriteFile("/agree", data); err != nil {
+				t.Fatal(err)
+			}
+			sk, nodes := stripeTargets(t, d, "/agree", 0)
+			stores := storesByID(d)
+			want := storedTags(t, stores, sk, nodes)
+			raw, _, _ := stores[nodes[1]].Get(shardKey(dataKey(sk), 1))
+			tc.damage(func(slot int, shard []byte) {
+				key := shardKey(dataKey(sk), slot)
+				if shard == nil {
+					stores[nodes[slot]].Del(key)
+				} else if err := stores[nodes[slot]].Set(key, shard); err != nil {
+					t.Fatal(err)
+				}
+			}, want[0][0], want[0][1], len(raw)-erasure.HeaderSize)
+
+			got, err := d.fs.ReadFile("/agree")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read of the damaged stripe: err %v, or not the committed write's bytes", err)
+			}
+			rep, err := d.fs.RepairFile("/agree")
+			if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || rep.Restored == 0 {
+				t.Fatalf("repair: %+v, err %v", rep, err)
+			}
+			if tags := storedTags(t, stores, sk, nodes); fmt.Sprint(tags) != fmt.Sprint(want) {
+				t.Fatalf("slots carry %v after repair, want the write the read returned on every slot: %v", tags, want)
+			}
+			hedged, slow := d.fs.Counters().ECHedgedReads, hedgedBy(d.fs, "slow")
+			if got, err = d.fs.ReadFile("/agree"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after repair: %v", err)
+			}
+			if n := d.fs.Counters().ECHedgedReads - hedged - (hedgedBy(d.fs, "slow") - slow); n != 0 {
+				t.Fatalf("read after repair hedged %d times on a missing, failed or stale shard", n)
+			}
+		})
+	}
+}
+
+// TestErasureRMWSkipsDownNodeInGather kills one victim and marks it Down,
+// then read-modify-writes every stripe of an RS(4,2) file. The write path
+// skips the dead node; the gather that feeds the read-modify-write must
+// skip it too — the five Up slots settle the stripe — instead of spending
+// the node's whole retry budget per stripe to learn nothing.
+func TestErasureRMWSkipsDownNodeInGather(t *testing.T) {
+	d, proxies := newChaosFS(t, 6, 6, faultwrap.Plan{}, withRedundancy(rs42),
+		withRetry(soakRetry), withHealth(HealthPolicy{ProbeInterval: -1}))
+	const stripes, stripeSize = 16, 4096
+	data := randomBytes(65, stripes*stripeSize)
+	if err := d.fs.WriteFile("/rmw", data); err != nil {
+		t.Fatal(err)
+	}
+	const dead = 2
+	deadID := d.victims.Nodes[dead].ID
+	var placed int64 // stripes with a shard on the dead node
+	for i := int64(0); i < stripes; i++ {
+		if _, nodes := stripeTargets(t, d, "/rmw", i); containsString(nodes, deadID) {
+			placed++
+		}
+	}
+	if placed == 0 {
+		t.Fatal("no stripe placed a shard on the victim to kill")
+	}
+	proxies[dead].Kill()
+	forceDown(t, d.fs, deadID)
+
+	f, err := d.fs.OpenFile("/rmw", O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dials := func() int64 { st := proxies[dead].Stats(); return st.Conns + st.Refused }
+	before, degraded := dials(), d.fs.Counters().DegradedWrites
+	for i := 0; i < stripes; i++ {
+		patch, off := randomBytes(int64(70+i), 100), i*stripeSize+1000
+		if _, err := f.WriteAt(patch, int64(off)); err != nil {
+			t.Fatalf("sub-stripe write %d beside a Down node: %v", i, err)
+		}
+		copy(data[off:], patch)
+	}
+	if n := dials() - before; n != 0 {
+		t.Fatalf("%d sub-stripe writes dialled the killed, Down node %d times; its slot was not needed to settle any stripe", stripes, n)
+	}
+	if n := d.fs.Counters().DegradedWrites - degraded; n != placed {
+		t.Fatalf("%d degraded writes, want %d (the stripes with a shard on the dead node)", n, placed)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.fs.ReadFile("/rmw"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the writes: err %v, or bytes differ", err)
+	}
+}
+
+// TestErasureRMWAsksDistrustedNodeWhenUnsettled is the guard on that skip:
+// the distrusted node is reachable and holds a shard of the newest write,
+// which the Up slots alone would miss or misjudge. The gather must then
+// ask it after all, and the read-modify-write must merge into the newest
+// write's bytes — never over zeros or an older write (a lost update).
+func TestErasureRMWAsksDistrustedNodeWhenUnsettled(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		k, m       int
+		newer      []int // slots the newer write landed on: exactly k
+		distrusted int   // one of them
+	}{
+		// Up slots show 3 new + 2 old: no write at k.
+		{"RS42-no-write-at-k", 4, 2, []int{0, 1, 2, 5}, 5},
+		// m >= k: the old write still reaches k among the Up slots, but
+		// one of them already shows the newer generation.
+		{"RS22-older-write-at-k", 2, 2, []int{0, 3}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coder, err := erasure.NewCoder(tc.k, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newTestFS(t, tc.k+tc.m, 0,
+				withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: tc.k, ParityShards: tc.m}),
+				withHealth(HealthPolicy{ProbeInterval: -1}), withRepair(RepairPolicy{Disable: true}))
+			old, newer := randomBytes(66, 4096), randomBytes(67, 4096)
+			if err := d.fs.WriteFile("/guard", old); err != nil {
+				t.Fatal(err)
+			}
+			sk, nodes := stripeTargets(t, d, "/guard", 0)
+			stores := storesByID(d)
+			tag := storedTags(t, stores, sk, nodes)[0]
+			shards := coder.EncodeShards(tag[0]+1, tag[1]+1, newer)
+			for _, i := range tc.newer {
+				if err := stores[nodes[i]].Set(shardKey(dataKey(sk), i), shards[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			forceDown(t, d.fs, nodes[tc.distrusted])
+
+			f, err := d.fs.OpenFile("/guard", O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			patch := []byte("merged into the newest write")
+			if _, err := f.WriteAt(patch, 500); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			copy(newer[500:], patch)
+			if got, err := d.fs.ReadFile("/guard"); err != nil || !bytes.Equal(got, newer) {
+				t.Fatalf("read after the read-modify-write: err %v, or the patch was not merged into the newest write", err)
+			}
+		})
+	}
+}
+
+// TestScrubHealthyErasureReadsHeadersOnly pins what a Scrub costs the
+// victims: a healthy RS(4,2) stripe is judged from its six 18-byte shard
+// headers, and only a stripe with something to rewrite has its shards
+// fetched whole.
+func TestScrubHealthyErasureReadsHeadersOnly(t *testing.T) {
+	d := newTestFS(t, 6, 6, withRedundancy(rs42), withHealth(HealthPolicy{ProbeInterval: -1}),
+		// Own weight 1: every stripe is victim-bound, so the victim class's
+		// commands are exactly the data traffic.
+		func(c *Config) { c.Classes[0].Weight = 1 })
+	const stripes = 64
+	data := randomBytes(68, stripes*4096)
+	if err := d.fs.WriteFile("/scrub", data); err != nil {
+		t.Fatal(err)
+	}
+	scrub := func(label string, wantRestored int, wantGets int64) {
+		t.Helper()
+		gets, ranges := storeOpCount(d.fs, "GET", "victim"), storeOpCount(d.fs, "GETRANGE", "victim")
+		rep, err := d.fs.Scrub()
+		if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || rep.Restored != wantRestored {
+			t.Fatalf("%s: scrub = %+v, err %v; want %d restored", label, rep, err, wantRestored)
+		}
+		gets, ranges = storeOpCount(d.fs, "GET", "victim")-gets, storeOpCount(d.fs, "GETRANGE", "victim")-ranges
+		if gets != wantGets || ranges != 6*stripes {
+			t.Fatalf("%s: scrub issued %d GET and %d GETRANGE to the data nodes, want %d and %d (one header per slot)",
+				label, gets, ranges, wantGets, 6*stripes)
+		}
+	}
+	scrub("healthy", 0, 0)
+
+	// One shard lost on stripe 3, one replaced by an older write's on stripe 40.
+	stores := storesByID(d)
+	sk, nodes := stripeTargets(t, d, "/scrub", 3)
+	if n := stores[nodes[2]].Del(shardKey(dataKey(sk), 2)); n != 1 {
+		t.Fatalf("deleted %d shards, want 1", n)
+	}
+	sk, nodes = stripeTargets(t, d, "/scrub", 40)
+	tag := storedTags(t, stores, sk, nodes)[4]
+	if err := stores[nodes[4]].Set(shardKey(dataKey(sk), 4), erasure.WrapShard(tag[0]-1, tag[1]+1, randomBytes(69, 1024))); err != nil {
+		t.Fatal(err)
+	}
+	scrub("two damaged stripes", 2, 2*6)
+	scrub("after repair", 0, 0)
+	if got, err := d.fs.ReadFile("/scrub"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after scrub: err %v, or bytes differ", err)
 	}
 }

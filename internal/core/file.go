@@ -453,10 +453,11 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 	}
 	var gen uint64
 	if curLen > 0 {
-		// The gather probes every slot, not just the first k: the new
-		// generation must exceed every generation present — including a
-		// failed write's orphan shards — or two distinct writes could
-		// share a generation and leave the winner ambiguous.
+		// The gather asks every slot it has reason to (gatherStripe), not
+		// just the first k: the new generation must exceed every generation
+		// present — including a failed write's orphan shards — or two
+		// distinct writes could share a generation and leave the winner
+		// ambiguous.
 		mode := gatherAll
 		if whole {
 			mode = gatherHeaders
@@ -649,6 +650,9 @@ type ecSlot struct {
 	id      uint64
 	payload []byte
 	err     error
+	// raw is the exact stored value, parseable or not (gatherAll only):
+	// repair replaces a slot by compare-and-delete on the bytes it read.
+	raw []byte
 	// buf is the pooled buffer payload points into (read gathers only).
 	// The gather owns it from the fetch's delivery until release.
 	buf *[]byte
@@ -659,8 +663,8 @@ type gatherMode int
 
 const (
 	gatherFirstK  gatherMode = iota // reads: k fetches, hedged; stop at the first write to reach k shards
-	gatherAll                       // RMW writes: every slot's shard
-	gatherHeaders                   // whole-stripe overwrites: every slot's header only
+	gatherAll                       // RMW writes, repair of a damaged stripe: every slot's shard
+	gatherHeaders                   // whole-stripe overwrites, repair's health check: every slot's header only
 )
 
 // ecGather is the outcome of one concurrent shard gather over a stripe:
@@ -669,7 +673,7 @@ const (
 type ecGather struct {
 	nodes  []string
 	slots  []ecSlot
-	found  int    // shards of the winning write received
+	found  int    // shards of the winning write received; short of k, the largest group of any one write
 	gen    uint64 // winning write's generation
 	id     uint64 // winning write's ID
 	maxGen uint64 // highest generation seen on any shard, any group
@@ -725,11 +729,17 @@ func hedgeDelay(landed time.Duration) time.Duration {
 // degraded read: a slow or dead node costs the hedge delay, never its
 // retry budget. An unsuccessful gather has probed every slot.
 //
-// gatherAll launches every slot and waits for all of them: the RMW write
-// path needs every slot's generation, not just the fastest k.
+// gatherAll asks every slot and waits for the answers: the RMW write path
+// and repair need every slot's generation, not just the fastest k.
 // gatherHeaders is gatherAll fetching only each slot's shard header — all
 // a whole-stripe overwrite needs, since it replaces the bytes and only
-// has to outbid the generations present.
+// has to outbid the generations present, and all repair needs to find a
+// stripe healthy. Their first wave is the slots on Up nodes; a slot on a
+// node the detector distrusts or a drain fences is fetched only when that
+// wave cannot settle the stripe (see the loop), so neither a write nor a
+// repair pass spends a dead node's retry budget to learn nothing. These
+// two modes are not reads: they feed no hedge counter, hedge leg or read
+// latency histogram.
 func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
 	k, m := f.coder.K(), f.coder.M()
 	n := k + m
@@ -783,6 +793,10 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 			order = append(order, i)
 		}
 	}
+	first, spares := len(order), 0
+	if !probeAll {
+		first, spares = k, f.fs.ecSpare
+	}
 	order = append(order, rest...)
 	// Buffered to n so abandoned stragglers can always deliver and exit.
 	ch := make(chan fetch, n)
@@ -795,7 +809,9 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 				var st kvstore.OpStat
 				r := get(i, &st)
 				cls := f.fs.conns.class(nodes[i])
-				o.stripeHist("read", cls).Observe(st.Dur)
+				if !probeAll {
+					o.stripeHist("read", cls).Observe(st.Dur)
+				}
 				out := "miss"
 				if r.err != nil || r.ok {
 					out = phaseOutcome(r.err, st.Attempts)
@@ -804,10 +820,6 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 				ch <- r
 			}()
 		}
-	}
-	first, spares := n, 0
-	if !probeAll {
-		first, spares = k, f.fs.ecSpare
 	}
 	start := time.Now()
 	launch(first)
@@ -826,7 +838,18 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	g := &ecGather{nodes: nodes, slots: make([]ecSlot, n)}
 	counts := make(map[[2]uint64]int, 1)
 	best := 0 // largest shard group of one write so far
-	for received < launched {
+	for {
+		if received == launched {
+			// Only an every-slot gather gets here short of n: its first wave
+			// is in. That evidence settles the stripe when a write reached k
+			// and no shard of a newer generation was seen; otherwise the
+			// winner, or a later write's other shards, may sit on the
+			// distrusted nodes, and they are asked after all.
+			if launched == n || (g.found >= k && g.maxGen == g.gen) {
+				break
+			}
+			launch(n - launched)
+		}
 		// The hedge arms once spares could stand in for every fetch still
 		// in flight; fewer spares than stragglers cannot complete the read.
 		if timer == nil && spares > 0 && launched-received <= spares && launched < n {
@@ -847,6 +870,9 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		received++
 		s := &g.slots[r.slot]
 		s.probed, s.buf = true, r.buf
+		if mode == gatherAll {
+			s.raw = r.data
+		}
 		reason := "stale"
 		switch {
 		case r.err != nil:
@@ -879,7 +905,10 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 				}
 			}
 		}
-		if g.found >= k && !probeAll {
+		if probeAll {
+			continue
+		}
+		if g.found >= k {
 			break // the stripe is readable; stragglers are abandoned
 		}
 		// No write can reach k from the shards in hand plus those in
@@ -892,8 +921,16 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	if timer != nil {
 		timer.Stop()
 	}
+	if g.found < k {
+		g.found = best
+	}
 	g.mixed = len(counts) > 1
 	return g
+}
+
+// won reports whether a slot holds a shard of the winning write.
+func (g *ecGather) won(s *ecSlot) bool {
+	return s.present && s.gen == g.gen && s.id == g.id
 }
 
 // winnerShards returns the k+m slot array holding only the winning
@@ -901,7 +938,7 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 func (g *ecGather) winnerShards() [][]byte {
 	shards := make([][]byte, len(g.slots))
 	for i := range g.slots {
-		if s := &g.slots[i]; s.present && s.gen == g.gen && s.id == g.id {
+		if s := &g.slots[i]; g.won(s) {
 			shards[i] = s.payload
 		}
 	}
@@ -951,7 +988,7 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 			}
 			continue
 		}
-		if s.err != nil || !s.present || s.gen != g.gen || s.id != g.id {
+		if !g.won(s) {
 			needs = true
 		}
 	}

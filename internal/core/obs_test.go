@@ -408,13 +408,6 @@ func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, t
 func BenchmarkWriteTelemetryOn(b *testing.B)  { benchWriteObs(b, ObsPolicy{}) }
 func BenchmarkWriteTelemetryOff(b *testing.B) { benchWriteObs(b, ObsPolicy{Disable: true}) }
 
-// BenchmarkWriteTraceOn/Off isolate the span tracer: both keep the
-// metric families, Off skips span construction and trace retention.
-// scripts/bench_gate.sh compares the pair against the <= 5% overhead
-// budget.
-func BenchmarkWriteTraceOn(b *testing.B)  { benchWriteObs(b, ObsPolicy{}) }
-func BenchmarkWriteTraceOff(b *testing.B) { benchWriteObs(b, ObsPolicy{DisableTracing: true}) }
-
 // TestSharedRegistry checks that an embedder-provided registry receives
 // the FileSystem's families (the memfsd gateway wiring).
 func TestSharedRegistry(t *testing.T) {

@@ -63,33 +63,71 @@ var fastRetry = RetryPolicy{
 }
 
 // S1: a closed victim throttle (the tenant reclaimed its network budget)
-// must stop the transfer *before* any command reaches the store.
+// must stop the transfer *before* any command reaches the store — on an
+// erasure read, and on the source read of a replicated repair.
 func TestErasureThrottleMetersBeforeTransfer(t *testing.T) {
-	d := newTestFS(t, 3, 3,
-		withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 2, ParityShards: 1}),
-		withVictimNet(1<<30),
-		withRetry(fastRetry))
-	data := randomBytes(101, 160<<10) // 40 stripes: some land on the victim class
-	if err := d.fs.WriteFile("/e", data); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range d.victims.Nodes {
-		d.fs.conns.throttle(n.ID).Close()
-	}
-	victimOps := func() (total int64) {
-		for i := range d.victims.Nodes {
-			total += d.victims.Server(i).Store().Stats().TotalOps
+	closeVictimThrottles := func(d *testDeploy) {
+		for _, n := range d.victims.Nodes {
+			d.fs.conns.throttle(n.ID).Close()
 		}
-		return total
 	}
-	before := victimOps()
-	if _, err := d.fs.ReadFile("/e"); err == nil {
-		t.Fatal("read with every victim throttle closed must fail")
-	}
-	if got := victimOps() - before; got != 0 {
-		t.Fatalf("%d commands reached victim stores after the throttle closed; "+
-			"the throttle must meter before the transfer", got)
-	}
+	t.Run("RS21-read", func(t *testing.T) {
+		d := newTestFS(t, 3, 3,
+			withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 2, ParityShards: 1}),
+			withVictimNet(1<<30),
+			withRetry(fastRetry))
+		data := randomBytes(101, 160<<10) // 40 stripes: some land on the victim class
+		if err := d.fs.WriteFile("/e", data); err != nil {
+			t.Fatal(err)
+		}
+		closeVictimThrottles(d)
+		victimOps := func() (total int64) {
+			for i := range d.victims.Nodes {
+				total += d.victims.Server(i).Store().Stats().TotalOps
+			}
+			return total
+		}
+		before := victimOps()
+		if _, err := d.fs.ReadFile("/e"); err == nil {
+			t.Fatal("read with every victim throttle closed must fail")
+		}
+		if got := victimOps() - before; got != 0 {
+			t.Fatalf("%d commands reached victim stores after the throttle closed; "+
+				"the throttle must meter before the transfer", got)
+		}
+	})
+	t.Run("R2-repair", func(t *testing.T) {
+		d := newTestFS(t, 3, 3,
+			withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+			withVictimNet(1<<30),
+			withRetry(fastRetry))
+		const stripes = 40
+		if err := d.fs.WriteFile("/r", randomBytes(103, stripes*4096)); err != nil {
+			t.Fatal(err)
+		}
+		// Drop the second copy of every victim-placed stripe: its repair
+		// source is then a victim node.
+		stores, damaged := storesByID(d), 0
+		for i := int64(0); i < stripes; i++ {
+			sk, nodes := stripeTargets(t, d, "/r", i)
+			if strings.HasPrefix(nodes[0], "victim-") {
+				damaged += stores[nodes[1]].Del(dataKey(sk))
+			}
+		}
+		if damaged == 0 {
+			t.Fatal("no stripe landed on the victim class")
+		}
+		closeVictimThrottles(d)
+		gets := storeOpCount(d.fs, "GET", "victim")
+		rep, err := d.fs.Scrub()
+		if err != nil || rep.Restored != 0 || len(rep.Deferred) != damaged {
+			t.Fatalf("scrub with every victim throttle closed = %+v, err %v; want %d stripes deferred", rep, err, damaged)
+		}
+		if n := storeOpCount(d.fs, "GET", "victim") - gets; n != 0 {
+			t.Fatalf("repair pulled %d stripes off victim stores after the throttle closed; "+
+				"the source read must meter before the transfer", n)
+		}
+	})
 }
 
 // S2: a short write's surviving prefix must be recorded in the handle's

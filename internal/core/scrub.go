@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"memfss/internal/erasure"
-	"memfss/internal/fsmeta"
 	"memfss/internal/health"
-	"memfss/internal/hrw"
 	"memfss/internal/stripe"
 )
 
@@ -52,9 +50,10 @@ type fixOutcome struct {
 // node loss so the next failure finds full redundancy.
 //
 // Restores use SETNX so a scrub racing live writers can only fill a hole,
-// never clobber a newer value. Targets the failure detector marks
-// Suspect/Down are skipped without network traffic and reported in
-// Deferred; stripes with no surviving source are reported as unrepairable
+// never clobber a newer value. A target the failure detector distrusts is
+// never written and its stripe reported in Deferred; it is not even asked,
+// unless an erasure-coded stripe's Up targets cannot settle which write is
+// current. Stripes with no surviving source are reported as unrepairable
 // with the reason.
 func (fs *FileSystem) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{}
@@ -75,7 +74,12 @@ func (fs *FileSystem) Scrub() (*ScrubReport, error) {
 		if rec.File == nil {
 			return nil // became a directory: nothing to scrub
 		}
-		return fs.scrubFile(e.Path, rec.File, rep)
+		f, err := fs.newFile(e.Path, rec.File, false)
+		if err != nil {
+			return err
+		}
+		f.scrub(rep)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -86,74 +90,38 @@ func (fs *FileSystem) Scrub() (*ScrubReport, error) {
 // RepairFile runs the scrub pass over a single file — the targeted
 // operator verb behind `memfsctl repair`.
 func (fs *FileSystem) RepairFile(path string) (*ScrubReport, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := fsmeta.Clean(path)
+	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
-	}
-	rec, err := fs.meta.statRecord(p)
-	if err != nil {
-		return nil, err
-	}
-	if rec.File == nil {
-		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	rep := &ScrubReport{Files: 1}
-	if err := fs.scrubFile(p, rec.File, rep); err != nil {
-		return nil, err
-	}
+	f.scrub(rep)
 	return rep, nil
 }
 
-func (fs *FileSystem) scrubFile(path string, rec *fsmeta.FileRecord, rep *ScrubReport) error {
-	layout, err := stripe.NewLayout(rec.StripeSize)
-	if err != nil {
-		return err
-	}
-	pl, err := placerFromSnapshot(rec.Classes)
-	if err != nil {
-		return err
-	}
-	var coder *erasure.Coder
-	if rec.DataShards > 0 {
-		coder, err = erasure.NewCoder(rec.DataShards, rec.ParityShards)
-		if err != nil {
-			return err
-		}
-	}
-	count := layout.Count(rec.Size)
+// scrub inspects every stripe of the file through a read-only handle and
+// adds what it found and fixed to rep.
+func (f *File) scrub(rep *ScrubReport) {
+	count := f.layout.Count(f.size)
 	for idx := int64(0); idx < count; idx++ {
 		rep.StripesChecked++
-		if fs.obs != nil {
-			fs.obs.scrubChk.Inc()
+		if f.fs.obs != nil {
+			f.fs.obs.scrubChk.Inc()
 		}
-		sk := stripe.Key(rec.ID, idx)
-		var out fixOutcome
-		switch {
-		case coder != nil:
-			out = fs.fixErasureStripe(path, sk, idx, layout.StripeLen(rec.Size, idx), pl, coder)
-		case rec.Replicas > 1:
-			out = fs.fixReplicatedStripe(path, sk, idx, rec.Replicas, pl)
-		default:
-			// No redundancy: nothing to restore; reads lazily repair
-			// placement drift.
-			continue
-		}
+		sk := stripe.Key(f.rec.ID, idx)
+		out := f.fixStripe(idx)
 		rep.Restored += out.restored
-		if fs.obs != nil {
-			fs.obs.scrubRest.Add(int64(out.restored))
+		if f.fs.obs != nil {
+			f.fs.obs.scrubRest.Add(int64(out.restored))
 		}
 		if out.reason != "" {
 			rep.Unrepairable = append(rep.Unrepairable,
-				fmt.Sprintf("%s#%s: %s", path, sk, out.reason))
+				fmt.Sprintf("%s#%s: %s", f.path, sk, out.reason))
 		}
 		if len(out.pending) > 0 {
-			rep.Deferred = append(rep.Deferred, fmt.Sprintf("%s#%s", path, sk))
+			rep.Deferred = append(rep.Deferred, fmt.Sprintf("%s#%s", f.path, sk))
 		}
 	}
-	return nil
 }
 
 // fixStripe re-resolves a repair unit against current metadata and fixes
@@ -169,15 +137,14 @@ func (fs *FileSystem) fixStripe(u repairUnit) fixOutcome {
 		// Metadata unreachable: retry the unit later.
 		return fixOutcome{pending: []string{repairWaitMeta}}
 	}
-	fr := rec.File
-	if fr == nil || stripe.Key(fr.ID, u.idx) != u.sk {
+	if rec.File == nil || stripe.Key(rec.File.ID, u.idx) != u.sk {
 		return fixOutcome{}
 	}
-	layout, err := stripe.NewLayout(fr.StripeSize)
+	f, err := fs.newFile(u.path, rec.File, false)
 	if err != nil {
 		return fixOutcome{}
 	}
-	if u.idx >= layout.Count(fr.Size) {
+	if u.idx >= f.layout.Count(f.size) {
 		// The stripe key matches the *current* file, yet the index is
 		// beyond the committed size. Either the stripe was truncated away
 		// — absence is correct — or the unit outran its own writer: a
@@ -189,52 +156,47 @@ func (fs *FileSystem) fixStripe(u repairUnit) fixOutcome {
 		// every chance to catch up.
 		return fixOutcome{pending: []string{repairWaitCommit}}
 	}
-	pl, err := placerFromSnapshot(fr.Classes)
-	if err != nil {
-		return fixOutcome{}
-	}
-	if fr.DataShards > 0 {
-		coder, err := erasure.NewCoder(fr.DataShards, fr.ParityShards)
-		if err != nil {
-			return fixOutcome{}
-		}
-		return fs.fixErasureStripe(u.path, u.sk, u.idx, layout.StripeLen(fr.Size, u.idx), pl, coder)
-	}
-	if fr.Replicas > 1 {
-		return fs.fixReplicatedStripe(u.path, u.sk, u.idx, fr.Replicas, pl)
+	return f.fixStripe(u.idx)
+}
+
+// fixStripe inspects stripe idx of the file as its record stood when this
+// read-only handle was built, and restores what redundancy it is missing.
+// A file without redundancy has nothing to restore; reads lazily repair
+// its placement drift.
+func (f *File) fixStripe(idx int64) fixOutcome {
+	sk := stripe.Key(f.rec.ID, idx)
+	switch {
+	case f.coder != nil:
+		return f.fixErasureStripe(sk, idx)
+	case f.rec.Replicas > 1:
+		return f.fixReplicatedStripe(sk, idx)
 	}
 	return fixOutcome{}
 }
 
-// stripeStillExpected re-stats path and reports whether stripe idx (with
-// raw key sk) is still part of the file. It is the double-check before
-// declaring a stripe unrepairable: a scrub racing a truncate or remove
-// sees the stripe's keys vanish, and only the re-stat distinguishes
-// "deleted on purpose" from "lost".
-func (fs *FileSystem) stripeStillExpected(path, sk string, idx int64) bool {
-	rec, err := fs.meta.statRecord(path)
+// stripeStillExpected re-stats the file and reports whether stripe idx is
+// still part of it. It is the double-check before declaring a stripe
+// unrepairable: a scrub racing a truncate, remove or recreate sees the
+// stripe's keys vanish, and only the re-stat distinguishes "deleted on
+// purpose" from "lost". A record under the same file ID keeps its stripe
+// size, so the handle's layout still bounds it.
+func (f *File) stripeStillExpected(idx int64) bool {
+	rec, err := f.fs.meta.statRecord(f.path)
 	if err != nil {
 		return false // gone (or unknowable): do not cry data loss
 	}
 	fr := rec.File
-	if fr == nil || stripe.Key(fr.ID, idx) != sk {
-		return false
-	}
-	layout, err := stripe.NewLayout(fr.StripeSize)
-	if err != nil {
-		return false
-	}
-	return idx < layout.Count(fr.Size)
+	return fr != nil && fr.ID == f.rec.ID && idx < f.layout.Count(fr.Size)
 }
 
 // fixReplicatedStripe checks one replicated stripe's placement targets
 // and rewrites missing copies from a surviving one.
-func (fs *FileSystem) fixReplicatedStripe(path, sk string, idx int64, replicas int, pl *hrw.Placer) fixOutcome {
+func (f *File) fixReplicatedStripe(sk string, idx int64) fixOutcome {
+	fs := f.fs
 	key := dataKey(sk)
-	targets := pl.PlaceK(sk, replicas)
 	var out fixOutcome
 	var present, missing []string
-	for _, node := range targets {
+	for _, node := range f.targets(sk) {
 		cli, err := fs.conns.client(node)
 		if err != nil {
 			continue // node no longer registered (evacuated): skip
@@ -260,7 +222,7 @@ func (fs *FileSystem) fixReplicatedStripe(path, sk string, idx int64, replicas i
 	}
 	if len(present) == 0 {
 		// Maybe a stray copy survives off-placement (lazy movement).
-		for _, node := range pl.ProbeOrder(sk) {
+		for _, node := range f.placer.ProbeOrder(sk) {
 			if fs.nodeState(node) != health.Up {
 				continue
 			}
@@ -280,7 +242,7 @@ func (fs *FileSystem) fixReplicatedStripe(path, sk string, idx int64, replicas i
 			// condemn.
 			return out
 		}
-		if !fs.stripeStillExpected(path, sk, idx) {
+		if !f.stripeStillExpected(idx) {
 			// The stripe was truncated or removed mid-scan: absence is
 			// the correct state, not damage.
 			return fixOutcome{}
@@ -288,169 +250,121 @@ func (fs *FileSystem) fixReplicatedStripe(path, sk string, idx int64, replicas i
 		out.reason = "no surviving replica on any reachable node"
 		return out
 	}
-	src, err := fs.conns.client(present[0])
-	if err != nil {
-		return out
-	}
-	value, ok, err := src.Get(key)
+	// Repair reads move stripe payloads like any other transfer, so they
+	// meter the source's throttle before touching the wire.
+	value, ok, err := f.getFull(present[0], key, f.layout.StripeLen(f.size, idx), nil)
 	if err != nil || !ok {
 		// The source vanished between Exists and Get (concurrent delete or
-		// node loss): retry later rather than guessing.
+		// node loss), or its throttle closed: retry later rather than
+		// guessing.
 		out.pending = append(out.pending, present[0])
 		return out
 	}
 	for _, node := range missing {
-		cli, err := fs.conns.client(node)
-		if err != nil {
-			continue
-		}
-		if err := fs.conns.throttle(node).Take(int64(len(value))); err != nil {
-			out.pending = append(out.pending, node)
-			continue
-		}
-		// SETNX: only fill the hole. A concurrent writer's fresher value
-		// must never be clobbered with the scrub's stale read.
-		stored, err := cli.SetNX(key, value)
-		switch {
-		case err != nil:
-			out.pending = append(out.pending, node)
-		case stored:
-			out.restored++
-		}
+		f.reinstall(&out, node, key, value, nil)
 	}
 	return out
 }
 
-// fixErasureStripe checks one erasure-coded stripe's shard set and
-// rebuilds missing, stale, and corrupt shards from the newest complete
-// write generation. Only the shards that need rewriting are
-// reconstructed (one decode-matrix row each via ReconstructShards)
-// instead of decoding the whole stripe and re-encoding all parity.
+// reinstall puts value under key on node for a repair pass, metering the
+// node's throttle first. SETNX: it only fills a hole — a concurrent
+// writer's fresher value must never be clobbered with the repair's stale
+// read. To replace what the pass read there (stale, non-nil) it first
+// compare-and-deletes exactly those bytes: if a live writer lands a newer
+// value between the two steps, both no-op and the fresher value survives.
+// A node the pool no longer knows (evacuated) is skipped.
+func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte) {
+	cli, err := f.fs.conns.client(node)
+	if err != nil {
+		return
+	}
+	err = f.fs.conns.throttle(node).Take(int64(len(value)))
+	if err == nil && stale != nil {
+		var gone bool
+		if gone, err = cli.DelVal(key, stale); err == nil && !gone {
+			return // changed under us: a live writer owns the slot now
+		}
+	}
+	stored := false
+	if err == nil {
+		stored, err = cli.SetNX(key, value)
+	}
+	switch {
+	case err != nil:
+		out.pending = append(out.pending, node)
+	case stored:
+		out.restored++
+	}
+}
+
+// fixErasureStripe checks one erasure-coded stripe's shard set through the
+// data path's gather and rebuilds missing, stale, and corrupt shards from
+// the write the gather picked — the one a read would return. A headers
+// pass decides health; only a stripe with something to rewrite is gathered
+// again for its shards, and only the shards that need rewriting are
+// reconstructed (one decode-matrix row each via ReconstructShards) instead
+// of decoding the whole stripe and re-encoding all parity.
 //
-// A slot holding a shard from a superseded or torn write is replaced
-// with compare-and-delete (DELVAL on the exact bytes read) followed by
-// SETNX: if a live writer lands a newer shard between the two steps,
-// both no-op and the fresher value survives — repair never clobbers
-// newer data.
-func (fs *FileSystem) fixErasureStripe(path, sk string, idx, stripeLen int64, pl *hrw.Placer, coder *erasure.Coder) fixOutcome {
-	k, m := coder.K(), coder.M()
-	targets := pl.PlaceK(sk, k+m)
-	type slotState struct {
-		raw     []byte // exact stored bytes, for compare-and-delete
-		gen, id uint64
-		payload []byte
-		present bool
-		checked bool // the node answered; absence/staleness is known
-	}
-	slots := make([]slotState, k+m)
-	shardEst := int64(coder.ShardSize(int(stripeLen)) + erasure.HeaderSize)
+// A slot holding anything but the winning write's shard — another write's,
+// or bytes that do not parse — is replaced, never overwritten (reinstall).
+func (f *File) fixErasureStripe(sk string, idx int64) fixOutcome {
+	fs, k := f.fs, f.coder.K()
+	stripeLen := f.layout.StripeLen(f.size, idx)
+	var g *ecGather
 	var out fixOutcome
-	counts := make(map[[2]uint64]int, 1)
-	for i, node := range targets {
-		cli, err := fs.conns.client(node)
-		if err != nil {
-			continue // node no longer registered (evacuated): skip
+	var fix []int
+	for _, mode := range []gatherMode{gatherHeaders, gatherAll} {
+		g = f.gatherStripe(nil, sk, idx, stripeLen, mode)
+		out, fix = fixOutcome{}, fix[:0]
+		for i, node := range g.nodes {
+			s := &g.slots[i]
+			switch {
+			case !s.probed || s.err != nil:
+				// Not asked (distrusted, and the stripe settled without it) or
+				// no answer: retry once the node recovers — unless the pool no
+				// longer knows it (evacuated), which is no one to wait for.
+				if _, err := fs.conns.client(node); err == nil {
+					out.pending = append(out.pending, node)
+				}
+			case !g.won(s):
+				fix = append(fix, i)
+			}
 		}
-		if fs.nodeState(node) != health.Up {
-			out.pending = append(out.pending, node)
-			continue
+		if g.found < k || len(fix) == 0 {
+			break
 		}
-		// Repair reads move shard payloads like any other transfer, so
-		// they meter the victim throttle before touching the wire.
-		if err := fs.conns.throttle(node).Take(shardEst); err != nil {
-			out.pending = append(out.pending, node)
-			continue
-		}
-		data, ok, err := cli.Get(shardKey(dataKey(sk), i))
-		if err != nil {
-			out.pending = append(out.pending, node)
-			continue
-		}
-		slots[i].checked = true
-		if !ok {
-			continue
-		}
-		gen, id, payload, perr := erasure.ParseShard(data)
-		if perr != nil {
-			continue // corrupt: treated as absent and rewritten below
-		}
-		slots[i] = slotState{raw: data, gen: gen, id: id, payload: payload, present: true, checked: true}
-		counts[[2]uint64{gen, id}]++
 	}
-	if len(counts) > 1 {
+	if g.mixed {
 		fs.stats.ecGenConflicts.Add(1)
 	}
-	// The winner is the newest write with at least k shards: every other
-	// group is a superseded write or a failed one, and its shards are
-	// stale. Reconstruction stays inside the winning group — mixing
-	// generations is impossible by construction.
-	var win [2]uint64
-	winN, best := 0, 0
-	for g, n := range counts {
-		if n > best {
-			best = n
-		}
-		if n >= k && (winN == 0 || g[0] > win[0] || (g[0] == win[0] && g[1] > win[1])) {
-			win, winN = g, n
-		}
-	}
-	if winN == 0 {
+	if g.found < k {
 		if len(out.pending) > 0 {
 			return out // the unavailable nodes may hold the missing shards
 		}
-		if !fs.stripeStillExpected(path, sk, idx) {
+		if !f.stripeStillExpected(idx) {
 			return fixOutcome{}
 		}
-		out.reason = fmt.Sprintf("only %d of %d shards of one write survive (need %d)", best, k+m, k)
+		out.reason = fmt.Sprintf("only %d of %d shards of one write survive (need %d)", g.found, len(g.slots), k)
 		return out
-	}
-	shards := make([][]byte, k+m)
-	var fix []int
-	for i := range slots {
-		s := &slots[i]
-		switch {
-		case s.present && s.gen == win[0] && s.id == win[1]:
-			shards[i] = s.payload
-		case s.checked:
-			fix = append(fix, i)
-		}
 	}
 	if len(fix) == 0 {
 		return out
 	}
-	rebuilt, err := coder.ReconstructShards(shards, fix)
+	rebuilt, err := f.coder.ReconstructShards(g.winnerShards(), fix)
 	if err != nil {
 		out.reason = fmt.Sprintf("reconstruct failed: %v", err)
 		return out
 	}
 	for j, i := range fix {
-		node := targets[i]
-		cli, err := fs.conns.client(node)
-		if err != nil {
-			continue
-		}
-		wrapped := erasure.WrapShard(win[0], win[1], rebuilt[j])
-		if err := fs.conns.throttle(node).Take(int64(len(wrapped))); err != nil {
+		node := g.nodes[i]
+		if fs.nodeState(node) != health.Up {
+			// It answered the gather, but no repair write crosses a drain
+			// fence or chases a node the detector distrusts.
 			out.pending = append(out.pending, node)
 			continue
 		}
-		if slots[i].present {
-			gone, err := cli.DelVal(shardKey(dataKey(sk), i), slots[i].raw)
-			if err != nil {
-				out.pending = append(out.pending, node)
-				continue
-			}
-			if !gone {
-				continue // changed under us: a live writer owns the slot now
-			}
-		}
-		stored, err := cli.SetNX(shardKey(dataKey(sk), i), wrapped)
-		switch {
-		case err != nil:
-			out.pending = append(out.pending, node)
-		case stored:
-			out.restored++
-		}
+		f.reinstall(&out, node, shardKey(dataKey(sk), i),
+			erasure.WrapShard(g.gen, g.id, rebuilt[j]), g.slots[i].raw)
 	}
 	return out
 }
