@@ -342,9 +342,6 @@ func run(fs *core.FileSystem, args []string) error {
 			return err
 		}
 		snap := fs.ProbeHealth()
-		if snap == nil {
-			return fmt.Errorf("the failure detector is disabled")
-		}
 		ids := make([]string, 0, len(snap))
 		for id := range snap {
 			ids = append(ids, id)

@@ -250,25 +250,24 @@ func healthzPayload(store *kvstore.Store, bound string, started time.Time, fs *c
 	if draining := fs.Draining(); len(draining) > 0 {
 		out["draining"] = draining
 	}
-	if snap := fs.Health(); snap != nil {
-		now := time.Now()
-		nodes := make(map[string]any, len(snap))
-		for id, h := range snap {
-			n := map[string]any{
-				"state":        h.State.String(),
-				"since":        h.Since.Format(time.RFC3339),
-				"age_seconds":  h.Age(now).Seconds(),
-				"consec_fails": h.ConsecFails,
-				"consec_oks":   h.ConsecOKs,
-				"last_seen":    h.LastSeen.Format(time.RFC3339),
-			}
-			if age, ok := h.SeenAge(now); ok {
-				n["last_seen_age_seconds"] = age.Seconds()
-			}
-			nodes[id] = n
+	snap := fs.Health()
+	now := time.Now()
+	nodes := make(map[string]any, len(snap))
+	for id, h := range snap {
+		n := map[string]any{
+			"state":        h.State.String(),
+			"since":        h.Since.Format(time.RFC3339),
+			"age_seconds":  h.Age(now).Seconds(),
+			"consec_fails": h.ConsecFails,
+			"consec_oks":   h.ConsecOKs,
+			"last_seen":    h.LastSeen.Format(time.RFC3339),
 		}
-		out["health"] = nodes
+		if age, ok := h.SeenAge(now); ok {
+			n["last_seen_age_seconds"] = age.Seconds()
+		}
+		nodes[id] = n
 	}
+	out["health"] = nodes
 	rs := fs.RepairStats()
 	out["repair"] = map[string]any{
 		"enqueued":     rs.Enqueued,

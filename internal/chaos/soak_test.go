@@ -10,6 +10,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -30,7 +31,8 @@ func soakPlan(seed int64) faultwrap.Plan {
 }
 
 // TestHealthChaosSoak drives the identical write/verify workload twice —
-// detector and repair disabled, then enabled — kills a victim halfway
+// under a detector that never condemns a node with repair disabled, then
+// under the defaults — kills a victim halfway
 // through each, and demands the health-aware run detect the death, skip
 // the dead replica (strictly fewer store attempts than the baseline),
 // restore redundancy through the targeted queue only, and lose nothing.
@@ -61,10 +63,10 @@ func TestHealthChaosSoak(t *testing.T) {
 		}
 	}
 
-	// Baseline: detector and repair off — every write to the dead node
-	// burns the full retry budget.
+	// Baseline: a detector that keeps every node Up and no repair — every
+	// write to the dead node burns the full retry budget.
 	baselineRes, err := Run(context.Background(), scenario(
-		core.HealthPolicy{Disable: true},
+		core.HealthPolicy{SuspectAfter: math.MaxInt32, ProbeInterval: -1},
 		core.RepairPolicy{Disable: true},
 		SLO{ZeroLoss: true, Streams: []StreamSLO{{Stream: "soak", MaxErrorRate: 0, MinOps: files}}},
 	), RunOptions{Logf: t.Logf})

@@ -129,19 +129,18 @@ type Config struct {
 	// Retry is the uniform data-path retry policy applied to every store
 	// operation. Zero fields take defaults.
 	Retry RetryPolicy
-	// Health configures the per-node failure detector (internal/health).
-	// Zero fields take defaults; set Disable to run without one.
+	// Health configures the per-node failure detector (internal/health),
+	// which every deployment runs. Zero fields take defaults.
 	Health HealthPolicy
 	// Repair configures the targeted background repair queue. Zero fields
 	// take defaults; set Disable to fall back to operator-driven Scrub.
 	Repair RepairPolicy
-	// Evac bounds victim revocation: the evacuation deadline, the partial-
-	// drain watermark, and the monitor's per-node retry backoff. Zero
-	// fields take defaults.
+	// Evac bounds victim revocation: the evacuation deadline and the
+	// monitor's per-node retry backoff. Zero fields take defaults.
 	Evac EvacPolicy
 	// Obs configures the telemetry layer (internal/obs): latency
 	// histograms, the Prometheus-exposable registry, and slow-op tracing.
-	// Zero value = enabled with a private registry and defaults.
+	// Zero value = a private registry and defaults.
 	Obs ObsPolicy
 	// QoS wires multi-tenant attribution, quotas, weighted-fair bandwidth
 	// shares, and priority-ordered reclamation into the data path (see
@@ -149,18 +148,18 @@ type Config struct {
 	QoS QoSPolicy
 }
 
-// ObsPolicy configures telemetry. The layer is on by default because its
-// hot-path cost is a handful of atomic adds per stripe; Disable exists
-// for the overhead ablation and for embedders that bring their own
-// metrics.
+// ObsPolicy configures telemetry. Every FileSystem has a registry, the
+// histograms on it, a tracer and a flight recorder: the hot-path cost is a
+// handful of atomic adds per stripe plus span appends on operations that
+// already paid for I/O. Retention takes internal/obs/trace's defaults: 256
+// traces in each ring (one for interesting traces — errored/degraded/slow
+// — and one for sampled healthy traces) and 1024 cluster events (health
+// transitions, evacuations, leases, repairs, quota rejections) in the
+// flight recorder.
 type ObsPolicy struct {
-	// Disable turns the telemetry layer off: no registry, no histograms,
-	// no slow-op tracing. Counters() keeps working — its counters are
-	// allocated standalone when no registry exists.
-	Disable bool
 	// Registry, if set, receives every metric family instead of a private
 	// registry — this is how memfsd folds store and file-system telemetry
-	// into one /metrics page. Ignored when Disable is set.
+	// into one /metrics page.
 	Registry *obs.Registry
 	// SlowOpThreshold is the elapsed time past which a WriteAt/ReadAt
 	// emits a structured slow-op log line carrying the operation's trace
@@ -169,23 +168,9 @@ type ObsPolicy struct {
 	SlowOpThreshold time.Duration
 	// Logf receives slow-op lines (default log.Printf).
 	Logf func(format string, args ...any)
-	// TraceCapacity bounds each in-process trace retention ring (one for
-	// interesting traces — errored/degraded/slow — and one for sampled
-	// healthy traces); 0 means the 256-per-ring default.
-	TraceCapacity int
 	// TraceSampleEvery keeps one in every N healthy fast traces (0 means
 	// the 1-in-16 default; negative retains only interesting traces).
 	TraceSampleEvery int
-	// EventCapacity bounds the flight-recorder journal of cluster events
-	// (health transitions, evacuations, leases, repairs, quota
-	// rejections); 0 means the 1024 default.
-	EventCapacity int
-	// DisableTracing turns off span construction and trace retention
-	// while keeping every metric family and the flight recorder. It
-	// exists for tracer-overhead ablations; production deployments should
-	// leave tracing on — tail-based sampling keeps its cost to span
-	// appends on the operations that already paid for I/O.
-	DisableTracing bool
 }
 
 // RetryPolicy bounds how the data path handles transport failures against
@@ -223,11 +208,11 @@ func (r RetryPolicy) validate() error {
 // single-attempt PINGs) and drives the Up -> Suspect -> Down state machine
 // with hysteresis; writes skip Suspect/Down replicas instead of burning
 // the retry budget against a node that is gone (paper §III-A: victims
-// vanish without warning).
+// vanish without warning). The detector also holds the revocation fence
+// (the Draining overlay), so it is part of the protocol, not an option. A
+// policy that never condemns a node — SuspectAfter: math.MaxInt32 with
+// ProbeInterval: -1 — keeps every node Up through the same code.
 type HealthPolicy struct {
-	// Disable turns the detector off entirely: no probing, no skipping,
-	// PR 2 behavior. The ablation baseline for the chaos soak.
-	Disable bool
 	// SuspectAfter consecutive failures move Up -> Suspect (default 1).
 	SuspectAfter int
 	// DownAfter further consecutive failures move Suspect -> Down
@@ -252,12 +237,11 @@ func (h HealthPolicy) validate() error {
 // deep-probe misses enqueue path#stripe units, and a background repairer
 // restores their redundancy as soon as the missing placement targets are
 // healthy — re-replicating only what is known damaged instead of scanning
-// the whole namespace (cf. Hydra's targeted re-replication).
+// the whole namespace (cf. Hydra's targeted re-replication). Up to
+// repairWorkers stripes are repaired in parallel.
 type RepairPolicy struct {
 	// Disable turns the queue off: degraded stripes wait for Scrub.
 	Disable bool
-	// Concurrency bounds parallel stripe repairs (default 2).
-	Concurrency int
 	// QueueCap bounds the pending unit count (default 1024). On overflow
 	// the queue schedules one full Scrub as the catch-all and drops the
 	// overflowing unit — correctness never depends on queue capacity.
@@ -268,7 +252,7 @@ type RepairPolicy struct {
 }
 
 func (r RepairPolicy) validate() error {
-	if r.Concurrency < 0 || r.QueueCap < 0 {
+	if r.QueueCap < 0 {
 		return fmt.Errorf("core: negative repair knob in %+v", r)
 	}
 	if r.Interval < 0 {
@@ -278,7 +262,9 @@ func (r RepairPolicy) validate() error {
 }
 
 // EvacPolicy bounds victim revocation (paper §III-A: the tenant is
-// waiting for its memory back, so revocation cannot run open-ended).
+// waiting for its memory back, so revocation cannot run open-ended). A
+// partial drain without an explicit target evicts down to drainSoftTarget
+// of the store's memory cap.
 type EvacPolicy struct {
 	// Deadline bounds a full evacuation end to end (default 30s). When it
 	// expires the drain stops and the node is force-released anyway: the
@@ -286,11 +272,6 @@ type EvacPolicy struct {
 	// the repair queue, and redundancy is restored from surviving
 	// replicas.
 	Deadline time.Duration
-	// SoftTarget is the fill fraction a partial drain evicts a pressured
-	// store down to (default 0.75 of its memory cap). Must stay below the
-	// store's pressure watermark or a partial drain would never relieve
-	// pressure.
-	SoftTarget float64
 	// Backoff / MaxBackoff pace the Monitor's per-node retries after a
 	// failed revocation (defaults 2s / 30s, doubling per consecutive
 	// failure) so a stuck node is not hammered every poll tick.
@@ -301,9 +282,6 @@ type EvacPolicy struct {
 func (e EvacPolicy) validate() error {
 	if e.Deadline < 0 || e.Backoff < 0 || e.MaxBackoff < 0 {
 		return fmt.Errorf("core: negative evacuation knob in %+v", e)
-	}
-	if e.SoftTarget < 0 || e.SoftTarget >= 1 {
-		return fmt.Errorf("core: evacuation soft target %v outside [0, 1)", e.SoftTarget)
 	}
 	return nil
 }

@@ -261,7 +261,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 		withRetry(fastRetry))
 	node := d.own.Nodes[5].ID
 	stores := storesByID(d)
-	d.fs.setDraining(node, true)
+	d.fs.detector.SetDraining(node, true)
 
 	data := randomBytes(44, 80_000) // 20 stripes: some place on node 5
 	if err := d.fs.WriteFile("/fence", data); err != nil {
@@ -282,7 +282,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 		t.Fatalf("read with shards withheld from the draining node: %v", err)
 	}
 
-	d.fs.setDraining(node, false)
+	d.fs.detector.SetDraining(node, false)
 	if !d.fs.WaitRepairIdle(10 * time.Second) {
 		t.Fatalf("repair queue never idled after the drain lifted: %+v", d.fs.RepairStats())
 	}
@@ -501,7 +501,6 @@ func TestErasureHealthyReadsDoNotReconstruct(t *testing.T) {
 		hard bool // no timed hedge exists: zero is exact
 	}{
 		{"detector-on", []deployOpt{withRedundancy(rs42)}, false},
-		{"detector-off", []deployOpt{withRedundancy(rs42), withHealth(HealthPolicy{Disable: true})}, false},
 		{"no-spares", []deployOpt{withRedundancy(noSpare)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

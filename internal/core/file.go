@@ -388,7 +388,7 @@ func phaseOutcome(err error, attempts int) string {
 // need is the write quorum: configured WriteQuorum for replication, k for
 // erasure coding (fewer than k new shards is an unreadable write).
 func (fs *FileSystem) writeSkips(nodes []string, need int) []bool {
-	if len(nodes) <= 1 || (fs.detector == nil && !fs.anyDraining()) {
+	if len(nodes) <= 1 {
 		return nil
 	}
 	skips := make([]bool, len(nodes))
@@ -488,7 +488,7 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 	all := f.coder.EncodeShards(gen, id, payload)
 	elapsed := time.Since(start)
 	tr.recLeg("ec-encode", elapsed, "ok")
-	o.ecEncodeHist().Observe(elapsed)
+	o.ecEncode.Observe(elapsed)
 	shards := make([]spanCmd, len(all))
 	for i, shard := range all {
 		shards[i] = spanCmd{idx: span.Index, op: opSet, key: shardKey(dataKey(sk), i),
@@ -785,9 +785,8 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	// first wave is shards the evidence says are actually fetchable.
 	order := make([]int, 0, n)
 	var rest []int
-	reorder := f.fs.detector != nil || f.fs.anyDraining()
 	for i := range nodes {
-		if reorder && f.fs.nodeState(nodes[i]) != health.Up {
+		if f.fs.nodeState(nodes[i]) != health.Up {
 			rest = append(rest, i)
 		} else {
 			order = append(order, i)
@@ -962,7 +961,7 @@ func (f *File) gatherData(tr *opTrace, g *ecGather) ([][]byte, error) {
 			return nil, err
 		}
 		f.fs.stats.ecReconstructs.Add(1)
-		f.fs.obs.ecReconstructHist().Observe(elapsed)
+		f.fs.obs.ecRebuild.Observe(elapsed)
 		return rec, nil
 	}
 	return shards[:k], nil
@@ -1110,10 +1109,8 @@ func meterExcess(th *container.Throttle, got, est int64) {
 // first; relative HRW order is preserved within each group. Draining
 // nodes sort with the unhealthy — reads still probe them (the data may
 // only exist there until the drain completes) but prefer settled copies.
-// With the detector disabled and no drain fence up the list is returned
-// unchanged.
 func (fs *FileSystem) healthOrder(nodes []string) []string {
-	if len(nodes) <= 1 || (fs.detector == nil && !fs.anyDraining()) {
+	if len(nodes) <= 1 {
 		return nodes
 	}
 	healthy := make([]string, 0, len(nodes))

@@ -40,32 +40,29 @@ type FileSystem struct {
 	// (*[]byte, one wire shard of a full stripe each).
 	shardBufs sync.Pool
 
-	// obsReg is the telemetry registry (nil with Obs.Disable); obs is the
-	// FileSystem-level telemetry bundle on top of it (nil when disabled).
-	obsReg *obs.Registry
-	obs    *fsObs
+	// obs is the FileSystem-level telemetry bundle on the registry (the
+	// caller's or a private one; obs.reg).
+	obs *fsObs
 
-	// detector/prober are the node-health subsystem (nil when disabled);
-	// repairs is the targeted repair queue (nil when disabled).
+	// detector is the node-health state machine; its Draining overlay is
+	// the revocation write fence. prober is its active half (nil with a
+	// negative Health.ProbeInterval); repairs is the targeted repair queue
+	// (nil with Repair.Disable).
 	detector *health.Detector
 	prober   *health.Prober
 	repairs  *repairQueue
 
 	// healthEvStop/healthEvCancel tear down the flight-recorder pump that
-	// journals detector state transitions (both nil when detector or
-	// telemetry is disabled). Subscribe's cancel only unsubscribes — it
-	// never closes the channel — so the pump selects on the stop channel.
+	// journals detector state transitions. Subscribe's cancel only
+	// unsubscribes — it never closes the channel — so the pump selects on
+	// the stop channel.
 	healthEvStop   chan struct{}
 	healthEvCancel func()
 
-	// draining is the revocation write fence, kept FS-side (not only in
-	// the detector) so fencing works with the detector disabled.
 	// drainBusy serializes revocations per node: a second Evacuate or
 	// DrainNode against a node already being drained fails fast instead
-	// of interleaving. Both live under drainMu, separate from fs.mu so
-	// fence checks on the write path never contend with placement swaps.
-	drainMu   sync.RWMutex
-	draining  map[string]bool
+	// of interleaving.
+	drainMu   sync.Mutex
 	drainBusy map[string]bool
 
 	// moveMu serializes the stripe mover's batches; moveSeq counts the
@@ -101,31 +98,25 @@ func New(cfg Config) (*FileSystem, error) {
 		retry.OpTimeout = cfg.DialTimeout
 	}
 	conns := newConnPool(cfg.Password, cfg.DialTimeout, cfg.PoolSize, retry)
-	var reg *obs.Registry
-	if !cfg.Obs.Disable {
-		reg = cfg.Obs.Registry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		conns.metrics = reg
+	reg := cfg.Obs.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	var detector *health.Detector
-	if !cfg.Health.Disable {
-		detector = health.New(health.Options{
-			SuspectAfter: cfg.Health.SuspectAfter,
-			DownAfter:    cfg.Health.DownAfter,
-			UpAfter:      cfg.Health.UpAfter,
-			Metrics:      reg,
-		})
-		// Passive evidence: every client operation's final outcome flows
-		// here via the kvstore Observer. Only transport-class failures
-		// count against a node — a store-level error proves it is alive.
-		conns.report = func(nodeID string, err error) {
-			if err == nil || !isUnavailable(err) {
-				detector.ReportSuccess(nodeID)
-			} else {
-				detector.ReportFailure(nodeID)
-			}
+	conns.metrics = reg
+	detector := health.New(health.Options{
+		SuspectAfter: cfg.Health.SuspectAfter,
+		DownAfter:    cfg.Health.DownAfter,
+		UpAfter:      cfg.Health.UpAfter,
+		Metrics:      reg,
+	})
+	// Passive evidence: every client operation's final outcome flows
+	// here via the kvstore Observer. Only transport-class failures
+	// count against a node — a store-level error proves it is alive.
+	conns.report = func(nodeID string, err error) {
+		if err == nil || !isUnavailable(err) {
+			detector.ReportSuccess(nodeID)
+		} else {
+			detector.ReportFailure(nodeID)
 		}
 	}
 	classes := make([]ClassSpec, len(cfg.Classes))
@@ -135,10 +126,8 @@ func New(cfg Config) (*FileSystem, error) {
 			conns.closeAll()
 			return nil, err
 		}
-		if detector != nil {
-			for _, n := range cls.Nodes {
-				detector.Register(n.ID)
-			}
+		for _, n := range cls.Nodes {
+			detector.Register(n.ID)
 		}
 	}
 	ownIDs := make([]string, len(classes[0].Nodes))
@@ -176,21 +165,13 @@ func New(cfg Config) (*FileSystem, error) {
 		ecSpare:     ecSpare,
 		stats:       newFSStats(reg),
 		detector:    detector,
-		obsReg:      reg,
-		draining:    make(map[string]bool),
+		obs:         newFSObs(reg, cfg.Obs),
 		drainBusy:   make(map[string]bool),
 		lastReclaim: make(map[string]time.Time),
 	}
-	if reg != nil {
-		fs.obs = newFSObs(reg, cfg.Obs)
-		reg.Gauge("memfss_fs_draining_nodes",
-			"Nodes currently fenced for revocation drain.", nil,
-			func() float64 {
-				fs.drainMu.RLock()
-				defer fs.drainMu.RUnlock()
-				return float64(len(fs.draining))
-			})
-	}
+	reg.Gauge("memfss_fs_draining_nodes",
+		"Nodes currently fenced for revocation drain.", nil,
+		func() float64 { return float64(len(fs.Draining())) })
 	for _, id := range ownIDs {
 		cli, err := conns.client(id)
 		if err != nil {
@@ -202,18 +183,16 @@ func New(cfg Config) (*FileSystem, error) {
 			return nil, fmt.Errorf("core: own node %s unreachable: %w", id, err)
 		}
 	}
-	if detector != nil && cfg.Health.ProbeInterval >= 0 {
+	if cfg.Health.ProbeInterval >= 0 {
 		fs.prober = health.NewProber(detector, fs.probeNode, health.ProberOptions{
 			Interval: cfg.Health.ProbeInterval,
 		})
 		fs.prober.Start()
 	}
-	if detector != nil && fs.obs != nil {
-		ch, cancel := detector.Subscribe(64)
-		fs.healthEvStop = make(chan struct{})
-		fs.healthEvCancel = cancel
-		go fs.pumpHealthEvents(ch)
-	}
+	ch, cancel := detector.Subscribe(64)
+	fs.healthEvStop = make(chan struct{})
+	fs.healthEvCancel = cancel
+	go fs.pumpHealthEvents(ch)
 	if !cfg.Repair.Disable {
 		fs.repairs = newRepairQueue(fs, cfg.Repair)
 		fs.repairs.start()
@@ -237,17 +216,11 @@ func (fs *FileSystem) pumpHealthEvents(ch <-chan health.Event) {
 	}
 }
 
-// Traces returns the retained-trace store behind /debug/traces, or nil
-// when telemetry is disabled.
-func (fs *FileSystem) Traces() *trace.Store {
-	return fs.obs.traces()
-}
+// Traces returns the retained-trace store behind /debug/traces.
+func (fs *FileSystem) Traces() *trace.Store { return fs.obs.tracer.Store() }
 
-// Events returns the cluster flight recorder behind /debug/events, or
-// nil when telemetry is disabled.
-func (fs *FileSystem) Events() *trace.Journal {
-	return fs.obs.events()
-}
+// Events returns the cluster flight recorder behind /debug/events.
+func (fs *FileSystem) Events() *trace.Journal { return fs.obs.journal }
 
 // probeNode is the active-probe primitive: one PING attempt, no retries,
 // outcome reported to the detector by the prober (PingOnce deliberately
@@ -260,12 +233,8 @@ func (fs *FileSystem) probeNode(nodeID string) error {
 	return cli.PingOnce()
 }
 
-// Health returns the failure detector's per-node snapshot, or nil when
-// the detector is disabled.
+// Health returns the failure detector's per-node snapshot.
 func (fs *FileSystem) Health() map[string]health.NodeHealth {
-	if fs.detector == nil {
-		return nil
-	}
 	return fs.detector.Snapshot()
 }
 
@@ -273,68 +242,32 @@ func (fs *FileSystem) Health() map[string]health.NodeHealth {
 // in parallel) and returns the resulting snapshot. It gives operators and
 // tests a fresh view without waiting for the probe cadence.
 func (fs *FileSystem) ProbeHealth() map[string]health.NodeHealth {
-	if fs.detector == nil {
-		return nil
-	}
 	if fs.prober != nil {
 		fs.prober.ProbeOnce()
 	}
 	return fs.detector.Snapshot()
 }
 
-// nodeState reports a node's detector state; Up when the detector is
-// disabled (absence of evidence must never block traffic). The revocation
-// fence overrides either way: a draining node reports Draining even with
-// the detector disabled, because the fence is a correctness mechanism
-// (the post-drain flush must not race live writes), not an optimization.
+// nodeState reports a node's detector state. A node fenced for revocation
+// reports Draining whatever the evidence says: the fence is a correctness
+// mechanism (the post-drain flush must not race live writes), and the
+// detector's Draining overlay is the one place it lives.
 func (fs *FileSystem) nodeState(nodeID string) health.State {
-	if fs.isDraining(nodeID) {
-		return health.Draining
-	}
-	if fs.detector == nil {
-		return health.Up
-	}
 	return fs.detector.State(nodeID)
 }
 
-// setDraining flips a node's revocation fence, mirroring it into the
-// detector (when enabled) so health snapshots and /healthz show the
-// Draining state.
-func (fs *FileSystem) setDraining(nodeID string, on bool) {
-	fs.drainMu.Lock()
-	if on {
-		fs.draining[nodeID] = true
-	} else {
-		delete(fs.draining, nodeID)
-	}
-	fs.drainMu.Unlock()
-	if fs.detector != nil {
-		fs.detector.SetDraining(nodeID, on)
-	}
-}
-
 func (fs *FileSystem) isDraining(nodeID string) bool {
-	fs.drainMu.RLock()
-	defer fs.drainMu.RUnlock()
-	return fs.draining[nodeID]
-}
-
-// anyDraining is the cheap write-path guard: with no fence up and no
-// detector, skip/reorder logic short-circuits entirely.
-func (fs *FileSystem) anyDraining() bool {
-	fs.drainMu.RLock()
-	defer fs.drainMu.RUnlock()
-	return len(fs.draining) > 0
+	return fs.nodeState(nodeID) == health.Draining
 }
 
 // Draining lists the nodes currently fenced for revocation, sorted.
 func (fs *FileSystem) Draining() []string {
-	fs.drainMu.RLock()
-	out := make([]string, 0, len(fs.draining))
-	for n := range fs.draining {
-		out = append(out, n)
+	var out []string
+	for n, h := range fs.detector.Snapshot() {
+		if h.State == health.Draining {
+			out = append(out, n)
+		}
 	}
-	fs.drainMu.RUnlock()
 	sort.Strings(out)
 	return out
 }

@@ -3,18 +3,21 @@ package core
 // Integration tests for the node-health subsystem: the failure detector
 // wired into the data path, health-aware replica placement, and the
 // targeted background repair queue. The chaos soak is the acceptance
-// gate — it replays the same seeded fault schedule with the subsystem
-// disabled (PR 2 behavior) and enabled, and demands the enabled run
-// detect the dead node quickly, burn strictly fewer store attempts, and
+// gate — it replays the same seeded fault schedule under a detector that
+// never condemns a node and under the default one, and demands the default
+// run detect the dead node quickly, burn strictly fewer store attempts, and
 // restore full redundancy without a full-namespace scan.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"memfss/internal/faultwrap"
 	"memfss/internal/health"
 )
 
@@ -297,5 +300,85 @@ func TestHealthProbeReadPrefersHealthyPrimary(t *testing.T) {
 	attempts := after.StoreAttempts - before.StoreAttempts
 	if attempts != ops {
 		t.Fatalf("reads against live stores retried: %d attempts for %d ops", attempts, ops)
+	}
+}
+
+// neverCondemn is the health soak's baseline posture: no probing and a
+// Suspect threshold no streak reaches, so every node stays Up through the
+// same detector code every deployment runs.
+var neverCondemn = HealthPolicy{SuspectAfter: math.MaxInt32, ProbeInterval: -1}
+
+// TestHealthNeverCondemnAttemptsEveryTarget: under neverCondemn a killed
+// victim is never routed around — writes degrade by attempting it, not by
+// skipping it — and every node keeps reporting Up.
+func TestHealthNeverCondemnAttemptsEveryTarget(t *testing.T) {
+	d, proxies := newChaosFS(t, 2, 3, faultwrap.Plan{},
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withRetry(fastRetry), withHealth(neverCondemn))
+	proxies[0].Kill()
+	for i := 0; i < 8; i++ {
+		if err := d.fs.WriteFile(fmt.Sprintf("/nc%d", i), randomBytes(int64(900+i), 30_000)); err != nil {
+			t.Fatalf("write with one dead replica target: %v", err)
+		}
+	}
+	c := d.fs.Counters()
+	if c.DegradedWrites == 0 {
+		t.Fatal("no write degraded: the killed victim was never a target")
+	}
+	if c.SkippedReplicaWrites != 0 {
+		t.Fatalf("SkippedReplicaWrites = %d under a policy that condemns no node", c.SkippedReplicaWrites)
+	}
+	for id, h := range d.fs.Health() {
+		if h.State != health.Up {
+			t.Errorf("node %s reports %v, want Up", id, h.State)
+		}
+	}
+}
+
+// TestHealthDrainFenceHasOneSource holds an evacuation in its drain phase (the
+// victim's proxy is paused, so no pass can list it) and demands that
+// Draining(), Health() and the memfss_fs_draining_nodes gauge tell the
+// same story while the fence is up and after the node is released.
+func TestHealthDrainFenceHasOneSource(t *testing.T) {
+	d, proxies := newChaosFS(t, 2, 2, faultwrap.Plan{}, withRetry(fastRetry), withHealth(neverCondemn))
+	if err := d.fs.WriteFile("/fenced", randomBytes(77, 60_000)); err != nil {
+		t.Fatal(err)
+	}
+	node := d.victims.Nodes[0].ID
+	views := func() (listed []string, state health.State, registered bool, gauge float64) {
+		h, ok := d.fs.Health()[node]
+		fam := findFamily(d.fs.Metrics(), "memfss_fs_draining_nodes")
+		return d.fs.Draining(), h.State, ok, fam.Series[0].Gauge
+	}
+	if listed, state, _, gauge := views(); len(listed) != 0 || state != health.Up || gauge != 0 {
+		t.Fatalf("before the evacuation: Draining() = %v, state %v, gauge %v", listed, state, gauge)
+	}
+
+	proxies[0].Pause()
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.fs.Evacuate(context.Background(), node, EvacOptions{Deadline: 30 * time.Second})
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(d.fs.Draining()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the evacuation never raised its fence")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if listed, state, _, gauge := views(); len(listed) != 1 || listed[0] != node || state != health.Draining || gauge != 1 {
+		t.Fatalf("mid-drain: Draining() = %v, state %v, gauge %v; want [%s], draining, 1", listed, state, gauge, node)
+	}
+
+	proxies[0].Resume()
+	if err := <-done; err != nil {
+		t.Fatalf("evacuate: %v", err)
+	}
+	if listed, _, registered, gauge := views(); len(listed) != 0 || registered || gauge != 0 {
+		t.Fatalf("after release: Draining() = %v, still registered %v, gauge %v", listed, registered, gauge)
+	}
+	if got, err := d.fs.ReadFile("/fenced"); err != nil || !bytes.Equal(got, randomBytes(77, 60_000)) {
+		t.Fatalf("data after the evacuation: %v", err)
 	}
 }

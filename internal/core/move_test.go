@@ -28,7 +28,7 @@ func ownOpsAndData(d *testDeploy) (ops int64, dataKeys int) {
 // per-key resolution cost two metadata GETs per key per pass.
 func TestMoveResolvesOncePerFile(t *testing.T) {
 	d := newTestFS(t, 2, 2,
-		withHealth(HealthPolicy{Disable: true}), withRepair(RepairPolicy{Disable: true}))
+		withHealth(HealthPolicy{ProbeInterval: -1}), withRepair(RepairPolicy{Disable: true}))
 	files := map[string][]byte{}
 	for i := 0; i < 2; i++ {
 		p := fmt.Sprintf("/big%d", i)

@@ -213,24 +213,6 @@ func TestSlowOpLog(t *testing.T) {
 	}
 }
 
-// TestObsDisabled checks the kill switch: no registry, no snapshot, and
-// the Counters surface still works.
-func TestObsDisabled(t *testing.T) {
-	d := newTestFS(t, 1, 1, withObs(ObsPolicy{Disable: true}))
-	if err := d.fs.WriteFile("/off", randomBytes(2, 9_000)); err != nil {
-		t.Fatal(err)
-	}
-	if d.fs.ObsRegistry() != nil {
-		t.Fatal("ObsRegistry() non-nil with Obs.Disable")
-	}
-	if d.fs.Metrics() != nil {
-		t.Fatal("Metrics() non-nil with Obs.Disable")
-	}
-	if c := d.fs.Counters(); c.BytesWritten != 9_000 {
-		t.Fatalf("BytesWritten = %d with telemetry disabled, want 9000", c.BytesWritten)
-	}
-}
-
 // TestMetricsFamilyCoverage pins the exposition acceptance criterion: a
 // live deployment's registry renders valid Prometheus text declaring at
 // least 12 metric families, spanning the kvstore client, the data path,
@@ -315,7 +297,7 @@ func TestECEncodeVisible(t *testing.T) {
 // benchFS mounts the benchmark deployment over in-process stores: two
 // victims and one own node — or, per class, as many as the redundancy
 // mode needs (one per replica, k+m for erasure).
-func benchFS(b *testing.B, pol ObsPolicy, red Redundancy, stripeSize int64) *FileSystem {
+func benchFS(b *testing.B, red Redundancy, stripeSize int64) *FileSystem {
 	const password = "bench-secret"
 	width := max(red.Replicas, red.DataShards+red.ParityShards)
 	own, err := StartLocalStores(max(1, width), "own", password, 0)
@@ -336,7 +318,6 @@ func benchFS(b *testing.B, pol ObsPolicy, red Redundancy, stripeSize int64) *Fil
 		StripeSize: stripeSize,
 		Redundancy: red,
 		Password:   password,
-		Obs:        pol,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -345,11 +326,10 @@ func benchFS(b *testing.B, pol ObsPolicy, red Redundancy, stripeSize int64) *Fil
 	return fs
 }
 
-// benchWriteObs measures write throughput with the given telemetry
-// policy; comparing the On/Off variants bounds the instrumentation
-// overhead on the per-stripe hot path (acceptance budget: <= 5%).
-func benchWriteObs(b *testing.B, pol ObsPolicy) {
-	fs := benchFS(b, pol, Redundancy{}, 16<<10)
+// BenchmarkWriteTelemetryOn measures whole-file write throughput,
+// telemetry included — the only configuration there is.
+func BenchmarkWriteTelemetryOn(b *testing.B) {
+	fs := benchFS(b, Redundancy{}, 16<<10)
 	payload := randomBytes(17, 256<<10) // 16 stripes per write
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -364,7 +344,7 @@ func benchWriteObs(b *testing.B, pol ObsPolicy) {
 // handle — the data path alone, no namespace ops — for the allocs/op
 // gate in scripts/bench_gate.sh.
 func benchCoreAt(b *testing.B, red Redundancy, stripeSize int64, spans int, read bool) {
-	fs := benchFS(b, ObsPolicy{}, red, stripeSize)
+	fs := benchFS(b, red, stripeSize)
 	f, err := fs.OpenFile("/bench", O_CREATE|O_RDWR)
 	if err != nil {
 		b.Fatal(err)
@@ -404,9 +384,6 @@ func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, benchR2, 16<<10, 
 // allocs/op: shard fetches land in pooled buffers, so a read allocates
 // bookkeeping, not payload.
 func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, true) }
-
-func BenchmarkWriteTelemetryOn(b *testing.B)  { benchWriteObs(b, ObsPolicy{}) }
-func BenchmarkWriteTelemetryOff(b *testing.B) { benchWriteObs(b, ObsPolicy{Disable: true}) }
 
 // TestSharedRegistry checks that an embedder-provided registry receives
 // the FileSystem's families (the memfsd gateway wiring).
@@ -513,7 +490,7 @@ func TestWriteAccountingParity(t *testing.T) {
 							}
 						}
 					case "draining":
-						d.fs.setDraining(node, true)
+						d.fs.detector.SetDraining(node, true)
 					}
 
 					data := randomBytes(23, spans*int(d.fs.layout.Size()))

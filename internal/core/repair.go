@@ -84,6 +84,9 @@ const maxCommitRetries = 3
 // best-effort).
 const rescanInterval = 500 * time.Millisecond
 
+// repairWorkers bounds parallel stripe repairs.
+const repairWorkers = 2
+
 // parkedUnit is a repair blocked on unavailable targets; waitFor names
 // them so the queue retries only once they recover (or leave the cluster)
 // instead of banging on nodes the detector still calls Down.
@@ -110,9 +113,8 @@ type repairQueue struct {
 	wg        sync.WaitGroup
 	cancelSub func()
 
-	// Activity counters live on the FileSystem's registry when telemetry
-	// is enabled (standalone otherwise), so RepairStats and /metrics read
-	// the same numbers.
+	// Activity counters live on the FileSystem's registry, so RepairStats
+	// and /metrics read the same numbers.
 	enqueued, repaired, restored, unrepairable *obs.Counter
 	overflows, fullScrubs                      *obs.Counter
 	// waitHist is time-to-restored-redundancy: enqueue to successful
@@ -121,16 +123,13 @@ type repairQueue struct {
 }
 
 func newRepairQueue(fs *FileSystem, pol RepairPolicy) *repairQueue {
-	if pol.Concurrency == 0 {
-		pol.Concurrency = 2
-	}
 	if pol.QueueCap == 0 {
 		pol.QueueCap = 1024
 	}
 	if pol.Interval == 0 {
 		pol.Interval = 10 * time.Millisecond
 	}
-	reg := fs.obsReg
+	reg := fs.obs.reg
 	const unitsHelp = "Repair-queue units by final outcome."
 	q := &repairQueue{
 		fs:     fs,
@@ -138,56 +137,49 @@ func newRepairQueue(fs *FileSystem, pol RepairPolicy) *repairQueue {
 		seen:   make(map[string]bool),
 		kickCh: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
-		enqueued: counterOr(reg, "memfss_repair_enqueued_total",
+		enqueued: reg.Counter("memfss_repair_enqueued_total",
 			"Units accepted into the targeted repair queue.", nil),
-		repaired:     counterOr(reg, "memfss_repair_units_total", unitsHelp, obs.L("outcome", "repaired")),
-		unrepairable: counterOr(reg, "memfss_repair_units_total", unitsHelp, obs.L("outcome", "unrepairable")),
-		restored: counterOr(reg, "memfss_repair_restored_total",
+		repaired:     reg.Counter("memfss_repair_units_total", unitsHelp, obs.L("outcome", "repaired")),
+		unrepairable: reg.Counter("memfss_repair_units_total", unitsHelp, obs.L("outcome", "unrepairable")),
+		restored: reg.Counter("memfss_repair_restored_total",
 			"Replica copies or shards rewritten by the repair queue.", nil),
-		overflows: counterOr(reg, "memfss_repair_overflows_total",
+		overflows: reg.Counter("memfss_repair_overflows_total",
 			"Enqueues rejected by a full queue (each arms a catch-all Scrub).", nil),
-		fullScrubs: counterOr(reg, "memfss_repair_full_scrubs_total",
+		fullScrubs: reg.Counter("memfss_repair_full_scrubs_total",
 			"Catch-all full Scrub passes triggered by queue overflow.", nil),
 	}
-	if reg != nil {
-		q.waitHist = reg.Histogram("memfss_repair_wait_seconds",
-			"Time from enqueue to restored redundancy.", nil, obs.DefSlowBuckets)
-		const depthHelp = "Current repair backlog by state."
-		reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "queued"), func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return float64(len(q.active))
-		})
-		reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "parked"), func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return float64(len(q.parked))
-		})
-		reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "in_flight"), func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return float64(q.inFlight)
-		})
-	}
+	q.waitHist = reg.Histogram("memfss_repair_wait_seconds",
+		"Time from enqueue to restored redundancy.", nil, obs.DefSlowBuckets)
+	const depthHelp = "Current repair backlog by state."
+	reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "queued"), func() float64 {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return float64(len(q.active))
+	})
+	reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "parked"), func() float64 {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return float64(len(q.parked))
+	})
+	reg.Gauge("memfss_repair_queue_depth", depthHelp, obs.L("state", "in_flight"), func() float64 {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return float64(q.inFlight)
+	})
 	return q
 }
 
 func (q *repairQueue) start() {
-	if q.fs.detector != nil {
-		ch, cancel := q.fs.detector.Subscribe(64)
-		q.cancelSub = cancel
-		q.wg.Add(1)
-		go q.watch(ch)
-	}
-	q.wg.Add(1)
+	ch, cancel := q.fs.detector.Subscribe(64)
+	q.cancelSub = cancel
+	q.wg.Add(2)
+	go q.watch(ch)
 	go q.loop()
 }
 
 func (q *repairQueue) stop() {
 	close(q.stopCh)
-	if q.cancelSub != nil {
-		q.cancelSub()
-	}
+	q.cancelSub()
 	q.wg.Wait()
 }
 
@@ -343,7 +335,7 @@ func (q *repairQueue) loop() {
 	defer q.wg.Done()
 	rescan := time.NewTicker(rescanInterval)
 	defer rescan.Stop()
-	sem := make(chan struct{}, q.pol.Concurrency)
+	sem := make(chan struct{}, repairWorkers)
 	for {
 		if q.takeScrubDue() {
 			q.runFullScrub()

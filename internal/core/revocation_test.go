@@ -49,7 +49,7 @@ func TestDrainingFencesWrites(t *testing.T) {
 	victimID := d.victims.Nodes[0].ID
 	before := dataKeySet(d.victims, 0)
 
-	d.fs.setDraining(victimID, true)
+	d.fs.detector.SetDraining(victimID, true)
 	if got := d.fs.nodeState(victimID); got != health.Draining {
 		t.Fatalf("nodeState = %v, want Draining", got)
 	}
@@ -80,7 +80,7 @@ func TestDrainingFencesWrites(t *testing.T) {
 		}
 	}
 
-	d.fs.setDraining(victimID, false)
+	d.fs.detector.SetDraining(victimID, false)
 	if got := d.fs.nodeState(victimID); got == health.Draining {
 		t.Fatal("fence did not lift")
 	}

@@ -45,10 +45,8 @@ func (fs *FileSystem) AddVictimClass(spec ClassSpec) error {
 	}
 	fs.classes = next
 	fs.placer = placer
-	if fs.detector != nil {
-		for _, n := range spec.Nodes {
-			fs.detector.Register(n.ID)
-		}
+	for _, n := range spec.Nodes {
+		fs.detector.Register(n.ID)
 	}
 	return nil
 }
@@ -83,10 +81,15 @@ func (fs *FileSystem) ApplyVictimCaps() error {
 
 // --- victim revocation -------------------------------------------------------
 
-// Revocation knob defaults; the configured values live in Config.Evac.
+// Revocation knob defaults (the configured values live in Config.Evac)
+// and constants.
 const (
-	defaultEvacDeadline   = 30 * time.Second
-	defaultSoftTarget     = 0.75
+	defaultEvacDeadline = 30 * time.Second
+	// drainSoftTarget is the fill fraction a partial drain without an
+	// explicit target evicts a pressured store down to. It must stay below
+	// the store's pressure watermark or the drain would never relieve
+	// pressure.
+	drainSoftTarget       = 0.75
 	defaultEvacBackoff    = 2 * time.Second
 	defaultEvacMaxBackoff = 30 * time.Second
 
@@ -225,9 +228,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	phaseStart := start
 	observePhase := func(name string) {
 		now := time.Now()
-		if h := fs.obs.evacPhase(name); h != nil {
-			h.Observe(now.Sub(phaseStart))
-		}
+		fs.obs.evacPhase(name).Observe(now.Sub(phaseStart))
 		fs.obs.note("evac", nodeID,
 			fmt.Sprintf("phase %s done in %s", name, now.Sub(phaseStart).Round(time.Millisecond)), 0)
 		phaseStart = now
@@ -236,7 +237,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	resolved := make(map[string]bool)
 
 	// Phase 1: fence.
-	fs.setDraining(nodeID, true)
+	fs.detector.SetDraining(nodeID, true)
 	observePhase("fence")
 
 	// Phase 2: drain passes until a pass resolves every listed key.
@@ -245,7 +246,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 		if !errors.Is(err, context.DeadlineExceeded) {
 			// Canceled: abort cleanly. The node stays in the deployment
 			// and the drain can be re-run from scratch.
-			fs.setDraining(nodeID, false)
+			fs.detector.SetDraining(nodeID, false)
 			rep.Elapsed = time.Since(start)
 			return rep, fmt.Errorf("core: evacuate %s: %w", nodeID, err)
 		}
@@ -272,7 +273,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	placer, perr := hrw.NewPlacer(placerClasses(next)...)
 	if perr != nil {
 		fs.mu.Unlock()
-		fs.setDraining(nodeID, false)
+		fs.detector.SetDraining(nodeID, false)
 		rep.Elapsed = time.Since(start)
 		return rep, perr
 	}
@@ -322,12 +323,10 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 		time.Sleep(movePassPause)
 	}
 	fs.conns.retire(cli)
-	if fs.detector != nil {
-		// No longer a placement target: forget its history so health
-		// snapshots and write-skip decisions stop mentioning it.
-		fs.detector.Unregister(nodeID)
-	}
-	fs.setDraining(nodeID, false)
+	// No longer a placement target: forget its history — and with it the
+	// fence — so health snapshots and write-skip decisions stop
+	// mentioning it.
+	fs.detector.Unregister(nodeID)
 	if fs.repairs != nil {
 		// Units parked on the evacuated node can resolve now — the fix
 		// pass skips unregistered targets instead of waiting for them.
@@ -425,7 +424,7 @@ type DrainReport struct {
 // DrainNode evicts data keys from a victim store until its fill drops to
 // targetBytes — the graduated response to soft memory pressure: the tenant
 // gets memory back without MemFSS giving up the node. targetBytes <= 0
-// takes Config.Evac.SoftTarget (default 0.75) of the store's memory cap.
+// takes drainSoftTarget (0.75) of the store's memory cap.
 //
 // The node is fenced Draining for the duration so replicated writes stop
 // adding to it, then unfenced — it stays registered and keeps serving. A
@@ -448,18 +447,14 @@ func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes 
 		if st.MaxMemory <= 0 {
 			return nil, fmt.Errorf("core: drain %s: no memory cap and no explicit target", nodeID)
 		}
-		soft := fs.cfg.Evac.SoftTarget
-		if soft == 0 {
-			soft = defaultSoftTarget
-		}
-		target = int64(float64(st.MaxMemory) * soft)
+		target = int64(float64(st.MaxMemory) * drainSoftTarget)
 	}
 	rep := &DrainReport{
 		Node: nodeID, BytesBefore: st.BytesUsed, BytesAfter: st.BytesUsed, Target: target,
 	}
 	start := time.Now()
-	fs.setDraining(nodeID, true)
-	defer fs.setDraining(nodeID, false)
+	fs.detector.SetDraining(nodeID, true)
+	defer fs.detector.SetDraining(nodeID, false)
 	skipped := make(map[string]bool)
 	// stamp closes the report on every way out.
 	stamp := func(err error) (*DrainReport, error) {

@@ -105,15 +105,11 @@ func (f *File) scrub(rep *ScrubReport) {
 	count := f.layout.Count(f.size)
 	for idx := int64(0); idx < count; idx++ {
 		rep.StripesChecked++
-		if f.fs.obs != nil {
-			f.fs.obs.scrubChk.Inc()
-		}
+		f.fs.obs.scrubChk.Inc()
 		sk := stripe.Key(f.rec.ID, idx)
 		out := f.fixStripe(idx)
 		rep.Restored += out.restored
-		if f.fs.obs != nil {
-			f.fs.obs.scrubRest.Add(int64(out.restored))
-		}
+		f.fs.obs.scrubRest.Add(int64(out.restored))
 		if out.reason != "" {
 			rep.Unrepairable = append(rep.Unrepairable,
 				fmt.Sprintf("%s#%s: %s", f.path, sk, out.reason))
@@ -313,8 +309,9 @@ func (f *File) fixErasureStripe(sk string, idx int64) fixOutcome {
 	var g *ecGather
 	var out fixOutcome
 	var fix []int
+	untraced := &opTrace{o: fs.obs} // a scrub pass is no operation: nothing to trace
 	for _, mode := range []gatherMode{gatherHeaders, gatherAll} {
-		g = f.gatherStripe(nil, sk, idx, stripeLen, mode)
+		g = f.gatherStripe(untraced, sk, idx, stripeLen, mode)
 		out, fix = fixOutcome{}, fix[:0]
 		for i, node := range g.nodes {
 			s := &g.slots[i]

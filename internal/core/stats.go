@@ -2,12 +2,9 @@ package core
 
 import "memfss/internal/obs"
 
-// fsStats instruments the data path. Since PR 4 the counters are
-// internal/obs counters rather than raw atomics: with telemetry enabled
-// they are registered series on the FileSystem's registry (so /metrics
-// and Counters() read the same numbers — one metrics system, not two);
-// with telemetry disabled they are standalone obs counters, keeping
-// Counters() functional at the same per-observation cost as before.
+// fsStats instruments the data path. The counters are registered series
+// on the FileSystem's registry, so /metrics and Counters() read the same
+// numbers — one metrics system, not two.
 type fsStats struct {
 	bytesWritten         *obs.Counter
 	bytesRead            *obs.Counter
@@ -32,50 +29,39 @@ type fsStats struct {
 // shard, or a straggler outlasted the hedge delay.
 var hedgeReasons = [...]string{"miss", "error", "stale", "slow"}
 
-// counterOr resolves a registered counter, or a standalone one when the
-// registry is nil — for counters that must keep counting (the Counters()
-// surface) even with telemetry disabled.
-func counterOr(reg *obs.Registry, name, help string, labels obs.Labels) *obs.Counter {
-	if reg == nil {
-		return obs.NewCounter()
-	}
-	return reg.Counter(name, help, labels)
-}
-
-// newFSStats wires the data-path counters, registering them on reg when
-// telemetry is enabled.
+// newFSStats registers the data-path counters on reg.
 func newFSStats(reg *obs.Registry) fsStats {
 	hedged := make(map[string]*obs.Counter, len(hedgeReasons))
 	for _, reason := range hedgeReasons {
-		hedged[reason] = counterOr(reg, "memfss_fs_ec_hedged_reads_total",
+		hedged[reason] = reg.Counter("memfss_fs_ec_hedged_reads_total",
 			"Erasure stripe reads that fetched beyond their first k shards, by what made them.", obs.L("reason", reason))
 	}
 	return fsStats{
-		bytesWritten: counterOr(reg, "memfss_fs_bytes_total",
+		bytesWritten: reg.Counter("memfss_fs_bytes_total",
 			"Payload bytes moved through the file-system client.", obs.L("op", "write")),
-		bytesRead: counterOr(reg, "memfss_fs_bytes_total",
+		bytesRead: reg.Counter("memfss_fs_bytes_total",
 			"Payload bytes moved through the file-system client.", obs.L("op", "read")),
-		stripeWrites: counterOr(reg, "memfss_fs_stripe_ops_total",
+		stripeWrites: reg.Counter("memfss_fs_stripe_ops_total",
 			"Span-level store operations.", obs.L("op", "write")),
-		stripeReads: counterOr(reg, "memfss_fs_stripe_ops_total",
+		stripeReads: reg.Counter("memfss_fs_stripe_ops_total",
 			"Span-level store operations.", obs.L("op", "read")),
-		deepProbes: counterOr(reg, "memfss_fs_deep_probes_total",
+		deepProbes: reg.Counter("memfss_fs_deep_probes_total",
 			"Reads that had to look beyond the primary placement.", nil),
-		repairs: counterOr(reg, "memfss_fs_lazy_repairs_total",
+		repairs: reg.Counter("memfss_fs_lazy_repairs_total",
 			"Stripes lazily moved back to their primary node by reads.", nil),
-		degradedWrites: counterOr(reg, "memfss_fs_degraded_writes_total",
+		degradedWrites: reg.Counter("memfss_fs_degraded_writes_total",
 			"Replicated span writes that succeeded with fewer than all replicas.", nil),
-		skippedReplicaWrites: counterOr(reg, "memfss_fs_skipped_replica_writes_total",
+		skippedReplicaWrites: reg.Counter("memfss_fs_skipped_replica_writes_total",
 			"Replica targets skipped because the failure detector judged them Suspect or Down.", nil),
-		fencedWrites: counterOr(reg, "memfss_fs_fenced_replica_writes_total",
+		fencedWrites: reg.Counter("memfss_fs_fenced_replica_writes_total",
 			"Replica targets skipped because the node is draining for revocation.", nil),
-		noSpaceWrites: counterOr(reg, "memfss_fs_no_space_writes_total",
+		noSpaceWrites: reg.Counter("memfss_fs_no_space_writes_total",
 			"Span writes rejected because a store was over its memory cap.", nil),
-		deferredDeletes: counterOr(reg, "memfss_fs_deferred_deletes_total",
+		deferredDeletes: reg.Counter("memfss_fs_deferred_deletes_total",
 			"Per-node stripe deletions skipped because the node was unreachable; the stale keys are orphans under a dead file ID.", nil),
-		ecReconstructs: counterOr(reg, "memfss_fs_ec_reconstructs_total",
+		ecReconstructs: reg.Counter("memfss_fs_ec_reconstructs_total",
 			"Erasure stripe reads served by Reed-Solomon reconstruction (a data shard missing, stale, or slower than the hedge).", nil),
-		ecGenConflicts: counterOr(reg, "memfss_fs_ec_generation_conflicts_total",
+		ecGenConflicts: reg.Counter("memfss_fs_ec_generation_conflicts_total",
 			"Erasure stripe inspections that observed shards from more than one write generation.", nil),
 		ecHedged: hedged,
 	}
@@ -174,13 +160,12 @@ func (fs *FileSystem) Counters() Counters {
 }
 
 // Metrics snapshots the FileSystem's full telemetry registry (every
-// family: core, kvstore, health, repair), or nil when telemetry is
-// disabled. For Prometheus text exposition use ObsRegistry with
-// obs.Handler / WritePrometheus.
+// family: core, kvstore, health, repair). For Prometheus text exposition
+// use ObsRegistry with obs.Handler / WritePrometheus.
 func (fs *FileSystem) Metrics() []obs.FamilySnapshot {
-	return fs.obsReg.Snapshot()
+	return fs.obs.reg.Snapshot()
 }
 
-// ObsRegistry returns the telemetry registry (nil when disabled) so
-// embedders like memfsd can serve it or fold their own families in.
-func (fs *FileSystem) ObsRegistry() *obs.Registry { return fs.obsReg }
+// ObsRegistry returns the telemetry registry so embedders like memfsd can
+// serve it or fold their own families in.
+func (fs *FileSystem) ObsRegistry() *obs.Registry { return fs.obs.reg }

@@ -15,16 +15,15 @@ import (
 
 // This file holds the FileSystem-level telemetry beyond plain counters:
 // end-to-end and per-stripe latency histograms, span outcome counters,
-// and per-operation tracing. Each WriteAt/ReadAt carries an optional
-// *opTrace down through its spans to the retry layer; phases record
+// and per-operation tracing. Each WriteAt/ReadAt carries an *opTrace
+// down through its spans to the retry layer; phases record
 // which node served which stripe, in which class, with how many
 // connection attempts, and how long it took. Operations slower than the
 // configured threshold emit one structured log line naming all of it —
 // the "where did my write spend its time" answer the paper's
 // per-node-class evaluation needs.
 
-// fsObs bundles the telemetry the FileSystem only has when the obs layer
-// is enabled. A nil *fsObs (telemetry disabled) no-ops everywhere.
+// fsObs bundles the FileSystem-level telemetry on top of its registry.
 type fsObs struct {
 	reg *obs.Registry
 
@@ -70,7 +69,7 @@ type fsObs struct {
 	scrubRest  *obs.Counter
 }
 
-// newFSObs builds the enabled-telemetry bundle; reg must be non-nil.
+// newFSObs builds the telemetry bundle on reg.
 func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 	const opHelp = "End-to-end WriteAt/ReadAt latency."
 	const stripeHelp = "Per-stripe store operation latency by node class."
@@ -115,14 +114,11 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 	if o.logf == nil {
 		o.logf = log.Printf
 	}
-	if !pol.DisableTracing {
-		o.tracer = trace.New(trace.Config{
-			Capacity:      pol.TraceCapacity,
-			SampleEvery:   pol.TraceSampleEvery,
-			SlowThreshold: o.slowThr,
-		})
-	}
-	o.journal = trace.NewJournal(pol.EventCapacity)
+	o.tracer = trace.New(trace.Config{
+		SampleEvery:   pol.TraceSampleEvery,
+		SlowThreshold: o.slowThr,
+	})
+	o.journal = trace.NewJournal(0)
 	// Pre-register the outcome and slow-op families so /metrics shows
 	// them before any traffic — including the degraded outcomes, so
 	// dashboards can alert on them from zero instead of discovering the
@@ -136,30 +132,9 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 	return o
 }
 
-// ecReconstructHist returns the erasure reconstruction-latency histogram;
-// nil-safe on a nil receiver.
-func (o *fsObs) ecReconstructHist() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.ecRebuild
-}
-
-// ecEncodeHist returns the erasure encode-latency histogram; nil-safe on
-// a nil receiver.
-func (o *fsObs) ecEncodeHist() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.ecEncode
-}
-
 // stripeHist resolves the per-stripe histogram for an op ("write"/"read")
-// and class; nil-safe on a nil receiver.
+// and class.
 func (o *fsObs) stripeHist(op, class string) *obs.Histogram {
-	if o == nil {
-		return nil
-	}
 	if op == "write" {
 		if class == "victim" {
 			return o.stripeWriteVictim
@@ -175,9 +150,6 @@ func (o *fsObs) stripeHist(op, class string) *obs.Histogram {
 // outcome resolves (registering lazily) the span-outcome counter for
 // op in write|read and outcome in ok|retry|degraded|error|deep.
 func (o *fsObs) outcome(op, outcome string) *obs.Counter {
-	if o == nil {
-		return nil
-	}
 	key := op + "/" + outcome
 	if c, ok := o.outcomes.Load(key); ok {
 		return c.(*obs.Counter)
@@ -190,11 +162,8 @@ func (o *fsObs) outcome(op, outcome string) *obs.Counter {
 }
 
 // evacPhase resolves (registering lazily) the duration histogram for one
-// evacuation phase in fence|drain|detach|sweep|release; nil-safe.
+// evacuation phase in fence|drain|detach|sweep|release.
 func (o *fsObs) evacPhase(phase string) *obs.Histogram {
-	if o == nil {
-		return nil
-	}
 	if h, ok := o.evacPhases.Load(phase); ok {
 		return h.(*obs.Histogram)
 	}
@@ -205,9 +174,9 @@ func (o *fsObs) evacPhase(phase string) *obs.Histogram {
 	return h
 }
 
-// evacReport folds one finished evacuation into the registry; nil-safe.
+// evacReport folds one finished evacuation into the registry.
 func (o *fsObs) evacReport(rep *EvacReport) {
-	if o == nil || rep == nil {
+	if rep == nil {
 		return
 	}
 	o.evacs.Inc()
@@ -219,9 +188,9 @@ func (o *fsObs) evacReport(rep *EvacReport) {
 	}
 }
 
-// drainReport folds one finished partial drain into the registry; nil-safe.
+// drainReport folds one finished partial drain into the registry.
 func (o *fsObs) drainReport(rep *DrainReport) {
-	if o == nil || rep == nil {
+	if rep == nil {
 		return
 	}
 	o.drains.Inc()
@@ -229,9 +198,6 @@ func (o *fsObs) drainReport(rep *DrainReport) {
 }
 
 func (o *fsObs) slowCounter(op string) *obs.Counter {
-	if o == nil {
-		return nil
-	}
 	if c, ok := o.slowOps.Load(op); ok {
 		return c.(*obs.Counter)
 	}
@@ -243,35 +209,13 @@ func (o *fsObs) slowCounter(op string) *obs.Counter {
 
 // --- per-operation tracing --------------------------------------------------
 
-// note records a flight-recorder event; nil-safe.
+// note records a flight-recorder event.
 func (o *fsObs) note(typ, node, detail string, id trace.ID) {
-	if o == nil {
-		return
-	}
 	o.journal.Note(typ, node, detail, id)
 }
 
-// traces returns the retained-trace store; nil-safe (nil when disabled).
-func (o *fsObs) traces() *trace.Store {
-	if o == nil {
-		return nil
-	}
-	return o.tracer.Store()
-}
-
-// events returns the flight recorder; nil-safe (nil when disabled).
-func (o *fsObs) events() *trace.Journal {
-	if o == nil {
-		return nil
-	}
-	return o.journal
-}
-
-// noteQuota journals a tenant quota/pacing rejection; nil-safe.
+// noteQuota journals a tenant quota/pacing rejection.
 func (o *fsObs) noteQuota(tenant, detail string, id trace.ID) {
-	if o == nil {
-		return
-	}
 	ev := trace.Event{Type: "quota", Tenant: tenant, Detail: detail}
 	if id != 0 {
 		ev.Trace = id.String()
@@ -281,7 +225,7 @@ func (o *fsObs) noteQuota(tenant, detail string, id trace.ID) {
 
 // recordNodeErr remembers the trace that last saw node fail a store op.
 func (o *fsObs) recordNodeErr(node string, id trace.ID) {
-	if o == nil || node == "" || id == 0 {
+	if node == "" || id == 0 {
 		return
 	}
 	o.nodeErr.Store(node, id)
@@ -290,9 +234,6 @@ func (o *fsObs) recordNodeErr(node string, id trace.ID) {
 // lastNodeTrace returns the trace that last witnessed node failing, so a
 // health transition event can link the operation that saw it die.
 func (o *fsObs) lastNodeTrace(node string) trace.ID {
-	if o == nil {
-		return 0
-	}
 	if v, ok := o.nodeErr.Load(node); ok {
 		return v.(trace.ID)
 	}
@@ -303,8 +244,9 @@ func (o *fsObs) lastNodeTrace(node string) trace.ID {
 // recorder grew into a real hierarchy: root op span -> per-stripe spans
 // (created lazily on first touch) -> store-op spans -> per-connection-
 // attempt spans, plus side legs for repair enqueues and EC
-// reconstruction. All methods are nil-safe: a nil trace (telemetry
-// disabled) costs one branch per call site.
+// reconstruction. t is nil for work that runs outside any operation
+// (Scrub/RepairFile's gathers): internal/obs/trace no-ops on a nil
+// *Trace, so such an opTrace records nothing.
 type opTrace struct {
 	o *fsObs
 	t *trace.Trace
@@ -319,11 +261,8 @@ type opTrace struct {
 	stripes map[int64]trace.Span
 }
 
-// newTrace starts a trace for one operation, or nil when telemetry is off.
+// newTrace starts a trace for one operation.
 func (fs *FileSystem) newTrace(op, path string, off int64, n int) *opTrace {
-	if fs.obs == nil {
-		return nil
-	}
 	return &opTrace{
 		o:     fs.obs,
 		t:     fs.obs.tracer.Start(op, path, off, n),
@@ -335,21 +274,11 @@ func (fs *FileSystem) newTrace(op, path string, off int64, n int) *opTrace {
 	}
 }
 
-// traceID returns the operation's trace ID (0 when tracing is off).
-func (t *opTrace) traceID() trace.ID {
-	if t == nil {
-		return 0
-	}
-	return t.t.ID()
-}
+// traceID returns the operation's trace ID (0 outside an operation).
+func (t *opTrace) traceID() trace.ID { return t.t.ID() }
 
 // markDegraded flags the trace for unconditional retention.
-func (t *opTrace) markDegraded() {
-	if t == nil {
-		return
-	}
-	t.t.MarkDegraded()
-}
+func (t *opTrace) markDegraded() { t.t.MarkDegraded() }
 
 // stripeSpan returns the parent span for ops on one stripe: the root for
 // pipeline bursts (stripe < 0), else a per-stripe span opened on first
@@ -392,9 +321,6 @@ func (t *opTrace) noteErr(node, outcome string) {
 // operations into per-attempt child spans (attempt i's duration excludes
 // backoff sleeps; every attempt but the last ended in a retry).
 func (t *opTrace) phaseOp(stripe int64, node, class string, st kvstore.OpStat, outcome string) {
-	if t == nil {
-		return
-	}
 	sp := t.stripeSpan(stripe).Record(storeSpanName(stripe), node, class, stripe, st.Attempts, st.Dur, outcome)
 	if st.Attempts > 1 {
 		n := st.Attempts
@@ -414,18 +340,10 @@ func (t *opTrace) phaseOp(stripe int64, node, class string, st kvstore.OpStat, o
 
 // leg opens a named side leg under the root span (repair enqueue, EC
 // reconstruction, deep probe); callers close it with End/EndOutcome.
-func (t *opTrace) leg(name string) trace.Span {
-	if t == nil {
-		return trace.Span{}
-	}
-	return t.t.Root().Child(name)
-}
+func (t *opTrace) leg(name string) trace.Span { return t.t.Root().Child(name) }
 
 // recLeg records an already-measured side leg under the root span.
 func (t *opTrace) recLeg(name string, dur time.Duration, outcome string) {
-	if t == nil {
-		return
-	}
 	t.t.Root().Record(name, "", "", -1, 0, dur, outcome)
 }
 
@@ -433,9 +351,6 @@ func (t *opTrace) recLeg(name string, dur time.Duration, outcome string) {
 // launched fetches beyond its first k: waited is how long the gather had
 // run by then, reason what made it (miss | error | stale | slow).
 func (t *opTrace) hedgeLeg(stripe int64, waited time.Duration, reason string) {
-	if t == nil {
-		return
-	}
 	t.stripeSpan(stripe).Record("hedge", "", "", stripe, 0, waited, reason)
 }
 
@@ -443,12 +358,7 @@ func (t *opTrace) hedgeLeg(stripe int64, waited time.Duration, reason string) {
 // (QoS admission denial): the errored trace is retained for forensics but
 // the op never ran, so it stays out of the latency histograms and the
 // slow-op log.
-func (t *opTrace) abort(err error) {
-	if t == nil {
-		return
-	}
-	t.t.Finish(err)
-}
+func (t *opTrace) abort(err error) { t.t.Finish(err) }
 
 // finishTrace closes the trace: observe the end-to-end histogram (with
 // the trace ID as its exemplar), run the tail-sampling retention
@@ -458,9 +368,6 @@ func (t *opTrace) abort(err error) {
 // histograms but disables slow retention and the log line.
 func (fs *FileSystem) finishTrace(t *opTrace, spans int, err error) {
 	o := fs.obs
-	if o == nil || t == nil {
-		return
-	}
 	data, _ := t.t.Finish(err)
 	elapsed := time.Since(t.start)
 	hist := o.readSeconds

@@ -29,11 +29,9 @@ var ErrUnavailable = errors.New("kvstore: store unavailable")
 // concurrent use: up to poolSize requests proceed in parallel, each on its
 // own authenticated connection. Connections are created lazily.
 //
-// The pool is sharded: connections live in per-shard sub-pools, each with
-// its own mutex, and checkouts start at a round-robin shard and steal from
-// neighbors when their own is empty. Concurrent pipelines to the same node
-// therefore no longer serialize on one pool lock — the multiplexing that
-// lets a saturated workload actually use all N connections.
+// The pool is one mutex over a stack of idle connections and a count of
+// live ones: a checkout holds the lock for a pop, and the round trip that
+// follows it costs three orders of magnitude more.
 type Client struct {
 	addr        string
 	password    string
@@ -58,30 +56,21 @@ type Client struct {
 	probeHist   *obs.Histogram
 	opHists     sync.Map // command verb -> *obs.Histogram
 
-	shards []connShard
-	rr     atomic.Uint32
-	closed atomic.Bool
-	waitCh chan struct{}
-}
-
-// connShard is one sub-pool of connections. cap bounds connections this
-// shard may hold; the shard caps sum to the client's PoolSize.
-type connShard struct {
-	mu    sync.Mutex
-	idle  []*clientConn
-	total int
-	cap   int
-	_     [64]byte // keep neighboring shard locks off one cache line
+	poolSize int
+	poolMu   sync.Mutex
+	idle     []*clientConn // most recently returned last
+	total    int           // live connections: idle, checked out, or dialing
+	closed   atomic.Bool
+	waitCh   chan struct{}
 }
 
 // clientConn is one pooled connection. Its encoder owns a persistent
 // header arena, so single-command round trips reuse the same buffer for
 // the life of the connection — no pool traffic at all on that path.
 type clientConn struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	enc   wireEnc
-	shard int
+	conn net.Conn
+	br   *bufio.Reader
+	enc  wireEnc
 }
 
 // startOp arms the round-trip deadline and resets the connection's
@@ -184,24 +173,8 @@ func Dial(addr string, opts DialOptions) *Client {
 		maxDelay:    opts.MaxDelay,
 		opTimeout:   opts.OpTimeout,
 		observer:    opts.Observer,
+		poolSize:    opts.PoolSize,
 		waitCh:      make(chan struct{}, 1),
-	}
-	// One shard per ~2 connections, capped at 8: enough lock spread to
-	// stop checkout serialization, few enough that work-stealing scans
-	// stay cheap. Shard caps sum exactly to PoolSize.
-	nsh := opts.PoolSize / 2
-	if nsh < 1 {
-		nsh = 1
-	}
-	if nsh > 8 {
-		nsh = 8
-	}
-	c.shards = make([]connShard, nsh)
-	for i := range c.shards {
-		c.shards[i].cap = opts.PoolSize / nsh
-		if i < opts.PoolSize%nsh {
-			c.shards[i].cap++
-		}
 	}
 	if opts.Metrics != nil {
 		node := opts.Node
@@ -268,62 +241,47 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		idle := s.idle
-		s.idle = nil
-		s.total -= len(idle)
-		s.mu.Unlock()
-		for _, cc := range idle {
-			cc.conn.Close()
-		}
+	c.poolMu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.total -= len(idle)
+	c.poolMu.Unlock()
+	for _, cc := range idle {
+		cc.conn.Close()
 	}
 	c.signal() // wake a blocked waiter so it observes closed
 	return nil
 }
 
-// getConn checks out a connection: first an idle one from any shard
-// (starting round-robin, stealing from neighbors), then fresh capacity in
-// any shard, and only then blocks for a return.
+// getConn checks out a connection: an idle one if there is one, a fresh
+// one while the pool is under PoolSize, and only then blocks for a return.
 func (c *Client) getConn() (*clientConn, error) {
-	n := len(c.shards)
-	start := int(c.rr.Add(1)) % n
 	for {
 		if c.closed.Load() {
 			return nil, ErrClosed
 		}
-		for i := 0; i < n; i++ {
-			s := &c.shards[(start+i)%n]
-			s.mu.Lock()
-			if k := len(s.idle); k > 0 {
-				cc := s.idle[k-1]
-				s.idle[k-1] = nil
-				s.idle = s.idle[:k-1]
-				s.mu.Unlock()
-				return cc, nil
-			}
-			s.mu.Unlock()
+		c.poolMu.Lock()
+		if k := len(c.idle); k > 0 {
+			cc := c.idle[k-1]
+			c.idle[k-1] = nil
+			c.idle = c.idle[:k-1]
+			c.poolMu.Unlock()
+			return cc, nil
 		}
-		for i := 0; i < n; i++ {
-			idx := (start + i) % n
-			s := &c.shards[idx]
-			s.mu.Lock()
-			if s.total < s.cap {
-				s.total++
-				s.mu.Unlock()
-				cc, err := c.dialConn(idx)
-				if err != nil {
-					s.mu.Lock()
-					s.total--
-					s.mu.Unlock()
-					c.signal()
-					return nil, err
-				}
-				return cc, nil
+		if c.total < c.poolSize {
+			c.total++
+			c.poolMu.Unlock()
+			cc, err := c.dialConn()
+			if err != nil {
+				c.poolMu.Lock()
+				c.total--
+				c.poolMu.Unlock()
+				c.signal()
+				return nil, err
 			}
-			s.mu.Unlock()
+			return cc, nil
 		}
+		c.poolMu.Unlock()
 		select {
 		case <-c.waitCh:
 		case <-time.After(c.timeout):
@@ -340,31 +298,24 @@ func (c *Client) signal() {
 }
 
 func (c *Client) putConn(cc *clientConn, broken bool) {
-	s := &c.shards[cc.shard]
+	c.poolMu.Lock()
 	if broken || c.closed.Load() {
-		s.mu.Lock()
-		s.total--
-		s.mu.Unlock()
+		c.total--
+		c.poolMu.Unlock()
 		cc.conn.Close()
-		c.signal()
-		return
+	} else {
+		c.idle = append(c.idle, cc)
+		c.poolMu.Unlock()
 	}
-	s.mu.Lock()
-	s.idle = append(s.idle, cc)
-	s.mu.Unlock()
 	c.signal()
 }
 
-func (c *Client) dialConn(shard int) (*clientConn, error) {
+func (c *Client) dialConn() (*clientConn, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: dial %s: %w", c.addr, err)
 	}
-	cc := &clientConn{
-		conn:  conn,
-		br:    bufio.NewReaderSize(conn, 64<<10),
-		shard: shard,
-	}
+	cc := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
 	if c.password != "" {
 		reply, err := cc.roundTrip(c.timeout, verbAuth, []byte(c.password))
 		if err != nil {
@@ -675,36 +626,6 @@ func (c *Client) GetStat(key string, st *OpStat) (value []byte, ok bool, err err
 		cc.enc.argString("GET")
 		cc.enc.argString(key)
 		if err := cc.enc.writeTo(cc.conn); err != nil {
-			return err
-		}
-		v, k, msg, err := readBulkReplyAlloc(cc.br)
-		if err != nil {
-			return err
-		}
-		value, ok, errMsg = v, k, msg
-		return nil
-	})
-	if rerr != nil {
-		return nil, false, rerr
-	}
-	if errMsg != "" {
-		return nil, false, replyError(errMsg)
-	}
-	return value, ok, nil
-}
-
-// GetRange fetches length bytes at offset of key's value. The value is a
-// fresh allocation owned by the caller; use GetRangeInto to decode
-// straight into an existing buffer instead.
-func (c *Client) GetRange(key string, offset, length int64) (value []byte, ok bool, err error) {
-	return c.GetRangeStat(key, offset, length, nil)
-}
-
-// GetRangeStat is GetRange with an optional OpStat out-param.
-func (c *Client) GetRangeStat(key string, offset, length int64, st *OpStat) (value []byte, ok bool, err error) {
-	var errMsg string
-	rerr := c.withRetry("GETRANGE", 0, st, func(cc *clientConn) error {
-		if err := cc.sendGetRange(c.timeout, key, offset, length); err != nil {
 			return err
 		}
 		v, k, msg, err := readBulkReplyAlloc(cc.br)

@@ -10,14 +10,44 @@ import (
 	"testing"
 )
 
-// wire encodes with one of the package's Write* helpers into a byte slice.
-func wire(write func(bw *bufio.Writer) error) []byte {
+// wire returns the bytes the shipping encoder puts on a connection for
+// what build queues on it.
+func wire(build func(e *wireEnc)) []byte {
+	var e wireEnc
+	build(&e)
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := write(bw); err != nil {
+	if err := e.writeTo(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// command frames args the way the client does (roundTrip, Pipeline).
+func command(args ...[]byte) []byte {
+	return wire(func(e *wireEnc) {
+		e.beginCommand(len(args))
+		for _, a := range args {
+			e.argBytes(a)
+		}
+	})
+}
+
+// arrayReply frames items the way the server's replyWriter does; a nil
+// item is the nil bulk.
+func arrayReply(e *wireEnc, items [][]byte) {
+	e.arrayHeader(len(items))
+	for _, it := range items {
+		if it == nil {
+			e.nilBulk()
+		} else {
+			e.argBytes(it)
+		}
+	}
+}
+
+// readCommand decodes one command from in with the server's decoder.
+func readCommand(in []byte) ([][]byte, error) {
+	return (&cmdReader{br: bufio.NewReader(bytes.NewReader(in))}).next()
 }
 
 // allocated reports the heap bytes fn allocated (the fuzz worker runs one
@@ -30,12 +60,21 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// decodeBudget bounds what decoding one frame from in may allocate: the
-// argument slice of the largest legal array, one bulk of the largest
-// legal declared length (allocated before its bytes are known to exist),
-// the bytes actually present, and bufio's own buffer.
+// decodeBudget bounds what decoding one reply from in may allocate: the
+// item slice of the largest legal array, one bulk of the largest legal
+// declared length (allocated before its bytes are known to exist), the
+// bytes actually present, and bufio's own buffer.
 func decodeBudget(in []byte) uint64 {
 	return 24*maxArrayLen + maxBulkLen + 2*uint64(len(in)) + 1<<20
+}
+
+// commandBudget is decodeBudget for the server's cmdReader: it keeps an
+// offset pair beside each argument's slice header, and its one argument
+// buffer grows by doubling — the buffers that bytes really arrived in sum
+// to under 4x the input, and the last growth (for a declared bulk that may
+// not be there) adds at most as much again or the largest legal bulk.
+func commandBudget(in []byte) uint64 {
+	return (24+16)*maxArrayLen + maxBulkLen + 8*uint64(len(in)) + 1<<20
 }
 
 // malformedFrames seeds both fuzz targets with the frames the decoder
@@ -44,34 +83,34 @@ var malformedFrames = []string{
 	"", "\r\n", "*", "$", "+OK\n", "*1\r\n$3\r\nab", "$3\r\nabcXY", "*2\r\n$1\r\na\r\n$-1\r\n",
 	"$67108865\r\n", "*1048577\r\n", "*-1\r\n", "$-2\r\n", ":9223372036854775808\r\n",
 	"*1\r\n:1\r\n", "$1x\r\n", "?what\r\n",
+	// The largest legal array of the largest legal bulk, none of it there:
+	// the frame that comes closest to the allocation budgets.
+	"*1048576\r\n$67108864\r\n",
 }
 
-// FuzzReadCommand feeds arbitrary bytes to the server-side command
-// decoder. It must never panic, must fail only with a protocol error or
-// an I/O error for a short frame, must stay inside decodeBudget whatever
-// lengths the frame declares, and whatever it accepts must re-encode to a
-// frame that decodes to the same arguments.
+// FuzzReadCommand feeds arbitrary bytes to the server's command decoder
+// (cmdReader.next, what serveConn parses every connection with). It must
+// never panic, must fail only with a protocol error or an I/O error for a
+// short frame, must stay inside commandBudget whatever lengths the frame
+// declares, and whatever it accepts must re-encode — with the client's
+// encoder — to a frame that decodes to the same arguments.
 func FuzzReadCommand(f *testing.F) {
-	f.Add(wire(func(bw *bufio.Writer) error { return WriteCommand(bw, []byte("PING")) }))
-	f.Add(wire(func(bw *bufio.Writer) error {
-		return WriteCommand(bw, []byte("SET"), []byte("key"), []byte("val\r\nwith crlf"))
-	}))
-	f.Add(wire(func(bw *bufio.Writer) error {
-		return WriteCommand(bw, []byte("GETRANGE"), []byte("data:7:0/s3"), []byte("0"), []byte("262162"))
-	}))
-	f.Add(wire(func(bw *bufio.Writer) error { return WriteCommand(bw, []byte("SET"), []byte("k"), []byte{}) }))
+	f.Add(command([]byte("PING")))
+	f.Add(command([]byte("SET"), []byte("key"), []byte("val\r\nwith crlf")))
+	f.Add(command([]byte("GETRANGE"), []byte("data:7:0/s3"), []byte("0"), []byte("262162")))
+	f.Add(command([]byte("SET"), []byte("k"), []byte{}))
 	for _, s := range malformedFrames {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var args [][]byte
 		var err error
-		if n := allocated(func() { args, err = ReadCommand(bufio.NewReader(bytes.NewReader(in))) }); n > decodeBudget(in) {
+		if n := allocated(func() { args, err = readCommand(in) }); n > commandBudget(in) {
 			t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(in), n)
 		}
 		if err != nil {
 			if !errors.Is(err, errProtocol) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("ReadCommand error %v is neither a protocol error nor a short frame", err)
+				t.Fatalf("cmdReader.next error %v is neither a protocol error nor a short frame", err)
 			}
 			return
 		}
@@ -85,8 +124,7 @@ func FuzzReadCommand(f *testing.F) {
 		if len(args) == 0 || total > len(in) {
 			t.Fatalf("%d args of %d bytes out of a %d-byte frame", len(args), total, len(in))
 		}
-		again, err := ReadCommand(bufio.NewReader(bytes.NewReader(
-			wire(func(bw *bufio.Writer) error { return WriteCommand(bw, args...) }))))
+		again, err := readCommand(command(args...))
 		if err != nil || !reflect.DeepEqual(again, args) {
 			t.Fatalf("re-encoded command decodes to %q (err %v), want %q", again, err, args)
 		}
@@ -99,16 +137,16 @@ func FuzzReadCommand(f *testing.F) {
 // re-encode; and readBulkReplyInto must agree with readBulkReplyAlloc
 // while writing nothing past len(dst).
 func FuzzReadReply(f *testing.F) {
-	for _, w := range []func(bw *bufio.Writer) error{
-		func(bw *bufio.Writer) error { return WriteSimple(bw, "OK") },
-		func(bw *bufio.Writer) error { return WriteError(bw, "ERR boom") },
-		func(bw *bufio.Writer) error { return WriteError(bw, "OOM store over its memory cap") },
-		func(bw *bufio.Writer) error { return WriteInt(bw, -42) },
-		func(bw *bufio.Writer) error { return WriteBulkReply(bw, []byte("data"), false) },
-		func(bw *bufio.Writer) error { return WriteBulkReply(bw, nil, true) },
-		func(bw *bufio.Writer) error { return WriteBulkReply(bw, []byte{}, false) },
-		func(bw *bufio.Writer) error { return WriteArrayReply(bw, [][]byte{[]byte("a"), nil, []byte("b")}) },
-		func(bw *bufio.Writer) error { return WriteArrayReply(bw, nil) },
+	for _, w := range []func(e *wireEnc){
+		func(e *wireEnc) { e.simple("OK") },
+		func(e *wireEnc) { e.errorReply("ERR boom") },
+		func(e *wireEnc) { e.errorReply("OOM store over its memory cap") },
+		func(e *wireEnc) { e.intReply(-42) },
+		func(e *wireEnc) { e.argBytes([]byte("data")) },
+		func(e *wireEnc) { e.nilBulk() },
+		func(e *wireEnc) { e.argBytes([]byte{}) },
+		func(e *wireEnc) { arrayReply(e, [][]byte{[]byte("a"), nil, []byte("b")}) },
+		func(e *wireEnc) { arrayReply(e, nil) },
 	} {
 		f.Add(wire(w), uint16(4))
 	}
@@ -124,21 +162,23 @@ func FuzzReadReply(f *testing.F) {
 			t.Fatalf("decoding a %d-byte reply allocated %d bytes", len(in), n)
 		}
 		if err == nil {
-			again, err := ReadReply(bufio.NewReader(bytes.NewReader(wire(func(bw *bufio.Writer) error {
-				switch r.Kind {
-				case '+':
-					return WriteSimple(bw, r.Str)
-				case '-':
-					return WriteError(bw, r.Str)
-				case ':':
-					return WriteInt(bw, r.Int)
-				case '$':
-					return WriteBulkReply(bw, r.Bulk, r.Nil)
-				case '*':
-					return WriteArrayReply(bw, r.Array)
+			again, err := ReadReply(bufio.NewReader(bytes.NewReader(wire(func(e *wireEnc) {
+				switch {
+				case r.Kind == '+':
+					e.simple(r.Str)
+				case r.Kind == '-':
+					e.errorReply(r.Str)
+				case r.Kind == ':':
+					e.intReply(r.Int)
+				case r.Kind == '$' && r.Nil:
+					e.nilBulk()
+				case r.Kind == '$':
+					e.argBytes(r.Bulk)
+				case r.Kind == '*':
+					arrayReply(e, r.Array)
+				default:
+					t.Fatalf("accepted reply of kind %q", r.Kind)
 				}
-				t.Fatalf("accepted reply of kind %q", r.Kind)
-				return nil
 			}))))
 			if err != nil || !reflect.DeepEqual(again, r) {
 				t.Fatalf("re-encoded reply decodes to %+v (err %v), want %+v", again, err, r)

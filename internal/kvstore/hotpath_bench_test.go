@@ -75,13 +75,14 @@ func BenchmarkWireGetRange4K(b *testing.B) {
 	if err := c.Set("bench:gr", benchPayload()); err != nil {
 		b.Fatal(err)
 	}
+	dst := make([]byte, benchPayloadSize)
 	b.ReportAllocs()
 	b.SetBytes(benchPayloadSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, ok, err := c.GetRange("bench:gr", 0, benchPayloadSize)
-		if err != nil || !ok || len(v) != benchPayloadSize {
-			b.Fatalf("getrange: ok=%v err=%v len=%d", ok, err, len(v))
+		n, ok, err := c.GetRangeInto("bench:gr", 0, benchPayloadSize, dst)
+		if err != nil || !ok || n != benchPayloadSize {
+			b.Fatalf("getrange: ok=%v err=%v len=%d", ok, err, n)
 		}
 	}
 }
@@ -127,13 +128,14 @@ func BenchmarkWirePipelineGetRange4K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	dst := make([]byte, benchPayloadSize*benchBurst)
 	b.ReportAllocs()
 	b.SetBytes(benchPayloadSize * benchBurst)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl := c.Pipeline()
-		for _, k := range keys {
-			pl.GetRange(k, 0, benchPayloadSize)
+		for j, k := range keys {
+			pl.GetRangeInto(k, 0, benchPayloadSize, dst[j*benchPayloadSize:(j+1)*benchPayloadSize])
 		}
 		replies, err := pl.Run()
 		if err != nil {

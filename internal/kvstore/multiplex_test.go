@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// Tests for the sharded connection multiplexer and the pooled-buffer
-// lifecycle: checkout under contention, mid-pipeline connection death
+// Tests for the connection pool under contention and the pooled-buffer
+// lifecycle (the TestShardedPool names predate the single-mutex pool and
+// are kept so test history stays continuous): checkout under contention, mid-pipeline connection death
 // while many pipelines are in flight, poison-on-put hygiene, and
 // tape-release balance on error paths.
 
-// TestShardedPoolConcurrentCheckout hammers one client (PoolSize 16 → 8
-// shards) from many goroutines mixing zero-copy reads, plain commands,
-// and pipelines; under -race it checks the shard bookkeeping, and the
-// data checks catch any cross-connection reply mixup.
+// TestShardedPoolConcurrentCheckout hammers one client (PoolSize 16)
+// from many goroutines mixing zero-copy reads, plain commands, and
+// pipelines; under -race it checks the pool bookkeeping, and the data
+// checks catch any cross-connection reply mixup.
 func TestShardedPoolConcurrentCheckout(t *testing.T) {
 	srv, _ := startServer(t, 0, "")
 	addr := srv.ln.Addr().String()
@@ -80,7 +81,7 @@ func TestShardedPoolConcurrentCheckout(t *testing.T) {
 // TestShardedPoolMidConnectionDeathStress mirrors the PR 1 mid-pipeline
 // death test at multiplexed concurrency: the first several connections
 // die after two replies while many goroutines run pipelines over one
-// sharded client. Every burst must either recover on retry or fail with
+// client. Every burst must either recover on retry or fail with
 // a diagnosable error — never hang, never deliver short/mixed replies.
 func TestShardedPoolMidConnectionDeathStress(t *testing.T) {
 	addr, _ := flakyServer(t, 2, 6)
@@ -215,7 +216,7 @@ func TestPipelineTapeReleaseBalance(t *testing.T) {
 	// Success path.
 	pl := cli.Pipeline()
 	pl.Set("bal:a", []byte("v"))
-	pl.Get("bal:a")
+	pl.GetRangeInto("bal:a", 0, 1, make([]byte, 1))
 	if _, err := pl.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestPipelineTapeReleaseBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl = cli.Pipeline()
-	pl.Get("bal:set")
+	pl.GetRangeInto("bal:set", 0, 1, make([]byte, 1))
 	if _, err := pl.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,6 @@ func (p *Pipeline) endCmd(dst []byte, into bool) {
 	p.n++
 }
 
-// Do queues one raw command.
-func (p *Pipeline) Do(args ...[]byte) {
-	e := p.tape()
-	e.beginCommand(len(args))
-	for _, a := range args {
-		e.argBytes(a)
-	}
-	p.endCmd(nil, false)
-}
-
 // Set queues a SET.
 func (p *Pipeline) Set(key string, value []byte) {
 	e := p.tape()
@@ -85,38 +75,19 @@ func (p *Pipeline) SetNX(key string, value []byte) {
 	p.endCmd(nil, false)
 }
 
-// Get queues a GET.
-func (p *Pipeline) Get(key string) {
-	e := p.tape()
-	e.beginCommand(2)
-	e.argString("GET")
-	e.argString(key)
-	p.endCmd(nil, false)
-}
-
-// GetRange queues a GETRANGE whose reply payload is freshly allocated.
-func (p *Pipeline) GetRange(key string, offset, length int64) {
-	p.sendRange(key, offset, length)
-	p.endCmd(nil, false)
-}
-
 // GetRangeInto queues a GETRANGE whose reply payload decodes directly
 // into dst (len(dst) >= length) — the zero-copy burst read. The reply's
 // Bulk aliases dst, truncated to the bytes actually returned; dst must
 // stay valid until Run returns, and on a failed Run its contents are
 // undefined.
 func (p *Pipeline) GetRangeInto(key string, offset, length int64, dst []byte) {
-	p.sendRange(key, offset, length)
-	p.endCmd(dst[:length], true)
-}
-
-func (p *Pipeline) sendRange(key string, offset, length int64) {
 	e := p.tape()
 	e.beginCommand(4)
 	e.argString("GETRANGE")
 	e.argString(key)
 	e.argInt(offset)
 	e.argInt(length)
+	p.endCmd(dst[:length], true)
 }
 
 // SetRange queues a SETRANGE.
@@ -150,15 +121,6 @@ func (p *Pipeline) DelVal(key string, value []byte) {
 	e.argString("DELVAL")
 	e.argString(key)
 	e.argBytes(value)
-	p.endCmd(nil, false)
-}
-
-// Exists queues an EXISTS.
-func (p *Pipeline) Exists(key string) {
-	e := p.tape()
-	e.beginCommand(2)
-	e.argString("EXISTS")
-	e.argString(key)
 	p.endCmd(nil, false)
 }
 
@@ -246,16 +208,6 @@ func (p *Pipeline) roundTrip(cc *clientConn, timeout time.Duration) ([]*Reply, e
 		out[i] = r
 	}
 	return out, nil
-}
-
-// MSet stores every pair atomically in one round trip.
-func (c *Client) MSet(pairs []KV) error {
-	args := make([][]byte, 1, 1+2*len(pairs))
-	args[0] = []byte("MSET")
-	for _, kv := range pairs {
-		args = append(args, []byte(kv.Key), kv.Value)
-	}
-	return c.doSimple(args...)
 }
 
 // MGet fetches every key in one round trip; missing keys yield nil

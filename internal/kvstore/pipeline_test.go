@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 
@@ -18,10 +17,10 @@ func TestPipelineBasic(t *testing.T) {
 	pl := cli.Pipeline()
 	pl.Set("a", []byte("1"))
 	pl.Set("b", []byte("2"))
-	pl.Get("a")
-	pl.Get("missing")
+	pl.GetRangeInto("a", 0, 8, make([]byte, 8))
+	pl.GetRangeInto("missing", 0, 8, make([]byte, 8))
 	pl.Del("b")
-	pl.Exists("a")
+	pl.SetNX("a", []byte("3"))
 	replies, err := pl.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -33,13 +32,13 @@ func TestPipelineBasic(t *testing.T) {
 		t.Fatalf("SET replies: %+v %+v", replies[0], replies[1])
 	}
 	if string(replies[2].Bulk) != "1" {
-		t.Fatalf("GET a = %q", replies[2].Bulk)
+		t.Fatalf("GETRANGE a = %q", replies[2].Bulk)
 	}
 	if !replies[3].Nil {
-		t.Fatalf("GET missing = %+v", replies[3])
+		t.Fatalf("GETRANGE missing = %+v", replies[3])
 	}
-	if replies[4].Int != 1 || replies[5].Int != 1 {
-		t.Fatalf("DEL/EXISTS = %+v %+v", replies[4], replies[5])
+	if replies[4].Int != 1 || replies[5].Int != 0 {
+		t.Fatalf("DEL/SETNX = %+v %+v", replies[4], replies[5])
 	}
 	// The queue drains on success; a reused pipeline starts empty.
 	if pl.Len() != 0 {
@@ -57,8 +56,8 @@ func TestPipelineErrorRepliesDoNotAbortBurst(t *testing.T) {
 	}
 	pl := cli.Pipeline()
 	pl.Set("ok-key", []byte("v"))
-	pl.Get("set-key") // WRONGTYPE
-	pl.Get("ok-key")
+	pl.GetRangeInto("set-key", 0, 1, make([]byte, 1)) // WRONGTYPE
+	pl.GetRangeInto("ok-key", 0, 1, make([]byte, 1))
 	replies, err := pl.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -74,15 +73,14 @@ func TestPipelineErrorRepliesDoNotAbortBurst(t *testing.T) {
 	}
 }
 
+// TestMSetMGetDelPrefixOverWire covers the two batched verbs that ship,
+// MGET and DELPREFIX (its name predates MSET's removal).
 func TestMSetMGetDelPrefixOverWire(t *testing.T) {
 	srv, cli := startServer(t, 0, "")
-	pairs := []KV{
-		{Key: "data:f#0", Value: []byte("s0")},
-		{Key: "data:f#1", Value: []byte("s1")},
-		{Key: "meta:x", Value: []byte("m")},
-	}
-	if err := cli.MSet(pairs); err != nil {
-		t.Fatal(err)
+	for k, v := range map[string]string{"data:f#0": "s0", "data:f#1": "s1", "meta:x": "m"} {
+		if err := cli.Set(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	vals, err := cli.MGet("data:f#0", "ghost", "data:f#1")
 	if err != nil {
@@ -97,38 +95,6 @@ func TestMSetMGetDelPrefixOverWire(t *testing.T) {
 	}
 	if st := srv.Store().Stats(); st.NumKeys != 1 {
 		t.Fatalf("NumKeys after DelPrefix = %d", st.NumKeys)
-	}
-}
-
-func TestMSetAtomicUnderCap(t *testing.T) {
-	// Batch delta exceeds the cap: nothing may be stored, and the memory
-	// accounting must be untouched.
-	srv, cli := startServer(t, 300, "")
-	before := srv.Store().Stats().BytesUsed
-	err := cli.MSet([]KV{
-		{Key: "a", Value: make([]byte, 50)},
-		{Key: "b", Value: make([]byte, 400)},
-	})
-	if err == nil || !strings.Contains(err.Error(), "OOM") {
-		t.Fatalf("expected OOM, got %v", err)
-	}
-	st := srv.Store().Stats()
-	if st.NumKeys != 0 || st.BytesUsed != before {
-		t.Fatalf("partial MSET applied: %+v", st)
-	}
-}
-
-func TestMSetDuplicateKeysLastWins(t *testing.T) {
-	_, cli := startServer(t, 0, "")
-	if err := cli.MSet([]KV{
-		{Key: "k", Value: []byte("first")},
-		{Key: "k", Value: []byte("second")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := cli.Get("k")
-	if err != nil || !ok || string(v) != "second" {
-		t.Fatalf("Get = %q %v %v", v, ok, err)
 	}
 }
 
@@ -154,7 +120,7 @@ func TestClientConcurrentPipelineStress(t *testing.T) {
 					pl.Set(fmt.Sprintf("g%d-k%d", g, j), []byte{byte(i)})
 				}
 				for j := 0; j < 8; j++ {
-					pl.Get(fmt.Sprintf("g%d-k%d", g, j))
+					pl.GetRangeInto(fmt.Sprintf("g%d-k%d", g, j), 0, 1, make([]byte, 1))
 				}
 				replies, err := pl.Run()
 				if err != nil {
@@ -203,11 +169,11 @@ func flakyServer(t *testing.T, replyLimit int, failConns int32) (addr string, st
 			n := atomic.AddInt32(&conns, 1)
 			go func(conn net.Conn, failing bool) {
 				defer conn.Close()
-				br := bufio.NewReader(conn)
+				cr := newCmdReader(conn)
 				rw := &replyWriter{conn: conn}
 				replies := 0
 				for {
-					args, err := ReadCommand(br)
+					args, err := cr.next()
 					if err != nil {
 						return
 					}
@@ -316,7 +282,7 @@ func TestPipelineBinaryBurst(t *testing.T) {
 		pl.Set(fmt.Sprintf("bin%d", i), payload)
 	}
 	for i := 0; i < n; i++ {
-		pl.Get(fmt.Sprintf("bin%d", i))
+		pl.GetRangeInto(fmt.Sprintf("bin%d", i), 0, int64(len(payload)), make([]byte, len(payload)))
 	}
 	replies, err := pl.Run()
 	if err != nil {

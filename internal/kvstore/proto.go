@@ -21,10 +21,11 @@ import (
 // while nil bulks inside commands remain a protocol error.
 //
 // The protocol is pipelinable: a client may write any number of commands
-// before reading the replies, which arrive in order. The exported Write*
-// helpers flush (one command or reply per write), while the unexported
-// append* variants only buffer, letting the client batch a pipeline into
-// one flush and the server batch a burst of replies into one flush.
+// before reading the replies, which arrive in order. Both sides encode
+// with wireEnc (wire.go), which only buffers until writeTo: the client
+// batches a pipeline into one vectored write and the server a burst of
+// replies into one flush. This file holds the decoders, except the
+// server's command decoder (cmdReader in server.go).
 
 // maxBulkLen bounds a single bulk string (64 MiB) to keep a malformed or
 // hostile peer from forcing huge allocations.
@@ -263,151 +264,6 @@ func readBulkReplyAlloc(br *bufio.Reader) (b []byte, ok bool, errMsg string, err
 	return b, !isNil, "", nil
 }
 
-// ReadCommand reads one client command: an array of bulk strings. io.EOF is
-// returned unwrapped on a clean connection close before any bytes.
-func ReadCommand(br *bufio.Reader) ([][]byte, error) {
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	if len(line) == 0 || line[0] != '*' {
-		return nil, fmt.Errorf("%w: expected array, got %q", errProtocol, line)
-	}
-	n, err := parseInt(line[1:])
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > maxArrayLen {
-		return nil, fmt.Errorf("%w: array length %d out of range", errProtocol, n)
-	}
-	args := make([][]byte, n)
-	for i := range args {
-		b, isNil, err := readBulk(br)
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			return nil, fmt.Errorf("%w: nil bulk inside command", errProtocol)
-		}
-		args[i] = b
-	}
-	return args, nil
-}
-
-// WriteCommand writes a command as an array of bulk strings.
-func WriteCommand(bw *bufio.Writer, args ...[]byte) error {
-	if err := appendCommand(bw, args...); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// appendCommand buffers a command without flushing, for pipelined bursts.
-func appendCommand(bw *bufio.Writer, args ...[]byte) error {
-	if _, err := fmt.Fprintf(bw, "*%d\r\n", len(args)); err != nil {
-		return err
-	}
-	for _, a := range args {
-		if err := writeBulk(bw, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeBulk(bw *bufio.Writer, b []byte) error {
-	if _, err := fmt.Fprintf(bw, "$%d\r\n", len(b)); err != nil {
-		return err
-	}
-	if _, err := bw.Write(b); err != nil {
-		return err
-	}
-	_, err := bw.WriteString("\r\n")
-	return err
-}
-
-// WriteSimple writes a "+..." simple-string reply.
-func WriteSimple(bw *bufio.Writer, s string) error {
-	if err := appendSimple(bw, s); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func appendSimple(bw *bufio.Writer, s string) error {
-	_, err := fmt.Fprintf(bw, "+%s\r\n", s)
-	return err
-}
-
-// WriteError writes a "-..." error reply.
-func WriteError(bw *bufio.Writer, msg string) error {
-	if err := appendError(bw, msg); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func appendError(bw *bufio.Writer, msg string) error {
-	_, err := fmt.Fprintf(bw, "-%s\r\n", msg)
-	return err
-}
-
-// WriteInt writes a ":n" integer reply.
-func WriteInt(bw *bufio.Writer, n int64) error {
-	if err := appendInt(bw, n); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func appendInt(bw *bufio.Writer, n int64) error {
-	_, err := fmt.Fprintf(bw, ":%d\r\n", n)
-	return err
-}
-
-// WriteBulkReply writes a bulk reply; nil means the nil bulk ($-1).
-func WriteBulkReply(bw *bufio.Writer, b []byte, isNil bool) error {
-	if err := appendBulkReply(bw, b, isNil); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func appendBulkReply(bw *bufio.Writer, b []byte, isNil bool) error {
-	if isNil {
-		_, err := bw.WriteString("$-1\r\n")
-		return err
-	}
-	return writeBulk(bw, b)
-}
-
-// WriteArrayReply writes an array-of-bulks reply. A nil item is encoded
-// as the nil bulk (MGET's "missing key" marker).
-func WriteArrayReply(bw *bufio.Writer, items [][]byte) error {
-	if err := appendArrayReply(bw, items); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func appendArrayReply(bw *bufio.Writer, items [][]byte) error {
-	if _, err := fmt.Fprintf(bw, "*%d\r\n", len(items)); err != nil {
-		return err
-	}
-	for _, it := range items {
-		if it == nil {
-			if _, err := bw.WriteString("$-1\r\n"); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := writeBulk(bw, it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadReply reads one server reply of any kind.
 func ReadReply(br *bufio.Reader) (*Reply, error) {
 	r := new(Reply)
@@ -492,7 +348,7 @@ func readReplyInto(br *bufio.Reader, r *Reply) error {
 // lowercase verbs fall back to an allocating ToUpper.
 var verbNames = map[string]string{
 	"SET": "SET", "SETNX": "SETNX", "GET": "GET", "GETRANGE": "GETRANGE",
-	"SETRANGE": "SETRANGE", "DEL": "DEL", "MSET": "MSET", "MGET": "MGET",
+	"SETRANGE": "SETRANGE", "DEL": "DEL", "MGET": "MGET",
 	"DELPREFIX": "DELPREFIX", "EXISTS": "EXISTS", "SADD": "SADD",
 	"SREM": "SREM", "SMEMBERS": "SMEMBERS", "SCARD": "SCARD",
 	"INCR": "INCR", "KEYS": "KEYS", "KEYSN": "KEYSN", "DELVAL": "DELVAL",

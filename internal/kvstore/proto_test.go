@@ -9,17 +9,8 @@ import (
 	"testing/quick"
 )
 
-func pipePair() (*bufio.Reader, *bufio.Writer, *bytes.Buffer) {
-	var buf bytes.Buffer
-	return bufio.NewReader(&buf), bufio.NewWriter(&buf), &buf
-}
-
 func TestCommandRoundTrip(t *testing.T) {
-	br, bw, _ := pipePair()
-	if err := WriteCommand(bw, []byte("SET"), []byte("key"), []byte("val\r\nwith crlf")); err != nil {
-		t.Fatal(err)
-	}
-	args, err := ReadCommand(br)
+	args, err := readCommand(command([]byte("SET"), []byte("key"), []byte("val\r\nwith crlf")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +25,7 @@ func TestCommandRoundTripProperty(t *testing.T) {
 		if len(parts) == 0 {
 			return true
 		}
-		br, bw, _ := pipePair()
-		if err := WriteCommand(bw, parts...); err != nil {
-			return false
-		}
-		got, err := ReadCommand(br)
+		got, err := readCommand(command(parts...))
 		if err != nil || len(got) != len(parts) {
 			return false
 		}
@@ -55,25 +42,14 @@ func TestCommandRoundTripProperty(t *testing.T) {
 }
 
 func TestReplyKinds(t *testing.T) {
-	br, bw, _ := pipePair()
-	if err := WriteSimple(bw, "OK"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteError(bw, "ERR boom"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteInt(bw, -42); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBulkReply(bw, []byte("data"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBulkReply(bw, nil, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteArrayReply(bw, [][]byte{[]byte("a"), []byte("b")}); err != nil {
-		t.Fatal(err)
-	}
+	br := bufio.NewReader(bytes.NewReader(wire(func(e *wireEnc) {
+		e.simple("OK")
+		e.errorReply("ERR boom")
+		e.intReply(-42)
+		e.argBytes([]byte("data"))
+		e.nilBulk()
+		arrayReply(e, [][]byte{[]byte("a"), []byte("b")})
+	})))
 
 	r, err := ReadReply(br)
 	if err != nil || r.Kind != '+' || r.Str != "OK" {
@@ -112,7 +88,7 @@ func TestReadCommandMalformed(t *testing.T) {
 		"*1\r\n$99999999999999999\r\n", // absurd length
 	}
 	for _, c := range cases {
-		_, err := ReadCommand(bufio.NewReader(strings.NewReader(c)))
+		_, err := readCommand([]byte(c))
 		if err == nil {
 			t.Errorf("frame %q accepted", c)
 		}
@@ -120,7 +96,7 @@ func TestReadCommandMalformed(t *testing.T) {
 }
 
 func TestReadCommandEOF(t *testing.T) {
-	_, err := ReadCommand(bufio.NewReader(strings.NewReader("")))
+	_, err := readCommand(nil)
 	if err != io.EOF {
 		t.Fatalf("want io.EOF on empty stream, got %v", err)
 	}
@@ -150,8 +126,7 @@ func TestReadReplyNilInArray(t *testing.T) {
 // readers — they must fail with an error (or io.EOF) instead.
 func TestReadersNeverPanicOnGarbage(t *testing.T) {
 	f := func(junk []byte) bool {
-		br := bufio.NewReader(bytes.NewReader(junk))
-		_, err := ReadCommand(br)
+		_, err := readCommand(junk)
 		_ = err
 		br2 := bufio.NewReader(bytes.NewReader(junk))
 		_, err2 := ReadReply(br2)
@@ -166,16 +141,11 @@ func TestReadersNeverPanicOnGarbage(t *testing.T) {
 // Round-trip property for every reply kind with arbitrary payloads.
 func TestReplyRoundTripProperty(t *testing.T) {
 	f := func(bulk []byte, n int64, items [][]byte) bool {
-		br, bw, _ := pipePair()
-		if err := WriteInt(bw, n); err != nil {
-			return false
-		}
-		if err := WriteBulkReply(bw, bulk, false); err != nil {
-			return false
-		}
-		if err := WriteArrayReply(bw, items); err != nil {
-			return false
-		}
+		br := bufio.NewReader(bytes.NewReader(wire(func(e *wireEnc) {
+			e.intReply(n)
+			e.argBytes(bulk)
+			arrayReply(e, items)
+		})))
 		r1, err := ReadReply(br)
 		if err != nil || r1.Int != n {
 			return false

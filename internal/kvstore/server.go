@@ -433,20 +433,6 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			keys[i] = string(a)
 		}
 		intReply(int64(s.store.Del(keys...)))
-	case "MSET":
-		if len(args) < 2 || len(args)%2 != 0 {
-			fail("ERR wrong number of arguments for MSET")
-			return
-		}
-		pairs := make([]KV, len(args)/2)
-		for i := range pairs {
-			pairs[i] = KV{Key: string(args[2*i]), Value: args[2*i+1]}
-		}
-		if err := s.store.MSet(pairs); err != nil {
-			storeErr(err)
-			return
-		}
-		rw.enc.simple("OK")
 	case "MGET":
 		if len(args) < 1 {
 			fail("ERR wrong number of arguments for MGET")

@@ -69,9 +69,10 @@ func TestServerRangeOps(t *testing.T) {
 	if err := cli.SetRange("k", 0, []byte("heyo")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cli.GetRange("k", 4, 5)
-	if err != nil || !ok || string(v) != "world" {
-		t.Fatalf("GetRange = %q %v %v", v, ok, err)
+	v := make([]byte, 5)
+	n, ok, err := cli.GetRangeInto("k", 4, 5, v)
+	if err != nil || !ok || string(v[:n]) != "world" {
+		t.Fatalf("GetRangeInto = %q %v %v", v[:n], ok, err)
 	}
 }
 

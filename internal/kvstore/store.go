@@ -114,50 +114,6 @@ func (s *Store) Set(key string, value []byte) error {
 	return nil
 }
 
-// KV is one key/value pair of a batched MSet.
-type KV struct {
-	Key   string
-	Value []byte
-}
-
-// MSet stores every pair atomically: either all writes apply or none do
-// (wrong-type or over-cap batches leave the store untouched). Duplicate
-// keys within one batch apply in order, last write wins.
-func (s *Store) MSet(pairs []KV) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countOp()
-	var delta int64
-	pending := make(map[string]int, len(pairs))
-	for _, kv := range pairs {
-		if _, isSet := s.sets[kv.Key]; isSet {
-			return ErrWrongType
-		}
-		oldLen, exists := pending[kv.Key]
-		if !exists {
-			if old, ok := s.data[kv.Key]; ok {
-				oldLen, exists = len(old), true
-			}
-		}
-		if exists {
-			delta += int64(len(kv.Value)) - int64(oldLen)
-		} else {
-			delta += int64(len(kv.Key)) + int64(len(kv.Value)) + EntryOverhead
-		}
-		pending[kv.Key] = len(kv.Value)
-	}
-	if delta > 0 && s.wouldOverflow(delta) {
-		return ErrOOM
-	}
-	for _, kv := range pairs {
-		v := make([]byte, len(kv.Value))
-		copy(v, kv.Value)
-		s.data[kv.Key] = v
-	}
-	s.used += delta
-	return nil
-}
-
 // MGet returns a copy of each key's value, aligned with keys; missing keys
 // (and keys holding sets) yield nil entries.
 func (s *Store) MGet(keys []string) [][]byte {
