@@ -64,12 +64,10 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/hrw"
 	"memfss/internal/qos"
 )
 
@@ -141,38 +139,12 @@ func main() {
 	}
 }
 
-func nodes(prefix, list string) []core.NodeSpec {
-	if list == "" {
-		return nil
-	}
-	var out []core.NodeSpec
-	for i, addr := range strings.Split(list, ",") {
-		out = append(out, core.NodeSpec{ID: fmt.Sprintf("%s-%d", prefix, i), Addr: strings.TrimSpace(addr)})
-	}
-	return out
-}
-
 func connect(ownList, victimList string, alpha float64, password string,
 	stripeSize int64, replicas int, victimCap int64) (*core.FileSystem, error) {
-	own := nodes("own", ownList)
-	victims := nodes("victim", victimList)
-	classes := []core.ClassSpec{{Name: "own", Nodes: own}}
-	if len(victims) > 0 {
-		d, err := hrw.DeltaForOwnFraction(alpha)
-		if err != nil {
-			return nil, err
-		}
-		if d >= 0 {
-			classes[0].Weight = d
-		}
-		vc := core.ClassSpec{
-			Name: "victim", Nodes: victims, Victim: true,
-			Limits: container.Limits{MemoryBytes: victimCap},
-		}
-		if d < 0 {
-			vc.Weight = -d
-		}
-		classes = append(classes, vc)
+	classes, err := core.OwnVictimClasses(core.ParseNodes("own", ownList), core.ParseNodes("victim", victimList),
+		alpha, container.Limits{MemoryBytes: victimCap})
+	if err != nil {
+		return nil, err
 	}
 	cfg := core.Config{
 		Classes:    classes,

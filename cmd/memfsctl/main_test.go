@@ -107,10 +107,10 @@ func TestCLIErrors(t *testing.T) {
 }
 
 func TestNodesParsing(t *testing.T) {
-	if got := nodes("own", ""); got != nil {
+	if got := core.ParseNodes("own", ""); got != nil {
 		t.Fatal("empty list should be nil")
 	}
-	got := nodes("own", "a:1, b:2")
+	got := core.ParseNodes("own", "a:1, b:2")
 	if len(got) != 2 || got[0].ID != "own-0" || got[1].Addr != "b:2" {
 		t.Fatalf("parsed %+v", got)
 	}

@@ -48,13 +48,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/hrw"
 	"memfss/internal/kvstore"
 	"memfss/internal/obs"
 	"memfss/internal/obs/trace"
@@ -177,38 +175,14 @@ func registerStoreGauges(reg *obs.Registry, store *kvstore.Store, started time.T
 	})
 }
 
-// mountGateway builds the core Config from the CLI node lists (the same
-// shape memfsctl uses) and mounts a FileSystem sharing reg.
+// mountGateway builds the core Config from the CLI node lists and mounts
+// a FileSystem sharing reg.
 func mountGateway(reg *obs.Registry, ownList, victimList string, alpha float64,
 	password string, replicas int, victimCap int64, slowOp time.Duration, qosBW int64) (*core.FileSystem, error) {
-	nodes := func(prefix, list string) []core.NodeSpec {
-		if list == "" {
-			return nil
-		}
-		var out []core.NodeSpec
-		for i, addr := range strings.Split(list, ",") {
-			out = append(out, core.NodeSpec{ID: fmt.Sprintf("%s-%d", prefix, i), Addr: strings.TrimSpace(addr)})
-		}
-		return out
-	}
-	classes := []core.ClassSpec{{Name: "own", Nodes: nodes("own", ownList)}}
-	victims := nodes("victim", victimList)
-	if len(victims) > 0 {
-		d, err := hrw.DeltaForOwnFraction(alpha)
-		if err != nil {
-			return nil, err
-		}
-		if d >= 0 {
-			classes[0].Weight = d
-		}
-		vc := core.ClassSpec{
-			Name: "victim", Nodes: victims, Victim: true,
-			Limits: container.Limits{MemoryBytes: victimCap},
-		}
-		if d < 0 {
-			vc.Weight = -d
-		}
-		classes = append(classes, vc)
+	classes, err := core.OwnVictimClasses(core.ParseNodes("own", ownList), core.ParseNodes("victim", victimList),
+		alpha, container.Limits{MemoryBytes: victimCap})
+	if err != nil {
+		return nil, err
 	}
 	cfg := core.Config{
 		Classes:  classes,

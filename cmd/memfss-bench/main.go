@@ -34,7 +34,6 @@ import (
 	chaospkg "memfss/internal/chaos"
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/hrw"
 	"memfss/internal/qos"
 )
 
@@ -84,22 +83,14 @@ func runTenants(ownN, victimN, tasks int, size, qosBW int64) {
 		log.Fatal(err)
 	}
 	defer own.Close()
-	classes := []core.ClassSpec{{Name: "own", Nodes: own.Nodes}}
-	if victimN > 0 {
-		victims, err := core.StartLocalStores(victimN, "victim", password, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer victims.Close()
-		d, err := hrw.DeltaForOwnFraction(ownFraction)
-		if err != nil {
-			log.Fatal(err)
-		}
-		classes[0].Weight = d
-		classes = append(classes, core.ClassSpec{
-			Name: "victim", Nodes: victims.Nodes, Victim: true,
-			Limits: container.Limits{MemoryBytes: 1 << 34},
-		})
+	victims, err := core.StartLocalStores(victimN, "victim", password, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer victims.Close()
+	classes, err := core.OwnVictimClasses(own.Nodes, victims.Nodes, ownFraction, container.Limits{MemoryBytes: 1 << 34})
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("memfss-bench: %d tasks x %d B over %d own + %d victim stores (alpha=%.2f)\n",
 		tasks, size, ownN, victimN, ownFraction)

@@ -10,7 +10,6 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/hrw"
 )
 
 func main() {
@@ -28,20 +27,12 @@ func main() {
 
 	// 2. Choose the data split: keep 25% on own nodes, scavenge the rest
 	//    (the paper's best-performing Figure 2 configuration).
-	delta, err := hrw.DeltaForOwnFraction(0.25)
+	classes, err := core.OwnVictimClasses(own.Nodes, victims.Nodes, 0.25,
+		container.Limits{MemoryBytes: 1 << 30}) // scavenge <=1 GiB per victim
 	check(err)
 
 	// 3. Mount the file system.
-	fs, err := core.New(core.Config{
-		Classes: []core.ClassSpec{
-			{Name: "own", Weight: delta, Nodes: own.Nodes},
-			{
-				Name: "victim", Nodes: victims.Nodes, Victim: true,
-				Limits: container.Limits{MemoryBytes: 1 << 30}, // scavenge <=1 GiB per victim
-			},
-		},
-		Password: password,
-	})
+	fs, err := core.New(core.Config{Classes: classes, Password: password})
 	check(err)
 	defer fs.Close()
 	check(fs.ApplyVictimCaps())

@@ -13,7 +13,6 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/core"
-	"memfss/internal/hrw"
 )
 
 func main() {
@@ -27,18 +26,9 @@ func main() {
 	check(err)
 	defer victims.Close()
 
-	delta, err := hrw.DeltaForOwnFraction(0.25)
+	classes, err := core.OwnVictimClasses(own.Nodes, victims.Nodes, 0.25, container.Limits{MemoryBytes: 256 << 20})
 	check(err)
-	fs, err := core.New(core.Config{
-		Classes: []core.ClassSpec{
-			{Name: "own", Weight: delta, Nodes: own.Nodes},
-			{
-				Name: "victim", Nodes: victims.Nodes, Victim: true,
-				Limits: container.Limits{MemoryBytes: 256 << 20},
-			},
-		},
-		Password: password,
-	})
+	fs, err := core.New(core.Config{Classes: classes, Password: password})
 	check(err)
 	defer fs.Close()
 	check(fs.ApplyVictimCaps())

@@ -7,7 +7,6 @@ import (
 	"memfss/internal/container"
 	"memfss/internal/core"
 	"memfss/internal/faultwrap"
-	"memfss/internal/hrw"
 	"memfss/internal/obs"
 	"memfss/internal/qos"
 )
@@ -93,24 +92,20 @@ func buildCluster(topo Topology) (*Cluster, error) {
 	if frac == 0 {
 		frac = 0.25
 	}
-	delta, err := hrw.DeltaForOwnFraction(frac)
-	if err != nil {
-		return fail(fmt.Errorf("chaos: own fraction: %w", err))
-	}
 	victimMem := topo.VictimMem
 	if victimMem == 0 {
 		victimMem = 1 << 30
+	}
+	classes, err := core.OwnVictimClasses(own.Nodes, proxied, frac, container.Limits{MemoryBytes: victimMem})
+	if err != nil {
+		return fail(fmt.Errorf("chaos: own fraction: %w", err))
 	}
 	stripe := topo.StripeSize
 	if stripe == 0 {
 		stripe = 4 << 10
 	}
 	cfg := core.Config{
-		Classes: []core.ClassSpec{
-			{Name: "own", Weight: delta, Nodes: own.Nodes},
-			{Name: "victim", Nodes: proxied, Victim: true,
-				Limits: container.Limits{MemoryBytes: victimMem}},
-		},
+		Classes:       classes,
 		StripeSize:    stripe,
 		Password:      password,
 		DialTimeout:   5 * time.Second,

@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"memfss/internal/container"
@@ -47,6 +48,42 @@ type ClassSpec struct {
 	// Limits is the container budget applied to each node of a victim
 	// class (ignored for the own class).
 	Limits container.Limits
+}
+
+// ParseNodes turns a comma-separated address list into node specs with
+// the positional IDs every binary agrees on ("own" -> own-0, own-1, ...).
+func ParseNodes(idPrefix, addrs string) []NodeSpec {
+	if addrs == "" {
+		return nil
+	}
+	var out []NodeSpec
+	for i, addr := range strings.Split(addrs, ",") {
+		out = append(out, NodeSpec{ID: fmt.Sprintf("%s-%d", idPrefix, i), Addr: strings.TrimSpace(addr)})
+	}
+	return out
+}
+
+// OwnVictimClasses assembles the standard deployment: the own class and,
+// when there are victim nodes, one scavenged class under limits, weighted
+// so that about ownFraction of the stripes stay on own nodes. A larger HRW
+// weight attracts fewer keys, so the split's delta loads the own class
+// when positive (ownFraction <= 1/2) and the victim class when negative.
+func OwnVictimClasses(own, victims []NodeSpec, ownFraction float64, limits container.Limits) ([]ClassSpec, error) {
+	classes := []ClassSpec{{Name: "own", Nodes: own}}
+	if len(victims) == 0 {
+		return classes, nil
+	}
+	d, err := hrw.DeltaForOwnFraction(ownFraction)
+	if err != nil {
+		return nil, err
+	}
+	vc := ClassSpec{Name: "victim", Nodes: victims, Victim: true, Limits: limits}
+	if d >= 0 {
+		classes[0].Weight = d
+	} else {
+		vc.Weight = -d
+	}
+	return append(classes, vc), nil
 }
 
 // RedundancyMode selects how stripes survive node loss.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"memfss/internal/container"
 	"memfss/internal/kvstore"
@@ -40,6 +42,49 @@ func TestRenameOntoExistingFails(t *testing.T) {
 	// Source must be intact after the failed rename.
 	got, err := d.fs.ReadFile("/a")
 	if err != nil || string(got) != "a" {
+		t.Fatalf("source damaged: %q %v", got, err)
+	}
+}
+
+// TestRenameIntoOwnSubtreeFails: a destination equal to or inside the
+// source subtree is refused before any metadata moves. (Unchecked, the
+// recursive rename listed its own freshly linked destination as a child
+// and minted /a/b/b/b/... forever.)
+func TestRenameIntoOwnSubtreeFails(t *testing.T) {
+	d := newTestFS(t, 2, 0)
+	if err := d.fs.MkdirAll("/a/sub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.fs.WriteFile("/a/sub/f", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []string{"/a/b", "/a/sub/deeper", "/a"} {
+		done := make(chan error, 1)
+		go func() { done <- d.fs.Rename("/a", dst) }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Rename(/a, %s) = %v, want ErrInvalid", dst, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("Rename(/a, %s) never returned", dst)
+		}
+	}
+	var seen []string
+	if err := d.fs.Walk("/", func(e EntryInfo) error {
+		seen = append(seen, e.Path)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"/", "/a", "/a/sub", "/a/sub/f"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("tree after refused renames = %v, want %v", seen, want)
+	}
+	// A destination that merely shares the name prefix is not inside /a.
+	if err := d.fs.Rename("/a", "/ab"); err != nil {
+		t.Fatalf("rename to a prefix-sharing sibling: %v", err)
+	}
+	if got, err := d.fs.ReadFile("/ab/sub/f"); err != nil || string(got) != "payload" {
 		t.Fatalf("source damaged: %q %v", got, err)
 	}
 }

@@ -20,6 +20,9 @@ var (
 	ErrIsDir = errors.New("memfss: is a directory")
 	// ErrNotEmpty reports removal of a non-empty directory.
 	ErrNotEmpty = errors.New("memfss: directory not empty")
+	// ErrInvalid reports an argument no file system state could satisfy,
+	// such as renaming a directory into its own subtree (POSIX EINVAL).
+	ErrInvalid = errors.New("memfss: invalid argument")
 	// ErrClosed reports use of a closed file system or file handle.
 	ErrClosed = errors.New("memfss: closed")
 	// ErrDataLoss reports a stripe that could not be found or

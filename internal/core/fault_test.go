@@ -17,6 +17,7 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/faultwrap"
+	"memfss/internal/fsmeta"
 	"memfss/internal/hrw"
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
@@ -365,7 +366,7 @@ func TestEvacuateUnderMidPipelineFaults(t *testing.T) {
 // overwriting (and removing) a file while one replica holder is dead must
 // succeed — the old stripes on the dead node become counted orphans, not
 // a user-visible failure. Before the fix, Create's truncate path failed
-// the whole overwrite because DelPrefix could not reach the node.
+// the whole overwrite because the delete could not reach the node.
 func TestOverwriteSurvivesDeadNode(t *testing.T) {
 	d, proxies := newChaosFS(t, 2, 3, faultwrap.Plan{},
 		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
@@ -389,12 +390,35 @@ func TestOverwriteSurvivesDeadNode(t *testing.T) {
 		t.Fatalf("read after overwrite: %v", err)
 	}
 	if c := d.fs.Counters(); c.DeferredDeletes == 0 {
-		t.Fatal("no deferred deletes counted — the dead node's DelPrefix should have been skipped")
+		t.Fatal("no deferred deletes counted — the dead node's delete should have been skipped")
 	}
 	if err := d.fs.Remove(path); err != nil {
 		t.Fatalf("remove with a dead replica holder: %v", err)
 	}
 	if _, err := d.fs.ReadFile(path); err == nil {
 		t.Fatal("file still readable after remove")
+	}
+}
+
+// TestFailedCreateLeavesNoEntry: the file-ID index is written before the
+// entry is linked, so a Create that cannot index its ID fails with nothing
+// in the namespace — not with a path whose stripes the mover cannot
+// resolve and an evacuation would flush as orphans.
+func TestFailedCreateLeavesNoEntry(t *testing.T) {
+	// A fresh deployment hands out "f-1". Its index shards to own-1; the
+	// counter, the root listing and /b all live on own-0.
+	if fsmeta.Shard("f-1", 2) != 1 || fsmeta.Shard("/", 2) != 0 || fsmeta.Shard("/b", 2) != 0 {
+		t.Fatal("shard function changed: pick names that put only the ID index on own-1")
+	}
+	d := newTestFS(t, 2, 0, withRetry(fastRetry))
+	d.own.Server(1).Close()
+	if _, err := d.fs.Create("/b"); err == nil {
+		t.Fatal("Create succeeded with the ID's index shard dead")
+	}
+	if _, err := d.fs.Stat("/b"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("failed Create left an entry: Stat = %v", err)
+	}
+	if entries, err := d.fs.ReadDir("/"); err != nil || len(entries) != 0 {
+		t.Fatalf("failed Create left a listing: %v %v", entries, err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"memfss/internal/fsmeta"
 	"memfss/internal/health"
 	"memfss/internal/hrw"
+	"memfss/internal/kvstore"
 	"memfss/internal/obs"
 	"memfss/internal/obs/trace"
 	"memfss/internal/stripe"
@@ -305,6 +306,15 @@ func (fs *FileSystem) check() error {
 	return nil
 }
 
+// resolve is the preamble of every call that takes a path: the file
+// system must be open and the path must clean to an absolute one.
+func (fs *FileSystem) resolve(path string) (string, error) {
+	if err := fs.check(); err != nil {
+		return "", err
+	}
+	return fsmeta.Clean(path)
+}
+
 // snapshot returns the current classes as a metadata snapshot, recorded
 // into each new file so its placement stays resolvable after scavenging
 // changes the live classes (paper §III-D).
@@ -336,10 +346,7 @@ func placerFromSnapshot(snap []fsmeta.ClassSnapshot) (*hrw.Placer, error) {
 
 // Mkdir creates a directory; the parent must exist.
 func (fs *FileSystem) Mkdir(path string) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -349,10 +356,7 @@ func (fs *FileSystem) Mkdir(path string) error {
 // MkdirAll creates a directory and any missing parents; existing
 // directories are not an error.
 func (fs *FileSystem) MkdirAll(path string) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -382,10 +386,7 @@ func (fs *FileSystem) mkdirAll(p string) error {
 
 // Stat describes the entry at path.
 func (fs *FileSystem) Stat(path string) (EntryInfo, error) {
-	if err := fs.check(); err != nil {
-		return EntryInfo{}, err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return EntryInfo{}, err
 	}
@@ -402,10 +403,7 @@ func (fs *FileSystem) Stat(path string) (EntryInfo, error) {
 
 // ReadDir lists the directory at path, sorted by name.
 func (fs *FileSystem) ReadDir(path string) ([]EntryInfo, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -414,31 +412,24 @@ func (fs *FileSystem) ReadDir(path string) ([]EntryInfo, error) {
 
 // Remove deletes a file (and its stripes) or an empty directory.
 func (fs *FileSystem) Remove(path string) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return err
 	}
-	rec, err := fs.meta.removeEntry(p)
+	if p == "/" {
+		return fmt.Errorf("%w: cannot remove /", ErrNotEmpty)
+	}
+	rec, err := fs.meta.statRecord(p)
 	if err != nil {
 		return err
 	}
-	if rec.File != nil {
-		fs.qosCreditPath(p, rec.File.Size)
-		return fs.deleteFileData(rec.File)
-	}
-	return nil
+	return fs.dropEntry(p, rec)
 }
 
 // RemoveAll deletes path and, for directories, everything beneath it.
 // A missing path is not an error.
 func (fs *FileSystem) RemoveAll(path string) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -467,30 +458,47 @@ func (fs *FileSystem) removeAll(p string) error {
 			return nil
 		}
 	}
-	rec, err = fs.meta.removeEntry(p)
-	if err != nil {
+	return fs.dropEntry(p, rec)
+}
+
+// dropEntry is the one way an entry leaves the namespace for good. It
+// takes the record its caller has just read: a directory must be empty; a
+// file gives up its entry, its file-ID index, its quota charge and its
+// stripes, in that order, so a failure part-way leaves stripes nothing
+// names (orphans for Fsck's census), never an entry without its data.
+func (fs *FileSystem) dropEntry(p string, rec *fsmeta.Record) error {
+	if rec.IsDir() {
+		if err := fs.meta.requireEmpty(p); err != nil {
+			return err
+		}
+	}
+	if err := fs.meta.unlink(p, rec); err != nil {
 		return err
 	}
-	if rec.File != nil {
-		fs.qosCreditPath(p, rec.File.Size)
-		return fs.deleteFileData(rec.File)
+	if rec.File == nil {
+		return nil
 	}
-	return nil
+	if err := fs.meta.dropFileID(rec.File.ID); err != nil {
+		return err
+	}
+	fs.qosCreditPath(p, rec.File.Size)
+	return fs.deleteStripeRange(rec.File, 0, rec.File.Size, true)
 }
 
 // Rename moves a file or directory subtree. Data never moves (stripe keys
-// derive from the immutable file ID).
+// derive from the immutable file ID). A destination equal to or inside
+// the source subtree is rejected before any metadata is touched.
 func (fs *FileSystem) Rename(oldPath, newPath string) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	op, err := fsmeta.Clean(oldPath)
+	op, err := fs.resolve(oldPath)
 	if err != nil {
 		return err
 	}
-	np, err := fsmeta.Clean(newPath)
+	np, err := fs.resolve(newPath)
 	if err != nil {
 		return err
+	}
+	if np == op || strings.HasPrefix(np, op+"/") {
+		return fmt.Errorf("%w: rename %s to %s", ErrInvalid, op, np)
 	}
 	return fs.meta.rename(op, np)
 }
@@ -500,10 +508,7 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 // Create creates (or truncates) the file at path and returns a writable
 // handle positioned at offset 0.
 func (fs *FileSystem) Create(path string) (*File, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +516,7 @@ func (fs *FileSystem) Create(path string) (*File, error) {
 		if old.IsDir() {
 			return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 		}
-		if err := fs.Remove(p); err != nil {
+		if err := fs.dropEntry(p, old); err != nil {
 			return nil, err
 		}
 	} else if !isNotExist(err) {
@@ -535,10 +540,15 @@ func (fs *FileSystem) Create(path string) (*File, error) {
 	default:
 		rec.Replicas = 1
 	}
-	if err := fs.meta.createEntry(p, &fsmeta.Record{File: rec}); err != nil {
+	// The ID index goes in before the entry is linked: once the path exists
+	// the mover must be able to resolve the file's stripes, or an evacuation
+	// flushes them as orphans. An index whose entry never appears is inert
+	// (the mover stats the path and finds nothing).
+	if err := fs.meta.indexFileID(id, p); err != nil {
 		return nil, err
 	}
-	if err := fs.meta.indexFileID(id, p); err != nil {
+	if err := fs.meta.createEntry(p, &fsmeta.Record{File: rec}); err != nil {
+		_ = fs.meta.dropFileID(id) // best effort: a leftover index is inert
 		return nil, err
 	}
 	return fs.newFile(p, rec, true)
@@ -546,10 +556,7 @@ func (fs *FileSystem) Create(path string) (*File, error) {
 
 // Open returns a read-only handle on an existing file.
 func (fs *FileSystem) Open(path string) (*File, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -620,21 +627,36 @@ func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
 	return buf, nil
 }
 
-// deleteFileData removes every stripe (or shard) of a file from all nodes
-// of its placement snapshot. Stripe keys share the "data:<fileID>#"
-// prefix, so the whole file is dropped with one DELPREFIX per node, all
-// nodes in flight concurrently (bounded by IOParallelism).
-func (fs *FileSystem) deleteFileData(rec *fsmeta.FileRecord) error {
+// delBatch is how many keys one DEL command carries.
+const delBatch = 512
+
+// deleteStripeRange deletes the stripes (or shard sets) a file of `to`
+// bytes has and a file of `from` bytes has not, fanned out to every node
+// of the record's placement snapshot as multi-key DELs, PipelineDepth
+// commands per burst. A node the pool no longer knows was evacuated — its
+// store drained and flushed — and is skipped. A node that cannot be
+// reached fails the call, unless idDead says the file ID is already
+// unlinked (remove, overwrite): then nothing can name the leftovers again,
+// so they are orphans for Fsck's census, counted in
+// memfss_fs_deferred_deletes_total, and the outage must not fail the user.
+func (fs *FileSystem) deleteStripeRange(rec *fsmeta.FileRecord, from, to int64, idDead bool) error {
 	layout, err := stripe.NewLayout(rec.StripeSize)
 	if err != nil {
 		return err
 	}
-	if layout.Count(rec.Size) == 0 {
-		return nil
+	var keys []string
+	for idx, end := layout.Count(from), layout.Count(to); idx < end; idx++ {
+		base := dataKey(stripe.Key(rec.ID, idx))
+		if rec.DataShards == 0 {
+			keys = append(keys, base)
+			continue
+		}
+		for s := 0; s < rec.DataShards+rec.ParityShards; s++ {
+			keys = append(keys, shardKey(base, s))
+		}
 	}
-	prefix := dataKey(stripe.Key(rec.ID, 0))
-	if i := strings.LastIndexByte(prefix, '#'); i >= 0 {
-		prefix = prefix[:i+1]
+	if len(keys) == 0 {
+		return nil
 	}
 	var nodes []string
 	for _, snap := range rec.Classes {
@@ -643,24 +665,38 @@ func (fs *FileSystem) deleteFileData(rec *fsmeta.FileRecord) error {
 	return fanout(fs.ioPar, nodes, func(nodeID string) error {
 		cli, err := fs.conns.client(nodeID)
 		if err != nil {
-			// Node already evacuated/removed: nothing to delete there.
 			return nil
 		}
-		if _, err := cli.DelPrefix(prefix); err != nil {
-			// The namespace entry is already gone, so an unreachable node
-			// must not fail the delete — redundancy tolerates the outage
-			// and the write path degrades past it; a hard failure here
-			// would make every overwrite during the outage fail anyway.
-			// The node keeps stale stripes under a dead file ID: orphans,
-			// counted here and in Fsck's orphan census.
-			if isUnavailable(err) {
-				fs.stats.deferredDeletes.Add(1)
-				return nil
-			}
+		err = delKeys(cli.Pipeline(), keys, fs.pipeDepth)
+		if idDead && isUnavailable(err) {
+			fs.stats.deferredDeletes.Add(1)
+			return nil
+		}
+		return err
+	})
+}
+
+// delKeys deletes keys through pl, delBatch keys per DEL and depth DELs
+// per burst.
+func delKeys(pl *kvstore.Pipeline, keys []string, depth int) error {
+	for len(keys) > 0 {
+		n := min(delBatch, len(keys))
+		pl.Del(keys[:n]...)
+		keys = keys[n:]
+		if pl.Len() < depth && len(keys) > 0 {
+			continue
+		}
+		replies, err := pl.Run()
+		if err != nil {
 			return err
 		}
-		return nil
-	})
+		for _, r := range replies {
+			if err := r.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // StoreStats polls every node's store and returns stats keyed by node ID.

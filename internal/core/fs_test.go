@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"memfss/internal/container"
-	"memfss/internal/hrw"
 )
 
 // testDeploy is a full in-process MemFSS: own + victim stores and a client.
@@ -42,25 +41,19 @@ func newTestFS(t *testing.T, ownN, victimN int, opts ...deployOpt) *testDeploy {
 		t.Fatal(err)
 	}
 	t.Cleanup(own.Close)
-	classes := []ClassSpec{{Name: "own", Nodes: own.Nodes}}
 	var victims *LocalStores
+	var victimNodes []NodeSpec
 	if victimN > 0 {
 		victims, err = StartLocalStores(victimN, "victim", password, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(victims.Close)
-		d, err := hrw.DeltaForOwnFraction(0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		classes[0].Weight = d
-		classes = append(classes, ClassSpec{
-			Name:   "victim",
-			Nodes:  victims.Nodes,
-			Victim: true,
-			Limits: container.Limits{MemoryBytes: 1 << 30},
-		})
+		victimNodes = victims.Nodes
+	}
+	classes, err := OwnVictimClasses(own.Nodes, victimNodes, 0.25, container.Limits{MemoryBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := Config{
 		Classes:     classes,
@@ -336,27 +329,150 @@ func TestRenameDirSubtree(t *testing.T) {
 	}
 }
 
+// TestRemoveAllDeletesData drives the one stripe deleter through every
+// caller: whichever way a file's stripes are dropped, no store keeps a
+// data:<id># key of it and Fsck counts no orphan — in each redundancy
+// mode, for a one-stripe file and for one whose key list crosses delBatch
+// (and, sharded at PipelineDepth 2, takes several bursts per node). Each
+// mode ends with RemoveAll("/"), after which the stores must hold nothing
+// but the file-ID counter: records, directory sets and fileid: index
+// entries are reclaimed too.
 func TestRemoveAllDeletesData(t *testing.T) {
-	d := newTestFS(t, 2, 4)
-	fs := d.fs
-	fs.MkdirAll("/tree/a/b")
-	for i := 0; i < 5; i++ {
-		fs.WriteFile(fmt.Sprintf("/tree/a/b/f%d", i), randomBytes(int64(i), 10_000))
+	modes := []struct {
+		name string
+		red  Redundancy
+	}{
+		{"plain", Redundancy{}},
+		{"replicas2", Redundancy{Mode: RedundancyReplicate, Replicas: 2}},
+		{"rs42", Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}},
 	}
-	if err := fs.RemoveAll("/tree"); err != nil {
-		t.Fatal(err)
+	sizes := []struct {
+		name  string
+		bytes int
+	}{
+		{"1stripe", 3000},
+		{"600stripes", 600*(4<<10) - 100},
 	}
-	if _, err := fs.Stat("/tree"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("tree lingers: %v", err)
+	ops := []struct {
+		name string
+		do   func(fs *FileSystem, dir, path string) error
+	}{
+		{"Remove", func(fs *FileSystem, _, path string) error { return fs.Remove(path) }},
+		{"overwrite", func(fs *FileSystem, _, path string) error { return fs.WriteFile(path, []byte("v2")) }},
+		{"RemoveAll", func(fs *FileSystem, dir, _ string) error {
+			if err := fs.RemoveAll(dir); err != nil {
+				return err
+			}
+			if _, err := fs.Stat(dir); !errors.Is(err, ErrNotExist) {
+				return fmt.Errorf("tree lingers: %v", err)
+			}
+			return fs.RemoveAll(dir) // a missing path is not an error
+		}},
+		{"Truncate0", func(fs *FileSystem, _, path string) error { return fs.Truncate(path, 0) }},
 	}
-	if err := fs.RemoveAll("/tree"); err != nil {
-		t.Fatalf("RemoveAll on missing: %v", err)
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			d := newTestFS(t, 6, 6, withRedundancy(mode.red), withPipelineDepth(2))
+			keysOf := func(id string) (keys []string) {
+				for _, ls := range []*LocalStores{d.own, d.victims} {
+					for i := range ls.Nodes {
+						keys = append(keys, ls.Server(i).Store().Keys("data:"+id+"#")...)
+					}
+				}
+				return keys
+			}
+			for _, size := range sizes {
+				for _, op := range ops {
+					t.Run(size.name+"/"+op.name, func(t *testing.T) {
+						dir := "/" + size.name + "-" + op.name
+						path := dir + "/a/b/f"
+						if err := d.fs.MkdirAll(dir + "/a/b"); err != nil {
+							t.Fatal(err)
+						}
+						if err := d.fs.WriteFile(path, randomBytes(7, size.bytes)); err != nil {
+							t.Fatal(err)
+						}
+						rec, err := d.fs.meta.statRecord(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(keysOf(rec.File.ID)) == 0 {
+							t.Fatal("the write left no stripe keys to delete")
+						}
+						if err := op.do(d.fs, dir, path); err != nil {
+							t.Fatal(err)
+						}
+						if left := keysOf(rec.File.ID); len(left) != 0 {
+							t.Errorf("%d keys of %s survive, e.g. %s", len(left), rec.File.ID, left[0])
+						}
+						rep, err := d.fs.Fsck()
+						if err != nil || rep.OrphanStripes != 0 || len(rep.Damaged) != 0 {
+							t.Errorf("fsck: %+v, %v", rep, err)
+						}
+					})
+				}
+			}
+			// The namespace's own keys go too: with the whole tree removed
+			// (the overwrite and Truncate rows left live files behind) the
+			// file-ID counter is the only key any store keeps — no record,
+			// directory set or fileid: index of any row above.
+			if err := d.fs.RemoveAll("/"); err != nil {
+				t.Fatal(err)
+			}
+			for _, ls := range []*LocalStores{d.own, d.victims} {
+				for i, n := range ls.Nodes {
+					for _, k := range ls.Server(i).Store().Keys("") {
+						if k != "nextid" {
+							t.Errorf("node %s still holds %q", n.ID, k)
+						}
+					}
+				}
+			}
+		})
 	}
-	// All stripes must be gone from every store.
-	for id, st := range fs.StoreStats() {
-		if st.NumKeys > 2 { // nextid counter + root dir set may remain
-			t.Errorf("node %s still holds %d keys", id, st.NumKeys)
-		}
+}
+
+// TestDropAfterUnclosedWriterLeavesOrphans states the deleter's accepted
+// loss (DESIGN "One way to delete", ROADMAP item 6a): it deletes what the
+// record says exists, and a record's size is committed by Sync/Close. A
+// writer that died before either — a crashed task about to be re-run —
+// leaves stripes past the recorded size that neither Remove nor the
+// re-run's overwrite reclaims; Fsck counts every one of them, and nothing
+// else goes wrong (the new contents read back, no file is damaged).
+func TestDropAfterUnclosedWriterLeavesOrphans(t *testing.T) {
+	for _, drop := range []struct {
+		name string
+		do   func(fs *FileSystem, path string) error
+	}{
+		{"Remove", func(fs *FileSystem, path string) error { return fs.Remove(path) }},
+		{"overwrite", func(fs *FileSystem, path string) error { return fs.WriteFile(path, []byte("rerun")) }},
+	} {
+		t.Run(drop.name, func(t *testing.T) {
+			d := newTestFS(t, 2, 2) // 4 KiB stripes, no redundancy
+			f, err := d.fs.Create("/task.out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(randomBytes(9, 5*(4<<10))); err != nil {
+				t.Fatal(err)
+			}
+			// No Sync, no Close: the writer is gone, the record still says 0 bytes.
+			if err := drop.do(d.fs, "/task.out"); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := d.fs.Fsck()
+			if err != nil || len(rep.Damaged) != 0 {
+				t.Fatalf("fsck: %+v, %v", rep, err)
+			}
+			if rep.OrphanStripes != 5 {
+				t.Errorf("OrphanStripes = %d, want the 5 stripes the dead writer left", rep.OrphanStripes)
+			}
+			if drop.name == "overwrite" {
+				if got, err := d.fs.ReadFile("/task.out"); err != nil || string(got) != "rerun" {
+					t.Errorf("re-run reads %q, %v", got, err)
+				}
+			}
+		})
 	}
 }
 

@@ -264,42 +264,40 @@ func entryInfo(name, path string, rec *fsmeta.Record) EntryInfo {
 	return e
 }
 
-// removeEntry deletes the record at path and unlinks it from its parent.
-// Directories must be empty. It returns the removed record so the caller
-// can delete file data.
-func (m *metaService) removeEntry(path string) (*fsmeta.Record, error) {
-	if path == "/" {
-		return nil, fmt.Errorf("%w: cannot remove /", ErrNotEmpty)
-	}
-	rec, err := m.statRecord(path)
-	if err != nil {
-		return nil, err
-	}
+// requireEmpty fails if the directory at path still lists children.
+func (m *metaService) requireEmpty(path string) error {
 	cli, err := m.shardClient(path)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	n, err := cli.SCard(fsmeta.DirKey(path))
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
+	}
+	return nil
+}
+
+// unlink drops the namespace entry at path, whose record the caller has
+// already read: a directory's listing key, the record, then the parent's
+// link. The file-ID index and the file's stripes are the caller's business
+// (a remove drops them, a rename keeps them).
+func (m *metaService) unlink(path string, rec *fsmeta.Record) error {
+	cli, err := m.shardClient(path)
+	if err != nil {
+		return err
 	}
 	if rec.IsDir() {
-		n, err := cli.SCard(fsmeta.DirKey(path))
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNotEmpty, path)
-		}
 		if _, err := cli.Del(fsmeta.DirKey(path)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if _, err := cli.Del(fsmeta.MetaKey(path)); err != nil {
-		return nil, err
+		return err
 	}
-	if rec.File != nil {
-		if err := m.dropFileID(rec.File.ID); err != nil {
-			return nil, err
-		}
-	}
-	return rec, m.unlinkChild(fsmeta.Parent(path), fsmeta.Base(path))
+	return m.unlinkChild(fsmeta.Parent(path), fsmeta.Base(path))
 }
 
 // rename moves a file or directory subtree. File data never moves: stripe
@@ -332,18 +330,6 @@ func (m *metaService) rename(oldPath, newPath string) error {
 			}
 		}
 	}
-	// The old entry is now redundant; remove without touching data.
-	cli, err := m.shardClient(oldPath)
-	if err != nil {
-		return err
-	}
-	if rec.IsDir() {
-		if _, err := cli.Del(fsmeta.DirKey(oldPath)); err != nil {
-			return err
-		}
-	}
-	if _, err := cli.Del(fsmeta.MetaKey(oldPath)); err != nil {
-		return err
-	}
-	return m.unlinkChild(fsmeta.Parent(oldPath), fsmeta.Base(oldPath))
+	// The old entry is now redundant; drop it without touching data.
+	return m.unlink(oldPath, rec)
 }

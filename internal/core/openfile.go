@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"memfss/internal/fsmeta"
-	"memfss/internal/hrw"
 	"memfss/internal/stripe"
 )
 
@@ -33,10 +31,7 @@ func (f Flag) writable() bool { return f&(O_WRONLY|O_RDWR) != 0 }
 //   - O_TRUNC: discard existing contents.
 //   - O_APPEND: position the cursor at end of file.
 func (fs *FileSystem) OpenFile(path string, flag Flag) (*File, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := fsmeta.Clean(path)
+	p, err := fs.resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -79,14 +74,7 @@ type WalkFunc func(entry EntryInfo) error
 // Walk visits every entry under root in depth-first, lexical order,
 // starting with root itself.
 func (fs *FileSystem) Walk(root string, fn WalkFunc) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	p, err := fsmeta.Clean(root)
-	if err != nil {
-		return err
-	}
-	e, err := fs.Stat(p)
+	e, err := fs.Stat(root)
 	if err != nil {
 		return err
 	}
@@ -184,15 +172,12 @@ func (fs *FileSystem) Fsck() (*FsckReport, error) {
 // drops stripes past the new end; growing produces a hole that reads as
 // zeros.
 func (fs *FileSystem) Truncate(path string, size int64) error {
-	if err := fs.check(); err != nil {
+	p, err := fs.resolve(path)
+	if err != nil {
 		return err
 	}
 	if size < 0 {
 		return fmt.Errorf("memfss: negative truncate size %d", size)
-	}
-	p, err := fsmeta.Clean(path)
-	if err != nil {
-		return err
 	}
 	rec, err := fs.meta.statRecord(p)
 	if err != nil {
@@ -200,10 +185,6 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 	}
 	if rec.File == nil {
 		return fmt.Errorf("%w: %s", ErrIsDir, p)
-	}
-	layout, err := stripe.NewLayout(rec.File.StripeSize)
-	if err != nil {
-		return err
 	}
 	oldSize := rec.File.Size
 	if size < oldSize {
@@ -215,16 +196,12 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 		// the stripe is no longer expected — never a false "unrepairable".
 		// A crash between (2) and (3) leaves orphan stripes for Fsck to
 		// count, not data loss.
-		pl, err := placerFromSnapshot(rec.File.Classes)
-		if err != nil {
-			return err
-		}
-		newCount := layout.Count(size)
-		if rec.File.DataShards == 0 && newCount > 0 && size%rec.File.StripeSize != 0 {
-			// Trim the boundary stripe (replicated/plain layout only; an
-			// erasure-coded boundary stripe is rewritten on next write, and
-			// reads clamp to file size anyway).
-			if err := fs.trimBoundaryStripe(rec.File, pl, newCount-1, size); err != nil {
+		if rec.File.DataShards == 0 && size%rec.File.StripeSize != 0 {
+			f, err := fs.newFile(p, rec.File, false)
+			if err != nil {
+				return err
+			}
+			if err := f.trimBoundaryStripe(size); err != nil {
 				return err
 			}
 		}
@@ -232,13 +209,13 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 		if err := fs.meta.updateRecord(p, rec); err != nil {
 			return err
 		}
-		return fs.deleteStripeRange(rec.File, newCount, layout.Count(oldSize))
+		return fs.deleteStripeRange(rec.File, size, oldSize, false)
 	}
 	if size > oldSize {
 		// Grow: a shrink that crashed between its metadata update and its
 		// stripe deletes can leave stale stripes in the region the file is
 		// growing back over; clear them so the new hole reads as zeros.
-		if err := fs.deleteStripeRange(rec.File, layout.Count(oldSize), layout.Count(size)); err != nil {
+		if err := fs.deleteStripeRange(rec.File, oldSize, size, false); err != nil {
 			return err
 		}
 	}
@@ -246,87 +223,23 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 	return fs.meta.updateRecord(p, rec)
 }
 
-// delBatch is how many keys one DEL command carries in delKeyBatches.
-const delBatch = 512
-
-// delKeyBatches deletes keys from one node in multi-key DEL commands,
-// pipelined PipelineDepth commands per burst. An unreachable node is
-// skipped: Truncate/Remove must succeed even after evacuations shrank the
-// snapshot.
-func (fs *FileSystem) delKeyBatches(nodeID string, keys []string) error {
-	cli, err := fs.conns.client(nodeID)
-	if err != nil {
-		return nil
-	}
-	pl := cli.Pipeline()
-	flush := func() error {
-		replies, err := pl.Run()
-		if err != nil {
-			return err
-		}
-		for _, r := range replies {
-			if err := r.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for start := 0; start < len(keys); start += delBatch {
-		end := start + delBatch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		pl.Del(keys[start:end]...)
-		if pl.Len() >= fs.pipeDepth {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// deleteStripeRange deletes whole stripes with index in [lo, hi) from
-// every snapshot node (batched).
-func (fs *FileSystem) deleteStripeRange(rec *fsmeta.FileRecord, lo, hi int64) error {
-	var keys []string
-	for idx := lo; idx < hi; idx++ {
-		base := dataKey(stripe.Key(rec.ID, idx))
-		if rec.DataShards > 0 {
-			for s := 0; s < rec.DataShards+rec.ParityShards; s++ {
-				keys = append(keys, shardKey(base, s))
-			}
-		} else {
-			keys = append(keys, base)
-		}
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	var nodes []string
-	for _, snap := range rec.Classes {
-		nodes = append(nodes, snap.Nodes...)
-	}
-	return fanout(fs.ioPar, nodes, func(nodeID string) error {
-		return fs.delKeyBatches(nodeID, keys)
-	})
-}
-
 // trimBoundaryStripe cuts the stripe containing the new end down to the
-// surviving bytes on every node that holds a copy. A node that is
-// registered but unreachable is an error, not a skip: its stale tail
-// would resurface as garbage where POSIX requires zeros if the file later
-// grows back over the trimmed range. By the time a transport error lands
-// here the client retry policy has already retried it, so surfacing lets
-// the caller re-run Truncate once the node recovers. A node the pool no
-// longer knows (already evacuated) is safe to skip — its store was
-// drained and flushed.
-func (fs *FileSystem) trimBoundaryStripe(rec *fsmeta.FileRecord, pl *hrw.Placer, idx, newSize int64) error {
-	sk := stripe.Key(rec.ID, idx)
-	keep := newSize - idx*rec.StripeSize
+// surviving bytes on every node that holds a copy. Truncate calls it only
+// for a replicated/plain file whose new end is inside a stripe (an
+// erasure-coded boundary stripe is rewritten on next write, and reads
+// clamp to file size anyway). A node that is registered but
+// unreachable is an error, not a skip: its stale tail would resurface as
+// garbage where POSIX requires zeros if the file later grows back over the
+// trimmed range. By the time a transport error lands here the client retry
+// policy has already retried it, so surfacing lets the caller re-run
+// Truncate once the node recovers. A node the pool no longer knows
+// (already evacuated) is safe to skip — its store was drained and flushed.
+func (f *File) trimBoundaryStripe(newSize int64) error {
+	keep := newSize % f.layout.Size()
+	sk := stripe.Key(f.rec.ID, newSize/f.layout.Size())
 	var firstErr error
-	for _, nodeID := range pl.ProbeOrder(sk) {
-		cli, err := fs.conns.client(nodeID)
+	for _, nodeID := range f.placer.ProbeOrder(sk) {
+		cli, err := f.fs.conns.client(nodeID)
 		if err != nil {
 			continue // evacuated node: drained and flushed, no stale tail
 		}

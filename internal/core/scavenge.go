@@ -197,9 +197,9 @@ func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
 //     interrupted evacuation can simply be re-run.
 //  3. detach: the node leaves placement and the connection pool (new
 //     writes cannot route to it), while this evacuation keeps the client.
-//  4. sweep: a final full re-pass over the now-stable listing catches
-//     stripes written during the drain (unreplicated and erasure writes
-//     are not fenced).
+//  4. sweep: a final full re-pass catches stripes written during the
+//     drain (unreplicated and erasure writes are not fenced), then
+//     re-lists until nothing is unresolved, for writes in flight at detach.
 //  5. release: the store is flushed, the node is unregistered, and parked
 //     repair units are re-queued.
 //
@@ -284,7 +284,8 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	observePhase("detach")
 
 	// Phase 4: final sweep. Post-detach no new write can route to the
-	// node, so the listing is stable. The first pass deliberately ignores
+	// node, so the listing settles once the writes in flight at detach
+	// have landed. The first pass deliberately ignores
 	// the resolved set: unreplicated and erasure stripes kept taking
 	// writes at the source during the drain, so every surviving key is
 	// re-copied (already-confirmed replicated keys re-check as a cheap
@@ -348,9 +349,13 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 // evacPasses runs mover passes over the source's data listing until one
 // pass resolves every key it listed; it returns ctx's error when ctx ends
 // first (the caller decides between abort and forced release). recheck
-// makes the first pass re-copy keys already resolved. Keys newly confirmed
-// are tallied into rep and resolved.
+// is the post-detach sweep: its first pass re-copies keys already
+// resolved, and it ends on a listing with nothing unresolved, not on a
+// clean pass — a write that held its client at detach can land after the
+// sweep's first listing, and only a re-listing sees it before the flush.
+// Keys newly confirmed are tallied into rep and resolved.
 func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport, resolved map[string]bool, recheck bool) error {
+	final := recheck
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -390,6 +395,9 @@ func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport
 			resolved[key] = true
 		})
 		if failed == 0 {
+			if final {
+				continue
+			}
 			return nil
 		}
 		time.Sleep(movePassPause)

@@ -225,9 +225,3 @@ func (c *Client) MGet(keys ...string) ([][]byte, error) {
 	}
 	return reply.Array, nil
 }
-
-// DelPrefix removes every key with the given prefix in one round trip,
-// returning how many were removed.
-func (c *Client) DelPrefix(prefix string) (int64, error) {
-	return c.doInt([]byte("DELPREFIX"), []byte(prefix))
-}

@@ -73,11 +73,13 @@ func TestPipelineErrorRepliesDoNotAbortBurst(t *testing.T) {
 	}
 }
 
-// TestMSetMGetDelPrefixOverWire covers the two batched verbs that ship,
-// MGET and DELPREFIX (its name predates MSET's removal).
-func TestMSetMGetDelPrefixOverWire(t *testing.T) {
+// TestMGetAndBatchedDelOverWire covers the two multi-key verbs that ship:
+// MGET, and the pipelined multi-key DEL the FS layer drops a file's
+// stripes with — it removes exactly the named keys, reports per command
+// how many existed, and leaves neighbours under the same prefix alone.
+func TestMGetAndBatchedDelOverWire(t *testing.T) {
 	srv, cli := startServer(t, 0, "")
-	for k, v := range map[string]string{"data:f#0": "s0", "data:f#1": "s1", "meta:x": "m"} {
+	for k, v := range map[string]string{"data:f#0": "s0", "data:f#1": "s1", "data:f#10": "s10", "meta:x": "m"} {
 		if err := cli.Set(k, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +91,18 @@ func TestMSetMGetDelPrefixOverWire(t *testing.T) {
 	if string(vals[0]) != "s0" || vals[1] != nil || string(vals[2]) != "s1" {
 		t.Fatalf("MGet = %q", vals)
 	}
-	n, err := cli.DelPrefix("data:f#")
-	if err != nil || n != 2 {
-		t.Fatalf("DelPrefix = %d %v", n, err)
+	pl := cli.Pipeline()
+	pl.Del("data:f#0", "data:f#1")
+	pl.Del("data:f#1", "ghost")
+	replies, err := pl.Run()
+	if err != nil || len(replies) != 2 {
+		t.Fatalf("Run = %d replies, %v", len(replies), err)
 	}
-	if st := srv.Store().Stats(); st.NumKeys != 1 {
-		t.Fatalf("NumKeys after DelPrefix = %d", st.NumKeys)
+	if replies[0].Int != 2 || replies[1].Int != 0 {
+		t.Fatalf("DEL counts = %d, %d; want 2, 0", replies[0].Int, replies[1].Int)
+	}
+	if keys := srv.Store().Keys(""); len(keys) != 2 {
+		t.Fatalf("keys after DEL = %q, want data:f#10 and meta:x", keys)
 	}
 }
 

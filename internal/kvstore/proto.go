@@ -349,9 +349,9 @@ func readReplyInto(br *bufio.Reader, r *Reply) error {
 var verbNames = map[string]string{
 	"SET": "SET", "SETNX": "SETNX", "GET": "GET", "GETRANGE": "GETRANGE",
 	"SETRANGE": "SETRANGE", "DEL": "DEL", "MGET": "MGET",
-	"DELPREFIX": "DELPREFIX", "EXISTS": "EXISTS", "SADD": "SADD",
-	"SREM": "SREM", "SMEMBERS": "SMEMBERS", "SCARD": "SCARD",
-	"INCR": "INCR", "KEYS": "KEYS", "KEYSN": "KEYSN", "DELVAL": "DELVAL",
+	"EXISTS": "EXISTS", "SADD": "SADD", "SREM": "SREM",
+	"SMEMBERS": "SMEMBERS", "SCARD": "SCARD", "INCR": "INCR",
+	"KEYS": "KEYS", "KEYSN": "KEYSN", "DELVAL": "DELVAL",
 	"FLUSHALL": "FLUSHALL", "MEMCAP": "MEMCAP", "INFO": "INFO",
 	"AUTH": "AUTH", "PING": "PING",
 }

@@ -443,12 +443,6 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			keys[i] = string(a)
 		}
 		rw.arrayReply(s.store.MGet(keys))
-	case "DELPREFIX":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for DELPREFIX")
-			return
-		}
-		intReply(int64(s.store.DelPrefix(string(args[0]))))
 	case "EXISTS":
 		if len(args) != 1 {
 			fail("ERR wrong number of arguments for EXISTS")

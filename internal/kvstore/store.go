@@ -133,34 +133,6 @@ func (s *Store) MGet(keys []string) [][]byte {
 	return out
 }
 
-// DelPrefix removes every key (string or set) with the given prefix and
-// returns how many were removed — the batched delete the FS layer uses to
-// drop all stripes of a file in one round trip per node.
-func (s *Store) DelPrefix(prefix string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countOp()
-	n := 0
-	for k, v := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			s.used -= int64(len(v)) + int64(len(k)) + EntryOverhead
-			delete(s.data, k)
-			n++
-		}
-	}
-	for k, members := range s.sets {
-		if strings.HasPrefix(k, prefix) {
-			for m := range members {
-				s.used -= int64(len(m))
-			}
-			s.used -= int64(len(k)) + EntryOverhead
-			delete(s.sets, k)
-			n++
-		}
-	}
-	return n
-}
-
 // SetNX stores value under key only if the key does not exist (in either
 // namespace). It reports whether the value was stored.
 func (s *Store) SetNX(key string, value []byte) (bool, error) {
