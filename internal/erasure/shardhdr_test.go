@@ -35,8 +35,8 @@ func TestParseShardRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		make([]byte, HeaderSize-1),          // too short
-		make([]byte, HeaderSize+4),          // zero magic
+		make([]byte, HeaderSize-1), // too short
+		make([]byte, HeaderSize+4), // zero magic
 		append([]byte{shardMagic, 99}, make([]byte, 16)...), // bad version
 		[]byte("plain stripe bytes from a pre-header store"),
 	}

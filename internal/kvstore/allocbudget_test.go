@@ -12,8 +12,9 @@ import (
 // benchmark-measured numbers — they exist to catch a reintroduced
 // per-command allocation (a lost pooled buffer, a resurrected string
 // conversion), not to pin exact counts. The remaining inherent
-// allocations: SET's store-side value copy, GET's caller-owned result
-// slice, and the pipeline's per-Run reply arena.
+// allocations: the buffer the server reads a SET value into (the store
+// keeps it), GET's caller-owned result slice, and the pipeline's per-Run
+// reply arena.
 func TestHotPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI gate")

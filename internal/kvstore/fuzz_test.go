@@ -47,7 +47,8 @@ func arrayReply(e *wireEnc, items [][]byte) {
 
 // readCommand decodes one command from in with the server's decoder.
 func readCommand(in []byte) ([][]byte, error) {
-	return (&cmdReader{br: bufio.NewReader(bytes.NewReader(in))}).next()
+	_, args, err := (&cmdReader{br: bufio.NewReader(bytes.NewReader(in))}).next()
+	return args, err
 }
 
 // allocated reports the heap bytes fn allocated (the fuzz worker runs one
@@ -72,7 +73,9 @@ func decodeBudget(in []byte) uint64 {
 // offset pair beside each argument's slice header, and its one argument
 // buffer grows by doubling — the buffers that bytes really arrived in sum
 // to under 4x the input, and the last growth (for a declared bulk that may
-// not be there) adds at most as much again or the largest legal bulk.
+// not be there) adds at most as much again or the largest legal bulk. A
+// SET value's own exact-size buffer is the last argument, so it takes the
+// place of that last growth.
 func commandBudget(in []byte) uint64 {
 	return (24+16)*maxArrayLen + maxBulkLen + 8*uint64(len(in)) + 1<<20
 }

@@ -54,6 +54,45 @@ func BenchmarkWireSet4K(b *testing.B) {
 	}
 }
 
+// BenchmarkWireSet1MiB is one whole 1 MiB stripe SET — the dd-bag write
+// shape. Its B/op is the gated number: what the server allocates per
+// stored byte (the buffer the value is read into, and nothing else).
+func BenchmarkWireSet1MiB(b *testing.B) {
+	c := newBenchClient(b, DialOptions{})
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Set("bench:set1m", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireSetRange4KiBIn64KiB is an in-place partial-stripe write: a
+// 4 KiB SETRANGE inside an existing 64 KiB value — the rmw-mix edge write.
+func BenchmarkWireSetRange4KiBIn64KiB(b *testing.B) {
+	c := newBenchClient(b, DialOptions{})
+	const stripe = 64 << 10
+	if err := c.Set("bench:sr", make([]byte, stripe)); err != nil {
+		b.Fatal(err)
+	}
+	payload := benchPayload()
+	b.ReportAllocs()
+	b.SetBytes(benchPayloadSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%(stripe/benchPayloadSize)) * benchPayloadSize
+		if err := c.SetRange("bench:sr", off, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWireGet4K(b *testing.B) {
 	c := newBenchClient(b, DialOptions{})
 	if err := c.Set("bench:get", benchPayload()); err != nil {

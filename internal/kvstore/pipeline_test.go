@@ -181,14 +181,14 @@ func flakyServer(t *testing.T, replyLimit int, failConns int32) (addr string, st
 				rw := &replyWriter{conn: conn}
 				replies := 0
 				for {
-					args, err := cr.next()
+					cmd, args, err := cr.next()
 					if err != nil {
 						return
 					}
 					if failing && replies == replyLimit {
 						return // k replies sent, socket dies mid-burst
 					}
-					srv.dispatch(rw, strings.ToUpper(string(args[0])), args[1:])
+					srv.dispatch(rw, cmd, args[1:])
 					if err := rw.flush(); err != nil {
 						return
 					}

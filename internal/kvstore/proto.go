@@ -156,14 +156,21 @@ func readBulk(br *bufio.Reader) ([]byte, bool, error) {
 	if err != nil || isNil {
 		return nil, isNil, err
 	}
+	buf, err := readPayload(br, n)
+	return buf, false, err
+}
+
+// readPayload reads the n-byte payload of a bulk whose header is consumed,
+// and its CRLF, into an exact-size allocation the caller owns.
+func readPayload(br *bufio.Reader, n int64) ([]byte, error) {
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := discardCRLF(br); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return buf, false, nil
+	return buf, nil
 }
 
 // readBulkInto decodes a bulk payload directly into dst — the zero-copy

@@ -106,11 +106,14 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // cmdReader decodes commands for one connection into reusable storage:
-// one flat byte buffer holds every argument payload, and the arg slice
-// headers are rebuilt over it — a steady-state command costs zero
-// allocations. The returned args alias that buffer and are valid only
-// until the next call; dispatch must finish with them (or copy — the
-// store copies on write) before the next command is read.
+// one flat byte buffer (the arena) holds every argument payload, and the
+// arg slice headers are rebuilt over it — a steady-state command costs
+// zero allocations. Arena args are valid only until the next call;
+// dispatch must finish with them before the next command is read.
+//
+// The one exception is a value the store keeps: the third argument of
+// SET or SETNX is read into its own exact-size buffer, which dispatch
+// hands to the store as is — one allocation, and no copy of the payload.
 type cmdReader struct {
 	br   *bufio.Reader
 	args [][]byte
@@ -119,32 +122,45 @@ type cmdReader struct {
 }
 
 // cmdBufKeep caps the argument buffer retained between commands, so one
-// 64 MiB SET doesn't pin that much per connection forever.
+// 64 MiB SETRANGE doesn't pin that much per connection forever.
 const cmdBufKeep = 1 << 20
 
 func newCmdReader(conn net.Conn) *cmdReader {
 	return &cmdReader{br: bufio.NewReaderSize(conn, 64<<10)}
 }
 
-// next reads one command. io.EOF is returned unwrapped on a clean close
-// before any bytes.
-func (cr *cmdReader) next() ([][]byte, error) {
+// keepsValue reports whether argument i of an n-argument command with this
+// verb is a value the store keeps.
+func keepsValue(verb string, n, i int) bool {
+	return i == 2 && n == 3 && (verb == "SET" || verb == "SETNX")
+}
+
+// next reads one command and returns its canonical verb (see verbOf) with
+// its arguments. io.EOF is returned unwrapped on a clean close before any
+// bytes.
+func (cr *cmdReader) next() (string, [][]byte, error) {
+	if poisonPooled.Load() {
+		poisonBuf(cr.buf)
+	}
 	if cap(cr.buf) > cmdBufKeep {
 		cr.buf = nil
 	}
+	// Drop the last command's views, so an idle connection does not pin a
+	// kept value the store has since deleted.
+	clear(cr.args)
 	line, err := readLine(cr.br)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if len(line) == 0 || line[0] != '*' {
-		return nil, fmt.Errorf("%w: expected array, got %q", errProtocol, line)
+		return "", nil, fmt.Errorf("%w: expected array, got %q", errProtocol, line)
 	}
 	n64, err := parseInt(line[1:])
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if n64 <= 0 || n64 > maxArrayLen {
-		return nil, fmt.Errorf("%w: array length %d out of range", errProtocol, n64)
+		return "", nil, fmt.Errorf("%w: array length %d out of range", errProtocol, n64)
 	}
 	n := int(n64)
 	if cap(cr.args) < n {
@@ -153,14 +169,23 @@ func (cr *cmdReader) next() ([][]byte, error) {
 	}
 	cr.args = cr.args[:n]
 	cr.offs = cr.offs[:n]
+	var verb string
+	var kept []byte
 	pos := 0
 	for i := 0; i < n; i++ {
 		ln64, isNil, err := readBulkHeader(cr.br)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		if isNil {
-			return nil, fmt.Errorf("%w: nil bulk inside command", errProtocol)
+			return "", nil, fmt.Errorf("%w: nil bulk inside command", errProtocol)
+		}
+		if keepsValue(verb, n, i) {
+			if kept, err = readPayload(cr.br, ln64); err != nil {
+				return "", nil, err
+			}
+			cr.offs[i] = [2]int{pos, pos} // an empty view, replaced by kept below
+			continue
 		}
 		ln := int(ln64)
 		need := pos + ln + 2
@@ -178,18 +203,24 @@ func (cr *cmdReader) next() ([][]byte, error) {
 		}
 		cr.buf = cr.buf[:cap(cr.buf)]
 		if _, err := io.ReadFull(cr.br, cr.buf[pos:need]); err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		if cr.buf[need-2] != '\r' || cr.buf[need-1] != '\n' {
-			return nil, fmt.Errorf("%w: bulk not CRLF-terminated", errProtocol)
+			return "", nil, fmt.Errorf("%w: bulk not CRLF-terminated", errProtocol)
 		}
 		cr.offs[i] = [2]int{pos, pos + ln}
+		if i == 0 {
+			verb = verbOf(cr.buf[pos : pos+ln])
+		}
 		pos = need
 	}
 	for i := range cr.args {
 		cr.args[i] = cr.buf[cr.offs[i][0]:cr.offs[i][1]]
 	}
-	return cr.args, nil
+	if kept != nil {
+		cr.args[2] = kept
+	}
+	return verb, cr.args, nil
 }
 
 // replyWriter accumulates replies for one connection in a vectored
@@ -281,7 +312,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	rw := &replyWriter{conn: conn}
 	authed := s.password == ""
 	for {
-		args, err := cr.next()
+		cmd, args, err := cr.next()
 		if err != nil {
 			if err != io.EOF {
 				// Best effort: a malformed frame is unrecoverable, tell
@@ -291,7 +322,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		cmd := verbOf(args[0])
 		switch {
 		case !authed && cmd != "AUTH" && cmd != "PING":
 			rw.enc.errorReply("NOAUTH authentication required")
@@ -326,7 +356,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // dispatch executes one authenticated command and queues its reply in rw.
-// Replies are buffered in the encoder; write errors surface at flush.
+// Replies are buffered in the encoder; write errors surface at flush. cmd
+// and args come from one cmdReader.next: the SET/SETNX value it read into
+// its own buffer goes to the store to keep.
 func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 	fail := func(format string, a ...any) {
 		rw.enc.errorReply(fmt.Sprintf(format, a...))
@@ -337,6 +369,8 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			rw.enc.errorReply("OOM command not allowed when used memory > maxmemory")
 		case errors.Is(err, ErrWrongType):
 			rw.enc.errorReply("WRONGTYPE operation against a key holding the wrong kind of value")
+		case errors.Is(err, errTooLarge):
+			rw.enc.errorReply("ERR string exceeds maximum allowed size")
 		default:
 			rw.enc.errorReply("ERR " + err.Error())
 		}
@@ -348,7 +382,7 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			fail("ERR wrong number of arguments for SET")
 			return
 		}
-		if err := s.store.Set(string(args[0]), args[1]); err != nil {
+		if err := s.store.set(string(args[0]), args[1]); err != nil {
 			storeErr(err)
 			return
 		}
@@ -358,7 +392,7 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			fail("ERR wrong number of arguments for SETNX")
 			return
 		}
-		ok, err := s.store.SetNX(string(args[0]), args[1])
+		ok, err := s.store.setNX(string(args[0]), args[1])
 		if err != nil {
 			storeErr(err)
 			return

@@ -1,8 +1,10 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +236,66 @@ func TestServerConcurrentClients(t *testing.T) {
 	st := srv.Store().Stats()
 	if st.NumKeys != 801 { // 800 per-goroutine keys + shared counter
 		t.Fatalf("NumKeys = %d, want 801", st.NumKeys)
+	}
+}
+
+// TestServerSurvivesHostileRanges sends range commands whose offset+length
+// overflows, or whose end lies past the largest legal value, as raw frames
+// (the client's own length checks would hide some of them). Each must get
+// a reply, and the server must still answer a PING on a fresh connection.
+func TestServerSurvivesHostileRanges(t *testing.T) {
+	srv, cli := startServer(t, 0, "")
+	if err := cli.Set("k", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.ln.Addr().String()
+	roundTrip := func(frame []byte) (*Reply, error) {
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Write(frame); err != nil {
+			return nil, err
+		}
+		return ReadReply(bufio.NewReader(conn))
+	}
+	const tooLarge = "ERR string exceeds maximum allowed size"
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // error text, or the bulk payload when it has no ERR prefix
+	}{
+		{"setrange offset+len overflows", []string{"SETRANGE", "k", "9223372036854775805", "abcdef"}, tooLarge},
+		{"setrange far past the largest value", []string{"SETRANGE", "k2", "4611686018427387904", "x"}, tooLarge},
+		{"setrange one byte past the largest value", []string{"SETRANGE", "k3", fmt.Sprint(maxBulkLen), "x"}, tooLarge},
+		{"getrange offset+length overflows", []string{"GETRANGE", "k", "1", "9223372036854775807"}, "ello"},
+		{"getrange both at the maximum", []string{"GETRANGE", "k", "9223372036854775807", "9223372036854775807"}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := make([][]byte, len(tc.args))
+			for i, a := range tc.args {
+				args[i] = []byte(a)
+			}
+			r, err := roundTrip(command(args...))
+			switch {
+			case err != nil:
+				t.Fatalf("no reply: %v", err)
+			case strings.HasPrefix(tc.want, "ERR"):
+				if r.Kind != '-' || r.Str != tc.want {
+					t.Fatalf("reply %+v, want error %q", r, tc.want)
+				}
+			case r.Kind != '$' || string(r.Bulk) != tc.want:
+				t.Fatalf("reply %+v, want bulk %q", r, tc.want)
+			}
+			if r, err := roundTrip(command([]byte("PING"))); err != nil || r.Str != "PONG" {
+				t.Fatalf("server down after the frame: %+v %v", r, err)
+			}
+		})
+	}
+	if _, ok, _ := srv.Store().Get("k2"); ok {
+		t.Fatal("a refused SETRANGE created its key")
 	}
 }
 

@@ -54,7 +54,9 @@ const pressureWatermark = 0.9
 
 // Store is the in-memory engine: a flat map of string keys to byte values
 // plus a map of set keys to member sets. All methods are safe for
-// concurrent use.
+// concurrent use. A stored value is owned by the store alone: writes keep
+// (or copy in) their buffer, and every read copies out under the lock —
+// the rule SetRange's in-place write depends on.
 type Store struct {
 	mu     sync.RWMutex
 	data   map[string][]byte
@@ -89,8 +91,19 @@ func (s *Store) wouldOverflow(delta int64) bool {
 	return s.maxMem > 0 && s.used+delta > s.maxMem
 }
 
-// Set stores value under key, replacing any existing string value.
+// errTooLarge refuses a SetRange whose end lies past maxBulkLen: the value
+// could never be read back over the wire, and building it could overflow.
+var errTooLarge = errors.New("kvstore: string exceeds maximum allowed size")
+
+// Set stores a copy of value under key, replacing any existing string value.
 func (s *Store) Set(key string, value []byte) error {
+	return s.set(key, bytes.Clone(value))
+}
+
+// set is Set for a value the store keeps as given — the server hands it the
+// buffer a SET was read into, so no payload byte is copied under the lock.
+// The caller must not touch value afterwards.
+func (s *Store) set(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -107,9 +120,7 @@ func (s *Store) Set(key string, value []byte) error {
 	if delta > 0 && s.wouldOverflow(delta) {
 		return ErrOOM
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	s.data[key] = v
+	s.data[key] = value
 	s.used += delta
 	return nil
 }
@@ -133,9 +144,14 @@ func (s *Store) MGet(keys []string) [][]byte {
 	return out
 }
 
-// SetNX stores value under key only if the key does not exist (in either
-// namespace). It reports whether the value was stored.
+// SetNX stores a copy of value under key only if the key does not exist
+// (in either namespace). It reports whether the value was stored.
 func (s *Store) SetNX(key string, value []byte) (bool, error) {
+	return s.setNX(key, bytes.Clone(value))
+}
+
+// setNX is SetNX for a value the store keeps as given, like set.
+func (s *Store) setNX(key string, value []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -149,9 +165,7 @@ func (s *Store) SetNX(key string, value []byte) (bool, error) {
 	if s.wouldOverflow(delta) {
 		return false, ErrOOM
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	s.data[key] = v
+	s.data[key] = value
 	s.used += delta
 	return true, nil
 }
@@ -177,29 +191,11 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 // GetRange returns length bytes of key's value starting at offset. Reads
 // past the end are truncated; a missing key yields ok=false.
 func (s *Store) GetRange(key string, offset, length int64) ([]byte, bool, error) {
-	if offset < 0 || length < 0 {
-		return nil, false, fmt.Errorf("kvstore: negative range offset=%d length=%d", offset, length)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countOp()
-	if _, isSet := s.sets[key]; isSet {
-		return nil, false, ErrWrongType
-	}
-	v, ok := s.data[key]
+	v, ok, err := s.GetRangeAppend([]byte{}, key, offset, length)
 	if !ok {
-		return nil, false, nil
+		return nil, false, err
 	}
-	if offset >= int64(len(v)) {
-		return []byte{}, true, nil
-	}
-	end := offset + length
-	if end > int64(len(v)) {
-		end = int64(len(v))
-	}
-	out := make([]byte, end-offset)
-	copy(out, v[offset:end])
-	return out, true, nil
+	return v, true, nil
 }
 
 // GetAppend appends a copy of key's value to dst and returns the extended
@@ -239,19 +235,23 @@ func (s *Store) GetRangeAppend(dst []byte, key string, offset, length int64) ([]
 	if offset >= int64(len(v)) {
 		return dst, true, nil
 	}
-	end := offset + length
-	if end > int64(len(v)) {
-		end = int64(len(v))
-	}
-	return append(dst, v[offset:end]...), true, nil
+	// length-limited against what is left, so offset+length cannot overflow
+	length = min(length, int64(len(v))-offset)
+	return append(dst, v[offset:offset+length]...), true, nil
 }
 
 // SetRange writes value into key's value at offset, zero-extending the
-// value if needed. Creates the key if missing.
+// value if needed. Creates the key if missing. A write inside the current
+// value lands in place: every reader copies under the same lock, so none
+// can see a torn range.
 func (s *Store) SetRange(key string, offset int64, value []byte) error {
 	if offset < 0 {
 		return fmt.Errorf("kvstore: negative offset %d", offset)
 	}
+	if offset > maxBulkLen-int64(len(value)) {
+		return errTooLarge
+	}
+	end := offset + int64(len(value))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -259,18 +259,18 @@ func (s *Store) SetRange(key string, offset int64, value []byte) error {
 		return ErrWrongType
 	}
 	old, exists := s.data[key]
-	newLen := int64(len(old))
-	if offset+int64(len(value)) > newLen {
-		newLen = offset + int64(len(value))
+	if exists && end <= int64(len(old)) {
+		copy(old[offset:], value)
+		return nil
 	}
-	delta := newLen - int64(len(old))
+	delta := end - int64(len(old))
 	if !exists {
 		delta += int64(len(key)) + EntryOverhead
 	}
-	if delta > 0 && s.wouldOverflow(delta) {
+	if s.wouldOverflow(delta) {
 		return ErrOOM
 	}
-	buf := make([]byte, newLen)
+	buf := make([]byte, end)
 	copy(buf, old)
 	copy(buf[offset:], value)
 	s.data[key] = buf

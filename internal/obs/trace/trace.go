@@ -66,9 +66,9 @@ type Tracer struct {
 	seq       atomic.Uint64
 	sampleCtr atomic.Uint64 // healthy-fast traces seen, for 1-in-N sampling
 	sampleN   uint64
-	slowThr time.Duration
-	store   *Store
-	started atomic.Uint64 // traces started (all, retained or not)
+	slowThr   time.Duration
+	store     *Store
+	started   atomic.Uint64 // traces started (all, retained or not)
 }
 
 // New builds a Tracer with cfg's retention policy.

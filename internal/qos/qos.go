@@ -133,8 +133,8 @@ type Options struct {
 // tenantState is one tenant's live accounting.
 type tenantState struct {
 	spec TenantSpec
-	used atomic.Int64         // quota accounting: bytes of file data attributed
-	th   *container.Throttle  // bandwidth share; nil when pacing is off
+	used atomic.Int64        // quota accounting: bytes of file data attributed
+	th   *container.Throttle // bandwidth share; nil when pacing is off
 }
 
 // Registry is the tenant directory plus the weighted-fair bandwidth
