@@ -391,7 +391,7 @@ func PartitionHealRejoin() Scenario {
 			Preload: &Stream{Name: "base", Workers: 1, Files: 8, Ops: 8, FileSize: 16 << 10, Seed: 61},
 			Streams: []Stream{{
 				Name: "writers", Workers: 2, Ops: 50, Files: 6, FileSize: 16 << 10,
-				Profile: workflow.Steady{OpsPerSec: 50}, VerifyEachWrite: true, Seed: 62,
+				Profile: workflow.Steady{OpsPerSec: 50}, VerifyEachWrite: true, RMWEvery: 2, Seed: 62,
 			}},
 		},
 		Timeline: []Step{

@@ -188,7 +188,7 @@ func TestErasureDegradedReadRepairsMissingShard(t *testing.T) {
 	if !d.fs.WaitRepairIdle(10 * time.Second) {
 		t.Fatalf("repair queue never idled after recovery: %+v", d.fs.RepairStats())
 	}
-	if !stores[victim].Exists(key) {
+	if _, ok, _ := stores[victim].Get(key); !ok {
 		t.Fatal("repair did not rebuild the missing shard on the recovered node")
 	}
 	if st := d.fs.RepairStats(); st.Restored == 0 {

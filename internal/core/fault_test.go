@@ -242,10 +242,11 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 	const nStripes = 16
 	stripeN := int(d.fs.layout.Size())
 	// classify counts, for victim full answering OOM and victim dead
-	// killed: the first span that hard-fails (full among its targets), and
-	// the spans that degrade (dead among their targets, full not) overall
-	// and after that first failure.
-	classify := func(full, dead string) (firstFail, degraded, degradedAfter int) {
+	// killed: the first span that hard-fails (full among its targets), the
+	// failed spans that still landed a copy (torn: dead not among their
+	// targets), and the spans that degrade (dead among their targets, full
+	// not) overall and after that first failure.
+	classify := func(full, dead string) (firstFail, torn, degraded, degradedAfter int) {
 		firstFail = -1
 		for i := 0; i < nStripes; i++ {
 			targets := f.targets(stripe.Key(f.rec.ID, int64(i)))
@@ -253,6 +254,9 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 			case containsString(targets, full):
 				if firstFail < 0 {
 					firstFail = i
+				}
+				if !containsString(targets, dead) {
+					torn++
 				}
 			case containsString(targets, dead):
 				degraded++
@@ -263,14 +267,14 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 		}
 		return
 	}
-	full, dead, firstFail, degraded := -1, -1, 0, 0
+	full, dead, firstFail, torn, degraded := -1, -1, 0, 0, 0
 	for c := range d.victims.Nodes {
 		for k := range d.victims.Nodes {
 			if c == k || full >= 0 {
 				continue
 			}
-			if ff, deg, after := classify(d.victims.Nodes[c].ID, d.victims.Nodes[k].ID); ff >= 0 && after > 0 {
-				full, dead, firstFail, degraded = c, k, ff, deg
+			if ff, tn, deg, after := classify(d.victims.Nodes[c].ID, d.victims.Nodes[k].ID); ff >= 0 && after > 0 {
+				full, dead, firstFail, torn, degraded = c, k, ff, tn, deg
 			}
 		}
 	}
@@ -292,8 +296,10 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 	if c.DegradedWrites != int64(degraded) {
 		t.Errorf("DegradedWrites = %d, want %d (every span that lost only the dead replica)", c.DegradedWrites, degraded)
 	}
-	if st := d.fs.RepairStats(); st.Enqueued != int64(degraded) {
-		t.Errorf("repair Enqueued = %d, want %d", st.Enqueued, degraded)
+	// Degraded spans, and failed spans whose copies now disagree, go to
+	// the repair queue.
+	if st := d.fs.RepairStats(); st.Enqueued != int64(degraded+torn) {
+		t.Errorf("repair Enqueued = %d, want %d degraded + %d torn", st.Enqueued, degraded, torn)
 	}
 	var outcomes int64
 	for _, v := range spanOutcomes(d.fs.Metrics(), "write") {

@@ -39,6 +39,7 @@ type File struct {
 	placer   *hrw.Placer
 	layout   stripe.Layout
 	coder    *erasure.Coder
+	k        int // slots of one write that make a stripe readable: k shards, or one copy
 	pos      int64
 	size     int64
 	writable bool
@@ -352,18 +353,27 @@ func (f *File) targets(key string) []string {
 }
 
 // planReplicated plans one span of a replicated (or unreplicated) stripe:
-// every target receives the same SET — or SETRANGE, for a span narrower
-// than the stripe. Placement is always computed from the raw stripe key;
-// the store key carries the "data:" prefix.
+// every target receives the same VSET under one write ID, and each store
+// stamps the copy's next generation. A span covering the stripe replaces
+// the value; a narrower one writes its range in place. Placement is always
+// computed from the raw stripe key; the store key carries the "data:"
+// prefix.
 func (f *File) planReplicated(span stripe.Span, data []byte) stripePlan {
 	sk := stripe.Key(f.rec.ID, span.Index)
-	cmd := spanCmd{idx: span.Index, op: opSet, key: dataKey(sk), n: int64(len(data)), data: data}
-	if span.Offset != 0 || span.Length != f.layout.Size() {
-		cmd.op = opSetRange
-		cmd.off = span.Offset
+	cmd := spanCmd{idx: span.Index, op: opVSet, key: dataKey(sk), id: newWriteID(),
+		off: span.Offset, n: int64(len(data)), data: data}
+	if f.coversStripe(span) {
+		cmd.off = kvstore.Whole
 	}
 	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk),
 		quorum: f.fs.writeQuorum, cmd: cmd}
+}
+
+// coversStripe is the whole-stripe rule of both modes: a span from the
+// stripe's start through at least its current length needs nothing of the
+// old bytes, and its write replaces them.
+func (f *File) coversStripe(span stripe.Span) bool {
+	return span.Offset == 0 && span.Length >= f.layout.StripeLen(f.size, span.Index)
 }
 
 // phaseOutcome names a store op's result for a trace phase.
@@ -411,14 +421,15 @@ func (fs *FileSystem) writeSkips(nodes []string, need int) []bool {
 	return skips
 }
 
-// ecWriteBase ^ ecWriteSeq yields process-unique erasure write IDs
-// without a lock; the random base keeps IDs from colliding across
-// processes, so two clients racing the same stripe generation still
-// produce distinct shard groups.
+// writeBase ^ writeSeq yields process-unique write IDs without a lock;
+// the random base keeps IDs from colliding across processes, so two
+// clients reaching the same stripe generation still write distinct groups.
 var (
-	ecWriteBase = rand.Uint64()
-	ecWriteSeq  atomic.Uint64
+	writeBase = rand.Uint64()
+	writeSeq  atomic.Uint64
 )
+
+func newWriteID() uint64 { return writeBase ^ writeSeq.Add(1) }
 
 // planErasure prepares one span of an erasure-coded stripe for shipping:
 // k+m shards, each a distinct SET to its own slot's target. A
@@ -437,7 +448,7 @@ var (
 func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePlan, error) {
 	o := f.fs.obs
 	sk := stripe.Key(f.rec.ID, span.Index)
-	k := f.coder.K()
+	k := f.k
 	curLen := f.layout.StripeLen(f.size, span.Index)
 	newLen := span.Offset + span.Length
 	if curLen > newLen {
@@ -446,7 +457,7 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 	// A span covering the whole stripe needs nothing of the old bytes: the
 	// caller's data is the payload and only the generations are fetched.
 	// Anything narrower read-modify-writes the stripe in a scratch buffer.
-	whole := span.Offset == 0 && span.Length >= curLen
+	whole := f.coversStripe(span)
 	payload := data
 	if !whole {
 		payload = make([]byte, newLen)
@@ -483,9 +494,8 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 		copy(payload[span.Offset:], data)
 	}
 	gen++
-	id := ecWriteBase ^ ecWriteSeq.Add(1)
 	start := time.Now()
-	all := f.coder.EncodeShards(gen, id, payload)
+	all := f.coder.EncodeShards(gen, newWriteID(), payload)
 	elapsed := time.Since(start)
 	tr.recLeg("ec-encode", elapsed, "ok")
 	o.ecEncode.Observe(elapsed)
@@ -518,8 +528,8 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 // stripe into dst (len(dst) == span.Length), probing down the HRW order
 // and lazily repairing out-of-place stripes (paper §V-C). first is what
 // readSpans already learned from one node, which the chain does not ask
-// again. Holes and short stripes read as zeros: every byte of dst is
-// written on success.
+// again, or that the repair queue holds the stripe. Holes and short
+// stripes read as zeros: every byte of dst is written on success.
 //
 // moveSeq is the file system's move sequence when the read began. "Absent
 // on every reachable node" is a hole only across a walk no move
@@ -535,6 +545,21 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first fir
 
 	primaries := f.targets(sk)
 	probe := primaries
+	degraded := false
+	if first.held {
+		// The repair queue holds the stripe, so a copy may be a write
+		// behind: probe only copies of the newest write, which the k = 1
+		// gather picks — or every copy, when it finds none.
+		g := f.gatherStripe(tr, sk, span.Index, f.layout.StripeLen(f.size, span.Index), gatherHeaders)
+		if g.found > 0 {
+			degraded, probe = f.noteStripeState(tr, sk, span.Index, g), nil
+			for i, node := range g.nodes {
+				if g.won(&g.slots[i]) {
+					probe = append(probe, node)
+				}
+			}
+		}
+	}
 	// Extend the probe list past the replica set with the full HRW order:
 	// after membership changes (scavenging, evacuation) a stripe may
 	// legitimately live further down the list.
@@ -554,7 +579,7 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first fir
 				continue
 			}
 			var st kvstore.OpStat
-			n, ok, err := f.getInto(node, key, span.Offset, span.Length, dst, &st)
+			n, ok, err := f.getInto(node, key, erasure.HeaderSize+span.Offset, span.Length, dst, &st)
 			cls := f.fs.conns.class(node)
 			o.stripeHist("read", cls).Observe(st.Dur)
 			if st.Attempts > 1 {
@@ -585,9 +610,12 @@ func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first fir
 				o.outcome("read", "degraded").Inc()
 			} else {
 				tr.phaseOp(span.Index, node, cls, st, phaseOutcome(nil, st.Attempts))
-				if retried {
+				switch {
+				case degraded:
+					o.outcome("read", "degraded").Inc()
+				case retried:
 					o.outcome("read", "retry").Inc()
-				} else {
+				default:
 					o.outcome("read", "ok").Inc()
 				}
 			}
@@ -642,7 +670,8 @@ func (f *File) repairStripe(key, from string, primaries []string) {
 	})
 }
 
-// ecSlot is one shard slot's observed state during a gather.
+// ecSlot is one slot's observed state during a gather: a shard, or one
+// replica's copy.
 type ecSlot struct {
 	probed  bool
 	present bool
@@ -667,9 +696,10 @@ const (
 	gatherHeaders                   // whole-stripe overwrites, repair's health check: every slot's header only
 )
 
-// ecGather is the outcome of one concurrent shard gather over a stripe:
-// per-slot evidence plus the winning write — the (generation, write ID)
-// group that first reached k shards, preferring higher generations.
+// ecGather is the outcome of one concurrent gather over a stripe's slots —
+// k+m shards, or R copies (k = 1): per-slot evidence plus the winning
+// write — the (generation, write ID) group that first reached k slots,
+// preferring higher generations.
 type ecGather struct {
 	nodes  []string
 	slots  []ecSlot
@@ -738,17 +768,23 @@ func hedgeDelay(landed time.Duration) time.Duration {
 // node the detector distrusts or a drain fences is fetched only when that
 // wave cannot settle the stripe (see the loop), so neither a write nor a
 // repair pass spends a dead node's retry budget to learn nothing. These
-// two modes are not reads: they feed no hedge counter, hedge leg or read
-// latency histogram.
+// two modes are not hedged reads: they feed no hedge counter, hedge leg or
+// read latency histogram.
+//
+// A replicated stripe is the k = 1 case: its R copies are the slots, and
+// one copy of the newest write makes it readable. Repair inspects it with
+// the same two every-slot modes, and a read of a stripe the repair queue
+// holds picks its copy with gatherHeaders (readSpanInto).
 func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
-	k, m := f.coder.K(), f.coder.M()
-	n := k + m
 	nodes := f.targets(sk)
+	k, n := f.k, len(nodes)
 	o := f.fs.obs
 	probeAll := mode != gatherFirstK
-	// Shards are equal-sized Splits of the stripe plus the shard header;
-	// the per-shard estimate meters the throttle before each transfer.
-	shardEst := int64(f.coder.ShardSize(int(stripeLen))) + erasure.HeaderSize
+	// Slots are equal-sized Splits of the stripe (a copy is the k = 1
+	// split) plus the header; the per-slot estimate meters the throttle
+	// before each transfer.
+	slotLen := func(n int64) int64 { return (n+int64(k)-1)/int64(k) + erasure.HeaderSize }
+	shardEst := slotLen(stripeLen)
 	type fetch struct {
 		slot int
 		data []byte
@@ -756,30 +792,33 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		ok   bool
 		err  error
 	}
-	var get func(i int, st *kvstore.OpStat) fetch
-	switch mode {
-	case gatherFirstK:
-		// A stored shard can be longer than shardEst — Truncate shortens a
-		// stripe in metadata only — so the fetch and its buffer are sized
-		// from the layout's full stripe.
-		full := f.coder.ShardSize(int(f.layout.Size())) + erasure.HeaderSize
-		get = func(i int, st *kvstore.OpStat) fetch {
-			buf := f.fs.shardBuf(full)
-			got, ok, err := f.getShard(nodes[i], shardKey(dataKey(sk), i), shardEst, *buf, st)
-			return fetch{slot: i, data: (*buf)[:got], buf: buf, ok: ok, err: err}
+	// A stored shard can be longer than shardEst — a writer that never
+	// committed its size wrote past it — so a read's fetch and its buffer
+	// are sized from the layout's full stripe.
+	full := slotLen(f.layout.Size())
+	var hdrs []byte
+	if mode == gatherHeaders {
+		hdrs = make([]byte, n*erasure.HeaderSize)
+	}
+	get := func(i int, st *kvstore.OpStat) fetch {
+		// Built here, where it does not escape the fetch, the key stays on
+		// the stack. Every copy of a replicated stripe shares one key.
+		key := dataKey(sk)
+		if f.coder != nil {
+			key = shardKey(key, i)
 		}
-	case gatherAll:
-		get = func(i int, st *kvstore.OpStat) fetch {
-			data, ok, err := f.getFull(nodes[i], shardKey(dataKey(sk), i), shardEst, st)
+		switch mode {
+		case gatherFirstK:
+			buf := f.fs.shardBuf(int(full))
+			got, ok, err := f.getShard(nodes[i], key, shardEst, *buf, st)
+			return fetch{slot: i, data: (*buf)[:got], buf: buf, ok: ok, err: err}
+		case gatherAll:
+			data, ok, err := f.getFull(nodes[i], key, shardEst, st)
 			return fetch{slot: i, data: data, ok: ok, err: err}
 		}
-	case gatherHeaders:
-		hdrs := make([]byte, n*erasure.HeaderSize)
-		get = func(i int, st *kvstore.OpStat) fetch {
-			hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
-			got, ok, err := f.getInto(nodes[i], shardKey(dataKey(sk), i), 0, erasure.HeaderSize, hdr, st)
-			return fetch{slot: i, data: hdr[:got], ok: ok, err: err}
-		}
+		hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
+		got, ok, err := f.getInto(nodes[i], key, 0, erasure.HeaderSize, hdr, st)
+		return fetch{slot: i, data: hdr[:got], ok: ok, err: err}
 	}
 	// Health-ordered slots, stable: detector-Up targets first, so the
 	// first wave is shards the evidence says are actually fetchable.
@@ -1000,32 +1039,27 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 	return needs
 }
 
-// readSpanErasure reads one span of an erasure-coded stripe into dst and
-// counts the span's outcome.
-func (f *File) readSpanErasure(tr *opTrace, span stripe.Span, dst []byte) error {
+// readSpanErasure gathers one write's k shards of a span's stripe and
+// copies the span's window straight from the data payloads into dst
+// (len(dst) == span.Length; bytes past the stripe's end read as zeros),
+// and counts the span's outcome — degraded when missing or stale shards
+// were observed (repair enqueued). A stripe whose slots all answer "no
+// shard" reads as zeros (hole); fewer than k shards of any single write
+// otherwise is data loss.
+func (f *File) readSpanErasure(tr *opTrace, span stripe.Span, dst []byte) (err error) {
+	degraded := false
+	defer func() {
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		} else if degraded {
+			outcome = "degraded"
+		}
+		f.fs.obs.outcome("read", outcome).Inc()
+	}()
+	k, m := f.coder.K(), f.coder.M()
 	sk := stripe.Key(f.rec.ID, span.Index)
 	stripeLen := f.layout.StripeLen(f.size, span.Index)
-	degraded, err := f.readStripeErasure(tr, sk, span, stripeLen, dst)
-	switch {
-	case err != nil:
-		f.fs.obs.outcome("read", "error").Inc()
-	case degraded:
-		f.fs.obs.outcome("read", "degraded").Inc()
-	default:
-		f.fs.obs.outcome("read", "ok").Inc()
-	}
-	return err
-}
-
-// readStripeErasure gathers one write's k shards and copies the span's
-// window of the stripe straight from the data payloads into dst
-// (len(dst) == span.Length; bytes past the stripe's end read as zeros),
-// reporting whether the read was degraded (missing or stale shards
-// observed — repair enqueued). A stripe whose slots all answer "no
-// shard" reads as zeros (hole); fewer than k shards of any single write
-// otherwise is data loss. sk is the raw stripe key.
-func (f *File) readStripeErasure(tr *opTrace, sk string, span stripe.Span, stripeLen int64, dst []byte) (bool, error) {
-	k, m := f.coder.K(), f.coder.M()
 	g := f.gatherStripe(tr, sk, span.Index, stripeLen, gatherFirstK)
 	defer g.release(f.fs)
 	if g.found < k {
@@ -1037,25 +1071,25 @@ func (f *File) readStripeErasure(tr *opTrace, sk string, span stripe.Span, strip
 			// survivor among them. The stripe was never written — a hole,
 			// which reads as zeros. (No repair: absence is its state.)
 			clear(dst)
-			return false, nil
+			return nil
 		}
 		f.noteStripeState(tr, sk, span.Index, g)
 		if g.present == 0 && g.absent == 0 {
-			return false, fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
+			return fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
 		}
-		return false, fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, k)
+		return fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, k)
 	}
-	degraded := f.noteStripeState(tr, sk, span.Index, g)
+	degraded = f.noteStripeState(tr, sk, span.Index, g)
 	shards, err := f.gatherData(tr, g)
 	if err != nil {
-		return false, err
+		return err
 	}
 	n, err := f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
 	if err != nil {
-		return false, err
+		return err
 	}
 	clear(dst[n:])
-	return degraded, nil
+	return nil
 }
 
 // getFull reads a whole key from a node, throttled by the expected value

@@ -593,6 +593,7 @@ func (fs *FileSystem) newFile(path string, rec *fsmeta.FileRecord, writable bool
 		placer:   pl,
 		layout:   layout,
 		coder:    coder,
+		k:        max(rec.DataShards, 1),
 		size:     rec.Size,
 		writable: writable,
 		tenant:   fs.tenants().ResolveTenant(path),

@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
 // ownOpsAndData sums the own stores' executed-command counters and counts
@@ -118,8 +120,9 @@ func TestLazyRepairDoesNotClobberNewerPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := primCli.Get(key); err != nil || !ok || !bytes.Equal(got, v2) {
-		t.Fatalf("primary after lazy repair: present=%v err=%v, newer bytes kept=%v", ok, err, bytes.Equal(got, v2))
+	got, ok, err := primCli.Get(key)
+	if _, _, payload, perr := erasure.ParseShard(got); err != nil || !ok || perr != nil || !bytes.Equal(payload, v2) {
+		t.Fatalf("primary after lazy repair: present=%v err=%v, newer bytes kept=%v", ok, err, bytes.Equal(payload, v2))
 	}
 	if got, err := d.fs.ReadFile("/lazy"); err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("read after lazy repair returns stale bytes: %v", err)

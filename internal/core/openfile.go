@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"memfss/internal/stripe"
 )
 
 // Flag controls OpenFile, mirroring the os.O_* subset the FUSE layer
@@ -188,20 +186,27 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 	}
 	oldSize := rec.File.Size
 	if size < oldSize {
-		// Shrink in three ordered steps: (1) trim the boundary stripe
-		// (fail-closed — a stale tail must never resurface as garbage),
-		// (2) shrink the recorded size, (3) delete the dropped stripes.
-		// Metadata shrinks *before* stripes disappear, so a concurrent
-		// Scrub that finds a stripe's keys gone re-stats the file and sees
-		// the stripe is no longer expected — never a false "unrepairable".
-		// A crash between (2) and (3) leaves orphan stripes for Fsck to
-		// count, not data loss.
-		if rec.File.DataShards == 0 && size%rec.File.StripeSize != 0 {
-			f, err := fs.newFile(p, rec.File, false)
-			if err != nil {
-				return err
+		// Shrink in three ordered steps: (1) cut the boundary stripe to its
+		// kept prefix, read and written back through the stripe engine as a
+		// whole-stripe write under the new size — one rule for both modes: it
+		// replaces the stripe on every copy or shard it reaches, and leaves
+		// one it misses a generation behind, queued for repair — (2) shrink
+		// the recorded size, (3) delete the dropped stripes. Metadata shrinks
+		// *before* stripes disappear, so a concurrent Scrub that finds a
+		// stripe's keys gone re-stats the file and sees the stripe is no
+		// longer expected — never a false "unrepairable". A crash between
+		// (2) and (3) leaves orphan stripes for Fsck to count, not data loss.
+		if keep := size % rec.File.StripeSize; keep != 0 {
+			f, err := fs.newFile(p, rec.File, true)
+			kept := make([]byte, keep)
+			if err == nil {
+				_, err = f.ReadAt(kept, size-keep)
 			}
-			if err := f.trimBoundaryStripe(size); err != nil {
+			if err == nil {
+				f.size = size
+				_, err = f.WriteAt(kept, size-keep)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -221,41 +226,4 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 	}
 	rec.File.Size = size
 	return fs.meta.updateRecord(p, rec)
-}
-
-// trimBoundaryStripe cuts the stripe containing the new end down to the
-// surviving bytes on every node that holds a copy. Truncate calls it only
-// for a replicated/plain file whose new end is inside a stripe (an
-// erasure-coded boundary stripe is rewritten on next write, and reads
-// clamp to file size anyway). A node that is registered but
-// unreachable is an error, not a skip: its stale tail would resurface as
-// garbage where POSIX requires zeros if the file later grows back over the
-// trimmed range. By the time a transport error lands here the client retry
-// policy has already retried it, so surfacing lets the caller re-run
-// Truncate once the node recovers. A node the pool no longer knows
-// (already evacuated) is safe to skip — its store was drained and flushed.
-func (f *File) trimBoundaryStripe(newSize int64) error {
-	keep := newSize % f.layout.Size()
-	sk := stripe.Key(f.rec.ID, newSize/f.layout.Size())
-	var firstErr error
-	for _, nodeID := range f.placer.ProbeOrder(sk) {
-		cli, err := f.fs.conns.client(nodeID)
-		if err != nil {
-			continue // evacuated node: drained and flushed, no stale tail
-		}
-		v, ok, err := cli.Get(dataKey(sk))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("memfss: trim stripe %s on %s: %w", sk, nodeID, err)
-			}
-			continue // still trim the copies we can reach
-		}
-		if !ok || int64(len(v)) <= keep {
-			continue
-		}
-		if err := cli.Set(dataKey(sk), v[:keep]); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("memfss: trim stripe %s on %s: %w", sk, nodeID, err)
-		}
-	}
-	return firstErr
 }

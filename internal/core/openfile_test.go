@@ -149,58 +149,77 @@ func TestFsckFindsOrphans(t *testing.T) {
 	}
 }
 
+// TestTruncateShrinkAndGrow shrinks a file to mid-stripe and grows it back:
+// the grown range must read as zeros in both redundancy modes, so the
+// boundary stripe's cut tail must not survive anywhere.
 func TestTruncateShrinkAndGrow(t *testing.T) {
-	d := newTestFS(t, 2, 2)
-	fs := d.fs
-	data := randomBytes(9, 10_000) // 3 stripes at 4 KiB
-	fs.WriteFile("/t", data)
+	for _, tc := range []struct {
+		name               string
+		deploy             func(t *testing.T) *testDeploy
+		size, shrink, grow int
+	}{
+		{"plain", func(t *testing.T) *testDeploy { return newTestFS(t, 2, 2) }, 10_000, 6_000, 8_000},
+		{"RS32", func(t *testing.T) *testDeploy {
+			return newTestFS(t, 5, 0, withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 3, ParityShards: 2}))
+		}, 9_000, 5_000, 8_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := tc.deploy(t).fs
+			data := randomBytes(9, tc.size) // 3 stripes at 4 KiB
+			fs.WriteFile("/t", data)
 
-	if err := fs.Truncate("/t", 6_000); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/t")
-	if err != nil || !bytes.Equal(got, data[:6_000]) {
-		t.Fatalf("shrink mismatch: %v", err)
-	}
+			if err := fs.Truncate("/t", int64(tc.shrink)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := fs.ReadFile("/t")
+			if err != nil || !bytes.Equal(got, data[:tc.shrink]) {
+				t.Fatalf("shrink mismatch: %v", err)
+			}
 
-	if err := fs.Truncate("/t", 8_000); err != nil {
-		t.Fatal(err)
-	}
-	got, err = fs.ReadFile("/t")
-	if err != nil || len(got) != 8_000 {
-		t.Fatalf("grow: len=%d err=%v", len(got), err)
-	}
-	if !bytes.Equal(got[:6_000], data[:6_000]) {
-		t.Fatal("grow corrupted prefix")
-	}
-	for i := 6_000; i < 8_000; i++ {
-		if got[i] != 0 {
-			t.Fatalf("grown region byte %d = %d, want 0", i, got[i])
-		}
-	}
+			if err := fs.Truncate("/t", int64(tc.grow)); err != nil {
+				t.Fatal(err)
+			}
+			got, err = fs.ReadFile("/t")
+			if err != nil || len(got) != tc.grow {
+				t.Fatalf("grow: len=%d err=%v", len(got), err)
+			}
+			if !bytes.Equal(got[:tc.shrink], data[:tc.shrink]) {
+				t.Fatal("grow corrupted prefix")
+			}
+			nonzero := 0
+			for _, b := range got[tc.shrink:] {
+				if b != 0 {
+					nonzero++
+				}
+			}
+			if nonzero != 0 {
+				t.Fatalf("%d of the %d grown bytes are not zero", nonzero, tc.grow-tc.shrink)
+			}
 
-	if err := fs.Truncate("/t", 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = fs.ReadFile("/t")
-	if len(got) != 0 {
-		t.Fatalf("truncate to zero left %d bytes", len(got))
-	}
-	// After truncate-to-zero no stripes remain anywhere; fsck agrees.
-	rep, err := fs.Fsck()
-	if err != nil || rep.OrphanStripes != 0 || len(rep.Damaged) != 0 {
-		t.Fatalf("fsck after truncate: %+v %v", rep, err)
-	}
+			if err := fs.Truncate("/t", 0); err != nil {
+				t.Fatal(err)
+			}
+			got, _ = fs.ReadFile("/t")
+			if len(got) != 0 {
+				t.Fatalf("truncate to zero left %d bytes", len(got))
+			}
+			// After truncate-to-zero no stripes remain anywhere; fsck agrees.
+			rep, err := fs.Fsck()
+			if err != nil || rep.OrphanStripes != 0 || len(rep.Damaged) != 0 {
+				t.Fatalf("fsck after truncate: %+v %v", rep, err)
+			}
 
-	if err := fs.Truncate("/t", -1); err == nil {
-		t.Fatal("negative truncate accepted")
-	}
-	fs.Mkdir("/d")
-	if err := fs.Truncate("/d", 0); err == nil {
-		t.Fatal("truncate of dir accepted")
-	}
-	if err := fs.Truncate("/ghost", 0); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("truncate missing: %v", err)
+			if err := fs.Truncate("/t", -1); err == nil {
+				t.Fatal("negative truncate accepted")
+			}
+			fs.Mkdir("/d")
+			if err := fs.Truncate("/d", 0); err == nil {
+				t.Fatal("truncate of dir accepted")
+			}
+			if err := fs.Truncate("/ghost", 0); !errors.Is(err, ErrNotExist) {
+				t.Fatalf("truncate missing: %v", err)
+			}
+		})
 	}
 }
 

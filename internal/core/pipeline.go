@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"memfss/internal/erasure"
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
 )
@@ -22,26 +23,27 @@ import (
 type spanCmd struct {
 	slot int   // where the caller files this command's outcome
 	idx  int64 // stripe index, for trace attribution
-	op   byte  // opSet, opSetRange, or opGetRange
+	op   byte  // opSet, opVSet, or opGetRange
 	key  string
-	off  int64  // SETRANGE/GETRANGE offset
+	id   uint64 // VSET write ID
+	off  int64  // VSET payload offset (kvstore.Whole replaces) or GETRANGE offset
 	n    int64  // payload/read bytes, for victim throttling
-	data []byte // write payload (opSet, opSetRange)
+	data []byte // write payload (opSet, opVSet)
 	dst  []byte // read destination (opGetRange); len(dst) == n
 }
 
 const (
-	opSet byte = iota
-	opSetRange
-	opGetRange
+	opSet      byte = iota // an erasure shard, its header stamped by the writer
+	opVSet                 // a replica, its header stamped by the store
+	opGetRange             // a replica's payload range
 )
 
 func (c *spanCmd) verb() string {
 	switch c.op {
 	case opSet:
 		return "SET"
-	case opSetRange:
-		return "SETRANGE"
+	case opVSet:
+		return "VSET"
 	default:
 		return "GETRANGE"
 	}
@@ -52,8 +54,8 @@ func (c *spanCmd) queue(pl *kvstore.Pipeline) {
 	switch c.op {
 	case opSet:
 		pl.Set(c.key, c.data)
-	case opSetRange:
-		pl.SetRange(c.key, c.off, c.data)
+	case opVSet:
+		pl.VSet(c.key, c.id, c.off, c.data)
 	default:
 		pl.GetRangeInto(c.key, c.off, c.n, c.dst)
 	}
@@ -153,6 +155,7 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 	type slotResult struct {
 		err     error
 		retried bool
+		gen     int64 // the generation a VSET stamped
 	}
 	slots := 0
 	for i := range plans {
@@ -217,6 +220,8 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 					f.fs.noteNoSpace(nb.node)
 				}
 				res.err = fmt.Errorf("memfss: %s %s on %s: %w", c.verb(), c.key, nb.node, rerr)
+			} else {
+				res.gen = replies[j].Int
 			}
 		}
 		return nil
@@ -226,12 +231,17 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 	slot = 0
 	for i := range plans {
 		pl := &plans[i]
-		landed, retried := 0, false
+		landed, retried, split := 0, false, false
+		var gen int64
 		var storeErr, transErr error // first of each class in slot order
 		for _, res := range results[slot : slot+len(pl.nodes)] {
 			retried = retried || res.retried
 			switch {
 			case res.err == nil:
+				// Copies that stamped different generations did not all hold
+				// the same write before this one: one of them missed a write.
+				split = split || (landed > 0 && res.gen != gen)
+				gen = res.gen
 				landed++
 			case !isUnavailable(res.err):
 				if storeErr == nil {
@@ -242,11 +252,11 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 			}
 		}
 		slot += len(pl.nodes)
-		degraded, err := f.settleWrite(landed, len(pl.nodes), pl.quorum, storeErr, transErr)
+		degraded, err := f.settleWrite(landed, len(pl.nodes), pl.quorum, split, storeErr, transErr)
 		if err != nil && firstErr == nil {
 			okPlans, firstErr = i, err
 		}
-		if degraded || (err != nil && pl.shards != nil && landed > 0) {
+		if degraded || (err != nil && landed > 0) {
 			tr.markDegraded()
 			leg := tr.leg("repair-enqueue")
 			f.fs.enqueueRepair(f.path, pl.sk, pl.index, tr.traceID())
@@ -270,18 +280,19 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 }
 
 // settleWrite decides one stripe write's fate from its per-slot outcomes.
-// All slots landed: success. Any store-level error: that error (it would
-// fail identically on retry, so it must surface). Transport-only failures
-// (including skipped targets): degraded success if at least quorum slots
-// persisted — the configured WriteQuorum for replicas, where one landed
-// copy keeps the data readable via probe fallback, and k for shards,
-// because fewer than k shards of one write is a write nothing can read
-// back — otherwise the first transport error in slot order. The degraded
-// flag tells the caller to hand the stripe to the repair queue, which
-// re-replicates or rebuilds what is missing from what landed.
-func (f *File) settleWrite(landed, total, quorum int, storeErr, transErr error) (degraded bool, _ error) {
+// All slots landed on copies that agree (split is false): success. Any
+// store-level error: that error (it would fail identically on retry, so it
+// must surface). Transport-only failures (including skipped targets), or
+// copies that stamped different generations: degraded success if at least
+// quorum slots persisted — the configured WriteQuorum for replicas, where
+// one landed copy keeps the data readable, and k for shards, because fewer
+// than k shards of one write is a write nothing can read back — otherwise
+// the first transport error in slot order. The degraded flag tells the
+// caller to hand the stripe to the repair queue, which re-replicates,
+// replaces or rebuilds what is missing or behind from the newest write.
+func (f *File) settleWrite(landed, total, quorum int, split bool, storeErr, transErr error) (degraded bool, _ error) {
 	switch {
-	case landed == total:
+	case landed == total && !split:
 		return false, nil
 	case storeErr != nil:
 		return false, storeErr
@@ -295,30 +306,37 @@ func (f *File) settleWrite(landed, total, quorum int, storeErr, transErr error) 
 // firstRead is what a read burst learned from the one node it asked for a
 // span: done when the bytes arrived; otherwise miss says the node answered
 // "no such key" (reachable) rather than failing. retried marks a burst
-// that took more than one attempt.
+// that took more than one attempt. held marks a span the burst skipped:
+// the repair queue holds its stripe, so its copies may disagree.
 type firstRead struct {
-	node                string
-	done, miss, retried bool
+	node                      string
+	done, miss, retried, held bool
 }
 
 // readSpans fetches every span of a replicated read: one GETRANGE per
-// span to its first healthy target, in pipelined bursts decoded straight
-// into p (no intermediate copies), then the probe chain (readSpanInto) for
-// anything that misses: absent keys (strays or holes), error replies, or
-// an unreachable target. The probe is told what the burst learned about
-// the node it asked, so it never asks that node again, and keeps the
-// lazy-repair semantics of paper §V-C intact. moveSeq is the move sequence
-// loaded when the read began (see readSpanInto). Returns the
-// leading-success count and the first error in span order.
+// span to its first healthy target, past the copy's header, in pipelined
+// bursts decoded straight into p (no intermediate copies), then the probe
+// chain (readSpanInto) for anything that misses: absent keys (strays or
+// holes), error replies, or an unreachable target. The probe is told what
+// the burst learned about the node it asked, so it never asks that node
+// again, and keeps the lazy-repair semantics of paper §V-C intact. A
+// stripe the repair queue holds may have a copy behind the others, so it
+// skips the burst: the probe chain reads it from the newest copy. moveSeq
+// is the move sequence loaded when the read began (see readSpanInto).
+// Returns the leading-success count and the first error in span order.
 func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte, moveSeq uint64) (int, error) {
 	state := make([]firstRead, len(spans))
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
 	for i, span := range spans {
 		sk := stripe.Key(f.rec.ID, span.Index)
+		if f.fs.repairs.holds(sk) {
+			state[i].held = true
+			continue
+		}
 		dst := p[starts[i] : starts[i]+int(span.Length)]
 		cmd := spanCmd{slot: i, idx: span.Index, op: opGetRange, key: dataKey(sk),
-			off: span.Offset, n: span.Length, dst: dst}
+			off: erasure.HeaderSize + span.Offset, n: span.Length, dst: dst}
 		// First *healthy* target, not blindly rank 0: bursting GETRANGEs
 		// at a Down primary would stall every span in the burst behind its
 		// retry budget before falling back.

@@ -15,9 +15,11 @@ package core
 //     class elements in place, so -race stayed quiet — but any future
 //     in-place update would have made it explode; the test pins the
 //     concurrency contract the copy-under-lock fix establishes.
-//   - TestTruncateBoundaryTrimFailsClosed: the boundary trim silently
+//   - TestTruncateBoundaryUnreachableReplica: the boundary trim silently
 //     skipped unreachable replicas, so shrink-then-grow resurfaced stale
-//     bytes where POSIX requires zeros.
+//     bytes where POSIX requires zeros. The trim was then made to fail
+//     closed; now the boundary is a versioned whole-stripe write, and the
+//     copy it misses is a generation behind instead.
 //   - TestRepairUnitOutrunsSizeCommit: fixStripe dropped units whose
 //     stripe index sat beyond the committed file size, orphaning repairs
 //     that raced their own writer's Close.
@@ -25,7 +27,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"memfss/internal/container"
+	"memfss/internal/erasure"
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
 )
@@ -268,18 +270,20 @@ func TestScavengeChurnRace(t *testing.T) {
 }
 
 // S4: shrinking a file with an unreachable replica of the boundary stripe
-// must fail (not silently keep the stale tail), and once the node is back,
-// shrink-then-grow must read zeros over the trimmed range.
-func TestTruncateBoundaryTrimFailsClosed(t *testing.T) {
+// must never let the stale tail resurface: the shrink's boundary write
+// lands degraded, shrink-then-grow reads zeros over the cut range while the
+// missed copy is still behind, and once the node is back the repair queue
+// replaces that copy with the cut stripe.
+func TestTruncateBoundaryUnreachableReplica(t *testing.T) {
 	d := newTestFS(t, 2, 3,
 		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
-		withRetry(fastRetry))
+		withRetry(fastRetry),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
 	stripeN := d.fs.layout.Size()
 	full := bytes.Repeat([]byte{0xAB}, int(2*stripeN+stripeN/2)) // 2.5 stripes
 
 	// The shrink stays inside the last stripe (index 2), so no whole
-	// stripes are deleted and the boundary trim is the only store traffic
-	// — the exact path that used to skip unreachable replicas silently.
+	// stripes are deleted and the boundary write is the only store traffic.
 	// Find a file whose boundary stripe replicates onto victim nodes:
 	// those stores can be taken down and brought back without losing the
 	// metadata the own class holds.
@@ -317,16 +321,35 @@ func TestTruncateBoundaryTrimFailsClosed(t *testing.T) {
 	d.victims.Server(down).Close()
 
 	shrink := 2*stripeN + stripeN/4 // cut the boundary stripe's tail
-	err := d.fs.Truncate(path, shrink)
-	if err == nil {
-		t.Fatal("truncate with an unreachable boundary replica must fail, not skip the stale tail")
+	if err := d.fs.Truncate(path, shrink); err != nil {
+		t.Fatalf("truncate with one boundary replica unreachable: %v", err)
 	}
-	if !errors.Is(err, kvstore.ErrUnavailable) {
-		t.Fatalf("truncate error %v does not carry the transport cause", err)
+	if c := d.fs.Counters(); c.DegradedWrites == 0 {
+		t.Fatal("the boundary write missed a replica but was not degraded")
 	}
-	if st, err := d.fs.Stat(path); err != nil || st.Size != int64(len(full)) {
-		t.Fatalf("failed truncate changed metadata: size %d, want %d (%v)", st.Size, len(full), err)
+	checkRegrown := func(when string) {
+		t.Helper()
+		got, err := d.fs.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(got)) != int64(len(full)) {
+			t.Fatalf("%s: size after shrink-regrow = %d, want %d", when, len(got), len(full))
+		}
+		for i, b := range got {
+			want := byte(0)
+			if int64(i) < shrink {
+				want = 0xAB
+			}
+			if b != want {
+				t.Fatalf("%s: byte %d = %#x after shrink-regrow, want %#x (stale tail resurfaced)", when, i, b, want)
+			}
+		}
 	}
+	if err := d.fs.Truncate(path, int64(len(full))); err != nil { // grow back
+		t.Fatal(err)
+	}
+	checkRegrown("missed copy still behind")
 
 	// The node comes back with its (stale) data intact.
 	srv := kvstore.NewServer(store, "test-secret")
@@ -334,29 +357,26 @@ func TestTruncateBoundaryTrimFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	forceUp(t, d.fs, reps[0])
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	raw, ok, err := store.Get(dataKey(stripe.Key(stripeKeyID(t, d, path), 2)))
+	if _, _, payload, perr := erasure.ParseShard(raw); err != nil || !ok || perr != nil || int64(len(payload)) != stripeN/4 {
+		t.Fatalf("returned copy after repair: %d-byte payload (%v %v %v), want the %d-byte cut stripe",
+			len(payload), ok, err, perr, stripeN/4)
+	}
+	checkRegrown("after repair")
+}
 
-	if err := d.fs.Truncate(path, shrink); err != nil {
-		t.Fatalf("truncate after the node returned: %v", err)
-	}
-	if err := d.fs.Truncate(path, int64(len(full))); err != nil { // grow back
-		t.Fatal(err)
-	}
-	got, err := d.fs.ReadFile(path)
+// stripeKeyID returns the file ID behind path.
+func stripeKeyID(t *testing.T, d *testDeploy, path string) string {
+	t.Helper()
+	rec, err := d.fs.meta.statRecord(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(got)) != int64(len(full)) {
-		t.Fatalf("size after shrink-regrow = %d, want %d", len(got), len(full))
-	}
-	for i, b := range got {
-		want := byte(0)
-		if int64(i) < shrink {
-			want = 0xAB
-		}
-		if b != want {
-			t.Fatalf("byte %d = %#x after shrink-regrow, want %#x (stale tail resurfaced)", i, b, want)
-		}
-	}
+	return rec.File.ID
 }
 
 // TestRepairUnitOutrunsSizeCommit pins the enqueue-before-commit race

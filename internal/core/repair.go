@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memfss/internal/health"
@@ -101,12 +102,16 @@ type repairQueue struct {
 
 	mu        sync.Mutex
 	seen      map[string]bool // dedup over active+parked units
+	held      map[string]int  // raw stripe key -> units queued, parked or in flight
 	active    []repairUnit
 	parked    []parkedUnit
 	inFlight  int
 	overflow  bool // queue overflowed: full Scrub owed until one runs clean
 	scrubDue  bool // a full Scrub should run at the next idle moment
 	scrubbing bool
+	// busy is "anything held, or a Scrub owed", kept in step with held and
+	// overflow under mu, so readers of an idle queue skip the lock.
+	busy atomic.Bool
 
 	kickCh    chan struct{}
 	stopCh    chan struct{}
@@ -135,6 +140,7 @@ func newRepairQueue(fs *FileSystem, pol RepairPolicy) *repairQueue {
 		fs:     fs,
 		pol:    pol,
 		seen:   make(map[string]bool),
+		held:   make(map[string]int),
 		kickCh: make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		enqueued: reg.Counter("memfss_repair_enqueued_total",
@@ -205,12 +211,14 @@ func (q *repairQueue) enqueue(path, sk string, idx int64, src trace.ID) {
 		q.overflow = true
 		q.scrubDue = true
 		q.overflows.Add(1)
+		q.busy.Store(true)
 		q.mu.Unlock()
 		q.fs.obs.note("repair", "", "overflow: "+u.key()+" dropped, full scrub owed", src)
 		q.kick()
 		return
 	}
 	q.seen[u.key()] = true
+	q.hold(u.sk, 1)
 	q.active = append(q.active, u)
 	q.enqueued.Add(1)
 	q.mu.Unlock()
@@ -291,10 +299,33 @@ func (q *repairQueue) pop() (repairUnit, bool) {
 	return u, true
 }
 
-func (q *repairQueue) doneOne() {
+func (q *repairQueue) doneOne(u repairUnit) {
 	q.mu.Lock()
 	q.inFlight--
+	q.hold(u.sk, -1)
 	q.mu.Unlock()
+}
+
+// hold counts a unit of stripe sk in (+1) or out (-1) of the queue's
+// care. Called with mu held.
+func (q *repairQueue) hold(sk string, d int) {
+	if q.held[sk] += d; q.held[sk] == 0 {
+		delete(q.held, sk)
+	}
+	q.busy.Store(len(q.held) > 0 || q.overflow)
+}
+
+// holds reports whether the queue has stripe sk in its care — queued,
+// parked or in flight — or owes a full Scrub, which may find any stripe
+// behind. Such a stripe's copies may disagree, so reads pick the newest
+// (readSpanInto). An idle (or disabled) queue answers without a lock.
+func (q *repairQueue) holds(sk string) bool {
+	if q == nil || !q.busy.Load() {
+		return false
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.overflow || q.held[sk] > 0
 }
 
 // park shelves a unit whose repair is blocked on the waitFor targets; it
@@ -310,9 +341,11 @@ func (q *repairQueue) park(u repairUnit, waitFor []string) {
 		q.overflow = true
 		q.scrubDue = true
 		q.overflows.Add(1)
+		q.busy.Store(true)
 		return
 	}
 	q.seen[u.key()] = true
+	q.hold(u.sk, 1)
 	q.parked = append(q.parked, parkedUnit{u: u, waitFor: waitFor})
 }
 
@@ -355,13 +388,13 @@ func (q *repairQueue) loop() {
 		select {
 		case sem <- struct{}{}:
 		case <-q.stopCh:
-			q.doneOne()
+			q.doneOne(u)
 			return
 		}
 		q.wg.Add(1)
 		go func(u repairUnit) {
 			defer q.wg.Done()
-			defer func() { <-sem; q.doneOne() }()
+			defer func() { <-sem; q.doneOne(u) }()
 			q.repairOne(u)
 		}(u)
 		if q.pol.Interval > 0 {
@@ -376,7 +409,7 @@ func (q *repairQueue) loop() {
 
 func (q *repairQueue) repairOne(u repairUnit) {
 	out := q.fs.fixStripe(u)
-	q.restored.Add(int64(out.restored))
+	q.restored.Add(int64(len(out.restored)))
 	switch {
 	case out.reason != "":
 		q.unrepairable.Add(1)
@@ -396,14 +429,14 @@ func (q *repairQueue) repairOne(u repairUnit) {
 		q.fs.obs.note("repair", "", fmt.Sprintf("parked %s waiting on %v", u.key(), out.pending), u.src)
 	default:
 		q.repaired.Add(1)
+		// The note names what each rewritten copy replaced.
+		what := fmt.Sprintf("+%d copies %v", len(out.restored), out.restored)
 		if !u.enqueuedAt.IsZero() {
 			wait := time.Since(u.enqueuedAt)
 			q.waitHist.Observe(wait)
-			q.fs.obs.note("repair", "", fmt.Sprintf("restored %s (+%d copies, wait %s)",
-				u.key(), out.restored, wait.Round(time.Millisecond)), u.src)
-		} else {
-			q.fs.obs.note("repair", "", fmt.Sprintf("restored %s (+%d copies)", u.key(), out.restored), u.src)
+			what += ", wait " + wait.Round(time.Millisecond).String()
 		}
+		q.fs.obs.note("repair", "", fmt.Sprintf("restored %s (%s)", u.key(), what), u.src)
 	}
 }
 
@@ -419,6 +452,7 @@ func (q *repairQueue) runFullScrub() {
 		q.restored.Add(int64(rep.Restored))
 		if len(rep.Deferred) == 0 {
 			q.overflow = false
+			q.busy.Store(len(q.held) > 0)
 		}
 	}
 	q.scrubbing = false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"memfss/internal/erasure"
 	"memfss/internal/health"
@@ -30,8 +31,9 @@ type ScrubReport struct {
 // fixOutcome is the result of inspecting/repairing one stripe, shared by
 // Scrub, RepairFile, and the background repair queue.
 type fixOutcome struct {
-	// restored counts copies/shards rewritten.
-	restored int
+	// restored names what each rewritten copy or shard replaced: "missing",
+	// "stale" or "unparseable".
+	restored []string
 	// pending lists registered targets that could not be checked or
 	// written (detector says Suspect/Down, or the operation failed with a
 	// transport error): retry once they recover.
@@ -108,8 +110,8 @@ func (f *File) scrub(rep *ScrubReport) {
 		f.fs.obs.scrubChk.Inc()
 		sk := stripe.Key(f.rec.ID, idx)
 		out := f.fixStripe(idx)
-		rep.Restored += out.restored
-		f.fs.obs.scrubRest.Add(int64(out.restored))
+		rep.Restored += len(out.restored)
+		f.fs.obs.scrubRest.Add(int64(len(out.restored)))
 		if out.reason != "" {
 			rep.Unrepairable = append(rep.Unrepairable,
 				fmt.Sprintf("%s#%s: %s", f.path, sk, out.reason))
@@ -155,21 +157,6 @@ func (fs *FileSystem) fixStripe(u repairUnit) fixOutcome {
 	return f.fixStripe(u.idx)
 }
 
-// fixStripe inspects stripe idx of the file as its record stood when this
-// read-only handle was built, and restores what redundancy it is missing.
-// A file without redundancy has nothing to restore; reads lazily repair
-// its placement drift.
-func (f *File) fixStripe(idx int64) fixOutcome {
-	sk := stripe.Key(f.rec.ID, idx)
-	switch {
-	case f.coder != nil:
-		return f.fixErasureStripe(sk, idx)
-	case f.rec.Replicas > 1:
-		return f.fixReplicatedStripe(sk, idx)
-	}
-	return fixOutcome{}
-}
-
 // stripeStillExpected re-stats the file and reports whether stripe idx is
 // still part of it. It is the double-check before declaring a stripe
 // unrepairable: a scrub racing a truncate, remove or recreate sees the
@@ -185,91 +172,15 @@ func (f *File) stripeStillExpected(idx int64) bool {
 	return fr != nil && fr.ID == f.rec.ID && idx < f.layout.Count(fr.Size)
 }
 
-// fixReplicatedStripe checks one replicated stripe's placement targets
-// and rewrites missing copies from a surviving one.
-func (f *File) fixReplicatedStripe(sk string, idx int64) fixOutcome {
-	fs := f.fs
-	key := dataKey(sk)
-	var out fixOutcome
-	var present, missing []string
-	for _, node := range f.targets(sk) {
-		cli, err := fs.conns.client(node)
-		if err != nil {
-			continue // node no longer registered (evacuated): skip
-		}
-		if fs.nodeState(node) != health.Up {
-			// Known-unhealthy: no network call, no retry-budget burn.
-			out.pending = append(out.pending, node)
-			continue
-		}
-		ok, err := cli.Exists(key)
-		if err != nil {
-			out.pending = append(out.pending, node)
-			continue
-		}
-		if ok {
-			present = append(present, node)
-		} else {
-			missing = append(missing, node)
-		}
-	}
-	if len(missing) == 0 {
-		return out
-	}
-	if len(present) == 0 {
-		// Maybe a stray copy survives off-placement (lazy movement).
-		for _, node := range f.placer.ProbeOrder(sk) {
-			if fs.nodeState(node) != health.Up {
-				continue
-			}
-			cli, err := fs.conns.client(node)
-			if err != nil {
-				continue
-			}
-			if ok, err := cli.Exists(key); err == nil && ok {
-				present = append(present, node)
-				break
-			}
-		}
-	}
-	if len(present) == 0 {
-		if len(out.pending) > 0 {
-			// A copy may live on the unavailable target(s): defer, don't
-			// condemn.
-			return out
-		}
-		if !f.stripeStillExpected(idx) {
-			// The stripe was truncated or removed mid-scan: absence is
-			// the correct state, not damage.
-			return fixOutcome{}
-		}
-		out.reason = "no surviving replica on any reachable node"
-		return out
-	}
-	// Repair reads move stripe payloads like any other transfer, so they
-	// meter the source's throttle before touching the wire.
-	value, ok, err := f.getFull(present[0], key, f.layout.StripeLen(f.size, idx), nil)
-	if err != nil || !ok {
-		// The source vanished between Exists and Get (concurrent delete or
-		// node loss), or its throttle closed: retry later rather than
-		// guessing.
-		out.pending = append(out.pending, present[0])
-		return out
-	}
-	for _, node := range missing {
-		f.reinstall(&out, node, key, value, nil)
-	}
-	return out
-}
-
 // reinstall puts value under key on node for a repair pass, metering the
 // node's throttle first. SETNX: it only fills a hole — a concurrent
 // writer's fresher value must never be clobbered with the repair's stale
 // read. To replace what the pass read there (stale, non-nil) it first
 // compare-and-deletes exactly those bytes: if a live writer lands a newer
 // value between the two steps, both no-op and the fresher value survives.
+// A stored value is recorded in out.restored as fault, what it replaced.
 // A node the pool no longer knows (evacuated) is skipped.
-func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte) {
+func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte, fault string) {
 	cli, err := f.fs.conns.client(node)
 	if err != nil {
 		return
@@ -289,22 +200,27 @@ func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte)
 	case err != nil:
 		out.pending = append(out.pending, node)
 	case stored:
-		out.restored++
+		out.restored = append(out.restored, fault)
 	}
 }
 
-// fixErasureStripe checks one erasure-coded stripe's shard set through the
-// data path's gather and rebuilds missing, stale, and corrupt shards from
-// the write the gather picked — the one a read would return. A headers
-// pass decides health; only a stripe with something to rewrite is gathered
-// again for its shards, and only the shards that need rewriting are
-// reconstructed (one decode-matrix row each via ReconstructShards) instead
-// of decoding the whole stripe and re-encoding all parity.
-//
-// A slot holding anything but the winning write's shard — another write's,
-// or bytes that do not parse — is replaced, never overwritten (reinstall).
-func (f *File) fixErasureStripe(sk string, idx int64) fixOutcome {
-	fs, k := f.fs, f.coder.K()
+// fixStripe inspects stripe idx of the file as its record stood when this
+// read-only handle was built — k+m shards, or R copies, the k = 1 case —
+// through the data path's gather, and replaces what is missing, behind or
+// unparseable with the write the gather picked: the one a read returns. A
+// headers pass decides health; only a stripe with something to rewrite is
+// gathered again whole, and only the slots that need it are rebuilt — a
+// copy is the winner's own payload, a shard one decode-matrix row
+// (ReconstructShards) instead of decoding the whole stripe and re-encoding
+// all parity. A slot holding anything but the winning write is replaced,
+// never overwritten (reinstall). A stripe with a single slot has no
+// redundancy to restore; reads lazily repair its placement drift.
+func (f *File) fixStripe(idx int64) fixOutcome {
+	fs, k := f.fs, f.k
+	sk := stripe.Key(f.rec.ID, idx)
+	if len(f.targets(sk)) == k {
+		return fixOutcome{}
+	}
 	stripeLen := f.layout.StripeLen(f.size, idx)
 	var g *ecGather
 	var out fixOutcome
@@ -336,18 +252,18 @@ func (f *File) fixErasureStripe(sk string, idx int64) fixOutcome {
 	}
 	if g.found < k {
 		if len(out.pending) > 0 {
-			return out // the unavailable nodes may hold the missing shards
+			return out // the unavailable nodes may hold the missing slots
 		}
 		if !f.stripeStillExpected(idx) {
 			return fixOutcome{}
 		}
-		out.reason = fmt.Sprintf("only %d of %d shards of one write survive (need %d)", g.found, len(g.slots), k)
+		out.reason = fmt.Sprintf("only %d of %d slots of one write survive (need %d)", g.found, len(g.slots), k)
 		return out
 	}
 	if len(fix) == 0 {
 		return out
 	}
-	rebuilt, err := f.coder.ReconstructShards(g.winnerShards(), fix)
+	rebuilt, err := f.rebuild(g, fix)
 	if err != nil {
 		out.reason = fmt.Sprintf("reconstruct failed: %v", err)
 		return out
@@ -360,8 +276,33 @@ func (f *File) fixErasureStripe(sk string, idx int64) fixOutcome {
 			out.pending = append(out.pending, node)
 			continue
 		}
-		f.reinstall(&out, node, shardKey(dataKey(sk), i),
-			erasure.WrapShard(g.gen, g.id, rebuilt[j]), g.slots[i].raw)
+		key := dataKey(sk) // every copy of a replicated stripe shares it
+		if f.coder != nil {
+			key = shardKey(key, i)
+		}
+		// Name what the slot held: another write, bytes without a valid
+		// header (only gatherAll keeps them), or nothing.
+		s, fault := &g.slots[i], "missing"
+		if s.present {
+			fault = "stale"
+		} else if s.raw != nil {
+			fault = "unparseable"
+		}
+		f.reinstall(&out, node, key, erasure.WrapShard(g.gen, g.id, rebuilt[j]), s.raw, fault)
 	}
 	return out
+}
+
+// rebuild returns the winning write's payload for each slot in fix: a
+// shard's is solved from the survivors, a copy's is any winner's own.
+func (f *File) rebuild(g *ecGather, fix []int) ([][]byte, error) {
+	shards := g.winnerShards()
+	if f.coder != nil {
+		return f.coder.ReconstructShards(shards, fix)
+	}
+	won := slices.DeleteFunc(shards, func(b []byte) bool { return b == nil })
+	for len(won) < len(fix) {
+		won = append(won, won[0])
+	}
+	return won[:len(fix)], nil
 }

@@ -62,7 +62,7 @@ func newFSStats(reg *obs.Registry) fsStats {
 		ecReconstructs: reg.Counter("memfss_fs_ec_reconstructs_total",
 			"Erasure stripe reads served by Reed-Solomon reconstruction (a data shard missing, stale, or slower than the hedge).", nil),
 		ecGenConflicts: reg.Counter("memfss_fs_ec_generation_conflicts_total",
-			"Erasure stripe inspections that observed shards from more than one write generation.", nil),
+			"Stripe inspections, erasure-coded or replicated, that observed slots from more than one write.", nil),
 		ecHedged: hedged,
 	}
 }
@@ -119,10 +119,11 @@ type Counters struct {
 	// reason: miss, error, stale, slow). With every node Up only these
 	// can reconstruct: the first k are the data shards.
 	ECHedgedReads int64
-	// ECGenConflicts counts stripe inspections that observed shards from
-	// more than one write generation — the leftovers of a torn or
-	// superseded write, converged by the repair pass. Reconstruction never
-	// mixes generations; this only measures how often the mix was seen.
+	// ECGenConflicts counts stripe inspections, in both redundancy modes,
+	// that observed slots from more than one write — the leftovers of a
+	// torn or superseded erasure write, or a replica that missed a write,
+	// converged by the repair pass. Reads never mix or serve them; this
+	// only measures how often the mix was seen.
 	ECGenConflicts int64
 	// StoreOps / StoreAttempts count store operations (commands and
 	// pipeline bursts) and the connection attempts they consumed, summed

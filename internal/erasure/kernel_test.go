@@ -167,8 +167,8 @@ func TestEncodeShardsEqualsWrapSplitEncode(t *testing.T) {
 }
 
 // TestJoinIntoWindows reads every window of a short payload and the
-// clamped cases Join accepts: oversized shards, and a window running past
-// the payload's end.
+// clamped cases Join accepts: oversized shards, undersized shards, and a
+// window running past the payload's end.
 func TestJoinIntoWindows(t *testing.T) {
 	c, _ := NewCoder(3, 1)
 	payload := []byte("0123456789abcdefg") // 17 bytes: shards of 6, last padded
@@ -191,8 +191,10 @@ func TestJoinIntoWindows(t *testing.T) {
 	if n, err := c.JoinInto(dst, shards, 2, 7); err != nil || string(dst[:n]) != "23456" {
 		t.Fatalf("clamped JoinInto = %d %q %v, want 5 \"23456\"", n, dst[:n], err)
 	}
-	if _, err := c.JoinInto(dst, shards, 0, 19); err == nil {
-		t.Fatal("JoinInto accepted a payload longer than the shards hold")
+	// A payload grown past what its shards hold yields what they hold (the
+	// padded 18 bytes); the caller zeroes the rest.
+	if n, err := c.JoinInto(dst, shards, 12, 25); err != nil || string(dst[:n]) != "cdefg\x00" {
+		t.Fatalf("grown JoinInto = %d %q %v, want 6 \"cdefg\\x00\"", n, dst[:n], err)
 	}
 	if _, err := c.JoinInto(dst, shards[:2], 0, 4); err == nil {
 		t.Fatal("JoinInto accepted k-1 shards")

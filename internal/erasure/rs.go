@@ -78,6 +78,8 @@ func (c *Coder) Join(shards [][]byte, n int) ([]byte, error) {
 // JoinInto is Join for a window: it copies payload bytes [off, off+len(dst)),
 // clamped to the payload length n, from the k data shards straight into
 // dst and returns how many it copied — no stripe-sized intermediate.
+// Shards holding fewer than n bytes — a stripe cut short and then grown
+// back — yield what they hold; the bytes past it are the caller's zeros.
 func (c *Coder) JoinInto(dst []byte, shards [][]byte, off, n int) (int, error) {
 	if len(shards) != c.k {
 		return 0, fmt.Errorf("erasure: Join needs %d data shards, got %d", c.k, len(shards))
@@ -88,9 +90,7 @@ func (c *Coder) JoinInto(dst []byte, shards [][]byte, off, n int) (int, error) {
 			return 0, fmt.Errorf("erasure: shard size %d, want %d", len(s), size)
 		}
 	}
-	if n > c.k*size {
-		return 0, fmt.Errorf("erasure: %d-byte shards cannot cover a %d-byte payload", size, n)
-	}
+	n = min(n, c.k*size)
 	copied := 0
 	for want := min(len(dst), n-off); copied < want; {
 		pos := off + copied
@@ -132,7 +132,7 @@ func (c *Coder) EncodeShards(gen, id uint64, payload []byte) [][]byte {
 	bodies := make([][]byte, c.k+c.m)
 	for i := range shards {
 		shards[i] = buf[i*stride : (i+1)*stride : (i+1)*stride]
-		putHeader(shards[i], gen, id)
+		PutHeader(shards[i], gen, id)
 		bodies[i] = shards[i][HeaderSize:]
 		if start := i * size; i < c.k && start < len(payload) {
 			copy(bodies[i], payload[start:])

@@ -6,14 +6,13 @@ import (
 	"fmt"
 )
 
-// Every erasure shard stored on a node carries a fixed header naming the
-// write that produced it. Reconstruction must only ever combine shards
-// from one write: a stripe is read-modify-written as a unit, so shards
-// from two different writes encode two different payloads, and joining
-// them silently produces garbage that no checksum downstream would catch.
-// The header makes that impossible to do by accident — the gather layer
-// groups shards by (generation, write ID) and reconstructs only within
-// one group.
+// Every value stored for a stripe — an erasure shard, a replica, an
+// unreplicated stripe — carries a fixed header naming the write that
+// produced it. A replica is the k = 1 shard: readers and repair only ever
+// combine (or, for k = 1, serve) shards from one write, so joining two
+// writes' shards, or serving a copy that missed a write, cannot happen by
+// accident — the gather layer groups values by (generation, write ID) and
+// prefers the highest generation.
 //
 //	offset  size  field
 //	0       1     magic (0xE5)
@@ -21,12 +20,13 @@ import (
 //	2       8     generation, big endian
 //	10      8     write ID, big endian
 //
-// The generation is a per-stripe counter: each read-modify-write stamps
-// its shards with (highest generation observed on the stripe) + 1, so a
-// reader preferring the highest complete generation always returns the
-// newest settled write. The write ID is a random per-write nonce that
-// disambiguates two writers who raced to the same generation — their
-// shard sets stay distinct groups instead of interleaving.
+// The generation is a per-stripe counter. An erasure write stamps its
+// shards itself with (highest generation observed on the stripe) + 1; a
+// replica's store stamps it, one past the generation the copy already
+// holds (kvstore's VSET), so a copy that missed a write stays behind even
+// after later writes land on it. The write ID is a random per-write nonce
+// that disambiguates two writers who reached the same generation — their
+// values stay distinct groups instead of interleaving.
 
 const (
 	shardMagic   = 0xE5
@@ -43,13 +43,13 @@ var ErrBadShard = errors.New("erasure: malformed shard header")
 // write ID id) to payload, returning a fresh buffer ready to store.
 func WrapShard(gen, id uint64, payload []byte) []byte {
 	out := make([]byte, HeaderSize+len(payload))
-	putHeader(out, gen, id)
+	PutHeader(out, gen, id)
 	copy(out[HeaderSize:], payload)
 	return out
 }
 
-// putHeader stamps the shard header into b[:HeaderSize].
-func putHeader(b []byte, gen, id uint64) {
+// PutHeader stamps the header for write (gen, id) into b[:HeaderSize].
+func PutHeader(b []byte, gen, id uint64) {
 	b[0] = shardMagic
 	b[1] = shardVersion
 	binary.BigEndian.PutUint64(b[2:], gen)

@@ -132,8 +132,8 @@ func TestReconstructShardsValidation(t *testing.T) {
 }
 
 func TestJoinClampsLongShards(t *testing.T) {
-	// A truncate that lands mid-stripe shrinks the metadata length but
-	// leaves full-size shards behind; Join must clamp instead of erroring.
+	// A stripe whose stored shards are longer than its length (a writer
+	// that never committed its size) must clamp instead of erroring.
 	c, _ := NewCoder(3, 1)
 	data := make([]byte, 4096)
 	for i := range data {
@@ -147,7 +147,14 @@ func TestJoinClampsLongShards(t *testing.T) {
 	if !bytes.Equal(got, data[:3000]) {
 		t.Fatal("clamped join corrupted payload")
 	}
-	if _, err := c.Join(shards, 3*len(shards[0])+1); err == nil {
-		t.Error("join past shard coverage accepted")
+	// A stripe grown back past what its shards hold joins as those bytes
+	// (the payload plus Split's zero padding), then zeros.
+	long := 3*len(shards[0]) + 5
+	got, err = c.Join(shards, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(data)], data) || !bytes.Equal(got[len(data):], make([]byte, long-len(data))) {
+		t.Error("join past shard coverage is not the payload followed by zeros")
 	}
 }

@@ -502,7 +502,6 @@ var (
 	verbPing     = []byte("PING")
 	verbSetNX    = []byte("SETNX")
 	verbDel      = []byte("DEL")
-	verbExists   = []byte("EXISTS")
 	verbSAdd     = []byte("SADD")
 	verbSRem     = []byte("SREM")
 	verbSMembers = []byte("SMEMBERS")
@@ -725,16 +724,44 @@ func (c *Client) SetRangeStat(key string, offset int64, value []byte, st *OpStat
 	return nil
 }
 
+// Whole is the VSet offset that replaces the value instead of writing a
+// range into it.
+const Whole = -1
+
+// VSet is the versioned stripe write: it writes value into key's payload
+// at offset off — or, with off == Whole, replaces the value — and returns
+// the generation the store stamped into the value's header, one past the
+// one it held. id names the write.
+func (c *Client) VSet(key string, id uint64, off int64, value []byte) (uint64, error) {
+	var r struct {
+		gen    int64
+		errMsg string
+	}
+	err := c.withRetry("VSET", 0, nil, func(cc *clientConn) error {
+		if err := cc.startOp(c.timeout); err != nil {
+			return err
+		}
+		cc.enc.vset(key, id, off, value)
+		if err := cc.enc.writeTo(cc.conn); err != nil {
+			return err
+		}
+		var err error
+		r.gen, r.errMsg, err = readIntReply(cc.br)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if r.errMsg != "" {
+		return 0, replyError(r.errMsg)
+	}
+	return uint64(r.gen), nil
+}
+
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int64, error) {
 	args := append([][]byte{verbDel}, bs(keys...)...)
 	return c.doInt(args...)
-}
-
-// Exists reports whether key exists.
-func (c *Client) Exists(key string) (bool, error) {
-	n, err := c.doInt(verbExists, []byte(key))
-	return n == 1, err
 }
 
 // SAdd adds members to the set at key.

@@ -102,6 +102,8 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add(command([]byte("SET"), []byte("key"), []byte("val\r\nwith crlf")))
 	f.Add(command([]byte("GETRANGE"), []byte("data:7:0/s3"), []byte("0"), []byte("262162")))
 	f.Add(command([]byte("SET"), []byte("k"), []byte{}))
+	f.Add(command([]byte("VSET"), []byte("data:7#0"), []byte("-42"), []byte("whole value")))
+	f.Add(command([]byte("VSET"), []byte("data:7#0"), []byte("42"), []byte("4096"), []byte("range")))
 	for _, s := range malformedFrames {
 		f.Add([]byte(s))
 	}

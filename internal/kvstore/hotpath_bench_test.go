@@ -93,6 +93,45 @@ func BenchmarkWireSetRange4KiBIn64KiB(b *testing.B) {
 	}
 }
 
+// BenchmarkWireVSet1MiB is one whole-value 1 MiB VSET — the dd-bag write
+// as core sends it. Like SET, the value is read into the buffer the store
+// keeps, with room for the header in front, so B/op stays one stripe.
+func BenchmarkWireVSet1MiB(b *testing.B) {
+	c := newBenchClient(b, DialOptions{})
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.VSet("bench:vset1m", uint64(i), Whole, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireVSetRange4KiBIn64KiB is the rmw-mix edge write as core
+// sends it: a 4 KiB VSET inside an existing 64 KiB copy, in place.
+func BenchmarkWireVSetRange4KiBIn64KiB(b *testing.B) {
+	c := newBenchClient(b, DialOptions{})
+	const stripe = 64 << 10
+	if _, err := c.VSet("bench:vr", 0, Whole, make([]byte, stripe)); err != nil {
+		b.Fatal(err)
+	}
+	payload := benchPayload()
+	b.ReportAllocs()
+	b.SetBytes(benchPayloadSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%(stripe/benchPayloadSize)) * benchPayloadSize
+		if _, err := c.VSet("bench:vr", uint64(i+1), off, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWireGet4K(b *testing.B) {
 	c := newBenchClient(b, DialOptions{})
 	if err := c.Set("bench:get", benchPayload()); err != nil {

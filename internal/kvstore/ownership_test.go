@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
-// The store owns every value it holds: a SET or SETNX over the wire keeps
-// the buffer its value was read into, the exported Set/SetNX keep a copy of
-// the caller's slice, and an in-range SetRange writes into the stored
-// buffer. These tests pin that contract.
+// The store owns every value it holds: a SET, SETNX or whole-value VSET
+// over the wire keeps the buffer its value was read into, the exported
+// Set/SetNX keep a copy of the caller's slice, and an in-range SetRange or
+// VSET writes into the stored buffer. These tests pin that contract.
 
 // TestWireSetKeepsItsOwnBuffer sends, in one pipelined burst, two 1 MiB
-// SETs followed by large SETRANGE and DELVAL arguments that reuse the
-// connection's argument arena. With poisoning on, the arena is scribbled
-// before every command, so a stored value still aliasing it would read
-// back as 0xDB.
+// SETs and a whole-value 1 MiB VSET followed by large SETRANGE and DELVAL
+// arguments that reuse the connection's argument arena. With poisoning
+// on, the arena is scribbled before every command, so a stored value still
+// aliasing it would read back as 0xDB.
 func TestWireSetKeepsItsOwnBuffer(t *testing.T) {
 	poisonPooled.Store(true)
 	defer poisonPooled.Store(false)
@@ -29,6 +31,7 @@ func TestWireSetKeepsItsOwnBuffer(t *testing.T) {
 	pl := cli.Pipeline()
 	pl.Set("k1", a)
 	pl.SetNX("k2", b)
+	pl.VSet("k4", 7, Whole, b)
 	pl.SetRange("k3", 0, c)
 	pl.DelVal("k3", bytes.Repeat([]byte{0xD4}, 2*size))
 	pl.SetRange("k3", size, a)
@@ -44,7 +47,7 @@ func TestWireSetKeepsItsOwnBuffer(t *testing.T) {
 	for _, want := range []struct {
 		key string
 		val []byte
-	}{{"k1", a}, {"k2", b}, {"k3", append(c[:size:size], a...)}} {
+	}{{"k1", a}, {"k2", b}, {"k3", append(c[:size:size], a...)}, {"k4", erasure.WrapShard(1, 7, b)}} {
 		got, ok, err := cli.Get(want.key)
 		if err != nil || !ok || !bytes.Equal(got, want.val) {
 			t.Fatalf("GET %s: %d bytes ok=%v err=%v, want the %d bytes stored", want.key, len(got), ok, err, len(want.val))

@@ -13,7 +13,7 @@ import (
 // Commands are encoded into a pooled wire tape as they are queued, not
 // re-marshaled at Run: queueing a 4 KiB stripe write costs a few header
 // bytes, and the payload itself is referenced zero-copy. Payload slices
-// passed to Set/SetRange/Do and destination buffers passed to
+// passed to Set/SetRange/VSet and destination buffers passed to
 // GetRangeInto must therefore stay valid — and unmodified — until Run
 // returns.
 //
@@ -21,7 +21,7 @@ import (
 // goroutine), but independent pipelines on the same Client are: each Run
 // checks out its own pooled connection. Like Client.do, Run retries the
 // whole burst on a broken connection, so queue only idempotent commands
-// (SET/GET/DEL/EXISTS/SETNX and friends — not INCR or SADD) unless the
+// (SET/GET/DEL/SETNX/VSET and friends — not INCR or SADD) unless the
 // caller tolerates re-execution.
 type Pipeline struct {
 	c     *Client
@@ -98,6 +98,13 @@ func (p *Pipeline) SetRange(key string, offset int64, value []byte) {
 	e.argString(key)
 	e.argInt(offset)
 	e.argBytes(value)
+	p.endCmd(nil, false)
+}
+
+// VSet queues a VSET (see Client.VSet); its reply's Int is the stamped
+// generation.
+func (p *Pipeline) VSet(key string, id uint64, off int64, value []byte) {
+	p.tape().vset(key, id, off, value)
 	p.endCmd(nil, false)
 }
 

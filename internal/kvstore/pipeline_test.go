@@ -188,7 +188,7 @@ func flakyServer(t *testing.T, replyLimit int, failConns int32) (addr string, st
 					if failing && replies == replyLimit {
 						return // k replies sent, socket dies mid-burst
 					}
-					srv.dispatch(rw, cmd, args[1:])
+					srv.dispatch(rw, cmd, args[1:], cr.kept)
 					if err := rw.flush(); err != nil {
 						return
 					}

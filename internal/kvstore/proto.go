@@ -156,15 +156,16 @@ func readBulk(br *bufio.Reader) ([]byte, bool, error) {
 	if err != nil || isNil {
 		return nil, isNil, err
 	}
-	buf, err := readPayload(br, n)
+	buf, err := readPayload(br, n, 0)
 	return buf, false, err
 }
 
 // readPayload reads the n-byte payload of a bulk whose header is consumed,
-// and its CRLF, into an exact-size allocation the caller owns.
-func readPayload(br *bufio.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+// and its CRLF, into an allocation the caller owns: room bytes, then the
+// payload.
+func readPayload(br *bufio.Reader, n int64, room int) ([]byte, error) {
+	buf := make([]byte, int64(room)+n)
+	if _, err := io.ReadFull(br, buf[room:]); err != nil {
 		return nil, err
 	}
 	if err := discardCRLF(br); err != nil {
@@ -226,6 +227,26 @@ func readStatusReply(br *bufio.Reader) (errMsg string, err error) {
 		return string(line[1:]), nil
 	default:
 		return "", fmt.Errorf("%w: unexpected status reply %q", errProtocol, line)
+	}
+}
+
+// readIntReply consumes one :integer / -error reply.
+func readIntReply(br *bufio.Reader) (n int64, errMsg string, err error) {
+	line, err := readLine(br)
+	if err != nil {
+		return 0, "", err
+	}
+	if len(line) == 0 {
+		return 0, "", fmt.Errorf("%w: empty reply line", errProtocol)
+	}
+	switch line[0] {
+	case ':':
+		n, err = parseInt(line[1:])
+		return n, "", err
+	case '-':
+		return 0, string(line[1:]), nil
+	default:
+		return 0, "", fmt.Errorf("%w: unexpected integer reply %q", errProtocol, line)
 	}
 }
 
@@ -356,7 +377,7 @@ func readReplyInto(br *bufio.Reader, r *Reply) error {
 var verbNames = map[string]string{
 	"SET": "SET", "SETNX": "SETNX", "GET": "GET", "GETRANGE": "GETRANGE",
 	"SETRANGE": "SETRANGE", "DEL": "DEL", "MGET": "MGET",
-	"EXISTS": "EXISTS", "SADD": "SADD", "SREM": "SREM",
+	"VSET": "VSET", "SADD": "SADD", "SREM": "SREM",
 	"SMEMBERS": "SMEMBERS", "SCARD": "SCARD", "INCR": "INCR",
 	"KEYS": "KEYS", "KEYSN": "KEYSN", "DELVAL": "DELVAL",
 	"FLUSHALL": "FLUSHALL", "MEMCAP": "MEMCAP", "INFO": "INFO",

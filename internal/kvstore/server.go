@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"memfss/internal/erasure"
 )
 
 // Server serves the kvstore wire protocol over TCP. One Server wraps one
@@ -111,14 +113,18 @@ func (s *Server) dropConn(conn net.Conn) {
 // zero allocations. Arena args are valid only until the next call;
 // dispatch must finish with them before the next command is read.
 //
-// The one exception is a value the store keeps: the third argument of
-// SET or SETNX is read into its own exact-size buffer, which dispatch
+// The one exception is a value the store keeps: the value of SET, SETNX
+// and a whole-value VSET is read into its own buffer, kept, which dispatch
 // hands to the store as is — one allocation, and no copy of the payload.
+// A VSET's buffer has erasure.HeaderSize bytes of room in front of the
+// value, where the store stamps the header; its argument is the value
+// alone.
 type cmdReader struct {
 	br   *bufio.Reader
 	args [][]byte
 	offs [][2]int
 	buf  []byte
+	kept []byte
 }
 
 // cmdBufKeep caps the argument buffer retained between commands, so one
@@ -129,10 +135,17 @@ func newCmdReader(conn net.Conn) *cmdReader {
 	return &cmdReader{br: bufio.NewReaderSize(conn, 64<<10)}
 }
 
-// keepsValue reports whether argument i of an n-argument command with this
-// verb is a value the store keeps.
-func keepsValue(verb string, n, i int) bool {
-	return i == 2 && n == 3 && (verb == "SET" || verb == "SETNX")
+// keptRoom reports whether argument i of an n-argument command with this
+// verb is a value the store keeps, and how many bytes of room its buffer
+// needs in front of the value.
+func keptRoom(verb string, n, i int) (int, bool) {
+	switch {
+	case i == 2 && n == 3 && (verb == "SET" || verb == "SETNX"):
+		return 0, true
+	case i == 3 && n == 4 && verb == "VSET":
+		return erasure.HeaderSize, true
+	}
+	return 0, false
 }
 
 // next reads one command and returns its canonical verb (see verbOf) with
@@ -148,6 +161,7 @@ func (cr *cmdReader) next() (string, [][]byte, error) {
 	// Drop the last command's views, so an idle connection does not pin a
 	// kept value the store has since deleted.
 	clear(cr.args)
+	cr.kept = nil
 	line, err := readLine(cr.br)
 	if err != nil {
 		return "", nil, err
@@ -170,8 +184,7 @@ func (cr *cmdReader) next() (string, [][]byte, error) {
 	cr.args = cr.args[:n]
 	cr.offs = cr.offs[:n]
 	var verb string
-	var kept []byte
-	pos := 0
+	room, pos := 0, 0
 	for i := 0; i < n; i++ {
 		ln64, isNil, err := readBulkHeader(cr.br)
 		if err != nil {
@@ -180,10 +193,11 @@ func (cr *cmdReader) next() (string, [][]byte, error) {
 		if isNil {
 			return "", nil, fmt.Errorf("%w: nil bulk inside command", errProtocol)
 		}
-		if keepsValue(verb, n, i) {
-			if kept, err = readPayload(cr.br, ln64); err != nil {
+		if r, ok := keptRoom(verb, n, i); ok {
+			if cr.kept, err = readPayload(cr.br, ln64, r); err != nil {
 				return "", nil, err
 			}
+			room = r
 			cr.offs[i] = [2]int{pos, pos} // an empty view, replaced by kept below
 			continue
 		}
@@ -217,8 +231,8 @@ func (cr *cmdReader) next() (string, [][]byte, error) {
 	for i := range cr.args {
 		cr.args[i] = cr.buf[cr.offs[i][0]:cr.offs[i][1]]
 	}
-	if kept != nil {
-		cr.args[2] = kept
+	if cr.kept != nil {
+		cr.args[n-1] = cr.kept[room:]
 	}
 	return verb, cr.args, nil
 }
@@ -340,7 +354,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case cmd == "PING":
 			rw.enc.simple("PONG")
 		default:
-			s.dispatch(rw, cmd, args[1:])
+			s.dispatch(rw, cmd, args[1:], cr.kept)
 		}
 		if err := rw.maybeFlush(); err != nil {
 			return
@@ -357,9 +371,9 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // dispatch executes one authenticated command and queues its reply in rw.
 // Replies are buffered in the encoder; write errors surface at flush. cmd
-// and args come from one cmdReader.next: the SET/SETNX value it read into
-// its own buffer goes to the store to keep.
-func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
+// and args come from one cmdReader.next, and kept is the buffer it read a
+// SET/SETNX/VSET value into, which goes to the store to keep.
+func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept []byte) {
 	fail := func(format string, a ...any) {
 		rw.enc.errorReply(fmt.Sprintf(format, a...))
 	}
@@ -477,16 +491,34 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte) {
 			keys[i] = string(a)
 		}
 		rw.arrayReply(s.store.MGet(keys))
-	case "EXISTS":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for EXISTS")
+	case "VSET":
+		// VSET key id value replaces the value; VSET key id off value
+		// writes at payload offset off. Either replies the stamped
+		// generation.
+		if len(args) != 3 && len(args) != 4 {
+			fail("ERR wrong number of arguments for VSET")
 			return
 		}
-		if s.store.Exists(string(args[0])) {
-			intReply(1)
-		} else {
-			intReply(0)
+		id, err := parseInt(args[1])
+		off := int64(0)
+		if err == nil && len(args) == 4 {
+			off, err = parseInt(args[2])
 		}
+		if err != nil {
+			fail("ERR value is not an integer")
+			return
+		}
+		var gen uint64
+		if len(args) == 3 {
+			gen, err = s.store.vset(string(args[0]), uint64(id), 0, nil, kept)
+		} else {
+			gen, err = s.store.vset(string(args[0]), uint64(id), off, args[3], nil)
+		}
+		if err != nil {
+			storeErr(err)
+			return
+		}
+		intReply(int64(gen))
 	case "SADD":
 		if len(args) < 2 {
 			fail("ERR wrong number of arguments for SADD")

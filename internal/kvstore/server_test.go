@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"memfss/internal/erasure"
 )
 
 // startServer launches a server on a random port and returns a connected
@@ -103,8 +105,8 @@ func TestServerSetsAndCounters(t *testing.T) {
 	if ok, _ := cli.SetNX("lock", []byte("2")); ok {
 		t.Fatal("SetNX stored twice")
 	}
-	if ok, err := cli.Exists("lock"); err != nil || !ok {
-		t.Fatalf("Exists = %v %v", ok, err)
+	if v, ok, err := cli.Get("lock"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("Get after SetNX = %q %v %v", v, ok, err)
 	}
 }
 
@@ -240,12 +242,16 @@ func TestServerConcurrentClients(t *testing.T) {
 }
 
 // TestServerSurvivesHostileRanges sends range commands whose offset+length
-// overflows, or whose end lies past the largest legal value, as raw frames
-// (the client's own length checks would hide some of them). Each must get
-// a reply, and the server must still answer a PING on a fresh connection.
+// overflows, or whose end lies past the largest legal value, and malformed
+// VSETs, as raw frames (the client's own checks would hide some of them).
+// Each must get a reply, and the server must still answer a PING on a
+// fresh connection.
 func TestServerSurvivesHostileRanges(t *testing.T) {
 	srv, cli := startServer(t, 0, "")
 	if err := cli.Set("k", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.SAdd("set", "m"); err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.ln.Addr().String()
@@ -261,7 +267,12 @@ func TestServerSurvivesHostileRanges(t *testing.T) {
 		}
 		return ReadReply(bufio.NewReader(conn))
 	}
-	const tooLarge = "ERR string exceeds maximum allowed size"
+	const (
+		tooLarge  = "ERR string exceeds maximum allowed size"
+		vsetArity = "ERR wrong number of arguments for VSET"
+		notInt    = "ERR value is not an integer"
+		wrongType = "WRONGTYPE operation against a key holding the wrong kind of value"
+	)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -272,6 +283,15 @@ func TestServerSurvivesHostileRanges(t *testing.T) {
 		{"setrange one byte past the largest value", []string{"SETRANGE", "k3", fmt.Sprint(maxBulkLen), "x"}, tooLarge},
 		{"getrange offset+length overflows", []string{"GETRANGE", "k", "1", "9223372036854775807"}, "ello"},
 		{"getrange both at the maximum", []string{"GETRANGE", "k", "9223372036854775807", "9223372036854775807"}, ""},
+		{"vset without id and value", []string{"VSET", "v"}, vsetArity},
+		{"vset with an extra argument", []string{"VSET", "v", "1", "0", "x", "y"}, vsetArity},
+		{"vset non-integer id", []string{"VSET", "v", "one", "0", "x"}, notInt},
+		{"vset non-integer offset", []string{"VSET", "v", "1", "zero", "x"}, notInt},
+		{"vset negative offset", []string{"VSET", "v", "1", "-1", "x"}, "ERR kvstore: negative offset -1"},
+		{"vset offset+len overflows", []string{"VSET", "v", "1", "9223372036854775805", "abcdef"}, tooLarge},
+		{"vset one byte past the largest value", []string{"VSET", "v", "1", fmt.Sprint(maxBulkLen - erasure.HeaderSize), "x"}, tooLarge},
+		{"vset range into a set", []string{"VSET", "set", "1", "0", "x"}, wrongType},
+		{"vset whole over a set", []string{"VSET", "set", "1", "x"}, wrongType},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := make([][]byte, len(tc.args))
@@ -282,7 +302,7 @@ func TestServerSurvivesHostileRanges(t *testing.T) {
 			switch {
 			case err != nil:
 				t.Fatalf("no reply: %v", err)
-			case strings.HasPrefix(tc.want, "ERR"):
+			case strings.HasPrefix(tc.want, "ERR") || strings.HasPrefix(tc.want, "WRONGTYPE"):
 				if r.Kind != '-' || r.Str != tc.want {
 					t.Fatalf("reply %+v, want error %q", r, tc.want)
 				}
@@ -294,8 +314,10 @@ func TestServerSurvivesHostileRanges(t *testing.T) {
 			}
 		})
 	}
-	if _, ok, _ := srv.Store().Get("k2"); ok {
-		t.Fatal("a refused SETRANGE created its key")
+	for _, key := range []string{"k2", "v"} {
+		if _, ok, _ := srv.Store().Get(key); ok {
+			t.Fatalf("a refused write created %s", key)
+		}
 	}
 }
 

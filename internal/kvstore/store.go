@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"memfss/internal/erasure"
 )
 
 // EntryOverhead approximates the bookkeeping bytes per stored entry
@@ -91,8 +93,9 @@ func (s *Store) wouldOverflow(delta int64) bool {
 	return s.maxMem > 0 && s.used+delta > s.maxMem
 }
 
-// errTooLarge refuses a SetRange whose end lies past maxBulkLen: the value
-// could never be read back over the wire, and building it could overflow.
+// errTooLarge refuses a SetRange or VSET whose end lies past maxBulkLen:
+// the value could never be read back over the wire, and building it could
+// overflow.
 var errTooLarge = errors.New("kvstore: string exceeds maximum allowed size")
 
 // Set stores a copy of value under key, replacing any existing string value.
@@ -111,18 +114,34 @@ func (s *Store) set(key string, value []byte) error {
 		return ErrWrongType
 	}
 	old, exists := s.data[key]
-	delta := int64(len(value))
-	if exists {
-		delta -= int64(len(old))
-	} else {
+	return s.put(key, old, exists, value)
+}
+
+// put stores next under key in place of old (exists: the key held a
+// value), keeping the accounting, and refuses growth past the cap. Called
+// with mu held.
+func (s *Store) put(key string, old []byte, exists bool, next []byte) error {
+	delta := int64(len(next)) - int64(len(old))
+	if !exists {
 		delta += int64(len(key)) + EntryOverhead
 	}
 	if delta > 0 && s.wouldOverflow(delta) {
 		return ErrOOM
 	}
-	s.data[key] = value
+	s.data[key] = next
 	s.used += delta
 	return nil
+}
+
+// grow returns v when it holds at least end bytes, else a zero-extended
+// copy of it (an empty value, for a nil v: a stored value is never nil).
+func grow(v []byte, end int64) []byte {
+	if v != nil && int64(len(v)) >= end {
+		return v
+	}
+	next := make([]byte, end)
+	copy(next, v)
+	return next
 }
 
 // MGet returns a copy of each key's value, aligned with keys; missing keys
@@ -161,12 +180,9 @@ func (s *Store) setNX(key string, value []byte) (bool, error) {
 	if _, exists := s.data[key]; exists {
 		return false, nil
 	}
-	delta := int64(len(key)) + int64(len(value)) + EntryOverhead
-	if s.wouldOverflow(delta) {
-		return false, ErrOOM
+	if err := s.put(key, nil, false, value); err != nil {
+		return false, err
 	}
-	s.data[key] = value
-	s.used += delta
 	return true, nil
 }
 
@@ -259,22 +275,11 @@ func (s *Store) SetRange(key string, offset int64, value []byte) error {
 		return ErrWrongType
 	}
 	old, exists := s.data[key]
-	if exists && end <= int64(len(old)) {
-		copy(old[offset:], value)
-		return nil
+	next := grow(old, end)
+	if err := s.put(key, old, exists, next); err != nil {
+		return err
 	}
-	delta := end - int64(len(old))
-	if !exists {
-		delta += int64(len(key)) + EntryOverhead
-	}
-	if s.wouldOverflow(delta) {
-		return ErrOOM
-	}
-	buf := make([]byte, end)
-	copy(buf, old)
-	copy(buf[offset:], value)
-	s.data[key] = buf
-	s.used += delta
+	copy(next[offset:], value)
 	return nil
 }
 
@@ -303,16 +308,57 @@ func (s *Store) Del(keys ...string) int {
 	return n
 }
 
-// Exists reports whether key exists in either namespace.
-func (s *Store) Exists(key string) bool {
+// vset is VSET, the versioned stripe write. Under the lock it reads the
+// generation g in the header of key's value — 0 when the key is absent or
+// its value has no valid header — stamps the header (g+1, id) and returns
+// g+1. The store, not the writer, picks the generation, so a copy that
+// missed a write stays a generation behind even after later writes land on
+// it. A header already naming write id keeps g: a retried burst replays
+// the write it carries, and must not count it twice. kept, when non-nil,
+// is a whole new value — erasure.HeaderSize bytes of room, then the
+// payload — that replaces the old one and is kept as given. Otherwise
+// value is written at payload offset off: in place when the range lies
+// inside the value (readers copy under the lock, as for SetRange),
+// zero-extending it otherwise.
+func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint64, error) {
+	switch {
+	case kept != nil:
+		if len(kept) > maxBulkLen {
+			return 0, errTooLarge
+		}
+	case off < 0:
+		return 0, fmt.Errorf("kvstore: negative offset %d", off)
+	case off > maxBulkLen-erasure.HeaderSize-int64(len(value)):
+		return 0, errTooLarge
+	}
+	end := erasure.HeaderSize + off + int64(len(value)) // the range form's value length
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
-	if _, ok := s.data[key]; ok {
-		return true
+	if _, isSet := s.sets[key]; isSet {
+		return 0, ErrWrongType
 	}
-	_, ok := s.sets[key]
-	return ok
+	old, exists := s.data[key]
+	gen, last, _, err := erasure.ParseShard(old)
+	body := old
+	if err != nil {
+		gen, body = 0, nil // nothing of a headerless value is worth keeping
+	}
+	if body == nil || last != id {
+		gen++
+	}
+	next := kept
+	if next == nil {
+		next = grow(body, end)
+	}
+	if err := s.put(key, old, exists, next); err != nil {
+		return 0, err
+	}
+	if kept == nil {
+		copy(next[erasure.HeaderSize+off:], value)
+	}
+	erasure.PutHeader(next, gen, id)
+	return gen, nil
 }
 
 // SAdd adds members to the set at key, creating it if needed. Returns the
@@ -433,16 +479,9 @@ func (s *Store) Incr(key string) (int64, error) {
 		}
 	}
 	n++
-	enc := strconv.FormatInt(n, 10)
-	delta := int64(len(enc)) - int64(len(old))
-	if !exists {
-		delta += int64(len(key)) + EntryOverhead
+	if err := s.put(key, old, exists, strconv.AppendInt(nil, n, 10)); err != nil {
+		return 0, err
 	}
-	if delta > 0 && s.wouldOverflow(delta) {
-		return 0, ErrOOM
-	}
-	s.data[key] = []byte(enc)
-	s.used += delta
 	return n, nil
 }
 

@@ -83,15 +83,6 @@ func TestDelAccounting(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	s := NewStore(0)
-	s.Set("str", []byte("v"))
-	s.SAdd("set", "m")
-	if !s.Exists("str") || !s.Exists("set") || s.Exists("none") {
-		t.Fatal("Exists wrong")
-	}
-}
-
 func TestGetRange(t *testing.T) {
 	s := NewStore(0)
 	s.Set("k", []byte("hello world"))
@@ -155,7 +146,7 @@ func TestSets(t *testing.T) {
 	}
 	// Removing the last member deletes the set key entirely.
 	s.SRem("s", "b")
-	if s.Exists("s") {
+	if st := s.Stats(); st.NumSets != 0 {
 		t.Fatal("empty set not deleted")
 	}
 	if st := s.Stats(); st.BytesUsed != 0 {
