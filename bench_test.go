@@ -67,11 +67,11 @@ func slowdownBench(b *testing.B, suite []tenant.Benchmark, name string, wl eval.
 		b.Fatalf("benchmark %s not in suite", name)
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.SlowdownCell(benchCfg, *bench, wl, alpha)
+		rows, err := eval.Slowdowns(benchCfg, []tenant.Benchmark{*bench}, []eval.Workload{wl}, []int{alpha})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows.Baseline <= 0 || rows.Measured <= 0 {
+		if rows[0].Baseline <= 0 || rows[0].Measured <= 0 {
 			b.Fatal("degenerate slowdown cell")
 		}
 	}

@@ -20,11 +20,13 @@ func TestStatsShowsECHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(stores.Close)
+	reg := obs.NewRegistry()
 	fs, err := core.New(core.Config{
 		Classes:    []core.ClassSpec{{Name: "own", Nodes: stores.Nodes}},
 		StripeSize: 4 << 10,
 		Password:   "pw",
 		Redundancy: core.Redundancy{Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2},
+		Obs:        core.ObsPolicy{Registry: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +48,7 @@ func TestStatsShowsECHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fs.ObsRegistry().WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	page, err := obs.ParsePrometheus(&buf)

@@ -76,7 +76,6 @@ type Topology struct {
 	Retry         core.RetryPolicy
 	Health        core.HealthPolicy
 	Repair        core.RepairPolicy
-	Evac          core.EvacPolicy
 	// Tenants, when non-empty, builds a QoS registry, saves each spec,
 	// applies victim caps, and starts a lease broker.
 	Tenants []qos.TenantSpec
@@ -178,8 +177,6 @@ const (
 	// ActEvacuate runs the full revocation protocol against victim
 	// Nodes[0], retrying failed passes up to Retries times.
 	ActEvacuate
-	// ActDrain partially drains victim Nodes[0] to TargetBytes.
-	ActDrain
 	// ActWaitState polls until victim Nodes[0]'s detector state equals
 	// State (or Timeout expires — a violation).
 	ActWaitState
@@ -198,11 +195,10 @@ type Action struct {
 	Plan  *faultwrap.Plan
 	// State names the awaited health state for ActWaitState ("Down",
 	// "Up", "Suspect", "Draining").
-	State       string
-	Timeout     time.Duration
-	TargetBytes int64
-	Retries     int
-	Func        func(ctx context.Context, c *Cluster) error
+	State   string
+	Timeout time.Duration
+	Retries int
+	Func    func(ctx context.Context, c *Cluster) error
 	// Fault marks this action as the start of an outage for detection
 	// accounting (Kill/Pause set it; SetPlanFault sets it for plans that
 	// should be *noticed*, like a probe partition).
@@ -252,11 +248,6 @@ func planIsClean(p faultwrap.Plan) bool {
 // is idempotent).
 func Evacuate(node, retries int) Action {
 	return Action{Kind: ActEvacuate, Nodes: []int{node}, Retries: retries}
-}
-
-// Drain partially drains victim node down to targetBytes.
-func Drain(node int, targetBytes int64) Action {
-	return Action{Kind: ActDrain, Nodes: []int{node}, TargetBytes: targetBytes}
 }
 
 // WaitState waits until victim node's detector state equals state.

@@ -114,7 +114,6 @@ func buildCluster(topo Topology) (*Cluster, error) {
 		Retry:         topo.Retry,
 		Health:        topo.Health,
 		Repair:        topo.Repair,
-		Evac:          topo.Evac,
 	}
 	if len(topo.Tenants) > 0 {
 		c.Obs = obs.NewRegistry()

@@ -137,8 +137,6 @@ func actionString(a Action, nodes []string) string {
 		return "set plan on " + target
 	case ActEvacuate:
 		return "evacuate " + target
-	case ActDrain:
-		return fmt.Sprintf("drain %s to %d bytes", target, a.TargetBytes)
 	case ActWaitState:
 		return fmt.Sprintf("wait %s state %s", target, a.State)
 	case ActWaitRepairIdle:
@@ -196,11 +194,6 @@ func (r *run) applyAction(ctx context.Context, a Action) error {
 			r.logf("chaos %s: evacuate %s attempt %d: %v", r.sc.Name, id, try+1, err)
 		}
 		return fmt.Errorf("evacuate %s: %w", id, lastErr)
-	case ActDrain:
-		id := c.VictimID(a.Nodes[0])
-		if _, err := c.FS.DrainNode(ctx, id, a.TargetBytes); err != nil {
-			return fmt.Errorf("drain %s: %w", id, err)
-		}
 	case ActWaitState:
 		return r.waitState(ctx, c.VictimID(a.Nodes[0]), a.State, a.Timeout)
 	case ActWaitRepairIdle:

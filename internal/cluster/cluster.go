@@ -41,10 +41,6 @@ var DAS5 = NodeSpec{
 	MemBWBytesPerSec: 40e9,
 }
 
-// DAS5NICMBps is the DAS-5 NIC capacity expressed in MB/s, the full scale
-// of the paper's bandwidth plots.
-const DAS5NICMBps = 3000.0
-
 // Node is one simulated cluster node.
 type Node struct {
 	ID   string
@@ -143,9 +139,6 @@ func (c *Cluster) AddNodes(prefix string, count int, spec NodeSpec) []*Node {
 	}
 	return out
 }
-
-// Node returns a node by ID (nil if unknown).
-func (c *Cluster) Node(id string) *Node { return c.nodes[id] }
 
 // Nodes returns all nodes in creation order.
 func (c *Cluster) Nodes() []*Node {

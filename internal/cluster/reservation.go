@@ -11,8 +11,7 @@ type Reservation struct {
 	ID    string
 	Nodes []*Node
 
-	rs       *ReservationSystem
-	released bool
+	rs *ReservationSystem
 }
 
 // VictimOffer is one entry in the secondary (scavenging) queue: a reserved
@@ -32,7 +31,6 @@ type ReservationSystem struct {
 	free   []*Node
 	nextID int
 	offers map[string]*VictimOffer // node ID -> offer
-	resvs  map[string]*Reservation
 }
 
 // NewReservationSystem manages all current nodes of the cluster.
@@ -40,14 +38,10 @@ func NewReservationSystem(c *Cluster) *ReservationSystem {
 	rs := &ReservationSystem{
 		c:      c,
 		offers: make(map[string]*VictimOffer),
-		resvs:  make(map[string]*Reservation),
 	}
 	rs.free = append(rs.free, c.Nodes()...)
 	return rs
 }
-
-// FreeNodes returns the number of unreserved nodes.
-func (rs *ReservationSystem) FreeNodes() int { return len(rs.free) }
 
 // Reserve allocates n nodes exclusively, or fails if fewer are free.
 func (rs *ReservationSystem) Reserve(n int) (*Reservation, error) {
@@ -64,22 +58,7 @@ func (rs *ReservationSystem) Reserve(n int) (*Reservation, error) {
 	}
 	rs.nextID++
 	rs.free = rs.free[n:]
-	rs.resvs[r.ID] = r
 	return r, nil
-}
-
-// Release returns a reservation's nodes to the free pool and withdraws any
-// victim offers they had outstanding.
-func (r *Reservation) Release() {
-	if r.released {
-		return
-	}
-	r.released = true
-	for _, n := range r.Nodes {
-		delete(r.rs.offers, n.ID)
-		r.rs.free = append(r.rs.free, n)
-	}
-	delete(r.rs.resvs, r.ID)
 }
 
 // OfferVictims registers nodes of this reservation on the secondary queue
@@ -111,13 +90,6 @@ func (r *Reservation) OfferVictims(memBytes int64, nodes ...*Node) error {
 	return nil
 }
 
-// Withdraw removes a node's offer from the secondary queue (the "tenant
-// needs its memory back" signal travels through the monitor; withdrawal
-// prevents new claims).
-func (rs *ReservationSystem) Withdraw(nodeID string) {
-	delete(rs.offers, nodeID)
-}
-
 // ClaimVictims takes up to max unclaimed offers from the secondary queue,
 // in deterministic node-ID order. A max <= 0 claims all available.
 func (rs *ReservationSystem) ClaimVictims(max int) []*VictimOffer {
@@ -137,15 +109,4 @@ func (rs *ReservationSystem) ClaimVictims(max int) []*VictimOffer {
 		out[i] = rs.offers[id]
 	}
 	return out
-}
-
-// PendingOffers returns the number of unclaimed secondary-queue entries.
-func (rs *ReservationSystem) PendingOffers() int {
-	n := 0
-	for _, o := range rs.offers {
-		if !o.claimed {
-			n++
-		}
-	}
-	return n
 }

@@ -1,9 +1,8 @@
 // Package container models the lightweight isolation MemFSS wraps around
-// the store processes it runs on victim nodes (paper §III-F: Linux
-// containers specifying, with fine granularity, the CPU, memory and network
-// a scavenging store may use).
-//
-// Two mechanisms matter for the experiments and are implemented here:
+// the store processes it runs on victim nodes. Paper §III-F has Linux
+// containers cap the CPU, memory and network a scavenging store may use;
+// this package implements two of the three caps (Go offers no portable
+// stdlib CPU jail, so there is no CPU cap):
 //
 //   - a memory ceiling, enforced by the store's own cap (resize-able at
 //     runtime when the tenant needs memory back), and
@@ -26,19 +25,12 @@ type Limits struct {
 	MemoryBytes int64
 	// NetworkBytesPerSec caps scavenging traffic to/from the node.
 	NetworkBytesPerSec int64
-	// CPUShare is the fraction of one core the store may consume; it is
-	// advisory in real mode (Go offers no portable stdlib CPU jailing) and
-	// enforced by the cluster simulator in simulated mode.
-	CPUShare float64
 }
 
 // Validate reports whether the limits are well-formed.
 func (l Limits) Validate() error {
 	if l.MemoryBytes < 0 || l.NetworkBytesPerSec < 0 {
 		return fmt.Errorf("container: negative limit %+v", l)
-	}
-	if l.CPUShare < 0 || l.CPUShare > 1 {
-		return fmt.Errorf("container: CPU share %v outside [0,1]", l.CPUShare)
 	}
 	return nil
 }

@@ -9,8 +9,7 @@ import (
 func TestLimitsValidate(t *testing.T) {
 	good := []Limits{
 		{},
-		{MemoryBytes: 10 << 30, NetworkBytesPerSec: 500 << 20, CPUShare: 0.05},
-		{CPUShare: 1},
+		{MemoryBytes: 10 << 30, NetworkBytesPerSec: 500 << 20},
 	}
 	for _, l := range good {
 		if err := l.Validate(); err != nil {
@@ -20,8 +19,6 @@ func TestLimitsValidate(t *testing.T) {
 	bad := []Limits{
 		{MemoryBytes: -1},
 		{NetworkBytesPerSec: -1},
-		{CPUShare: -0.1},
-		{CPUShare: 1.1},
 	}
 	for _, l := range bad {
 		if err := l.Validate(); err == nil {

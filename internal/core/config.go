@@ -37,8 +37,8 @@ type ClassSpec struct {
 	// Name is the class identity fed to the class-level hash.
 	Name string
 	// Weight is the HRW class weight; larger attracts fewer keys. Use
-	// hrw.DeltaForOwnFraction / hrw.CalibrateWeights to derive weights
-	// from a desired data split.
+	// hrw.DeltaForOwnFraction (or OwnVictimClasses) to derive the weight
+	// from a desired own/victim data split.
 	Weight float64
 	// Nodes are the class members.
 	Nodes []NodeSpec
@@ -104,14 +104,19 @@ const (
 // Redundancy configures the redundancy mode.
 type Redundancy struct {
 	Mode RedundancyMode
-	// Replicas is the copy count for RedundancyReplicate (>= 2).
+	// Replicas is the copy count for RedundancyReplicate (>= 2). A
+	// replicated write has a fixed quorum of one copy: when some replicas
+	// fail with *transport* errors but one persisted, the write reports
+	// degraded success (Counters.DegradedWrites increments) — scavenged
+	// victims vanish without warning, and one reachable copy keeps the
+	// data readable. Store-level errors (OOM, wrong type) always fail it.
 	Replicas int
 	// DataShards/ParityShards configure RedundancyErasure. Erasure writes
 	// have a fixed write quorum of DataShards (k): a write with fewer than
 	// k new shards landed would be unreadable, so k shards must persist;
 	// transport failures on up to ParityShards (m) targets degrade the
 	// write (the repair queue rebuilds the missing shards) instead of
-	// failing it. WriteQuorum does not apply to erasure mode.
+	// failing it.
 	DataShards   int
 	ParityShards int
 	// ReadSpare is how many spare shards an erasure read may fetch as a
@@ -127,14 +132,6 @@ type Redundancy struct {
 	// write — are fetched at once and do not count against the spares.
 	// Negative means no spares: a read never hedges on slowness.
 	ReadSpare int
-	// WriteQuorum is how many replicas of a RedundancyReplicate write must
-	// land for the write to succeed (default 1). When some replicas fail
-	// with *transport* errors but at least WriteQuorum persisted, the
-	// write reports degraded success (Counters.DegradedWrites increments)
-	// instead of failing — scavenged victims vanish without warning, and
-	// one reachable copy keeps the data readable via probe fallback.
-	// Store-level errors (OOM, wrong type) always fail the write.
-	WriteQuorum int
 }
 
 // Config assembles a MemFSS deployment.
@@ -152,8 +149,6 @@ type Config struct {
 	Redundancy Redundancy
 	// DialTimeout bounds store round trips (default 10s).
 	DialTimeout time.Duration
-	// PoolSize bounds connections per store (default 4).
-	PoolSize int
 	// IOParallelism bounds concurrent stripe transfers within one file
 	// operation (default 8; 1 = strictly sequential). Parallel stripe
 	// I/O is how MemFS-family systems saturate premium networks (paper
@@ -172,8 +167,8 @@ type Config struct {
 	// Repair configures the targeted background repair queue. Zero fields
 	// take defaults; set Disable to fall back to operator-driven Scrub.
 	Repair RepairPolicy
-	// Evac bounds victim revocation: the evacuation deadline and the
-	// monitor's per-node retry backoff. Zero fields take defaults.
+	// Evac paces the Monitor's per-node retries after a failed
+	// revocation. Zero fields take defaults.
 	Evac EvacPolicy
 	// Obs configures the telemetry layer (internal/obs): latency
 	// histograms, the Prometheus-exposable registry, and slow-op tracing.
@@ -255,16 +250,13 @@ type HealthPolicy struct {
 	// DownAfter further consecutive failures move Suspect -> Down
 	// (default 3) — flap suppression: one timeout never condemns a node.
 	DownAfter int
-	// UpAfter consecutive successes move Suspect/Down -> Up (default 2) —
-	// recovery hysteresis against flapping nodes.
-	UpAfter int
 	// ProbeInterval is the active-probe cadence (default 500ms; negative
 	// disables active probing, leaving passive evidence only).
 	ProbeInterval time.Duration
 }
 
 func (h HealthPolicy) validate() error {
-	if h.SuspectAfter < 0 || h.DownAfter < 0 || h.UpAfter < 0 {
+	if h.SuspectAfter < 0 || h.DownAfter < 0 {
 		return fmt.Errorf("core: negative health threshold in %+v", h)
 	}
 	return nil
@@ -275,7 +267,8 @@ func (h HealthPolicy) validate() error {
 // restores their redundancy as soon as the missing placement targets are
 // healthy — re-replicating only what is known damaged instead of scanning
 // the whole namespace (cf. Hydra's targeted re-replication). Up to
-// repairWorkers stripes are repaired in parallel.
+// repairWorkers stripes are repaired in parallel, started repairPace apart
+// so repair traffic does not compete with foreground I/O.
 type RepairPolicy struct {
 	// Disable turns the queue off: degraded stripes wait for Scrub.
 	Disable bool
@@ -283,32 +276,21 @@ type RepairPolicy struct {
 	// the queue schedules one full Scrub as the catch-all and drops the
 	// overflowing unit — correctness never depends on queue capacity.
 	QueueCap int
-	// Interval is the pacing delay between repairs (default 10ms), keeping
-	// repair traffic from competing with foreground I/O.
-	Interval time.Duration
 }
 
 func (r RepairPolicy) validate() error {
 	if r.QueueCap < 0 {
 		return fmt.Errorf("core: negative repair knob in %+v", r)
 	}
-	if r.Interval < 0 {
-		return fmt.Errorf("core: negative repair interval %v", r.Interval)
-	}
 	return nil
 }
 
-// EvacPolicy bounds victim revocation (paper §III-A: the tenant is
-// waiting for its memory back, so revocation cannot run open-ended). A
-// partial drain without an explicit target evicts down to drainSoftTarget
-// of the store's memory cap.
+// EvacPolicy paces victim revocation retries (paper §III-A: the tenant is
+// waiting for its memory back, so revocation cannot run open-ended; each
+// evacuation's own deadline is EvacOptions.Deadline). A partial drain
+// without an explicit target evicts down to drainSoftTarget of the store's
+// memory cap.
 type EvacPolicy struct {
-	// Deadline bounds a full evacuation end to end (default 30s). When it
-	// expires the drain stops and the node is force-released anyway: the
-	// store is flushed, unresolved keys are counted at risk and handed to
-	// the repair queue, and redundancy is restored from surviving
-	// replicas.
-	Deadline time.Duration
 	// Backoff / MaxBackoff pace the Monitor's per-node retries after a
 	// failed revocation (defaults 2s / 30s, doubling per consecutive
 	// failure) so a stuck node is not hammered every poll tick.
@@ -317,7 +299,7 @@ type EvacPolicy struct {
 }
 
 func (e EvacPolicy) validate() error {
-	if e.Deadline < 0 || e.Backoff < 0 || e.MaxBackoff < 0 {
+	if e.Backoff < 0 || e.MaxBackoff < 0 {
 		return fmt.Errorf("core: negative evacuation knob in %+v", e)
 	}
 	return nil
@@ -376,9 +358,6 @@ func (c *Config) validate() error {
 	case RedundancyReplicate:
 		if c.Redundancy.Replicas < 2 {
 			return fmt.Errorf("core: replication needs >= 2 replicas, got %d", c.Redundancy.Replicas)
-		}
-		if q := c.Redundancy.WriteQuorum; q < 0 || q > c.Redundancy.Replicas {
-			return fmt.Errorf("core: write quorum %d outside [0, %d replicas]", q, c.Redundancy.Replicas)
 		}
 		for _, cls := range c.Classes {
 			if len(cls.Nodes) < c.Redundancy.Replicas {

@@ -20,7 +20,6 @@ type connPool struct {
 	classOf   map[string]string              // node ID -> "own" | "victim"
 	password  string
 	timeout   time.Duration
-	poolSize  int
 	retry     RetryPolicy
 
 	// metrics, when set before add, flows into every client's DialOptions
@@ -38,12 +37,9 @@ type connPool struct {
 	removedAttempts int64
 }
 
-func newConnPool(password string, timeout time.Duration, poolSize int, retry RetryPolicy) *connPool {
+func newConnPool(password string, timeout time.Duration, retry RetryPolicy) *connPool {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
-	}
-	if poolSize <= 0 {
-		poolSize = 4
 	}
 	return &connPool{
 		clients:   make(map[string]*kvstore.Client),
@@ -51,7 +47,6 @@ func newConnPool(password string, timeout time.Duration, poolSize int, retry Ret
 		classOf:   make(map[string]string),
 		password:  password,
 		timeout:   timeout,
-		poolSize:  poolSize,
 		retry:     retry,
 	}
 }
@@ -71,7 +66,6 @@ func (p *connPool) add(spec ClassSpec) error {
 		}
 		opts := kvstore.DialOptions{
 			Password:    p.password,
-			PoolSize:    p.poolSize,
 			Timeout:     p.timeout,
 			MaxAttempts: p.retry.MaxAttempts,
 			BaseDelay:   p.retry.BaseDelay,
@@ -143,31 +137,12 @@ func (p *connPool) throttle(nodeID string) *container.Throttle {
 	return p.throttles[nodeID]
 }
 
-// remove drops a node (after evacuation), closing its client and throttle.
-func (p *connPool) remove(nodeID string) {
-	p.mu.Lock()
-	c := p.clients[nodeID]
-	th := p.throttles[nodeID]
-	delete(p.clients, nodeID)
-	delete(p.throttles, nodeID)
-	if c != nil {
-		p.removedOps += c.Ops()
-		p.removedAttempts += c.Attempts()
-	}
-	p.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	th.Close()
-}
-
 // detach removes a node from the pool without closing its client: the
 // evacuation protocol needs to keep draining a node after the rest of the
 // data path can no longer route to it (client lookups fail with
 // errUnknownNode the moment detach returns). The node's throttle closes
-// here like remove; the caller owns the returned client and must hand it
-// to retire when the drain completes so its op counters fold into the
-// pool totals.
+// here; the caller owns the returned client and must hand it to retire
+// when the drain completes so its op counters fold into the pool totals.
 func (p *connPool) detach(nodeID string) *kvstore.Client {
 	p.mu.Lock()
 	c := p.clients[nodeID]

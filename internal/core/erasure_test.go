@@ -309,7 +309,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 // command verb on one node class ("" for every class).
 func storeOpCount(fs *FileSystem, op, class string) int64 {
 	var n int64
-	if f := findFamily(fs.Metrics(), "memfss_kvstore_op_seconds"); f != nil {
+	if f := findFamily(fs.obs.reg.Snapshot(), "memfss_kvstore_op_seconds"); f != nil {
 		for _, s := range f.Series {
 			if s.Labels.Get("op") == op && (class == "" || s.Labels.Get("class") == class) {
 				n += s.Count
@@ -474,7 +474,7 @@ func TestErasureWindowedReads(t *testing.T) {
 // reads fetched beyond their first k shards for that reason.
 func hedgedBy(fs *FileSystem, reason string) int64 {
 	var n int64
-	if f := findFamily(fs.Metrics(), "memfss_fs_ec_hedged_reads_total"); f != nil {
+	if f := findFamily(fs.obs.reg.Snapshot(), "memfss_fs_ec_hedged_reads_total"); f != nil {
 		for _, s := range f.Series {
 			if s.Labels.Get("reason") == reason {
 				n += int64(s.Value)

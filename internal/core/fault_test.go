@@ -302,7 +302,7 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 		t.Errorf("repair Enqueued = %d, want %d degraded + %d torn", st.Enqueued, degraded, torn)
 	}
 	var outcomes int64
-	for _, v := range spanOutcomes(d.fs.Metrics(), "write") {
+	for _, v := range spanOutcomes(d.fs.obs.reg.Snapshot(), "write") {
 		outcomes += v
 	}
 	if c.StripeWrites != nStripes || outcomes != c.StripeWrites {

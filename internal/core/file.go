@@ -114,7 +114,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		growth = end - oldSize
 	}
 	tr := f.fs.newTrace("write", f.path, off, len(p))
-	if err := f.fs.qosAdmitWriteTraced(tr, f.tenant, growth, int64(len(p))); err != nil {
+	if err := f.fs.qosAdmitWrite(tr, f.tenant, growth, int64(len(p))); err != nil {
 		tr.abort(err)
 		return 0, err
 	}
@@ -278,7 +278,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	// QoS admission: pace the payload through the tenant's share.
 	tr := f.fs.newTrace("read", f.path, off, len(p))
-	if err := f.fs.qosAdmitReadTraced(tr, f.tenant, want); err != nil {
+	if err := f.fs.qosAdmitRead(tr, f.tenant, want); err != nil {
 		tr.abort(err)
 		return 0, err
 	}
@@ -366,7 +366,7 @@ func (f *File) planReplicated(span stripe.Span, data []byte) stripePlan {
 		cmd.off = kvstore.Whole
 	}
 	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk),
-		quorum: f.fs.writeQuorum, cmd: cmd}
+		quorum: 1, cmd: cmd}
 }
 
 // coversStripe is the whole-stripe rule of both modes: a span from the
@@ -395,8 +395,8 @@ func phaseOutcome(err error, attempts int) string {
 // target. The guard applies to the fence too — a drain of the only
 // reachable target must not turn writes into silent losses, so the write
 // lands on the draining node and the final post-detach sweep moves it.
-// need is the write quorum: configured WriteQuorum for replication, k for
-// erasure coding (fewer than k new shards is an unreadable write).
+// need is the write quorum: one copy for replication, k for erasure coding
+// (fewer than k new shards is an unreadable write).
 func (fs *FileSystem) writeSkips(nodes []string, need int) []bool {
 	if len(nodes) <= 1 {
 		return nil

@@ -27,16 +27,15 @@ type FileSystem struct {
 	classes []ClassSpec
 	placer  *hrw.Placer
 
-	cfg         Config
-	layout      stripe.Layout
-	conns       *connPool
-	meta        *metaService
-	ioPar       int
-	pipeDepth   int
-	writeQuorum int
-	ecSpare     int
-	stats       fsStats
-	closed      bool
+	cfg       Config
+	layout    stripe.Layout
+	conns     *connPool
+	meta      *metaService
+	ioPar     int
+	pipeDepth int
+	ecSpare   int
+	stats     fsStats
+	closed    bool
 	// shardBufs pools the erasure read gather's shard fetch buffers
 	// (*[]byte, one wire shard of a full stripe each).
 	shardBufs sync.Pool
@@ -98,7 +97,7 @@ func New(cfg Config) (*FileSystem, error) {
 	if retry.OpTimeout == 0 {
 		retry.OpTimeout = cfg.DialTimeout
 	}
-	conns := newConnPool(cfg.Password, cfg.DialTimeout, cfg.PoolSize, retry)
+	conns := newConnPool(cfg.Password, cfg.DialTimeout, retry)
 	reg := cfg.Obs.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -107,7 +106,6 @@ func New(cfg Config) (*FileSystem, error) {
 	detector := health.New(health.Options{
 		SuspectAfter: cfg.Health.SuspectAfter,
 		DownAfter:    cfg.Health.DownAfter,
-		UpAfter:      cfg.Health.UpAfter,
 		Metrics:      reg,
 	})
 	// Passive evidence: every client operation's final outcome flows
@@ -143,10 +141,6 @@ func New(cfg Config) (*FileSystem, error) {
 	if pipeDepth == 0 {
 		pipeDepth = defaultPipelineDepth
 	}
-	quorum := cfg.Redundancy.WriteQuorum
-	if quorum == 0 {
-		quorum = 1
-	}
 	ecSpare := cfg.Redundancy.ReadSpare
 	if ecSpare == 0 {
 		ecSpare = 1
@@ -162,7 +156,6 @@ func New(cfg Config) (*FileSystem, error) {
 		meta:        newMetaService(ownIDs, conns),
 		ioPar:       ioPar,
 		pipeDepth:   pipeDepth,
-		writeQuorum: quorum,
 		ecSpare:     ecSpare,
 		stats:       newFSStats(reg),
 		detector:    detector,

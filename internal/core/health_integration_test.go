@@ -50,13 +50,11 @@ func forceDown(t *testing.T, fs *FileSystem, nodeID string) {
 	}
 }
 
-// forceUp reports enough successes to recover a node to Up.
+// forceUp reports enough successes to recover a node to Up (the
+// detector's default of two).
 func forceUp(t *testing.T, fs *FileSystem, nodeID string) {
 	t.Helper()
-	up := fs.cfg.Health.UpAfter
-	if up == 0 {
-		up = 2
-	}
+	const up = 2
 	for i := 0; i < up; i++ {
 		fs.detector.ReportSuccess(nodeID)
 	}
@@ -347,7 +345,7 @@ func TestHealthDrainFenceHasOneSource(t *testing.T) {
 	node := d.victims.Nodes[0].ID
 	views := func() (listed []string, state health.State, registered bool, gauge float64) {
 		h, ok := d.fs.Health()[node]
-		fam := findFamily(d.fs.Metrics(), "memfss_fs_draining_nodes")
+		fam := findFamily(d.fs.obs.reg.Snapshot(), "memfss_fs_draining_nodes")
 		return d.fs.Draining(), h.State, ok, fam.Series[0].Gauge
 	}
 	if listed, state, _, gauge := views(); len(listed) != 0 || state != health.Up || gauge != 0 {

@@ -62,7 +62,7 @@ func spanOutcomes(fams []obs.FamilySnapshot, op string) map[string]int64 {
 // deployment and checks that the registry's families — kvstore and core
 // alike — saw them.
 func TestFSMetricsEndToEnd(t *testing.T) {
-	d := newTestFS(t, 2, 2, withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2, WriteQuorum: 1}))
+	d := newTestFS(t, 2, 2, withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}))
 	data := randomBytes(7, 50_000)
 	if err := d.fs.WriteFile("/obs", data); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFSMetricsEndToEnd(t *testing.T) {
 	if _, err := d.fs.ReadFile("/obs"); err != nil {
 		t.Fatal(err)
 	}
-	fams := d.fs.Metrics()
+	fams := d.fs.obs.reg.Snapshot()
 	if fams == nil {
 		t.Fatal("Metrics() = nil with telemetry enabled")
 	}
@@ -161,7 +161,7 @@ func TestSlowOpLog(t *testing.T) {
 	if !sawWrite {
 		t.Fatalf("no slow-op line for the write; got %q", lines)
 	}
-	fams := d.fs.Metrics()
+	fams := d.fs.obs.reg.Snapshot()
 	if findFamily(fams, "memfss_fs_slow_ops_total") == nil || familyTotal(fams, "memfss_fs_slow_ops_total") == 0 {
 		t.Error("memfss_fs_slow_ops_total did not count the slow ops")
 	}
@@ -201,7 +201,8 @@ func TestSlowOpLog(t *testing.T) {
 	}
 	sawExemplar := false
 	for i := range opsF.Series {
-		if ex, ok := opsF.Series[i].WorstExemplar(); ok {
+		if exs := opsF.Series[i].Exemplars; len(exs) > 0 {
+			ex := exs[len(exs)-1] // the highest bucket's: the slowest op
 			sawExemplar = true
 			if store.Get(fmt.Sprintf("%016x", ex.TraceID)) == nil {
 				t.Errorf("exemplar trace %016x not retained", ex.TraceID)
@@ -218,7 +219,7 @@ func TestSlowOpLog(t *testing.T) {
 // least 12 metric families, spanning the kvstore client, the data path,
 // the failure detector, and the repair queue.
 func TestMetricsFamilyCoverage(t *testing.T) {
-	d := newTestFS(t, 2, 2, withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2, WriteQuorum: 1}))
+	d := newTestFS(t, 2, 2, withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}))
 	if err := d.fs.WriteFile("/cov", randomBytes(11, 30_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestMetricsFamilyCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := d.fs.ObsRegistry().WritePrometheus(&buf); err != nil {
+	if err := d.fs.obs.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	page, err := obs.ParsePrometheus(bytes.NewReader(buf.Bytes()))
@@ -277,7 +278,7 @@ func TestECEncodeVisible(t *testing.T) {
 	if err := d.fs.WriteFile("/enc", randomBytes(13, 3*4096+100)); err != nil { // 4 stripes
 		t.Fatal(err)
 	}
-	h := findFamily(d.fs.Metrics(), "memfss_fs_ec_encode_seconds")
+	h := findFamily(d.fs.obs.reg.Snapshot(), "memfss_fs_ec_encode_seconds")
 	if h == nil || len(h.Series) != 1 || h.Series[0].Count != 4 {
 		t.Fatalf("ec_encode_seconds = %+v, want one series with 4 observations", h)
 	}
@@ -393,7 +394,7 @@ func TestSharedRegistry(t *testing.T) {
 	if err := d.fs.WriteFile("/shared", randomBytes(3, 4_096)); err != nil {
 		t.Fatal(err)
 	}
-	if d.fs.ObsRegistry() != reg {
+	if d.fs.obs.reg != reg {
 		t.Fatal("FileSystem did not adopt the provided registry")
 	}
 	if familyTotal(reg.Snapshot(), "memfss_fs_bytes_total") == 0 {
@@ -430,7 +431,7 @@ func TestPipelineDepthIsOnlyBurstSize(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("depth %d: read back differs from written bytes: %v", depth, err)
 		}
-		c, fams := d.fs.Counters(), d.fs.Metrics()
+		c, fams := d.fs.Counters(), d.fs.obs.reg.Snapshot()
 		r := reading{
 			stripeWrites: c.StripeWrites, stripeReads: c.StripeReads, degraded: c.DegradedWrites,
 			writeOutcomes: outcomeTotal(fams, "write"), readOutcomes: outcomeTotal(fams, "read"),
@@ -497,7 +498,7 @@ func TestWriteAccountingParity(t *testing.T) {
 					if n, err := f.WriteAt(data, 0); err != nil || n != len(data) {
 						t.Fatalf("write = %d, %v", n, err)
 					}
-					c, fams := d.fs.Counters(), d.fs.Metrics()
+					c, fams := d.fs.Counters(), d.fs.obs.reg.Snapshot()
 					got := reading{
 						stripeWrites: c.StripeWrites, degraded: c.DegradedWrites,
 						fenced: c.FencedWrites, skipped: c.SkippedReplicaWrites,

@@ -284,12 +284,12 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 // store-level error: that error (it would fail identically on retry, so it
 // must surface). Transport-only failures (including skipped targets), or
 // copies that stamped different generations: degraded success if at least
-// quorum slots persisted — the configured WriteQuorum for replicas, where
-// one landed copy keeps the data readable, and k for shards, because fewer
-// than k shards of one write is a write nothing can read back — otherwise
-// the first transport error in slot order. The degraded flag tells the
-// caller to hand the stripe to the repair queue, which re-replicates,
-// replaces or rebuilds what is missing or behind from the newest write.
+// quorum slots persisted — one for replicas, because one landed copy keeps
+// the data readable, and k for shards, because fewer than k shards of one
+// write is a write nothing can read back — otherwise the first transport
+// error in slot order. The degraded flag tells the caller to hand the
+// stripe to the repair queue, which re-replicates, replaces or rebuilds
+// what is missing or behind from the newest write.
 func (f *File) settleWrite(landed, total, quorum int, split bool, storeErr, transErr error) (degraded bool, _ error) {
 	switch {
 	case landed == total && !split:

@@ -36,37 +36,22 @@ func (fs *FileSystem) Tenants() []qos.TenantSpec { return fs.tenants().List() }
 // qosAdmitWrite runs the write-path admission for one WriteAt: reserve the
 // file-growth bytes against the tenant's quota, then pace the full payload
 // through its weighted-fair share. A pacing failure rolls the reservation
-// back — nothing was written yet.
-func (fs *FileSystem) qosAdmitWrite(tenant string, growth, n int64) error {
+// back — nothing was written yet. The admission wait is recorded as a trace
+// leg and a rejection is journaled to the flight recorder — quota denials
+// are cluster events an operator replays, not just errors the caller sees.
+// Without QoS it does nothing and records nothing.
+func (fs *FileSystem) qosAdmitWrite(tr *opTrace, tenant string, growth, n int64) error {
 	t := fs.tenants()
 	if t == nil {
 		return nil
 	}
-	if err := t.Charge(tenant, growth); err != nil {
-		return err
-	}
-	if err := t.Take(tenant, "write", n); err != nil {
-		t.Credit(tenant, growth)
-		return err
-	}
-	return nil
-}
-
-// qosAdmitRead paces one ReadAt through the tenant's share.
-func (fs *FileSystem) qosAdmitRead(tenant string, n int64) error {
-	return fs.tenants().Take(tenant, "read", n)
-}
-
-// qosAdmitWriteTraced is qosAdmitWrite with the admission wait recorded
-// as a trace leg and rejections journaled to the flight recorder — quota
-// denials are cluster events an operator replays, not just errors the
-// caller sees. No-ops (and records nothing) when QoS is off.
-func (fs *FileSystem) qosAdmitWriteTraced(tr *opTrace, tenant string, growth, n int64) error {
-	if fs.tenants() == nil {
-		return nil
-	}
 	start := time.Now()
-	err := fs.qosAdmitWrite(tenant, growth, n)
+	err := t.Charge(tenant, growth)
+	if err == nil {
+		if err = t.Take(tenant, "write", n); err != nil {
+			t.Credit(tenant, growth)
+		}
+	}
 	tr.recLeg("qos-admit", time.Since(start), phaseOutcome(err, 0))
 	if err != nil {
 		fs.obs.noteQuota(tenant, "write: "+err.Error(), tr.traceID())
@@ -74,13 +59,15 @@ func (fs *FileSystem) qosAdmitWriteTraced(tr *opTrace, tenant string, growth, n 
 	return err
 }
 
-// qosAdmitReadTraced mirrors qosAdmitWriteTraced for the read path.
-func (fs *FileSystem) qosAdmitReadTraced(tr *opTrace, tenant string, n int64) error {
-	if fs.tenants() == nil {
+// qosAdmitRead paces one ReadAt through the tenant's share, traced and
+// journaled like qosAdmitWrite.
+func (fs *FileSystem) qosAdmitRead(tr *opTrace, tenant string, n int64) error {
+	t := fs.tenants()
+	if t == nil {
 		return nil
 	}
 	start := time.Now()
-	err := fs.qosAdmitRead(tenant, n)
+	err := t.Take(tenant, "read", n)
 	tr.recLeg("qos-admit", time.Since(start), phaseOutcome(err, 0))
 	if err != nil {
 		fs.obs.noteQuota(tenant, "read: "+err.Error(), tr.traceID())

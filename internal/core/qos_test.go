@@ -304,19 +304,23 @@ func TestAdvertiseCapacity(t *testing.T) {
 	if err := d.fs.ApplyVictimCaps(); err != nil {
 		t.Fatal(err)
 	}
-	b := qos.NewBroker(qos.BrokerOptions{Evac: d.fs})
+	b := qos.NewBroker(qos.BrokerOptions{Evac: d.fs, Journal: d.fs.Events()})
 	if err := d.fs.AdvertiseCapacity(b, 100*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	sup := b.Supply()
-	if len(sup) != 2 {
-		t.Fatalf("supply = %+v, want both victims", sup)
+	// The broker journals each advertisement: node, bytes and notice SLO.
+	offers := d.fs.Events().Events(0, "lease")
+	if len(offers) != 2 {
+		t.Fatalf("lease events = %+v, want one advertisement per victim", offers)
 	}
 	var names []string
-	for _, o := range sup {
-		names = append(names, o.Node)
-		if o.Bytes <= 0 || o.NoticeSLO != 100*time.Millisecond {
-			t.Fatalf("offer %+v", o)
+	for _, e := range offers {
+		names = append(names, e.Node)
+		var bytes int64
+		var slo string
+		if _, err := fmt.Sscanf(e.Detail, "advertised %d bytes, notice SLO %s", &bytes, &slo); err != nil ||
+			bytes <= 0 || slo != "100ms" {
+			t.Fatalf("advertisement %+v", e)
 		}
 	}
 	sort.Strings(names)

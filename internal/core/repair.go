@@ -85,8 +85,12 @@ const maxCommitRetries = 3
 // best-effort).
 const rescanInterval = 500 * time.Millisecond
 
-// repairWorkers bounds parallel stripe repairs.
-const repairWorkers = 2
+// repairWorkers bounds parallel stripe repairs; repairPace separates two
+// repair starts, keeping repair traffic from competing with foreground I/O.
+const (
+	repairWorkers = 2
+	repairPace    = 10 * time.Millisecond
+)
 
 // parkedUnit is a repair blocked on unavailable targets; waitFor names
 // them so the queue retries only once they recover (or leave the cluster)
@@ -130,9 +134,6 @@ type repairQueue struct {
 func newRepairQueue(fs *FileSystem, pol RepairPolicy) *repairQueue {
 	if pol.QueueCap == 0 {
 		pol.QueueCap = 1024
-	}
-	if pol.Interval == 0 {
-		pol.Interval = 10 * time.Millisecond
 	}
 	reg := fs.obs.reg
 	const unitsHelp = "Repair-queue units by final outcome."
@@ -397,12 +398,10 @@ func (q *repairQueue) loop() {
 			defer func() { <-sem; q.doneOne(u) }()
 			q.repairOne(u)
 		}(u)
-		if q.pol.Interval > 0 {
-			select {
-			case <-q.stopCh:
-				return
-			case <-time.After(q.pol.Interval):
-			}
+		select {
+		case <-q.stopCh:
+			return
+		case <-time.After(repairPace):
 		}
 	}
 }

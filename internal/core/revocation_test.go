@@ -327,7 +327,7 @@ func TestForcedReleaseDeadline(t *testing.T) {
 
 	// The forced release is visible in telemetry.
 	var forced, atRisk int64
-	for _, fam := range d.fs.Metrics() {
+	for _, fam := range d.fs.obs.reg.Snapshot() {
 		switch fam.Name {
 		case "memfss_fs_evac_forced_releases_total":
 			for _, s := range fam.Series {
@@ -724,7 +724,7 @@ func TestReadDirBatched(t *testing.T) {
 // not as a namespace error.
 func TestAllocFileIDUnavailable(t *testing.T) {
 	d := newTestFS(t, 2, 1)
-	d.fs.conns.remove(d.own.Nodes[0].ID)
+	d.fs.conns.retire(d.fs.conns.detach(d.own.Nodes[0].ID))
 	if _, err := d.fs.meta.allocFileID(); !errors.Is(err, kvstore.ErrUnavailable) {
 		t.Fatalf("allocFileID without the counter node = %v, want ErrUnavailable", err)
 	}

@@ -51,7 +51,7 @@ func (fs *FileSystem) AddVictimClass(spec ClassSpec) error {
 	return nil
 }
 
-// applyVictimCaps pushes each victim class's memory cap to its stores.
+// ApplyVictimCaps pushes each victim class's memory cap to its stores.
 // Call after the stores are up (New tolerates unreachable victims, so this
 // is separate from New).
 func (fs *FileSystem) ApplyVictimCaps() error {
@@ -81,8 +81,8 @@ func (fs *FileSystem) ApplyVictimCaps() error {
 
 // --- victim revocation -------------------------------------------------------
 
-// Revocation knob defaults (the configured values live in Config.Evac)
-// and constants.
+// Revocation defaults (the configured backoffs live in Config.Evac) and
+// constants.
 const (
 	defaultEvacDeadline = 30 * time.Second
 	// drainSoftTarget is the fill fraction a partial drain without an
@@ -108,10 +108,9 @@ const (
 
 // EvacOptions tunes one evacuation.
 type EvacOptions struct {
-	// Deadline bounds the evacuation end to end; 0 takes Config.Evac
-	// .Deadline, then the 30s default. On expiry the node is
-	// force-released: flushed and removed with unresolved keys counted at
-	// risk and handed to the repair queue.
+	// Deadline bounds the evacuation end to end; 0 takes the 30s default.
+	// On expiry the node is force-released: flushed and removed with
+	// unresolved keys counted at risk and handed to the repair queue.
 	Deadline time.Duration
 }
 
@@ -215,9 +214,6 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	}
 	defer fs.releaseDrain(nodeID)
 	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = fs.cfg.Evac.Deadline
-	}
 	if deadline == 0 {
 		deadline = defaultEvacDeadline
 	}

@@ -83,9 +83,9 @@ type Counters struct {
 	// Repairs counts stripes lazily moved back to their primary node.
 	Repairs int64
 	// DegradedWrites counts replicated span writes that succeeded with
-	// fewer than all replicas (at least WriteQuorum landed; the rest
-	// failed with transport errors). Nonzero means some stripes are
-	// under-replicated until a repair or rewrite.
+	// fewer than all replicas (at least one landed; the rest failed with
+	// transport errors). Nonzero means some stripes are under-replicated
+	// until a repair or rewrite.
 	DegradedWrites int64
 	// SkippedReplicaWrites counts replica targets a write skipped outright
 	// because the failure detector judged them Suspect or Down — each skip
@@ -159,14 +159,3 @@ func (fs *FileSystem) Counters() Counters {
 		StoreAttempts:        attempts,
 	}
 }
-
-// Metrics snapshots the FileSystem's full telemetry registry (every
-// family: core, kvstore, health, repair). For Prometheus text exposition
-// use ObsRegistry with obs.Handler / WritePrometheus.
-func (fs *FileSystem) Metrics() []obs.FamilySnapshot {
-	return fs.obs.reg.Snapshot()
-}
-
-// ObsRegistry returns the telemetry registry so embedders like memfsd can
-// serve it or fold their own families in.
-func (fs *FileSystem) ObsRegistry() *obs.Registry { return fs.obs.reg }

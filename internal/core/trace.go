@@ -119,6 +119,9 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 		SlowThreshold: o.slowThr,
 	})
 	o.journal = trace.NewJournal(0)
+	reg.Gauge("memfss_events_dropped",
+		"Flight-recorder events overwritten by newer ones; /debug/events no longer shows them.",
+		nil, func() float64 { return float64(o.journal.Dropped()) })
 	// Pre-register the outcome and slow-op families so /metrics shows
 	// them before any traffic — including the degraded outcomes, so
 	// dashboards can alert on them from zero instead of discovering the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"memfss/internal/cluster"
 	"memfss/internal/tenant"
 )
 
@@ -116,11 +117,11 @@ func TestFigure3Shapes(t *testing.T) {
 	dgemm := pickBench(t, hpcc, "EP-DGEMM")
 
 	cell := func(b tenant.Benchmark, wl Workload, alpha int) float64 {
-		row, err := SlowdownCell(cfg, b, wl, alpha)
+		rows, err := Slowdowns(cfg, []tenant.Benchmark{b}, []Workload{wl}, []int{alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return row.SlowdownPct
+		return rows[0].SlowdownPct
 	}
 
 	streamDD25 := cell(stream, WorkloadDD, 25)
@@ -158,11 +159,11 @@ func TestFigure45Shapes(t *testing.T) {
 	spark := tenant.HiBenchSpark()
 
 	cell := func(b tenant.Benchmark, wl Workload, alpha int) float64 {
-		row, err := SlowdownCell(cfg, b, wl, alpha)
+		rows, err := Slowdowns(cfg, []tenant.Benchmark{b}, []Workload{wl}, []int{alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return row.SlowdownPct
+		return rows[0].SlowdownPct
 	}
 	teraDD25 := cell(pickBench(t, hadoop, "TeraSort"), WorkloadDD, 25)
 	teraDD50 := cell(pickBench(t, hadoop, "TeraSort"), WorkloadDD, 50)
@@ -388,11 +389,11 @@ func TestFigure2SeriesAndCSV(t *testing.T) {
 	if len(lines) != len(samples)+1 || !strings.HasPrefix(lines[0], "time_s,") {
 		t.Fatalf("CSV malformed: %d lines", len(lines))
 	}
-	spark := FormatFigure2Series(25, samples, DefaultNICMBps)
+	spark := FormatFigure2Series(25, samples, cluster.DAS5.NICBytesPerSec/1e6)
 	if !strings.Contains(spark, "α=25%") || !strings.Contains(spark, "net|") {
 		t.Errorf("sparkline malformed: %q", spark)
 	}
-	if FormatFigure2Series(25, nil, DefaultNICMBps) == "" {
+	if FormatFigure2Series(25, nil, cluster.DAS5.NICBytesPerSec/1e6) == "" {
 		t.Error("empty series should still render the summary line")
 	}
 }

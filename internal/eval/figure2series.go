@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"memfss/internal/cluster"
 	"memfss/internal/obs"
 	"memfss/internal/workflow"
 )
@@ -126,7 +125,3 @@ func FormatFigure2Series(alphaPct int, samples []Figure2Sample, nicMBps float64)
 	b.WriteString("|\n")
 	return b.String()
 }
-
-// DefaultNICMBps is the DAS-5 NIC capacity in MB/s, the full scale of the
-// Figure 2 sparklines.
-const DefaultNICMBps = cluster.DAS5NICMBps

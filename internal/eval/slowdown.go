@@ -21,9 +21,10 @@ type SlowdownRow struct {
 	SlowdownPct float64
 }
 
-// slowdownSweep measures every (benchmark, workload, α) combination for a
-// suite.
-func slowdownSweep(cfg Config, suite []tenant.Benchmark, workloads []Workload, alphas []int) ([]SlowdownRow, error) {
+// Slowdowns measures every (benchmark, workload, α) combination for a
+// suite, running each benchmark's baseline once. One-element slices give
+// a single cell, the unit the per-figure benchmarks time.
+func Slowdowns(cfg Config, suite []tenant.Benchmark, workloads []Workload, alphas []int) ([]SlowdownRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []SlowdownRow
 	for _, b := range suite {
@@ -57,44 +58,21 @@ func slowdownSweep(cfg Config, suite []tenant.Benchmark, workloads []Workload, a
 
 var allWorkloads = []Workload{WorkloadMontage, WorkloadBLAST, WorkloadDD}
 
-// SlowdownCell measures a single (benchmark, workload, α) cell — the unit
-// the per-figure benchmarks exercise.
-func SlowdownCell(cfg Config, b tenant.Benchmark, wl Workload, alphaPct int) (SlowdownRow, error) {
-	cfg = cfg.withDefaults()
-	base, err := runBenchmarkAlone(cfg, b)
-	if err != nil {
-		return SlowdownRow{}, err
-	}
-	measured, err := runBenchmarkScavenged(cfg, b, float64(alphaPct)/100, warmupFor(wl), cfg.generator(wl))
-	if err != nil {
-		return SlowdownRow{}, err
-	}
-	return SlowdownRow{
-		Suite:       b.Suite,
-		Benchmark:   b.Name,
-		Workload:    wl,
-		AlphaPct:    alphaPct,
-		Baseline:    base,
-		Measured:    measured,
-		SlowdownPct: obs.Slowdown(base, measured),
-	}, nil
-}
-
 // Figure3 reproduces §IV-C Figure 3: HPCC slowdown under Montage, BLAST
 // and dd scavenging, at α = 25% and 50%.
 func Figure3(cfg Config) ([]SlowdownRow, error) {
-	return slowdownSweep(cfg, tenant.HPCC(), allWorkloads, []int{25, 50})
+	return Slowdowns(cfg, tenant.HPCC(), allWorkloads, []int{25, 50})
 }
 
 // Figure4 reproduces Figure 4: HiBench-on-Hadoop slowdown at α = 25%/50%.
 func Figure4(cfg Config) ([]SlowdownRow, error) {
-	return slowdownSweep(cfg, tenant.HiBenchHadoop(), allWorkloads, []int{25, 50})
+	return Slowdowns(cfg, tenant.HiBenchHadoop(), allWorkloads, []int{25, 50})
 }
 
 // Figure5 reproduces Figure 5: HiBench-on-Spark slowdown at α = 50% only
 // (storing more in the victims would starve Spark's own memory, §IV-C).
 func Figure5(cfg Config) ([]SlowdownRow, error) {
-	return slowdownSweep(cfg, tenant.HiBenchSpark(), allWorkloads, []int{50})
+	return Slowdowns(cfg, tenant.HiBenchSpark(), allWorkloads, []int{50})
 }
 
 // AverageRow is one bar of Figure 6: the average slowdown of a suite at

@@ -62,10 +62,6 @@ type DirPlan struct {
 	Jitter    time.Duration
 }
 
-func (d DirPlan) active() bool {
-	return d.Drop > 0 || d.Discard > 0 || d.Cut > 0 || (d.DelayProb > 0 && (d.Delay > 0 || d.Jitter > 0))
-}
-
 // Plan configures which faults a Proxy injects and how often.
 type Plan struct {
 	// Seed drives the PRNG that samples every probability below. SetPlan
@@ -179,12 +175,6 @@ func New(target string, plan Plan) (*Proxy, error) {
 // of the real store address.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the wrapped store's real address.
-func (p *Proxy) Target() string { return p.target }
-
-// Plan returns the currently installed plan.
-func (p *Proxy) Plan() Plan { return p.plan.Load().plan }
-
 // SetPlan swaps the fault schedule at runtime. In-flight connections pick
 // up the new plan on their next forwarded segment — a partition can open
 // or heal under live traffic, a latency ramp can tighten mid-burst. The
@@ -227,14 +217,6 @@ func (p *Proxy) Resume() {
 	p.mu.Unlock()
 }
 
-// Paused reports whether the proxy is currently refusing connections due
-// to Pause.
-func (p *Proxy) Paused() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.paused
-}
-
 // Kill makes the node permanently dead: every current and future
 // connection is dropped. Unlike Close it keeps the accept loop running so
 // dialers see an immediate reset rather than a vanished listener (both
@@ -244,13 +226,6 @@ func (p *Proxy) Kill() {
 	p.killed = true
 	p.dropConnsLocked()
 	p.mu.Unlock()
-}
-
-// Killed reports whether Kill was called.
-func (p *Proxy) Killed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
 }
 
 // Close shuts the proxy down and waits for its goroutines.
@@ -445,30 +420,6 @@ func WrapAll(targets []string, plan Plan) ([]*Proxy, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// KillGroup kills a set of proxies at once — the correlated rack-scale
-// failure primitive: every node sharing the failure domain dies in the
-// same instant, not one by one.
-func KillGroup(proxies ...*Proxy) {
-	for _, p := range proxies {
-		p.Kill()
-	}
-}
-
-// PauseGroup partitions a set of proxies at once (correlated but
-// recoverable — a rack losing its uplink). Undo with ResumeGroup.
-func PauseGroup(proxies ...*Proxy) {
-	for _, p := range proxies {
-		p.Pause()
-	}
-}
-
-// ResumeGroup heals a PauseGroup partition.
-func ResumeGroup(proxies ...*Proxy) {
-	for _, p := range proxies {
-		p.Resume()
-	}
 }
 
 // TotalStats sums the stats of several proxies.

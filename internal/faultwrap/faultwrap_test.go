@@ -135,9 +135,6 @@ func TestPauseResumeAndKill(t *testing.T) {
 	if err := cli.Ping(); err == nil {
 		t.Fatal("ping succeeded after kill")
 	}
-	if !p.Killed() {
-		t.Fatal("Killed() false after Kill")
-	}
 	p.Resume() // resume must not revive a killed node
 	if err := cli.Ping(); err == nil {
 		t.Fatal("resume revived a killed node")
@@ -162,9 +159,6 @@ func TestWrapAll(t *testing.T) {
 		t.Fatalf("got %d proxies", len(proxies))
 	}
 	for i, p := range proxies {
-		if p.Target() != targets[i] {
-			t.Fatalf("proxy %d target %s, want %s", i, p.Target(), targets[i])
-		}
 		cli := kvstore.Dial(p.Addr(), kvstore.DialOptions{Timeout: time.Second})
 		if err := cli.Ping(); err != nil {
 			t.Fatalf("proxy %d unreachable: %v", i, err)
@@ -299,16 +293,14 @@ func TestKillGroupCorrelatedFailure(t *testing.T) {
 		}
 	})
 	opts := kvstore.DialOptions{Timeout: time.Second, MaxAttempts: 1}
-	KillGroup(proxies[0], proxies[1])
+	proxies[0].Kill()
+	proxies[1].Kill()
 	for i := 0; i < 2; i++ {
 		cli := kvstore.Dial(proxies[i].Addr(), opts)
 		if err := cli.Ping(); err == nil {
 			t.Fatalf("proxy %d alive after group kill", i)
 		}
 		cli.Close()
-		if !proxies[i].Killed() {
-			t.Fatalf("proxy %d Killed() false", i)
-		}
 	}
 	cli := kvstore.Dial(proxies[2].Addr(), opts)
 	defer cli.Close()
@@ -329,7 +321,9 @@ func TestPauseGroupResumeGroup(t *testing.T) {
 		}
 	})
 	opts := kvstore.DialOptions{Timeout: time.Second, MaxAttempts: 1}
-	PauseGroup(proxies...)
+	for _, p := range proxies {
+		p.Pause()
+	}
 	for i, p := range proxies {
 		cli := kvstore.Dial(p.Addr(), opts)
 		if err := cli.Ping(); err == nil {
@@ -337,7 +331,9 @@ func TestPauseGroupResumeGroup(t *testing.T) {
 		}
 		cli.Close()
 	}
-	ResumeGroup(proxies...)
+	for _, p := range proxies {
+		p.Resume()
+	}
 	for i, p := range proxies {
 		cli := kvstore.Dial(p.Addr(), opts)
 		if err := cli.Ping(); err != nil {

@@ -124,8 +124,8 @@ func Rank(nodes []string, key string) []string {
 //
 // Weight is subtracted from the class's unit-interval hash when competing
 // for a key (paper §III-B): larger weights attract fewer keys. Weights are
-// only meaningful relative to each other; DeltaForOwnFraction and
-// CalibrateWeights translate desired key fractions into weights.
+// only meaningful relative to each other; DeltaForOwnFraction translates a
+// desired two-class key split into a weight.
 type Class struct {
 	Name   string
 	Weight float64
@@ -185,17 +185,6 @@ func NewPlacer(classes ...Class) (*Placer, error) {
 		cp[i] = Class{Name: c.Name, Weight: c.Weight, Nodes: nodes}
 	}
 	return &Placer{classes: cp}, nil
-}
-
-// Classes returns a copy of the placer's classes in construction order.
-func (p *Placer) Classes() []Class {
-	out := make([]Class, len(p.classes))
-	for i, c := range p.classes {
-		nodes := make([]string, len(c.Nodes))
-		copy(nodes, c.Nodes)
-		out[i] = Class{Name: c.Name, Weight: c.Weight, Nodes: nodes}
-	}
-	return out
 }
 
 // NumNodes returns the total node count across all classes.

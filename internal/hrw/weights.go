@@ -1,7 +1,6 @@
 package hrw
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -42,70 +41,4 @@ func OwnFractionForDelta(d float64) float64 {
 		return (1 - d) * (1 - d) / 2
 	}
 	return 1 - (1+d)*(1+d)/2
-}
-
-// CalibrateWeights computes per-class weights that route approximately
-// fractions[i] of keys to class i, for any number of classes. Fractions
-// must be positive and sum to 1 (within 1e-9).
-//
-// There is no closed form for three or more classes, so the weights are fit
-// by deterministic stochastic approximation: `samples` synthetic keys are
-// placed per round and each weight is nudged toward its target share. The
-// returned weights are normalized so the smallest is 0.
-func CalibrateWeights(classNames []string, fractions []float64, samples int) ([]float64, error) {
-	n := len(classNames)
-	if n == 0 || n != len(fractions) {
-		return nil, errors.New("hrw: class names and fractions must be non-empty and equal length")
-	}
-	sum := 0.0
-	for _, f := range fractions {
-		if f <= 0 {
-			return nil, fmt.Errorf("hrw: non-positive fraction %v", f)
-		}
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("hrw: fractions sum to %v, want 1", sum)
-	}
-	if n == 1 {
-		return []float64{0}, nil
-	}
-	if samples <= 0 {
-		samples = 20000
-	}
-
-	weights := make([]float64, n)
-	counts := make([]int, n)
-	const rounds = 60
-	for round := 0; round < rounds; round++ {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for s := 0; s < samples; s++ {
-			key := fmt.Sprintf("hrw-calib-%d-%d", round, s)
-			best, bestScore := -1, 0.0
-			for i, name := range classNames {
-				sc := Unit(name, key) - weights[i]
-				if best < 0 || sc > bestScore {
-					best, bestScore = i, sc
-				}
-			}
-			counts[best]++
-		}
-		lr := 0.5 * math.Pow(0.93, float64(round))
-		for i := range weights {
-			got := float64(counts[i]) / float64(samples)
-			weights[i] += lr * (got - fractions[i])
-		}
-	}
-	minW := weights[0]
-	for _, w := range weights[1:] {
-		if w < minW {
-			minW = w
-		}
-	}
-	for i := range weights {
-		weights[i] -= minW
-	}
-	return weights, nil
 }

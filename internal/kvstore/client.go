@@ -232,9 +232,6 @@ func (c *Client) Ops() int64 { return c.ops.Load() }
 // retry storms.
 func (c *Client) Attempts() int64 { return c.attempts.Load() }
 
-// Addr returns the server address the client talks to.
-func (c *Client) Addr() string { return c.addr }
-
 // Close tears down all idle connections; in-flight requests finish and
 // their connections are then discarded.
 func (c *Client) Close() error {
@@ -724,39 +721,9 @@ func (c *Client) SetRangeStat(key string, offset int64, value []byte, st *OpStat
 	return nil
 }
 
-// Whole is the VSet offset that replaces the value instead of writing a
-// range into it.
+// Whole is the Pipeline.VSet offset that replaces the value instead of
+// writing a range into it.
 const Whole = -1
-
-// VSet is the versioned stripe write: it writes value into key's payload
-// at offset off — or, with off == Whole, replaces the value — and returns
-// the generation the store stamped into the value's header, one past the
-// one it held. id names the write.
-func (c *Client) VSet(key string, id uint64, off int64, value []byte) (uint64, error) {
-	var r struct {
-		gen    int64
-		errMsg string
-	}
-	err := c.withRetry("VSET", 0, nil, func(cc *clientConn) error {
-		if err := cc.startOp(c.timeout); err != nil {
-			return err
-		}
-		cc.enc.vset(key, id, off, value)
-		if err := cc.enc.writeTo(cc.conn); err != nil {
-			return err
-		}
-		var err error
-		r.gen, r.errMsg, err = readIntReply(cc.br)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if r.errMsg != "" {
-		return 0, replyError(r.errMsg)
-	}
-	return uint64(r.gen), nil
-}
 
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int64, error) {

@@ -93,9 +93,10 @@ func BenchmarkWireSetRange4KiBIn64KiB(b *testing.B) {
 	}
 }
 
-// BenchmarkWireVSet1MiB is one whole-value 1 MiB VSET — the dd-bag write
-// as core sends it. Like SET, the value is read into the buffer the store
-// keeps, with room for the header in front, so B/op stays one stripe.
+// BenchmarkWireVSet1MiB is one whole-value 1 MiB VSET in a one-command
+// pipeline burst — the dd-bag write as core sends it. Like SET, the value
+// is read into the buffer the store keeps, with room for the header in
+// front, so B/op stays one stripe.
 func BenchmarkWireVSet1MiB(b *testing.B) {
 	c := newBenchClient(b, DialOptions{})
 	payload := make([]byte, 1<<20)
@@ -106,18 +107,19 @@ func BenchmarkWireVSet1MiB(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.VSet("bench:vset1m", uint64(i), Whole, payload); err != nil {
+		if _, err := vsetBurst(c, "bench:vset1m", uint64(i), Whole, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkWireVSetRange4KiBIn64KiB is the rmw-mix edge write as core
-// sends it: a 4 KiB VSET inside an existing 64 KiB copy, in place.
+// sends it: a 4 KiB VSET inside an existing 64 KiB copy, in place, in a
+// one-command pipeline burst.
 func BenchmarkWireVSetRange4KiBIn64KiB(b *testing.B) {
 	c := newBenchClient(b, DialOptions{})
 	const stripe = 64 << 10
-	if _, err := c.VSet("bench:vr", 0, Whole, make([]byte, stripe)); err != nil {
+	if _, err := vsetBurst(c, "bench:vr", 0, Whole, make([]byte, stripe)); err != nil {
 		b.Fatal(err)
 	}
 	payload := benchPayload()
@@ -126,7 +128,7 @@ func BenchmarkWireVSetRange4KiBIn64KiB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64(i%(stripe/benchPayloadSize)) * benchPayloadSize
-		if _, err := c.VSet("bench:vr", uint64(i+1), off, payload); err != nil {
+		if _, err := vsetBurst(c, "bench:vr", uint64(i+1), off, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,10 +101,24 @@ func (p *Pipeline) SetRange(key string, offset int64, value []byte) {
 	p.endCmd(nil, false)
 }
 
-// VSet queues a VSET (see Client.VSet); its reply's Int is the stamped
-// generation.
+// VSet queues a VSET, the versioned stripe write: it writes value into
+// key's payload at offset off — or, with off == Whole, replaces the value.
+// The reply's Int is the generation the store stamped into the value's
+// header, one past the one it held; id names the write.
 func (p *Pipeline) VSet(key string, id uint64, off int64, value []byte) {
-	p.tape().vset(key, id, off, value)
+	e := p.tape()
+	if off == Whole {
+		e.beginCommand(4)
+	} else {
+		e.beginCommand(5)
+	}
+	e.argString("VSET")
+	e.argString(key)
+	e.argInt(int64(id))
+	if off != Whole {
+		e.argInt(off)
+	}
+	e.argBytes(value)
 	p.endCmd(nil, false)
 }
 

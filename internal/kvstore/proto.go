@@ -230,26 +230,6 @@ func readStatusReply(br *bufio.Reader) (errMsg string, err error) {
 	}
 }
 
-// readIntReply consumes one :integer / -error reply.
-func readIntReply(br *bufio.Reader) (n int64, errMsg string, err error) {
-	line, err := readLine(br)
-	if err != nil {
-		return 0, "", err
-	}
-	if len(line) == 0 {
-		return 0, "", fmt.Errorf("%w: empty reply line", errProtocol)
-	}
-	switch line[0] {
-	case ':':
-		n, err = parseInt(line[1:])
-		return n, "", err
-	case '-':
-		return 0, string(line[1:]), nil
-	default:
-		return 0, "", fmt.Errorf("%w: unexpected integer reply %q", errProtocol, line)
-	}
-}
-
 // readBulkReplyInto consumes one bulk (or -error) reply, decoding the
 // payload into dst.
 func readBulkReplyInto(br *bufio.Reader, dst []byte) (n int, ok bool, errMsg string, err error) {

@@ -163,13 +163,9 @@ func (s *Store) MGet(keys []string) [][]byte {
 	return out
 }
 
-// SetNX stores a copy of value under key only if the key does not exist
-// (in either namespace). It reports whether the value was stored.
-func (s *Store) SetNX(key string, value []byte) (bool, error) {
-	return s.setNX(key, bytes.Clone(value))
-}
-
-// setNX is SetNX for a value the store keeps as given, like set.
+// setNX stores value under key only if the key does not exist (in either
+// namespace), keeping the value as given, like set. It reports whether the
+// value was stored.
 func (s *Store) setNX(key string, value []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -204,16 +200,6 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return out, ok, nil
 }
 
-// GetRange returns length bytes of key's value starting at offset. Reads
-// past the end are truncated; a missing key yields ok=false.
-func (s *Store) GetRange(key string, offset, length int64) ([]byte, bool, error) {
-	v, ok, err := s.GetRangeAppend([]byte{}, key, offset, length)
-	if !ok {
-		return nil, false, err
-	}
-	return v, true, nil
-}
-
 // GetAppend appends a copy of key's value to dst and returns the extended
 // slice — the allocation-free read path: the server passes a reusable
 // reply buffer and no fresh value allocation happens once the buffer has
@@ -233,7 +219,9 @@ func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool, error) {
 	return append(dst, v...), true, nil
 }
 
-// GetRangeAppend is GetRange with GetAppend's reusable-buffer contract.
+// GetRangeAppend appends length bytes of key's value starting at offset to
+// dst, under GetAppend's reusable-buffer contract. Reads past the end are
+// truncated; a missing key yields ok=false.
 func (s *Store) GetRangeAppend(dst []byte, key string, offset, length int64) ([]byte, bool, error) {
 	if offset < 0 || length < 0 {
 		return dst, false, fmt.Errorf("kvstore: negative range offset=%d length=%d", offset, length)

@@ -53,11 +53,11 @@ func TestSetCopiesInput(t *testing.T) {
 
 func TestSetNX(t *testing.T) {
 	s := NewStore(0)
-	ok, err := s.SetNX("k", []byte("first"))
+	ok, err := s.setNX("k", []byte("first"))
 	if err != nil || !ok {
 		t.Fatalf("first SetNX: %v %v", ok, err)
 	}
-	ok, err = s.SetNX("k", []byte("second"))
+	ok, err = s.setNX("k", []byte("second"))
 	if err != nil || ok {
 		t.Fatalf("second SetNX should not store: %v %v", ok, err)
 	}
@@ -66,7 +66,7 @@ func TestSetNX(t *testing.T) {
 		t.Fatalf("SetNX overwrote: %q", v)
 	}
 	s.SAdd("set", "m")
-	if ok, _ := s.SetNX("set", []byte("x")); ok {
+	if ok, _ := s.setNX("set", []byte("x")); ok {
 		t.Fatal("SetNX stored over a set key")
 	}
 }
@@ -93,15 +93,15 @@ func TestGetRange(t *testing.T) {
 		{0, 5, "hello"}, {6, 5, "world"}, {6, 100, "world"}, {11, 5, ""}, {100, 5, ""},
 	}
 	for _, c := range cases {
-		v, ok, err := s.GetRange("k", c.off, c.n)
+		v, ok, err := s.GetRangeAppend(nil, "k", c.off, c.n)
 		if err != nil || !ok || string(v) != c.want {
 			t.Errorf("GetRange(%d,%d) = %q %v %v, want %q", c.off, c.n, v, ok, err, c.want)
 		}
 	}
-	if _, ok, _ := s.GetRange("absent", 0, 1); ok {
+	if _, ok, _ := s.GetRangeAppend(nil, "absent", 0, 1); ok {
 		t.Error("GetRange on absent key reported present")
 	}
-	if _, _, err := s.GetRange("k", -1, 1); err == nil {
+	if _, _, err := s.GetRangeAppend(nil, "k", -1, 1); err == nil {
 		t.Error("negative offset accepted")
 	}
 }
@@ -220,7 +220,7 @@ func TestMemoryCapSet(t *testing.T) {
 
 func TestMemoryCapOtherOps(t *testing.T) {
 	s := NewStore(150)
-	if _, err := s.SetNX("k", make([]byte, 200)); !errors.Is(err, ErrOOM) {
+	if _, err := s.setNX("k", make([]byte, 200)); !errors.Is(err, ErrOOM) {
 		t.Errorf("SetNX over cap: %v", err)
 	}
 	if err := s.SetRange("k", 0, make([]byte, 200)); !errors.Is(err, ErrOOM) {

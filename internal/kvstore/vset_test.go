@@ -27,7 +27,7 @@ func TestVSetStampsGenerations(t *testing.T) {
 	}
 	vset := func(key string, id uint64, off int64, value string) uint64 {
 		t.Helper()
-		gen, err := cli.VSet(key, id, off, []byte(value))
+		gen, err := vsetBurst(cli, key, id, off, []byte(value))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,4 +66,19 @@ func TestVSetStampsGenerations(t *testing.T) {
 	if ahead != 5 || behind != 2 {
 		t.Fatalf("one write to copies at generations 4 and 1 stamped %d and %d", ahead, behind)
 	}
+}
+
+// vsetBurst sends one VSET as a one-command pipeline burst, the way core
+// ships a replica write, and returns the generation the store stamped.
+func vsetBurst(c *Client, key string, id uint64, off int64, value []byte) (uint64, error) {
+	pl := c.Pipeline()
+	pl.VSet(key, id, off, value)
+	replies, err := pl.Run()
+	if err != nil {
+		return 0, err
+	}
+	if err := replies[0].Err(); err != nil {
+		return 0, err
+	}
+	return uint64(replies[0].Int), nil
 }

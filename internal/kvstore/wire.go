@@ -101,23 +101,6 @@ func (e *wireEnc) argInt(v int64) {
 	e.crlf()
 }
 
-// vset encodes a VSET: the whole-value form when off is Whole, else the
-// range form.
-func (e *wireEnc) vset(key string, id uint64, off int64, value []byte) {
-	if off == Whole {
-		e.beginCommand(4)
-	} else {
-		e.beginCommand(5)
-	}
-	e.argString("VSET")
-	e.argString(key)
-	e.argInt(int64(id))
-	if off != Whole {
-		e.argInt(off)
-	}
-	e.argBytes(value)
-}
-
 // Reply encoders (server side).
 
 func (e *wireEnc) simple(s string) {

@@ -21,8 +21,8 @@
 // small bounded sets (node IDs, class names, command verbs, outcome
 // enums). As a backstop the registry refuses to grow a family past
 // maxSeriesPerFamily series; overflowing callers receive a functional but
-// unregistered metric and the drop is counted in
-// memfss_obs_dropped_series_total.
+// unregistered metric and the drop is counted in the registry's own
+// memfss_obs_dropped_series gauge, so /metrics says when it is incomplete.
 package obs
 
 import (
@@ -263,14 +263,6 @@ func (h *Histogram) exemplars() []Exemplar {
 	return out
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // snapshot returns cumulative bucket counts (including +Inf last), the
 // total count, and the sum.
 func (h *Histogram) snapshot() (cum []int64, count, sumNs int64) {
@@ -333,9 +325,13 @@ type Registry struct {
 	dropped  atomic.Int64
 }
 
-// NewRegistry creates an empty registry.
+// NewRegistry creates a registry holding only its own drop gauge.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	r := &Registry{families: make(map[string]*family)}
+	r.Gauge("memfss_obs_dropped_series",
+		"Series registrations the per-family cardinality cap refused; their samples are missing from this page.",
+		nil, func() float64 { return float64(r.DroppedSeries()) })
+	return r
 }
 
 // family returns (creating if needed) the named family, panicking on a

@@ -53,10 +53,10 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter should report 0")
 	}
 	h := r.Histogram("memfss_x_seconds", "", nil, nil)
-	h.Observe(time.Second)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram should report 0")
+	if h != nil {
+		t.Fatal("nil registry handed out a histogram")
 	}
+	h.Observe(time.Second)
 	r.Gauge("memfss_x_gauge", "", nil, func() float64 { return 1 })
 	r.Remove("memfss_x_gauge", nil)
 	if r.Snapshot() != nil {
@@ -115,24 +115,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMergeSeries(t *testing.T) {
-	a := &SeriesSnapshot{CumBuckets: []int64{1, 2, 3}, Count: 3, Sum: time.Second}
-	b := &SeriesSnapshot{CumBuckets: []int64{0, 4, 5}, Count: 5, Sum: 2 * time.Second}
-	m := MergeSeries([]*SeriesSnapshot{a, nil, b})
-	if m.Count != 8 || m.Sum != 3*time.Second {
-		t.Fatalf("merge count/sum = %d/%v", m.Count, m.Sum)
-	}
-	want := []int64{1, 6, 8}
-	for i, w := range want {
-		if m.CumBuckets[i] != w {
-			t.Fatalf("merged cum[%d] = %d, want %d", i, m.CumBuckets[i], w)
-		}
-	}
-}
-
-// TestGoldenExposition pins the full Prometheus text rendering: family
-// ordering, HELP/TYPE lines, label escaping, histogram buckets in
-// seconds with a +Inf terminal bucket, _sum and _count.
 func TestGoldenExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("memfss_demo_ops_total", "Demo operations.", L("op", "write", "class", "own")).Add(3)
@@ -167,6 +149,9 @@ memfss_demo_seconds_count{op="write"} 3
 # HELP memfss_demo_weird_total Help with \\ and\nnewline.
 # TYPE memfss_demo_weird_total counter
 memfss_demo_weird_total{path="a\"b\\c"} 1
+# HELP memfss_obs_dropped_series Series registrations the per-family cardinality cap refused; their samples are missing from this page.
+# TYPE memfss_obs_dropped_series gauge
+memfss_obs_dropped_series 0
 `
 	if sb.String() != golden {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), golden)
@@ -240,18 +225,22 @@ func TestSeriesCap(t *testing.T) {
 		c := r.Counter("memfss_cap_total", "cap", L("i", strings.Repeat("x", i%7)+string(rune('a'+i%26))+itoa(i)))
 		c.Inc() // overflow counters must still work
 	}
-	if got := r.DroppedSeries(); got != 10 {
-		t.Fatalf("dropped = %d, want 10", got)
-	}
 	var fam *FamilySnapshot
+	dropped := -1.0
 	for _, f := range r.Snapshot() {
-		if f.Name == "memfss_cap_total" {
+		switch f.Name {
+		case "memfss_cap_total":
 			f := f
 			fam = &f
+		case "memfss_obs_dropped_series":
+			dropped = f.Series[0].Gauge
 		}
 	}
 	if fam == nil {
 		t.Fatal("family missing from snapshot")
+	}
+	if dropped != 10 {
+		t.Fatalf("memfss_obs_dropped_series = %v, want 10", dropped)
 	}
 	if len(fam.Series) != maxSeriesPerFamily {
 		t.Fatalf("family series = %d, want %d", len(fam.Series), maxSeriesPerFamily)
@@ -397,8 +386,8 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 }
 
 // TestExemplars pins the histogram exemplar path: ObserveExemplar
-// attaches a trace ID to the landing bucket, the snapshot surfaces it,
-// WorstExemplar picks the highest bucket, the text exposition renders
+// attaches a trace ID to the landing bucket, the snapshot surfaces it in
+// ascending bucket order, the text exposition renders
 // the OpenMetrics suffix, and the parser still reads the page.
 func TestExemplars(t *testing.T) {
 	r := NewRegistry()
@@ -421,9 +410,8 @@ func TestExemplars(t *testing.T) {
 	if len(s.Exemplars) != 2 {
 		t.Fatalf("exemplars = %+v, want 2", s.Exemplars)
 	}
-	worst, ok := s.WorstExemplar()
-	if !ok || worst.TraceID != 0x1122334455667788 || worst.Value != 2*time.Second {
-		t.Fatalf("WorstExemplar = %+v, %v", worst, ok)
+	if worst := s.Exemplars[1]; worst.TraceID != 0x1122334455667788 || worst.Value != 2*time.Second {
+		t.Fatalf("highest-bucket exemplar = %+v", worst)
 	}
 
 	var buf bytes.Buffer

@@ -120,16 +120,6 @@ type SeriesSnapshot struct {
 	Exemplars []Exemplar
 }
 
-// WorstExemplar returns the exemplar from the highest bucket that has
-// one — the trace behind the series' worst observed latency region —
-// and false when the series has no exemplars.
-func (s *SeriesSnapshot) WorstExemplar() (Exemplar, bool) {
-	if s == nil || len(s.Exemplars) == 0 {
-		return Exemplar{}, false
-	}
-	return s.Exemplars[len(s.Exemplars)-1], true
-}
-
 // FamilySnapshot is one family's point-in-time state.
 type FamilySnapshot struct {
 	Name   string
@@ -196,29 +186,6 @@ func (s *SeriesSnapshot) Quantile(bounds []time.Duration, q float64) time.Durati
 		frac = 1
 	}
 	return lo + time.Duration(frac*float64(hi-lo))
-}
-
-// MergeSeries sums histogram series (matching bucket layouts assumed)
-// into one aggregate — used to fold per-node or per-class series into a
-// single distribution before taking quantiles.
-func MergeSeries(series []*SeriesSnapshot) *SeriesSnapshot {
-	var out *SeriesSnapshot
-	for _, s := range series {
-		if s == nil {
-			continue
-		}
-		if out == nil {
-			out = &SeriesSnapshot{CumBuckets: make([]int64, len(s.CumBuckets))}
-		}
-		for i := range s.CumBuckets {
-			if i < len(out.CumBuckets) {
-				out.CumBuckets[i] += s.CumBuckets[i]
-			}
-		}
-		out.Count += s.Count
-		out.Sum += s.Sum
-	}
-	return out
 }
 
 // Snapshot captures every family's current state, sorted for

@@ -32,13 +32,6 @@ func (s *Series) Add(at, value float64) {
 	s.samples = append(s.samples, Sample{At: at, Value: value})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
-// Samples returns the underlying observations (not a copy; callers must
-// not mutate).
-func (s *Series) Samples() []Sample { return s.samples }
-
 // Mean returns the arithmetic mean of the values (0 for an empty series).
 func (s *Series) Mean() float64 {
 	if len(s.samples) == 0 {

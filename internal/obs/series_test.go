@@ -11,14 +11,11 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("cpu")
-	if s.Mean() != 0 || s.Max() != 0 || s.Len() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty series not zero")
 	}
 	for i, v := range []float64{1, 3, 2} {
 		s.Add(float64(i), v)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
 	}
 	if got := s.Mean(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Mean = %v", got)
@@ -29,8 +26,8 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Name != "cpu" {
 		t.Fatalf("Name = %q", s.Name)
 	}
-	if got := s.Samples(); len(got) != 3 || got[1].At != 1 || got[1].Value != 3 {
-		t.Fatalf("Samples = %v", got)
+	if got := s.samples; len(got) != 3 || got[1].At != 1 || got[1].Value != 3 {
+		t.Fatalf("samples = %v", got)
 	}
 }
 

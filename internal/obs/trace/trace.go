@@ -68,7 +68,6 @@ type Tracer struct {
 	sampleN   uint64
 	slowThr   time.Duration
 	store     *Store
-	started   atomic.Uint64 // traces started (all, retained or not)
 }
 
 // New builds a Tracer with cfg's retention policy.
@@ -102,14 +101,6 @@ func (tr *Tracer) Store() *Store {
 		return nil
 	}
 	return tr.store
-}
-
-// Started returns how many traces the tracer has minted.
-func (tr *Tracer) Started() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.started.Load()
 }
 
 // maxSpansPerTrace bounds the span records kept per trace so one huge
@@ -156,7 +147,6 @@ func (tr *Tracer) Start(op, path string, off int64, bytes int) *Trace {
 	if tr == nil {
 		return nil
 	}
-	tr.started.Add(1)
 	t := &Trace{
 		tracer: tr,
 		id:     ID(tr.base ^ tr.seq.Add(1)),
@@ -309,17 +299,6 @@ func (s Span) End(err error) {
 	} else {
 		s.EndOutcome(outcomeOK)
 	}
-}
-
-// Annotate sets the span's node/class attribution after creation.
-func (s Span) Annotate(node, class string) {
-	if !s.Valid() {
-		return
-	}
-	s.t.mu.Lock()
-	s.t.spans[s.idx].node = node
-	s.t.spans[s.idx].class = class
-	s.t.mu.Unlock()
 }
 
 // Finish closes the trace's root span and runs the tail-based retention

@@ -96,7 +96,7 @@ type RevokeReport struct {
 // RevokeOptions tunes one revocation.
 type RevokeOptions struct {
 	// EvacDeadline bounds the post-notice evacuation (0 = the Evacuator's
-	// default, i.e. core's configured Evac.Deadline).
+	// default, core's 30s).
 	EvacDeadline time.Duration
 	// Force skips the remaining notice window: eviction starts
 	// immediately and the SLO is recorded as violated for any lease whose
@@ -227,23 +227,6 @@ func (b *Broker) Withdraw(node string) {
 	delete(b.offers, node)
 	b.mu.Unlock()
 	b.opts.Journal.Note("lease", node, "offer withdrawn", 0)
-}
-
-// Supply lists current offers sorted by node, with Bytes reduced to the
-// unleased remainder.
-func (b *Broker) Supply() []Offer {
-	b.mu.Lock()
-	out := make([]Offer, 0, len(b.offers))
-	for _, o := range b.offers {
-		free := o.offer.Bytes - o.leased
-		if free < 0 {
-			free = 0
-		}
-		out = append(out, Offer{Node: o.offer.Node, Bytes: free, NoticeSLO: o.offer.NoticeSLO})
-	}
-	b.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }
 
 // Leases snapshots every lease, sorted by ID.

@@ -96,7 +96,9 @@ func TestAdvertiseValidation(t *testing.T) {
 }
 
 func TestRequestMatchingAndSupply(t *testing.T) {
-	b, _ := newFakeBroker(BrokerOptions{})
+	reg := obs.NewRegistry()
+	b, _ := newFakeBroker(BrokerOptions{Obs: reg})
+	supply := func() float64 { return gaugeValue(reg, "memfss_qos_supply_bytes") }
 	for node, bytes := range map[string]int64{"v1": 100, "v2": 300} {
 		if err := b.Advertise(Offer{Node: node, Bytes: bytes, NoticeSLO: time.Second}); err != nil {
 			t.Fatal(err)
@@ -135,16 +137,15 @@ func TestRequestMatchingAndSupply(t *testing.T) {
 	if _, err := b.Request("b", 0); err == nil {
 		t.Fatal("zero-byte request accepted")
 	}
-	sup := b.Supply()
-	if len(sup) != 2 || sup[0].Node != "v1" || sup[0].Bytes != 20 || sup[1].Bytes != 50 {
-		t.Fatalf("supply = %+v", sup)
+	if got := supply(); got != 20+50 {
+		t.Fatalf("supply = %v, want 20 free on v1 + 50 on v2", got)
 	}
 	// Release returns capacity to its offer.
 	if err := b.Release(l2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if sup := b.Supply(); sup[1].Bytes != 250 {
-		t.Fatalf("supply after release = %+v", sup)
+	if got := supply(); got != 20+250 {
+		t.Fatalf("supply after release = %v, want 270", got)
 	}
 	if err := b.Release(l2.ID); err == nil {
 		t.Fatal("double release accepted")
@@ -154,8 +155,11 @@ func TestRequestMatchingAndSupply(t *testing.T) {
 	}
 	// Withdraw stops new matches; the live lease stands.
 	b.Withdraw("v1")
-	if _, err := b.Request("b", 10); err != nil && len(b.Supply()) != 1 {
-		t.Fatalf("withdraw: supply=%+v err=%v", b.Supply(), err)
+	if got := supply(); got != 250 {
+		t.Fatalf("supply after withdrawing v1 = %v, want v2's 250", got)
+	}
+	if l4, err := b.Request("b", 10); err != nil || l4.Node != "v2" {
+		t.Fatalf("request after withdraw: %+v %v, want a lease on v2", l4, err)
 	}
 	for _, l := range b.Leases() {
 		if l.ID == l3.ID && l.State != LeaseActive {
@@ -206,8 +210,8 @@ func TestRevokeMeetsNoticeSLO(t *testing.T) {
 		t.Fatalf("lease after revoke: %+v", ls)
 	}
 	// The offer is gone: the node is being reclaimed.
-	if len(b.Supply()) != 0 {
-		t.Fatalf("revoked node still advertised: %+v", b.Supply())
+	if got := gaugeValue(reg, "memfss_qos_supply_bytes"); got != 0 {
+		t.Fatalf("revoked node still advertised: %v bytes", got)
 	}
 	if got := gaugeValue(reg, "memfss_qos_leases_active"); got != 0 {
 		t.Fatalf("active gauge after revoke = %v", got)

@@ -254,20 +254,6 @@ func (r *Registry) rebalanceLocked() {
 	}
 }
 
-// Get returns a tenant's spec.
-func (r *Registry) Get(name string) (TenantSpec, bool) {
-	if r == nil {
-		return TenantSpec{}, false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ts, ok := r.tenants[name]
-	if !ok {
-		return TenantSpec{}, false
-	}
-	return ts.spec, true
-}
-
 // List returns every tenant spec, sorted by name.
 func (r *Registry) List() []TenantSpec {
 	if r == nil {

@@ -52,11 +52,18 @@ for family in \
     memfss_fs_ec_hedged_reads_total \
     memfss_health_node_state \
     memfss_repair_queue_depth \
-    memfss_repair_enqueued_total
+    memfss_repair_enqueued_total \
+    memfss_obs_dropped_series \
+    memfss_events_dropped
 do
     grep -q "^# TYPE $family " "$workdir/metrics.txt" \
         || { echo "FAIL: family $family missing from /metrics"; exit 1; }
 done
+
+# The drop gauges say whether /metrics and /debug/events are complete;
+# a two-node smoke run stays far below the per-family series cap.
+grep -q '^memfss_obs_dropped_series 0$' "$workdir/metrics.txt" \
+    || { echo "FAIL: memfss_obs_dropped_series is not 0"; exit 1; }
 
 families=$(grep -c '^# TYPE ' "$workdir/metrics.txt")
 [ "$families" -ge 12 ] || { echo "FAIL: only $families metric families (< 12)"; exit 1; }
