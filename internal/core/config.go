@@ -130,7 +130,9 @@ type Redundancy struct {
 	// slow-not-dead node costs the hedge delay, not its own latency.
 	// Shards a read *needs* — a slot answered miss, error or a stale
 	// write — are fetched at once and do not count against the spares.
-	// Negative means no spares: a read never hedges on slowness.
+	// Negative means no spares: a read never hedges on slowness. A
+	// replicated span the read burst did not serve is gathered the same
+	// way, as k = 1 over its R copies.
 	ReadSpare int
 }
 

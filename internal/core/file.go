@@ -284,14 +284,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	starts := spanStarts(spans)
 	f.fs.stats.stripeReads.Add(int64(len(spans)))
-	var okSpans int
-	if f.coder != nil {
-		okSpans, err = f.runSpans(len(spans), func(i int) error {
-			return f.readSpanErasure(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
-		})
-	} else {
-		okSpans, err = f.readSpans(tr, spans, starts, p, f.fs.moveSeq.Load())
-	}
+	okSpans, err := f.readSpans(tr, spans, starts, p)
 	f.fs.finishTrace(tr, len(spans), err)
 	read := 0
 	if okSpans > 0 {
@@ -524,125 +517,141 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 	return cli.GetRangeIntoStat(key, off, length, dst, st)
 }
 
-// readSpanInto is the replicated probe chain: it fetches one span of one
-// stripe into dst (len(dst) == span.Length), probing down the HRW order
-// and lazily repairing out-of-place stripes (paper §V-C). first is what
-// readSpans already learned from one node, which the chain does not ask
-// again, or that the repair queue holds the stripe. Holes and short
-// stripes read as zeros: every byte of dst is written on success.
+// readSpan reads one span the burst did not serve into dst (len(dst) ==
+// span.Length; bytes past the stripe's end read as zeros) through the one
+// gather over the stripe's slots — k+m shards, or R copies as k = 1 — and
+// counts the span's outcome: degraded when the gather saw a slot off and
+// queued the stripe (noteStripeState). A stripe the repair queue holds
+// may have a slot a write behind; if its slots can hold two complete
+// writes (2k <= slots, every replicated stripe), every slot is gathered
+// and the newest write wins. Otherwise the first k of one write do.
 //
-// moveSeq is the file system's move sequence when the read began. "Absent
-// on every reachable node" is a hole only across a walk no move
-// overlapped: a mover bumps the sequence between confirming a copy and
-// releasing its source, so a walk that probed the destination too early
-// and the source too late sees it change and walks again; and a fenced
-// node's stripes may be in transit out of reach (a detached evacuation
-// source), so the walk repeats until no probed node is fenced.
-func (f *File) readSpanInto(tr *opTrace, span stripe.Span, dst []byte, first firstRead, moveSeq uint64) error {
-	sk := stripe.Key(f.rec.ID, span.Index)
-	key := dataKey(sk)
-	o := f.fs.obs
-
-	primaries := f.targets(sk)
-	probe := primaries
+// Short of k, an erasure stripe whose slots all answer "no shard" past m
+// is a hole, and fewer than k shards of one write is data loss. A copy no
+// primary holds may live down the HRW order after a move (paper §V-C):
+// the deep probe finds it and the read lazily repairs it. "Absent
+// everywhere" is a hole only across a gather + deep probe no move
+// overlapped: a mover bumps the move sequence between confirming a copy
+// and releasing its source, and a fenced node's stripes may be in transit
+// out of reach (a detached evacuation source), so the walk repeats until
+// neither happened since moveSeq, loaded when the read began. No node
+// reachable anywhere is data loss.
+func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, moveSeq uint64) (err error) {
 	degraded := false
-	if first.held {
-		// The repair queue holds the stripe, so a copy may be a write
-		// behind: probe only copies of the newest write, which the k = 1
-		// gather picks — or every copy, when it finds none.
-		g := f.gatherStripe(tr, sk, span.Index, f.layout.StripeLen(f.size, span.Index), gatherHeaders)
-		if g.found > 0 {
-			degraded, probe = f.noteStripeState(tr, sk, span.Index, g), nil
-			for i, node := range g.nodes {
-				if g.won(&g.slots[i]) {
-					probe = append(probe, node)
-				}
-			}
+	defer func() {
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		} else if degraded {
+			outcome = "degraded"
 		}
+		f.fs.obs.outcome("read", outcome).Inc()
+	}()
+	sk := stripe.Key(f.rec.ID, span.Index)
+	stripeLen := f.layout.StripeLen(f.size, span.Index)
+	mode := gatherFirstK
+	if f.fs.repairs.holds(sk) && 2*f.k <= len(f.targets(sk)) {
+		mode = gatherAll
 	}
-	// Extend the probe list past the replica set with the full HRW order:
-	// after membership changes (scavenging, evacuation) a stripe may
-	// legitimately live further down the list.
-	for _, node := range f.placer.ProbeOrder(sk) {
-		if !containsString(primaries, node) {
-			probe = append(probe, node)
-		}
-	}
-	retried := first.retried
 	for pause := time.Millisecond; ; pause = min(2*pause, movePassPause) {
-		// Healthy replicas first: a probe chain that starts at a
-		// Suspect/Down node burns a full retry budget before reaching the
-		// copy that is actually reachable.
-		sawReachable := first.miss
-		for _, node := range f.fs.healthOrder(probe) {
-			if node == first.node {
-				continue
-			}
-			var st kvstore.OpStat
-			n, ok, err := f.getInto(node, key, erasure.HeaderSize+span.Offset, span.Length, dst, &st)
-			cls := f.fs.conns.class(node)
-			o.stripeHist("read", cls).Observe(st.Dur)
-			if st.Attempts > 1 {
-				retried = true
-			}
-			if err != nil {
-				tr.phaseOp(span.Index, node, cls, st, "error")
-				continue // unreachable or failed node: probe the next one
-			}
-			sawReachable = true
-			if !ok {
-				tr.phaseOp(span.Index, node, cls, st, "miss")
-				continue
-			}
-			if !containsString(primaries, node) {
-				tr.phaseOp(span.Index, node, cls, st, "deep")
-				tr.markDegraded()
-				f.fs.stats.deepProbes.Add(1)
-				leg := tr.leg("lazy-repair")
-				f.repairStripe(key, node, primaries)
-				leg.End(nil)
-				// A deep-probe miss is also repair-queue evidence: the stripe
-				// sits off its placement until the lazy move (above) or the
-				// background repairer restores it.
-				f.fs.enqueueRepair(f.path, sk, span.Index, tr.traceID())
-				// A read served off its placement is a degraded read: correct
-				// bytes, wrong node, pending repair.
-				o.outcome("read", "degraded").Inc()
+		g := f.gatherStripe(tr, sk, span.Index, stripeLen, mode)
+		if g.found >= f.k {
+			degraded = f.noteStripeState(tr, sk, span.Index, g)
+			// The winner's window: a copy's payload from the span's offset,
+			// or the k data shards joined (rebuilt when one is missing).
+			n := 0
+			if f.coder == nil {
+				for i := range g.slots {
+					if s := &g.slots[i]; g.won(s) {
+						n = copy(dst, s.payload[min(int(span.Offset), len(s.payload)):])
+						break
+					}
+				}
 			} else {
-				tr.phaseOp(span.Index, node, cls, st, phaseOutcome(nil, st.Attempts))
-				switch {
-				case degraded:
-					o.outcome("read", "degraded").Inc()
-				case retried:
-					o.outcome("read", "retry").Inc()
-				default:
-					o.outcome("read", "ok").Inc()
+				var shards [][]byte
+				if shards, err = f.gatherData(tr, g); err == nil {
+					n, err = f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
 				}
 			}
-			clear(dst[n:]) // a short stripe reads as zeros past its end
+			g.release(f.fs)
+			clear(dst[n:])
+			return err
+		}
+		g.release(f.fs)
+		if f.coder != nil {
+			if g.present == 0 && g.absent > f.coder.M() {
+				// More than m slots answered "no shard": even a stripe that
+				// had lost its whole failure budget would show a survivor
+				// among them. Never written — a hole, and absence is its
+				// state, so nothing is queued.
+				clear(dst)
+				return nil
+			}
+			f.noteStripeState(tr, sk, span.Index, g)
+			if g.present == 0 && g.absent == 0 {
+				return fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
+			}
+			return fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, f.k)
+		}
+		probe := f.placer.ProbeOrder(sk)
+		node, n, reachable := f.deepProbe(tr, span, dst, probe, g.nodes)
+		if node != "" {
+			f.fs.stats.deepProbes.Add(1)
+			leg := tr.leg("lazy-repair")
+			f.repairStripe(dataKey(sk), node, g.nodes)
+			leg.End(nil)
+			// Served off its placement: correct bytes, wrong node. The
+			// primaries the lazy move did not refill are the queue's.
+			degraded = f.noteStripeState(tr, sk, span.Index, g)
+			clear(dst[n:])
 			return nil
 		}
-		if !sawReachable {
-			o.outcome("read", "error").Inc()
-			return fmt.Errorf("%w: %s (no reachable replica)", ErrDataLoss, key)
+		if !reachable && g.absent == 0 {
+			return fmt.Errorf("%w: %s (no reachable replica)", ErrDataLoss, dataKey(sk))
 		}
 		fenced := slices.ContainsFunc(probe, f.fs.isDraining)
 		seq := f.fs.moveSeq.Load()
 		if seq == moveSeq && !fenced {
-			break
+			clear(dst) // absent on every reachable node: a hole
+			return nil
 		}
 		if fenced {
 			time.Sleep(pause)
 		}
-		// Walk again, this time asking every node: the burst's answer
-		// predates the move too.
-		moveSeq, first = seq, firstRead{}
+		moveSeq = seq
 	}
-	// Every reachable node reports the stripe absent: it is a hole
-	// (written sparsely or never written); holes read as zeros.
-	o.outcome("read", "ok").Inc()
-	clear(dst)
-	return nil
+}
+
+// deepProbe asks the nodes of probe that are not primaries, healthy first,
+// for a copy of the span's stripe, reading the span into dst. It returns
+// the node that held one and how many bytes arrived ("" when none did),
+// and whether any node answered at all.
+func (f *File) deepProbe(tr *opTrace, span stripe.Span, dst []byte, probe, primaries []string) (string, int, bool) {
+	var strays []string
+	for _, node := range probe {
+		if !containsString(primaries, node) {
+			strays = append(strays, node)
+		}
+	}
+	key := dataKey(stripe.Key(f.rec.ID, span.Index))
+	reachable := false
+	for _, node := range f.fs.healthOrder(strays) {
+		var st kvstore.OpStat
+		n, ok, err := f.getInto(node, key, erasure.HeaderSize+span.Offset, span.Length, dst, &st)
+		cls := f.fs.conns.class(node)
+		f.fs.obs.stripeHist("read", cls).Observe(st.Dur)
+		switch {
+		case err != nil:
+			tr.phaseOp(span.Index, node, cls, st, "error") // unreachable or failed: ask the next
+		case !ok:
+			reachable = true
+			tr.phaseOp(span.Index, node, cls, st, "miss")
+		default:
+			tr.phaseOp(span.Index, node, cls, st, "deep")
+			return node, n, true
+		}
+	}
+	return "", 0, reachable
 }
 
 // repairStripe lazily moves a stripe found off its HRW placement back to
@@ -772,9 +781,10 @@ func hedgeDelay(landed time.Duration) time.Duration {
 // read latency histogram.
 //
 // A replicated stripe is the k = 1 case: its R copies are the slots, and
-// one copy of the newest write makes it readable. Repair inspects it with
-// the same two every-slot modes, and a read of a stripe the repair queue
-// holds picks its copy with gatherHeaders (readSpanInto).
+// one copy of the newest write makes it readable. A read the burst did not
+// serve gathers it like a shard set (readSpan) — a stripe the repair queue
+// holds with gatherAll — and repair inspects it with the same two
+// every-slot modes.
 func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
 	nodes := f.targets(sk)
 	k, n := f.k, len(nodes)
@@ -1037,59 +1047,6 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 		leg.End(nil)
 	}
 	return needs
-}
-
-// readSpanErasure gathers one write's k shards of a span's stripe and
-// copies the span's window straight from the data payloads into dst
-// (len(dst) == span.Length; bytes past the stripe's end read as zeros),
-// and counts the span's outcome — degraded when missing or stale shards
-// were observed (repair enqueued). A stripe whose slots all answer "no
-// shard" reads as zeros (hole); fewer than k shards of any single write
-// otherwise is data loss.
-func (f *File) readSpanErasure(tr *opTrace, span stripe.Span, dst []byte) (err error) {
-	degraded := false
-	defer func() {
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		} else if degraded {
-			outcome = "degraded"
-		}
-		f.fs.obs.outcome("read", outcome).Inc()
-	}()
-	k, m := f.coder.K(), f.coder.M()
-	sk := stripe.Key(f.rec.ID, span.Index)
-	stripeLen := f.layout.StripeLen(f.size, span.Index)
-	g := f.gatherStripe(tr, sk, span.Index, stripeLen, gatherFirstK)
-	defer g.release(f.fs)
-	if g.found < k {
-		// An unsuccessful gather probed every slot, so the counts below
-		// cover the full shard set.
-		if g.present == 0 && g.absent > m {
-			// More than m targets answered "no shard here": even a stripe
-			// that had lost its full failure budget would have shown a
-			// survivor among them. The stripe was never written — a hole,
-			// which reads as zeros. (No repair: absence is its state.)
-			clear(dst)
-			return nil
-		}
-		f.noteStripeState(tr, sk, span.Index, g)
-		if g.present == 0 && g.absent == 0 {
-			return fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
-		}
-		return fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, k)
-	}
-	degraded = f.noteStripeState(tr, sk, span.Index, g)
-	shards, err := f.gatherData(tr, g)
-	if err != nil {
-		return err
-	}
-	n, err := f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
-	if err != nil {
-		return err
-	}
-	clear(dst[n:])
-	return nil
 }
 
 // getFull reads a whole key from a node, throttled by the expected value

@@ -16,12 +16,12 @@ import (
 // read's lazy repair all move data keys off a source node through
 // moveBatch, which owns two invariants (DESIGN.md, "One stripe mover").
 // Towards readers: fs.moveSeq is bumped after a copy is confirmed and
-// before its source is released, and the probe chain re-walks when the
-// sequence changed under it or a fence is up (readSpanInto), so a stripe
-// in transit is never mistaken for a hole. Between movers: batches are
-// serialized per FileSystem (fs.moveMu), so two moves of one key in
-// opposite directions cannot each take the other's source for their
-// confirmed copy and then both release.
+// before its source is released, and a read that found a stripe nowhere
+// gathers and deep-probes again when the sequence changed under it or a
+// fence is up (readSpan), so a stripe in transit is never mistaken for a
+// hole. Between movers: batches are serialized per FileSystem
+// (fs.moveMu), so two moves of one key in opposite directions cannot each
+// take the other's source for their confirmed copy and then both release.
 
 // moveOutcome is what one move did with one key.
 type moveOutcome uint8
@@ -253,7 +253,7 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 	}
 	if copied {
 		// Copies confirmed, sources not yet released: a reader that saw a
-		// key nowhere across this point re-walks (readSpanInto).
+		// key nowhere across this point looks again (readSpan).
 		fs.moveSeq.Add(1)
 	}
 	if evict <= 0 {

@@ -386,6 +386,12 @@ func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, benchR2, 16<<10, 
 // bookkeeping, not payload.
 func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, true) }
 
+// BenchmarkCoreWriteAtEC8Span writes 8 whole 1 MiB RS(4,2) stripes — the
+// benchmark's ec-stream write op: per span a headers gather, one encode
+// and k+m shard SETs. Its B/op is gated too: the shards are encoded into
+// one buffer per stripe, so a second stripe-size copy shows.
+func BenchmarkCoreWriteAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, false) }
+
 // TestSharedRegistry checks that an embedder-provided registry receives
 // the FileSystem's families (the memfsd gateway wiring).
 func TestSharedRegistry(t *testing.T) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"memfss/internal/erasure"
 	"memfss/internal/kvstore"
@@ -10,11 +12,11 @@ import (
 
 // This file holds the stripe engine's wire half: every stripe write —
 // replicated or erasure-coded, one span or many — is a stripePlan shipped
-// by shipWrites, and every replicated read starts in readSpans. Commands
-// are grouped per target node, split into PipelineDepth-sized bursts, and
-// the bursts shipped as wire pipelines — IOParallelism bursts in flight at
-// once, each on its own pooled connection. file.go keeps what a burst
-// cannot do: the erasure prepare and gather, probe reads, lazy repair.
+// by shipWrites, and every read starts in readSpans. Commands are grouped
+// per target node, split into PipelineDepth-sized bursts, and the bursts
+// shipped as wire pipelines — IOParallelism bursts in flight at once, each
+// on its own pooled connection. file.go keeps what a burst cannot do: the
+// erasure prepare, the gather, the deep probe, lazy repair.
 
 // spanCmd is one queued store command. It is typed rather than a
 // pre-marshaled [][]byte so queueing encodes straight into the pipeline's
@@ -303,35 +305,30 @@ func (f *File) settleWrite(landed, total, quorum int, split bool, storeErr, tran
 	return false, transErr
 }
 
-// firstRead is what a read burst learned from the one node it asked for a
-// span: done when the bytes arrived; otherwise miss says the node answered
-// "no such key" (reachable) rather than failing. retried marks a burst
-// that took more than one attempt. held marks a span the burst skipped:
-// the repair queue holds its stripe, so its copies may disagree.
-type firstRead struct {
-	node                      string
-	done, miss, retried, held bool
-}
+// errUnread is readSpans' per-span result for a span no burst has served:
+// readSpan replaces it.
+var errUnread = errors.New("memfss: span not read")
 
-// readSpans fetches every span of a replicated read: one GETRANGE per
-// span to its first healthy target, past the copy's header, in pipelined
-// bursts decoded straight into p (no intermediate copies), then the probe
-// chain (readSpanInto) for anything that misses: absent keys (strays or
-// holes), error replies, or an unreachable target. The probe is told what
-// the burst learned about the node it asked, so it never asks that node
-// again, and keeps the lazy-repair semantics of paper §V-C intact. A
-// stripe the repair queue holds may have a copy behind the others, so it
-// skips the burst: the probe chain reads it from the newest copy. moveSeq
-// is the move sequence loaded when the read began (see readSpanInto).
-// Returns the leading-success count and the first error in span order.
-func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte, moveSeq uint64) (int, error) {
-	state := make([]firstRead, len(spans))
+// readSpans fetches every span of a read. A span of a replicated stripe
+// the repair queue does not hold is one GETRANGE to its first healthy
+// copy, past the header, in pipelined bursts decoded straight into p (no
+// intermediate copies). Every other span — erasure-coded, held, or missed
+// by the burst (absent key, error reply, unreachable node) — is read by
+// readSpan, through the gather. The move sequence is loaded before any
+// fetch (see readSpan). Returns the leading-success count and the first
+// error in span order.
+func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
+	moveSeq := f.fs.moveSeq.Load()
+	errs := make([]error, len(spans))
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
 	for i, span := range spans {
+		errs[i] = errUnread
+		if f.coder != nil {
+			continue // every erasure span is readSpan's
+		}
 		sk := stripe.Key(f.rec.ID, span.Index)
 		if f.fs.repairs.holds(sk) {
-			state[i].held = true
 			continue
 		}
 		dst := p[starts[i] : starts[i]+int(span.Length)]
@@ -341,54 +338,41 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 		// at a Down primary would stall every span in the burst behind its
 		// retry budget before falling back.
 		node := f.fs.healthOrder(f.targets(sk))[0]
-		state[i].node = node
 		if _, ok := perNode[node]; !ok {
 			nodeOrder = append(nodeOrder, node)
 		}
 		perNode[node] = append(perNode[node], cmd)
 	}
-	bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth)
-
-	// Each span appears in exactly one burst, so the burst goroutines
-	// write disjoint state entries and disjoint regions of p (each span's
-	// reply decodes into its own dst window).
-	_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
-		nb := bursts[k]
-		replies, retried, err := f.runBurst(tr, "read", nb)
-		for j, c := range nb.cmds {
-			s := &state[c.slot]
-			s.retried = retried
-			switch {
-			case err != nil || replies[j].Err() != nil:
-				// unreachable or failed node: the probe decides
-			case replies[j].Nil:
-				s.miss = true // stray or hole: the probe decides
-			default:
-				// The payload is already in place (Bulk aliases c.dst);
-				// a short stripe reads as zeros past its end.
-				clear(c.dst[len(replies[j].Bulk):])
-				s.done = true
+	if bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth); len(bursts) > 0 {
+		// Each span appears in exactly one burst, so the burst goroutines
+		// write disjoint errs entries and disjoint regions of p (each span's
+		// reply decodes into its own dst window).
+		_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
+			nb := bursts[k]
+			replies, retried, err := f.runBurst(tr, "read", nb)
+			outcome := "ok"
+			if retried {
+				outcome = "retry"
 			}
-		}
-		return nil
-	})
-
-	var fallback []int
-	for i, s := range state {
-		switch {
-		case !s.done:
-			fallback = append(fallback, i)
-		case s.retried:
-			f.fs.obs.outcome("read", "retry").Inc()
-		default:
-			f.fs.obs.outcome("read", "ok").Inc()
-		}
+			for j, c := range nb.cmds {
+				// An absent key (stray or hole), an error reply or a failed
+				// burst leaves the span to readSpan. Otherwise the payload is
+				// already in place (Bulk aliases c.dst), and a short stripe
+				// reads as zeros past its end.
+				if err == nil && replies[j].Err() == nil && !replies[j].Nil {
+					clear(c.dst[len(replies[j].Bulk):])
+					errs[c.slot] = nil
+					f.fs.obs.outcome("read", outcome).Inc()
+				}
+			}
+			return nil
+		})
 	}
-	errs := make([]error, len(spans))
-	if len(fallback) > 0 {
-		_ = fanoutN(f.fs.ioPar, len(fallback), func(k int) error {
-			i := fallback[k]
-			errs[i] = f.readSpanInto(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], state[i], moveSeq)
+	if slices.Contains(errs, errUnread) {
+		_ = fanoutN(f.fs.ioPar, len(spans), func(i int) error {
+			if errs[i] != nil { // a span the burst served costs nothing here
+				errs[i] = f.readSpan(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], moveSeq)
+			}
 			return nil
 		})
 	}

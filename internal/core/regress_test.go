@@ -23,6 +23,10 @@ package core
 //   - TestRepairUnitOutrunsSizeCommit: fixStripe dropped units whose
 //     stripe index sat beyond the committed file size, orphaning repairs
 //     that raced their own writer's Close.
+//   - TestReplicatedReadPastMissingCopyRepairs: a replicated read whose
+//     first copy was missing served the next one through its own copy
+//     walk, counted the span ok and queued nothing, so the copy stayed
+//     missing where an erasure read queues the same damage.
 
 import (
 	"bytes"
@@ -430,5 +434,46 @@ func TestRepairUnitOutrunsSizeCommit(t *testing.T) {
 	out = fs.fixStripe(ghost)
 	if len(out.pending) != 1 || out.pending[0] != repairWaitCommit {
 		t.Fatalf("out-of-range fixStripe = %+v, want commit-settle request", out)
+	}
+}
+
+// TestReplicatedReadPastMissingCopyRepairs: with R = 2 and one copy
+// deleted straight from its store, the read's burst misses at the first
+// copy and the gather serves the other one. The read must count as
+// degraded and queue the stripe, and the repair queue must restore the
+// deleted copy — the same treatment an erasure read gives a missing shard.
+func TestReplicatedReadPastMissingCopyRepairs(t *testing.T) {
+	d := newTestFS(t, 2, 4,
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
+	data := randomBytes(73, 4096) // one stripe
+	if err := d.fs.WriteFile("/copy", data); err != nil {
+		t.Fatal(err)
+	}
+	sk, nodes := stripeTargets(t, d, "/copy", 0)
+	store := storesByID(d)[nodes[0]]
+	if n := store.Del(dataKey(sk)); n != 1 {
+		t.Fatalf("deleted %d copies on %s, want 1", n, nodes[0])
+	}
+	f, err := d.fs.Open("/copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read past a missing copy: %v (bytes equal %v)", err, bytes.Equal(got, data))
+	}
+	if n := spanOutcomes(d.fs.obs.reg.Snapshot(), "read")["degraded"]; n != 1 {
+		t.Errorf("read counted %d degraded spans, want 1", n)
+	}
+	if st := d.fs.RepairStats(); st.Enqueued != 1 {
+		t.Fatalf("read past a missing copy enqueued %d units, want 1", st.Enqueued)
+	}
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	if _, ok, _ := store.Get(dataKey(sk)); !ok {
+		t.Fatal("repair did not restore the deleted copy")
 	}
 }

@@ -318,8 +318,9 @@ func (q *repairQueue) hold(sk string, d int) {
 
 // holds reports whether the queue has stripe sk in its care — queued,
 // parked or in flight — or owes a full Scrub, which may find any stripe
-// behind. Such a stripe's copies may disagree, so reads pick the newest
-// (readSpanInto). An idle (or disabled) queue answers without a lock.
+// behind. Such a stripe's copies may disagree, so reads gather every slot
+// and take the newest write (readSpan). An idle (or disabled) queue
+// answers without a lock.
 func (q *repairQueue) holds(sk string) bool {
 	if q == nil || !q.busy.Load() {
 		return false

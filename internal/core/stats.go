@@ -19,8 +19,9 @@ type fsStats struct {
 	deferredDeletes      *obs.Counter
 	ecReconstructs       *obs.Counter
 	ecGenConflicts       *obs.Counter
-	// ecHedged counts erasure read gathers that launched a fetch beyond
-	// their first k, by the reason of the first such launch.
+	// ecHedged counts read gathers, erasure-coded or replicated (k = 1),
+	// that launched a fetch beyond their first k, by the reason of the
+	// first such launch.
 	ecHedged map[string]*obs.Counter
 }
 
@@ -34,7 +35,7 @@ func newFSStats(reg *obs.Registry) fsStats {
 	hedged := make(map[string]*obs.Counter, len(hedgeReasons))
 	for _, reason := range hedgeReasons {
 		hedged[reason] = reg.Counter("memfss_fs_ec_hedged_reads_total",
-			"Erasure stripe reads that fetched beyond their first k shards, by what made them.", obs.L("reason", reason))
+			"Stripe read gathers, erasure-coded or replicated (k = 1), that fetched beyond their first k slots, by what made them.", obs.L("reason", reason))
 	}
 	return fsStats{
 		bytesWritten: reg.Counter("memfss_fs_bytes_total",
@@ -50,11 +51,11 @@ func newFSStats(reg *obs.Registry) fsStats {
 		repairs: reg.Counter("memfss_fs_lazy_repairs_total",
 			"Stripes lazily moved back to their primary node by reads.", nil),
 		degradedWrites: reg.Counter("memfss_fs_degraded_writes_total",
-			"Replicated span writes that succeeded with fewer than all replicas.", nil),
+			"Span writes, replicated or erasure-coded, that succeeded with fewer than all copies or shards, or with copies a write apart.", nil),
 		skippedReplicaWrites: reg.Counter("memfss_fs_skipped_replica_writes_total",
-			"Replica targets skipped because the failure detector judged them Suspect or Down.", nil),
+			"Write targets, replicas or shards, skipped because the failure detector judged them Suspect or Down.", nil),
 		fencedWrites: reg.Counter("memfss_fs_fenced_replica_writes_total",
-			"Replica targets skipped because the node is draining for revocation.", nil),
+			"Write targets, replicas or shards, skipped because the node is draining for revocation.", nil),
 		noSpaceWrites: reg.Counter("memfss_fs_no_space_writes_total",
 			"Span writes rejected because a store was over its memory cap.", nil),
 		deferredDeletes: reg.Counter("memfss_fs_deferred_deletes_total",
@@ -82,19 +83,22 @@ type Counters struct {
 	DeepProbes int64
 	// Repairs counts stripes lazily moved back to their primary node.
 	Repairs int64
-	// DegradedWrites counts replicated span writes that succeeded with
-	// fewer than all replicas (at least one landed; the rest failed with
-	// transport errors). Nonzero means some stripes are under-replicated
-	// until a repair or rewrite.
+	// DegradedWrites counts span writes, in both redundancy modes, that
+	// succeeded with fewer than all copies or shards (at least the quorum
+	// landed — one copy, or k shards; the rest failed with transport errors
+	// or were skipped) or whose copies stamped different generations.
+	// Nonzero means some stripes are below full redundancy until a repair
+	// or rewrite.
 	DegradedWrites int64
-	// SkippedReplicaWrites counts replica targets a write skipped outright
-	// because the failure detector judged them Suspect or Down — each skip
-	// is a full retry budget (MaxAttempts connections plus backoff) the
-	// data path did not burn against a dead node.
+	// SkippedReplicaWrites counts write targets — replicas or erasure
+	// shards — a write skipped outright because the failure detector judged
+	// them Suspect or Down: each skip is a full retry budget (MaxAttempts
+	// connections plus backoff) the data path did not burn against a dead
+	// node.
 	SkippedReplicaWrites int64
-	// FencedWrites counts replica targets skipped because the node was
-	// fenced off Draining for revocation — write traffic the drain kept
-	// off the departing node.
+	// FencedWrites counts write targets — replicas or erasure shards —
+	// skipped because the node was fenced off Draining for revocation:
+	// write traffic the drain kept off the departing node.
 	FencedWrites int64
 	// NoSpaceWrites counts span writes rejected by a store's memory cap
 	// (the typed ErrNoSpace classification). These fail fast — a full
@@ -114,10 +118,12 @@ type Counters struct {
 	// that still returned correct bytes. Healthy reads join the k data
 	// shards and never count here.
 	ECReconstructs int64
-	// ECHedgedReads counts erasure stripe reads that fetched beyond their
-	// first k shards (memfss_fs_ec_hedged_reads_total splits it by
-	// reason: miss, error, stale, slow). With every node Up only these
-	// can reconstruct: the first k are the data shards.
+	// ECHedgedReads counts read gathers, in both redundancy modes (a
+	// replicated stripe is the k = 1 gather a read falls back to), that
+	// fetched beyond their first k slots (memfss_fs_ec_hedged_reads_total
+	// splits it by reason: miss, error, stale, slow). With every node Up
+	// only these erasure reads can reconstruct: the first k are the data
+	// shards.
 	ECHedgedReads int64
 	// ECGenConflicts counts stripe inspections, in both redundancy modes,
 	// that observed slots from more than one write — the leftovers of a
