@@ -17,6 +17,7 @@ import (
 	"memfss/internal/core"
 	"memfss/internal/faultwrap"
 	"memfss/internal/qos"
+	"memfss/internal/workflow"
 )
 
 // soakPlan is the shared low-grade background chaos: a few percent of
@@ -280,6 +281,59 @@ func TestRevocationChaosSoak(t *testing.T) {
 	if res.VerifiedPaths != 12 {
 		t.Fatalf("final verify covered %d of 12 preload files", res.VerifiedPaths)
 	}
+}
+
+// TestErasureEvacuationChaos evacuates three of nine victims in turn under
+// RS(4,2) while two writers overwrite and patch files. Each evacuation
+// copies a shard to the node that holds its slot once the source has left,
+// and the repair queue refills the slots the release re-seats, so the
+// teardown Scrub finds nothing to restore and no file is damaged. It is a
+// test, not a named scenario: the scenario matrix stays as it is.
+func TestErasureEvacuationChaos(t *testing.T) {
+	sc := Scenario{
+		Name: "erasure-evacuation",
+		Topology: Topology{
+			OwnNodes: 6, VictimNodes: 9,
+			Redundancy: core.Redundancy{
+				Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2,
+			},
+			PipelineDepth: 8,
+			Retry:         chaosRetry,
+			Repair:        core.RepairPolicy{QueueCap: 4096},
+		},
+		Workload: Workload{
+			Preload: &Stream{Name: "base", Workers: 1, Files: 12, Ops: 12, FileSize: 64 << 10, Seed: 91},
+			Streams: []Stream{{
+				Name: "writers", Workers: 2, Ops: 120, Files: 6, FileSize: 20 << 10,
+				Profile: workflow.Steady{OpsPerSec: 100}, VerifyEachWrite: true, RMWEvery: 3, Seed: 92,
+			}},
+		},
+		Timeline: []Step{
+			{Name: "evacuate-0", At: 100 * time.Millisecond, Action: Evacuate(0, 8)},
+			{Name: "evacuate-1", At: 300 * time.Millisecond, Action: Evacuate(1, 8)},
+			{Name: "evacuate-2", At: 500 * time.Millisecond, Action: Evacuate(2, 8)},
+		},
+		SLO: SLO{
+			ZeroLoss:   true,
+			CleanScrub: true,
+			NoDeferred: true,
+			Streams:    []StreamSLO{{Stream: "writers", MaxErrorRate: 0, MinOps: 120}},
+		},
+		Check: func(c *Cluster, r *Result) []string {
+			if len(r.Evacs) != 3 {
+				return []string{fmt.Sprintf("%d of 3 evacuations completed", len(r.Evacs))}
+			}
+			return nil
+		},
+	}
+	res, err := Run(context.Background(), sc, RunOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("erasure evacuation: %v", res.Violations)
+	}
+	t.Logf("evacuations %+v; repair %+v", res.Evacs, res.RepairStats)
 }
 
 // TestQoSChaosSoak runs two tenants flat out while a victim node revokes

@@ -10,6 +10,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -919,7 +920,7 @@ func TestErasureRMWSkipsDownNodeInGather(t *testing.T) {
 	deadID := d.victims.Nodes[dead].ID
 	var placed int64 // stripes with a shard on the dead node
 	for i := int64(0); i < stripes; i++ {
-		if _, nodes := stripeTargets(t, d, "/rmw", i); containsString(nodes, deadID) {
+		if _, nodes := stripeTargets(t, d, "/rmw", i); slices.Contains(nodes, deadID) {
 			placed++
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,14 +252,14 @@ func TestWriteSettlesSpansAfterFailedSpan(t *testing.T) {
 		for i := 0; i < nStripes; i++ {
 			targets := f.targets(stripe.Key(f.rec.ID, int64(i)))
 			switch {
-			case containsString(targets, full):
+			case slices.Contains(targets, full):
 				if firstFail < 0 {
 					firstFail = i
 				}
-				if !containsString(targets, dead) {
+				if !slices.Contains(targets, dead) {
 					torn++
 				}
-			case containsString(targets, dead):
+			case slices.Contains(targets, dead):
 				degraded++
 				if firstFail >= 0 {
 					degradedAfter++

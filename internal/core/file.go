@@ -40,6 +40,7 @@ type File struct {
 	layout   stripe.Layout
 	coder    *erasure.Coder
 	k        int // slots of one write that make a stripe readable: k shards, or one copy
+	n        int // slots per stripe: k+m shards, R copies, or 1
 	pos      int64
 	size     int64
 	writable bool
@@ -331,19 +332,9 @@ func (f *File) Close() error {
 
 // --- stripe engine ---------------------------------------------------------
 
-// targets returns the store nodes for a stripe key under this file's
-// snapshot placer: R replicas for replication, k+m rank nodes for erasure,
-// or the single primary.
-func (f *File) targets(key string) []string {
-	switch {
-	case f.coder != nil:
-		return f.placer.PlaceK(key, f.coder.K()+f.coder.M())
-	case f.rec.Replicas > 1:
-		return f.placer.PlaceK(key, f.rec.Replicas)
-	default:
-		return []string{f.placer.Place(key)}
-	}
-}
+// targets returns the nodes holding stripe sk's slots under this file's
+// snapshot: k+m shards, R copies, or the one primary.
+func (f *File) targets(sk string) []string { return f.fs.slots(f.placer, sk, f.n, "") }
 
 // planReplicated plans one span of a replicated (or unreplicated) stripe:
 // every target receives the same VSET under one write ID, and each store
@@ -550,7 +541,7 @@ func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, moveSeq uint6
 	sk := stripe.Key(f.rec.ID, span.Index)
 	stripeLen := f.layout.StripeLen(f.size, span.Index)
 	mode := gatherFirstK
-	if f.fs.repairs.holds(sk) && 2*f.k <= len(f.targets(sk)) {
+	if f.fs.repairs.holds(sk) && 2*f.k <= f.n {
 		mode = gatherAll
 	}
 	for pause := time.Millisecond; ; pause = min(2*pause, movePassPause) {
@@ -627,12 +618,7 @@ func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, moveSeq uint6
 // the node that held one and how many bytes arrived ("" when none did),
 // and whether any node answered at all.
 func (f *File) deepProbe(tr *opTrace, span stripe.Span, dst []byte, probe, primaries []string) (string, int, bool) {
-	var strays []string
-	for _, node := range probe {
-		if !containsString(primaries, node) {
-			strays = append(strays, node)
-		}
-	}
+	strays := slices.DeleteFunc(slices.Clone(probe), func(n string) bool { return slices.Contains(primaries, n) })
 	key := dataKey(stripe.Key(f.rec.ID, span.Index))
 	reachable := false
 	for _, node := range f.fs.healthOrder(strays) {
@@ -657,11 +643,12 @@ func (f *File) deepProbe(tr *opTrace, span stripe.Span, dst []byte, probe, prima
 // repairStripe lazily moves a stripe found off its HRW placement back to
 // it, then removes the stray copy — the "lazy movement" that lets MemFSS
 // change membership without stopping the computation. It is the mover's
-// one-key case, seeded with this handle's record so it costs no metadata
-// round trip: the stray is copied to the first healthy node of the probe
-// order with SETNX (a writer may have refilled the primary since the
-// reader probed it) and compare-deleted. The remaining primaries are the
-// repair queue's. Best effort: the read already succeeded.
+// one-key case, seeded with this handle so it costs no metadata round
+// trip: the stray is copied to the first healthy node of the probe order
+// with SETNX, as every stray is (a writer may have refilled the primary
+// since the reader probed it), and compare-deleted. The remaining
+// primaries are the repair queue's. Best effort: the read already
+// succeeded.
 func (f *File) repairStripe(key, from string, primaries []string) {
 	if f.fs.nodeState(f.fs.healthOrder(primaries)[0]) != health.Up {
 		return // no primary to move to: moving would only displace the stray
@@ -671,7 +658,7 @@ func (f *File) repairStripe(key, from string, primaries []string) {
 		return
 	}
 	mv := f.fs.newMover(cli, from)
-	mv.files[f.rec.ID] = &moveFile{path: f.path, placer: f.placer, setNX: true}
+	mv.files[f.rec.ID] = &moveFile{File: f}
 	mv.move(context.Background(), []string{key}, math.MaxInt64, func(_ string, o moveOutcome) {
 		if o == moveMoved {
 			f.fs.stats.repairs.Add(1)
@@ -1117,13 +1104,4 @@ func (fs *FileSystem) healthOrder(nodes []string) []string {
 		return nodes
 	}
 	return append(healthy, rest...)
-}
-
-func containsString(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,7 +26,6 @@ import (
 type FileSystem struct {
 	mu      sync.RWMutex
 	classes []ClassSpec
-	placer  *hrw.Placer
 
 	cfg       Config
 	layout    stripe.Layout
@@ -89,8 +89,8 @@ func New(cfg Config) (*FileSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	placer, err := hrw.NewPlacer(placerClasses(cfg.Classes)...)
-	if err != nil {
+	// Only validation (unique class names): files place through snapshots.
+	if _, err := hrw.NewPlacer(placerClasses(cfg.Classes)...); err != nil {
 		return nil, err
 	}
 	retry := cfg.Retry
@@ -149,7 +149,6 @@ func New(cfg Config) (*FileSystem, error) {
 	}
 	fs := &FileSystem{
 		classes:     classes,
-		placer:      placer,
 		cfg:         cfg,
 		layout:      layout,
 		conns:       conns,
@@ -325,14 +324,31 @@ func (fs *FileSystem) snapshot() []fsmeta.ClassSnapshot {
 	return out
 }
 
-// placerFromSnapshot rebuilds the two-layer placer a file was written
-// under.
-func placerFromSnapshot(snap []fsmeta.ClassSnapshot) (*hrw.Placer, error) {
-	classes := make([]hrw.Class, len(snap))
-	for i, s := range snap {
-		classes[i] = hrw.Class{Name: s.Name, Weight: s.Weight, Nodes: s.Nodes}
+// slots is the one placement rule: readers, writers, repair and the
+// evacuation mover find a stripe's n slots here (DESIGN §5). They are the
+// snapshot's HRW rank order, except that a node that has left — unknown
+// to the detector (released, or never configured here), or gone — keeps
+// its position and passes its slot to the next node of the probe order
+// that is still known and holds no slot.
+func (fs *FileSystem) slots(pl *hrw.Placer, sk string, n int, gone string) []string {
+	nodes := pl.PlaceK(sk, n)
+	left := func(node string) bool { return node == gone || !fs.detector.Known(node) }
+	if !slices.ContainsFunc(nodes, left) {
+		return nodes
 	}
-	return hrw.NewPlacer(classes...)
+	probe := pl.ProbeOrder(sk)
+	for i, node := range nodes {
+		if !left(node) {
+			continue
+		}
+		for _, c := range probe {
+			if !left(c) && !slices.Contains(nodes, c) {
+				nodes[i] = c
+				break
+			}
+		}
+	}
+	return nodes
 }
 
 // --- namespace operations -------------------------------------------------
@@ -564,7 +580,12 @@ func (fs *FileSystem) Open(path string) (*File, error) {
 }
 
 func (fs *FileSystem) newFile(path string, rec *fsmeta.FileRecord, writable bool) (*File, error) {
-	pl, err := placerFromSnapshot(rec.Classes)
+	// The placer the file was written under (paper §III-D).
+	classes := make([]hrw.Class, len(rec.Classes))
+	for i, s := range rec.Classes {
+		classes[i] = hrw.Class{Name: s.Name, Weight: s.Weight, Nodes: s.Nodes}
+	}
+	pl, err := hrw.NewPlacer(classes...)
 	if err != nil {
 		return nil, err
 	}
@@ -587,6 +608,7 @@ func (fs *FileSystem) newFile(path string, rec *fsmeta.FileRecord, writable bool
 		layout:   layout,
 		coder:    coder,
 		k:        max(rec.DataShards, 1),
+		n:        max(rec.Replicas, rec.DataShards+rec.ParityShards, 1),
 		size:     rec.Size,
 		writable: writable,
 		tenant:   fs.tenants().ResolveTenant(path),

@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"memfss/internal/fsmeta"
-	"memfss/internal/hrw"
+	"memfss/internal/health"
 	"memfss/internal/kvstore"
 	"memfss/internal/qos"
 )
@@ -34,29 +35,27 @@ const (
 	moveOrphan                    // owning file is gone (evicted uncopied, when asked)
 )
 
-// moveFile is what a move needs from a key's owning file.
+// moveFile is what a move needs from a key's owning file: a read-only
+// handle on its record (path and slots) and the owner's reclamation
+// priority.
 type moveFile struct {
-	path   string      // for repair-queue deferral
-	placer *hrw.Placer // the file's snapshot placer
-	// setNX: a copy already at the destination may be newer than the
-	// source and must not be clobbered — replicated files, whose writes the
-	// fence diverts to the surviving replicas, and lazy repair, whose
-	// primary a writer may have refilled. Unreplicated and erasure stripes
-	// keep taking writes at a fenced source, so the source is authoritative
-	// and the copy overwrites.
-	setNX bool
-	prio  qos.Priority // owner's reclamation priority
+	*File
+	prio qos.Priority
 }
 
 // mover moves data keys off one source node. files caches the per-file
 // resolution for the mover's lifetime: a move touches many keys of few
 // files, so the metadata round trips are paid once per file, not per key
-// per pass.
+// per pass. leaving marks an evacuation's mover, whose source leaves at
+// release; short collects the keys whose stripes that release leaves
+// short, for the repair queue.
 type mover struct {
-	fs    *FileSystem
-	src   *kvstore.Client
-	node  string
-	files map[string]*moveFile
+	fs      *FileSystem
+	src     *kvstore.Client
+	node    string
+	files   map[string]*moveFile
+	leaving bool
+	short   map[string]bool
 }
 
 func (fs *FileSystem) newMover(src *kvstore.Client, node string) *mover {
@@ -83,12 +82,11 @@ func (m *mover) file(id string) (*moveFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := placerFromSnapshot(rec.File.Classes)
+	f, err := m.fs.newFile(path, rec.File, false)
 	if err != nil {
 		return nil, err
 	}
-	mf := &moveFile{path: path, placer: pl, setNX: rec.File.Replicas > 1,
-		prio: m.fs.tenants().PriorityFor(path)}
+	mf := &moveFile{File: f, prio: m.fs.tenants().PriorityFor(path)}
 	m.files[id] = mf
 	return mf, nil
 }
@@ -149,17 +147,74 @@ func (m *mover) move(ctx context.Context, keys []string, evict int64, visit func
 
 // moveItem is one key of a batch awaiting its copy.
 type moveItem struct {
-	i     int // index into the batch
-	setNX bool
+	i     int      // index into the batch
 	cands []string // destinations still to try, best first
+	keep  []string // destinations whose copy a SET could clobber: SETNX there
+	slot  string   // an evacuated key's slot after release ("" for a stray)
+}
+
+// place decides where one key goes (DESIGN §5, "One placement rule"). A
+// key in its slot — its shard index, or the source's copy position — is
+// copied with SET, since no writer reaches a node under that key unless
+// it holds the stripe's slot; a copy onto another holder of a replicated
+// stripe is SETNX. A stray, a copy no slot names, goes with SETNX
+// wherever it goes: writers reach its slots. An evacuation sends a key
+// to its slot once the source has left, slots(…, src), and only when that
+// node is not Up, or refuses the copy, to the healthy probe-order nodes
+// that hold no slot. A partial drain or lazy repair keeps its source as a
+// member: its keys go down the probe order minus the source, healthy first.
+// A shard key past the file's slots places nowhere (nil).
+func (m *mover) place(mf *moveFile, key, sk string) *moveItem {
+	fs := m.fs
+	cur := mf.targets(sk)
+	post := cur
+	if m.leaving {
+		post = fs.slots(mf.placer, sk, mf.n, m.node)
+	}
+	i := slices.Index(cur, m.node) // the source's slot, or -1
+	want := post                   // a copy may go back to any slot
+	it := &moveItem{keep: cur}
+	if _, shard, _ := parseDataKey(key); shard != "" {
+		s, err := strconv.Atoi(shard)
+		if err != nil || s >= len(post) {
+			return nil
+		}
+		if s != i {
+			i = -1
+		}
+		want, it.keep = post[s:s+1], nil
+	}
+	probe := mf.placer.ProbeOrder(sk)
+	if m.leaving {
+		for _, n := range slices.Concat(want, probe) {
+			if n != m.node && fs.nodeState(n) == health.Up && !slices.Contains(it.cands, n) &&
+				(slices.Contains(want, n) || !slices.Contains(post, n)) {
+				it.cands = append(it.cands, n)
+			}
+		}
+	} else {
+		it.cands = fs.healthOrder(slices.DeleteFunc(probe, func(n string) bool { return n == m.node }))
+	}
+	switch {
+	case i < 0:
+		it.keep = it.cands
+	case m.leaving:
+		it.slot = post[i]
+		for j := range cur {
+			if j != i && cur[j] != post[j] {
+				m.short[key] = true // another slot passes on at release
+			}
+		}
+	}
+	return it
 }
 
 // moveBatch moves one batch: a single MGET at the source, then waves of
 // one pipelined SETNX/SET burst per destination, where a key whose burst
 // or reply failed joins the next wave at its next candidate — failing the
 // whole batch instead would retry the same dead destination next pass.
-// Candidates are the file's snapshot probe order minus the source, healthy
-// nodes first: with a replica concurrently dead, rank order alone would
+// Each key's candidates and verb come from place; they favour healthy
+// nodes, since with a holder concurrently dead, rank order alone would
 // keep steering copies at the Down node. An evicting move then
 // compare-deletes what it copied (and orphans) with the exact bytes read,
 // so a write that raced the move keeps its update and fails the key.
@@ -199,13 +254,10 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 			out[i] = moveOrphan
 			continue
 		}
-		var cands []string
-		for _, c := range mf.placer.ProbeOrder(sk) {
-			if c != m.node {
-				cands = append(cands, c)
-			}
+		if it := m.place(mf, key, sk); it != nil {
+			it.i = i
+			pend = append(pend, it)
 		}
-		pend = append(pend, &moveItem{i: i, setNX: mf.setNX, cands: fs.healthOrder(cands)})
 	}
 	copied := false
 	for len(pend) > 0 {
@@ -230,7 +282,7 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 			if err == nil {
 				pl := dst.Pipeline()
 				for _, it := range wave {
-					if it.setNX {
+					if slices.Contains(it.keep, dest) {
 						pl.SetNX(keys[it.i], vals[it.i])
 					} else {
 						pl.Set(keys[it.i], vals[it.i])
@@ -245,6 +297,9 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 				if err == nil && replies[j].Err() == nil {
 					out[it.i] = moveMoved
 					copied = true
+					if it.slot != "" && dest != it.slot {
+						m.short[keys[it.i]] = true // fell back off its slot
+					}
 				} else {
 					pend = append(pend, it)
 				}

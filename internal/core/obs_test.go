@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -485,7 +486,7 @@ func TestWriteAccountingParity(t *testing.T) {
 					node := targets(0)[1]
 					var hit int64 // spans with the faulted node among their targets
 					for i := 0; i < spans && fault != "healthy"; i++ {
-						if containsString(targets(i), node) {
+						if slices.Contains(targets(i), node) {
 							hit++
 						}
 					}

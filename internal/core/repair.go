@@ -251,9 +251,9 @@ func (q *repairQueue) watch(ch <-chan health.Event) {
 }
 
 // ready reports whether a parked unit is worth retrying: every target it
-// waits for is Up again, was evacuated (the fix pass skips unregistered
-// nodes), or is the metadata sentinel, which has no health signal and is
-// retried on the rescan timer.
+// waits for is Up again, was evacuated (an unregistered node reports Up,
+// and no slot names it any more), or is the metadata sentinel, which has
+// no health signal and is retried on the rescan timer.
 func (q *repairQueue) ready(p parkedUnit) bool {
 	for _, node := range p.waitFor {
 		if node == repairWaitMeta || node == repairWaitCommit {

@@ -36,15 +36,14 @@ func (fs *FileSystem) AddVictimClass(spec ClassSpec) error {
 	next := make([]ClassSpec, len(fs.classes), len(fs.classes)+1)
 	copy(next, fs.classes)
 	next = append(next, spec)
-	placer, err := hrw.NewPlacer(placerClasses(next)...)
-	if err != nil {
+	// Only validation (unique class names): files place through snapshots.
+	if _, err := hrw.NewPlacer(placerClasses(next)...); err != nil {
 		return err
 	}
 	if err := fs.conns.add(spec); err != nil {
 		return err
 	}
 	fs.classes = next
-	fs.placer = placer
 	for _, n := range spec.Nodes {
 		fs.detector.Register(n.ID)
 	}
@@ -191,22 +190,24 @@ func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
 //  1. fence: the node enters Draining — replicated writes skip it (with
 //     quorum accounting) while reads keep probing it.
 //  2. drain: repeated mover passes (move.go) copy every data key to the
-//     next node in its file's snapshot probe order. Per-key failures are
-//     retried on the next pass; the loop is idempotent, so a crashed or
-//     interrupted evacuation can simply be re-run.
-//  3. detach: the node leaves placement and the connection pool (new
-//     writes cannot route to it), while this evacuation keeps the client.
+//     node that holds its slot once this one has left (fs.slots). Per-key
+//     failures are retried on the next pass; the loop is idempotent, so a
+//     crashed or interrupted evacuation can simply be re-run.
+//  3. detach: the node leaves the classes new files snapshot and the
+//     connection pool (no write reaches it any more), while this
+//     evacuation keeps the client. Existing files' slots still name it.
 //  4. sweep: a final full re-pass catches stripes written during the
 //     drain (unreplicated and erasure writes are not fenced), then
 //     re-lists until nothing is unresolved, for writes in flight at detach.
-//  5. release: the store is flushed, the node is unregistered, and parked
-//     repair units are re-queued.
+//  5. release: the store is flushed and the node unregistered, which
+//     passes its slots on; the repair queue gets every stripe the release
+//     leaves short, and its parked units are re-queued.
 //
 // When ctx is canceled before detach the evacuation aborts cleanly: the
 // fence comes down and the node stays in the deployment. When the deadline
 // expires (the tenant is waiting) the node is force-released: unresolved
-// keys are counted AtRisk, handed to the repair queue, and redundancy is
-// restored from surviving replicas.
+// keys are counted AtRisk and handed to the repair queue, which restores
+// redundancy from the surviving copies or shards.
 func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOptions) (*EvacReport, error) {
 	cli, err := fs.claimVictim(nodeID)
 	if err != nil {
@@ -238,6 +239,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 
 	// Phase 2: drain passes until a pass resolves every listed key.
 	mv := fs.newMover(cli, nodeID)
+	mv.leaving, mv.short = true, make(map[string]bool)
 	if err := fs.evacPasses(dctx, mv, rep, resolved, false); err != nil {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			// Canceled: abort cleanly. The node stays in the deployment
@@ -250,8 +252,8 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	}
 	observePhase("drain")
 
-	// Phase 3: detach. The node leaves placement and the pool; this
-	// evacuation keeps the client for the sweep and the flush.
+	// Phase 3: detach. The node leaves new files' placement and the pool;
+	// this evacuation keeps the client for the sweep and the flush.
 	fs.mu.Lock()
 	next := make([]ClassSpec, 0, len(fs.classes))
 	for _, c := range fs.classes {
@@ -266,15 +268,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 			next = append(next, c)
 		}
 	}
-	placer, perr := hrw.NewPlacer(placerClasses(next)...)
-	if perr != nil {
-		fs.mu.Unlock()
-		fs.detector.SetDraining(nodeID, false)
-		rep.Elapsed = time.Since(start)
-		return rep, perr
-	}
 	fs.classes = next
-	fs.placer = placer
 	fs.mu.Unlock()
 	fs.conns.detach(nodeID)
 	observePhase("detach")
@@ -284,9 +278,8 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	// have landed. The first pass deliberately ignores
 	// the resolved set: unreplicated and erasure stripes kept taking
 	// writes at the source during the drain, so every surviving key is
-	// re-copied (already-confirmed replicated keys re-check as a cheap
-	// SETNX no-op). Later passes retry only stragglers. From here the
-	// protocol cannot abort — the node is out of placement — so both
+	// re-copied. Later passes retry only stragglers. From here the
+	// protocol cannot abort — the node is out of the pool — so both
 	// cancellation and deadline expiry escalate to a forced release.
 	if !rep.Forced && fs.evacPasses(dctx, mv, rep, resolved, true) != nil {
 		rep.Forced = true
@@ -294,19 +287,13 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	observePhase("sweep")
 
 	// Phase 5: release. On a forced release, list what is about to be
-	// lost from this store and hand every unresolved stripe to the repair
-	// queue — surviving replicas or parity restore redundancy from there.
+	// lost from this store: every unresolved stripe is left short.
 	if rep.Forced {
 		if keys, err := cli.Keys("data:"); err == nil {
 			for _, key := range keys {
-				if resolved[key] {
-					continue
-				}
-				rep.Deferred++
-				if id, sk, idx, ok := stripeOfKey(key); ok {
-					if mf, _ := mv.file(id); mf != nil {
-						fs.enqueueRepair(mf.path, sk, idx, 0)
-					}
+				if !resolved[key] {
+					rep.Deferred++
+					mv.short[key] = true
 				}
 			}
 		}
@@ -324,9 +311,18 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	// fence — so health snapshots and write-skip decisions stop
 	// mentioning it.
 	fs.detector.Unregister(nodeID)
+	// Its slots have passed on. The stripes left short — another slot
+	// re-seated, a copy fallen back off its slot, a key unresolved — are
+	// the repair queue's, and so are units parked on the node: no slot
+	// names it any more.
+	for key := range mv.short {
+		if id, sk, idx, ok := stripeOfKey(key); ok {
+			if mf, _ := mv.file(id); mf != nil {
+				fs.enqueueRepair(mf.path, sk, idx, 0)
+			}
+		}
+	}
 	if fs.repairs != nil {
-		// Units parked on the evacuated node can resolve now — the fix
-		// pass skips unregistered targets instead of waiting for them.
 		fs.repairs.unparkReady()
 		fs.repairs.kick()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/hrw"
+	"memfss/internal/stripe"
 )
 
 func TestAddVictimClass(t *testing.T) {
@@ -103,7 +104,7 @@ func TestEvacuateNode(t *testing.T) {
 		}
 	}
 
-	// Every file must remain fully readable via lazy probing.
+	// Every file must remain fully readable from its stripes' new slots.
 	for path, want := range files {
 		got, err := d.fs.ReadFile(path)
 		if err != nil || !bytes.Equal(got, want) {
@@ -142,6 +143,142 @@ func TestEvacuateWithReplication(t *testing.T) {
 	got, err := d.fs.ReadFile("/rep")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after evacuation: %v", err)
+	}
+}
+
+// shortStripes is a headers census over the files: it gathers every
+// stripe's headers as repair's health check does and counts the stripes
+// with fewer slots holding the winning write than the file has slots.
+func shortStripes(t *testing.T, fs *FileSystem, paths []string) (short, stripes int) {
+	t.Helper()
+	tr := &opTrace{o: fs.obs}
+	for _, p := range paths {
+		f, err := fs.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx := int64(0); idx < f.layout.Count(f.size); idx++ {
+			g := f.gatherStripe(tr, stripe.Key(f.rec.ID, idx), idx, f.layout.StripeLen(f.size, idx), gatherHeaders)
+			won := 0
+			for i := range g.slots {
+				if g.won(&g.slots[i]) {
+					won++
+				}
+			}
+			if won < f.n {
+				short++
+			}
+			stripes++
+		}
+		f.Close()
+	}
+	return short, stripes
+}
+
+// TestEvacuationRestoresRedundancy: each evacuation copies a key to the
+// node that holds its slot once the source has left, and the repair queue
+// refills every slot the release re-seats, so after each one every stripe
+// is back at k+m shards (R copies) with no Scrub. The parent left RS(4,2)
+// stripes at 5 and 4 of 6 and, after the third evacuation, every file
+// unreadable; under R = 2 it left stripes at one copy, and with no copy
+// on any slot, that Scrub could not restore.
+func TestEvacuationRestoresRedundancy(t *testing.T) {
+	cases := []struct {
+		name       string
+		own, vict  int
+		red        Redundancy
+		evacuation int
+	}{
+		{"rs42", 6, 9, Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}, 3},
+		{"r2", 6, 6, Redundancy{Mode: RedundancyReplicate, Replicas: 2}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := newTestFS(t, c.own, c.vict, withRedundancy(c.red))
+			files := map[string][]byte{}
+			var paths []string
+			for i := 0; i < 12; i++ {
+				p := fmt.Sprintf("/r%d", i)
+				files[p] = randomBytes(int64(3000+i), 64<<10)
+				paths = append(paths, p)
+				if err := d.fs.WriteFile(p, files[p]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for e := 0; e < c.evacuation; e++ {
+				if _, err := d.fs.Evacuate(context.Background(), d.victims.Nodes[e].ID, EvacOptions{}); err != nil {
+					t.Fatalf("evacuation %d: %v", e+1, err)
+				}
+				if !d.fs.WaitRepairIdle(20 * time.Second) {
+					t.Fatalf("evacuation %d: repair queue never idled", e+1)
+				}
+				if short, stripes := shortStripes(t, d.fs, paths); short != 0 {
+					t.Errorf("evacuation %d: %d of %d stripes short of their slots", e+1, short, stripes)
+				}
+				rep, err := d.fs.Scrub()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Restored != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+					t.Errorf("evacuation %d: scrub restored %d, unrepairable %v, deferred %v",
+						e+1, rep.Restored, rep.Unrepairable, rep.Deferred)
+				}
+				for p, want := range files {
+					if got, err := d.fs.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("evacuation %d: %s reads back wrong: %v", e+1, p, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestUnreplicatedFileAfterEvacuation: an R = 1 stripe whose only slot
+// sat on the evacuated node lives on the slot's next node after release,
+// so an in-place overwrite reaches it (the parent failed 5 of 6 with
+// "unknown node") and reads find it on their first ask — no deep probe,
+// no lazy move (the parent deep-probed and moved 10 stripes every pass).
+func TestUnreplicatedFileAfterEvacuation(t *testing.T) {
+	d := newTestFS(t, 2, 4)
+	var paths []string
+	for i := 0; i < 6; i++ {
+		p := fmt.Sprintf("/u%d", i)
+		paths = append(paths, p)
+		if err := d.fs.WriteFile(p, randomBytes(int64(3100+i), 50_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.fs.Evacuate(context.Background(), d.victims.Nodes[0].ID, EvacOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for i, p := range paths {
+		f, err := d.fs.OpenFile(p, O_RDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[p] = randomBytes(int64(3200+i), 50_000)
+		if _, err := f.WriteAt(files[p], 0); err != nil {
+			t.Errorf("overwrite of %s after evacuation: %v", p, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	before := d.fs.Counters()
+	for pass := 0; pass < 3; pass++ {
+		for p, want := range files {
+			if got, err := d.fs.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: %s reads back wrong: %v", pass, p, err)
+			}
+		}
+	}
+	after := d.fs.Counters()
+	if probes, moves := after.DeepProbes-before.DeepProbes, after.Repairs-before.Repairs; probes != 0 || moves != 0 {
+		t.Fatalf("three read passes after the evacuation: %d deep probes, %d lazy moves; want 0", probes, moves)
 	}
 }
 

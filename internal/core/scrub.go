@@ -178,14 +178,13 @@ func (f *File) stripeStillExpected(idx int64) bool {
 // read. To replace what the pass read there (stale, non-nil) it first
 // compare-and-deletes exactly those bytes: if a live writer lands a newer
 // value between the two steps, both no-op and the fresher value survives.
-// A stored value is recorded in out.restored as fault, what it replaced.
-// A node the pool no longer knows (evacuated) is skipped.
+// A stored value is recorded in out.restored as fault, what it replaced;
+// a node that could not take it, out.pending.
 func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte, fault string) {
 	cli, err := f.fs.conns.client(node)
-	if err != nil {
-		return
+	if err == nil {
+		err = f.fs.conns.throttle(node).Take(int64(len(value)))
 	}
-	err = f.fs.conns.throttle(node).Take(int64(len(value)))
 	if err == nil && stale != nil {
 		var gone bool
 		if gone, err = cli.DelVal(key, stale); err == nil && !gone {
@@ -217,10 +216,10 @@ func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte,
 // redundancy to restore; reads lazily repair its placement drift.
 func (f *File) fixStripe(idx int64) fixOutcome {
 	fs, k := f.fs, f.k
-	sk := stripe.Key(f.rec.ID, idx)
-	if len(f.targets(sk)) == k {
+	if f.n == k {
 		return fixOutcome{}
 	}
+	sk := stripe.Key(f.rec.ID, idx)
 	stripeLen := f.layout.StripeLen(f.size, idx)
 	var g *ecGather
 	var out fixOutcome
@@ -234,11 +233,8 @@ func (f *File) fixStripe(idx int64) fixOutcome {
 			switch {
 			case !s.probed || s.err != nil:
 				// Not asked (distrusted, and the stripe settled without it) or
-				// no answer: retry once the node recovers — unless the pool no
-				// longer knows it (evacuated), which is no one to wait for.
-				if _, err := fs.conns.client(node); err == nil {
-					out.pending = append(out.pending, node)
-				}
+				// no answer: retry once the node recovers.
+				out.pending = append(out.pending, node)
 			case !g.won(s):
 				fix = append(fix, i)
 			}

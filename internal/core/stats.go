@@ -76,12 +76,12 @@ type Counters struct {
 	// StripeWrites / StripeReads count span-level store operations.
 	StripeWrites int64
 	StripeReads  int64
-	// DeepProbes counts reads that had to look beyond the primary
-	// placement (replica failover or lazy probing after membership
-	// changes) — a health signal: it should stay near zero in steady
-	// state and spike only around evacuations.
+	// DeepProbes counts reads that found their copy off the stripe's
+	// slots: a stray a partial drain left, or a key an evacuation has
+	// copied to its next slot between detach and release. A health
+	// signal: it should stay near zero in steady state.
 	DeepProbes int64
-	// Repairs counts stripes lazily moved back to their primary node.
+	// Repairs counts stripes lazily moved back to their slots.
 	Repairs int64
 	// DegradedWrites counts span writes, in both redundancy modes, that
 	// succeeded with fewer than all copies or shards (at least the quorum

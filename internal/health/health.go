@@ -220,6 +220,14 @@ func (d *Detector) Unregister(node string) {
 	d.opts.Metrics.Remove("memfss_health_node_state", obs.L("node", node))
 }
 
+// Known reports whether node is registered: a node never registered, or
+// unregistered since (evacuated), has left the deployment.
+func (d *Detector) Known(node string) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.nodes[node] != nil
+}
+
 // Nodes lists the registered node IDs, sorted.
 func (d *Detector) Nodes() []string {
 	d.mu.RLock()

@@ -90,6 +90,9 @@ func TopK(nodes []string, key string, k int) []string {
 	if k <= 0 || len(nodes) == 0 {
 		return nil
 	}
+	if k == 1 {
+		return []string{Top(nodes, key)} // Rank's first, without the sort
+	}
 	ranked := Rank(nodes, key)
 	if k > len(ranked) {
 		k = len(ranked)
@@ -142,10 +145,11 @@ func (c *Class) score(key string) float64 {
 // draw over classes followed by a uniform HRW draw over the nodes of the
 // winning class. The zero value is unusable; construct with NewPlacer.
 //
-// A Placer is immutable and safe for concurrent use. Membership changes
-// (scavenging a new victim class, evacuating a node) are expressed by
-// building a new Placer; metadata records the weights in force at write
-// time so earlier placements remain resolvable (paper §III-D).
+// A Placer is immutable and safe for concurrent use. Metadata records the
+// classes and weights in force at write time, so a file keeps placing
+// through the Placer it was written under (paper §III-D). A node that has
+// left since is the caller's to pass over: by minimal disruption its keys
+// go to the next node of ProbeOrder.
 type Placer struct {
 	classes []Class
 }
