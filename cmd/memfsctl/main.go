@@ -24,8 +24,10 @@
 //	mv <old> <new>                   rename
 //	df                               per-store usage
 //	verify <path>                    re-read every stripe of a file
-//	fsck                             verify every file and find orphans
-//	scrub                            restore missing redundancy everywhere
+//	fsck                             read-only census: every stripe's slot
+//	                                 headers and every node's data keys by
+//	                                 class (in slot, stray, orphan, past EOF)
+//	scrub                            the census, restoring short stripes
 //	health                           probe every node and show detector state
 //	repair [path]                    repair one file's redundancy, or show
 //	                                 the background repair queue's stats
@@ -278,37 +280,19 @@ func run(fs *core.FileSystem, args []string) error {
 		}
 		fmt.Println("ok")
 		return nil
-	case "fsck":
+	case "fsck", "scrub":
 		if err := need(0); err != nil {
 			return err
 		}
-		rep, err := fs.Fsck()
+		census := fs.Fsck
+		if cmd == "scrub" {
+			census = fs.Scrub
+		}
+		rep, err := census()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("files: %d\ndirs: %d\nbytes verified: %d\norphan stripes: %d\n",
-			rep.Files, rep.Dirs, rep.Bytes, rep.OrphanStripes)
-		for _, p := range rep.Damaged {
-			fmt.Printf("DAMAGED: %s\n", p)
-		}
-		if len(rep.Damaged) > 0 {
-			return fmt.Errorf("%d damaged file(s)", len(rep.Damaged))
-		}
-		fmt.Println("ok")
-		return nil
-	case "scrub":
-		if err := need(0); err != nil {
-			return err
-		}
-		rep, err := fs.Scrub()
-		if err != nil {
-			return err
-		}
-		printScrubReport(rep)
-		if len(rep.Unrepairable) > 0 {
-			return fmt.Errorf("%d unrepairable stripe(s)", len(rep.Unrepairable))
-		}
-		return nil
+		return printCensus(rep)
 	case "health":
 		if err := need(0); err != nil {
 			return err
@@ -340,11 +324,7 @@ func run(fs *core.FileSystem, args []string) error {
 			if err != nil {
 				return err
 			}
-			printScrubReport(rep)
-			if len(rep.Unrepairable) > 0 {
-				return fmt.Errorf("%d unrepairable stripe(s)", len(rep.Unrepairable))
-			}
-			return nil
+			return printCensus(rep)
 		}
 		st := fs.RepairStats()
 		fmt.Printf("enqueued: %d\nrepaired: %d\nrestored: %d\nunrepairable: %d\n",
@@ -431,13 +411,31 @@ func run(fs *core.FileSystem, args []string) error {
 	}
 }
 
-func printScrubReport(rep *core.ScrubReport) {
-	fmt.Printf("files: %d\nstripes checked: %d\nrestored: %d\n",
-		rep.Files, rep.StripesChecked, rep.Restored)
+// printCensus prints a census: the stripe verdicts, each restored slot,
+// and one row per node of its data keys by class. It fails on damage.
+func printCensus(rep *core.CensusReport) error {
+	fmt.Printf("files: %d\ndirs: %d\nbytes: %d\nstripes checked: %d\n"+
+		"short stripes: %d\ndeferred stripes: %d\ndamaged stripes: %d\nrestored: %d\n",
+		rep.Files, rep.Dirs, rep.Bytes, rep.StripesChecked,
+		rep.Short, len(rep.Deferred), len(rep.Unrepairable), len(rep.Restored))
+	if len(rep.Nodes) > 0 {
+		fmt.Printf("%-12s %8s %8s %8s %8s\n", "node", "in-slot", "stray", "orphan", "past-eof")
+		for _, n := range rep.Nodes {
+			fmt.Printf("%-12s %8d %8d %8d %8d\n", n.Node, n.InSlot, n.Stray, n.Orphan, n.PastEOF)
+		}
+	}
+	for _, u := range rep.Restored {
+		fmt.Printf("RESTORED: %s\n", u)
+	}
 	for _, u := range rep.Deferred {
 		fmt.Printf("DEFERRED: %s\n", u)
 	}
 	for _, u := range rep.Unrepairable {
-		fmt.Printf("UNREPAIRABLE: %s\n", u)
+		fmt.Printf("DAMAGED: %s\n", u)
 	}
+	if len(rep.Damaged) > 0 {
+		return fmt.Errorf("%d damaged file(s)", len(rep.Damaged))
+	}
+	fmt.Println("ok")
+	return nil
 }

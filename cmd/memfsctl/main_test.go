@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,61 @@ func TestCLIEvacuate(t *testing.T) {
 	}
 	if err := run(fs, []string{"fsck"}); err != nil {
 		t.Fatalf("fsck after evacuation: %v", err)
+	}
+}
+
+// stdout runs fn and returns what it printed.
+func stdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	out, _ := io.ReadAll(r)
+	return string(out), err
+}
+
+// TestCLIFsckTable: fsck prints the stripe verdicts and one row per node
+// of its data keys by class. A 3-stripe file sits in its slots, and a
+// writer that never closed leaves its 2 stripes past the recorded size.
+func TestCLIFsckTable(t *testing.T) {
+	fs := testFS(t)
+	if err := fs.WriteFile("/f", make([]byte, 3*(4<<10))); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("/open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 2*(4<<10))); err != nil {
+		t.Fatal(err)
+	}
+	out, err := stdout(t, func() error { return run(fs, []string{"fsck"}) })
+	if err != nil {
+		t.Fatalf("fsck: %v\n%s", err, out)
+	}
+	for _, want := range []string{"files: 2\n", "stripes checked: 3\n", "short stripes: 0\n",
+		"deferred stripes: 0\n", "damaged stripes: 0\n", "restored: 0\n", "ok\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fsck output lacks %q:\n%s", want, out)
+		}
+	}
+	var rows, sum [4]int
+	for _, line := range strings.Split(out, "\n") {
+		var node string
+		if n, _ := fmt.Sscanf(line, "%s %d %d %d %d", &node, &rows[0], &rows[1], &rows[2], &rows[3]); n == 5 {
+			for i := range sum {
+				sum[i] += rows[i]
+			}
+		}
+	}
+	if !strings.Contains(out, "in-slot") || sum != [4]int{3, 0, 0, 2} {
+		t.Errorf("in-slot/stray/orphan/past-eof totals %v, want [3 0 0 2]:\n%s", sum, out)
 	}
 }
 

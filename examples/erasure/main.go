@@ -53,11 +53,11 @@ func main() {
 	rep, err := fs.Scrub()
 	check(err)
 	fmt.Printf("scrub: %d stripes checked, %d shards rebuilt, %d unrepairable\n",
-		rep.StripesChecked, rep.Restored, len(rep.Unrepairable))
+		rep.StripesChecked, len(rep.Restored), len(rep.Unrepairable))
 
 	rep2, err := fs.Scrub()
 	check(err)
-	fmt.Printf("second scrub: %d shards rebuilt (redundancy fully restored)\n", rep2.Restored)
+	fmt.Printf("second scrub: %d shards rebuilt (redundancy fully restored)\n", len(rep2.Restored))
 }
 
 func check(err error) {

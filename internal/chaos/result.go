@@ -42,9 +42,12 @@ type Result struct {
 	ScrubRestored     int `json:"scrub_restored"`
 	ScrubUnrepairable int `json:"scrub_unrepairable"`
 	ScrubDeferred     int `json:"scrub_deferred"`
-	LossMismatches    int `json:"loss_mismatches"`
-	VerifiedPaths     int `json:"verified_paths"`
-	TaintedPaths      int `json:"tainted_paths"`
+	// ScrubRestoredUnits names each slot the scrub rewrote: stripe, slot,
+	// node, and what the slot held (missing, stale or unparseable).
+	ScrubRestoredUnits []string `json:"scrub_restored_units,omitempty"`
+	LossMismatches     int      `json:"loss_mismatches"`
+	VerifiedPaths      int      `json:"verified_paths"`
+	TaintedPaths       int      `json:"tainted_paths"`
 
 	// WorkloadCounters is the snapshot taken the moment the workload
 	// finished, before recovery/scrub/verify traffic — the number to use
@@ -227,7 +230,8 @@ func (r *run) evaluateSLO(res *Result) []string {
 	}
 	if slo.CleanScrub {
 		if res.ScrubRestored > 0 {
-			v = append(v, fmt.Sprintf("scrub restored %d units the repair queue missed", res.ScrubRestored))
+			v = append(v, fmt.Sprintf("scrub restored %d units the repair queue missed: %s",
+				res.ScrubRestored, strings.Join(res.ScrubRestoredUnits, ", ")))
 		}
 		if res.ScrubUnrepairable > 0 {
 			v = append(v, fmt.Sprintf("scrub found %d unrepairable units", res.ScrubUnrepairable))

@@ -230,7 +230,8 @@ func (r *run) execute(ctx context.Context) (*Result, error) {
 		if rep, err := fs.Scrub(); err != nil {
 			res.Violations = append(res.Violations, fmt.Sprintf("scrub failed: %v", err))
 		} else {
-			res.ScrubRestored = rep.Restored
+			res.ScrubRestored = len(rep.Restored)
+			res.ScrubRestoredUnits = rep.Restored
 			res.ScrubUnrepairable = len(rep.Unrepairable)
 			res.ScrubDeferred = len(rep.Deferred)
 		}

@@ -107,7 +107,7 @@ func healAndRepair(t *testing.T, c *Cluster, before core.RepairStats) (repaired,
 	if len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
 		t.Fatalf("scrub after heal: %+v", rep)
 	}
-	return int(c.FS.RepairStats().Restored - before.Restored), rep.Restored
+	return int(c.FS.RepairStats().Restored - before.Restored), len(rep.Restored)
 }
 
 // wrongStripes counts the stripes of got that differ from want.
@@ -144,13 +144,14 @@ func TestStaleReplicaAfterHeal(t *testing.T) {
 			repaired, scrubbed, onVictim1)
 	}
 	// Each stale copy was an inspection that saw two writes, and the
-	// journal names what repair replaced.
+	// journal names the slot repair replaced and what it held.
 	if n := c.FS.Counters().ECGenConflicts; n < int64(onVictim1) {
 		t.Errorf("ECGenConflicts = %d, want >= %d: replicated inspections saw two generations", n, onVictim1)
 	}
 	stale := 0
 	for _, ev := range c.FS.Events().Events(1000, "repair") {
-		if strings.HasPrefix(ev.Detail, "restored ") && strings.Contains(ev.Detail, "+1 copies [stale]") {
+		if strings.HasPrefix(ev.Detail, "restored ") && strings.Contains(ev.Detail, "+1 copies [slot ") &&
+			strings.Contains(ev.Detail, ": stale]") {
 			stale++
 		}
 	}

@@ -380,8 +380,8 @@ func (r *run) proxyStats() faultwrap.Stats {
 
 // finalVerify re-reads every path whose acknowledged content is known
 // and byte-compares — the zero-loss ledger. Tainted paths (a write
-// failed; content unknowable) are counted but not compared: Fsck still
-// vouches for their readability.
+// failed; content unknowable) are counted but not compared: Fsck's census
+// still judges their stripes readable from the slot headers.
 func (r *run) finalVerify(res *Result) {
 	all := r.streams
 	if r.preload != nil {

@@ -402,16 +402,16 @@ func TestScrubRestoresReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != deleted {
-		t.Fatalf("restored %d of %d deleted replicas", rep.Restored, deleted)
+	if len(rep.Restored) != deleted {
+		t.Fatalf("restored %d of %d deleted replicas", len(rep.Restored), deleted)
 	}
 	if len(rep.Unrepairable) != 0 {
 		t.Fatalf("unrepairable: %v", rep.Unrepairable)
 	}
 	// Second pass finds nothing to do.
 	rep2, _ := d.fs.Scrub()
-	if rep2.Restored != 0 {
-		t.Fatalf("second scrub restored %d", rep2.Restored)
+	if len(rep2.Restored) != 0 {
+		t.Fatalf("second scrub restored %d", len(rep2.Restored))
 	}
 	got, err := d.fs.ReadFile("/s")
 	if err != nil || !bytes.Equal(got, data) {
@@ -443,8 +443,8 @@ func TestScrubRebuildsErasureShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != dropped {
-		t.Fatalf("restored %d of %d dropped shards", rep.Restored, dropped)
+	if len(rep.Restored) != dropped {
+		t.Fatalf("restored %d of %d dropped shards", len(rep.Restored), dropped)
 	}
 	got, err := d.fs.ReadFile("/e")
 	if err != nil || !bytes.Equal(got, data) {

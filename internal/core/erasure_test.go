@@ -143,7 +143,7 @@ func TestErasureTornStripeGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || len(rep.Unrepairable) != 0 {
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 {
 		t.Fatalf("scrub found work after repair converged the stripe: %+v", rep)
 	}
 }
@@ -203,7 +203,7 @@ func TestErasureDegradedReadRepairsMissingShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || len(rep.Unrepairable) != 0 {
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 {
 		t.Fatalf("scrub found work the repair queue should have done: %+v", rep)
 	}
 }
@@ -294,7 +294,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || len(rep.Unrepairable) != 0 {
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 {
 		t.Fatalf("scrub found work after post-drain repair: %+v", rep)
 	}
 	got, err = d.fs.ReadFile("/fence")
@@ -641,8 +641,8 @@ func TestErasureParityShardMissIsNotARead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 1 {
-		t.Fatalf("scrub restored %d shards, want the one lost parity shard: %+v", rep.Restored, rep)
+	if len(rep.Restored) != 1 {
+		t.Fatalf("scrub restored %d shards, want the one lost parity shard: %+v", len(rep.Restored), rep)
 	}
 }
 
@@ -886,7 +886,7 @@ func TestErasureReadAndRepairAgree(t *testing.T) {
 				t.Fatalf("read of the damaged stripe: err %v, or not the committed write's bytes", err)
 			}
 			rep, err := d.fs.RepairFile("/agree")
-			if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || rep.Restored == 0 {
+			if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || len(rep.Restored) == 0 {
 				t.Fatalf("repair: %+v, err %v", rep, err)
 			}
 			if tags := storedTags(t, stores, sk, nodes); fmt.Sprint(tags) != fmt.Sprint(want) {
@@ -1017,10 +1017,10 @@ func TestErasureRMWAsksDistrustedNodeWhenUnsettled(t *testing.T) {
 	}
 }
 
-// TestScrubHealthyErasureReadsHeadersOnly pins what a Scrub costs the
+// TestScrubHealthyErasureReadsHeadersOnly pins what a census costs the
 // victims: a healthy RS(4,2) stripe is judged from its six 18-byte shard
-// headers, and only a stripe with something to rewrite has its shards
-// fetched whole.
+// headers, Fsck never fetches a shard whole, and a Scrub fetches only a
+// stripe with something to rewrite.
 func TestScrubHealthyErasureReadsHeadersOnly(t *testing.T) {
 	d := newTestFS(t, 6, 6, withRedundancy(rs42), withHealth(HealthPolicy{ProbeInterval: -1}),
 		// Own weight 1: every stripe is victim-bound, so the victim class's
@@ -1031,18 +1031,27 @@ func TestScrubHealthyErasureReadsHeadersOnly(t *testing.T) {
 	if err := d.fs.WriteFile("/scrub", data); err != nil {
 		t.Fatal(err)
 	}
-	scrub := func(label string, wantRestored int, wantGets int64) {
+	census := func(label string, fix bool, wantShort, wantRestored int, wantGets int64) {
 		t.Helper()
+		run, name := d.fs.Fsck, "fsck"
+		if fix {
+			run, name = d.fs.Scrub, "scrub"
+		}
 		gets, ranges := storeOpCount(d.fs, "GET", "victim"), storeOpCount(d.fs, "GETRANGE", "victim")
-		rep, err := d.fs.Scrub()
-		if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || rep.Restored != wantRestored {
-			t.Fatalf("%s: scrub = %+v, err %v; want %d restored", label, rep, err, wantRestored)
+		rep, err := run()
+		if err != nil || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 || rep.Short != wantShort || len(rep.Restored) != wantRestored {
+			t.Fatalf("%s: %s = %+v, err %v; want %d short, %d restored", label, name, rep, err, wantShort, wantRestored)
 		}
 		gets, ranges = storeOpCount(d.fs, "GET", "victim")-gets, storeOpCount(d.fs, "GETRANGE", "victim")-ranges
 		if gets != wantGets || ranges != 6*stripes {
-			t.Fatalf("%s: scrub issued %d GET and %d GETRANGE to the data nodes, want %d and %d (one header per slot)",
-				label, gets, ranges, wantGets, 6*stripes)
+			t.Fatalf("%s: %s issued %d GET and %d GETRANGE to the data nodes, want %d and %d (one header per slot)",
+				label, name, gets, ranges, wantGets, 6*stripes)
 		}
+	}
+	scrub := func(label string, wantRestored int, wantGets int64) {
+		t.Helper()
+		census(label, false, wantRestored, 0, 0)
+		census(label, true, wantRestored, wantRestored, wantGets)
 	}
 	scrub("healthy", 0, 0)
 

@@ -99,7 +99,7 @@ func ExampleFileSystem_Scrub() {
 		}
 	}
 	rep, _ := fs.Scrub()
-	fmt.Printf("restored %d replica(s)\n", rep.Restored)
+	fmt.Printf("restored %d replica(s)\n", len(rep.Restored))
 	// Output: restored 1 replica(s)
 }
 

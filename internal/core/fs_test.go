@@ -437,15 +437,18 @@ func TestRemoveAllDeletesData(t *testing.T) {
 // record says exists, and a record's size is committed by Sync/Close. A
 // writer that died before either — a crashed task about to be re-run —
 // leaves stripes past the recorded size that neither Remove nor the
-// re-run's overwrite reclaims; Fsck counts every one of them, and nothing
+// re-run's overwrite reclaims; Fsck counts every one of them — orphans
+// once the file ID is dead, past-EOF keys while it lives — and nothing
 // else goes wrong (the new contents read back, no file is damaged).
 func TestDropAfterUnclosedWriterLeavesOrphans(t *testing.T) {
 	for _, drop := range []struct {
-		name string
-		do   func(fs *FileSystem, path string) error
+		name                 string
+		do                   func(fs *FileSystem, path string) error
+		wantOrphan, wantPast int
 	}{
-		{"Remove", func(fs *FileSystem, path string) error { return fs.Remove(path) }},
-		{"overwrite", func(fs *FileSystem, path string) error { return fs.WriteFile(path, []byte("rerun")) }},
+		{"Remove", func(fs *FileSystem, path string) error { return fs.Remove(path) }, 5, 0},
+		{"overwrite", func(fs *FileSystem, path string) error { return fs.WriteFile(path, []byte("rerun")) }, 5, 0},
+		{"left open", func(*FileSystem, string) error { return nil }, 0, 5},
 	} {
 		t.Run(drop.name, func(t *testing.T) {
 			d := newTestFS(t, 2, 2) // 4 KiB stripes, no redundancy
@@ -464,8 +467,9 @@ func TestDropAfterUnclosedWriterLeavesOrphans(t *testing.T) {
 			if err != nil || len(rep.Damaged) != 0 {
 				t.Fatalf("fsck: %+v, %v", rep, err)
 			}
-			if rep.OrphanStripes != 5 {
-				t.Errorf("OrphanStripes = %d, want the 5 stripes the dead writer left", rep.OrphanStripes)
+			if rep.OrphanStripes != drop.wantOrphan || rep.PastEOFKeys != drop.wantPast || rep.StrayKeys != 0 {
+				t.Errorf("%d orphans, %d past EOF, %d strays; want %d, %d and 0 for the 5 stripes the dead writer left",
+					rep.OrphanStripes, rep.PastEOFKeys, rep.StrayKeys, drop.wantOrphan, drop.wantPast)
 			}
 			if drop.name == "overwrite" {
 				if got, err := d.fs.ReadFile("/task.out"); err != nil || string(got) != "rerun" {

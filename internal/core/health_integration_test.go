@@ -127,7 +127,7 @@ func TestRepairQueueRestoresDegradedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
 		t.Fatalf("scrub found work the repair queue should have done: %+v", rep)
 	}
 	for path, want := range files {
@@ -135,6 +135,41 @@ func TestRepairQueueRestoresDegradedWrite(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after repair: %v", path, err)
 		}
+	}
+}
+
+// TestRepairQueueRetriesRecoveredNodeBesideDeadOne: an RS(4,2) write that
+// skipped two Down nodes parks its stripes on both. When one of them
+// comes back, its slots are restorable though the other stays Down, so
+// the queue retries the units and restores them, and a Scrub finds only
+// the dead node's slots left: deferred, none restored. The queue used to
+// wait for every blocker to recover, so a stripe parked beside a node
+// that never returns kept the recovered node's slots empty until a Scrub
+// restored them — the "scrub restored N units the repair queue missed"
+// of the erasure chaos soak.
+func TestRepairQueueRetriesRecoveredNodeBesideDeadOne(t *testing.T) {
+	d := newTestFS(t, 6, 6, withRedundancy(rs42), withRetry(fastRetry),
+		withHealth(HealthPolicy{ProbeInterval: -1}), // detector opinion is test-driven
+		func(c *Config) { c.Classes[0].Weight = 1 }) // every slot on a victim, none beside metadata
+	dead, back := d.victims.Nodes[0].ID, d.victims.Nodes[1].ID
+	forceDown(t, d.fs, dead)
+	forceDown(t, d.fs, back)
+	if err := d.fs.WriteFile("/f", randomBytes(71, 3*(4<<10))); err != nil {
+		t.Fatalf("write beside m Down nodes must degrade, not fail: %v", err)
+	}
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	forceUp(t, d.fs, back)
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled after %s came back: %+v", back, d.fs.RepairStats())
+	}
+	rep, err := d.fs.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 3 {
+		t.Fatalf("scrub = %+v; want the 3 stripes deferred on %s and nothing left to restore", rep, dead)
 	}
 }
 
@@ -175,7 +210,7 @@ func TestRepairQueueOverflowFallsBackToScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Restored != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
 		t.Fatalf("redundancy not fully restored after overflow scrub: %+v", rep)
 	}
 	for path, want := range files {

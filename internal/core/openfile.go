@@ -98,74 +98,6 @@ func (fs *FileSystem) walk(e EntryInfo, fn WalkFunc) error {
 	return nil
 }
 
-// FsckReport summarizes a consistency scan.
-type FsckReport struct {
-	// Files and Dirs count namespace entries visited.
-	Files int
-	Dirs  int
-	// Bytes is the total file bytes verified readable.
-	Bytes int64
-	// Damaged lists files whose stripes could not all be read.
-	Damaged []string
-	// OrphanStripes counts data keys found on stores that no live file's
-	// stripe set explains (left by crashes mid-remove).
-	OrphanStripes int
-}
-
-// Fsck walks the whole namespace, re-reads every file end to end, and
-// scans every store for orphaned stripe keys. It is read-only.
-func (fs *FileSystem) Fsck() (*FsckReport, error) {
-	rep := &FsckReport{}
-	// Collect the set of live file IDs while verifying readability.
-	liveIDs := make(map[string]bool)
-	err := fs.Walk("/", func(e EntryInfo) error {
-		if e.IsDir {
-			rep.Dirs++
-			return nil
-		}
-		rep.Files++
-		rec, err := fs.meta.statRecord(e.Path)
-		if err != nil || rec.File == nil {
-			rep.Damaged = append(rep.Damaged, e.Path)
-			return nil
-		}
-		liveIDs[rec.File.ID] = true
-		if err := fs.VerifyFile(e.Path); err != nil {
-			rep.Damaged = append(rep.Damaged, e.Path)
-			return nil
-		}
-		rep.Bytes += e.Size
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Scan stores for stripe keys whose file ID is not alive.
-	fs.mu.RLock()
-	classes := fs.classes
-	fs.mu.RUnlock()
-	for _, cls := range classes {
-		for _, n := range cls.Nodes {
-			cli, err := fs.conns.client(n.ID)
-			if err != nil {
-				continue
-			}
-			keys, err := cli.Keys("data:")
-			if err != nil {
-				continue
-			}
-			for _, k := range keys {
-				id, _, ok := parseDataKey(k)
-				if !ok || !liveIDs[id] {
-					rep.OrphanStripes++
-				}
-			}
-		}
-	}
-	return rep, nil
-}
-
 // Truncate changes the file at path to exactly size bytes: shrinking
 // drops stripes past the new end; growing produces a hole that reads as
 // zeros.

@@ -126,7 +126,7 @@ func TestErasureThrottleMetersBeforeTransfer(t *testing.T) {
 		closeVictimThrottles(d)
 		gets := storeOpCount(d.fs, "GET", "victim")
 		rep, err := d.fs.Scrub()
-		if err != nil || rep.Restored != 0 || len(rep.Deferred) != damaged {
+		if err != nil || len(rep.Restored) != 0 || len(rep.Deferred) != damaged {
 			t.Fatalf("scrub with every victim throttle closed = %+v, err %v; want %d stripes deferred", rep, err, damaged)
 		}
 		if n := storeOpCount(d.fs, "GET", "victim") - gets; n != 0 {

@@ -250,24 +250,23 @@ func (q *repairQueue) watch(ch <-chan health.Event) {
 	}
 }
 
-// ready reports whether a parked unit is worth retrying: every target it
+// ready reports whether a parked unit is worth retrying: a target it
 // waits for is Up again, was evacuated (an unregistered node reports Up,
 // and no slot names it any more), or is the metadata sentinel, which has
-// no health signal and is retried on the rescan timer.
+// no health signal and is retried on the rescan timer. One recovered
+// target is enough: its slots can be restored while another stays Down,
+// and the retry parks the unit again on the rest.
 func (q *repairQueue) ready(p parkedUnit) bool {
 	for _, node := range p.waitFor {
-		if node == repairWaitMeta || node == repairWaitCommit {
-			continue
-		}
-		if q.fs.nodeState(node) != health.Up {
-			return false
+		if node == repairWaitMeta || node == repairWaitCommit || q.fs.nodeState(node) == health.Up {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-// unparkReady moves parked units whose blockers have cleared back to the
-// runnable list; units still waiting on a Down node stay parked.
+// unparkReady moves parked units a blocker of which has cleared back to
+// the runnable list; units waiting only on Down nodes stay parked.
 func (q *repairQueue) unparkReady() {
 	q.mu.Lock()
 	var still []parkedUnit
@@ -449,7 +448,7 @@ func (q *repairQueue) runFullScrub() {
 	rep, err := q.fs.Scrub()
 	q.mu.Lock()
 	if err == nil {
-		q.restored.Add(int64(rep.Restored))
+		q.restored.Add(int64(len(rep.Restored)))
 		if len(rep.Deferred) == 0 {
 			q.overflow = false
 			q.busy.Store(len(q.held) > 0)
@@ -477,9 +476,9 @@ func (q *repairQueue) stats() RepairStats {
 }
 
 // idle reports whether the queue has no runnable work: nothing queued, in
-// flight, or owed a Scrub, and no parked unit whose blockers have cleared.
-// Units parked on a node that is still Down do not count — they cannot
-// make progress until it recovers.
+// flight, or owed a Scrub, and no parked unit a blocker of which has
+// cleared. Units parked only on nodes still Down do not count — they
+// cannot make progress until one recovers.
 func (q *repairQueue) idle() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -534,7 +534,8 @@ func parseDataKey(key string) (fileID, shardIdx string, ok bool) {
 }
 
 // VerifyFile re-reads every stripe of a file and reports whether all bytes
-// are reachable — a consistency check used by tests and by the CLI's fsck.
+// are reachable — the payload-reading check behind `memfsctl verify`.
+// Being a read, it deep-probes and repairs; Fsck's census does neither.
 func (fs *FileSystem) VerifyFile(path string) error {
 	f, err := fs.Open(path)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"memfss/internal/container"
 	"memfss/internal/hrw"
-	"memfss/internal/stripe"
 )
 
 func TestAddVictimClass(t *testing.T) {
@@ -146,35 +145,6 @@ func TestEvacuateWithReplication(t *testing.T) {
 	}
 }
 
-// shortStripes is a headers census over the files: it gathers every
-// stripe's headers as repair's health check does and counts the stripes
-// with fewer slots holding the winning write than the file has slots.
-func shortStripes(t *testing.T, fs *FileSystem, paths []string) (short, stripes int) {
-	t.Helper()
-	tr := &opTrace{o: fs.obs}
-	for _, p := range paths {
-		f, err := fs.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx := int64(0); idx < f.layout.Count(f.size); idx++ {
-			g := f.gatherStripe(tr, stripe.Key(f.rec.ID, idx), idx, f.layout.StripeLen(f.size, idx), gatherHeaders)
-			won := 0
-			for i := range g.slots {
-				if g.won(&g.slots[i]) {
-					won++
-				}
-			}
-			if won < f.n {
-				short++
-			}
-			stripes++
-		}
-		f.Close()
-	}
-	return short, stripes
-}
-
 // TestEvacuationRestoresRedundancy: each evacuation copies a key to the
 // node that holds its slot once the source has left, and the repair queue
 // refills every slot the release re-seats, so after each one every stripe
@@ -196,11 +166,9 @@ func TestEvacuationRestoresRedundancy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := newTestFS(t, c.own, c.vict, withRedundancy(c.red))
 			files := map[string][]byte{}
-			var paths []string
 			for i := 0; i < 12; i++ {
 				p := fmt.Sprintf("/r%d", i)
 				files[p] = randomBytes(int64(3000+i), 64<<10)
-				paths = append(paths, p)
 				if err := d.fs.WriteFile(p, files[p]); err != nil {
 					t.Fatal(err)
 				}
@@ -212,15 +180,15 @@ func TestEvacuationRestoresRedundancy(t *testing.T) {
 				if !d.fs.WaitRepairIdle(20 * time.Second) {
 					t.Fatalf("evacuation %d: repair queue never idled", e+1)
 				}
-				if short, stripes := shortStripes(t, d.fs, paths); short != 0 {
-					t.Errorf("evacuation %d: %d of %d stripes short of their slots", e+1, short, stripes)
-				}
 				rep, err := d.fs.Scrub()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Restored != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
-					t.Errorf("evacuation %d: scrub restored %d, unrepairable %v, deferred %v",
+				if rep.Short != 0 {
+					t.Errorf("evacuation %d: %d of %d stripes short of their slots", e+1, rep.Short, rep.StripesChecked)
+				}
+				if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+					t.Errorf("evacuation %d: scrub restored %v, unrepairable %v, deferred %v",
 						e+1, rep.Restored, rep.Unrepairable, rep.Deferred)
 				}
 				for p, want := range files {

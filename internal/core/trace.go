@@ -102,7 +102,7 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 		drains: reg.Counter("memfss_fs_partial_drains_total",
 			"Soft-pressure partial drains completed (node stays registered).", nil),
 		scrubChk: reg.Counter("memfss_scrub_stripes_checked_total",
-			"Stripe inspections by Scrub/RepairFile passes.", nil),
+			"Stripes whose slot headers a census (Fsck, Scrub, RepairFile) gathered.", nil),
 		scrubRest: reg.Counter("memfss_scrub_restored_total",
 			"Replica copies or shards rewritten by Scrub/RepairFile passes.", nil),
 		slowThr: pol.SlowOpThreshold,
