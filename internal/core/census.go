@@ -272,8 +272,10 @@ func (f *File) stripeStillExpected(idx int64) bool {
 // node's throttle first. SETNX: it only fills a hole — a concurrent
 // writer's fresher value must never be clobbered with the repair's stale
 // read. To replace what the pass read there (stale, non-nil) it first
-// compare-and-deletes exactly those bytes: if a live writer lands a newer
-// value between the two steps, both no-op and the fresher value survives.
+// compare-and-deletes exactly those bytes — by their header alone
+// (delValArg), which core's one payload per (generation, write ID) per
+// key makes the same test: if a live writer lands a newer value between
+// the two steps, both no-op and the fresher value survives.
 // SETNX is tried whatever DELVAL answers: "not deleted" also comes from a
 // retry whose first attempt deleted the bytes and lost its reply, and only
 // SETNX can tell that hole from a live writer's value.
@@ -285,7 +287,7 @@ func (f *File) reinstall(out *fixOutcome, node, key string, value, stale []byte,
 		err = f.fs.conns.throttle(node).Take(int64(len(value)))
 	}
 	if err == nil && stale != nil {
-		_, err = cli.DelVal(key, stale)
+		_, err = cli.DelVal(key, delValArg(stale))
 	}
 	stored := false
 	if err == nil {

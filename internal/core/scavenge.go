@@ -429,9 +429,11 @@ type DrainReport struct {
 // The node is fenced Draining for the duration so replicated writes stop
 // adding to it, then unfenced — it stays registered and keeps serving. A
 // key moves with copy-then-compare-delete: the value is copied out, then
-// deleted at the source only if still byte-identical (DELVAL), so a write
-// racing the drain never loses its update — the key is simply skipped and
-// left for the next pressure sweep.
+// deleted at the source only if still byte-identical (DELVAL; for a
+// stripe value, header-identical, which is the same test because core
+// writes exactly one payload per (generation, write ID) per key), so a
+// write racing the drain never loses its update — the key is simply
+// skipped and left for the next pressure sweep.
 func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes int64) (*DrainReport, error) {
 	cli, err := fs.claimVictim(nodeID)
 	if err != nil {

@@ -56,13 +56,20 @@ func PutHeader(b []byte, gen, id uint64) {
 	binary.BigEndian.PutUint64(b[10:], id)
 }
 
+// HasHeader reports whether b starts with a valid shard header — the rule
+// ParseShard applies, without building its error, so a caller that tests
+// every stored value does not allocate for the ones without a header.
+func HasHeader(b []byte) bool {
+	return len(b) >= HeaderSize && b[0] == shardMagic && b[1] == shardVersion
+}
+
 // ParseShard splits a stored shard into its header fields and payload.
 // The payload aliases b; callers that outlive b must copy it.
 func ParseShard(b []byte) (gen, id uint64, payload []byte, err error) {
 	if len(b) < HeaderSize {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrBadShard, len(b))
 	}
-	if b[0] != shardMagic || b[1] != shardVersion {
+	if !HasHeader(b) {
 		return 0, 0, nil, fmt.Errorf("%w: magic %#x version %d", ErrBadShard, b[0], b[1])
 	}
 	return binary.BigEndian.Uint64(b[2:]), binary.BigEndian.Uint64(b[10:]), b[HeaderSize:], nil

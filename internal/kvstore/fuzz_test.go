@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
 // wire returns the bytes the shipping encoder puts on a connection for
@@ -45,9 +47,15 @@ func arrayReply(e *wireEnc, items [][]byte) {
 	}
 }
 
-// readCommand decodes one command from in with the server's decoder.
+// readCommand decodes one command from in with the server's decoder. A
+// kept value whose header the decoder split off is put back together, so
+// the last argument is the value as sent.
 func readCommand(in []byte) ([][]byte, error) {
-	_, args, err := (&cmdReader{br: bufio.NewReader(bytes.NewReader(in))}).next()
+	cr := &cmdReader{br: bufio.NewReader(bytes.NewReader(in))}
+	_, args, err := cr.next()
+	if err == nil && cr.kept.hdr != nil {
+		args[len(args)-1] = append(cr.kept.hdr[:], cr.kept.val...)
+	}
 	return args, err
 }
 
@@ -102,6 +110,9 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add(command([]byte("SET"), []byte("key"), []byte("val\r\nwith crlf")))
 	f.Add(command([]byte("GETRANGE"), []byte("data:7:0/s3"), []byte("0"), []byte("262162")))
 	f.Add(command([]byte("SET"), []byte("k"), []byte{}))
+	f.Add(command([]byte("SET"), []byte("data:7#2"), erasure.WrapShard(3, 42, []byte("shard payload"))))
+	f.Add(command([]byte("SETNX"), []byte("data:7"), erasure.WrapShard(1, 7, nil)))
+	f.Add(command([]byte("SET"), []byte("data:7"), erasure.WrapShard(1, 7, nil)[:erasure.HeaderSize-1]))
 	f.Add(command([]byte("VSET"), []byte("data:7#0"), []byte("-42"), []byte("whole value")))
 	f.Add(command([]byte("VSET"), []byte("data:7#0"), []byte("42"), []byte("4096"), []byte("range")))
 	for _, s := range malformedFrames {
@@ -150,6 +161,7 @@ func FuzzReadReply(f *testing.F) {
 		func(e *wireEnc) { e.argBytes([]byte("data")) },
 		func(e *wireEnc) { e.nilBulk() },
 		func(e *wireEnc) { e.argBytes([]byte{}) },
+		func(e *wireEnc) { e.argBytes(erasure.WrapShard(2, 9, []byte("payload"))) },
 		func(e *wireEnc) { arrayReply(e, [][]byte{[]byte("a"), nil, []byte("b")}) },
 		func(e *wireEnc) { arrayReply(e, nil) },
 	} {

@@ -95,19 +95,26 @@ func BenchmarkWireSetRange4KiBIn64KiB(b *testing.B) {
 
 // BenchmarkWireVSet1MiB is one whole-value 1 MiB VSET in a one-command
 // pipeline burst — the dd-bag write as core sends it. Like SET, the value
-// is read into the buffer the store keeps, with room for the header in
-// front, so B/op stays one stripe.
-func BenchmarkWireVSet1MiB(b *testing.B) {
+// is read into an exact-size buffer the store keeps, the header beside it,
+// so B/op stays one stripe and not one stripe plus a page.
+func BenchmarkWireVSet1MiB(b *testing.B) { benchWireVSetWhole(b, 1<<20) }
+
+// BenchmarkWireVSet64KiB is BenchmarkWireVSet1MiB for a whole rmw-mix
+// stripe.
+func BenchmarkWireVSet64KiB(b *testing.B) { benchWireVSetWhole(b, 64<<10) }
+
+func benchWireVSetWhole(b *testing.B, size int) {
 	c := newBenchClient(b, DialOptions{})
-	payload := make([]byte, 1<<20)
+	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	key := fmt.Sprintf("bench:vset%d", size)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vsetBurst(c, "bench:vset1m", uint64(i), Whole, payload); err != nil {
+		if _, err := vsetBurst(c, key, uint64(i), Whole, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,6 +26,15 @@ import (
 // batches a pipeline into one vectored write and the server a burst of
 // replies into one flush. This file holds the decoders, except the
 // server's command decoder (cmdReader in server.go).
+//
+// Two verbs know the erasure.HeaderSize-byte (generation, write ID) header
+// every stripe value starts with. VSET key id [off] value writes a stripe
+// payload and the store stamps the header. DELVAL key value deletes key
+// only if it holds exactly value — or, when key holds a stripe value and
+// value is exactly erasure.HeaderSize bytes, only if its header is value.
+// The header form rests on one invariant: core writes exactly one payload
+// per (generation, write ID) per key, so a header still in place names
+// the same bytes, and any write since has stamped another.
 
 // maxBulkLen bounds a single bulk string (64 MiB) to keep a malformed or
 // hostile peer from forcing huge allocations.
@@ -156,16 +165,15 @@ func readBulk(br *bufio.Reader) ([]byte, bool, error) {
 	if err != nil || isNil {
 		return nil, isNil, err
 	}
-	buf, err := readPayload(br, n, 0)
+	buf, err := readPayload(br, n)
 	return buf, false, err
 }
 
 // readPayload reads the n-byte payload of a bulk whose header is consumed,
-// and its CRLF, into an allocation the caller owns: room bytes, then the
-// payload.
-func readPayload(br *bufio.Reader, n int64, room int) ([]byte, error) {
-	buf := make([]byte, int64(room)+n)
-	if _, err := io.ReadFull(br, buf[room:]); err != nil {
+// and its CRLF, into an exact-size allocation the caller owns.
+func readPayload(br *bufio.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
 	if err := discardCRLF(br); err != nil {

@@ -54,6 +54,94 @@ type Stats struct {
 // MemFSS to evacuate a victim store.
 const pressureWatermark = 0.9
 
+// entry is one string value. A stripe value (its bytes start with a valid
+// erasure header) keeps the header in hdr, beside an exact-size payload:
+// a page-sized stripe is one page-sized allocation, not a page plus 18
+// bytes spilling into the next. Reads, lengths and accounting all see the
+// view — hdr‖val, or val alone when hdr is nil — the bytes as written.
+// hdr is a pointer: a headerless value costs the map one word, and an
+// in-place write reaches the header the map holds, as it does the payload.
+type entry struct {
+	hdr *[erasure.HeaderSize]byte
+	val []byte
+}
+
+// splitEntry returns the entry for value v, its payload aliasing v.
+func splitEntry(v []byte) entry {
+	if !erasure.HasHeader(v) {
+		return entry{val: v}
+	}
+	return entry{hdr: (*[erasure.HeaderSize]byte)(bytes.Clone(v[:erasure.HeaderSize])), val: v[erasure.HeaderSize:]}
+}
+
+// size is the length of e's view.
+func (e entry) size() int64 {
+	if e.hdr != nil {
+		return erasure.HeaderSize + int64(len(e.val))
+	}
+	return int64(len(e.val))
+}
+
+// appendRange appends view bytes [from, to) to dst; to <= e.size().
+func (e entry) appendRange(dst []byte, from, to int64) []byte {
+	if e.hdr != nil {
+		if from < erasure.HeaderSize {
+			dst = append(dst, e.hdr[from:min(to, erasure.HeaderSize)]...)
+		}
+		from, to = max(from-erasure.HeaderSize, 0), max(to-erasure.HeaderSize, 0)
+	}
+	return append(dst, e.val[from:to]...)
+}
+
+// grown returns e with a view of at least end bytes: e itself when it is
+// long enough, else e over a zero-extended copy of its payload.
+func (e entry) grown(end int64) entry {
+	if e.hdr != nil {
+		end = max(end-erasure.HeaderSize, 0)
+	}
+	e.val = grow(e.val, end)
+	return e
+}
+
+// writeAt writes p at view offset off, which e's view must cover.
+func (e entry) writeAt(off int64, p []byte) {
+	if e.hdr != nil {
+		if off < erasure.HeaderSize {
+			n := copy(e.hdr[off:], p)
+			p, off = p[n:], erasure.HeaderSize
+		}
+		off -= erasure.HeaderSize
+	}
+	copy(e.val[off:], p)
+}
+
+// stripe returns the generation and write ID in the header e's view starts
+// with, and the payload behind it; ok is false without a valid header.
+// It reads the view, so a header SETRANGE wrote counts as well.
+func (e entry) stripe() (gen, id uint64, payload []byte, ok bool) {
+	h, payload := e.val, e.val[min(len(e.val), erasure.HeaderSize):]
+	if e.hdr != nil {
+		h, payload = e.hdr[:], e.val
+	}
+	if !erasure.HasHeader(h) {
+		return 0, 0, nil, false
+	}
+	gen, id, _, _ = erasure.ParseShard(h)
+	return gen, id, payload, true
+}
+
+// matches reports whether e's view is value, or — for a split entry and a
+// value of exactly erasure.HeaderSize bytes — whether its header is.
+func (e entry) matches(value []byte) bool {
+	if e.hdr == nil {
+		return bytes.Equal(e.val, value)
+	}
+	if !bytes.Equal(e.hdr[:], value[:min(len(value), erasure.HeaderSize)]) {
+		return false
+	}
+	return len(value) == erasure.HeaderSize || bytes.Equal(e.val, value[erasure.HeaderSize:])
+}
+
 // Store is the in-memory engine: a flat map of string keys to byte values
 // plus a map of set keys to member sets. All methods are safe for
 // concurrent use. A stored value is owned by the store alone: writes keep
@@ -61,7 +149,7 @@ const pressureWatermark = 0.9
 // the rule SetRange's in-place write depends on.
 type Store struct {
 	mu     sync.RWMutex
-	data   map[string][]byte
+	data   map[string]entry
 	sets   map[string]map[string]struct{}
 	used   int64
 	maxMem int64
@@ -71,7 +159,7 @@ type Store struct {
 // NewStore returns an empty store. maxMemory of 0 means unlimited.
 func NewStore(maxMemory int64) *Store {
 	return &Store{
-		data:   make(map[string][]byte),
+		data:   make(map[string]entry),
 		sets:   make(map[string]map[string]struct{}),
 		maxMem: maxMemory,
 	}
@@ -100,13 +188,15 @@ var errTooLarge = errors.New("kvstore: string exceeds maximum allowed size")
 
 // Set stores a copy of value under key, replacing any existing string value.
 func (s *Store) Set(key string, value []byte) error {
-	return s.set(key, bytes.Clone(value))
+	e := splitEntry(value)
+	e.val = bytes.Clone(e.val)
+	return s.set(key, e)
 }
 
 // set is Set for a value the store keeps as given — the server hands it the
-// buffer a SET was read into, so no payload byte is copied under the lock.
-// The caller must not touch value afterwards.
-func (s *Store) set(key string, value []byte) error {
+// entry a SET was read into, so no payload byte is copied under the lock.
+// The caller must not touch value's payload afterwards.
+func (s *Store) set(key string, value entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -120,8 +210,8 @@ func (s *Store) set(key string, value []byte) error {
 // put stores next under key in place of old (exists: the key held a
 // value), keeping the accounting, and refuses growth past the cap. Called
 // with mu held.
-func (s *Store) put(key string, old []byte, exists bool, next []byte) error {
-	delta := int64(len(next)) - int64(len(old))
+func (s *Store) put(key string, old entry, exists bool, next entry) error {
+	delta := next.size() - old.size()
 	if !exists {
 		delta += int64(len(key)) + EntryOverhead
 	}
@@ -152,13 +242,9 @@ func (s *Store) MGet(keys []string) [][]byte {
 	s.countOp()
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
-		v, ok := s.data[key]
-		if !ok {
-			continue
+		if v, ok := s.data[key]; ok {
+			out[i] = v.appendRange(make([]byte, 0, v.size()), 0, v.size())
 		}
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out[i] = cp
 	}
 	return out
 }
@@ -166,7 +252,7 @@ func (s *Store) MGet(keys []string) [][]byte {
 // setNX stores value under key only if the key does not exist (in either
 // namespace), keeping the value as given, like set. It reports whether the
 // value was stored.
-func (s *Store) setNX(key string, value []byte) (bool, error) {
+func (s *Store) setNX(key string, value entry) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -176,7 +262,7 @@ func (s *Store) setNX(key string, value []byte) (bool, error) {
 	if _, exists := s.data[key]; exists {
 		return false, nil
 	}
-	if err := s.put(key, nil, false, value); err != nil {
+	if err := s.put(key, entry{}, false, value); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -193,8 +279,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	v, ok := s.data[key]
 	var out []byte
 	if ok {
-		out = make([]byte, len(v))
-		copy(out, v)
+		out = v.appendRange(make([]byte, 0, v.size()), 0, v.size())
 	}
 	s.mu.Unlock()
 	return out, ok, nil
@@ -216,7 +301,7 @@ func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool, error) {
 	if !ok {
 		return dst, false, nil
 	}
-	return append(dst, v...), true, nil
+	return v.appendRange(dst, 0, v.size()), true, nil
 }
 
 // GetRangeAppend appends length bytes of key's value starting at offset to
@@ -236,18 +321,19 @@ func (s *Store) GetRangeAppend(dst []byte, key string, offset, length int64) ([]
 	if !ok {
 		return dst, false, nil
 	}
-	if offset >= int64(len(v)) {
+	if offset >= v.size() {
 		return dst, true, nil
 	}
 	// length-limited against what is left, so offset+length cannot overflow
-	length = min(length, int64(len(v))-offset)
-	return append(dst, v[offset:offset+length]...), true, nil
+	length = min(length, v.size()-offset)
+	return v.appendRange(dst, offset, offset+length), true, nil
 }
 
 // SetRange writes value into key's value at offset, zero-extending the
 // value if needed. Creates the key if missing. A write inside the current
 // value lands in place: every reader copies under the same lock, so none
-// can see a torn range.
+// can see a torn range. A write over a stripe value's header bytes edits
+// the view like any other range.
 func (s *Store) SetRange(key string, offset int64, value []byte) error {
 	if offset < 0 {
 		return fmt.Errorf("kvstore: negative offset %d", offset)
@@ -263,11 +349,11 @@ func (s *Store) SetRange(key string, offset int64, value []byte) error {
 		return ErrWrongType
 	}
 	old, exists := s.data[key]
-	next := grow(old, end)
+	next := old.grown(end)
 	if err := s.put(key, old, exists, next); err != nil {
 		return err
 	}
-	copy(next[offset:], value)
+	next.writeAt(offset, value)
 	return nil
 }
 
@@ -279,7 +365,7 @@ func (s *Store) Del(keys ...string) int {
 	n := 0
 	for _, key := range keys {
 		if v, ok := s.data[key]; ok {
-			s.used -= int64(len(v)) + int64(len(key)) + EntryOverhead
+			s.used -= v.size() + int64(len(key)) + EntryOverhead
 			delete(s.data, key)
 			n++
 			continue
@@ -303,15 +389,14 @@ func (s *Store) Del(keys ...string) int {
 // missed a write stays a generation behind even after later writes land on
 // it. A header already naming write id keeps g: a retried burst replays
 // the write it carries, and must not count it twice. kept, when non-nil,
-// is a whole new value — erasure.HeaderSize bytes of room, then the
-// payload — that replaces the old one and is kept as given. Otherwise
-// value is written at payload offset off: in place when the range lies
-// inside the value (readers copy under the lock, as for SetRange),
-// zero-extending it otherwise.
+// is a whole new payload that replaces the old one and is kept as given.
+// Otherwise value is written at payload offset off: in place when the
+// range lies inside the payload (readers copy under the lock, as for
+// SetRange), zero-extending it otherwise.
 func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint64, error) {
 	switch {
 	case kept != nil:
-		if len(kept) > maxBulkLen {
+		if len(kept) > maxBulkLen-erasure.HeaderSize {
 			return 0, errTooLarge
 		}
 	case off < 0:
@@ -319,7 +404,6 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 	case off > maxBulkLen-erasure.HeaderSize-int64(len(value)):
 		return 0, errTooLarge
 	}
-	end := erasure.HeaderSize + off + int64(len(value)) // the range form's value length
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -327,25 +411,25 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 		return 0, ErrWrongType
 	}
 	old, exists := s.data[key]
-	gen, last, _, err := erasure.ParseShard(old)
-	body := old
-	if err != nil {
-		gen, body = 0, nil // nothing of a headerless value is worth keeping
-	}
-	if body == nil || last != id {
+	// nothing of a headerless value is worth keeping: body is nil, gen 0
+	gen, last, body, ok := old.stripe()
+	if !ok || last != id {
 		gen++
 	}
-	next := kept
-	if next == nil {
-		next = grow(body, end)
+	next := entry{hdr: old.hdr, val: kept}
+	if next.hdr == nil {
+		next.hdr = new([erasure.HeaderSize]byte)
+	}
+	if kept == nil {
+		next.val = grow(body, off+int64(len(value)))
 	}
 	if err := s.put(key, old, exists, next); err != nil {
 		return 0, err
 	}
 	if kept == nil {
-		copy(next[erasure.HeaderSize+off:], value)
+		copy(next.val[off:], value)
 	}
-	erasure.PutHeader(next, gen, id)
+	erasure.PutHeader(next.hdr[:], gen, id)
 	return gen, nil
 }
 
@@ -461,13 +545,13 @@ func (s *Store) Incr(key string) (int64, error) {
 	old, exists := s.data[key]
 	if exists {
 		var err error
-		n, err = strconv.ParseInt(string(old), 10, 64)
+		n, err = strconv.ParseInt(string(old.appendRange(nil, 0, old.size())), 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("kvstore: value at %q is not an integer", key)
 		}
 	}
 	n++
-	if err := s.put(key, old, exists, strconv.AppendInt(nil, n, 10)); err != nil {
+	if err := s.put(key, old, exists, entry{val: strconv.AppendInt(nil, n, 10)}); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -511,16 +595,19 @@ func (s *Store) KeysN(prefix string, n int) []string {
 // reports whether it did. This is the compare-and-delete the partial
 // drain uses after copying a key off a node: if a concurrent write
 // changed the value between the copy and the delete, the delete declines
-// and the newer value survives.
+// and the newer value survives. For a stripe value, value may be just the
+// erasure.HeaderSize-byte header: core writes one payload per (generation,
+// write ID) per key, so a header that still matches names the same bytes,
+// and any write since — a VSET stamps a new header — makes it decline.
 func (s *Store) DelIfEquals(key string, value []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
 	old, ok := s.data[key]
-	if !ok || !bytes.Equal(old, value) {
+	if !ok || !old.matches(value) {
 		return false
 	}
-	s.used -= int64(len(old)) + int64(len(key)) + EntryOverhead
+	s.used -= old.size() + int64(len(key)) + EntryOverhead
 	delete(s.data, key)
 	return true
 }
@@ -530,7 +617,7 @@ func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
-	s.data = make(map[string][]byte)
+	s.data = make(map[string]entry)
 	s.sets = make(map[string]map[string]struct{})
 	s.used = 0
 }

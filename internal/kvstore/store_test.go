@@ -53,11 +53,11 @@ func TestSetCopiesInput(t *testing.T) {
 
 func TestSetNX(t *testing.T) {
 	s := NewStore(0)
-	ok, err := s.setNX("k", []byte("first"))
+	ok, err := s.setNX("k", entry{val: []byte("first")})
 	if err != nil || !ok {
 		t.Fatalf("first SetNX: %v %v", ok, err)
 	}
-	ok, err = s.setNX("k", []byte("second"))
+	ok, err = s.setNX("k", entry{val: []byte("second")})
 	if err != nil || ok {
 		t.Fatalf("second SetNX should not store: %v %v", ok, err)
 	}
@@ -66,7 +66,7 @@ func TestSetNX(t *testing.T) {
 		t.Fatalf("SetNX overwrote: %q", v)
 	}
 	s.SAdd("set", "m")
-	if ok, _ := s.setNX("set", []byte("x")); ok {
+	if ok, _ := s.setNX("set", entry{val: []byte("x")}); ok {
 		t.Fatal("SetNX stored over a set key")
 	}
 }
@@ -220,7 +220,7 @@ func TestMemoryCapSet(t *testing.T) {
 
 func TestMemoryCapOtherOps(t *testing.T) {
 	s := NewStore(150)
-	if _, err := s.setNX("k", make([]byte, 200)); !errors.Is(err, ErrOOM) {
+	if _, err := s.setNX("k", entry{val: make([]byte, 200)}); !errors.Is(err, ErrOOM) {
 		t.Errorf("SetNX over cap: %v", err)
 	}
 	if err := s.SetRange("k", 0, make([]byte, 200)); !errors.Is(err, ErrOOM) {
