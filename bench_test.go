@@ -9,6 +9,10 @@ package memfss
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"memfss/internal/chash"
@@ -399,6 +403,116 @@ func BenchmarkEvacuateDrain(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Ablation: the wire bytes of a partial drain per moved key, at the
+// drained node. The mover reads each key off it (out), copies it to its
+// destination and releases it with a compare-and-delete (in): DELVAL
+// sends a stripe's 18-byte header, not the whole value. 64 KiB stripes
+// and 2 replicas, as rmw-mix; the drain halves victim-0's fill.
+func BenchmarkDrainNodePartial(b *testing.B) {
+	var in, out, drainIn, drainOut atomic.Int64
+	moved := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		own, err := core.StartLocalStores(2, "own", "", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		victims, err := core.StartLocalStores(2, "victim", "", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proxy, err := countingProxy(victims.Nodes[0].Addr, &in, &out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := slices.Clone(victims.Nodes)
+		nodes[0].Addr = proxy.Addr().String()
+		classes, err := core.OwnVictimClasses(own.Nodes, nodes, 0.25, container.Limits{MemoryBytes: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs, err := core.New(core.Config{
+			Classes:    classes,
+			StripeSize: 64 << 10,
+			Redundancy: core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload := make([]byte, 1<<20)
+		for j := 0; j < 16; j++ {
+			for k := range payload {
+				payload[k] = byte(j + k)
+			}
+			if err := fs.WriteFile(fmt.Sprintf("/f%d", j), payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		target := victims.Server(0).Store().Stats().BytesUsed / 2
+		in0, out0 := in.Load(), out.Load()
+		b.StartTimer()
+		rep, err := fs.DrainNode(context.Background(), nodes[0].ID, target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		drainIn.Add(in.Load() - in0)
+		drainOut.Add(out.Load() - out0)
+		moved += rep.Moved
+		fs.Close()
+		proxy.Close()
+		victims.Close()
+		own.Close()
+	}
+	if moved == 0 {
+		b.Fatal("the drain moved nothing")
+	}
+	b.ReportMetric(float64(drainIn.Load())/float64(moved), "in-B/key")
+	b.ReportMetric(float64(drainOut.Load())/float64(moved), "out-B/key")
+}
+
+// countingProxy forwards each connection it accepts to target, adding the
+// bytes it passes toward target to in and those coming back to out.
+func countingProxy(target string, in, out *atomic.Int64) (net.Listener, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	pipe := func(dst, src net.Conn, n *atomic.Int64) {
+		io.Copy(countingWriter{dst, n}, src)
+		dst.Close()
+		src.Close()
+	}
+	go func() {
+		for {
+			cli, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			srv, err := net.Dial("tcp", target)
+			if err != nil {
+				cli.Close()
+				continue
+			}
+			go pipe(srv, cli, in)
+			go pipe(cli, srv, out)
+		}
+	}()
+	return ln, nil
+}
+
+// countingWriter adds the bytes written through it to n.
+type countingWriter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // Ablation: workflow DAG shapes — makespan of each generator on the

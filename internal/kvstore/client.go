@@ -805,7 +805,10 @@ func (c *Client) KeysN(prefix string, n int) ([]string, error) {
 
 // DelVal deletes key only if it still holds exactly value, and reports
 // whether it did — the compare-and-delete that makes copy-then-delete
-// eviction safe against a write racing in between.
+// eviction safe against a write racing in between. When key holds a
+// stripe value, an erasure.HeaderSize-byte value compares the header
+// alone; that is the same test only while one payload is ever written per
+// (generation, write ID) per key, as core does (see proto.go).
 func (c *Client) DelVal(key string, value []byte) (bool, error) {
 	n, err := c.doInt(verbDelVal, []byte(key), value)
 	return n == 1, err

@@ -134,7 +134,8 @@ func (p *Pipeline) Del(keys ...string) {
 }
 
 // DelVal queues a DELVAL (compare-and-delete: remove key only if it still
-// holds exactly value). Safe to retry: a re-run after the delete landed
+// holds exactly value, or a stripe value whose header is value, as
+// Client.DelVal). Safe to retry: a re-run after the delete landed
 // simply reports 0.
 func (p *Pipeline) DelVal(key string, value []byte) {
 	e := p.tape()
