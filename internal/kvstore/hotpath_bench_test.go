@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
 // Hot-path benchmarks: the per-operation allocation and latency profile of
@@ -169,6 +171,28 @@ func BenchmarkWireGetRange4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n, ok, err := c.GetRangeInto("bench:gr", 0, benchPayloadSize, dst)
 		if err != nil || !ok || n != benchPayloadSize {
+			b.Fatalf("getrange: ok=%v err=%v len=%d", ok, err, n)
+		}
+	}
+}
+
+// BenchmarkWireGetRange1MiB reads a whole 1 MiB stripe payload (past its
+// header) into a caller buffer — the dd-bag read shape. The server lends
+// the stored payload to the reply instead of copying it, so B/op is
+// framing only.
+func BenchmarkWireGetRange1MiB(b *testing.B) {
+	c := newBenchClient(b, DialOptions{})
+	const size = 1 << 20
+	if _, err := vsetBurst(c, "bench:gr1m", 1, Whole, make([]byte, size)); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, size)
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, ok, err := c.GetRangeInto("bench:gr1m", erasure.HeaderSize, size, dst)
+		if err != nil || !ok || n != size {
 			b.Fatalf("getrange: ok=%v err=%v len=%d", ok, err, n)
 		}
 	}

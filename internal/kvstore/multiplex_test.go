@@ -126,11 +126,10 @@ func TestShardedPoolMidConnectionDeathStress(t *testing.T) {
 
 // TestPoolHygienePoisonOnPut turns on poison-on-put (released buffers are
 // scribbled with 0xDB) and re-runs data-integrity traffic over pooled
-// tapes, zero-copy reads, and the server's freelist reply buffers. If any
-// buffer were released while a caller still referenced it — a tape
-// recycled before its replies were read, a server value buffer reused
-// before flush — the poison turns that latent bug into a deterministic
-// data mismatch here.
+// tapes, zero-copy reads, and the server's reply tapes, which lend stored
+// payloads. If any buffer were released while a caller still referenced
+// it — a tape recycled before its replies were read — the poison turns
+// that latent bug into a deterministic data mismatch here.
 func TestPoolHygienePoisonOnPut(t *testing.T) {
 	poisonPooled.Store(true)
 	defer poisonPooled.Store(false)
@@ -163,8 +162,7 @@ func TestPoolHygienePoisonOnPut(t *testing.T) {
 		}
 	}
 	// Pipelined bursts: replies decode into disjoint sinks while the
-	// burst's own tape and the server's reply buffers recycle under
-	// poison.
+	// burst's own tape recycles under poison.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -250,75 +251,40 @@ func (cr *cmdReader) next() (string, [][]byte, error) {
 }
 
 // replyWriter accumulates replies for one connection in a vectored
-// encoder: framing in the reusable header arena, large value payloads as
-// zero-copy iovec entries. Value buffers come from a connection-local
-// freelist and return to it when the encoder is flushed (or, for small
-// values that were copied into the arena, immediately) — so a GET-heavy
-// connection reaches a steady state of zero value allocations. Replies
-// never reference cmdReader's argument buffer, which is what makes the
-// hold-until-flush lifetime safe against the next command overwriting it.
+// encoder: framing and small payloads in the reusable header arena, large
+// payloads as zero-copy iovec entries. A GET or GETRANGE payload of
+// zeroCopyMin bytes or more is the stored buffer itself, on loan from the
+// store (Store.lendRange) until the encoder is written; every serveConn
+// exit returns what is still out, so a dropped connection cannot leave a
+// buffer that later in-place writes copy forever. Replies never reference
+// cmdReader's argument buffer, which is what makes the hold-until-flush
+// lifetime safe against the next command overwriting it.
 type replyWriter struct {
-	conn net.Conn
-	enc  wireEnc
-	pend [][]byte // freelist buffers referenced by the encoder until flush
-	free [][]byte
+	conn  net.Conn
+	store *Store
+	enc   wireEnc
+	loans [][]byte // stored payloads enc references until it is written
 }
 
-const (
-	// replyFlushBytes bounds reply accumulation mid-burst, the backpressure
-	// the old 64 KiB bufio.Writer provided implicitly.
-	replyFlushBytes = 256 << 10
-	// valBufKeep caps freelist buffer size and count.
-	valBufKeep  = 1 << 20
-	valFreeKeep = 32
-)
-
-// valueBuf returns an empty buffer to append a store value into.
-func (rw *replyWriter) valueBuf() []byte {
-	if k := len(rw.free); k > 0 {
-		b := rw.free[k-1]
-		rw.free[k-1] = nil
-		rw.free = rw.free[:k-1]
-		return b
-	}
-	return make([]byte, 0, 4<<10)
-}
-
-// release returns a value buffer to the freelist.
-func (rw *replyWriter) release(b []byte) {
-	if poisonPooled.Load() {
-		poisonBuf(b)
-	}
-	if cap(b) > valBufKeep || len(rw.free) >= valFreeKeep {
-		return
-	}
-	rw.free = append(rw.free, b[:0])
-}
-
-// bulkValue writes a bulk reply whose payload is a freelist buffer: big
-// payloads ride as zero-copy segments and are released at flush; small
-// ones are copied into the arena and released immediately.
-func (rw *replyWriter) bulkValue(v []byte) {
-	rw.enc.bulkHeader(len(v))
-	if len(v) >= zeroCopyMin {
-		rw.enc.extRef(v)
-		rw.pend = append(rw.pend, v)
-	} else {
-		rw.enc.hdr = append(rw.enc.hdr, v...)
-		rw.release(v)
-	}
-	rw.enc.crlf()
-}
+// replyFlushBytes bounds reply accumulation mid-burst, the backpressure
+// the old 64 KiB bufio.Writer provided implicitly.
+const replyFlushBytes = 256 << 10
 
 func (rw *replyWriter) flush() error {
 	err := rw.enc.writeTo(rw.conn)
 	rw.enc.reset()
-	for i, b := range rw.pend {
-		rw.release(b)
-		rw.pend[i] = nil
-	}
-	rw.pend = rw.pend[:0]
+	rw.endLoans()
 	return err
+}
+
+// endLoans returns the payloads the queued replies borrowed.
+func (rw *replyWriter) endLoans() {
+	if len(rw.loans) == 0 {
+		return
+	}
+	rw.store.endLoans(rw.loans)
+	clear(rw.loans)
+	rw.loans = rw.loans[:0]
 }
 
 func (rw *replyWriter) maybeFlush() error {
@@ -335,7 +301,8 @@ func (rw *replyWriter) maybeFlush() error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	cr := newCmdReader(conn)
-	rw := &replyWriter{conn: conn}
+	rw := &replyWriter{conn: conn, store: s.store}
+	defer rw.endLoans()
 	authed := s.password == ""
 	for {
 		cmd, args, err := cr.next()
@@ -402,6 +369,17 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		}
 	}
 	intReply := func(n int64) { rw.enc.intReply(n) }
+	getRange := func(key []byte, off, length int64) {
+		loan, ok, err := s.store.lendRange(&rw.enc, string(key), off, length)
+		switch {
+		case err != nil:
+			storeErr(err)
+		case !ok:
+			rw.enc.nilBulk()
+		case loan != nil:
+			rw.loans = append(rw.loans, loan)
+		}
+	}
 	switch cmd {
 	case "SET":
 		if len(args) != 2 {
@@ -433,18 +411,7 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 			fail("ERR wrong number of arguments for GET")
 			return
 		}
-		v, ok, err := s.store.GetAppend(rw.valueBuf(), string(args[0]))
-		if err != nil {
-			rw.release(v)
-			storeErr(err)
-			return
-		}
-		if !ok {
-			rw.release(v)
-			rw.enc.nilBulk()
-			return
-		}
-		rw.bulkValue(v)
+		getRange(args[0], 0, math.MaxInt64)
 	case "GETRANGE":
 		if len(args) != 3 {
 			fail("ERR wrong number of arguments for GETRANGE")
@@ -456,18 +423,7 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 			fail("ERR value is not an integer")
 			return
 		}
-		v, ok, err := s.store.GetRangeAppend(rw.valueBuf(), string(args[0]), off, length)
-		if err != nil {
-			rw.release(v)
-			storeErr(err)
-			return
-		}
-		if !ok {
-			rw.release(v)
-			rw.enc.nilBulk()
-			return
-		}
-		rw.bulkValue(v)
+		getRange(args[0], off, length)
 	case "SETRANGE":
 		if len(args) != 3 {
 			fail("ERR wrong number of arguments for SETRANGE")

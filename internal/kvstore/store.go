@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,15 +83,22 @@ func (e entry) size() int64 {
 	return int64(len(e.val))
 }
 
-// appendRange appends view bytes [from, to) to dst; to <= e.size().
-func (e entry) appendRange(dst []byte, from, to int64) []byte {
+// parts splits view bytes [from, to) into the part in e's header and the
+// part in its payload; to <= e.size().
+func (e entry) parts(from, to int64) (head, body []byte) {
 	if e.hdr != nil {
 		if from < erasure.HeaderSize {
-			dst = append(dst, e.hdr[from:min(to, erasure.HeaderSize)]...)
+			head = e.hdr[from:min(to, erasure.HeaderSize)]
 		}
 		from, to = max(from-erasure.HeaderSize, 0), max(to-erasure.HeaderSize, 0)
 	}
-	return append(dst, e.val[from:to]...)
+	return head, e.val[from:to]
+}
+
+// appendRange appends view bytes [from, to) to dst; to <= e.size().
+func (e entry) appendRange(dst []byte, from, to int64) []byte {
+	head, body := e.parts(from, to)
+	return append(append(dst, head...), body...)
 }
 
 // grown returns e with a view of at least end bytes: e itself when it is
@@ -144,13 +152,18 @@ func (e entry) matches(value []byte) bool {
 
 // Store is the in-memory engine: a flat map of string keys to byte values
 // plus a map of set keys to member sets. All methods are safe for
-// concurrent use. A stored value is owned by the store alone: writes keep
-// (or copy in) their buffer, and every read copies out under the lock —
-// the rule SetRange's in-place write depends on.
+// concurrent use. A stored value is owned by the store: writes keep (or
+// copy in) their buffer, and reads copy out under the lock — except a
+// wire GET/GETRANGE reply, which borrows the stored payload until the
+// connection has written it (lendRange). An in-place write (SetRange, a
+// range VSET) copies a lent buffer before writing (unlent), so a lent
+// byte never changes and no reader sees a torn range. Header bytes are
+// never lent: a whole VSET restamps them in place.
 type Store struct {
 	mu     sync.RWMutex
 	data   map[string]entry
 	sets   map[string]map[string]struct{}
+	loans  map[*byte]int // open reply loans per payload buffer (loanKey)
 	used   int64
 	maxMem int64
 	ops    int64
@@ -161,6 +174,7 @@ func NewStore(maxMemory int64) *Store {
 	return &Store{
 		data:   make(map[string]entry),
 		sets:   make(map[string]map[string]struct{}),
+		loans:  make(map[*byte]int),
 		maxMem: maxMemory,
 	}
 }
@@ -270,70 +284,109 @@ func (s *Store) setNX(key string, value entry) (bool, error) {
 
 // Get returns a copy of the value stored under key, and whether it exists.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	s.countOp()
-	if _, isSet := s.sets[key]; isSet {
-		s.mu.Unlock()
-		return nil, false, ErrWrongType
-	}
-	v, ok := s.data[key]
-	var out []byte
-	if ok {
-		out = v.appendRange(make([]byte, 0, v.size()), 0, v.size())
-	}
-	s.mu.Unlock()
-	return out, ok, nil
-}
-
-// GetAppend appends a copy of key's value to dst and returns the extended
-// slice — the allocation-free read path: the server passes a reusable
-// reply buffer and no fresh value allocation happens once the buffer has
-// grown to working-set size. dst (possibly reallocated by append) is
-// returned even on error so the caller can recycle it.
-func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countOp()
-	if _, isSet := s.sets[key]; isSet {
-		return dst, false, ErrWrongType
-	}
-	v, ok := s.data[key]
-	if !ok {
-		return dst, false, nil
-	}
-	return v.appendRange(dst, 0, v.size()), true, nil
+	return s.GetRangeAppend(nil, key, 0, math.MaxInt64)
 }
 
 // GetRangeAppend appends length bytes of key's value starting at offset to
-// dst, under GetAppend's reusable-buffer contract. Reads past the end are
-// truncated; a missing key yields ok=false.
+// dst and returns the extended slice (dst, possibly reallocated by append,
+// even on error). Reads past the end are truncated; a missing key yields
+// ok=false.
 func (s *Store) GetRangeAppend(dst []byte, key string, offset, length int64) ([]byte, bool, error) {
-	if offset < 0 || length < 0 {
-		return dst, false, fmt.Errorf("kvstore: negative range offset=%d length=%d", offset, length)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v, from, to, ok, err := s.rangeOf(key, offset, length)
+	if !ok {
+		return dst, false, err
+	}
+	return v.appendRange(dst, from, to), true, nil
+}
+
+// lendRange is GetRangeAppend for a wire reply: it queues on enc the bulk
+// reply of key's view bytes [offset, offset+length). Framing and header
+// bytes are copied into enc's arena; a payload part of zeroCopyMin bytes
+// or more is not — the stored slice itself goes on enc, returned as loan,
+// which the caller passes to endLoans once enc is written. Until then an
+// in-place write copies that buffer first (unlent). The header stays
+// copied: a whole VSET restamps it in place.
+func (s *Store) lendRange(enc *wireEnc, key string, offset, length int64) (loan []byte, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, from, to, ok, err := s.rangeOf(key, offset, length)
+	if !ok {
+		return nil, false, err
+	}
+	head, body := v.parts(from, to)
+	enc.bulkHeader(len(head) + len(body))
+	enc.hdr = append(enc.hdr, head...)
+	if len(body) < zeroCopyMin {
+		enc.hdr = append(enc.hdr, body...)
+	} else {
+		enc.extRef(body)
+		s.loans[loanKey(body)]++
+		loan = body
+	}
+	enc.crlf()
+	return loan, true, nil
+}
+
+// rangeOf counts a range read of key and returns its value with view range
+// [offset, offset+length) clamped to the value's end. Called with mu held.
+func (s *Store) rangeOf(key string, offset, length int64) (v entry, from, to int64, ok bool, err error) {
+	if offset < 0 || length < 0 {
+		return v, 0, 0, false, fmt.Errorf("kvstore: negative range offset=%d length=%d", offset, length)
+	}
 	s.countOp()
 	if _, isSet := s.sets[key]; isSet {
-		return dst, false, ErrWrongType
+		return v, 0, 0, false, ErrWrongType
 	}
-	v, ok := s.data[key]
-	if !ok {
-		return dst, false, nil
+	if v, ok = s.data[key]; !ok {
+		return v, 0, 0, false, nil
 	}
-	if offset >= v.size() {
-		return dst, true, nil
-	}
+	from = min(offset, v.size())
 	// length-limited against what is left, so offset+length cannot overflow
-	length = min(length, v.size()-offset)
-	return v.appendRange(dst, offset, offset+length), true, nil
+	return v, from, from + min(length, v.size()-from), true, nil
+}
+
+// loanKey names the buffer v lies in by the buffer's last byte of
+// capacity, which every sub-slice reaching to its end shares: a lent
+// payload range, and the payload val[18:] a VSET keeps of a headerless
+// value that a SETRANGE built to start with a header. An empty buffer,
+// never lent, has no key.
+func loanKey(v []byte) *byte {
+	if cap(v) == 0 {
+		return nil
+	}
+	return &v[:cap(v)][cap(v)-1]
+}
+
+// endLoans returns loans lendRange made.
+func (s *Store) endLoans(loans [][]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, b := range loans {
+		k := loanKey(b)
+		if n := s.loans[k] - 1; n > 0 {
+			s.loans[k] = n
+		} else {
+			delete(s.loans, k)
+		}
+	}
+}
+
+// unlent returns v, or a copy of it while a reply holds a loan on v's
+// buffer. Every in-place write goes through it. Called with mu held.
+func (s *Store) unlent(v []byte) []byte {
+	if s.loans[loanKey(v)] == 0 {
+		return v
+	}
+	return bytes.Clone(v)
 }
 
 // SetRange writes value into key's value at offset, zero-extending the
 // value if needed. Creates the key if missing. A write inside the current
-// value lands in place: every reader copies under the same lock, so none
-// can see a torn range. A write over a stripe value's header bytes edits
-// the view like any other range.
+// value lands in place — unless a reply has the buffer on loan, which it
+// copies first — so no reader sees a torn range. A write over a stripe
+// value's header bytes edits the view like any other range.
 func (s *Store) SetRange(key string, offset int64, value []byte) error {
 	if offset < 0 {
 		return fmt.Errorf("kvstore: negative offset %d", offset)
@@ -350,6 +403,7 @@ func (s *Store) SetRange(key string, offset int64, value []byte) error {
 	}
 	old, exists := s.data[key]
 	next := old.grown(end)
+	next.val = s.unlent(next.val)
 	if err := s.put(key, old, exists, next); err != nil {
 		return err
 	}
@@ -391,8 +445,8 @@ func (s *Store) Del(keys ...string) int {
 // the write it carries, and must not count it twice. kept, when non-nil,
 // is a whole new payload that replaces the old one and is kept as given.
 // Otherwise value is written at payload offset off: in place when the
-// range lies inside the payload (readers copy under the lock, as for
-// SetRange), zero-extending it otherwise.
+// range lies inside the payload (after unlent, as for SetRange),
+// zero-extending it otherwise.
 func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint64, error) {
 	switch {
 	case kept != nil:
@@ -421,7 +475,7 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 		next.hdr = new([erasure.HeaderSize]byte)
 	}
 	if kept == nil {
-		next.val = grow(body, off+int64(len(value)))
+		next.val = s.unlent(grow(body, off+int64(len(value))))
 	}
 	if err := s.put(key, old, exists, next); err != nil {
 		return 0, err
