@@ -10,6 +10,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -35,6 +36,20 @@ func storesByID(d *testDeploy) map[string]*kvstore.Store {
 		}
 	}
 	return m
+}
+
+// wireShards encodes payload as one write's k+m stored values in slot
+// order, header and body: the bytes planErasure sends.
+func wireShards(c *erasure.Coder, gen, id uint64, payload []byte) [][]byte {
+	parity := make([][]byte, c.M())
+	for i := range parity {
+		parity[i] = make([]byte, c.ShardSize(len(payload)))
+	}
+	var out [][]byte
+	for _, body := range append(c.SplitEncode(payload, parity), parity...) {
+		out = append(out, erasure.WrapShard(gen, id, body))
+	}
+	return out
 }
 
 // stripeTargets resolves stripe idx of path to its raw stripe key and
@@ -680,7 +695,7 @@ func TestErasureMixedGenerationFirstWave(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards := coder.EncodeShards(gen+1, id+1, newer)
+			shards := wireShards(coder, gen+1, id+1, newer)
 			for _, i := range tc.slots {
 				if err := stores[nodes[i]].Set(shardKey(dataKey(sk), i), shards[i]); err != nil {
 					t.Fatal(err)
@@ -857,7 +872,7 @@ func TestErasureReadAndRepairAgree(t *testing.T) {
 		{"torn-newer-write", func(set func(int, []byte), gen, id uint64, _ int) {
 			// Two shards of a later write landed before its writer died:
 			// fewer than k, beside the complete older write.
-			torn := coder.EncodeShards(gen+1, id+1, randomBytes(63, 4096))
+			torn := wireShards(coder, gen+1, id+1, randomBytes(63, 4096))
 			set(0, torn[0])
 			set(1, torn[1])
 		}},
@@ -990,7 +1005,7 @@ func TestErasureRMWAsksDistrustedNodeWhenUnsettled(t *testing.T) {
 			sk, nodes := stripeTargets(t, d, "/guard", 0)
 			stores := storesByID(d)
 			tag := storedTags(t, stores, sk, nodes)[0]
-			shards := coder.EncodeShards(tag[0]+1, tag[1]+1, newer)
+			shards := wireShards(coder, tag[0]+1, tag[1]+1, newer)
 			for _, i := range tc.newer {
 				if err := stores[nodes[i]].Set(shardKey(dataKey(sk), i), shards[i]); err != nil {
 					t.Fatal(err)
@@ -1070,5 +1085,117 @@ func TestScrubHealthyErasureReadsHeadersOnly(t *testing.T) {
 	scrub("after repair", 0, 0)
 	if got, err := d.fs.ReadFile("/scrub"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after scrub: err %v, or bytes differ", err)
+	}
+}
+
+// readThroughParity wipes data shard slot of every stripe of path straight
+// from its store, checks that a read returns want — rebuilt through
+// parity, one reconstruct per stripe at least — and puts the shards back.
+func readThroughParity(t *testing.T, d *testDeploy, path string, slot int, stripeLen int64, want []byte) {
+	t.Helper()
+	type wiped struct {
+		store *kvstore.Store
+		key   string
+		raw   []byte
+	}
+	var shards []wiped
+	stores := storesByID(d)
+	for idx := int64(0); idx*stripeLen < int64(len(want)); idx++ {
+		sk, nodes := stripeTargets(t, d, path, idx)
+		w := wiped{store: stores[nodes[slot]], key: shardKey(dataKey(sk), slot)}
+		raw, ok, err := w.store.Get(w.key)
+		if err != nil || !ok {
+			t.Fatalf("stripe %d: data shard %d missing: ok=%v err=%v", idx, slot, ok, err)
+		}
+		w.raw = raw
+		w.store.Del(w.key)
+		shards = append(shards, w)
+	}
+	before := d.fs.Counters().ECReconstructs
+	got, err := d.fs.ReadFile(path)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read with data shard %d of every stripe wiped: err %v, or bytes other than written", slot, err)
+	}
+	if n := d.fs.Counters().ECReconstructs - before; n < int64(len(shards)) {
+		t.Fatalf("read of %d stripes, each short a data shard, reconstructed %d times", len(shards), n)
+	}
+	for _, w := range shards {
+		if err := w.store.Set(w.key, w.raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestErasureWriteSendsCallerBytes pins what the parity-only encode asks
+// of WriteAt's caller: the data shards are sent from p itself, so p is
+// the caller's again once WriteAt returns. A write whose length is not a
+// multiple of k (its last stripe short, its last data shard a padded
+// copy), a new short last stripe, and a partial-stripe read-modify-write,
+// each followed by scribbling over p, must read back as written — plainly
+// and through parity with a data shard wiped.
+func TestErasureWriteSendsCallerBytes(t *testing.T) {
+	const stripeLen = 4096
+	d := newTestFS(t, 6, 0, withRedundancy(rs42), withRepair(RepairPolicy{Disable: true}))
+	f, err := d.fs.OpenFile("/caller", O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []byte
+	for i, w := range []struct{ off, n int }{
+		{0, 3*stripeLen - 3},
+		{3 * stripeLen, 1030},
+		{stripeLen + 904, 700},
+	} {
+		p := randomBytes(int64(70+i), w.n)
+		if end := w.off + w.n; end > len(want) {
+			want = append(want, make([]byte, end-len(want))...)
+		}
+		copy(want[w.off:], p)
+		if n, err := f.WriteAt(p, int64(w.off)); err != nil || n != w.n {
+			t.Fatalf("write %d: %d bytes, err %v", i, n, err)
+		}
+		for j := range p {
+			p[j] = 0xAA
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := d.fs.ReadFile("/caller"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after write %d: err %v, or bytes other than written", i, err)
+		}
+		readThroughParity(t, d, "/caller", i, stripeLen, want)
+	}
+}
+
+// TestErasureShardBurstReplayKeepsParity cuts shard bursts mid-request, so
+// their tapes replay on a fresh connection, while released parity buffers
+// are poisoned with 0xDB: every write must still land the parity it
+// encoded, which a read with a data shard wiped then rebuilds from.
+func TestErasureShardBurstReplayKeepsParity(t *testing.T) {
+	poisonReleased.Store(true)
+	defer poisonReleased.Store(false)
+	const stripeLen, stripes = 4096, 8
+	// Enough attempts that a burst outlasting them all never happens.
+	retry := RetryPolicy{MaxAttempts: 24, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, OpTimeout: 10 * time.Second}
+	d, proxies := newChaosFS(t, 6, 6, faultwrap.Plan{Seed: 11, Request: faultwrap.DirPlan{Cut: 0.2}},
+		withRedundancy(rs42), withRetry(retry), withRepair(RepairPolicy{Disable: true}),
+		withHealth(HealthPolicy{SuspectAfter: math.MaxInt32, ProbeInterval: -1}))
+	for round := 0; round < 4; round++ {
+		want := randomBytes(int64(80+round), stripes*stripeLen)
+		p := bytes.Clone(want)
+		if err := d.fs.WriteFile("/replay", p); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := range p {
+			p[i] = 0xAA
+		}
+		readThroughParity(t, d, "/replay", round, stripeLen, want)
+	}
+	if s := faultwrap.TotalStats(proxies); s.Cuts == 0 {
+		t.Fatalf("no shard burst was cut: %v", s)
+	}
+	if c := d.fs.Counters(); c.DegradedWrites != 0 {
+		t.Fatalf("%d writes degraded: every cut burst should have replayed", c.DegradedWrites)
 	}
 }

@@ -131,6 +131,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 				return err
 			}
 			_, err = f.shipWrites(tr, []stripePlan{pl})
+			pl.release(f.fs)
 			return err
 		})
 	} else {
@@ -420,6 +421,9 @@ func newWriteID() uint64 { return writeBase ^ writeSeq.Add(1) }
 // partial-stripe update read-modify-writes the whole stripe — inherent
 // under erasure coding, because every shard depends on every data byte;
 // a span covering the stripe encodes the caller's bytes directly.
+// Only the m parity shards are materialised, in pooled buffers the plan
+// holds until release: each data shard is sent from where it lies in the
+// payload, after the one header all k+m shards share.
 //
 // Every shard of the write carries the same (generation, write ID) tag:
 // generation is the highest generation observed on the stripe plus one,
@@ -477,18 +481,33 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 	if !whole {
 		copy(payload[span.Offset:], data)
 	}
-	gen++
 	start := time.Now()
-	all := f.coder.EncodeShards(gen, newWriteID(), payload)
+	// Each parity buffer is a whole wire shard, the size of a read
+	// gather's fetch, so the one pool serves both. The body sits past the
+	// header room; the first buffer's header room holds the one header
+	// every shard of this write is sent with.
+	size := f.coder.ShardSize(len(payload))
+	pooled := make([]*[]byte, f.coder.M())
+	parity := make([][]byte, len(pooled))
+	for i := range pooled {
+		pooled[i] = f.fs.shardBuf(erasure.HeaderSize + size)
+		parity[i] = (*pooled[i])[erasure.HeaderSize:]
+	}
+	hdr := (*pooled[0])[:erasure.HeaderSize:erasure.HeaderSize]
+	erasure.PutHeader(hdr, gen+1, newWriteID())
+	split := f.coder.SplitEncode(payload, parity)
 	elapsed := time.Since(start)
 	tr.recLeg("ec-encode", elapsed, "ok")
 	o.ecEncode.Observe(elapsed)
-	shards := make([]spanCmd, len(all))
-	for i, shard := range all {
-		shards[i] = spanCmd{idx: span.Index, op: opSet, key: shardKey(dataKey(sk), i),
-			n: int64(len(shard)), data: shard}
+	shards := make([]spanCmd, 0, k+len(parity))
+	for _, bodies := range [...][][]byte{split, parity} {
+		for _, body := range bodies {
+			shards = append(shards, spanCmd{idx: span.Index, op: opSet, key: shardKey(dataKey(sk), len(shards)),
+				n: int64(erasure.HeaderSize + len(body)), hdr: hdr, data: body})
+		}
 	}
-	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk), quorum: k, shards: shards}, nil
+	return stripePlan{index: span.Index, sk: sk, nodes: f.targets(sk), quorum: k,
+		shards: shards, parity: pooled}, nil
 }
 
 // getInto reads length bytes at offset from a node's key directly into

@@ -393,6 +393,89 @@ func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, t
 // one buffer per stripe, so a second stripe-size copy shows.
 func BenchmarkCoreWriteAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, false) }
 
+// The namespace ops of the benchmark's montage-meta workload, on the same
+// R=2 deployment, gated before anything moves them (ROADMAP item 6).
+// benchTree fills dir with n files of one 16 KiB stripe each.
+func benchTree(b *testing.B, fs *FileSystem, dir string, n int) {
+	if err := fs.MkdirAll(dir); err != nil {
+		b.Fatal(err)
+	}
+	payload := randomBytes(23, 16<<10)
+	for i := 0; i < n; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("%s/f%d", dir, i), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchNamespace times op(i) after one untimed op(-1) has filled the pools.
+func benchNamespace(b *testing.B, op func(i int) error) {
+	if err := op(-1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoreCreate creates and closes one new empty file per op: the
+// record and the directory entry, no stripe.
+func BenchmarkCoreCreate(b *testing.B) {
+	fs := benchFS(b, benchR2, 16<<10)
+	benchTree(b, fs, "/bench", 0)
+	paths := make([]string, b.N+1)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/bench/f%d", i)
+	}
+	benchNamespace(b, func(i int) error {
+		f, err := fs.Create(paths[i+1])
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	})
+}
+
+// BenchmarkCoreStat stats one of 16 files per op.
+func BenchmarkCoreStat(b *testing.B) {
+	fs := benchFS(b, benchR2, 16<<10)
+	benchTree(b, fs, "/bench", 16)
+	paths := make([]string, 16)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/bench/f%d", i)
+	}
+	benchNamespace(b, func(i int) error {
+		_, err := fs.Stat(paths[(i+16)%16])
+		return err
+	})
+}
+
+// BenchmarkCoreReadDir lists a directory of 16 files per op.
+func BenchmarkCoreReadDir(b *testing.B) {
+	fs := benchFS(b, benchR2, 16<<10)
+	benchTree(b, fs, "/bench", 16)
+	benchNamespace(b, func(int) error {
+		_, err := fs.ReadDir("/bench")
+		return err
+	})
+}
+
+// BenchmarkCoreRemoveAll removes a directory of 4 one-stripe files per
+// op; refilling it between ops is not timed.
+func BenchmarkCoreRemoveAll(b *testing.B) {
+	fs := benchFS(b, benchR2, 16<<10)
+	benchNamespace(b, func(int) error {
+		b.StopTimer()
+		benchTree(b, fs, "/tree", 4)
+		b.StartTimer()
+		return fs.RemoveAll("/tree")
+	})
+}
+
 // TestSharedRegistry checks that an embedder-provided registry receives
 // the FileSystem's families (the memfsd gateway wiring).
 func TestSharedRegistry(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"memfss/internal/erasure"
 	"memfss/internal/kvstore"
@@ -30,6 +31,7 @@ type spanCmd struct {
 	id   uint64 // VSET write ID
 	off  int64  // VSET payload offset (kvstore.Whole replaces) or GETRANGE offset
 	n    int64  // payload/read bytes, for victim throttling
+	hdr  []byte // shard header sent before data (opSet)
 	data []byte // write payload (opSet, opVSet)
 	dst  []byte // read destination (opGetRange); len(dst) == n
 }
@@ -55,7 +57,7 @@ func (c *spanCmd) verb() string {
 func (c *spanCmd) queue(pl *kvstore.Pipeline) {
 	switch c.op {
 	case opSet:
-		pl.Set(c.key, c.data)
+		pl.Set(c.key, c.hdr, c.data)
 	case opVSet:
 		pl.VSet(c.key, c.id, c.off, c.data)
 	default:
@@ -145,7 +147,30 @@ type stripePlan struct {
 	// a failed write that landed anywhere leaves a torn stripe behind.
 	cmd    spanCmd
 	shards []spanCmd
+	// parity holds the pooled buffers the parity shards were encoded
+	// into, returned by release.
+	parity []*[]byte
 }
+
+// release returns the plan's parity buffers to the shard pool. Call it
+// once shipWrites has returned: shipWrites waits for every burst, retries
+// included, so no tape references them any more.
+func (pl *stripePlan) release(fs *FileSystem) {
+	for _, b := range pl.parity {
+		if poisonReleased.Load() {
+			for i := range *b {
+				(*b)[i] = 0xDB
+			}
+		}
+		fs.shardBufs.Put(b)
+	}
+	pl.parity = nil
+}
+
+// poisonReleased, set by a test, scribbles 0xDB over parity buffers as
+// release returns them: a shard sent from one after its release reaches
+// the store as garbage that a read through parity then returns.
+var poisonReleased atomic.Bool
 
 // shipWrites is the one stripe-write path. It decides per target whether
 // the failure detector or a drain fence skips it, ships the rest as

@@ -50,16 +50,14 @@ func FuzzReconstruct(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := c.EncodeShards(1, 1, payload)
+		all := splitEncode(c, payload)
 		shards := make([][]byte, k+m)
 		survivors := 0
 		for i := range shards {
 			if mask&(1<<i) != 0 {
 				continue
 			}
-			if _, _, shards[i], err = ParseShard(wire[i]); err != nil {
-				t.Fatal(err)
-			}
+			shards[i] = all[i]
 			survivors++
 		}
 		data, err := c.Reconstruct(shards)

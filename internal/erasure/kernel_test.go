@@ -55,7 +55,7 @@ func erasurePatterns(n, m int, exhaustive bool, limit int, rng *rand.Rand) [][]i
 	return out
 }
 
-// TestKernelMatchesOracle is the differential test: Encode, EncodeShards
+// TestKernelMatchesOracle is the differential test: Encode, SplitEncode
 // and ReconstructShards agree with the gfMul oracle for every listed
 // shape, including the k%4 tails and the lengths around the word size.
 func TestKernelMatchesOracle(t *testing.T) {
@@ -81,10 +81,9 @@ func TestKernelMatchesOracle(t *testing.T) {
 						t.Fatalf("%s: Encode parity %d differs from oracle", name, i)
 					}
 				}
-				for i, s := range c.EncodeShards(7, 9, payload) {
-					gen, id, body, err := ParseShard(s)
-					if err != nil || gen != 7 || id != 9 || !bytes.Equal(body, want[i]) {
-						t.Fatalf("%s: EncodeShards shard %d differs from oracle (gen %d id %d err %v)", name, i, gen, id, err)
+				for i, s := range splitEncode(c, payload) {
+					if !bytes.Equal(s, want[i]) {
+						t.Fatalf("%s: SplitEncode shard %d differs from oracle", name, i)
 					}
 				}
 
@@ -126,24 +125,36 @@ func TestParityGoldenRS42(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := c.EncodeShards(1, 1, payload)
+	wire := splitEncode(c, payload)
 	for i, p := range parity {
 		sum := sha256.Sum256(p)
 		if got := hex.EncodeToString(sum[:]); got != golden[i] {
 			t.Errorf("parity %d sha256 = %s, want %s", i, got, golden[i])
 		}
-		if !bytes.Equal(wire[4+i][HeaderSize:], p) {
-			t.Errorf("EncodeShards parity %d differs from Encode", i)
+		if !bytes.Equal(wire[4+i], p) {
+			t.Errorf("SplitEncode parity %d differs from Encode", i)
 		}
 	}
 }
 
-// TestEncodeShardsEqualsWrapSplitEncode checks the fused path against the
-// three calls it replaces, byte for byte, and that its shards do not
-// overlap (appending to one must not reach the next).
-func TestEncodeShardsEqualsWrapSplitEncode(t *testing.T) {
+// splitEncode runs SplitEncode into fresh parity buffers and returns all
+// k+m shard bodies in slot order.
+func splitEncode(c *Coder, payload []byte) [][]byte {
+	parity := make([][]byte, c.M())
+	for i := range parity {
+		parity[i] = make([]byte, c.ShardSize(len(payload)))
+	}
+	return append(c.SplitEncode(payload, parity), parity...)
+}
+
+// TestSplitEncodeEqualsWrapSplitEncode checks the write path's encoder
+// against the calls it replaces, byte for byte once wrapped in the shard
+// header: a data shard the payload fills is a view of it, capped so
+// appending cannot reach the next shard, and only the zero-padded tail is
+// a copy, so scribbling over the payload changes exactly the views.
+func TestSplitEncodeEqualsWrapSplitEncode(t *testing.T) {
 	c, _ := NewCoder(4, 2)
-	for _, n := range []int{0, 1, 5, 4096, 4099, 1 << 16} {
+	for _, n := range []int{0, 1, 3, 5, 4099, 4096, 1 << 16} {
 		payload := make([]byte, n)
 		rand.New(rand.NewSource(int64(n))).Read(payload)
 		data := c.Split(payload)
@@ -151,16 +162,26 @@ func TestEncodeShardsEqualsWrapSplitEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := c.EncodeShards(3, 0xfeed, payload)
+		got := splitEncode(c, payload)
 		if len(got) != 6 {
 			t.Fatalf("n=%d: %d shards, want 6", n, len(got))
 		}
+		size := c.ShardSize(n)
 		for i, s := range append(data, parity...) {
-			if want := WrapShard(3, 0xfeed, s); !bytes.Equal(got[i], want) {
+			if want := WrapShard(3, 0xfeed, s); !bytes.Equal(WrapShard(3, 0xfeed, got[i]), want) {
 				t.Fatalf("n=%d: shard %d differs from WrapShard(Split+Encode)", n, i)
 			}
 			if cap(got[i]) != len(got[i]) {
 				t.Fatalf("n=%d: shard %d has cap %d past its len %d", n, i, cap(got[i]), len(got[i]))
+			}
+		}
+		for i := range payload {
+			payload[i] ^= 0xff
+		}
+		for i, s := range got[:4] {
+			view := (i+1)*size <= n
+			if size > 0 && (s[0] == data[i][0]) == view {
+				t.Fatalf("n=%d: data shard %d aliases the payload: %v, want %v", n, i, !view, view)
 			}
 		}
 	}

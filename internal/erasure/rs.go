@@ -118,30 +118,27 @@ func (c *Coder) Encode(data [][]byte) ([][]byte, error) {
 	return parity, nil
 }
 
-// EncodeShards is Split, Encode and WrapShard(gen, id, ·) of all k+m
-// shards fused into one allocation and one pass per shard: the payload is
-// copied straight into the data shards' bodies, the parity bodies are
-// computed in place and every header is stamped where it will be stored.
-// The returned shards are in slot order, ready to write; payload is not
-// retained.
-func (c *Coder) EncodeShards(gen, id uint64, payload []byte) [][]byte {
+// SplitEncode is Split and Encode without copying the payload: it returns
+// the k data shards as views of payload, capped so appending to one cannot
+// reach the next, and computes the m parity shards into parity, whose
+// buffers must each be ShardSize(len(payload)) bytes. Only a data shard
+// the payload does not fill — the zero-padded tail — is a fresh copy.
+// The views alias payload, which must not change until they are sent.
+func (c *Coder) SplitEncode(payload []byte, parity [][]byte) [][]byte {
 	size := c.ShardSize(len(payload))
-	stride := HeaderSize + size
-	buf := make([]byte, (c.k+c.m)*stride)
-	shards := make([][]byte, c.k+c.m)
-	bodies := make([][]byte, c.k+c.m)
-	for i := range shards {
-		shards[i] = buf[i*stride : (i+1)*stride : (i+1)*stride]
-		PutHeader(shards[i], gen, id)
-		bodies[i] = shards[i][HeaderSize:]
-		if start := i * size; i < c.k && start < len(payload) {
-			copy(bodies[i], payload[start:])
+	data := make([][]byte, c.k)
+	for i := range data {
+		if start, end := i*size, (i+1)*size; end <= len(payload) {
+			data[i] = payload[start:end:end]
+		} else {
+			data[i] = make([]byte, size)
+			copy(data[i], payload[min(start, len(payload)):])
 		}
 	}
 	for i, coef := range c.parity {
-		dotInto(coef, bodies[:c.k], bodies[c.k+i])
+		dotInto(coef, data, parity[i])
 	}
-	return shards
+	return data
 }
 
 // Reconstruct recovers all k data shards from any k survivors. shards must

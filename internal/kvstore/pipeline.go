@@ -55,13 +55,15 @@ func (p *Pipeline) endCmd(dst []byte, into bool) {
 	p.n++
 }
 
-// Set queues a SET.
-func (p *Pipeline) Set(key string, value []byte) {
+// Set queues a SET of the concatenation of value's parts, on the wire
+// byte for byte one SET of the joined value: a stripe shard goes out as
+// its header and a body referenced where it lies.
+func (p *Pipeline) Set(key string, value ...[]byte) {
 	e := p.tape()
 	e.beginCommand(3)
 	e.argString("SET")
 	e.argString(key)
-	e.argBytes(value)
+	e.argBytes(value...)
 	p.endCmd(nil, false)
 }
 

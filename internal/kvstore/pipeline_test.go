@@ -3,7 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
-
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -303,5 +303,78 @@ func TestPipelineBinaryBurst(t *testing.T) {
 	}
 	if st := srv.Store().Stats(); st.NumKeys != n {
 		t.Fatalf("NumKeys = %d", st.NumKeys)
+	}
+}
+
+// TestPipelineSetHeaderBodyTape queues a stripe shard the way core sends
+// one, an 18-byte header then a body referenced where it lies, beside a
+// SET of the joined value. For bodies copied into the header arena and
+// bodies past zeroCopyMin alike, the two tapes must put the same bytes on
+// the wire, on the first send and on a replay, and the store must hold
+// the joined value.
+func TestPipelineSetHeaderBodyTape(t *testing.T) {
+	srv, cli := startServer(t, 0, "")
+	hdr := append([]byte{0xE5, 1}, bytes.Repeat([]byte{7}, 16)...)
+	for _, n := range []int{0, 1, zeroCopyMin - len(hdr), zeroCopyMin - 1, zeroCopyMin, 256 << 10} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i*31 + n)
+		}
+		joined := append(append([]byte{}, hdr...), body...)
+		split, whole := cli.Pipeline(), cli.Pipeline()
+		split.Set("shard", hdr, body)
+		whole.Set("shard", joined)
+		wantExt := 0
+		if n >= zeroCopyMin {
+			wantExt = n
+		}
+		if got := split.tape().extBytes; got != wantExt {
+			t.Fatalf("body %d: %d bytes referenced zero-copy, want %d", n, got, wantExt)
+		}
+		var got, want bytes.Buffer
+		for replay := 0; replay < 2; replay++ {
+			got.Reset()
+			want.Reset()
+			if err := split.tape().writeTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := whole.tape().writeTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("body %d, send %d: header+body tape differs from the joined SET", n, replay)
+			}
+		}
+		whole.reset()
+		if _, err := split.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := srv.Store().Get("shard"); err != nil || !ok || !bytes.Equal(v, joined) {
+			t.Fatalf("body %d: stored value differs from header+body (ok=%v err=%v)", n, ok, err)
+		}
+	}
+}
+
+// TestWriteToReusesIovecs sends a tape of several zero-copy segments
+// twice: net.Buffers.WriteTo consumes the slice it is handed, and the
+// tape must keep its own iovec array, so a resend allocates nothing.
+func TestWriteToReusesIovecs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	e := getEnc()
+	defer putEnc(e)
+	payload := make([]byte, 4*zeroCopyMin)
+	for i := 0; i < 4; i++ {
+		e.beginCommand(3)
+		e.argString("SET")
+		e.argString(fmt.Sprint("k", i))
+		e.argBytes(payload)
+	}
+	if err := e.writeTo(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = e.writeTo(io.Discard) }); allocs != 0 {
+		t.Fatalf("resending a tape allocates %.1f times", allocs)
 	}
 }

@@ -26,6 +26,7 @@ type wireEnc struct {
 	curStart int // start of the open header segment within hdr
 	extBytes int // total bytes held in external segments
 	iov      net.Buffers
+	wv       net.Buffers // the copy of iov that WriteTo consumes
 }
 
 // encSeg is one segment of the output tape: a range of hdr when ext is
@@ -79,14 +80,20 @@ func (e *wireEnc) argString(s string) {
 	e.crlf()
 }
 
-// argBytes encodes a bulk argument; large payloads become zero-copy
-// external segments.
-func (e *wireEnc) argBytes(b []byte) {
-	e.bulkHeader(len(b))
-	if len(b) >= zeroCopyMin {
-		e.extRef(b)
-	} else {
-		e.hdr = append(e.hdr, b...)
+// argBytes encodes one bulk argument, the concatenation of parts; large
+// parts become zero-copy external segments.
+func (e *wireEnc) argBytes(parts ...[]byte) {
+	n := 0
+	for _, b := range parts {
+		n += len(b)
+	}
+	e.bulkHeader(n)
+	for _, b := range parts {
+		if len(b) >= zeroCopyMin {
+			e.extRef(b)
+		} else {
+			e.hdr = append(e.hdr, b...)
+		}
 	}
 	e.crlf()
 }
@@ -146,8 +153,10 @@ func (e *wireEnc) closeSeg() {
 
 // writeTo sends the tape. It does not consume the segments: calling it
 // again re-sends the same bytes (the retry path after a broken
-// connection). The iovec slice handed to net.Buffers is rebuilt per call
-// because WriteTo advances it in place.
+// connection). The iovecs are refilled per call into iov's backing array,
+// and WriteTo is handed the copy in wv: it advances its slice to zero
+// capacity, which would make the next call grow a fresh array. wv is a
+// field because a local handed to WriteTo escapes.
 func (e *wireEnc) writeTo(w io.Writer) error {
 	e.closeSeg()
 	if len(e.segs) == 0 {
@@ -165,7 +174,8 @@ func (e *wireEnc) writeTo(w io.Writer) error {
 			e.iov = append(e.iov, e.hdr[s.off:s.end])
 		}
 	}
-	_, err := e.iov.WriteTo(w)
+	e.wv = e.iov
+	_, err := e.wv.WriteTo(w)
 	return err
 }
 
@@ -211,6 +221,6 @@ func putEnc(e *wireEnc) {
 	for i := range e.iov {
 		e.iov[i] = nil
 	}
-	e.iov = e.iov[:0]
+	e.iov, e.wv = e.iov[:0], nil
 	encPool.Put(e)
 }
