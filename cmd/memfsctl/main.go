@@ -39,7 +39,10 @@
 //	drain <node-id>                  partial eviction: move data off a
 //	                                 victim store until it is at or below
 //	                                 -drain-target bytes (default 75% of
-//	                                 its cap); the node stays registered
+//	                                 its cap); the node stays registered,
+//	                                 each moved key goes to its slot's
+//	                                 successor for good (a whole-stripe
+//	                                 rewrite lands back on the slot)
 //	stats <health-addr>              fetch a daemon's /metrics and print a
 //	                                 compact telemetry summary (this verb
 //	                                 needs no -own; it talks HTTP to a

@@ -261,7 +261,6 @@ func healthzPayload(store *kvstore.Store, bound string, started time.Time, fs *c
 		"stripe_writes":          c.StripeWrites,
 		"stripe_reads":           c.StripeReads,
 		"deep_probes":            c.DeepProbes,
-		"repairs":                c.Repairs,
 		"degraded_writes":        c.DegradedWrites,
 		"skipped_replica_writes": c.SkippedReplicaWrites,
 		"fenced_replica_writes":  c.FencedWrites,

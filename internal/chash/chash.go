@@ -3,8 +3,9 @@
 // §V-C argues against for MemFSS. It exists so the repository can measure
 // the trade-off the paper describes: consistent hashing needs either
 // eager data movement or stale-ring lookups when membership changes,
-// while HRW (internal/hrw) supports lazy movement by probing the rank
-// list; and weighting a ring requires proportional virtual-node counts,
+// while HRW (internal/hrw) gives each key of a departing node one next
+// node on its rank list (the paper probes that list lazily; MemFSS moves
+// the key straight there); and weighting a ring requires proportional virtual-node counts,
 // which multiplies memory and rebalance cost (the Redis-process argument
 // of §V-C).
 //

@@ -43,8 +43,10 @@ type CensusReport struct {
 }
 
 // NodeKeys sorts one node's data keys. A key is InSlot where a slot of
-// its stripe names this node; a Stray belongs to a live file but sits
-// where no slot names it (a partial drain, a lazy move); an Orphan's file
+// its stripe names this node, or where this node is the successor that
+// serves a slot whose node lacks the key (a partial drain moved it); a
+// Stray belongs to a live file but sits where no read asks for it (a
+// stripe rewritten whole since a drain moved it); an Orphan's file
 // ID is no live file's (a crash mid-remove); PastEOF belongs to a live
 // file at or beyond its recorded size (a crashed shrink, an unclosed
 // writer). Strays and orphans are counted, never deleted.
@@ -78,10 +80,10 @@ func (fs *FileSystem) Fsck() (*CensusReport, error) { return fs.census("/", fals
 
 // Scrub is the census that also restores each short stripe's missing,
 // behind or unparseable slots from the winning write, as the repair queue
-// does. It is the anti-entropy complement to lazy movement (paper §V-C)
-// and the targeted queue: run it after a node loss so the next failure
-// finds full redundancy. A restore only fills a hole (SETNX) and never
-// writes a node the detector distrusts; that stripe is Deferred.
+// does. It is the anti-entropy complement to the targeted queue: run it
+// after a node loss so the next failure finds full redundancy. A restore
+// only fills a hole (SETNX) and never writes a node the detector
+// distrusts; that stripe is Deferred.
 func (fs *FileSystem) Scrub() (*CensusReport, error) { return fs.census("/", true) }
 
 // RepairFile runs the Scrub census over the file at path (over every
@@ -156,9 +158,8 @@ func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
 
 // census judges every stripe of the file from its slot headers, sorts
 // the file's listed keys, and adds both — and, with fix, what it restored
-// — to rep. A stripe is readable when a write reached k slots or, for a
-// copy (k = 1), when the listing found one off its slots, as a read's
-// deep probe would.
+// — to rep. A stripe is readable when a write reached k slots, each slot
+// served by its node or its successor as a read's is (File.serve).
 func (f *File) census(rep *CensusReport, listed []listedKey, fix bool) {
 	count := f.layout.Count(f.size)
 	byIdx := make(map[int64][]listedKey)
@@ -174,24 +175,26 @@ func (f *File) census(rep *CensusReport, listed []listedKey, fix bool) {
 		rep.StripesChecked++
 		f.fs.obs.scrubChk.Inc()
 		c := f.inspect(idx, gatherHeaders)
-		stray := false
 		for _, lk := range byIdx[idx] {
 			row := &rep.Nodes[lk.row]
 			inSlot := false
 			for i, node := range c.g.nodes {
-				inSlot = inSlot || node == row.Node && f.slotKey(c.sk, i) == lk.key
+				served := c.g.slots[i].at
+				if served == "" {
+					served = node
+				}
+				inSlot = inSlot || served == row.Node && f.slotKey(c.sk, i) == lk.key
 			}
 			if inSlot {
 				row.InSlot++
 			} else {
 				row.Stray++
 				rep.StrayKeys++
-				stray = true
 			}
 		}
 		out := fixOutcome{pending: c.pending}
 		switch {
-		case c.g.found < f.k && !(f.k == 1 && stray):
+		case c.g.found < f.k:
 			out.reason = f.lost(c)
 		case len(c.fix) > 0:
 			rep.Short++
@@ -341,11 +344,13 @@ func (f *File) inspect(idx int64, mode gatherMode) *stripeCheck {
 }
 
 // lost says why a stripe no write reached k slots of is lost, or "" when
-// it is not: a node that did not answer may hold the missing slots, more
-// than m shards answering "none" is an erasure stripe never written (the
-// read's hole), or the stripe is no longer part of the file.
+// it is not: a node that did not answer may hold the missing slots, the
+// stripe is an erasure stripe never written (the read's hole,
+// ecGather.hole), or it is no longer part of the file. A replicated
+// stripe no copy of which survives is reported: the census cannot tell
+// it from a hole, and a lost one must not go unnamed.
 func (f *File) lost(c *stripeCheck) string {
-	hole := f.coder != nil && c.g.present == 0 && c.g.absent > f.coder.M()
+	hole := f.coder != nil && c.g.hole(f.k)
 	if len(c.pending) > 0 || hole || !f.stripeStillExpected(c.idx) {
 		return ""
 	}
@@ -376,7 +381,12 @@ func (f *File) restore(c *stripeCheck) fixOutcome {
 		return out
 	}
 	for j, i := range c.fix {
+		// A slot is restored where it is served: its node, or the
+		// successor holding a copy a write behind.
 		node := c.g.nodes[i]
+		if at := c.g.slots[i].at; at != "" {
+			node = at
+		}
 		if f.fs.nodeState(node) != health.Up {
 			// It answered the gather, but no repair write crosses a drain
 			// fence or chases a node the detector distrusts.

@@ -265,7 +265,7 @@ func (h HealthPolicy) validate() error {
 }
 
 // RepairPolicy configures the targeted repair queue: degraded writes and
-// deep-probe misses enqueue path#stripe units, and a background repairer
+// degraded reads enqueue path#stripe units, and a background repairer
 // restores their redundancy as soon as the missing placement targets are
 // healthy — re-replicating only what is known damaged instead of scanning
 // the whole namespace (cf. Hydra's targeted re-replication). Up to

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -335,7 +333,7 @@ func (f *File) Close() error {
 
 // targets returns the nodes holding stripe sk's slots under this file's
 // snapshot: k+m shards, R copies, or the one primary.
-func (f *File) targets(sk string) []string { return f.fs.slots(f.placer, sk, f.n, "") }
+func (f *File) targets(sk string) []string { return f.fs.slots(f.placer, sk, f.n) }
 
 // planReplicated plans one span of a replicated (or unreplicated) stripe:
 // every target receives the same VSET under one write ID, and each store
@@ -536,17 +534,11 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 // writes (2k <= slots, every replicated stripe), every slot is gathered
 // and the newest write wins. Otherwise the first k of one write do.
 //
-// Short of k, an erasure stripe whose slots all answer "no shard" past m
-// is a hole, and fewer than k shards of one write is data loss. A copy no
-// primary holds may live down the HRW order after a move (paper §V-C):
-// the deep probe finds it and the read lazily repairs it. "Absent
-// everywhere" is a hole only across a gather + deep probe no move
-// overlapped: a mover bumps the move sequence between confirming a copy
-// and releasing its source, and a fenced node's stripes may be in transit
-// out of reach (a detached evacuation source), so the walk repeats until
-// neither happened since moveSeq, loaded when the read began. No node
-// reachable anywhere is data loss.
-func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, moveSeq uint64) (err error) {
+// Each slot the gather asks is served by its node or, past a node that
+// lacks the key, by its successors (serve). Short of k, a stripe more
+// than n-k of whose slots answer "absent" is a hole; fewer than k slots
+// of one write is data loss.
+func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte) (err error) {
 	degraded := false
 	defer func() {
 		outcome := "ok"
@@ -563,126 +555,73 @@ func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, moveSeq uint6
 	if f.fs.repairs.holds(sk) && 2*f.k <= f.n {
 		mode = gatherAll
 	}
-	for pause := time.Millisecond; ; pause = min(2*pause, movePassPause) {
-		g := f.gatherStripe(tr, sk, span.Index, stripeLen, mode)
-		if g.found >= f.k {
-			degraded = f.noteStripeState(tr, sk, span.Index, g)
-			// The winner's window: a copy's payload from the span's offset,
-			// or the k data shards joined (rebuilt when one is missing).
-			n := 0
-			if f.coder == nil {
-				for i := range g.slots {
-					if s := &g.slots[i]; g.won(s) {
-						n = copy(dst, s.payload[min(int(span.Offset), len(s.payload)):])
-						break
-					}
-				}
-			} else {
-				var shards [][]byte
-				if shards, err = f.gatherData(tr, g); err == nil {
-					n, err = f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
-				}
-			}
-			g.release(f.fs)
-			clear(dst[n:])
-			return err
+	g := f.gatherStripe(tr, sk, span.Index, stripeLen, mode)
+	defer g.release(f.fs)
+	switch {
+	case g.found >= f.k:
+	case g.hole(f.k):
+		// Even a stripe that had lost its whole failure budget would show
+		// a survivor among that many slots: never written, and absence is
+		// its state, so nothing is queued.
+		clear(dst)
+		return nil
+	default:
+		f.noteStripeState(tr, sk, span.Index, g)
+		if g.present == 0 && g.absent == 0 {
+			return fmt.Errorf("%w: %s (no reachable slot)", ErrDataLoss, sk)
 		}
-		g.release(f.fs)
-		if f.coder != nil {
-			if g.present == 0 && g.absent > f.coder.M() {
-				// More than m slots answered "no shard": even a stripe that
-				// had lost its whole failure budget would show a survivor
-				// among them. Never written — a hole, and absence is its
-				// state, so nothing is queued.
-				clear(dst)
-				return nil
-			}
-			f.noteStripeState(tr, sk, span.Index, g)
-			if g.present == 0 && g.absent == 0 {
-				return fmt.Errorf("%w: %s (no reachable shard)", ErrDataLoss, sk)
-			}
-			return fmt.Errorf("%w: %s (%d of %d shards of one write)", ErrDataLoss, sk, g.found, f.k)
-		}
-		probe := f.placer.ProbeOrder(sk)
-		node, n, reachable := f.deepProbe(tr, span, dst, probe, g.nodes)
-		if node != "" {
-			f.fs.stats.deepProbes.Add(1)
-			leg := tr.leg("lazy-repair")
-			f.repairStripe(dataKey(sk), node, g.nodes)
-			leg.End(nil)
-			// Served off its placement: correct bytes, wrong node. The
-			// primaries the lazy move did not refill are the queue's.
-			degraded = f.noteStripeState(tr, sk, span.Index, g)
-			clear(dst[n:])
-			return nil
-		}
-		if !reachable && g.absent == 0 {
-			return fmt.Errorf("%w: %s (no reachable replica)", ErrDataLoss, dataKey(sk))
-		}
-		fenced := slices.ContainsFunc(probe, f.fs.isDraining)
-		seq := f.fs.moveSeq.Load()
-		if seq == moveSeq && !fenced {
-			clear(dst) // absent on every reachable node: a hole
-			return nil
-		}
-		if fenced {
-			time.Sleep(pause)
-		}
-		moveSeq = seq
+		return fmt.Errorf("%w: %s (%d of %d slots of one write)", ErrDataLoss, sk, g.found, f.k)
 	}
+	degraded = f.noteStripeState(tr, sk, span.Index, g)
+	// The winner's window: a copy's payload from the span's offset, or
+	// the k data shards joined (rebuilt when one is missing).
+	n := 0
+	if f.coder == nil {
+		for i := range g.slots {
+			if s := &g.slots[i]; g.won(s) {
+				n = copy(dst, s.payload[min(int(span.Offset), len(s.payload)):])
+				break
+			}
+		}
+	} else {
+		var shards [][]byte
+		if shards, err = f.gatherData(tr, g); err == nil {
+			n, err = f.coder.JoinInto(dst, shards, int(span.Offset), int(stripeLen))
+		}
+	}
+	clear(dst[n:])
+	return err
 }
 
-// deepProbe asks the nodes of probe that are not primaries, healthy first,
-// for a copy of the span's stripe, reading the span into dst. It returns
-// the node that held one and how many bytes arrived ("" when none did),
-// and whether any node answered at all.
-func (f *File) deepProbe(tr *opTrace, span stripe.Span, dst []byte, probe, primaries []string) (string, int, bool) {
-	strays := slices.DeleteFunc(slices.Clone(probe), func(n string) bool { return slices.Contains(primaries, n) })
-	key := dataKey(stripe.Key(f.rec.ID, span.Index))
-	reachable := false
-	for _, node := range f.fs.healthOrder(strays) {
-		var st kvstore.OpStat
-		n, ok, err := f.getInto(node, key, erasure.HeaderSize+span.Offset, span.Length, dst, &st)
-		cls := f.fs.conns.class(node)
-		f.fs.obs.stripeHist("read", cls).Observe(st.Dur)
-		switch {
-		case err != nil:
-			tr.phaseOp(span.Index, node, cls, st, "error") // unreachable or failed: ask the next
-		case !ok:
-			reachable = true
-			tr.phaseOp(span.Index, node, cls, st, "miss")
-		default:
-			tr.phaseOp(span.Index, node, cls, st, "deep")
-			return node, n, true
+// serve asks for slot i of stripe sk (nodes are its slots) through ask,
+// which reports whether a node holds the slot's key: first the slot's
+// node, then, once a node lacks the key, the slot's successors (DESIGN
+// §5, "One placement rule"). A successor is the node slots gives the
+// position with every node asked so far gone, which is where a move sends
+// the key. The walk leaves the slot's node when it answers "absent" or
+// passes its slots on (fenced, or left), and a successor only when it
+// passes its slots on. It returns the node that held the key, or "" and
+// the first error on the way: a node that did not answer may hold it.
+func (f *File) serve(sk string, i int, nodes []string, ask func(node string) (bool, error)) (string, error) {
+	var past []string
+	var first error
+	for node := nodes[i]; ; {
+		held, err := ask(node)
+		if held {
+			return node, nil
+		}
+		if first == nil {
+			first = err
+		}
+		passing := f.fs.isDraining(node) || !f.fs.detector.Known(node)
+		if !passing && (err != nil || len(past) > 0) {
+			return "", first
+		}
+		past = append(past, node)
+		if node = f.fs.slots(f.placer, sk, f.n, past...)[i]; slices.Contains(past, node) {
+			return "", first // no node left to ask
 		}
 	}
-	return "", 0, reachable
-}
-
-// repairStripe lazily moves a stripe found off its HRW placement back to
-// it, then removes the stray copy — the "lazy movement" that lets MemFSS
-// change membership without stopping the computation. It is the mover's
-// one-key case, seeded with this handle so it costs no metadata round
-// trip: the stray is copied to the first healthy node of the probe order
-// with SETNX, as every stray is (a writer may have refilled the primary
-// since the reader probed it), and compare-deleted. The remaining
-// primaries are the repair queue's. Best effort: the read already
-// succeeded.
-func (f *File) repairStripe(key, from string, primaries []string) {
-	if f.fs.nodeState(f.fs.healthOrder(primaries)[0]) != health.Up {
-		return // no primary to move to: moving would only displace the stray
-	}
-	cli, err := f.fs.conns.client(from)
-	if err != nil {
-		return
-	}
-	mv := f.fs.newMover(cli, from)
-	mv.files[f.rec.ID] = &moveFile{File: f}
-	mv.move(context.Background(), []string{key}, math.MaxInt64, func(_ string, o moveOutcome) {
-		if o == moveMoved {
-			f.fs.stats.repairs.Add(1)
-		}
-	})
 }
 
 // ecSlot is one slot's observed state during a gather: a shard, or one
@@ -690,6 +629,10 @@ func (f *File) repairStripe(key, from string, primaries []string) {
 type ecSlot struct {
 	probed  bool
 	present bool
+	at      string // the node that held the key: the slot's, or a successor
+	// missed is set, possibly after the gather settled, once the slot's
+	// own node answered that it lacks the key.
+	missed  atomic.Bool
 	gen     uint64
 	id      uint64
 	payload []byte
@@ -803,6 +746,7 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	shardEst := slotLen(stripeLen)
 	type fetch struct {
 		slot int
+		at   string // the node that held the slot's key
 		data []byte
 		buf  *[]byte
 		ok   bool
@@ -816,25 +760,49 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	if mode == gatherHeaders {
 		hdrs = make([]byte, n*erasure.HeaderSize)
 	}
-	get := func(i int, st *kvstore.OpStat) fetch {
-		// Built here, where it does not escape the fetch, the key stays on
-		// the stack. Every copy of a replicated stripe shares one key.
+	g := &ecGather{nodes: nodes, slots: make([]ecSlot, n)}
+	// get fetches slot i from the node that serves it (serve), recording
+	// each store op it sends.
+	get := func(i int) fetch {
+		// Every copy of a replicated stripe shares one key.
 		key := dataKey(sk)
 		if f.coder != nil {
 			key = shardKey(key, i)
 		}
-		switch mode {
-		case gatherFirstK:
-			buf := f.fs.shardBuf(int(full))
-			got, ok, err := f.getShard(nodes[i], key, shardEst, *buf, st)
-			return fetch{slot: i, data: (*buf)[:got], buf: buf, ok: ok, err: err}
-		case gatherAll:
-			data, ok, err := f.getFull(nodes[i], key, shardEst, st)
-			return fetch{slot: i, data: data, ok: ok, err: err}
+		r := fetch{slot: i}
+		if mode == gatherFirstK {
+			r.buf = f.fs.shardBuf(int(full))
 		}
-		hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
-		got, ok, err := f.getInto(nodes[i], key, 0, erasure.HeaderSize, hdr, st)
-		return fetch{slot: i, data: hdr[:got], ok: ok, err: err}
+		r.at, r.err = f.serve(sk, i, nodes, func(node string) (bool, error) {
+			var st kvstore.OpStat
+			var got int
+			switch mode {
+			case gatherFirstK:
+				got, r.ok, r.err = f.getShard(node, key, shardEst, *r.buf, &st)
+				r.data = (*r.buf)[:got]
+			case gatherAll:
+				r.data, r.ok, r.err = f.getFull(node, key, shardEst, &st)
+			default:
+				hdr := hdrs[i*erasure.HeaderSize : (i+1)*erasure.HeaderSize]
+				got, r.ok, r.err = f.getInto(node, key, 0, erasure.HeaderSize, hdr, &st)
+				r.data = hdr[:got]
+			}
+			if node == nodes[i] && !r.ok && r.err == nil {
+				g.slots[i].missed.Store(true)
+			}
+			cls := f.fs.conns.class(node)
+			if !probeAll {
+				o.stripeHist("read", cls).Observe(st.Dur)
+			}
+			out := "miss"
+			if r.err != nil || r.ok {
+				out = phaseOutcome(r.err, st.Attempts)
+			}
+			tr.phaseOp(idx, node, cls, st, out)
+			return r.ok, r.err
+		})
+		r.ok = r.at != ""
+		return r
 	}
 	// Health-ordered slots, stable: detector-Up targets first, so the
 	// first wave is shards the evidence says are actually fetchable.
@@ -859,20 +827,7 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		for ; c > 0 && launched < n; c-- {
 			i := order[launched]
 			launched++
-			go func() {
-				var st kvstore.OpStat
-				r := get(i, &st)
-				cls := f.fs.conns.class(nodes[i])
-				if !probeAll {
-					o.stripeHist("read", cls).Observe(st.Dur)
-				}
-				out := "miss"
-				if r.err != nil || r.ok {
-					out = phaseOutcome(r.err, st.Attempts)
-				}
-				tr.phaseOp(idx, nodes[i], cls, st, out)
-				ch <- r
-			}()
+			go func() { ch <- get(i) }()
 		}
 	}
 	start := time.Now()
@@ -889,7 +844,6 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	}
 	var timer *time.Timer
 	var expired <-chan time.Time
-	g := &ecGather{nodes: nodes, slots: make([]ecSlot, n)}
 	counts := make(map[[2]uint64]int, 1)
 	best := 0 // largest shard group of one write so far
 	for {
@@ -923,7 +877,7 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		}
 		received++
 		s := &g.slots[r.slot]
-		s.probed, s.buf = true, r.buf
+		s.probed, s.buf, s.at = true, r.buf, r.at
 		if mode == gatherAll {
 			s.raw = r.data
 		}
@@ -982,6 +936,14 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	return g
 }
 
+// hole reports whether a gather that found no k slots of one write saw a
+// stripe never written: no slot present, and more than n-k absent. A
+// write reaches k slots before it is acknowledged, so a written stripe
+// would show one among them.
+func (g *ecGather) hole(k int) bool {
+	return g.present == 0 && g.absent > len(g.slots)-k
+}
+
 // won reports whether a slot holds a shard of the winning write.
 func (g *ecGather) won(s *ecSlot) bool {
 	return s.present && s.gen == g.gen && s.id == g.id
@@ -1037,7 +999,9 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 	for i := range g.slots {
 		s := &g.slots[i]
 		if !s.probed {
-			if f.fs.nodeState(g.nodes[i]) != health.Up {
+			// A slot still walking to its successor when the read settled
+			// may be short: its node lacks the key.
+			if f.fs.nodeState(g.nodes[i]) != health.Up || s.missed.Load() {
 				needs = true
 			}
 			continue
@@ -1100,27 +1064,4 @@ func meterExcess(th *container.Throttle, got, est int64) {
 	if got > est {
 		_ = th.Take(got - est)
 	}
-}
-
-// healthOrder stably reorders a probe list so detector-Up nodes come
-// first; relative HRW order is preserved within each group. Draining
-// nodes sort with the unhealthy — reads still probe them (the data may
-// only exist there until the drain completes) but prefer settled copies.
-func (fs *FileSystem) healthOrder(nodes []string) []string {
-	if len(nodes) <= 1 {
-		return nodes
-	}
-	healthy := make([]string, 0, len(nodes))
-	var rest []string
-	for _, n := range nodes {
-		if fs.nodeState(n) == health.Up {
-			healthy = append(healthy, n)
-		} else {
-			rest = append(rest, n)
-		}
-	}
-	if len(rest) == 0 {
-		return nodes
-	}
-	return append(healthy, rest...)
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memfss/internal/erasure"
@@ -65,11 +64,8 @@ type FileSystem struct {
 	drainMu   sync.Mutex
 	drainBusy map[string]bool
 
-	// moveMu serializes the stripe mover's batches; moveSeq counts the
-	// points where copies are confirmed and their sources not yet
-	// released (see move.go for both invariants).
-	moveMu  sync.Mutex
-	moveSeq atomic.Uint64
+	// moveMu serializes the stripe mover's batches (see move.go).
+	moveMu sync.Mutex
 
 	// qosMu/lastReclaim debounce the no-space-triggered background drains
 	// (see noteNoSpace in qos.go).
@@ -325,14 +321,15 @@ func (fs *FileSystem) snapshot() []fsmeta.ClassSnapshot {
 }
 
 // slots is the one placement rule: readers, writers, repair and the
-// evacuation mover find a stripe's n slots here (DESIGN §5). They are the
-// snapshot's HRW rank order, except that a node that has left — unknown
-// to the detector (released, or never configured here), or gone — keeps
+// mover find a stripe's n slots here (DESIGN §5). They are the snapshot's
+// HRW rank order, except that a node that has left — unknown to the
+// detector (released, or never configured here), or named in gone — keeps
 // its position and passes its slot to the next node of the probe order
-// that is still known and holds no slot.
-func (fs *FileSystem) slots(pl *hrw.Placer, sk string, n int, gone string) []string {
+// that is still known and holds no slot. That node is the position's
+// successor (File.serve).
+func (fs *FileSystem) slots(pl *hrw.Placer, sk string, n int, gone ...string) []string {
 	nodes := pl.PlaceK(sk, n)
-	left := func(node string) bool { return node == gone || !fs.detector.Known(node) }
+	left := func(node string) bool { return slices.Contains(gone, node) || !fs.detector.Known(node) }
 	if !slices.ContainsFunc(nodes, left) {
 		return nodes
 	}

@@ -577,76 +577,6 @@ func TestErasurePartialOverwrite(t *testing.T) {
 	}
 }
 
-func TestLazyRepairOnRead(t *testing.T) {
-	d := newTestFS(t, 2, 2)
-	data := randomBytes(51, 4096) // exactly one stripe
-	if err := d.fs.WriteFile("/lazy", data); err != nil {
-		t.Fatal(err)
-	}
-	f, err := d.fs.Open("/lazy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := dataKey("f-1#0")
-	primary := f.placer.Place("f-1#0")
-	f.Close()
-
-	// Displace the stripe: copy it to some other node and delete the
-	// primary copy, as if membership had changed under lazy movement.
-	findStore := func(nodeID string) interface {
-		Set(string, []byte) error
-		Get(string) ([]byte, bool, error)
-		Del(...string) int
-	} {
-		all := append(append([]NodeSpec{}, d.own.Nodes...), d.victims.Nodes...)
-		for i, n := range all {
-			if n.ID == nodeID {
-				if i < len(d.own.Nodes) {
-					return d.own.Server(i).Store()
-				}
-				return d.victims.Server(i - len(d.own.Nodes)).Store()
-			}
-		}
-		t.Fatalf("node %s not found", nodeID)
-		return nil
-	}
-	primStore := findStore(primary)
-	val, ok, err := primStore.Get(key)
-	if err != nil || !ok {
-		t.Fatalf("stripe not at primary %s: %v %v", primary, ok, err)
-	}
-	var other string
-	for _, n := range append(append([]NodeSpec{}, d.own.Nodes...), d.victims.Nodes...) {
-		if n.ID != primary {
-			other = n.ID
-			break
-		}
-	}
-	if err := findStore(other).Set(key, val); err != nil {
-		t.Fatal(err)
-	}
-	primStore.Del(key)
-
-	// Read must find the stray copy and repair it back to the primary.
-	got, err := d.fs.ReadFile("/lazy")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read of displaced stripe: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok, _ := primStore.Get(key); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stripe not repaired back to primary")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, ok, _ := findStore(other).Get(key); ok {
-		t.Fatal("stray copy not deleted after repair")
-	}
-}
-
 func TestConcurrentWriters(t *testing.T) {
 	d := newTestFS(t, 2, 4)
 	const workers = 8

@@ -14,26 +14,24 @@ import (
 	"memfss/internal/qos"
 )
 
-// This file is the one stripe mover: evacuation, the partial drain and a
-// read's lazy repair all move data keys off a source node through
-// moveBatch, which owns two invariants (DESIGN.md, "One stripe mover").
-// Towards readers: fs.moveSeq is bumped after a copy is confirmed and
-// before its source is released, and a read that found a stripe nowhere
-// gathers and deep-probes again when the sequence changed under it or a
-// fence is up (readSpan), so a stripe in transit is never mistaken for a
-// hole. Between movers: batches are serialized per FileSystem
-// (fs.moveMu), so two moves of one key in opposite directions cannot each
-// take the other's source for their confirmed copy and then both release.
+// This file is the one stripe mover: evacuation and the partial drain
+// move data keys off a source node through moveBatch, which sends each key
+// to the successor of the slot position its source serves (DESIGN.md,
+// "One stripe mover"). Towards readers: a key is copied before its source
+// is released, so a source that answers "absent" has a copy at the
+// successor, which is where a read asks next (File.serve). Between
+// movers: batches are serialized per FileSystem (fs.moveMu).
 
 // moveOutcome is what one move did with one key.
 type moveOutcome uint8
 
 const (
-	moveFailed moveOutcome = iota // no destination took it, or the source changed under the move
+	moveFailed moveOutcome = iota // the destination did not take it, or the source changed under the move
 	moveLeft                      // not attempted: past the evict budget, or ctx ended first
 	moveGone                      // absent at the source: nothing to move
-	moveMoved                     // copy confirmed elsewhere (and evicted, when asked)
+	moveMoved                     // copy confirmed at the destination (and evicted, when asked)
 	moveOrphan                    // owning file is gone (evicted uncopied, when asked)
+	moveStays                     // not the mover's to move: a drain's guest, or a stray no read asks for
 )
 
 // moveFile is what a move needs from a key's owning file: a read-only
@@ -150,77 +148,76 @@ func (m *mover) move(ctx context.Context, keys []string, evict int64, visit func
 type moveItem struct {
 	i     int      // index into the batch
 	cands []string // destinations still to try, best first
-	keep  []string // destinations whose copy a SET could clobber: SETNX there
-	slot  string   // an evacuated key's slot after release ("" for a stray)
+	nx    bool     // copy with SETNX (see place)
 }
 
-// place decides where one key goes (DESIGN §5, "One placement rule"). A
-// key in its slot — its shard index, or the source's copy position — is
-// copied with SET, since no writer reaches a node under that key unless
-// it holds the stripe's slot; a copy onto another holder of a replicated
-// stripe is SETNX. A stray, a copy no slot names, goes with SETNX
-// wherever it goes: writers reach its slots. An evacuation sends a key
-// to its slot once the source has left, slots(…, src), and only when that
-// node is not Up, or refuses the copy, to the healthy probe-order nodes
-// that hold no slot. A partial drain or lazy repair keeps its source as a
-// member: its keys go down the probe order minus the source, healthy first.
-// A shard key past the file's slots places nowhere (nil).
-func (m *mover) place(mf *moveFile, key, sk string) *moveItem {
+// place decides where one key goes (DESIGN §5, "One stripe mover"): to
+// the successor of the position its source serves — for a key in its
+// slot (its shard index, or the source's copy position) slots(…, src),
+// for a guest (the source serves another node's slot) one node further
+// along serve's walk. A partial drain keeps its guests, so chains stay
+// one hop long. An evacuated key in its slot whose new node is not Up,
+// or refuses the copy, goes to that node's successor, where reads ask
+// once the source has left. A stray (no slot or successor names it)
+// stays: no read asks for it. A partial drain copies a replica with
+// SETNX, since all copies share one key and one successor. place returns
+// nil and the outcome of a key that does not move.
+func (m *mover) place(mf *moveFile, key, sk string) (*moveItem, moveOutcome) {
 	fs := m.fs
 	cur := mf.targets(sk)
-	post := cur
-	if m.leaving {
-		post = fs.slots(mf.placer, sk, mf.n, m.node)
-	}
-	i := slices.Index(cur, m.node) // the source's slot, or -1
-	want := post                   // a copy may go back to any slot
-	it := &moveItem{keep: cur}
+	var pos []int
 	if _, shard, _ := parseDataKey(key); shard != "" {
-		s, err := strconv.Atoi(shard)
-		if err != nil || s >= len(post) {
-			return nil
+		if s, err := strconv.Atoi(shard); err == nil && s < len(cur) {
+			pos = []int{s}
 		}
-		if s != i {
-			i = -1
+	} else {
+		for i := range cur {
+			pos = append(pos, i)
 		}
-		want, it.keep = post[s:s+1], nil
 	}
-	probe := mf.placer.ProbeOrder(sk)
-	if m.leaving {
-		for _, n := range slices.Concat(want, probe) {
-			if n != m.node && fs.nodeState(n) == health.Up && !slices.Contains(it.cands, n) &&
-				(slices.Contains(want, n) || !slices.Contains(post, n)) {
+	for _, i := range pos {
+		var chain []string
+		held, _ := mf.serve(sk, i, cur, func(node string) (bool, error) {
+			chain = append(chain, node)
+			return node == m.node, nil
+		})
+		if held == "" {
+			continue
+		}
+		if len(chain) > 1 && !m.leaving {
+			return nil, moveStays // a guest
+		}
+		dests := []string{fs.slots(mf.placer, sk, mf.n, chain...)[i]}
+		if m.leaving && len(chain) == 1 {
+			dests = append(dests, fs.slots(mf.placer, sk, mf.n, m.node, dests[0])[i])
+			post := fs.slots(mf.placer, sk, mf.n, m.node)
+			for j := range cur {
+				if j != i && cur[j] != post[j] {
+					m.short[key] = true // another slot passes on at release
+				}
+			}
+		}
+		it := &moveItem{nx: !m.leaving && mf.coder == nil && mf.n > 1}
+		for _, n := range dests {
+			if n != m.node && fs.nodeState(n) == health.Up && !slices.Contains(it.cands, n) {
 				it.cands = append(it.cands, n)
 			}
 		}
-	} else {
-		it.cands = fs.healthOrder(slices.DeleteFunc(probe, func(n string) bool { return n == m.node }))
-	}
-	switch {
-	case i < 0:
-		it.keep = it.cands
-	case m.leaving:
-		it.slot = post[i]
-		for j := range cur {
-			if j != i && cur[j] != post[j] {
-				m.short[key] = true // another slot passes on at release
-			}
+		if len(it.cands) == 0 {
+			return nil, moveFailed
 		}
+		return it, 0
 	}
-	return it
+	return nil, moveStays
 }
 
 // moveBatch moves one batch: a single MGET at the source, then waves of
-// one pipelined SETNX/SET burst per destination, where a key whose burst
-// or reply failed joins the next wave at its next candidate — failing the
-// whole batch instead would retry the same dead destination next pass.
-// Each key's candidates and verb come from place; they favour healthy
-// nodes, since with a holder concurrently dead, rank order alone would
-// keep steering copies at the Down node. An evicting move then
-// compare-deletes what it copied (and orphans) against what it read — a
-// stripe value by its header alone (delValArg), since core writes one
-// payload per (generation, write ID) per key — so a write that raced the
-// move keeps its update and fails the key.
+// one pipelined SET/SETNX burst per destination, where a key whose burst
+// or reply failed joins the next wave at its next candidate. An evicting
+// move then compare-deletes what it copied (and orphans) against what it
+// read — a stripe value by its header alone (delValArg), since core
+// writes one payload per (generation, write ID) per key — so a write that
+// raced the move keeps its update and fails the key.
 func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed int64) {
 	fs := m.fs
 	out = make([]moveOutcome, len(keys))
@@ -244,7 +241,6 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 			out[i] = moveGone
 			continue
 		}
-		budget -= cost(i)
 		id, sk, _, ok := stripeOfKey(key)
 		if !ok {
 			continue
@@ -255,18 +251,19 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 		}
 		if mf == nil {
 			out[i] = moveOrphan
-			continue
-		}
-		if it := m.place(mf, key, sk); it != nil {
+		} else if it, o := m.place(mf, key, sk); it != nil {
 			it.i = i
 			pend = append(pend, it)
+		} else {
+			out[i] = o
+			continue
 		}
+		budget -= cost(i)
 	}
-	copied := false
 	for len(pend) > 0 {
 		perDest := make(map[string][]*moveItem)
 		for _, it := range pend {
-			if len(it.cands) > 0 { // else no live node accepts it: failed
+			if len(it.cands) > 0 { // else no destination took it: failed
 				perDest[it.cands[0]] = append(perDest[it.cands[0]], it)
 				it.cands = it.cands[1:]
 			}
@@ -285,7 +282,7 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 			if err == nil {
 				pl := dst.Pipeline()
 				for _, it := range wave {
-					if slices.Contains(it.keep, dest) {
+					if it.nx {
 						pl.SetNX(keys[it.i], vals[it.i])
 					} else {
 						pl.Set(keys[it.i], vals[it.i])
@@ -294,25 +291,18 @@ func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed 
 				replies, err = pl.Run()
 			}
 			for j, it := range wave {
-				// A :0 SETNX reply means a copy already lives there — done.
-				// A store-level rejection (destination over its cap) tries
-				// the next candidate like a transport failure does.
-				if err == nil && replies[j].Err() == nil {
-					out[it.i] = moveMoved
-					copied = true
-					if it.slot != "" && dest != it.slot {
-						m.short[keys[it.i]] = true // fell back off its slot
-					}
-				} else {
+				switch {
+				case err != nil || replies[j].Err() != nil:
+					// A store-level rejection (destination over its cap)
+					// tries the next candidate like a transport failure.
 					pend = append(pend, it)
+				case !it.nx || replies[j].Int == 1:
+					out[it.i] = moveMoved
 				}
+				// A :0 SETNX reply: the successor serves another slot of
+				// the stripe, and the key stays (moveFailed).
 			}
 		}
-	}
-	if copied {
-		// Copies confirmed, sources not yet released: a reader that saw a
-		// key nowhere across this point looks again (readSpan).
-		fs.moveSeq.Add(1)
 	}
 	if evict <= 0 {
 		return out, 0

@@ -1,14 +1,12 @@
 package core
 
-// Tests of the stripe mover (move.go) through its three callers.
+// Tests of the stripe mover (move.go) through its two callers.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"testing"
-
-	"memfss/internal/erasure"
 )
 
 // ownOpsAndData sums the own stores' executed-command counters and counts
@@ -78,58 +76,5 @@ func TestMoveResolvesOncePerFile(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after the moves: %v", p, err)
 		}
-	}
-}
-
-// TestLazyRepairDoesNotClobberNewerPrimary: a reader's deep probe finds a
-// stray v1 off-placement, and before its lazy repair runs a writer lands
-// v2 on the primary. The repair fills holes only (SETNX) — it must never
-// put the stray's bytes over the newer primary.
-func TestLazyRepairDoesNotClobberNewerPrimary(t *testing.T) {
-	d := newTestFS(t, 2, 2)
-	v1, v2 := randomBytes(61, 4096), randomBytes(62, 4096)
-	if err := d.fs.WriteFile("/lazy", v2); err != nil {
-		t.Fatal(err)
-	}
-	f, err := d.fs.Open("/lazy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sk := "f-1#0"
-	key := dataKey(sk)
-	primaries := f.targets(sk)
-	var stray string
-	for _, n := range f.placer.ProbeOrder(sk) {
-		if n != primaries[0] {
-			stray = n
-			break
-		}
-	}
-	strayCli, err := d.fs.conns.client(stray)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strayCli.Set(key, v1); err != nil {
-		t.Fatal(err)
-	}
-
-	f.repairStripe(key, stray, primaries)
-
-	primCli, err := d.fs.conns.client(primaries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := primCli.Get(key)
-	if _, _, payload, perr := erasure.ParseShard(got); err != nil || !ok || perr != nil || !bytes.Equal(payload, v2) {
-		t.Fatalf("primary after lazy repair: present=%v err=%v, newer bytes kept=%v", ok, err, bytes.Equal(payload, v2))
-	}
-	if got, err := d.fs.ReadFile("/lazy"); err != nil || !bytes.Equal(got, v2) {
-		t.Fatalf("read after lazy repair returns stale bytes: %v", err)
-	}
-	// The stray is redundant once the primary holds a copy: the repair
-	// compare-deletes it.
-	if _, ok, _ := strayCli.Get(key); ok {
-		t.Error("stray copy left behind though the primary holds the stripe")
 	}
 }

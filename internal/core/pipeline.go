@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"memfss/internal/erasure"
+	"memfss/internal/health"
 	"memfss/internal/kvstore"
 	"memfss/internal/stripe"
 )
@@ -17,7 +18,7 @@ import (
 // per target node, split into PipelineDepth-sized bursts, and the bursts
 // shipped as wire pipelines — IOParallelism bursts in flight at once, each
 // on its own pooled connection. file.go keeps what a burst cannot do: the
-// erasure prepare, the gather, the deep probe, lazy repair.
+// erasure prepare and the gather.
 
 // spanCmd is one queued store command. It is typed rather than a
 // pre-marshaled [][]byte so queueing encodes straight into the pipeline's
@@ -26,19 +27,20 @@ import (
 type spanCmd struct {
 	slot int   // where the caller files this command's outcome
 	idx  int64 // stripe index, for trace attribution
-	op   byte  // opSet, opVSet, or opGetRange
+	op   byte  // opSet, opVSet, opSetNX or opGetRange
 	key  string
 	id   uint64 // VSET write ID
 	off  int64  // VSET payload offset (kvstore.Whole replaces) or GETRANGE offset
 	n    int64  // payload/read bytes, for victim throttling
 	hdr  []byte // shard header sent before data (opSet)
-	data []byte // write payload (opSet, opVSet)
+	data []byte // write payload (opSet, opVSet, opSetNX)
 	dst  []byte // read destination (opGetRange); len(dst) == n
 }
 
 const (
 	opSet      byte = iota // an erasure shard, its header stamped by the writer
 	opVSet                 // a replica, its header stamped by the store
+	opSetNX                // a replica hole's first bytes, header included (vsetMoved)
 	opGetRange             // a replica's payload range
 )
 
@@ -48,6 +50,8 @@ func (c *spanCmd) verb() string {
 		return "SET"
 	case opVSet:
 		return "VSET"
+	case opSetNX:
+		return "SETNX"
 	default:
 		return "GETRANGE"
 	}
@@ -60,6 +64,8 @@ func (c *spanCmd) queue(pl *kvstore.Pipeline) {
 		pl.Set(c.key, c.hdr, c.data)
 	case opVSet:
 		pl.VSet(c.key, c.id, c.off, c.data)
+	case opSetNX:
+		pl.SetNX(c.key, c.data)
 	default:
 		pl.GetRangeInto(c.key, c.off, c.n, c.dst)
 	}
@@ -180,9 +186,10 @@ var poisonReleased atomic.Bool
 // leading plans succeeded with the first error in plan order.
 func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 	type slotResult struct {
-		err     error
-		retried bool
-		gen     int64 // the generation a VSET stamped
+		err          error
+		retried      bool
+		gen          int64 // the generation a VSET stamped
+		plan, target int
 	}
 	slots := 0
 	for i := range plans {
@@ -220,6 +227,7 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 					c = pl.shards[ti]
 				}
 				c.slot = slot
+				results[slot].plan, results[slot].target = i, ti
 				if _, ok := perNode[node]; !ok {
 					nodeOrder = append(nodeOrder, node)
 				}
@@ -247,8 +255,9 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 					f.fs.noteNoSpace(nb.node)
 				}
 				res.err = fmt.Errorf("memfss: %s %s on %s: %w", c.verb(), c.key, nb.node, rerr)
-			} else {
-				res.gen = replies[j].Int
+			} else if res.gen = replies[j].Int; res.gen == 0 && c.op == opVSet {
+				// An offset VSET found no key on its slot.
+				res.gen, res.err = f.vsetMoved(tr, &plans[res.plan], res.target)
 			}
 		}
 		return nil
@@ -306,6 +315,51 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 	return okPlans, firstErr
 }
 
+// vsetMoved lands the offset VSET of plan pl whose slot i answered that
+// it holds no key: a move sent the stripe to the slot's successor, and
+// the write follows it there (serve). Where no successor holds it either,
+// the stripe is a hole, which the write creates on its slot with SETNX —
+// a first write's header, zeros up to the offset, then the patch. A SETNX
+// that loses to a racing writer repeats the VSET on the slot. It returns
+// the generation the write stamped.
+func (f *File) vsetMoved(tr *opTrace, pl *stripePlan, i int) (int64, error) {
+	one := func(node string, c spanCmd) (int64, error) {
+		replies, _, err := f.runBurst(tr, "write", nodeBurst{node: node, cmds: []spanCmd{c}})
+		if err == nil {
+			err = replies[0].Err()
+		}
+		if err == nil {
+			return replies[0].Int, nil
+		}
+		if isNoSpace(err) {
+			f.fs.noteNoSpace(node)
+		}
+		return 0, fmt.Errorf("memfss: %s %s on %s: %w", c.verb(), c.key, node, err)
+	}
+	c, gen, asked := pl.cmd, int64(0), false
+	_, err := f.serve(pl.sk, i, pl.nodes, func(node string) (held bool, err error) {
+		if asked { // the burst asked the slot's node
+			gen, err = one(node, c)
+		}
+		asked = true
+		return gen > 0, err
+	})
+	if gen > 0 || err != nil {
+		return gen, err
+	}
+	value := make([]byte, erasure.HeaderSize+c.off+int64(len(c.data)))
+	erasure.PutHeader(value, 1, c.id)
+	copy(value[erasure.HeaderSize+c.off:], c.data)
+	created, err := one(pl.nodes[i], spanCmd{idx: c.idx, op: opSetNX, key: c.key, n: int64(len(value)), data: value})
+	if err != nil || created == 1 {
+		return 1, err
+	}
+	if gen, err = one(pl.nodes[i], c); err == nil && gen == 0 {
+		err = fmt.Errorf("memfss: VSET %s on %s: the stripe moved under the write", c.key, pl.nodes[i])
+	}
+	return gen, err
+}
+
 // settleWrite decides one stripe write's fate from its per-slot outcomes.
 // All slots landed on copies that agree (split is false): success. Any
 // store-level error: that error (it would fail identically on retry, so it
@@ -339,11 +393,9 @@ var errUnread = errors.New("memfss: span not read")
 // copy, past the header, in pipelined bursts decoded straight into p (no
 // intermediate copies). Every other span — erasure-coded, held, or missed
 // by the burst (absent key, error reply, unreachable node) — is read by
-// readSpan, through the gather. The move sequence is loaded before any
-// fetch (see readSpan). Returns the leading-success count and the first
-// error in span order.
+// readSpan, through the gather. Returns the leading-success count and the
+// first error in span order.
 func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
-	moveSeq := f.fs.moveSeq.Load()
 	errs := make([]error, len(spans))
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
@@ -362,7 +414,11 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 		// First *healthy* target, not blindly rank 0: bursting GETRANGEs
 		// at a Down primary would stall every span in the burst behind its
 		// retry budget before falling back.
-		node := f.fs.healthOrder(f.targets(sk))[0]
+		targets := f.targets(sk)
+		node := targets[0]
+		if i := slices.IndexFunc(targets, func(n string) bool { return f.fs.nodeState(n) == health.Up }); i > 0 {
+			node = targets[i]
+		}
 		if _, ok := perNode[node]; !ok {
 			nodeOrder = append(nodeOrder, node)
 		}
@@ -380,10 +436,10 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 				outcome = "retry"
 			}
 			for j, c := range nb.cmds {
-				// An absent key (stray or hole), an error reply or a failed
-				// burst leaves the span to readSpan. Otherwise the payload is
-				// already in place (Bulk aliases c.dst), and a short stripe
-				// reads as zeros past its end.
+				// An absent key (moved to a successor, or a hole), an error
+				// reply or a failed burst leaves the span to readSpan.
+				// Otherwise the payload is already in place (Bulk aliases
+				// c.dst), and a short stripe reads as zeros past its end.
 				if err == nil && replies[j].Err() == nil && !replies[j].Nil {
 					clear(c.dst[len(replies[j].Bulk):])
 					errs[c.slot] = nil
@@ -396,7 +452,7 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 	if slices.Contains(errs, errUnread) {
 		_ = fanoutN(f.fs.ioPar, len(spans), func(i int) error {
 			if errs[i] != nil { // a span the burst served costs nothing here
-				errs[i] = f.readSpan(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], moveSeq)
+				errs[i] = f.readSpan(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
 			}
 			return nil
 		})

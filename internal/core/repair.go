@@ -14,7 +14,7 @@ import (
 // This file implements the targeted repair queue: instead of waiting for
 // an operator-driven full-namespace Scrub, the data path enqueues the
 // exact path#stripe units it *knows* are under-replicated (degraded
-// writes, deep-probe misses), and a background repairer restores their
+// writes, degraded reads), and a background repairer restores their
 // redundancy as soon as the missing placement targets are healthy again —
 // Hydra-style targeted re-replication. The queue is an optimization, not
 // a correctness mechanism: on overflow it schedules one full Scrub as the

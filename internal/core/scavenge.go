@@ -190,9 +190,11 @@ func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
 //  1. fence: the node enters Draining — replicated writes skip it (with
 //     quorum accounting) while reads keep probing it.
 //  2. drain: repeated mover passes (move.go) copy every data key to the
-//     node that holds its slot once this one has left (fs.slots). Per-key
-//     failures are retried on the next pass; the loop is idempotent, so a
-//     crashed or interrupted evacuation can simply be re-run.
+//     node that serves its slot position once this one has left
+//     (fs.slots): a key in its slot to the slot's new node, a guest one
+//     successor further on. Per-key failures are retried on the next
+//     pass; the loop is idempotent, so a crashed or interrupted
+//     evacuation can simply be re-run.
 //  3. detach: the node leaves the classes new files snapshot and the
 //     connection pool (no write reaches it any more), while this
 //     evacuation keeps the client. Existing files' slots still name it.
@@ -312,9 +314,8 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 	// mentioning it.
 	fs.detector.Unregister(nodeID)
 	// Its slots have passed on. The stripes left short — another slot
-	// re-seated, a copy fallen back off its slot, a key unresolved — are
-	// the repair queue's, and so are units parked on the node: no slot
-	// names it any more.
+	// re-seated, or a key unresolved — are the repair queue's, and so are
+	// units parked on the node: no slot names it any more.
 	for key := range mv.short {
 		if id, sk, idx, ok := stripeOfKey(key); ok {
 			if mf, _ := mv.file(id); mf != nil {
@@ -428,12 +429,17 @@ type DrainReport struct {
 //
 // The node is fenced Draining for the duration so replicated writes stop
 // adding to it, then unfenced — it stays registered and keeps serving. A
-// key moves with copy-then-compare-delete: the value is copied out, then
-// deleted at the source only if still byte-identical (DELVAL; for a
-// stripe value, header-identical, which is the same test because core
-// writes exactly one payload per (generation, write ID) per key), so a
-// write racing the drain never loses its update — the key is simply
-// skipped and left for the next pressure sweep.
+// key leaves for good: it goes to the successor of the slot it fills (the
+// node that slot passes to when this one is gone), where reads, writes,
+// repair and the census look next once the source answers "absent", and
+// nothing moves it back. A stripe later rewritten whole lands on its slot
+// again, like any new bytes. Keys the node holds for another node's slot
+// (guests) stay. A key moves with copy-then-compare-delete: the value is
+// copied out, then deleted at the source only if still byte-identical
+// (DELVAL; for a stripe value, header-identical, which is the same test
+// because core writes exactly one payload per (generation, write ID) per
+// key), so a write racing the drain never loses its update — the key is
+// simply skipped and left for the next pressure sweep.
 func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes int64) (*DrainReport, error) {
 	cli, err := fs.claimVictim(nodeID)
 	if err != nil {
@@ -501,9 +507,10 @@ func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes 
 				if t := fs.tenants(); t != nil {
 					t.NoteReclaim(mv.priority(key), 1)
 				}
-			case moveFailed:
-				// No live destination, value changed under us, store
-				// errors: left for the next pressure sweep.
+			case moveFailed, moveStays:
+				// A destination not Up, a value changed under us, store
+				// errors: left for the next pressure sweep. A guest or a
+				// stray is not this drain's to move.
 				skipped[key] = true
 			}
 		})
@@ -537,7 +544,8 @@ func parseDataKey(key string) (fileID, shardIdx string, ok bool) {
 
 // VerifyFile re-reads every stripe of a file and reports whether all bytes
 // are reachable — the payload-reading check behind `memfsctl verify`.
-// Being a read, it deep-probes and repairs; Fsck's census does neither.
+// Being a read, it queues what it finds short for repair; Fsck's census
+// does not.
 func (fs *FileSystem) VerifyFile(path string) error {
 	f, err := fs.Open(path)
 	if err != nil {

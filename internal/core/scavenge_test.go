@@ -203,9 +203,8 @@ func TestEvacuationRestoresRedundancy(t *testing.T) {
 
 // TestUnreplicatedFileAfterEvacuation: an R = 1 stripe whose only slot
 // sat on the evacuated node lives on the slot's next node after release,
-// so an in-place overwrite reaches it (the parent failed 5 of 6 with
-// "unknown node") and reads find it on their first ask — no deep probe,
-// no lazy move (the parent deep-probed and moved 10 stripes every pass).
+// so an in-place overwrite reaches it (5 of 6 used to fail with "unknown
+// node"), reads return it, and the census finds every key in its slot.
 func TestUnreplicatedFileAfterEvacuation(t *testing.T) {
 	d := newTestFS(t, 2, 4)
 	var paths []string
@@ -236,7 +235,6 @@ func TestUnreplicatedFileAfterEvacuation(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	before := d.fs.Counters()
 	for pass := 0; pass < 3; pass++ {
 		for p, want := range files {
 			if got, err := d.fs.ReadFile(p); err != nil || !bytes.Equal(got, want) {
@@ -244,9 +242,8 @@ func TestUnreplicatedFileAfterEvacuation(t *testing.T) {
 			}
 		}
 	}
-	after := d.fs.Counters()
-	if probes, moves := after.DeepProbes-before.DeepProbes, after.Repairs-before.Repairs; probes != 0 || moves != 0 {
-		t.Fatalf("three read passes after the evacuation: %d deep probes, %d lazy moves; want 0", probes, moves)
+	if rep, err := d.fs.Fsck(); err != nil || rep.StrayKeys != 0 || rep.Short != 0 || len(rep.Damaged) != 0 {
+		t.Fatalf("Fsck after the evacuation and the overwrites = %+v, %v; want every key in its slot", rep, err)
 	}
 }
 

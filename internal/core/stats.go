@@ -10,8 +10,6 @@ type fsStats struct {
 	bytesRead            *obs.Counter
 	stripeWrites         *obs.Counter
 	stripeReads          *obs.Counter
-	deepProbes           *obs.Counter
-	repairs              *obs.Counter
 	degradedWrites       *obs.Counter
 	skippedReplicaWrites *obs.Counter
 	fencedWrites         *obs.Counter
@@ -46,10 +44,6 @@ func newFSStats(reg *obs.Registry) fsStats {
 			"Span-level store operations.", obs.L("op", "write")),
 		stripeReads: reg.Counter("memfss_fs_stripe_ops_total",
 			"Span-level store operations.", obs.L("op", "read")),
-		deepProbes: reg.Counter("memfss_fs_deep_probes_total",
-			"Reads that had to look beyond the primary placement.", nil),
-		repairs: reg.Counter("memfss_fs_lazy_repairs_total",
-			"Stripes lazily moved back to their primary node by reads.", nil),
 		degradedWrites: reg.Counter("memfss_fs_degraded_writes_total",
 			"Span writes, replicated or erasure-coded, that succeeded with fewer than all copies or shards, or with copies a write apart.", nil),
 		skippedReplicaWrites: reg.Counter("memfss_fs_skipped_replica_writes_total",
@@ -76,13 +70,10 @@ type Counters struct {
 	// StripeWrites / StripeReads count span-level store operations.
 	StripeWrites int64
 	StripeReads  int64
-	// DeepProbes counts reads that found their copy off the stripe's
-	// slots: a stray a partial drain left, or a key an evacuation has
-	// copied to its next slot between detach and release. A health
-	// signal: it should stay near zero in steady state.
+	// DeepProbes is always 0: reads no longer walk the probe order (a
+	// slot whose node lacks the key is served by its successor). The
+	// field stays while the benchmark harness reads core.deep_probes.
 	DeepProbes int64
-	// Repairs counts stripes lazily moved back to their slots.
-	Repairs int64
 	// DegradedWrites counts span writes, in both redundancy modes, that
 	// succeeded with fewer than all copies or shards (at least the quorum
 	// landed — one copy, or k shards; the rest failed with transport errors
@@ -151,8 +142,6 @@ func (fs *FileSystem) Counters() Counters {
 		BytesRead:            fs.stats.bytesRead.Value(),
 		StripeWrites:         fs.stats.stripeWrites.Value(),
 		StripeReads:          fs.stats.stripeReads.Value(),
-		DeepProbes:           fs.stats.deepProbes.Value(),
-		Repairs:              fs.stats.repairs.Value(),
 		DegradedWrites:       fs.stats.degradedWrites.Value(),
 		SkippedReplicaWrites: fs.stats.skippedReplicaWrites.Value(),
 		FencedWrites:         fs.stats.fencedWrites.Value(),

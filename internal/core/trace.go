@@ -151,7 +151,7 @@ func (o *fsObs) stripeHist(op, class string) *obs.Histogram {
 }
 
 // outcome resolves (registering lazily) the span-outcome counter for
-// op in write|read and outcome in ok|retry|degraded|error|deep.
+// op in write|read and outcome in ok|retry|degraded|error.
 func (o *fsObs) outcome(op, outcome string) *obs.Counter {
 	key := op + "/" + outcome
 	if c, ok := o.outcomes.Load(key); ok {
@@ -342,7 +342,7 @@ func (t *opTrace) phaseOp(stripe int64, node, class string, st kvstore.OpStat, o
 }
 
 // leg opens a named side leg under the root span (repair enqueue, EC
-// reconstruction, deep probe); callers close it with End/EndOutcome.
+// reconstruction); callers close it with End/EndOutcome.
 func (t *opTrace) leg(name string) trace.Span { return t.t.Root().Child(name) }
 
 // recLeg records an already-measured side leg under the root span.
@@ -394,7 +394,7 @@ type tracePhase struct {
 	class    string
 	attempts int
 	dur      time.Duration
-	outcome  string // ok | retry | deep | error | skipped | miss
+	outcome  string // ok | retry | error | skipped | miss
 }
 
 // renderSpanPhases flattens a trace snapshot's store/burst spans and

@@ -4,9 +4,10 @@
 // The original HRW protocol (Thaler & Ravishankar, 1998) places a key on the
 // server whose hash H(server, key) is largest. Like consistent hashing it has
 // the minimal-disruption property: adding or removing one of N servers
-// remaps only O(M/N) of M keys. Unlike consistent hashing, a stale placement
-// is still discoverable by probing servers in descending hash order, which
-// enables lazy data movement instead of stop-the-world rebalancing.
+// remaps only O(M/N) of M keys: when a node leaves, each of its keys has
+// exactly one new home, the next node in descending hash order. MemFSS
+// sends a moved key straight there (its "successor"), so readers find it
+// with one extra ask and nothing rebalances.
 //
 // MemFSS extends HRW with a class layer: nodes are grouped into classes
 // ("own" and one or more "victim" classes), a per-class weight is subtracted
@@ -227,10 +228,11 @@ func (p *Placer) PlaceK(key string, k int) []string {
 	return TopK(p.ClassFor(key).Nodes, key, k)
 }
 
-// ProbeOrder returns every node in the system in the order a reader should
-// probe when a stripe is not where Place says it should be (lazy movement,
-// paper §V-C): the winning class's full rank list first, then the remaining
-// classes in descending class-score order, each ranked internally.
+// ProbeOrder returns every node in the system in the order that succeeds
+// Place when nodes leave: the winning class's full rank list first, then
+// the remaining classes in descending class-score order, each ranked
+// internally. The first node of it that is still present and holds no
+// slot is a departed slot's successor.
 func (p *Placer) ProbeOrder(key string) []string {
 	type scoredClass struct {
 		c *Class

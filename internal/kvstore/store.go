@@ -446,7 +446,9 @@ func (s *Store) Del(keys ...string) int {
 // is a whole new payload that replaces the old one and is kept as given.
 // Otherwise value is written at payload offset off: in place when the
 // range lies inside the payload (after unlent, as for SetRange),
-// zero-extending it otherwise.
+// zero-extending it otherwise. An offset write on an absent key writes
+// nothing and returns 0: the stripe it patches lives elsewhere, or is
+// not written yet, and only the writer can tell which.
 func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint64, error) {
 	switch {
 	case kept != nil:
@@ -465,6 +467,9 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 		return 0, ErrWrongType
 	}
 	old, exists := s.data[key]
+	if !exists && kept == nil {
+		return 0, nil
+	}
 	// nothing of a headerless value is worth keeping: body is nil, gen 0
 	gen, last, body, ok := old.stripe()
 	if !ok || last != id {

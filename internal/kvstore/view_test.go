@@ -194,7 +194,10 @@ func (r *refStore) setRange(key string, off int, v []byte) {
 }
 
 func (r *refStore) vset(key string, id uint64, off int, value []byte, whole bool) uint64 {
-	old := r.data[key]
+	old, ok := r.data[key]
+	if !ok && !whole {
+		return 0 // an offset write needs the value it patches
+	}
 	gen, last, _, err := erasure.ParseShard(old)
 	if err != nil {
 		gen, old = 0, nil

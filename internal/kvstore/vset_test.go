@@ -8,11 +8,12 @@ import (
 )
 
 // TestVSetStampsGenerations walks one key through VSET's rules over the
-// wire: the store stamps one past the generation it holds, a write inside
-// the value lands in place, a replayed write keeps its generation, the
-// whole form replaces the value, and a headerless value counts as
-// generation 0. Two keys one write apart stay one apart under the same
-// write — the property that keeps a copy that missed a write behind.
+// wire: an offset write on an absent key writes nothing and replies 0,
+// the store stamps one past the generation it holds, a write inside the
+// value lands in place, a replayed write keeps its generation, the whole
+// form replaces the value, and a headerless value counts as generation 0.
+// Two keys one write apart stay one apart under the same write — the
+// property that keeps a copy that missed a write behind.
 func TestVSetStampsGenerations(t *testing.T) {
 	srv, cli := startServer(t, 0, "")
 	st := srv.Store()
@@ -34,8 +35,11 @@ func TestVSetStampsGenerations(t *testing.T) {
 		return gen
 	}
 
-	gen := vset("k", 11, 4, "abc")
-	check("absent key", "k", gen, 1, 11, []byte("\x00\x00\x00\x00abc"))
+	if gen := vset("k", 10, 4, "abc"); gen != 0 || st.Stats().NumKeys != 0 {
+		t.Fatalf("offset VSET on an absent key: gen %d, %d keys; want 0 and nothing written", gen, st.Stats().NumKeys)
+	}
+	gen := vset("k", 11, Whole, "\x00\x00\x00\x00abc")
+	check("absent key, whole", "k", gen, 1, 11, []byte("\x00\x00\x00\x00abc"))
 	used := st.Stats().BytesUsed
 
 	gen = vset("k", 12, 1, "XY")

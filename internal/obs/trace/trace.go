@@ -178,7 +178,7 @@ func (t *Trace) Root() Span {
 
 // MarkDegraded flags the trace for unconditional retention: the
 // operation succeeded but lost redundancy on the way (a degraded quorum
-// write, a deep-probe miss, an EC reconstruction).
+// write, a degraded read, an EC reconstruction).
 func (t *Trace) MarkDegraded() {
 	if t == nil {
 		return
