@@ -169,8 +169,8 @@ type Config struct {
 	// Repair configures the targeted background repair queue. Zero fields
 	// take defaults; set Disable to fall back to operator-driven Scrub.
 	Repair RepairPolicy
-	// Evac paces the Monitor's per-node retries after a failed
-	// revocation. Zero fields take defaults.
+	// Evac paces every background reclamation of a victim node after a
+	// failed run. Zero fields take defaults.
 	Evac EvacPolicy
 	// Obs configures the telemetry layer (internal/obs): latency
 	// histograms, the Prometheus-exposable registry, and slow-op tracing.
@@ -287,15 +287,15 @@ func (r RepairPolicy) validate() error {
 	return nil
 }
 
-// EvacPolicy paces victim revocation retries (paper §III-A: the tenant is
+// EvacPolicy paces background reclamation (paper §III-A: the tenant is
 // waiting for its memory back, so revocation cannot run open-ended; each
 // evacuation's own deadline is EvacOptions.Deadline). A partial drain
 // without an explicit target evicts down to drainSoftTarget of the store's
 // memory cap.
 type EvacPolicy struct {
-	// Backoff / MaxBackoff pace the Monitor's per-node retries after a
-	// failed revocation (defaults 2s / 30s, doubling per consecutive
-	// failure) so a stuck node is not hammered every poll tick.
+	// Backoff / MaxBackoff pace a victim node's background runs (the
+	// Monitor's, a store-full write's) after one fails or stalls, doubling
+	// per consecutive failure (defaults 2s / 30s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 }

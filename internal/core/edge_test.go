@@ -158,7 +158,7 @@ func TestVictimStoreFullSurfacesOOM(t *testing.T) {
 }
 
 // TestNoSpaceWritesCountedAtEverySize: a store-full rejection must bump
-// NoSpaceWrites and arm the debounced low-priority reclaim whether the
+// NoSpaceWrites and run a low-priority partial drain whether the
 // write is one partial stripe (the per-span path) or many stripes (the
 // burst path) — the burst path used to do neither.
 func TestNoSpaceWritesCountedAtEverySize(t *testing.T) {
@@ -200,11 +200,14 @@ func TestNoSpaceWritesCountedAtEverySize(t *testing.T) {
 			if c := fs.Counters(); c.NoSpaceWrites == 0 {
 				t.Fatal("NoSpaceWrites = 0 after a store-full write failure")
 			}
-			fs.qosMu.Lock()
-			_, armed := fs.lastReclaim[victims.Nodes[0].ID]
-			fs.qosMu.Unlock()
-			if !armed {
-				t.Fatal("store-full rejection did not trigger the debounced reclaim")
+			// The rejection sets the victim's goal to a partial drain, which
+			// runs in the background and finishes at once: the store is empty.
+			deadline := time.Now().Add(5 * time.Second)
+			for familyTotal(fs.obs.reg.Snapshot(), "memfss_fs_partial_drains_total") == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("store-full rejection did not run a partial drain")
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 		})
 	}

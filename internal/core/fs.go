@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"memfss/internal/erasure"
 	"memfss/internal/fsmeta"
@@ -58,19 +57,9 @@ type FileSystem struct {
 	healthEvStop   chan struct{}
 	healthEvCancel func()
 
-	// drainBusy serializes revocations per node: a second Evacuate or
-	// DrainNode against a node already being drained fails fast instead
-	// of interleaving.
-	drainMu   sync.Mutex
-	drainBusy map[string]bool
-
-	// moveMu serializes the stripe mover's batches (see move.go).
-	moveMu sync.Mutex
-
-	// qosMu/lastReclaim debounce the no-space-triggered background drains
-	// (see noteNoSpace in qos.go).
-	qosMu       sync.Mutex
-	lastReclaim map[string]time.Time
+	// reclaims holds one reclamation record per victim node (reclaim.go).
+	reclaimMu sync.Mutex
+	reclaims  map[string]*reclaim
 }
 
 // New connects to the stores described by cfg and returns a FileSystem.
@@ -144,19 +133,18 @@ func New(cfg Config) (*FileSystem, error) {
 		ecSpare = 0
 	}
 	fs := &FileSystem{
-		classes:     classes,
-		cfg:         cfg,
-		layout:      layout,
-		conns:       conns,
-		meta:        newMetaService(ownIDs, conns),
-		ioPar:       ioPar,
-		pipeDepth:   pipeDepth,
-		ecSpare:     ecSpare,
-		stats:       newFSStats(reg),
-		detector:    detector,
-		obs:         newFSObs(reg, cfg.Obs),
-		drainBusy:   make(map[string]bool),
-		lastReclaim: make(map[string]time.Time),
+		classes:   classes,
+		cfg:       cfg,
+		layout:    layout,
+		conns:     conns,
+		meta:      newMetaService(ownIDs, conns),
+		ioPar:     ioPar,
+		pipeDepth: pipeDepth,
+		ecSpare:   ecSpare,
+		stats:     newFSStats(reg),
+		detector:  detector,
+		obs:       newFSObs(reg, cfg.Obs),
+		reclaims:  make(map[string]*reclaim),
 	}
 	reg.Gauge("memfss_fs_draining_nodes",
 		"Nodes currently fenced for revocation drain.", nil,

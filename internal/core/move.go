@@ -20,7 +20,9 @@ import (
 // "One stripe mover"). Towards readers: a key is copied before its source
 // is released, so a source that answers "absent" has a copy at the
 // successor, which is where a read asks next (File.serve). Between
-// movers: batches are serialized per FileSystem (fs.moveMu).
+// movers: a source is fenced Draining for its whole run and a destination
+// must be Up, so no mover copies onto another's source, and movers of
+// different nodes run side by side.
 
 // moveOutcome is what one move did with one key.
 type moveOutcome uint8
@@ -120,12 +122,19 @@ func (m *mover) byPriority(keys []string) []string {
 // move runs keys through moveBatch in PipelineDepth-sized batches and
 // reports every key's outcome to visit. evict is how many bytes to free
 // at the source by compare-delete, in key order; 0 copies only (the caller
-// releases the source itself). Keys not reached — the budget was spent, or
-// ctx ended — are reported moveLeft.
+// releases the source itself). An evicting batch reads no more keys than
+// the rest of the budget needs at the mean cost of the keys freed so far.
+// Keys not reached — the budget was spent, or ctx ended — are reported
+// moveLeft.
 func (m *mover) move(ctx context.Context, keys []string, evict int64, visit func(key string, o moveOutcome)) {
 	done := false
+	var freedBytes, freedKeys int64
 	for len(keys) > 0 {
-		batch := keys[:min(len(keys), max(m.fs.pipeDepth, 1))]
+		n := max(m.fs.pipeDepth, 1)
+		if evict > 0 && freedBytes > 0 {
+			n = min(n, int((evict*freedKeys+freedBytes-1)/freedBytes))
+		}
+		batch := keys[:min(len(keys), n)]
 		keys = keys[len(batch):]
 		if done || ctx.Err() != nil {
 			for _, key := range batch {
@@ -134,12 +143,16 @@ func (m *mover) move(ctx context.Context, keys []string, evict int64, visit func
 			continue
 		}
 		out, freed := m.moveBatch(batch, evict)
+		for i, key := range batch {
+			if out[i] == moveMoved || out[i] == moveOrphan {
+				freedKeys++
+			}
+			visit(key, out[i])
+		}
 		if evict > 0 {
 			evict -= freed
+			freedBytes += freed
 			done = evict <= 0
-		}
-		for i, key := range batch {
-			visit(key, out[i])
 		}
 	}
 }
@@ -221,8 +234,6 @@ func (m *mover) place(mf *moveFile, key, sk string) (*moveItem, moveOutcome) {
 func (m *mover) moveBatch(keys []string, evict int64) (out []moveOutcome, freed int64) {
 	fs := m.fs
 	out = make([]moveOutcome, len(keys))
-	fs.moveMu.Lock()
-	defer fs.moveMu.Unlock()
 	vals, err := m.src.MGet(keys...)
 	if err != nil {
 		return out, 0

@@ -13,11 +13,12 @@ import (
 // This file is the multi-tenant QoS glue: it threads a qos.Registry
 // through the data path (attribution by namespace, quota charges on file
 // growth, weighted-fair pacing on every transfer), answers store-full
-// rejections with a background partial drain (the mover orders its
-// reclamation by tenant priority), and adapts the graduated Evacuate
-// protocol to the lease broker's Evacuator interface. Everything here is
-// inert when Config.QoS.Tenants is nil — the single-tenant deployments of
-// earlier PRs are the nil case and pay nothing.
+// rejections by setting the victim's reclamation goal to a partial drain
+// (reclaim.go; the mover orders its reclamation by tenant priority), and
+// adapts the graduated Evacuate protocol to the lease broker's Evacuator
+// interface. Everything here is inert when Config.QoS.Tenants is nil —
+// the single-tenant deployments of earlier PRs are the nil case and pay
+// nothing.
 
 // QoSPolicy wires multi-tenant QoS into a FileSystem.
 type QoSPolicy struct {
@@ -216,36 +217,17 @@ func (fs *FileSystem) TenantUsage(name string) int64 {
 
 // --- no-space reclamation ---------------------------------------------------
 
-// reclaimDebounce spaces the no-space-triggered background drains per
-// node: every write hitting a full victim must not each launch a drain.
-const reclaimDebounce = 5 * time.Second
-
-// noteNoSpace reacts to a store-full write rejection on a victim node by
-// launching one debounced background partial drain — the QoS answer to
-// kvstore.ErrNoSpace: low-priority data is pushed off the full store so
-// the high-priority write that bounced succeeds on retry, instead of every
-// tenant degrading equally.
+// noteNoSpace answers a store-full write rejection on a victim node (the
+// QoS answer to kvstore.ErrNoSpace) with a background drain to the soft
+// target: low-priority data leaves the full store, so the high-priority
+// write that bounced succeeds on retry instead of every tenant degrading
+// equally. A drain already running, or the node's backoff, absorbs the
+// rest of a burst.
 func (fs *FileSystem) noteNoSpace(nodeID string) {
-	if fs.tenants() == nil {
-		return
-	}
-	if fs.victimNode(nodeID) != nil {
+	if fs.tenants() == nil || fs.victimNode(nodeID) != nil {
 		return // own nodes are never drained for space
 	}
-	fs.qosMu.Lock()
-	if last, ok := fs.lastReclaim[nodeID]; ok && time.Since(last) < reclaimDebounce {
-		fs.qosMu.Unlock()
-		return
-	}
-	fs.lastReclaim[nodeID] = time.Now()
-	fs.qosMu.Unlock()
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), reclaimDebounce)
-		defer cancel()
-		// Best effort: a concurrent drain (acquireDrain busy) or transient
-		// store error just leaves the node for the pressure monitor.
-		_, _ = fs.DrainNode(ctx, nodeID, 0)
-	}()
+	fs.reclaimStart(context.Background(), nodeID, reclaimGoal{soft: true}, true)
 }
 
 // --- lease marketplace adapters ----------------------------------------------
@@ -253,7 +235,8 @@ func (fs *FileSystem) noteNoSpace(nodeID string) {
 // EvacuateLeased implements qos.Evacuator: a broker revocation, after its
 // notice window, rides the full graduated evacuation (fence -> drain ->
 // detach -> sweep -> release) so the victim's memory actually comes back
-// within the deadline the lease promised.
+// within the deadline the lease promised. Like Evacuate, it preempts a
+// partial drain of the node rather than failing.
 func (fs *FileSystem) EvacuateLeased(ctx context.Context, node string, deadline time.Duration) error {
 	_, err := fs.Evacuate(ctx, node, EvacOptions{Deadline: deadline})
 	return err

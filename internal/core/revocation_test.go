@@ -16,6 +16,7 @@ import (
 
 	"memfss/internal/health"
 	"memfss/internal/kvstore"
+	"memfss/internal/qos"
 )
 
 func withEvac(e EvacPolicy) deployOpt {
@@ -233,25 +234,90 @@ func TestEvacuateResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
-// TestEvacuateConcurrentDrainRefused: a second revocation of the same node
-// fails fast instead of interleaving with the first.
-func TestEvacuateConcurrentDrainRefused(t *testing.T) {
-	d := newTestFS(t, 2, 2)
-	victimID := d.victims.Nodes[0].ID
-	if err := d.fs.acquireDrain(victimID); err != nil {
+// inClasses reports whether a node is still a member of the deployment.
+func inClasses(fs *FileSystem, nodeID string) bool {
+	for _, cls := range fs.Classes() {
+		for _, n := range cls.Nodes {
+			if n.ID == nodeID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// setVictimRate sets every victim's network budget to bps, after writes
+// that filled the victims at withVictimNet's rate. A victim already
+// detached has no throttle left; its error is returned last.
+func setVictimRate(d *testDeploy, bps int64) (err error) {
+	for _, n := range d.victims.Nodes {
+		if e := d.fs.conns.throttle(n.ID).SetRate(bps); e != nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// TestRevokeDuringDrain: a lease revocation that arrives while a partial
+// drain holds the node preempts the drain instead of failing. The drain
+// returns its partial report, and the broker's evacuation removes the
+// node with every file intact. A per-node drain slot used to refuse the
+// revocation and leave the lease revoked with the node still in the
+// deployment.
+func TestRevokeDuringDrain(t *testing.T) {
+	d := newTestFS(t, 2, 2, withVictimNet(1<<30))
+	files := map[string][]byte{}
+	for i := 0; i < 16; i++ {
+		p := fmt.Sprintf("/rd%d", i)
+		files[p] = randomBytes(int64(1600+i), 128<<10)
+		if err := d.fs.WriteFile(p, files[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := setVictimRate(d, 128<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "already being drained") {
-		t.Fatalf("concurrent drain accepted: %v", err)
+	victimID := d.victims.Nodes[0].ID
+	type drained struct {
+		rep *DrainReport
+		err error
 	}
-	if _, err := d.fs.DrainNode(context.Background(), victimID, 1); err == nil ||
-		!strings.Contains(err.Error(), "already being drained") {
-		t.Fatalf("concurrent partial drain accepted: %v", err)
+	done := make(chan drained, 1)
+	go func() {
+		rep, err := d.fs.DrainNode(context.Background(), victimID, 1)
+		setVictimRate(d, 1<<30) // the slow network only has to hold the drain
+		done <- drained{rep, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(d.fs.Draining()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the drain never fenced the node")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	d.fs.releaseDrain(victimID)
-	if _, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{}); err != nil {
-		t.Fatalf("evacuation after release: %v", err)
+	b := qos.NewBroker(qos.BrokerOptions{Evac: d.fs, Journal: d.fs.Events()})
+	rep, err := b.Revoke(context.Background(), victimID, qos.RevokeOptions{Force: true})
+	if err != nil || !rep.Evacuated {
+		t.Fatalf("revocation during a drain = %+v, %v; want the node evacuated", rep, err)
+	}
+	dr := <-done
+	if dr.err != nil {
+		t.Fatalf("preempted drain: %v", dr.err)
+	}
+	if dr.rep.BytesAfter <= dr.rep.Target {
+		t.Fatalf("the drain finished before the revocation (%+v); the test needs a slower drain", dr.rep)
+	}
+	if inClasses(d.fs, victimID) {
+		t.Fatal("revoked node still registered")
+	}
+	if st := d.victims.Server(0).Store().Stats(); st.BytesUsed != 0 {
+		t.Fatalf("revoked store still holds %d bytes", st.BytesUsed)
+	}
+	for p, want := range files {
+		got, err := d.fs.ReadFile(p)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after the revocation: %v", p, err)
+		}
 	}
 }
 
@@ -675,29 +741,29 @@ func TestMonitorGraduated(t *testing.T) {
 }
 
 // TestMonitorBacksOffFailedRevocation: while a revocation keeps failing
-// (the drain slot is held), the monitor retries on a doubling backoff
-// instead of every tick, and recovers once the node is releasable.
+// (the node's client is out of the pool), the monitor retries on a
+// doubling backoff instead of every tick, and recovers once the node is
+// reachable again.
 func TestMonitorBacksOffFailedRevocation(t *testing.T) {
 	d := newTestFS(t, 2, 2, withEvac(EvacPolicy{Backoff: 60 * time.Millisecond, MaxBackoff: 60 * time.Millisecond}))
 	victimID := d.victims.Nodes[0].ID
-	if err := d.fs.acquireDrain(victimID); err != nil {
-		t.Fatal(err)
-	}
+	cli := d.fs.conns.detach(victimID)
 
 	var mu sync.Mutex
 	failures := 0
 	mon := NewMonitor(d.fs, 5*time.Millisecond, func(format string, args ...any) {
-		if strings.Contains(fmt.Sprintf(format, args...), "already being drained") {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "evacuate "+victimID) &&
+			strings.Contains(line, "unknown node") {
 			mu.Lock()
 			failures++
 			mu.Unlock()
 		}
 	})
-	mon.Revoke(victimID)
 	if err := mon.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Stop()
+	mon.Revoke(victimID)
 
 	time.Sleep(250 * time.Millisecond)
 	mu.Lock()
@@ -709,11 +775,71 @@ func TestMonitorBacksOffFailedRevocation(t *testing.T) {
 		t.Fatalf("failed revocation attempts = %d, want 1..10 (backoff not applied)", got)
 	}
 
-	d.fs.releaseDrain(victimID)
+	d.fs.conns.mu.Lock()
+	d.fs.conns.clients[victimID] = cli
+	d.fs.conns.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for d.victims.Server(0).Store().Stats().BytesUsed != 0 || len(d.fs.Draining()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("revocation never completed after the drain slot freed")
+			t.Fatal("revocation never completed after the node came back")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestVictimsReclaimIndependently: each victim's reclamation runs on its
+// own, so soft pressure on victim-0 is relieved while victim-1's slow
+// evacuation is still draining. The monitor used to run evacuations inline,
+// one node after another, and victim-0 waited out victim-1's.
+func TestVictimsReclaimIndependently(t *testing.T) {
+	d := newTestFS(t, 2, 3, withVictimNet(1<<30))
+	for i := 0; i < 16; i++ {
+		if err := d.fs.WriteFile(fmt.Sprintf("/ri%d", i), randomBytes(int64(1700+i), 256<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := setVictimRate(d, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	relieved := make(chan bool, 1) // whether victim-1 was still a member then
+	v0, slow := d.victims.Nodes[0].ID, d.victims.Nodes[1].ID
+	mon := NewMonitor(d.fs, 10*time.Millisecond, func(format string, args ...any) {
+		var moved, skipped, before, after, target int64
+		if _, err := fmt.Sscanf(fmt.Sprintf(format, args...),
+			"memfss: drained "+v0+": moved=%d skipped=%d, %d -> %d bytes (target %d)",
+			&moved, &skipped, &before, &after, &target); err == nil && after <= target {
+			select {
+			case relieved <- inClasses(d.fs, slow):
+			default:
+			}
+		}
+	})
+	if err := mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Stop()
+
+	mon.Revoke(slow)
+	for len(d.fs.Draining()) == 0 { // victim-1's evacuation is under way
+		time.Sleep(time.Millisecond)
+	}
+	victim0 := d.victims.Server(0).Store()
+	victim0.SetMaxMemory(victim0.Stats().BytesUsed * 100 / 95)
+	start := time.Now()
+	select {
+	case during := <-relieved:
+		if !during {
+			t.Fatalf("victim-0 relieved %s after its pressure began, only once %s's evacuation had detached it",
+				time.Since(start).Round(time.Millisecond), slow)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("victim-0 never relieved")
+	}
+	t.Logf("victim-0 relieved in %s while %s evacuates", time.Since(start).Round(time.Millisecond), slow)
+	setVictimRate(d, 1<<30) // let the evacuation finish
+	for inClasses(d.fs, slow) {
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("%s never evacuated", slow)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

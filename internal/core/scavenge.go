@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -148,43 +149,6 @@ func (fs *FileSystem) victimNode(nodeID string) error {
 	return nil
 }
 
-// acquireDrain claims the per-node drain slot so concurrent revocations of
-// the same node fail fast instead of interleaving fence flips and flushes.
-func (fs *FileSystem) acquireDrain(nodeID string) error {
-	fs.drainMu.Lock()
-	defer fs.drainMu.Unlock()
-	if fs.drainBusy[nodeID] {
-		return fmt.Errorf("core: node %q is already being drained", nodeID)
-	}
-	fs.drainBusy[nodeID] = true
-	return nil
-}
-
-func (fs *FileSystem) releaseDrain(nodeID string) {
-	fs.drainMu.Lock()
-	delete(fs.drainBusy, nodeID)
-	fs.drainMu.Unlock()
-}
-
-// claimVictim opens a revocation: it verifies nodeID is a victim node,
-// claims its drain slot (the caller releases it) and returns its client.
-func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	if err := fs.victimNode(nodeID); err != nil {
-		return nil, err
-	}
-	if err := fs.acquireDrain(nodeID); err != nil {
-		return nil, err
-	}
-	cli, err := fs.conns.client(nodeID)
-	if err != nil {
-		fs.releaseDrain(nodeID)
-	}
-	return cli, err
-}
-
 // Evacuate runs the full revocation protocol against a victim node:
 //
 //  1. fence: the node enters Draining — replicated writes skip it (with
@@ -210,17 +174,18 @@ func (fs *FileSystem) claimVictim(nodeID string) (*kvstore.Client, error) {
 // expires (the tenant is waiting) the node is force-released: unresolved
 // keys are counted AtRisk and handed to the repair queue, which restores
 // redundancy from the surviving copies or shards.
+//
+// Evacuate preempts a partial drain of the node and joins an evacuation
+// already running (reclaim.go) rather than failing.
 func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOptions) (*EvacReport, error) {
-	cli, err := fs.claimVictim(nodeID)
-	if err != nil {
-		return nil, err
-	}
-	defer fs.releaseDrain(nodeID)
-	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = defaultEvacDeadline
-	}
-	dctx, cancel := context.WithTimeout(ctx, deadline)
+	run := fs.reclaimWait(ctx, nodeID, reclaimGoal{leave: true,
+		deadline: time.Now().Add(cmp.Or(opts.Deadline, defaultEvacDeadline))})
+	return run.evac, run.err
+}
+
+// evacuate runs the protocol Evacuate describes, by deadline.
+func (fs *FileSystem) evacuate(ctx context.Context, cli *kvstore.Client, nodeID string, deadline time.Time) (*EvacReport, error) {
+	dctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
 
 	start := time.Now()
@@ -232,7 +197,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 			fmt.Sprintf("phase %s done in %s", name, now.Sub(phaseStart).Round(time.Millisecond)), 0)
 		phaseStart = now
 	}
-	rep := &EvacReport{Node: nodeID, Deadline: deadline}
+	rep := &EvacReport{Node: nodeID, Deadline: deadline.Sub(start).Round(time.Millisecond)}
 	resolved := make(map[string]bool)
 
 	// Phase 1: fence.
@@ -340,7 +305,7 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 }
 
 // evacPasses runs mover passes over the source's data listing until one
-// pass resolves every key it listed; it returns ctx's error when ctx ends
+// pass resolves every key it listed; it returns ctx's cause when ctx ends
 // first (the caller decides between abort and forced release). recheck
 // is the post-detach sweep: its first pass re-copies keys already
 // resolved, and it ends on a listing with nothing unresolved, not on a
@@ -350,8 +315,8 @@ func (fs *FileSystem) Evacuate(ctx context.Context, nodeID string, opts EvacOpti
 func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport, resolved map[string]bool, recheck bool) error {
 	final := recheck
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctx.Err() != nil {
+			return context.Cause(ctx) // DeadlineExceeded when a trigger moved the deadline up
 		}
 		keys, err := mv.src.Keys("data:")
 		if err != nil {
@@ -440,26 +405,24 @@ type DrainReport struct {
 // because core writes exactly one payload per (generation, write ID) per
 // key), so a write racing the drain never loses its update — the key is
 // simply skipped and left for the next pressure sweep.
+//
+// DrainNode lowers the target of a drain already running (reclaim.go), and
+// an evacuation answers it too, reporting what left with the node. A drain
+// an evacuation preempts ends at its next batch boundary with its partial
+// report, as one whose ctx deadline passes.
 func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes int64) (*DrainReport, error) {
-	cli, err := fs.claimVictim(nodeID)
-	if err != nil {
-		return nil, err
+	run := fs.reclaimWait(ctx, nodeID, reclaimGoal{fill: max(targetBytes, 0), soft: targetBytes <= 0})
+	if ev := run.evac; ev != nil {
+		return &DrainReport{Node: nodeID, Moved: ev.Moved + ev.Orphans, Skipped: ev.Deferred,
+			Passes: ev.Passes, Elapsed: ev.Elapsed}, run.err
 	}
-	defer fs.releaseDrain(nodeID)
-	st, err := cli.Info()
-	if err != nil {
-		return nil, fmt.Errorf("core: drain %s: %w", nodeID, err)
-	}
-	target := targetBytes
-	if target <= 0 {
-		if st.MaxMemory <= 0 {
-			return nil, fmt.Errorf("core: drain %s: no memory cap and no explicit target", nodeID)
-		}
-		target = int64(float64(st.MaxMemory) * drainSoftTarget)
-	}
-	rep := &DrainReport{
-		Node: nodeID, BytesBefore: st.BytesUsed, BytesAfter: st.BytesUsed, Target: target,
-	}
+	return run.drain, run.err
+}
+
+// drain runs the protocol DrainNode describes.
+func (fs *FileSystem) drain(ctx context.Context, cli *kvstore.Client, run *reclaimRun) (*DrainReport, error) {
+	nodeID := run.node
+	rep := &DrainReport{Node: nodeID}
 	start := time.Now()
 	fs.detector.SetDraining(nodeID, true)
 	defer fs.detector.SetDraining(nodeID, false)
@@ -476,13 +439,27 @@ func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes 
 		if err != nil {
 			return stamp(fmt.Errorf("core: drain %s: %w", nodeID, err))
 		}
+		if rep.Passes == 0 {
+			rep.BytesBefore = st.BytesUsed
+		}
 		rep.BytesAfter = st.BytesUsed
-		if st.BytesUsed <= target {
+		fs.reclaimMu.Lock()
+		g := run.goal // a trigger may have lowered the fill since the last pass
+		fs.reclaimMu.Unlock()
+		if g.soft {
+			g.merge(reclaimGoal{fill: int64(float64(st.MaxMemory) * drainSoftTarget)})
+		}
+		if rep.Target = g.fill; g.fill == 0 {
+			return stamp(fmt.Errorf("core: drain %s: no memory cap and no explicit target", nodeID))
+		}
+		if st.BytesUsed <= rep.Target {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return stamp(nil) // best effort: pressure relief, not a contract
+			// A passed deadline or a preempting evacuation: best effort,
+			// pressure relief is not a contract.
+			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
+				return stamp(nil)
 			}
 			return stamp(err)
 		}
@@ -500,7 +477,7 @@ func (fs *FileSystem) DrainNode(ctx context.Context, nodeID string, targetBytes 
 		// Priority-ordered reclamation, cut at the byte budget: low-priority
 		// tenants' keys leave the pressured store first, and the pass stops
 		// evicting once the fill is down to the target.
-		mv.move(ctx, mv.byPriority(todo), st.BytesUsed-target, func(key string, o moveOutcome) {
+		mv.move(ctx, mv.byPriority(todo), st.BytesUsed-rep.Target, func(key string, o moveOutcome) {
 			switch o {
 			case moveMoved, moveOrphan:
 				rep.Moved++
@@ -572,23 +549,22 @@ func (fs *FileSystem) VerifyFile(path string) error {
 
 // --- pressure monitor --------------------------------------------------------
 
-// Monitor polls victim stores and mounts the graduated pressure response
-// of paper §III-A: soft pressure (fill above the store's watermark, still
-// under the cap) triggers a partial drain that returns memory while the
-// node keeps serving; hard revocation (an explicit Revoke, or fill above
-// the cap after the tenant shrank it) triggers the full deadline-bounded
-// evacuation. Failed revocations back off per node with doubling delays.
+// Monitor polls victim stores and sets the goals of the graduated pressure
+// response of paper §III-A: soft pressure (fill above the store's
+// watermark, still under the cap) asks for a partial drain that returns
+// memory while the node keeps serving; hard revocation (an explicit
+// Revoke, or fill above the cap after the tenant shrank it) asks for the
+// full deadline-bounded evacuation. Each victim's run goes in its own
+// goroutine (reclaim.go), so one victim's evacuation never holds another's
+// drain; a failed run backs the node off with doubling delays.
 type Monitor struct {
 	fs       *FileSystem
 	interval time.Duration
 	logf     func(format string, args ...any)
 
-	mu           sync.Mutex
-	stopped      chan struct{}
-	done         chan struct{}
-	revoked      map[string]bool
-	backoff      map[string]time.Duration
-	backoffUntil map[string]time.Time
+	mu      sync.Mutex // guards the loop channels and serializes logf
+	stopped chan struct{}
+	done    chan struct{}
 }
 
 // NewMonitor creates a monitor polling every interval (default 1s).
@@ -600,23 +576,23 @@ func NewMonitor(fs *FileSystem, interval time.Duration, logf func(string, ...any
 	if logf == nil {
 		logf = log.Printf
 	}
-	return &Monitor{
-		fs: fs, interval: interval, logf: logf,
-		revoked:      make(map[string]bool),
-		backoff:      make(map[string]time.Duration),
-		backoffUntil: make(map[string]time.Time),
-	}
+	return &Monitor{fs: fs, interval: interval, logf: logf}
 }
 
-// Revoke marks a node for hard revocation: the next sweep runs the full
-// deadline-bounded evacuation regardless of the store's fill level — the
-// "tenant wants its memory back now" signal. Any failure backoff on the
-// node is cleared so the operator signal acts immediately.
+// Revoke starts the full deadline-bounded evacuation of a node whatever
+// its fill — the "tenant wants its memory back now" signal. It preempts a
+// partial drain and clears the node's backoff, so it acts immediately.
 func (m *Monitor) Revoke(nodeID string) {
-	m.mu.Lock()
-	m.revoked[nodeID] = true
-	delete(m.backoffUntil, nodeID)
-	m.mu.Unlock()
+	if err := m.fs.victimNode(nodeID); err != nil {
+		m.log("memfss: revoke %s: %v", nodeID, err)
+		return
+	}
+	m.fs.reclaimMu.Lock()
+	if r := m.fs.reclaims[nodeID]; r != nil {
+		r.retryAt = time.Time{}
+	}
+	m.fs.reclaimMu.Unlock()
+	m.start(nodeID, reclaimGoal{leave: true, deadline: time.Now().Add(defaultEvacDeadline)}, "revoked")
 }
 
 // Start launches the polling loop. It is an error to start twice without
@@ -633,7 +609,8 @@ func (m *Monitor) Start() error {
 	return nil
 }
 
-// Stop terminates the polling loop and waits for it to exit.
+// Stop terminates the polling loop and waits for it to exit. Runs the
+// monitor started go on; a stopped monitor logs nothing.
 func (m *Monitor) Stop() {
 	m.mu.Lock()
 	stopped, done := m.stopped, m.done
@@ -660,92 +637,71 @@ func (m *Monitor) loop(stopped, done chan struct{}) {
 	}
 }
 
-// sweep applies the graduated response to every victim node.
+// sweep reads every victim's fill and sets its goal: leave above the cap,
+// a drain to the soft target under pressure. A goal set earlier is
+// retried once its backoff has passed, even when the fill no longer asks.
 func (m *Monitor) sweep() {
-	now := time.Now()
 	for _, cls := range m.fs.Classes() {
 		if !cls.Victim {
 			continue
 		}
 		for _, n := range cls.Nodes {
-			m.sweepNode(now, n.ID)
+			var g reclaimGoal
+			var st kvstore.Stats
+			cli, err := m.fs.conns.client(n.ID)
+			if err == nil {
+				st, err = cli.Info()
+			}
+			why := "under memory pressure"
+			switch {
+			case err != nil:
+			case st.MaxMemory > 0 && st.BytesUsed > st.MaxMemory:
+				g = reclaimGoal{leave: true, deadline: time.Now().Add(defaultEvacDeadline)}
+			case st.Pressure:
+				g.soft, why = true, "under soft pressure"
+			}
+			m.start(n.ID, g, fmt.Sprintf("%s (%d/%d bytes)", why, st.BytesUsed, st.MaxMemory))
 		}
 	}
 }
 
-func (m *Monitor) sweepNode(now time.Time, nodeID string) {
-	m.mu.Lock()
-	wait := m.backoffUntil[nodeID]
-	revoked := m.revoked[nodeID]
-	m.mu.Unlock()
-	if now.Before(wait) {
+// start sets one node's goal and logs the run it started, if any.
+func (m *Monitor) start(nodeID string, g reclaimGoal, why string) {
+	run, mine := m.fs.reclaimStart(context.Background(), nodeID, g, true)
+	if !mine {
 		return
 	}
-	cli, err := m.fs.conns.client(nodeID)
-	if err != nil {
-		return
-	}
-	st, err := cli.Info()
-	if err != nil {
-		return
-	}
-	overCap := st.MaxMemory > 0 && st.BytesUsed > st.MaxMemory
-	switch {
-	case revoked || overCap:
-		m.logf("memfss: victim %s under memory pressure (%d/%d bytes), evacuating",
-			nodeID, st.BytesUsed, st.MaxMemory)
-		rep, err := m.fs.Evacuate(context.Background(), nodeID, EvacOptions{})
-		if err != nil {
-			m.logf("memfss: evacuate %s: %v", nodeID, err)
-			m.fail(nodeID)
-			return
-		}
-		m.clear(nodeID)
-		m.logf("memfss: evacuated %s: moved=%d orphans=%d deferred=%d forced=%v in %s (deadline %s)",
-			nodeID, rep.Moved, rep.Orphans, rep.Deferred, rep.Forced,
-			rep.Elapsed.Round(time.Millisecond), rep.Deadline)
-	case st.Pressure:
-		m.logf("memfss: victim %s under soft pressure (%d/%d bytes), partial drain",
-			nodeID, st.BytesUsed, st.MaxMemory)
-		rep, err := m.fs.DrainNode(context.Background(), nodeID, 0)
-		if err != nil {
-			m.logf("memfss: drain %s: %v", nodeID, err)
-			m.fail(nodeID)
-			return
-		}
-		m.clear(nodeID)
-		m.logf("memfss: drained %s: moved=%d skipped=%d, %d -> %d bytes (target %d)",
-			nodeID, rep.Moved, rep.Skipped, rep.BytesBefore, rep.BytesAfter, rep.Target)
-	}
-}
-
-// fail records a failed revocation attempt, doubling the node's backoff.
-func (m *Monitor) fail(nodeID string) {
-	base := m.fs.cfg.Evac.Backoff
-	if base <= 0 {
-		base = defaultEvacBackoff
-	}
-	maxB := m.fs.cfg.Evac.MaxBackoff
-	if maxB <= 0 {
-		maxB = defaultEvacMaxBackoff
-	}
-	m.mu.Lock()
-	b := m.backoff[nodeID]
-	if b <= 0 {
-		b = base
+	if run.goal.leave {
+		m.log("memfss: victim %s %s, evacuating", nodeID, why)
 	} else {
-		b = min(b*2, maxB)
+		m.log("memfss: victim %s %s, partial drain", nodeID, why)
 	}
-	m.backoff[nodeID] = b
-	m.backoffUntil[nodeID] = time.Now().Add(b)
-	m.mu.Unlock()
+	go m.report(run)
 }
 
-// clear resets a node's revocation bookkeeping after success.
-func (m *Monitor) clear(nodeID string) {
+// report logs how a run the monitor started ended.
+func (m *Monitor) report(run *reclaimRun) {
+	<-run.done
+	switch ev, dr := run.evac, run.drain; {
+	case run.err != nil && run.goal.leave:
+		m.log("memfss: evacuate %s: %v", run.node, run.err)
+	case run.err != nil:
+		m.log("memfss: drain %s: %v", run.node, run.err)
+	case run.goal.leave:
+		m.log("memfss: evacuated %s: moved=%d orphans=%d deferred=%d forced=%v in %s (deadline %s)",
+			run.node, ev.Moved, ev.Orphans, ev.Deferred, ev.Forced,
+			ev.Elapsed.Round(time.Millisecond), ev.Deadline)
+	default:
+		m.log("memfss: drained %s: moved=%d skipped=%d, %d -> %d bytes (target %d)",
+			run.node, dr.Moved, dr.Skipped, dr.BytesBefore, dr.BytesAfter, dr.Target)
+	}
+}
+
+// log writes one line while the monitor runs.
+func (m *Monitor) log(format string, args ...any) {
 	m.mu.Lock()
-	delete(m.revoked, nodeID)
-	delete(m.backoff, nodeID)
-	delete(m.backoffUntil, nodeID)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	if m.stopped != nil {
+		m.logf(format, args...)
+	}
 }
