@@ -38,7 +38,7 @@ func TestStatsShowsECHistograms(t *testing.T) {
 	// Drop the stripe's first data shard so the read must reconstruct.
 	for i := range stores.Nodes {
 		st := stores.Server(i).Store()
-		for _, key := range st.Keys("data:") {
+		for _, key := range st.KeysN("data:", 0) {
 			if strings.HasSuffix(key, "/s0") {
 				st.Del(key)
 			}

@@ -51,7 +51,7 @@ func writeV1(t *testing.T, c *Cluster) ([]byte, int) {
 	if err := c.FS.WriteFile(stalePath, v1); err != nil {
 		t.Fatal(err)
 	}
-	onVictim1 := len(c.Victims.Server(1).Store().Keys("data:"))
+	onVictim1 := len(c.Victims.Server(1).Store().KeysN("data:", 0))
 	if onVictim1 == 0 {
 		t.Fatal("no stripe keeps a copy on victim 1")
 	}

@@ -137,7 +137,7 @@ func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
 			rep.Nodes = append(rep.Nodes, NodeKeys{Node: n.ID})
 			var keys []string // an unreachable node's row stays empty
 			if cli, err := fs.conns.client(n.ID); err == nil {
-				keys, _ = cli.Keys("data:")
+				keys, _ = listStripes(cli)
 			}
 			for _, k := range keys {
 				id, _, idx, ok := stripeOfKey(k)

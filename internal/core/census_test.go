@@ -101,7 +101,7 @@ func TestFsckIsReadOnly(t *testing.T) {
 			stores := func() map[string]held {
 				m := map[string]held{}
 				for id, st := range storesByID(d) {
-					keys := st.Keys("")
+					keys := st.KeysN("", 0)
 					slices.Sort(keys)
 					m[id] = held{st.Stats().BytesUsed, keys}
 				}
@@ -131,7 +131,7 @@ func TestFsckIsReadOnly(t *testing.T) {
 				sorted += n.InSlot + n.Stray + n.Orphan + n.PastEOF
 			}
 			for _, st := range storesByID(d) {
-				dataKeys += len(st.Keys("data:"))
+				dataKeys += len(st.KeysN("data:", 0))
 			}
 			if len(rep.Nodes) != 12 || sorted != dataKeys {
 				t.Errorf("the listing sorted %d keys over %d nodes; the stores hold %d", sorted, len(rep.Nodes), dataKeys)

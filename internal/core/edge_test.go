@@ -389,7 +389,7 @@ func TestScrubRestoresReplica(t *testing.T) {
 		stores = append(stores, d.victims.Server(i).Store())
 	}
 	for _, st := range stores {
-		for _, k := range st.Keys("data:") {
+		for _, k := range st.KeysN("data:", 0) {
 			if !seen[k] {
 				seen[k] = true // keep the first copy, drop the second
 				continue
@@ -432,7 +432,7 @@ func TestScrubRebuildsErasureShards(t *testing.T) {
 	dropped := 0
 	for i := range d.own.Nodes {
 		st := d.own.Server(i).Store()
-		for _, k := range st.Keys("data:") {
+		for _, k := range st.KeysN("data:", 0) {
 			if strings.HasSuffix(k, "/s1") {
 				st.Del(k)
 				dropped++
@@ -462,7 +462,7 @@ func TestScrubReportsUnrepairable(t *testing.T) {
 	}
 	for i := range d.own.Nodes {
 		st := d.own.Server(i).Store()
-		for _, k := range st.Keys("data:") {
+		for _, k := range st.KeysN("data:", 0) {
 			st.Del(k)
 		}
 	}

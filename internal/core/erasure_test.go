@@ -290,7 +290,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 	if c.DegradedWrites == 0 {
 		t.Fatal("fenced shard writes did not degrade the span writes")
 	}
-	if keys := stores[node].Keys("data:"); len(keys) != 0 {
+	if keys := stores[node].KeysN("data:", 0); len(keys) != 0 {
 		t.Fatalf("%d shard keys crossed the drain fence onto %s", len(keys), node)
 	}
 	got, err := d.fs.ReadFile("/fence")
@@ -302,7 +302,7 @@ func TestErasureWriteFencesDrainingNode(t *testing.T) {
 	if !d.fs.WaitRepairIdle(10 * time.Second) {
 		t.Fatalf("repair queue never idled after the drain lifted: %+v", d.fs.RepairStats())
 	}
-	if keys := stores[node].Keys("data:"); len(keys) == 0 {
+	if keys := stores[node].KeysN("data:", 0); len(keys) == 0 {
 		t.Fatal("repair restored no shards to the undrained node")
 	}
 	rep, err := d.fs.Scrub()

@@ -93,7 +93,7 @@ func ExampleFileSystem_Scrub() {
 	// One store loses its copy (restart, eviction, ...).
 	for i := 0; i < 3; i++ {
 		st := stores.Server(i).Store()
-		if keys := st.Keys("data:"); len(keys) > 0 {
+		if keys := st.KeysN("data:", 0); len(keys) > 0 {
 			st.Del(keys[0])
 			break
 		}

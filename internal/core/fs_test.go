@@ -376,7 +376,7 @@ func TestRemoveAllDeletesData(t *testing.T) {
 			keysOf := func(id string) (keys []string) {
 				for _, ls := range []*LocalStores{d.own, d.victims} {
 					for i := range ls.Nodes {
-						keys = append(keys, ls.Server(i).Store().Keys("data:"+id+"#")...)
+						keys = append(keys, ls.Server(i).Store().KeysN("data:"+id+"#", 0)...)
 					}
 				}
 				return keys
@@ -421,7 +421,7 @@ func TestRemoveAllDeletesData(t *testing.T) {
 			}
 			for _, ls := range []*LocalStores{d.own, d.victims} {
 				for i, n := range ls.Nodes {
-					for _, k := range ls.Server(i).Store().Keys("") {
+					for _, k := range ls.Server(i).Store().KeysN("", 0) {
 						if k != "nextid" {
 							t.Errorf("node %s still holds %q", n.ID, k)
 						}
@@ -511,7 +511,7 @@ func TestVictimsHoldNoMetadata(t *testing.T) {
 	d.fs.WriteFile("/x/y/f", randomBytes(5, 100_000))
 	for i := range d.victims.Nodes {
 		store := d.victims.Server(i).Store()
-		for _, k := range store.Keys("") {
+		for _, k := range store.KeysN("", 0) {
 			if !strings.HasPrefix(k, "data:") {
 				t.Errorf("victim %d holds non-data key %q", i, k)
 			}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -103,19 +103,22 @@ func (m *mover) priority(key string) qos.Priority {
 	return qos.PriorityNormal
 }
 
-// byPriority stably sorts a drain candidate list so low-priority tenants'
-// keys move first: under pressure the cheap data leaves before a
-// high-priority tenant loses anything (paper §III-A's reclamation, made
-// priority-aware). Without QoS the listing order is returned unchanged.
+// byPriority sorts a drain's listing of the whole store by (owner's
+// priority, key), so low-priority tenants' keys move first: under pressure
+// the cheap data leaves before a high-priority tenant loses anything
+// (paper §III-A's reclamation, made priority-aware). Without QoS every key
+// ranks the same, and the order is the key order.
 func (m *mover) byPriority(keys []string) []string {
-	if m.fs.tenants() == nil || len(keys) <= 1 {
-		return keys
+	var prio map[string]qos.Priority // nil without QoS
+	if m.fs.tenants() != nil {
+		prio = make(map[string]qos.Priority, len(keys))
+		for _, k := range keys {
+			prio[k] = m.priority(k)
+		}
 	}
-	prio := make(map[string]qos.Priority, len(keys))
-	for _, k := range keys {
-		prio[k] = m.priority(k)
-	}
-	sort.SliceStable(keys, func(i, j int) bool { return prio[keys[i]] < prio[keys[j]] })
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(prio[a], prio[b]), strings.Compare(a, b))
+	})
 	return keys
 }
 

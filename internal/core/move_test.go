@@ -15,7 +15,7 @@ func ownOpsAndData(d *testDeploy) (ops int64, dataKeys int) {
 	for i := range d.own.Nodes {
 		st := d.own.Server(i).Store()
 		ops += st.Stats().TotalOps
-		dataKeys += len(st.Keys("data:"))
+		dataKeys += len(st.KeysN("data:", 0))
 	}
 	return ops, dataKeys
 }

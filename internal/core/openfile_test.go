@@ -6,6 +6,8 @@ import (
 	"errors"
 	"sort"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
 func TestOpenFileFlags(t *testing.T) {
@@ -138,8 +140,9 @@ func TestFsckFindsOrphans(t *testing.T) {
 	d := newTestFS(t, 2, 1)
 	fs := d.fs
 	fs.WriteFile("/keep", randomBytes(5, 9_000))
-	// Plant an orphan stripe directly in a store.
-	d.own.Server(0).Store().Set("data:f-999#0", []byte("orphan"))
+	// Plant an orphan stripe directly in a store: a stripe value (header
+	// and payload, as every write leaves one) of a file ID no file has.
+	d.own.Server(0).Store().Set("data:f-999#0", erasure.WrapShard(1, 1, []byte("orphan")))
 	rep, err := fs.Fsck()
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"memfss/internal/qos"
@@ -154,7 +153,7 @@ func (fs *FileSystem) DeleteTenant(name string) error {
 // priorities survive the process. Each tenant's quota usage is primed
 // from a walk of its namespace; without it a fresh registry starts at
 // zero and over-admits until the books catch up. Returns the loaded
-// specs, sorted.
+// specs in name order.
 func (fs *FileSystem) LoadTenants() ([]qos.TenantSpec, error) {
 	if err := fs.check(); err != nil {
 		return nil, err
@@ -163,16 +162,21 @@ func (fs *FileSystem) LoadTenants() ([]qos.TenantSpec, error) {
 	if t == nil {
 		return nil, nil
 	}
+	// SaveTenant creates every tenant's root: its directory names them.
+	dirs, err := fs.ReadDir(qos.TenantRootDir)
+	if isNotExist(err) || err == nil && len(dirs) == 0 {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
 	cli, err := fs.conns.client(fs.meta.ownIDs[0])
 	if err != nil {
 		return nil, err
 	}
-	keys, err := cli.Keys(tenantKeyPrefix)
-	if err != nil {
-		return nil, err
-	}
-	if len(keys) == 0 {
-		return nil, nil
+	keys := make([]string, len(dirs))
+	for i, d := range dirs {
+		keys[i] = tenantKeyPrefix + d.Name
 	}
 	vals, err := cli.MGet(keys...)
 	if err != nil {
@@ -193,7 +197,6 @@ func (fs *FileSystem) LoadTenants() ([]qos.TenantSpec, error) {
 		t.SetUsed(spec.Name, fs.tenantNamespaceBytes(spec.Name))
 		out = append(out, spec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 

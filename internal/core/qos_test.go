@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -198,7 +199,7 @@ func victimDataPriorities(t *testing.T, fs *FileSystem, nodeID string) map[qos.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := cli.Keys("data:")
+	keys, err := listStripes(cli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +294,49 @@ func TestPriorityReclaimOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestPriorityReclaimStoreWide: the drain orders the victim's whole
+// listing by priority, not a window of it. The victim holds more than 256
+// keys of the high-priority tenant, and they sort first by key (its files
+// take the lower file IDs, all three digits wide); a target the low tier
+// alone can meet moves every low-priority key it needs and no
+// high-priority one.
+func TestPriorityReclaimStoreWide(t *testing.T) {
+	tenants := qos.NewRegistry(qos.Options{})
+	defer tenants.Close()
+	d := newTestFS(t, 1, 1, withQoS(tenants))
+	for _, spec := range []qos.TenantSpec{{Name: "prod", Priority: qos.PriorityHigh}, {Name: "batch", Priority: qos.PriorityLow}} {
+		if err := d.fs.SaveTenant(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.own.Server(0).Store().Set("nextid", []byte("99")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range []string{"prod", "batch"} {
+		for i := 0; i < 24; i++ {
+			if err := d.fs.WriteFile(fmt.Sprintf("/tenants/%s/f%d", tn, i), randomBytes(int64(i), 64<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	node := d.victims.Nodes[0].ID
+	before := victimDataPriorities(t, d.fs, node)
+	low, high := len(before[qos.PriorityLow]), len(before[qos.PriorityHigh])
+	if high <= 256 || low == 0 || slices.Max(before[qos.PriorityHigh]) > slices.Min(before[qos.PriorityLow]) {
+		t.Fatalf("victim holds %d high-priority keys, want > 256 sorting before the %d low ones", high, low)
+	}
+	// The low tier's payload bytes: a little less than it occupies.
+	target := d.victims.Server(0).Store().Stats().BytesUsed - int64(low)*(4<<10)
+	if _, err := d.fs.DrainNode(context.Background(), node, target); err != nil {
+		t.Fatal(err)
+	}
+	after := victimDataPriorities(t, d.fs, node)
+	if got := len(after[qos.PriorityHigh]); got != high || len(after[qos.PriorityLow]) > low/10 {
+		t.Fatalf("drain left high %d -> %d and low %d -> %d keys; want every high key kept and at most a tenth of the low ones",
+			high, got, low, len(after[qos.PriorityLow]))
 	}
 }
 

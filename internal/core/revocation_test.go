@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"memfss/internal/faultwrap"
 	"memfss/internal/health"
 	"memfss/internal/kvstore"
 	"memfss/internal/qos"
@@ -26,7 +27,7 @@ func withEvac(e EvacPolicy) deployOpt {
 // dataKeySet snapshots the data keys of one local store.
 func dataKeySet(d *LocalStores, i int) map[string]bool {
 	out := make(map[string]bool)
-	for _, k := range d.Server(i).Store().Keys("data:") {
+	for _, k := range d.Server(i).Store().KeysN("data:", 0) {
 		out[k] = true
 	}
 	return out
@@ -407,6 +408,31 @@ func TestForcedReleaseDeadline(t *testing.T) {
 	}
 	if forced != 1 || atRisk != int64(rep.AtRisk) {
 		t.Errorf("metrics forced=%v atRisk=%v, want 1 / %d", forced, atRisk, rep.AtRisk)
+	}
+}
+
+// TestForcedReleaseFailedListing: a forced release whose listing of the
+// node fails, retried, still flushes and removes the node, but reports the
+// failure: it cannot count what it left at risk or queue its repair.
+func TestForcedReleaseFailedListing(t *testing.T) {
+	d, proxies := newChaosFS(t, 2, 2, faultwrap.Plan{},
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}), withRetry(fastRetry))
+	for i := 0; i < 4; i++ {
+		if err := d.fs.WriteFile(fmt.Sprintf("/f%d", i), randomBytes(int64(i), 50_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victimID := d.victims.Nodes[0].ID
+	proxies[0].SetPlan(faultwrap.Plan{DropVerbs: []string{"SCAN"}})
+	_, err := d.fs.Evacuate(context.Background(), victimID, EvacOptions{Deadline: time.Nanosecond})
+	if err == nil || !strings.Contains(err.Error(), "SCAN") {
+		t.Fatalf("forced release with a failing listing: err %v, want the listing's error", err)
+	}
+	if st := d.victims.Server(0).Store().Stats(); st.BytesUsed != 0 {
+		t.Fatalf("store not flushed: %d bytes", st.BytesUsed)
+	}
+	if d.fs.victimNode(victimID) == nil {
+		t.Fatal("node still a member after its release")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -96,14 +97,14 @@ const (
 	// movePassPause separates drain retry passes so a node with a
 	// persistent per-key failure is not hammered in a tight loop.
 	movePassPause = 20 * time.Millisecond
-	// drainListBatch bounds one partial-drain listing (plus the skip set,
-	// so skipped keys at the front of the sort order never starve deeper
-	// candidates).
-	drainListBatch = 256
-	// flushRetries re-attempts the release-phase FlushAll beyond the
-	// client's own retry budget: by flush time the node is already out of
-	// placement, so giving up leaves stale bytes the tenant wants back.
+	// flushRetries re-attempts the release-phase listing and FlushAll
+	// beyond the client's own retry budget: by then the node is already
+	// out of placement, so giving up leaves stale bytes the tenant wants
+	// back, or stripes short that no repair was queued for.
 	flushRetries = 5
+	// scanPage is how many slots of a store's scan order one SCAN walks:
+	// the longest a listing holds the store's lock is one page.
+	scanPage = 256
 )
 
 // EvacOptions tunes one evacuation.
@@ -129,24 +130,16 @@ type EvacReport struct {
 
 // victimNode verifies nodeID is a registered victim node.
 func (fs *FileSystem) victimNode(nodeID string) error {
-	fs.mu.RLock()
-	var found, victim bool
-	for i := range fs.classes {
-		for _, n := range fs.classes[i].Nodes {
-			if n.ID == nodeID {
-				found = true
-				victim = fs.classes[i].Victim
-			}
+	for _, c := range fs.Classes() {
+		switch {
+		case !slices.ContainsFunc(c.Nodes, func(n NodeSpec) bool { return n.ID == nodeID }):
+		case !c.Victim:
+			return fmt.Errorf("core: node %q is an own node; refusing to evacuate metadata", nodeID)
+		default:
+			return nil
 		}
 	}
-	fs.mu.RUnlock()
-	if !found {
-		return fmt.Errorf("%w %q", errUnknownNode, nodeID)
-	}
-	if !victim {
-		return fmt.Errorf("core: node %q is an own node; refusing to evacuate metadata", nodeID)
-	}
-	return nil
+	return fmt.Errorf("%w %q", errUnknownNode, nodeID)
 }
 
 // Evacuate runs the full revocation protocol against a victim node:
@@ -224,14 +217,8 @@ func (fs *FileSystem) evacuate(ctx context.Context, cli *kvstore.Client, nodeID 
 	fs.mu.Lock()
 	next := make([]ClassSpec, 0, len(fs.classes))
 	for _, c := range fs.classes {
-		nodes := make([]NodeSpec, 0, len(c.Nodes))
-		for _, n := range c.Nodes {
-			if n.ID != nodeID {
-				nodes = append(nodes, n)
-			}
-		}
-		if len(nodes) > 0 {
-			c.Nodes = nodes
+		c.Nodes = slices.DeleteFunc(slices.Clone(c.Nodes), func(n NodeSpec) bool { return n.ID == nodeID })
+		if len(c.Nodes) > 0 {
 			next = append(next, c)
 		}
 	}
@@ -254,25 +241,22 @@ func (fs *FileSystem) evacuate(ctx context.Context, cli *kvstore.Client, nodeID 
 	observePhase("sweep")
 
 	// Phase 5: release. On a forced release, list what is about to be
-	// lost from this store: every unresolved stripe is left short.
+	// lost from this store: every unresolved stripe is left short. A
+	// listing that fails even retried fails the evacuation: the release
+	// goes on, but the operator must scrub for what it left short.
+	var listErr error
 	if rep.Forced {
-		if keys, err := cli.Keys("data:"); err == nil {
-			for _, key := range keys {
-				if !resolved[key] {
-					rep.Deferred++
-					mv.short[key] = true
-				}
+		var keys []string
+		listErr = retryRelease(func() (err error) { keys, err = listStripes(cli); return err })
+		for _, key := range keys {
+			if !resolved[key] {
+				rep.Deferred++
+				mv.short[key] = true
 			}
 		}
 		rep.AtRisk = rep.Deferred
 	}
-	var flushErr error
-	for i := 0; i < flushRetries; i++ {
-		if flushErr = cli.FlushAll(); flushErr == nil {
-			break
-		}
-		time.Sleep(movePassPause)
-	}
+	flushErr := retryRelease(cli.FlushAll)
 	fs.conns.retire(cli)
 	// No longer a placement target: forget its history — and with it the
 	// fence — so health snapshots and write-skip decisions stop
@@ -298,10 +282,39 @@ func (fs *FileSystem) evacuate(ctx context.Context, cli *kvstore.Client, nodeID 
 	fs.obs.note("evac", nodeID,
 		fmt.Sprintf("done: moved=%d deferred=%d forced=%v in %s",
 			rep.Moved, rep.Deferred, rep.Forced, rep.Elapsed.Round(time.Millisecond)), 0)
-	if flushErr != nil {
-		return rep, fmt.Errorf("core: evacuate %s: flush: %w", nodeID, flushErr)
+	if err := errors.Join(listErr, flushErr); err != nil {
+		return rep, fmt.Errorf("core: evacuate %s: release: %w", nodeID, err)
 	}
 	return rep, nil
+}
+
+// retryRelease runs a release step up to flushRetries times, until it
+// succeeds, and returns its last error.
+func retryRelease(step func() error) (err error) {
+	for i := 0; i < flushRetries; i++ {
+		if err = step(); err == nil {
+			return nil
+		}
+		time.Sleep(movePassPause)
+	}
+	return err
+}
+
+// listStripes lists every stripe value src holds, one SCAN page after
+// another, so no listing holds the store's lock for longer than a page.
+// A key that stays a stripe value throughout is listed once.
+func listStripes(src *kvstore.Client) ([]string, error) {
+	var keys []string
+	for cursor := int64(0); ; {
+		page, next, err := src.Scan(cursor, scanPage)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, page...)
+		if cursor = next; cursor == 0 {
+			return keys, nil
+		}
+	}
 }
 
 // evacPasses runs mover passes over the source's data listing until one
@@ -318,14 +331,13 @@ func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport
 		if ctx.Err() != nil {
 			return context.Cause(ctx) // DeadlineExceeded when a trigger moved the deadline up
 		}
-		keys, err := mv.src.Keys("data:")
+		todo, err := listStripes(mv.src)
 		if err != nil {
 			time.Sleep(movePassPause)
 			continue
 		}
-		todo := keys
 		if !recheck {
-			todo = unresolvedKeys(keys, resolved)
+			todo = slices.DeleteFunc(todo, func(k string) bool { return resolved[k] })
 		}
 		if len(todo) == 0 {
 			return nil
@@ -362,24 +374,13 @@ func (fs *FileSystem) evacPasses(ctx context.Context, mv *mover, rep *EvacReport
 	}
 }
 
-// unresolvedKeys filters a listing down to the keys not yet resolved.
-func unresolvedKeys(keys []string, resolved map[string]bool) []string {
-	out := keys[:0:0]
-	for _, k := range keys {
-		if !resolved[k] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // --- partial drain (soft pressure) ------------------------------------------
 
 // DrainReport describes what one partial drain did.
 type DrainReport struct {
 	Node        string        // the drained node
 	Moved       int           // keys confirmed elsewhere and deleted at the source
-	Skipped     int           // keys that could not move this drain
+	Skipped     int           // keys the last pass could not move
 	BytesBefore int64         // store fill when the drain started
 	BytesAfter  int64         // store fill when it stopped
 	Target      int64         // fill the drain aimed for
@@ -424,20 +425,14 @@ func (fs *FileSystem) drain(ctx context.Context, cli *kvstore.Client, run *recla
 	nodeID := run.node
 	rep := &DrainReport{Node: nodeID}
 	start := time.Now()
+	defer func() { rep.Elapsed = time.Since(start) }()
 	fs.detector.SetDraining(nodeID, true)
 	defer fs.detector.SetDraining(nodeID, false)
-	skipped := make(map[string]bool)
-	// stamp closes the report on every way out.
-	stamp := func(err error) (*DrainReport, error) {
-		rep.Skipped = len(skipped)
-		rep.Elapsed = time.Since(start)
-		return rep, err
-	}
 	mv := fs.newMover(cli, nodeID)
-	for {
+	for freed := true; freed; {
 		st, err := cli.Info()
 		if err != nil {
-			return stamp(fmt.Errorf("core: drain %s: %w", nodeID, err))
+			return rep, fmt.Errorf("core: drain %s: %w", nodeID, err)
 		}
 		if rep.Passes == 0 {
 			rep.BytesBefore = st.BytesUsed
@@ -450,7 +445,7 @@ func (fs *FileSystem) drain(ctx context.Context, cli *kvstore.Client, run *recla
 			g.merge(reclaimGoal{fill: int64(float64(st.MaxMemory) * drainSoftTarget)})
 		}
 		if rep.Target = g.fill; g.fill == 0 {
-			return stamp(fmt.Errorf("core: drain %s: no memory cap and no explicit target", nodeID))
+			return rep, fmt.Errorf("core: drain %s: no memory cap and no explicit target", nodeID)
 		}
 		if st.BytesUsed <= rep.Target {
 			break
@@ -459,28 +454,25 @@ func (fs *FileSystem) drain(ctx context.Context, cli *kvstore.Client, run *recla
 			// A passed deadline or a preempting evacuation: best effort,
 			// pressure relief is not a contract.
 			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-				return stamp(nil)
+				return rep, nil
 			}
-			return stamp(err)
+			return rep, err
 		}
-		// The skip set grows the listing bound so keys stuck at the front
-		// of the sort order never starve deeper candidates.
-		keys, err := cli.KeysN("data:", drainListBatch+len(skipped))
+		keys, err := listStripes(cli)
 		if err != nil {
-			return stamp(fmt.Errorf("core: drain %s: %w", nodeID, err))
-		}
-		todo := unresolvedKeys(keys, skipped)
-		if len(todo) == 0 {
-			break // everything left is unmovable right now
+			return rep, fmt.Errorf("core: drain %s: %w", nodeID, err)
 		}
 		rep.Passes++
+		rep.Skipped, freed = 0, false
 		// Priority-ordered reclamation, cut at the byte budget: low-priority
 		// tenants' keys leave the pressured store first, and the pass stops
-		// evicting once the fill is down to the target.
-		mv.move(ctx, mv.byPriority(todo), st.BytesUsed-rep.Target, func(key string, o moveOutcome) {
+		// evicting once the fill is down to the target. A pass that frees
+		// nothing ends the drain: what is left cannot move right now.
+		mv.move(ctx, mv.byPriority(keys), st.BytesUsed-rep.Target, func(key string, o moveOutcome) {
 			switch o {
 			case moveMoved, moveOrphan:
 				rep.Moved++
+				freed = true
 				if t := fs.tenants(); t != nil {
 					t.NoteReclaim(mv.priority(key), 1)
 				}
@@ -488,11 +480,11 @@ func (fs *FileSystem) drain(ctx context.Context, cli *kvstore.Client, run *recla
 				// A destination not Up, a value changed under us, store
 				// errors: left for the next pressure sweep. A guest or a
 				// stray is not this drain's to move.
-				skipped[key] = true
+				rep.Skipped++
 			}
 		})
 	}
-	stamp(nil)
+	rep.Elapsed = time.Since(start)
 	fs.obs.drainReport(rep)
 	fs.obs.note("drain", nodeID,
 		fmt.Sprintf("partial drain done: moved=%d passes=%d %d->%d bytes in %s",

@@ -348,13 +348,13 @@ func TestVerifyFileDetectsLoss(t *testing.T) {
 	// Destroy the stripes everywhere (simulating loss of all copies).
 	for i := range d.own.Nodes {
 		st := d.own.Server(i).Store()
-		for _, k := range st.Keys("data:") {
+		for _, k := range st.KeysN("data:", 0) {
 			st.Del(k)
 		}
 	}
 	for i := range d.victims.Nodes {
 		st := d.victims.Server(i).Store()
-		for _, k := range st.Keys("data:") {
+		for _, k := range st.KeysN("data:", 0) {
 			st.Del(k)
 		}
 	}

@@ -504,8 +504,7 @@ var (
 	verbSMembers = []byte("SMEMBERS")
 	verbSCard    = []byte("SCARD")
 	verbIncr     = []byte("INCR")
-	verbKeys     = []byte("KEYS")
-	verbKeysN    = []byte("KEYSN")
+	verbScan     = []byte("SCAN")
 	verbDelVal   = []byte("DELVAL")
 	verbFlushAll = []byte("FLUSHALL")
 	verbMemCap   = []byte("MEMCAP")
@@ -752,11 +751,7 @@ func (c *Client) SMembers(key string) ([]string, error) {
 	if err := reply.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]string, len(reply.Array))
-	for i, b := range reply.Array {
-		out[i] = string(b)
-	}
-	return out, nil
+	return strs(reply.Array), nil
 }
 
 // SCard returns the cardinality of the set at key.
@@ -769,38 +764,24 @@ func (c *Client) Incr(key string) (int64, error) {
 	return c.doInt(verbIncr, []byte(key))
 }
 
-// Keys lists all keys with the given prefix, sorted.
-func (c *Client) Keys(prefix string) ([]string, error) {
-	reply, err := c.do(verbKeys, []byte(prefix))
+// Scan lists the stripe values' keys in count slots of the store's scan
+// order from cursor, and returns the cursor of the next page: 0 after the
+// last (Store.Scan). Start at cursor 0.
+func (c *Client) Scan(cursor int64, count int) (keys []string, next int64, err error) {
+	reply, err := c.do(verbScan, strconv.AppendInt(nil, cursor, 10), strconv.AppendInt(nil, int64(count), 10))
+	if err == nil {
+		err = reply.Err()
+	}
+	if err == nil && len(reply.Array) == 0 {
+		err = fmt.Errorf("%w: SCAN reply without a cursor", errProtocol)
+	}
+	if err == nil {
+		next, err = parseInt(reply.Array[0])
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := reply.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]string, len(reply.Array))
-	for i, b := range reply.Array {
-		out[i] = string(b)
-	}
-	return out, nil
-}
-
-// KeysN lists up to n keys with the given prefix, sorted — the bounded
-// listing a partial drain uses so one pass over a huge store doesn't
-// marshal every key.
-func (c *Client) KeysN(prefix string, n int) ([]string, error) {
-	reply, err := c.do(verbKeysN, []byte(prefix), []byte(strconv.Itoa(n)))
-	if err != nil {
-		return nil, err
-	}
-	if err := reply.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]string, len(reply.Array))
-	for i, b := range reply.Array {
-		out[i] = string(b)
-	}
-	return out, nil
+	return strs(reply.Array[1:]), next, nil
 }
 
 // DelVal deletes key only if it still holds exactly value, and reports

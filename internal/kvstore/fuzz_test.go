@@ -54,7 +54,7 @@ func readCommand(in []byte) ([][]byte, error) {
 	cr := &cmdReader{br: bufio.NewReader(bytes.NewReader(in))}
 	_, args, err := cr.next()
 	if err == nil && cr.kept.hdr != nil {
-		args[len(args)-1] = append(cr.kept.hdr[:], cr.kept.val...)
+		args[len(args)-1] = append(cr.kept.hdr.b[:], cr.kept.val...)
 	}
 	return args, err
 }

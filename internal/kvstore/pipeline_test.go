@@ -101,7 +101,7 @@ func TestMGetAndBatchedDelOverWire(t *testing.T) {
 	if replies[0].Int != 2 || replies[1].Int != 0 {
 		t.Fatalf("DEL counts = %d, %d; want 2, 0", replies[0].Int, replies[1].Int)
 	}
-	if keys := srv.Store().Keys(""); len(keys) != 2 {
+	if keys := srv.Store().KeysN("", 0); len(keys) != 2 {
 		t.Fatalf("keys after DEL = %q, want data:f#10 and meta:x", keys)
 	}
 }

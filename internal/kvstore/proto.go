@@ -34,7 +34,9 @@ import (
 // value is exactly erasure.HeaderSize bytes, only if its header is value.
 // The header form rests on one invariant: core writes exactly one payload
 // per (generation, write ID) per key, so a header still in place names
-// the same bytes, and any write since has stamped another.
+// the same bytes, and any write since has stamped another. SCAN cursor
+// count, the one listing verb, pages through the stripe values' keys
+// (Store.Scan) and replies the next cursor followed by the keys.
 
 // maxBulkLen bounds a single bulk string (64 MiB) to keep a malformed or
 // hostile peer from forcing huge allocations.
@@ -358,23 +360,30 @@ func readReplyInto(br *bufio.Reader, r *Reply) error {
 	}
 }
 
-// verbNames maps the canonical command verbs to interned strings, so hot
-// paths resolve a verb from its wire bytes without allocating (a direct
-// map[string] lookup on a []byte conversion does not copy). Unknown or
-// lowercase verbs fall back to an allocating ToUpper.
-var verbNames = map[string]string{
-	"SET": "SET", "SETNX": "SETNX", "GET": "GET", "GETRANGE": "GETRANGE",
-	"SETRANGE": "SETRANGE", "DEL": "DEL", "MGET": "MGET",
-	"VSET": "VSET", "SADD": "SADD", "SREM": "SREM",
-	"SMEMBERS": "SMEMBERS", "SCARD": "SCARD", "INCR": "INCR",
-	"KEYS": "KEYS", "KEYSN": "KEYSN", "DELVAL": "DELVAL",
-	"FLUSHALL": "FLUSHALL", "MEMCAP": "MEMCAP", "INFO": "INFO",
-	"AUTH": "AUTH", "PING": "PING",
+// verbs is the command table, one entry per verb: its interned name, so
+// hot paths resolve a verb from its wire bytes without allocating (a
+// map[string] lookup on a []byte conversion does not copy), and the
+// range of argument counts the server takes after it. FLUSHALL, INFO and
+// PING ignore theirs. Unknown or lowercase verbs fall back to an
+// allocating ToUpper.
+var verbs = map[string]struct {
+	name     string
+	min, max int
+}{
+	"SET": {"SET", 2, 2}, "SETNX": {"SETNX", 2, 2}, "GET": {"GET", 1, 1},
+	"GETRANGE": {"GETRANGE", 3, 3}, "SETRANGE": {"SETRANGE", 3, 3},
+	"DEL": {"DEL", 1, maxArrayLen}, "MGET": {"MGET", 1, maxArrayLen},
+	"VSET": {"VSET", 3, 4}, "SADD": {"SADD", 2, maxArrayLen},
+	"SREM": {"SREM", 2, maxArrayLen}, "SMEMBERS": {"SMEMBERS", 1, 1},
+	"SCARD": {"SCARD", 1, 1}, "INCR": {"INCR", 1, 1}, "SCAN": {"SCAN", 2, 2},
+	"DELVAL": {"DELVAL", 2, 2}, "MEMCAP": {"MEMCAP", 1, 1},
+	"FLUSHALL": {"FLUSHALL", 0, maxArrayLen}, "INFO": {"INFO", 0, maxArrayLen},
+	"AUTH": {"AUTH", 1, 1}, "PING": {"PING", 0, maxArrayLen},
 }
 
 func verbOf(b []byte) string {
-	if v, ok := verbNames[string(b)]; ok {
-		return v
+	if v, ok := verbs[string(b)]; ok {
+		return v.name
 	}
 	return strings.ToUpper(string(b))
 }

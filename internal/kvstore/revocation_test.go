@@ -3,12 +3,15 @@ package kvstore
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
+
+	"memfss/internal/erasure"
 )
 
 // Tests for the store/wire primitives the revocation protocol leans on:
-// bounded key listing (KEYSN), compare-and-delete (DELVAL), and the typed
+// paged stripe listing (SCAN), compare-and-delete (DELVAL), and the typed
 // ErrNoSpace classification of OOM replies.
 
 func TestStoreKeysN(t *testing.T) {
@@ -55,23 +58,36 @@ func TestStoreDelIfEquals(t *testing.T) {
 	}
 }
 
-func TestKeysNOverWire(t *testing.T) {
+func TestScanOverWire(t *testing.T) {
 	_, cli := startServer(t, 0, "")
-	for _, k := range []string{"data:z", "data:y", "data:x", "other"} {
-		if err := cli.Set(k, []byte("v")); err != nil {
+	for _, k := range []string{"data:z", "data:y", "data:x"} {
+		if err := cli.Set(k, erasure.WrapShard(1, 1, []byte("v"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := cli.KeysN("data:", 2)
-	if err != nil {
+	if err := cli.Set("other", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !sort.StringsAreSorted(got) {
-		t.Fatalf("KeysN over wire = %v", got)
+	var all []string
+	pages := 0
+	for cursor := int64(0); ; {
+		pages++
+		keys, next, err := cli.Scan(cursor, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, keys...)
+		if cursor = next; cursor == 0 {
+			break
+		}
 	}
-	all, err := cli.KeysN("data:", 100)
-	if err != nil || len(all) != 3 {
-		t.Fatalf("KeysN(100) = %v %v", all, err)
+	if pages != 2 || !slices.Equal(all, []string{"data:z", "data:y", "data:x"}) {
+		t.Fatalf("Scan over wire = %v in %d pages, want the three stripes in write order in 2", all, pages)
+	}
+	for _, args := range [][]string{{"SCAN", "0"}, {"SCAN", "-1", "2"}, {"SCAN", "0", "0"}, {"SCAN", "x", "2"}} {
+		if reply, err := cli.do(bs(args...)...); err != nil || reply.Err() == nil {
+			t.Errorf("%v: reply %+v, %v; want an error reply", args, reply, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -153,7 +152,7 @@ func readKept(br *bufio.Reader, n int64, split bool) (e entry, err error) {
 			return e, err
 		}
 		if erasure.HasHeader(h) {
-			e.hdr = (*[erasure.HeaderSize]byte)(bytes.Clone(h))
+			e.hdr = newHdr(h)
 			_, _ = br.Discard(erasure.HeaderSize) // the peeked bytes: cannot fail
 			n -= erasure.HeaderSize
 		}
@@ -380,22 +379,18 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 			rw.loans = append(rw.loans, loan)
 		}
 	}
+	if v, ok := verbs[cmd]; ok && (len(args) < v.min || len(args) > v.max) {
+		fail("ERR wrong number of arguments for %s", cmd)
+		return
+	}
 	switch cmd {
 	case "SET":
-		if len(args) != 2 {
-			fail("ERR wrong number of arguments for SET")
-			return
-		}
 		if err := s.store.set(string(args[0]), kept); err != nil {
 			storeErr(err)
 			return
 		}
 		rw.enc.simple("OK")
 	case "SETNX":
-		if len(args) != 2 {
-			fail("ERR wrong number of arguments for SETNX")
-			return
-		}
 		ok, err := s.store.setNX(string(args[0]), kept)
 		if err != nil {
 			storeErr(err)
@@ -407,16 +402,8 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 			intReply(0)
 		}
 	case "GET":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for GET")
-			return
-		}
 		getRange(args[0], 0, math.MaxInt64)
 	case "GETRANGE":
-		if len(args) != 3 {
-			fail("ERR wrong number of arguments for GETRANGE")
-			return
-		}
 		off, err1 := parseInt(args[1])
 		length, err2 := parseInt(args[2])
 		if err1 != nil || err2 != nil {
@@ -425,10 +412,6 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		}
 		getRange(args[0], off, length)
 	case "SETRANGE":
-		if len(args) != 3 {
-			fail("ERR wrong number of arguments for SETRANGE")
-			return
-		}
 		off, err := parseInt(args[1])
 		if err != nil {
 			fail("ERR value is not an integer")
@@ -440,33 +423,13 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		}
 		rw.enc.simple("OK")
 	case "DEL":
-		if len(args) < 1 {
-			fail("ERR wrong number of arguments for DEL")
-			return
-		}
-		keys := make([]string, len(args))
-		for i, a := range args {
-			keys[i] = string(a)
-		}
-		intReply(int64(s.store.Del(keys...)))
+		intReply(int64(s.store.Del(strs(args)...)))
 	case "MGET":
-		if len(args) < 1 {
-			fail("ERR wrong number of arguments for MGET")
-			return
-		}
-		keys := make([]string, len(args))
-		for i, a := range args {
-			keys[i] = string(a)
-		}
-		rw.arrayReply(s.store.MGet(keys))
+		rw.arrayReply(s.store.MGet(strs(args)))
 	case "VSET":
 		// VSET key id value replaces the value; VSET key id off value
 		// writes at payload offset off. Either replies the stamped
 		// generation.
-		if len(args) != 3 && len(args) != 4 {
-			fail("ERR wrong number of arguments for VSET")
-			return
-		}
 		id, err := parseInt(args[1])
 		off := int64(0)
 		if err == nil && len(args) == 4 {
@@ -488,40 +451,20 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		}
 		intReply(int64(gen))
 	case "SADD":
-		if len(args) < 2 {
-			fail("ERR wrong number of arguments for SADD")
-			return
-		}
-		members := make([]string, len(args)-1)
-		for i, a := range args[1:] {
-			members[i] = string(a)
-		}
-		n, err := s.store.SAdd(string(args[0]), members...)
+		n, err := s.store.SAdd(string(args[0]), strs(args[1:])...)
 		if err != nil {
 			storeErr(err)
 			return
 		}
 		intReply(int64(n))
 	case "SREM":
-		if len(args) < 2 {
-			fail("ERR wrong number of arguments for SREM")
-			return
-		}
-		members := make([]string, len(args)-1)
-		for i, a := range args[1:] {
-			members[i] = string(a)
-		}
-		n, err := s.store.SRem(string(args[0]), members...)
+		n, err := s.store.SRem(string(args[0]), strs(args[1:])...)
 		if err != nil {
 			storeErr(err)
 			return
 		}
 		intReply(int64(n))
 	case "SMEMBERS":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for SMEMBERS")
-			return
-		}
 		members, err := s.store.SMembers(string(args[0]))
 		if err != nil {
 			storeErr(err)
@@ -532,10 +475,6 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 			rw.enc.argString(m)
 		}
 	case "SCARD":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for SCARD")
-			return
-		}
 		n, err := s.store.SCard(string(args[0]))
 		if err != nil {
 			storeErr(err)
@@ -543,46 +482,26 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		}
 		intReply(int64(n))
 	case "INCR":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for INCR")
-			return
-		}
 		n, err := s.store.Incr(string(args[0]))
 		if err != nil {
 			storeErr(err)
 			return
 		}
 		intReply(n)
-	case "KEYS":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for KEYS")
+	case "SCAN":
+		cursor, err1 := parseInt(args[0])
+		count, err2 := parseInt(args[1])
+		if err1 != nil || err2 != nil || cursor < 0 || count < 1 {
+			fail("ERR invalid cursor or count")
 			return
 		}
-		keys := s.store.Keys(string(args[0]))
-		rw.enc.arrayHeader(len(keys))
-		for _, k := range keys {
-			rw.enc.argString(k)
-		}
-	case "KEYSN":
-		if len(args) != 2 {
-			fail("ERR wrong number of arguments for KEYSN")
-			return
-		}
-		n, err := parseInt(args[1])
-		if err != nil || n < 0 {
-			fail("ERR value is not a valid key limit")
-			return
-		}
-		keys := s.store.KeysN(string(args[0]), int(n))
-		rw.enc.arrayHeader(len(keys))
+		keys, next := s.store.Scan(cursor, int(min(count, maxArrayLen)))
+		rw.enc.arrayHeader(1 + len(keys))
+		rw.enc.argInt(next)
 		for _, k := range keys {
 			rw.enc.argString(k)
 		}
 	case "DELVAL":
-		if len(args) != 2 {
-			fail("ERR wrong number of arguments for DELVAL")
-			return
-		}
 		if s.store.DelIfEquals(string(args[0]), args[1]) {
 			intReply(1)
 		} else {
@@ -592,10 +511,6 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 		s.store.FlushAll()
 		rw.enc.simple("OK")
 	case "MEMCAP":
-		if len(args) != 1 {
-			fail("ERR wrong number of arguments for MEMCAP")
-			return
-		}
 		n, err := parseInt(args[0])
 		if err != nil || n < 0 {
 			fail("ERR value is not a valid memory cap")
@@ -618,6 +533,16 @@ func (s *Server) dispatch(rw *replyWriter, cmd string, args [][]byte, kept entry
 	default:
 		fail("ERR unknown command '%s'", cmd)
 	}
+}
+
+// strs copies wire strings out: the command's arguments, or a reply's
+// array.
+func strs(b [][]byte) []string {
+	out := make([]string, len(b))
+	for i := range b {
+		out[i] = string(b[i])
+	}
+	return out
 }
 
 // arrayReply writes an array-of-bulks reply; nil items encode as the nil

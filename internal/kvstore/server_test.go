@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -112,19 +114,19 @@ func TestServerSetsAndCounters(t *testing.T) {
 
 func TestServerKeysAndFlush(t *testing.T) {
 	_, cli := startServer(t, 0, "")
-	cli.Set("data:1", []byte("x"))
-	cli.Set("data:2", []byte("x"))
-	cli.Set("meta:1", []byte("x"))
-	keys, err := cli.Keys("data:")
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("Keys = %v %v", keys, err)
+	cli.Set("data:1", erasure.WrapShard(1, 1, []byte("x")))
+	cli.Set("data:2", erasure.WrapShard(1, 1, []byte("x")))
+	cli.Set("meta:1", []byte("x")) // no stripe header: not listed
+	keys, next, err := cli.Scan(0, 10)
+	sort.Strings(keys)
+	if err != nil || next != 0 || !slices.Equal(keys, []string{"data:1", "data:2"}) {
+		t.Fatalf("Scan = %v %d %v", keys, next, err)
 	}
 	if err := cli.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	keys, _ = cli.Keys("")
-	if len(keys) != 0 {
-		t.Fatalf("FlushAll left %v", keys)
+	if keys, next, err = cli.Scan(0, 10); err != nil || next != 0 || len(keys) != 0 {
+		t.Fatalf("FlushAll left %v (next %d, %v)", keys, next, err)
 	}
 }
 

@@ -63,8 +63,21 @@ const pressureWatermark = 0.9
 // hdr is a pointer: a headerless value costs the map one word, and an
 // in-place write reaches the header the map holds, as it does the payload.
 type entry struct {
-	hdr *[erasure.HeaderSize]byte
+	hdr *stripeHdr
 	val []byte
+}
+
+// stripeHdr is a stripe value's header and its slot in the store's scan
+// order (Store.Scan): 24 bytes, the size class the header alone took.
+type stripeHdr struct {
+	b    [erasure.HeaderSize]byte
+	slot int32
+}
+
+// newHdr returns a header holding a copy of h's first erasure.HeaderSize
+// bytes; put gives it a slot.
+func newHdr(h []byte) *stripeHdr {
+	return &stripeHdr{b: [erasure.HeaderSize]byte(h)}
 }
 
 // splitEntry returns the entry for value v, its payload aliasing v.
@@ -72,7 +85,7 @@ func splitEntry(v []byte) entry {
 	if !erasure.HasHeader(v) {
 		return entry{val: v}
 	}
-	return entry{hdr: (*[erasure.HeaderSize]byte)(bytes.Clone(v[:erasure.HeaderSize])), val: v[erasure.HeaderSize:]}
+	return entry{hdr: newHdr(v), val: v[erasure.HeaderSize:]}
 }
 
 // size is the length of e's view.
@@ -88,7 +101,7 @@ func (e entry) size() int64 {
 func (e entry) parts(from, to int64) (head, body []byte) {
 	if e.hdr != nil {
 		if from < erasure.HeaderSize {
-			head = e.hdr[from:min(to, erasure.HeaderSize)]
+			head = e.hdr.b[from:min(to, erasure.HeaderSize)]
 		}
 		from, to = max(from-erasure.HeaderSize, 0), max(to-erasure.HeaderSize, 0)
 	}
@@ -115,7 +128,7 @@ func (e entry) grown(end int64) entry {
 func (e entry) writeAt(off int64, p []byte) {
 	if e.hdr != nil {
 		if off < erasure.HeaderSize {
-			n := copy(e.hdr[off:], p)
+			n := copy(e.hdr.b[off:], p)
 			p, off = p[n:], erasure.HeaderSize
 		}
 		off -= erasure.HeaderSize
@@ -129,7 +142,7 @@ func (e entry) writeAt(off int64, p []byte) {
 func (e entry) stripe() (gen, id uint64, payload []byte, ok bool) {
 	h, payload := e.val, e.val[min(len(e.val), erasure.HeaderSize):]
 	if e.hdr != nil {
-		h, payload = e.hdr[:], e.val
+		h, payload = e.hdr.b[:], e.val
 	}
 	if !erasure.HasHeader(h) {
 		return 0, 0, nil, false
@@ -144,7 +157,7 @@ func (e entry) matches(value []byte) bool {
 	if e.hdr == nil {
 		return bytes.Equal(e.val, value)
 	}
-	if !bytes.Equal(e.hdr[:], value[:min(len(value), erasure.HeaderSize)]) {
+	if !bytes.Equal(e.hdr.b[:], value[:min(len(value), erasure.HeaderSize)]) {
 		return false
 	}
 	return len(value) == erasure.HeaderSize || bytes.Equal(e.val, value[erasure.HeaderSize:])
@@ -159,14 +172,21 @@ func (e entry) matches(value []byte) bool {
 // range VSET) copies a lent buffer before writing (unlent), so a lent
 // byte never changes and no reader sees a torn range. Header bytes are
 // never lent: a whole VSET restamps them in place.
+//
+// Every stripe value holds a slot in stripes, the scan order: a key takes
+// a free slot (or a new one at the end) when it becomes a stripe value,
+// keeps it while it stays one, rewritten or not, and frees it when it
+// stops being one. A freed slot holds "" until it is reused.
 type Store struct {
-	mu     sync.RWMutex
-	data   map[string]entry
-	sets   map[string]map[string]struct{}
-	loans  map[*byte]int // open reply loans per payload buffer (loanKey)
-	used   int64
-	maxMem int64
-	ops    int64
+	mu      sync.RWMutex
+	data    map[string]entry
+	sets    map[string]map[string]struct{}
+	loans   map[*byte]int // open reply loans per payload buffer (loanKey)
+	stripes []string      // stripe keys by slot
+	free    []int32       // freed slots of stripes
+	used    int64
+	maxMem  int64
+	ops     int64
 }
 
 // NewStore returns an empty store. maxMemory of 0 means unlimited.
@@ -222,8 +242,8 @@ func (s *Store) set(key string, value entry) error {
 }
 
 // put stores next under key in place of old (exists: the key held a
-// value), keeping the accounting, and refuses growth past the cap. Called
-// with mu held.
+// value), keeping the accounting and the scan order, and refuses growth
+// past the cap. Called with mu held.
 func (s *Store) put(key string, old entry, exists bool, next entry) error {
 	delta := next.size() - old.size()
 	if !exists {
@@ -232,9 +252,46 @@ func (s *Store) put(key string, old entry, exists bool, next entry) error {
 	if delta > 0 && s.wouldOverflow(delta) {
 		return ErrOOM
 	}
+	switch {
+	case next.hdr == old.hdr: // the same stripe (or neither is one)
+	case old.hdr == nil:
+		next.hdr.slot = s.list(key)
+	case next.hdr == nil:
+		s.unlist(old.hdr.slot)
+	default:
+		next.hdr.slot = old.hdr.slot
+	}
 	s.data[key] = next
 	s.used += delta
 	return nil
+}
+
+// remove deletes key, which holds v, keeping the accounting and the scan
+// order. Called with mu held.
+func (s *Store) remove(key string, v entry) {
+	if v.hdr != nil {
+		s.unlist(v.hdr.slot)
+	}
+	s.used -= v.size() + int64(len(key)) + EntryOverhead
+	delete(s.data, key)
+}
+
+// list gives key a slot in the scan order. Called with mu held.
+func (s *Store) list(key string) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.stripes[i] = key
+		return i
+	}
+	s.stripes = append(s.stripes, key)
+	return int32(len(s.stripes) - 1)
+}
+
+// unlist frees slot i of the scan order. Called with mu held.
+func (s *Store) unlist(i int32) {
+	s.stripes[i] = ""
+	s.free = append(s.free, i)
 }
 
 // grow returns v when it holds at least end bytes, else a zero-extended
@@ -419,8 +476,7 @@ func (s *Store) Del(keys ...string) int {
 	n := 0
 	for _, key := range keys {
 		if v, ok := s.data[key]; ok {
-			s.used -= v.size() + int64(len(key)) + EntryOverhead
-			delete(s.data, key)
+			s.remove(key, v)
 			n++
 			continue
 		}
@@ -477,7 +533,7 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 	}
 	next := entry{hdr: old.hdr, val: kept}
 	if next.hdr == nil {
-		next.hdr = new([erasure.HeaderSize]byte)
+		next.hdr = new(stripeHdr)
 	}
 	if kept == nil {
 		next.val = s.unlent(grow(body, off+int64(len(value))))
@@ -488,7 +544,7 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 	if kept == nil {
 		copy(next.val[off:], value)
 	}
-	erasure.PutHeader(next.hdr[:], gen, id)
+	erasure.PutHeader(next.hdr.b[:], gen, id)
 	return gen, nil
 }
 
@@ -616,9 +672,11 @@ func (s *Store) Incr(key string) (int64, error) {
 	return n, nil
 }
 
-// Keys returns all keys (string and set) with the given prefix, sorted.
-// The scavenging manager uses this to drain a victim store.
-func (s *Store) Keys(prefix string) []string {
+// KeysN returns up to n keys (string and set) with the given prefix, in
+// sorted order; n <= 0 means no limit. It walks and sorts the whole store
+// under its lock: an in-process check only, not a listing a caller should
+// make of a live store (Scan pages).
+func (s *Store) KeysN(prefix string, n int) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
@@ -634,20 +692,41 @@ func (s *Store) Keys(prefix string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// KeysN returns up to n keys (string and set) with the given prefix, in
-// sorted order. The scan still visits every key — the point is bounding
-// the reply, so a partial drain of a huge store can work in slices
-// instead of marshalling the full listing every pass. n <= 0 means no
-// limit.
-func (s *Store) KeysN(prefix string, n int) []string {
-	out := s.Keys(prefix)
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
 	return out
+}
+
+// Scan lists the stripe values' keys in slots [cursor, cursor+count) of
+// the scan order, and returns the cursor of the next page: 0 after the
+// last. A page's work is count slots, whatever the store holds. A key that
+// holds a stripe value for a whole scan keeps its slot, so the scan lists
+// it exactly once; one that becomes or stops being one meanwhile may be
+// listed or not. count < 1 walks one slot.
+func (s *Store) Scan(cursor int64, count int) (keys []string, next int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.countOp()
+	if cursor < 0 || cursor >= int64(len(s.stripes)) {
+		return nil, 0
+	}
+	end := cursor + min(int64(max(count, 1)), int64(len(s.stripes))-cursor)
+	// A freed slot holds "", which is also a key a stripe value may have.
+	emptySlot := int64(-1)
+	if e := s.data[""]; e.hdr != nil {
+		emptySlot = int64(e.hdr.slot)
+	}
+	keys = make([]string, 0, end-cursor)
+	for i := cursor; i < end; i++ {
+		if k := s.stripes[i]; k != "" || i == emptySlot {
+			keys = append(keys, k)
+		}
+	}
+	if end == int64(len(s.stripes)) {
+		end = 0
+	}
+	return keys, end
 }
 
 // DelIfEquals removes key only if it currently holds exactly value, and
@@ -666,8 +745,7 @@ func (s *Store) DelIfEquals(key string, value []byte) bool {
 	if !ok || !old.matches(value) {
 		return false
 	}
-	s.used -= old.size() + int64(len(key)) + EntryOverhead
-	delete(s.data, key)
+	s.remove(key, old)
 	return true
 }
 
@@ -678,6 +756,7 @@ func (s *Store) FlushAll() {
 	s.countOp()
 	s.data = make(map[string]entry)
 	s.sets = make(map[string]map[string]struct{})
+	s.stripes, s.free = nil, nil
 	s.used = 0
 }
 

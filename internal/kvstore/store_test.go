@@ -195,12 +195,12 @@ func TestKeysPrefix(t *testing.T) {
 	s.Set("meta:/b", []byte("1"))
 	s.Set("data:x", []byte("1"))
 	s.SAdd("dir:/", "a", "b")
-	got := s.Keys("meta:")
+	got := s.KeysN("meta:", 0)
 	if len(got) != 2 || got[0] != "meta:/a" || got[1] != "meta:/b" {
-		t.Fatalf("Keys(meta:) = %v", got)
+		t.Fatalf("KeysN(meta:) = %v", got)
 	}
-	if all := s.Keys(""); len(all) != 4 {
-		t.Fatalf("Keys(\"\") = %v", all)
+	if all := s.KeysN("", 0); len(all) != 4 {
+		t.Fatalf("KeysN(\"\") = %v", all)
 	}
 }
 
@@ -296,7 +296,7 @@ func TestAccountingInvariant(t *testing.T) {
 				return false
 			}
 		}
-		for _, k := range s.Keys("") {
+		for _, k := range s.KeysN("", 0) {
 			s.Del(k)
 		}
 		return s.Stats().BytesUsed == 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -393,6 +394,19 @@ func FuzzStoreView(f *testing.F) {
 			if want := ref.data[keys[i]]; !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 				t.Fatalf("MGET %s: %q, want %q", keys[i], got, want)
 			}
+		}
+		// SCAN lists exactly the keys stored as stripe values; freed
+		// slots are reused, so one page of 8 covers three keys' slots.
+		var stripes []string
+		for k := range ref.data {
+			if ref.split[k] {
+				stripes = append(stripes, k)
+			}
+		}
+		listed, next := s.Scan(0, 8)
+		slices.Sort(listed)
+		if slices.Sort(stripes); next != 0 || !slices.Equal(listed, stripes) {
+			t.Fatalf("SCAN listed %q (next %d), want %q", listed, next, stripes)
 		}
 	})
 }
