@@ -330,10 +330,10 @@ func run(fs *core.FileSystem, args []string) error {
 			return printCensus(rep)
 		}
 		st := fs.RepairStats()
-		fmt.Printf("enqueued: %d\nrepaired: %d\nrestored: %d\nunrepairable: %d\n",
-			st.Enqueued, st.Repaired, st.Restored, st.Unrepairable)
-		fmt.Printf("queued: %d\nparked: %d\nin flight: %d\n", st.Queued, st.Parked, st.InFlight)
-		fmt.Printf("overflows: %d\nfull scrubs: %d\n", st.Overflows, st.FullScrubs)
+		fmt.Printf("enqueued: %d\nrepaired: %d\nintact: %d\nrestored: %d\nunrepairable: %d\n",
+			st.Enqueued, st.Repaired, st.Intact, st.Restored, st.Unrepairable)
+		fmt.Printf("queued: %d\nowed: %d\nin flight: %d\n", st.Queued, st.Owed, st.InFlight)
+		fmt.Printf("overflows: %d\ncensus passes: %d\n", st.Overflows, st.Passes)
 		return nil
 	case "evacuate":
 		if err := need(1); err != nil {

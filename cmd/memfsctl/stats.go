@@ -13,7 +13,8 @@ import (
 
 // runStats fetches a memfsd health endpoint's /metrics page and prints a
 // compact operator view: store gauges, nonzero counters, histogram
-// quantiles, per-node detector states, and the repair queue's depth.
+// quantiles, per-node detector states, the repair queue's depth and the
+// last census's redundancy gauges.
 // endpoint is a host:port or URL of a daemon's -health-addr.
 func runStats(endpoint string) error {
 	base := endpoint
@@ -94,8 +95,21 @@ func printRepair(page *obs.ParsedPage) {
 	if page.Types["memfss_repair_queue_depth"] == "" {
 		return
 	}
-	fmt.Printf("repair queue: queued=%d parked=%d in_flight=%d\n\n",
-		depth("queued"), depth("parked"), depth("in_flight"))
+	fmt.Printf("repair queue: queued=%d owed=%d in_flight=%d\n",
+		depth("queued"), depth("owed"), depth("in_flight"))
+	gauge := func(name string) float64 {
+		if s := page.Find(name, nil); s != nil {
+			return s.Value
+		}
+		return -1
+	}
+	if age := gauge("memfss_fs_census_age_seconds"); age < 0 {
+		fmt.Print("redundancy: no census yet\n\n")
+	} else {
+		fmt.Printf("redundancy: short=%d stray=%d orphan=%d census_age=%s\n\n",
+			int64(gauge("memfss_fs_short_stripes")), int64(gauge("memfss_fs_stray_keys")),
+			int64(gauge("memfss_fs_orphan_stripes")), time.Duration(age*float64(time.Second)).Round(time.Second))
+	}
 }
 
 // printCounters lists every counter sample with a nonzero value, sorted,

@@ -246,12 +246,13 @@ func healthzPayload(store *kvstore.Store, bound string, started time.Time, fs *c
 	out["repair"] = map[string]any{
 		"enqueued":     rs.Enqueued,
 		"repaired":     rs.Repaired,
+		"intact":       rs.Intact,
 		"restored":     rs.Restored,
 		"unrepairable": rs.Unrepairable,
 		"overflows":    rs.Overflows,
-		"full_scrubs":  rs.FullScrubs,
+		"passes":       rs.Passes,
 		"queued":       rs.Queued,
-		"parked":       rs.Parked,
+		"owed":         rs.Owed,
 		"in_flight":    rs.InFlight,
 	}
 	c := fs.Counters()

@@ -287,8 +287,8 @@ type SLO struct {
 	// NoDeferred demands zero deferred units — full redundancy restored
 	// (heal-and-rejoin scenarios).
 	NoDeferred bool
-	// TargetedRepairOnly demands the repair queue never fell back to a
-	// full-namespace scan.
+	// TargetedRepairOnly demands the repair queue never overflowed: no
+	// stripe was turned away, so every one it restored it had in its care.
 	TargetedRepairOnly bool
 	// Streams are per-stream availability and latency bounds.
 	Streams []StreamSLO

@@ -115,15 +115,15 @@ func buildCluster(topo Topology) (*Cluster, error) {
 		Health:        topo.Health,
 		Repair:        topo.Repair,
 	}
+	c.Obs = obs.NewRegistry()
+	cfg.Obs.Registry = c.Obs
 	if len(topo.Tenants) > 0 {
-		c.Obs = obs.NewRegistry()
 		c.Tenants = qos.NewRegistry(qos.Options{
 			TotalBandwidth: topo.QoSBandwidth,
 			Obs:            c.Obs,
 		})
 		c.closers = append(c.closers, func() { c.Tenants.Close() })
 		cfg.QoS.Tenants = c.Tenants
-		cfg.Obs.Registry = c.Obs
 	}
 	if topo.Mutate != nil {
 		topo.Mutate(&cfg)

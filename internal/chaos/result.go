@@ -243,8 +243,8 @@ func (r *run) evaluateSLO(res *Result) []string {
 	if slo.NoDeferred && res.ScrubDeferred > 0 {
 		v = append(v, fmt.Sprintf("%d stripes still deferred after heal — redundancy not fully restored", res.ScrubDeferred))
 	}
-	if slo.TargetedRepairOnly && res.RepairStats.FullScrubs > 0 {
-		v = append(v, fmt.Sprintf("targeted repair fell back to %d full scrubs", res.RepairStats.FullScrubs))
+	if slo.TargetedRepairOnly && res.RepairStats.Overflows > 0 {
+		v = append(v, fmt.Sprintf("targeted repair overflowed %d times", res.RepairStats.Overflows))
 	}
 	for _, ss := range slo.Streams {
 		for si := range res.Streams {

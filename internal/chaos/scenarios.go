@@ -373,8 +373,8 @@ func FlashCrowdQuota() Scenario {
 
 // PartitionHealRejoin pauses one victim (a full symmetric partition),
 // demands fast detection, heals it, and demands the node rejoin with
-// every parked repair unit drained — the scrub afterwards must find
-// nothing at all to do.
+// every owed stripe released by the repair queue's census pass — the
+// scrub afterwards must find nothing at all to do.
 func PartitionHealRejoin() Scenario {
 	return Scenario{
 		Name:     "partition-heal-rejoin",

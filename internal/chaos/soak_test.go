@@ -120,11 +120,21 @@ func TestHealthChaosSoak(t *testing.T) {
 }
 
 // TestErasureChaosSoak runs the RS(4,2) soak: full writes plus partial
-// RMW overwrites under background chaos, a shard holder killed halfway,
-// degraded writes and reconstructing reads demanded, targeted repair
-// restoring everything restorable, zero loss at teardown.
+// RMW overwrites under background chaos, a shard holder partitioned early
+// and another killed halfway, degraded writes and reconstructing reads
+// demanded, targeted repair restoring everything restorable within the
+// recovery bound, and zero loss at teardown. Every stripe has a slot on
+// each victim, so only the stripes written during the partition, restored
+// once the node rejoins and before the kill, can reach full redundancy:
+// the p99 of their time from enqueue to restored redundancy is held to
+// the recovery bound too. The stream waits for that restore: a stripe
+// written with only k slots during the partition would not survive the
+// kill without it.
 func TestErasureChaosSoak(t *testing.T) {
 	const files = 24
+	const maxRecovery = 30 * time.Second
+	var waits int64
+	var waitP99 time.Duration
 	sc := Scenario{
 		Name: "erasure-soak",
 		Topology: Topology{
@@ -147,11 +157,26 @@ func TestErasureChaosSoak(t *testing.T) {
 			}},
 		},
 		Timeline: []Step{
+			{Name: "partition", AfterOps: 2, Stream: "ec", Action: Pause(3)},
+			{Name: "heal", AfterOps: 8, Stream: "ec", Action: Resume(3)},
+			{Name: "rejoin", AfterOps: 8, Stream: "ec", Action: WaitState(3, "up", 10*time.Second)},
+			{Name: "restored", AfterOps: 8, Stream: "ec", Action: Do(func(_ context.Context, c *Cluster) error {
+				// An idle queue may still owe stripes on a node a chaos
+				// fault holds Suspect; wait for their release too.
+				deadline := time.Now().Add(10 * time.Second)
+				for st := c.FS.RepairStats(); st.Owed > 0 || !c.FS.WaitRepairIdle(0); st = c.FS.RepairStats() {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("stripes still owed after the partition healed: %+v", st)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				return nil
+			})},
 			{Name: "kill", AfterOps: files / 2, Stream: "ec", Action: Kill(1)},
 		},
 		SLO: SLO{
 			ZeroLoss:           true,
-			MaxRecovery:        30 * time.Second,
+			MaxRecovery:        maxRecovery,
 			CleanScrub:         true,
 			RequireDeferred:    true,
 			TargetedRepairOnly: true,
@@ -168,6 +193,17 @@ func TestErasureChaosSoak(t *testing.T) {
 			if r.RepairStats.Enqueued == 0 {
 				v = append(v, "no degraded stripes were enqueued for targeted repair")
 			}
+			for _, f := range c.Obs.Snapshot() {
+				if f.Name == "memfss_repair_wait_seconds" {
+					waits, waitP99 = f.Series[0].Count, f.Series[0].Quantile(f.Bounds, 0.99)
+				}
+			}
+			if waits == 0 {
+				v = append(v, "no stripe's redundancy was restored through the repair queue")
+			}
+			if waitP99 > maxRecovery {
+				v = append(v, fmt.Sprintf("memfss_repair_wait_seconds p99 %v, bound %v", waitP99, maxRecovery))
+			}
 			return v
 		},
 	}
@@ -176,10 +212,10 @@ func TestErasureChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Passed {
-		t.Fatalf("erasure soak: %v", res.Violations)
+		t.Fatalf("erasure soak: %v; repair %+v; counters %+v", res.Violations, res.RepairStats, res.WorkloadCounters)
 	}
-	t.Logf("recovery %.0fms; workload counters %+v; repair %+v",
-		res.RecoveryMs, res.WorkloadCounters, res.RepairStats)
+	t.Logf("recovery %.0fms, repair wait p99 %v over %d stripes; workload counters %+v; repair %+v",
+		res.RecoveryMs, waitP99, waits, res.WorkloadCounters, res.RepairStats)
 }
 
 // TestRevocationChaosSoak interrupts an evacuation mid-drain under reply

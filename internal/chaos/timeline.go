@@ -335,12 +335,12 @@ func (r *run) settleRecovery() recoveryOutcome {
 	// Poll instead of one blocking wait so the measurement is the moment
 	// idleness was first observed, not the wait's return.
 	deadline := from.Add(budget + 5*time.Second)
-	// Units parked on a Down node do not count against repair idleness
-	// (they cannot make progress), so between a heal and the detector
-	// re-admitting the node the queue can look idle with work still
-	// parked. Wait for every healed-in-place node to be Up again before
-	// trusting idle; a node that never returns runs out the same
-	// deadline and surfaces as a recovery timeout.
+	// Stripes owed on a Down node do not count against repair idleness
+	// (no census pass can restore them), so between a heal and the
+	// detector re-admitting the node the queue can look idle with
+	// stripes still owed. Wait for every healed-in-place node to be Up
+	// again before trusting idle; a node that never returns runs out the
+	// same deadline and surfaces as a recovery timeout.
 	r.mu.Lock()
 	waitUp := make([]string, 0, len(r.healed))
 	for id := range r.healed {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"memfss/internal/erasure"
 	"memfss/internal/health"
@@ -40,6 +41,13 @@ type CensusReport struct {
 	OrphanStripes int
 	StrayKeys     int
 	PastEOFKeys   int
+	// blocked maps each deferred stripe's raw key to the nodes it waits
+	// on, and unread names the files whose record did not answer: what the
+	// repair queue's pass keeps owed, and waits for. ended is when a
+	// census from "/" ended.
+	blocked map[string][]string
+	unread  map[string]bool
+	ended   time.Time
 }
 
 // NodeKeys sorts one node's data keys. A key is InSlot where a slot of
@@ -71,6 +79,9 @@ type fixOutcome struct {
 	// says Suspect/Down, or a transport error): retry once they recover.
 	pending []string
 	reason  string // why the stripe is unrepairable, when it is
+	// blocked says why a repair unit's fix could not start, when it could
+	// not: metadata did not answer, or pastEOF.
+	blocked string
 }
 
 // Fsck is the census without fixes: it sends no write, no delete and no
@@ -105,7 +116,7 @@ type listedKey struct {
 // repair queue does it. A census under a subtree cannot tell another
 // file's keys from orphans, so only one from "/" counts orphans.
 func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
-	rep := &CensusReport{}
+	rep := &CensusReport{blocked: make(map[string][]string), unread: make(map[string]bool)}
 	var files []*File
 	live := make(map[string][]listedKey)
 	err := fs.Walk(root, func(e EntryInfo) error {
@@ -125,6 +136,7 @@ func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
 			live[rec.File.ID] = nil
 		case err != nil && !isNotExist(err): // else a benign race with a remove
 			rep.damage(e.Path, "meta", err.Error())
+			rep.unread[e.Path] = true
 		}
 		return nil
 	})
@@ -135,9 +147,13 @@ func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
 		for _, n := range cls.Nodes {
 			row := len(rep.Nodes)
 			rep.Nodes = append(rep.Nodes, NodeKeys{Node: n.ID})
-			var keys []string // an unreachable node's row stays empty
-			if cli, err := fs.conns.client(n.ID); err == nil {
-				keys, _ = listStripes(cli)
+			// A distrusted node is not listed (no wait, no evidence fed
+			// the detector): its row stays empty, as an unreachable one's.
+			var keys []string
+			if st := fs.nodeState(n.ID); st == health.Up || st == health.Draining {
+				if cli, err := fs.conns.client(n.ID); err == nil {
+					keys, _ = listStripes(cli)
+				}
 			}
 			for _, k := range keys {
 				id, _, idx, ok := stripeOfKey(k)
@@ -152,6 +168,10 @@ func (fs *FileSystem) census(root string, fix bool) (*CensusReport, error) {
 	}
 	for _, f := range files {
 		f.census(rep, live[f.rec.ID], fix)
+	}
+	if root == "/" {
+		rep.ended = time.Now()
+		fs.obs.lastCensus.Store(rep)
 	}
 	return rep, nil
 }
@@ -205,12 +225,16 @@ func (f *File) census(rep *CensusReport, listed []listedKey, fix bool) {
 		for _, r := range out.restored {
 			rep.Restored = append(rep.Restored, fmt.Sprintf("%s#%s %s", f.path, c.sk, r))
 		}
-		f.fs.obs.scrubRest.Add(int64(len(out.restored)))
+		if len(out.restored) > 0 {
+			f.fs.obs.scrubRest.Add(int64(len(out.restored)))
+			f.fs.obs.note("repair", "", fmt.Sprintf("restored %s#%s (+%d copies %v)", f.path, c.sk, len(out.restored), out.restored), 0)
+		}
 		if out.reason != "" {
 			rep.damage(f.path, c.sk, out.reason)
 		}
 		if len(out.pending) > 0 {
 			rep.Deferred = append(rep.Deferred, fmt.Sprintf("%s#%s", f.path, c.sk))
+			rep.blocked[c.sk] = out.pending
 		}
 	}
 	if !slices.Contains(rep.Damaged, f.path) {
@@ -228,8 +252,7 @@ func (fs *FileSystem) fixStripe(u repairUnit) fixOutcome {
 		if isNotExist(err) {
 			return fixOutcome{}
 		}
-		// Metadata unreachable: retry the unit later.
-		return fixOutcome{pending: []string{repairWaitMeta}}
+		return fixOutcome{blocked: "metadata: " + err.Error()}
 	}
 	if rec.File == nil || stripe.Key(rec.File.ID, u.idx) != u.sk {
 		return fixOutcome{}
@@ -243,12 +266,9 @@ func (fs *FileSystem) fixStripe(u repairUnit) fixOutcome {
 		// beyond the committed size. Either the stripe was truncated away
 		// — absence is correct — or the unit outran its own writer: a
 		// degraded write enqueues as each stripe lands, but Close commits
-		// the new size last, so a fast pop sees Size still at the old
-		// value. Dropping here would orphan the repair (the write's only
-		// enqueue already happened), so ask for a commit-settle rerun;
-		// the queue bounds those and drops the unit once the size has had
-		// every chance to catch up.
-		return fixOutcome{pending: []string{repairWaitCommit}}
+		// the new size last. The stripe stays owed, and the writer's
+		// commit makes the pass that judges it due.
+		return fixOutcome{blocked: pastEOF}
 	}
 	if f.n == f.k {
 		return fixOutcome{} // one slot: no redundancy to restore

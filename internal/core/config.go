@@ -265,18 +265,17 @@ func (h HealthPolicy) validate() error {
 }
 
 // RepairPolicy configures the targeted repair queue: degraded writes and
-// degraded reads enqueue path#stripe units, and a background repairer
-// restores their redundancy as soon as the missing placement targets are
-// healthy — re-replicating only what is known damaged instead of scanning
-// the whole namespace (cf. Hydra's targeted re-replication). Up to
-// repairWorkers stripes are repaired in parallel, started repairPace apart
-// so repair traffic does not compete with foreground I/O.
+// reads enqueue path#stripe units, and a background repairer restores
+// their redundancy at once — re-replicating only what is known damaged
+// (cf. Hydra's targeted re-replication), up to repairWorkers stripes at a
+// time, started repairPace apart. A unit whose fix is blocked leaves its
+// stripe owed to a census pass, run when one can make progress.
 type RepairPolicy struct {
 	// Disable turns the queue off: degraded stripes wait for Scrub.
 	Disable bool
-	// QueueCap bounds the pending unit count (default 1024). On overflow
-	// the queue schedules one full Scrub as the catch-all and drops the
-	// overflowing unit — correctness never depends on queue capacity.
+	// QueueCap bounds the stripes queued, in flight or owed (default
+	// 1024). An overflow holds every stripe until a census pass begun
+	// after it defers nothing — correctness never depends on capacity.
 	QueueCap int
 }
 

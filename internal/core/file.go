@@ -313,6 +313,7 @@ func (f *File) Sync() error {
 		return err
 	}
 	f.dirty = false
+	f.fs.repairs.committed(f.rec.ID)
 	return nil
 }
 
@@ -1013,7 +1014,7 @@ func (f *File) noteStripeState(tr *opTrace, sk string, idx int64, g *ecGather) b
 	if needs {
 		tr.markDegraded()
 		leg := tr.leg("repair-enqueue")
-		f.fs.enqueueRepair(f.path, sk, idx, tr.traceID())
+		f.fs.repairs.enqueue(f.path, sk, idx, tr.traceID())
 		leg.End(nil)
 	}
 	return needs

@@ -172,7 +172,6 @@ func New(cfg Config) (*FileSystem, error) {
 	go fs.pumpHealthEvents(ch)
 	if !cfg.Repair.Disable {
 		fs.repairs = newRepairQueue(fs, cfg.Repair)
-		fs.repairs.start()
 	}
 	return fs, nil
 }
@@ -266,8 +265,9 @@ func (fs *FileSystem) Close() error {
 		fs.healthEvCancel()
 		close(fs.healthEvStop)
 	}
-	if fs.repairs != nil {
-		fs.repairs.stop()
+	if q := fs.repairs; q != nil {
+		close(q.stopCh)
+		q.wg.Wait()
 	}
 	fs.conns.closeAll()
 	return nil

@@ -65,10 +65,9 @@ func forceUp(t *testing.T, fs *FileSystem, nodeID string) {
 
 // TestRepairQueueRestoresDegradedWrite is the queue's happy path end to
 // end: writes skip a replica the detector calls Down (creating real
-// missing copies), the degraded stripes park because their target is
-// unhealthy, and the moment the node is Up again the queue restores
-// exactly those stripes — verified by a Scrub that finds nothing left to
-// do.
+// missing copies), the degraded stripes stay owed because their target is
+// unhealthy, and once the node is Up again the queue's census pass
+// restores them — verified by a Scrub that finds nothing left to do.
 func TestRepairQueueRestoresDegradedWrite(t *testing.T) {
 	d := newTestFS(t, 2, 3,
 		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
@@ -99,28 +98,29 @@ func TestRepairQueueRestoresDegradedWrite(t *testing.T) {
 	if st.Enqueued == 0 {
 		t.Fatal("degraded writes enqueued nothing")
 	}
-	if st.Parked == 0 {
-		t.Fatalf("units for the Down node should be parked, got %+v", st)
+	if st.Owed == 0 {
+		t.Fatalf("stripes for the Down node should be owed, got %+v", st)
 	}
 
-	// Recovery: the node comes back, parked units drain, redundancy heals.
+	// Recovery: the node comes back, a pass releases the owed stripes,
+	// redundancy heals.
 	forceUp(t, d.fs, victim)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st = d.fs.RepairStats()
-		if st.Parked == 0 && d.fs.RepairIdle() {
+		if st.Owed == 0 && d.fs.WaitRepairIdle(0) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("parked units never drained after recovery: %+v", st)
+			t.Fatalf("owed stripes never released after recovery: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if st.Restored == 0 {
 		t.Fatalf("queue restored no replicas: %+v", st)
 	}
-	if st.FullScrubs != 0 {
-		t.Fatalf("targeted repair fell back to a full scrub: %+v", st)
+	if st.Overflows != 0 {
+		t.Fatalf("targeted repair overflowed: %+v", st)
 	}
 
 	rep, err := d.fs.Scrub()
@@ -139,12 +139,12 @@ func TestRepairQueueRestoresDegradedWrite(t *testing.T) {
 }
 
 // TestRepairQueueRetriesRecoveredNodeBesideDeadOne: an RS(4,2) write that
-// skipped two Down nodes parks its stripes on both. When one of them
-// comes back, its slots are restorable though the other stays Down, so
-// the queue retries the units and restores them, and a Scrub finds only
-// the dead node's slots left: deferred, none restored. The queue used to
-// wait for every blocker to recover, so a stripe parked beside a node
-// that never returns kept the recovered node's slots empty until a Scrub
+// skipped two Down nodes leaves its stripes owed on both. When one of
+// them comes back, its slots are restorable though the other stays Down,
+// so the queue's census pass restores them, and a Scrub finds only the
+// dead node's slots left: deferred, none restored. The queue once waited
+// for every blocker to recover, so a stripe blocked beside a node that
+// never returns kept the recovered node's slots empty until a Scrub
 // restored them — the "scrub restored N units the repair queue missed"
 // of the erasure chaos soak.
 func TestRepairQueueRetriesRecoveredNodeBesideDeadOne(t *testing.T) {
@@ -174,9 +174,9 @@ func TestRepairQueueRetriesRecoveredNodeBesideDeadOne(t *testing.T) {
 }
 
 // TestRepairQueueOverflowFallsBackToScrub pins the catch-all: a queue too
-// small for the degraded backlog trips overflow, owes a full Scrub, and
-// the debt only clears once a Scrub runs with nothing deferred — so the
-// Up transition of the node that caused the damage re-arms it.
+// small for the degraded backlog trips overflow, which holds every stripe
+// until a census pass begun after it defers nothing — so the return of
+// the node that caused the damage makes that pass due.
 func TestRepairQueueOverflowFallsBackToScrub(t *testing.T) {
 	d := newTestFS(t, 2, 3,
 		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
@@ -203,8 +203,8 @@ func TestRepairQueueOverflowFallsBackToScrub(t *testing.T) {
 		t.Fatalf("queue never idled after recovery: %+v", d.fs.RepairStats())
 	}
 	st := d.fs.RepairStats()
-	if st.FullScrubs == 0 {
-		t.Fatalf("overflow owed a full scrub that never ran: %+v", st)
+	if st.Passes == 0 {
+		t.Fatalf("overflow made no census pass due: %+v", st)
 	}
 	rep, err := d.fs.Scrub()
 	if err != nil {
@@ -218,6 +218,185 @@ func TestRepairQueueOverflowFallsBackToScrub(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after overflow recovery: %v", path, err)
 		}
+	}
+}
+
+// TestBlockedRepairRunsNoIdlePasses: stripes owed only on a node the
+// detector holds Down make no census pass due, so the queue sits idle and
+// runs none; the node's return makes exactly one due, and it leaves
+// nothing for a Scrub.
+func TestBlockedRepairRunsNoIdlePasses(t *testing.T) {
+	d := newTestFS(t, 2, 3,
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withRetry(fastRetry),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
+	victim := d.victims.Nodes[0].ID
+	forceDown(t, d.fs, victim)
+	for i := 0; i < 6; i++ {
+		if err := d.fs.WriteFile(fmt.Sprintf("/blk%d", i), randomBytes(int64(800+i), 15_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	held := d.fs.RepairStats()
+	if held.Owed == 0 {
+		t.Fatalf("no stripe owed on the Down node: %+v", held)
+	}
+	time.Sleep(2 * time.Second)
+	if st := d.fs.RepairStats(); st.Passes != held.Passes || !d.fs.WaitRepairIdle(0) {
+		t.Fatalf("with its only blocker Down the queue ran %d more passes (idle %v): %+v",
+			st.Passes-held.Passes, d.fs.WaitRepairIdle(0), st)
+	}
+
+	forceUp(t, d.fs, victim)
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled after recovery: %+v", d.fs.RepairStats())
+	}
+	if st := d.fs.RepairStats(); st.Passes != held.Passes+1 || st.Owed != 0 {
+		t.Fatalf("after recovery: %+v; want exactly one more pass (%d) and nothing owed", st, held.Passes+1)
+	}
+	rep, err := d.fs.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+		t.Fatalf("scrub found work the pass should have done: %+v", rep)
+	}
+}
+
+// TestPassKeepsStripesItCouldNotJudge: a census pass releases an owed
+// stripe only if the latest unit that dropped it was enqueued before the
+// pass began, and the pass could read its file's record. A stripe dropped
+// again for damage seen while the pass runs — after the census may have
+// restored it, say a degraded write that skipped the node again — stays
+// owed, and so does every owed stripe of a file whose record did not
+// answer, with the next pass due at once.
+func TestPassKeepsStripesItCouldNotJudge(t *testing.T) {
+	d := newTestFS(t, 2, 3,
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withRetry(fastRetry),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
+	victim := d.victims.Nodes[0].ID
+	forceDown(t, d.fs, victim)
+	for i := 0; i < 12; i++ {
+		if err := d.fs.WriteFile(fmt.Sprintf("/judge%d", i), randomBytes(int64(900+i), 15_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	q := d.fs.repairs
+	q.mu.Lock()
+	owed := make(map[string]repairUnit, len(q.owed))
+	var again repairUnit
+	for sk, o := range q.owed {
+		owed[sk] = o
+		if again.path == "" || o.path < again.path {
+			again = o
+		}
+	}
+	q.mu.Unlock()
+	unread := ""
+	for _, o := range owed {
+		if o.path != again.path {
+			unread = o.path
+		}
+	}
+	if unread == "" {
+		t.Fatalf("the Down node left stripes of fewer than two files owed: %d owed", len(owed))
+	}
+
+	beg := time.Now() // a pass begins; during it, again is damaged and dropped anew
+	d.fs.repairs.enqueue(again.path, again.sk, again.idx, 0)
+	if !d.fs.WaitRepairIdle(10 * time.Second) {
+		t.Fatalf("repair queue never idled: %+v", d.fs.RepairStats())
+	}
+	q.mu.Lock()
+	if u := q.owed[again.sk]; !u.enqueuedAt.After(beg) {
+		q.mu.Unlock()
+		t.Fatalf("%s owed for a unit enqueued at %v, before the pass began at %v", again.key(), u.enqueuedAt, beg)
+	}
+	// The pass deferred nothing, but could not read unread's record.
+	released := q.settle(beg, &CensusReport{unread: map[string]bool{unread: true}})
+	due := q.due
+	left := make(map[string]bool, len(q.owed))
+	for sk := range q.owed {
+		left[sk] = true
+	}
+	q.mu.Unlock()
+	for sk, o := range owed {
+		if keep := sk == again.sk || o.path == unread; left[sk] != keep {
+			t.Errorf("%s: owed after the pass %v, want %v", o.key(), left[sk], keep)
+		}
+	}
+	if released+len(left) != len(owed) || !due {
+		t.Fatalf("the pass released %d of %d owed (%d left), next pass due %v", released, len(owed), len(left), due)
+	}
+
+	// The node's return lets a real pass restore everything.
+	forceUp(t, d.fs, victim)
+	deadline := time.Now().Add(10 * time.Second)
+	for st := d.fs.RepairStats(); st.Owed != 0 || !d.fs.WaitRepairIdle(0); st = d.fs.RepairStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("owed stripes never released after recovery: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rep, err := d.fs.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Restored) != 0 || len(rep.Unrepairable) != 0 || len(rep.Deferred) != 0 {
+		t.Fatalf("scrub found work the queue should have done: %+v", rep)
+	}
+}
+
+// TestWaitedNodeDueOnlyOnReturn: a node a pass or a dropped unit could
+// not reach makes the next pass due only once it comes back Up after that
+// work began — from Down, or from behind a drain fence — or leaves the
+// deployment. One that stayed Up throughout (it failed with a store-level
+// error, say) would fail the pass the same way, so it makes none due.
+func TestWaitedNodeDueOnlyOnReturn(t *testing.T) {
+	d := newTestFS(t, 2, 3, withHealth(HealthPolicy{ProbeInterval: -1}))
+	q := d.fs.repairs
+	// due reports whether a wait on node begun now makes a pass due once
+	// change has run. It holds mu throughout, so the queue's own loop
+	// cannot run that pass, and clear the wait, first.
+	due := func(node string, change func()) bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		clear(q.waitOn)
+		q.wait([]string{node}, time.Now())
+		change()
+		return q.wantsPass()
+	}
+	same := func() {}
+	up, down, fenced := d.victims.Nodes[0].ID, d.victims.Nodes[1].ID, d.victims.Nodes[2].ID
+	if due(up, same) {
+		t.Fatal("a node that stayed Up made a pass due")
+	}
+	if !due(up, func() { forceDown(t, d.fs, up); forceUp(t, d.fs, up) }) {
+		t.Fatal("a node back Up after the wait began made no pass due")
+	}
+	forceDown(t, d.fs, down)
+	if due(down, same) {
+		t.Fatal("a Down node made a pass due")
+	}
+	if !due(down, func() { forceUp(t, d.fs, down) }) {
+		t.Fatal("a Down node's return made no pass due")
+	}
+	d.fs.detector.SetDraining(fenced, true)
+	if due(fenced, same) {
+		t.Fatal("a Draining node made a pass due")
+	}
+	if !due(fenced, func() { d.fs.detector.SetDraining(fenced, false) }) {
+		t.Fatal("a lifted drain fence made no pass due")
+	}
+	if !due("gone", same) {
+		t.Fatal("a node that left the deployment made no pass due")
 	}
 }
 

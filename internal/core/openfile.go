@@ -142,13 +142,7 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 				return err
 			}
 		}
-		rec.File.Size = size
-		if err := fs.meta.updateRecord(p, rec); err != nil {
-			return err
-		}
-		return fs.deleteStripeRange(rec.File, size, oldSize, false)
-	}
-	if size > oldSize {
+	} else if size > oldSize {
 		// Grow: a shrink that crashed between its metadata update and its
 		// stripe deletes can leave stale stripes in the region the file is
 		// growing back over; clear them so the new hole reads as zeros.
@@ -157,5 +151,12 @@ func (fs *FileSystem) Truncate(path string, size int64) error {
 		}
 	}
 	rec.File.Size = size
-	return fs.meta.updateRecord(p, rec)
+	if err := fs.meta.updateRecord(p, rec); err != nil {
+		return err
+	}
+	fs.repairs.committed(rec.File.ID)
+	if size < oldSize {
+		return fs.deleteStripeRange(rec.File, size, oldSize, false)
+	}
+	return nil
 }

@@ -295,7 +295,7 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 		if degraded || (err != nil && landed > 0) {
 			tr.markDegraded()
 			leg := tr.leg("repair-enqueue")
-			f.fs.enqueueRepair(f.path, pl.sk, pl.index, tr.traceID())
+			f.fs.repairs.enqueue(f.path, pl.sk, pl.index, tr.traceID())
 			leg.End(nil)
 		}
 		if err != nil && isNoSpace(err) {

@@ -390,11 +390,24 @@ func stripeKeyID(t *testing.T, d *testDeploy, path string) string {
 // still shows the old size and the stripe index looks out of range.
 // fixStripe used to drop the unit — orphaning the repair, since the
 // write's only enqueue had already happened — leaving the hole for the
-// catch-all scrub to find. It must instead request a commit-settle
-// rerun, and resolve normally once the commit lands.
+// catch-all scrub to find. The stripe must stay owed and no census pass
+// may judge it before the commit; Close puts it back on the queue, whose
+// fix restores it with no pass. A unit genuinely past EOF is still past
+// it after the commit that re-queues it, and the pass that makes due
+// releases it.
 func TestRepairUnitOutrunsSizeCommit(t *testing.T) {
-	d := newTestFS(t, 2, 2, withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}))
+	d := newTestFS(t, 2, 2,
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
 	fs := d.fs
+	// settled waits for the queue to pop and drop everything it was given.
+	settled := func(what string) RepairStats {
+		t.Helper()
+		if !fs.WaitRepairIdle(10 * time.Second) {
+			t.Fatalf("%s: repair queue never idled: %+v", what, fs.RepairStats())
+		}
+		return fs.RepairStats()
+	}
 
 	f, err := fs.Create("/race")
 	if err != nil {
@@ -403,38 +416,125 @@ func TestRepairUnitOutrunsSizeCommit(t *testing.T) {
 	if _, err := f.Write(bytes.Repeat([]byte{7}, 10_000)); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := fs.meta.statRecord("/race")
-	if err != nil {
-		t.Fatal(err)
+	if rec, err := fs.meta.statRecord("/race"); err != nil || rec.File.Size != 0 {
+		t.Fatalf("size committed before Close: %+v, %v", rec, err)
 	}
-	if rec.File.Size != 0 {
-		t.Fatalf("size committed before Close: %d", rec.File.Size)
+	// Mid-window: the stripes are on the stores, the size commit is not.
+	// One copy of stripe 0 goes missing, and its unit is popped now.
+	sk := stripe.Key(f.rec.ID, 0)
+	store := storesByID(d)[f.targets(sk)[1]]
+	if n := store.Del(dataKey(sk)); n != 1 {
+		t.Fatalf("deleted %d copies, want 1", n)
 	}
-	u := repairUnit{path: "/race", sk: stripe.Key(rec.File.ID, 0), idx: 0}
-
-	// Mid-window: stripes are on the stores, the size commit is not.
-	out := fs.fixStripe(u)
-	if len(out.pending) != 1 || out.pending[0] != repairWaitCommit {
-		t.Fatalf("pre-commit fixStripe = %+v, want pending [%s]", out, repairWaitCommit)
+	fs.repairs.enqueue("/race", sk, 0, 0)
+	before := settled("before Close")
+	if before.Owed != 1 || before.Passes != 0 {
+		t.Fatalf("a unit past the committed size: %+v, want its stripe owed and no pass", before)
 	}
 
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-commit the same unit resolves normally: nothing pending, no
-	// damage verdict.
-	out = fs.fixStripe(u)
-	if len(out.pending) != 0 || out.reason != "" {
-		t.Fatalf("post-commit fixStripe = %+v, want clean resolve", out)
+	st := settled("after Close")
+	if st.Owed != 0 || st.Passes != 0 || st.Repaired != 1 {
+		t.Fatalf("after Close: %+v, want the re-queued unit to repair it, no pass and nothing owed", st)
+	}
+	if _, ok, _ := store.Get(dataKey(sk)); !ok {
+		t.Fatal("the re-queued unit did not restore the missing copy")
 	}
 
-	// A unit genuinely beyond the file (never to be committed) must not
-	// park forever: after the bounded reruns the queue drops it.
-	ghost := repairUnit{path: "/race", sk: stripe.Key(rec.File.ID, 99), idx: 99}
-	out = fs.fixStripe(ghost)
-	if len(out.pending) != 1 || out.pending[0] != repairWaitCommit {
-		t.Fatalf("out-of-range fixStripe = %+v, want commit-settle request", out)
+	// A unit beyond the file for good is owed; the file's next size
+	// commit re-queues it, and as it is still past EOF a pass is due.
+	fs.repairs.enqueue("/race", stripe.Key(f.rec.ID, 99), 99, 0)
+	if st := settled("ghost"); st.Owed != 1 || st.Passes != 0 {
+		t.Fatalf("a unit past EOF: %+v, want its stripe owed and no pass", st)
 	}
+	g, err := fs.OpenFile("/race", O_WRONLY|O_APPEND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Write([]byte{8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := settled("after the ghost's pass"); st.Owed != 0 || st.Passes != 1 {
+		t.Fatalf("after the next commit: %+v, want the ghost released by one pass", st)
+	}
+}
+
+// TestSizeCommitDuringFixIsRetried: a fix that read a file's size before
+// its writer's Close committed it drops the stripe as past EOF after the
+// commit has come and gone. The commit is remembered while a fix is in
+// flight, so that drop puts the unit back on the queue, and its fix by the
+// new size restores the missing copy with no pass. Without a commit the
+// stripe stays owed and no pass runs, until the writer's Close re-queues
+// it.
+func TestSizeCommitDuringFixIsRetried(t *testing.T) {
+	d := newTestFS(t, 2, 2,
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
+		withHealth(HealthPolicy{ProbeInterval: -1}))
+	fs, q := d.fs, d.fs.repairs
+	// raced writes path with one copy of its stripe missing, and runs a fix
+	// of that stripe that finds it past EOF; with commit, the writer's Close
+	// lands while the fix is in flight.
+	raced := func(path string, commit bool) (*File, *kvstore.Store, string) {
+		f, err := fs.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{5}, 10_000)); err != nil {
+			t.Fatal(err)
+		}
+		sk := stripe.Key(f.rec.ID, 0)
+		store := storesByID(d)[f.targets(sk)[1]]
+		if n := store.Del(dataKey(sk)); n != 1 {
+			t.Fatalf("deleted %d copies, want 1", n)
+		}
+		u := repairUnit{path: path, sk: sk, enqueuedAt: time.Now()}
+		q.mu.Lock()
+		q.inFlight++
+		q.hold(u.sk, 1)
+		q.mu.Unlock()
+		if commit {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q.drop(u, fixOutcome{blocked: pastEOF})
+		q.doneOne(u)
+		return f, store, sk
+	}
+	restored := func(what string, store *kvstore.Store, sk string, owed int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := fs.RepairStats()
+			_, ok, _ := store.Get(dataKey(sk))
+			if ok && st.Owed == owed && fs.WaitRepairIdle(0) {
+				if st.Passes != 0 {
+					t.Fatalf("%s: %+v, want no pass", what, st)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: copy restored %v, %+v", what, ok, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	open, openStore, openSK := raced("/open", false)
+	time.Sleep(3 * passGap)
+	if st := fs.RepairStats(); st.Passes != 0 || st.Owed != 1 {
+		t.Fatalf("a past-EOF drop with no commit: %+v, want it owed and no pass", st)
+	}
+	_, store, sk := raced("/closed", true)
+	restored("a commit during the fix", store, sk, 1)
+	if err := open.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored("the writer's later Close", openStore, openSK, 0)
 }
 
 // TestReplicatedReadPastMissingCopyRepairs: with R = 2 and one copy

@@ -160,7 +160,7 @@ func (fs *FileSystem) victimNode(nodeID string) error {
 //     re-lists until nothing is unresolved, for writes in flight at detach.
 //  5. release: the store is flushed and the node unregistered, which
 //     passes its slots on; the repair queue gets every stripe the release
-//     leaves short, and its parked units are re-queued.
+//     leaves short, and a census pass for the stripes it owed on the node.
 //
 // When ctx is canceled before detach the evacuation aborts cleanly: the
 // fence comes down and the node stays in the deployment. When the deadline
@@ -263,18 +263,15 @@ func (fs *FileSystem) evacuate(ctx context.Context, cli *kvstore.Client, nodeID 
 	// mentioning it.
 	fs.detector.Unregister(nodeID)
 	// Its slots have passed on. The stripes left short — another slot
-	// re-seated, or a key unresolved — are the repair queue's, and so are
-	// units parked on the node: no slot names it any more.
+	// re-seated, or a key unresolved — are the repair queue's; a stripe
+	// owed on the node is due its census pass, as an unregistered node
+	// reports Up.
 	for key := range mv.short {
 		if id, sk, idx, ok := stripeOfKey(key); ok {
 			if mf, _ := mv.file(id); mf != nil {
-				fs.enqueueRepair(mf.path, sk, idx, 0)
+				fs.repairs.enqueue(mf.path, sk, idx, 0)
 			}
 		}
-	}
-	if fs.repairs != nil {
-		fs.repairs.unparkReady()
-		fs.repairs.kick()
 	}
 	observePhase("release")
 	rep.Elapsed = time.Since(start)

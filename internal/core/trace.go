@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memfss/internal/kvstore"
@@ -67,6 +68,10 @@ type fsObs struct {
 	evacPhases sync.Map // phase -> *obs.Histogram (memfss_fs_evac_phase_seconds)
 	scrubChk   *obs.Counter
 	scrubRest  *obs.Counter
+	// lastCensus is the last census from "/" (nil before one), which the
+	// memfss_fs_{short_stripes,stray_keys,orphan_stripes,census_age_seconds}
+	// gauges read.
+	lastCensus atomic.Pointer[CensusReport]
 }
 
 // newFSObs builds the telemetry bundle on reg.
@@ -102,9 +107,9 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 		drains: reg.Counter("memfss_fs_partial_drains_total",
 			"Soft-pressure partial drains completed (node stays registered).", nil),
 		scrubChk: reg.Counter("memfss_scrub_stripes_checked_total",
-			"Stripes whose slot headers a census (Fsck, Scrub, RepairFile) gathered.", nil),
+			"Stripes whose slot headers a census (Fsck, Scrub, RepairFile, the repair queue's pass) gathered.", nil),
 		scrubRest: reg.Counter("memfss_scrub_restored_total",
-			"Replica copies or shards rewritten by Scrub/RepairFile passes.", nil),
+			"Replica copies or shards rewritten by census passes (Scrub, RepairFile, the repair queue's).", nil),
 		slowThr: pol.SlowOpThreshold,
 		logf:    pol.Logf,
 	}
@@ -119,6 +124,18 @@ func newFSObs(reg *obs.Registry, pol ObsPolicy) *fsObs {
 		SlowThreshold: o.slowThr,
 	})
 	o.journal = trace.NewJournal(0)
+	census := func(name, help string, v func(c *CensusReport) float64) {
+		reg.Gauge(name, help+" (-1 before the first).", nil, func() float64 {
+			if c := o.lastCensus.Load(); c != nil {
+				return v(c)
+			}
+			return -1
+		})
+	}
+	census("memfss_fs_short_stripes", "Readable stripes below full redundancy at the last census of the namespace", func(c *CensusReport) float64 { return float64(c.Short) })
+	census("memfss_fs_stray_keys", "Data keys of live files no read asks for, at the last census of the namespace", func(c *CensusReport) float64 { return float64(c.StrayKeys) })
+	census("memfss_fs_orphan_stripes", "Data keys of no live file at the last census of the namespace", func(c *CensusReport) float64 { return float64(c.OrphanStripes) })
+	census("memfss_fs_census_age_seconds", "Seconds since the last census of the namespace ended", func(c *CensusReport) float64 { return time.Since(c.ended).Seconds() })
 	reg.Gauge("memfss_events_dropped",
 		"Flight-recorder events overwritten by newer ones; /debug/events no longer shows them.",
 		nil, func() float64 { return float64(o.journal.Dropped()) })

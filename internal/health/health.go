@@ -75,7 +75,8 @@ type Event struct {
 // NodeHealth is a snapshot of one node's detector entry.
 type NodeHealth struct {
 	State State
-	// Since is when the node entered its current state.
+	// Since is when the node entered its current state; setting or
+	// clearing the Draining overlay counts as entering one.
 	Since time.Time
 	// ConsecFails / ConsecOKs are the streak counters the hysteresis
 	// thresholds compare against.
@@ -342,7 +343,7 @@ func (d *Detector) State(node string) State {
 // machine keeps judging underneath, so clearing restores the evidence
 // state. Unregistered nodes are ignored. Toggling publishes a transition
 // event (to Draining, or from Draining back to the evidence state) so
-// subscribers such as the repair queue re-evaluate parked work.
+// subscribers such as the flight recorder see the fence come and go.
 func (d *Detector) SetDraining(node string, on bool) {
 	now := d.opts.Now()
 	var ev *Event
@@ -353,6 +354,7 @@ func (d *Detector) SetDraining(node string, on bool) {
 		return
 	}
 	e.draining = on
+	e.since = now
 	if on {
 		ev = &Event{Node: node, From: e.state, To: Draining, At: now}
 	} else {
@@ -372,15 +374,29 @@ func (d *Detector) Snapshot() map[string]NodeHealth {
 	defer d.mu.RUnlock()
 	out := make(map[string]NodeHealth, len(d.nodes))
 	for n, e := range d.nodes {
-		out[n] = NodeHealth{
-			State:       e.effective(),
-			Since:       e.since,
-			ConsecFails: e.consecFails,
-			ConsecOKs:   e.consecOKs,
-			LastSeen:    e.lastSeen,
-		}
+		out[n] = e.health()
 	}
 	return out
+}
+
+// Health returns node's health, and whether the node is registered.
+func (d *Detector) Health(node string) (NodeHealth, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if e := d.nodes[node]; e != nil {
+		return e.health(), true
+	}
+	return NodeHealth{}, false
+}
+
+func (e *entry) health() NodeHealth {
+	return NodeHealth{
+		State:       e.effective(),
+		Since:       e.since,
+		ConsecFails: e.consecFails,
+		ConsecOKs:   e.consecOKs,
+		LastSeen:    e.lastSeen,
+	}
 }
 
 // Subscribe returns a channel of state-change events (buffered to buf)

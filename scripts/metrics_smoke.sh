@@ -53,11 +53,28 @@ for family in \
     memfss_health_node_state \
     memfss_repair_queue_depth \
     memfss_repair_enqueued_total \
+    memfss_repair_units_total \
+    memfss_repair_census_passes_total \
+    memfss_fs_short_stripes \
+    memfss_fs_stray_keys \
+    memfss_fs_orphan_stripes \
+    memfss_fs_census_age_seconds \
     memfss_obs_dropped_series \
     memfss_events_dropped
 do
     grep -q "^# TYPE $family " "$workdir/metrics.txt" \
         || { echo "FAIL: family $family missing from /metrics"; exit 1; }
+done
+
+# The repair queue reports its owed stripes and true unit outcomes, and
+# the census age reads -1 until the gateway has censused its namespace.
+for series in \
+    'memfss_repair_queue_depth{state="owed"}' \
+    'memfss_repair_units_total{outcome="intact"}' \
+    'memfss_fs_census_age_seconds -1'
+do
+    grep -qF "$series" "$workdir/metrics.txt" \
+        || { echo "FAIL: series $series missing from /metrics"; exit 1; }
 done
 
 # The drop gauges say whether /metrics and /debug/events are complete;
@@ -71,10 +88,13 @@ families=$(grep -c '^# TYPE ' "$workdir/metrics.txt")
 healthz=$(curl -sf "http://$HEALTH/healthz")
 echo "$healthz" | grep -q '"health"' || { echo "FAIL: /healthz missing detector states"; exit 1; }
 echo "$healthz" | grep -q '"repair"' || { echo "FAIL: /healthz missing repair stats"; exit 1; }
+echo "$healthz" | grep -q '"owed"' || { echo "FAIL: /healthz repair stats missing owed"; exit 1; }
+echo "$healthz" | grep -q '"passes"' || { echo "FAIL: /healthz repair stats missing passes"; exit 1; }
 
 "$workdir/memfsctl" stats "$HEALTH" >"$workdir/stats.txt"
 grep -q '^health:' "$workdir/stats.txt" || { echo "FAIL: stats verb missing health section"; exit 1; }
-grep -q '^repair queue:' "$workdir/stats.txt" || { echo "FAIL: stats verb missing repair section"; exit 1; }
+grep -q '^repair queue: queued=[0-9]* owed=' "$workdir/stats.txt" || { echo "FAIL: stats verb missing repair section"; exit 1; }
+grep -q '^redundancy: ' "$workdir/stats.txt" || { echo "FAIL: stats verb missing the census line"; exit 1; }
 
 # The seeded slow ops (1ns threshold) must be retained in the trace
 # store with full span trees, and the histogram buckets must carry
