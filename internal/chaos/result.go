@@ -55,7 +55,9 @@ type Result struct {
 	WorkloadCounters core.Counters `json:"workload_counters"`
 	// Counters is the final snapshot at teardown (includes repair, scrub,
 	// and verify traffic).
-	Counters    core.Counters    `json:"counters"`
+	Counters core.Counters `json:"counters"`
+	// RepairStats is the repair queue's snapshot when recovery settled,
+	// before the teardown Scrub, Fsck and final verify.
 	RepairStats core.RepairStats `json:"repair"`
 	Faults      faultwrap.Stats  `json:"faults"`
 

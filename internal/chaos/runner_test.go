@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,6 +131,65 @@ func TestRunnerCleanPass(t *testing.T) {
 	}
 	if !sawStart || !sawEnd {
 		t.Fatalf("journal missing start/end markers: %+v", evs)
+	}
+}
+
+// TestRepairStatsTakenWhenRecoverySettles pins when Result.RepairStats is
+// taken: when recovery settles, before the teardown Scrub, Fsck and final
+// verify. Right after that moment the test writes a 64-stripe file, wipes
+// every stripe copy on the node holding the most and reads the file back:
+// the reads that ask a wiped copy first enqueue repairs, as the teardown's
+// verification reads can. The filesystem counts them; the result must not.
+func TestRepairStatsTakenWhenRecoverySettles(t *testing.T) {
+	sc := tinyScenario()
+	sc.SLO.CleanScrub = false // the teardown scrub restores what the test wipes
+	cluster, err := buildCluster(sc.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	var atSettle core.RepairStats
+	wiped := 0
+	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		if !strings.Contains(line, "recovery settled") {
+			return
+		}
+		atSettle = cluster.FS.RepairStats()
+		probe := bytes.Repeat([]byte("settled "), 64*(4<<10)/8)
+		if err := cluster.FS.WriteFile("/chaos/probe", probe); err != nil {
+			t.Errorf("write probe: %v", err)
+			return
+		}
+		most, keys := cluster.Own.Server(0).Store(), []string(nil)
+		for _, ls := range []*core.LocalStores{cluster.Own, cluster.Victims} {
+			for i := range ls.Nodes {
+				if k, _ := ls.Server(i).Store().Scan(0, 1<<20); len(k) > len(keys) {
+					most, keys = ls.Server(i).Store(), k
+				}
+			}
+		}
+		wiped = most.Del(keys...)
+		if got, err := cluster.FS.ReadFile("/chaos/probe"); err != nil || !bytes.Equal(got, probe) {
+			t.Errorf("read probe past wiped copies: %v (bytes equal %v)", err, bytes.Equal(got, probe))
+		}
+	}
+	res, err := RunOn(context.Background(), sc, cluster, RunOptions{Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	after := cluster.FS.RepairStats()
+	if wiped == 0 || after.Enqueued <= atSettle.Enqueued {
+		t.Fatalf("wiped %d stripe copies after recovery, enqueued %d -> %d; want both to move",
+			wiped, atSettle.Enqueued, after.Enqueued)
+	}
+	got := res.RepairStats
+	if got.Enqueued != atSettle.Enqueued || got.Restored != atSettle.Restored || got.Overflows != atSettle.Overflows {
+		t.Fatalf("Result.RepairStats %+v, want the snapshot at recovery %+v", got, atSettle)
 	}
 }
 

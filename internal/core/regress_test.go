@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -542,10 +543,17 @@ func TestSizeCommitDuringFixIsRetried(t *testing.T) {
 // copy and the gather serves the other one. The read must count as
 // degraded and queue the stripe, and the repair queue must restore the
 // deleted copy — the same treatment an erasure read gives a missing shard.
+//
+// The deleted copy is the stripe's rank-0 target and the survivor ranks
+// second, and the test pins that order: a detector that never suspects a
+// node keeps both Up, so neither the burst nor the gather reorders them,
+// and with no spare the gather never hedges past the deleted copy onto
+// the survivor before the miss is in. On a loaded machine either could
+// otherwise serve the read from the survivor alone, degraded-free.
 func TestReplicatedReadPastMissingCopyRepairs(t *testing.T) {
 	d := newTestFS(t, 2, 4,
-		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2}),
-		withHealth(HealthPolicy{ProbeInterval: -1}))
+		withRedundancy(Redundancy{Mode: RedundancyReplicate, Replicas: 2, ReadSpare: -1}),
+		withHealth(HealthPolicy{ProbeInterval: -1, SuspectAfter: math.MaxInt32}))
 	data := randomBytes(73, 4096) // one stripe
 	if err := d.fs.WriteFile("/copy", data); err != nil {
 		t.Fatal(err)

@@ -11,9 +11,6 @@ package erasure
 var (
 	gfExp [512]byte // doubled so mul can skip the mod-255 reduction
 	gfLog [256]byte
-	// gfMulTable[c][x] = c·x. Row c is the whole multiply-by-c map, so the
-	// coding kernel pays one branch-free load per byte; 64 KiB, L2-resident.
-	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -30,11 +27,6 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
-	}
-	for a := range gfMulTable {
-		for b := range gfMulTable[a] {
-			gfMulTable[a][b] = gfMul(byte(a), byte(b))
-		}
 	}
 }
 
@@ -60,38 +52,81 @@ func gfDiv(a, b byte) byte {
 // gfInv returns the multiplicative inverse of a non-zero element.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// dotInto computes dst[i] = Σ_j coef[j]·srcs[j][i] — one output shard of
-// an encode or a decode — in a single pass over dst: four sources per
-// iteration, then one at a time for the remainder. The first group
-// stores and later ones accumulate, so dst need not be zeroed. Every
-// source must be at least len(dst) long and len(coef) >= 1.
-func dotInto(coef []byte, srcs [][]byte, dst []byte) {
-	n := len(dst)
-	j := 0
-	for ; j+4 <= len(coef); j += 4 {
-		t0, t1, t2, t3 := &gfMulTable[coef[j]], &gfMulTable[coef[j+1]], &gfMulTable[coef[j+2]], &gfMulTable[coef[j+3]]
-		d0, d1, d2, d3 := srcs[j][:n], srcs[j+1][:n], srcs[j+2][:n], srcs[j+3][:n]
-		if j == 0 {
-			for i := range dst {
-				dst[i] = t0[d0[i]] ^ t1[d1[i]] ^ t2[d2[i]] ^ t3[d3[i]]
-			}
-		} else {
-			for i := range dst {
-				dst[i] ^= t0[d0[i]] ^ t1[d1[i]] ^ t2[d2[i]] ^ t3[d3[i]]
+// packed is the product table of up to 8 coefficient rows over the same
+// sources: byte r of t[j][x] is rows[r][j]·x, so one load per source byte
+// serves every row. Zero tables pad it to a multiple of four sources, so
+// codeInto reads sources four at a time with no tail.
+type packed [][256]uint64
+
+// pack lays rows (one coefficient per source each) out as packed tables,
+// 8 rows per table. Multiplying by c is linear over GF(2), so an entry is
+// the XOR of those for its bits: 8 products per source and row, not 256.
+func pack(rows [][]byte) []packed {
+	tabs := make([]packed, (len(rows)+7)/8)
+	for c := range tabs {
+		tabs[c] = make(packed, (len(rows[0])+3)&^3)
+		for j := range rows[0] {
+			tj := &tabs[c][j]
+			for b := 1; b < 256; b <<= 1 {
+				var w uint64
+				for r, row := range rows[8*c : min(8*c+8, len(rows))] {
+					w |= uint64(gfMul(row[j], byte(b))) << (8 * r)
+				}
+				for x := b; x < 2*b; x++ {
+					tj[x] = tj[x-b] ^ w
+				}
 			}
 		}
 	}
-	for ; j < len(coef); j++ {
-		t, d := &gfMulTable[coef[j]], srcs[j][:n]
-		if j == 0 {
-			for i := range dst {
-				dst[i] = t[d[i]]
+	return tabs
+}
+
+// codeInto computes dsts[r][i] = Σ_j rows[r][j]·srcs[j][i] for the rows tabs
+// packs, in one pass over the sources per 8 rows: with k ≤ 4 and one or two
+// rows (RS(4,2)'s parity, a lost shard) each word is written straight out;
+// otherwise a block gathers its words four sources at a time, then byte r of
+// each goes to dsts[r]. dsts need not be zeroed; all hold len(dsts[0]) bytes.
+func codeInto(tabs []packed, srcs, dsts [][]byte) {
+	var acc [512]uint64 // one block of positions: 4 KiB beside the table in L1
+	n := len(dsts[0])
+	for c, t := range tabs {
+		out := dsts[8*c : min(8*c+8, len(dsts))]
+		for base := 0; base < n; base += len(acc) {
+			a := acc[:min(len(acc), n-base)]
+			if len(t) == 4 && len(out) <= 2 {
+				gather(a, (*[4][256]uint64)(t), srcs, 0, base, [2][]byte{out[0][base:], out[len(out)-1][base:]})
+				continue
 			}
-		} else {
-			for i := range dst {
-				dst[i] ^= t[d[i]]
+			clear(a)
+			for j := 0; j < len(t); j += 4 {
+				gather(a, (*[4][256]uint64)(t[j:j+4]), srcs, j, base, [2][]byte{})
+			}
+			for r, dst := range out {
+				dst, s := dst[base:][:len(a)], uint(8*r)&63
+				for i, w := range a {
+					dst[i] = byte(w >> s)
+				}
 			}
 		}
+	}
+}
+
+// gather, codeInto's inner loop, has the registers to itself: it adds sources
+// j..j+3's words into a or, with a only sizing the block, writes rows 0 and 1
+// to o (one row: o[0] twice).
+func gather(a []uint64, t *[4][256]uint64, srcs [][]byte, j, base int, o [2][]byte) {
+	s := func(q int) []byte { return srcs[min(j+q, len(srcs)-1)][base:][:len(a)] } // past k: a zero table
+	d0, d1, d2, d3 := s(0), s(1), s(2), s(3)
+	if o[0] == nil {
+		for i := range a {
+			a[i] ^= t[0][d0[i]] ^ t[1][d1[i]] ^ t[2][d2[i]] ^ t[3][d3[i]]
+		}
+		return
+	}
+	o0, o1 := o[0][:len(a)], o[1][:len(a)]
+	for i := range a {
+		w := t[0][d0[i]] ^ t[1][d1[i]] ^ t[2][d2[i]] ^ t[3][d3[i]]
+		o1[i], o0[i] = byte(w>>8), byte(w) // o1 may be o0: row 0 lands last
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// oracleDot is the byte-at-a-time reference for dotInto, written with
-// gfMul only: out[i] = Σ_j coef[j]·srcs[j][i].
+// oracleDot is the byte-at-a-time reference for one row of codeInto,
+// written with gfMul only: out[i] = Σ_j coef[j]·srcs[j][i].
 func oracleDot(coef []byte, srcs [][]byte, size int) []byte {
 	out := make([]byte, size)
 	for i := range out {
@@ -57,11 +57,13 @@ func erasurePatterns(n, m int, exhaustive bool, limit int, rng *rand.Rand) [][]i
 
 // TestKernelMatchesOracle is the differential test: Encode, SplitEncode
 // and ReconstructShards agree with the gfMul oracle for every listed
-// shape, including the k%4 tails and the lengths around the word size.
+// shape — k%4 tails, m past the 8 rows one packed table holds, lengths
+// around the word size and past one 512-position block — and
+// ReconstructShards rebuilds all m lost shards of a stripe in one call.
 func TestKernelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	for k := 1; k <= 10; k++ {
-		for m := 1; m <= 4; m++ {
+	for k := 1; k <= 12; k++ {
+		for _, m := range []int{1, 2, 3, 4, 8, 9, 12} {
 			c, err := NewCoder(k, m)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +90,8 @@ func TestKernelMatchesOracle(t *testing.T) {
 				}
 
 				exhaustive := k == 4 && m == 2
-				for _, lost := range erasurePatterns(k+m, m, exhaustive, 3, rng) {
+				patterns := erasurePatterns(k+m, m, exhaustive, 3, rng)
+				for _, lost := range append(patterns, rng.Perm(k + m)[:m]) {
 					shards := make([][]byte, k+m)
 					copy(shards, want)
 					for _, l := range lost {

@@ -3,6 +3,7 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Coder encodes stripes into k data + m parity shards and reconstructs
@@ -10,7 +11,11 @@ import (
 type Coder struct {
 	k, m   int
 	parity [][]byte // m×k Cauchy coefficient matrix
+	enc    []packed // parity, packed for codeInto
 }
+
+// coders memoizes one Coder per (k, m), whose packing every open reuses.
+var coders sync.Map // [2]int -> *Coder
 
 // ErrTooFewShards is returned when fewer than k shards survive.
 var ErrTooFewShards = errors.New("erasure: too few shards to reconstruct")
@@ -23,6 +28,9 @@ func NewCoder(k, m int) (*Coder, error) {
 	if k < 1 || m < 1 || k+m > 256 {
 		return nil, fmt.Errorf("erasure: invalid shard counts k=%d m=%d", k, m)
 	}
+	if c, ok := coders.Load([2]int{k, m}); ok {
+		return c.(*Coder), nil
+	}
 	// Cauchy matrix C[i][j] = 1/(x_i + y_j) with x_i = i+k, y_j = j.
 	// Every square submatrix of a Cauchy matrix is invertible, which is
 	// exactly the property reconstruction needs.
@@ -33,7 +41,8 @@ func NewCoder(k, m int) (*Coder, error) {
 			parity[i][j] = gfInv(byte(i+k) ^ byte(j))
 		}
 	}
-	return &Coder{k: k, m: m, parity: parity}, nil
+	c, _ := coders.LoadOrStore([2]int{k, m}, &Coder{k: k, m: m, parity: parity, enc: pack(parity)})
+	return c.(*Coder), nil
 }
 
 // K returns the number of data shards.
@@ -49,16 +58,14 @@ func (c *Coder) ShardSize(n int) int {
 }
 
 // Split slices data into k equal shards, zero-padding the tail. The shards
-// are fresh allocations; data is not retained.
+// are capped views of one fresh copy; data is not retained.
 func (c *Coder) Split(data []byte) [][]byte {
 	size := c.ShardSize(len(data))
+	buf := make([]byte, c.k*size)
+	copy(buf, data) // right after the make, so only the padding is zeroed
 	shards := make([][]byte, c.k)
 	for i := range shards {
-		shards[i] = make([]byte, size)
-		start := i * size
-		if start < len(data) {
-			copy(shards[i], data[start:])
-		}
+		shards[i] = buf[i*size : (i+1)*size : (i+1)*size]
 	}
 	return shards
 }
@@ -113,8 +120,8 @@ func (c *Coder) Encode(data [][]byte) ([][]byte, error) {
 	parity := make([][]byte, c.m)
 	for i := range parity {
 		parity[i] = make([]byte, size)
-		dotInto(c.parity[i], data, parity[i])
 	}
+	codeInto(c.enc, data, parity)
 	return parity, nil
 }
 
@@ -135,9 +142,7 @@ func (c *Coder) SplitEncode(payload []byte, parity [][]byte) [][]byte {
 			copy(data[i], payload[min(start, len(payload)):])
 		}
 	}
-	for i, coef := range c.parity {
-		dotInto(coef, data, parity[i])
-	}
+	codeInto(c.enc, data, parity)
 	return data
 }
 
@@ -155,9 +160,9 @@ func (c *Coder) Reconstruct(shards [][]byte) ([][]byte, error) {
 
 // ReconstructShards recovers exactly the shards named in want (data or
 // parity indices) from any k survivors, returning them in want order.
-// This is the repair path's tool: rebuilding one lost shard costs one
-// matrix row instead of a full-stripe decode+re-encode. Present shards
-// requested in want are returned aliased, not copied.
+// This is the repair path's tool: one pass over the survivors rebuilds
+// every lost shard, at one matrix row each instead of a full-stripe
+// decode+re-encode. Present shards requested in want are returned aliased.
 func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error) {
 	if len(shards) != c.k+c.m {
 		return nil, fmt.Errorf("erasure: Reconstruct needs %d shard slots, got %d", c.k+c.m, len(shards))
@@ -213,6 +218,7 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 	if !invertMatrix(mat) {
 		return nil, errors.New("erasure: survivor matrix singular (corrupt coder state)")
 	}
+	rows, rebuilt := make([][]byte, 0, len(want)), make([][]byte, 0, len(want))
 	for i, w := range want {
 		if out[i] != nil {
 			continue
@@ -225,17 +231,15 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 			row = mat[w]
 		} else {
 			row = make([]byte, c.k)
-			coef := c.parity[w-c.k]
-			for r := 0; r < c.k; r++ {
-				var v byte
-				for j := 0; j < c.k; j++ {
-					v ^= gfMul(coef[j], mat[j][r])
+			for j, coef := range c.parity[w-c.k] {
+				for r, v := range mat[j] {
+					row[r] ^= gfMul(coef, v)
 				}
-				row[r] = v
 			}
 		}
 		out[i] = make([]byte, size)
-		dotInto(row, survivors, out[i])
+		rows, rebuilt = append(rows, row), append(rebuilt, out[i])
 	}
+	codeInto(pack(rows), survivors, rebuilt)
 	return out, nil
 }
