@@ -74,7 +74,7 @@ Throughput, latency and per-layer numbers: bash benchmark/run.sh --workload <nam
 // deployment under an aggregate bandwidth budget. The leg measures prod's
 // write throughput alone, then again while batch saturates its own share —
 // under strict weighted-fair shares the two numbers should match — and
-// finishes with a lease revocation through the broker mid-traffic,
+// finishes with a lease revocation (notice, then evacuation) mid-traffic,
 // reporting the eviction-notice SLO and verifying zero prod data loss.
 func runTenants(ownN, victimN, tasks int, size, qosBW int64) {
 	const password = "bench-secret"
@@ -170,22 +170,23 @@ func runTenants(ownN, victimN, tasks int, size, qosBW int64) {
 		log.Fatalf("tenants: isolation violated: %.1f%% > 25%%", delta)
 	}
 
-	// Revocation leg: lease a victim to batch, then take it back through
-	// the broker (notice window + graduated evacuation) and check prod lost
-	// nothing. Skipped when the deployment has no victims to lease.
+	// Revocation leg: lease a victim to batch, then take it back (notice
+	// window + graduated evacuation) and check prod lost nothing. Skipped
+	// when the deployment has no victims to lease.
 	if victimN == 0 {
 		return
 	}
-	broker := qos.NewBroker(qos.BrokerOptions{Evac: fs, Journal: fs.Events()})
 	const noticeSLO = 100 * time.Millisecond
-	if err := fs.AdvertiseCapacity(broker, noticeSLO); err != nil {
+	if err := fs.AdvertiseCapacity(noticeSLO); err != nil {
 		log.Fatal(err)
 	}
-	lease, err := broker.Request("batch", 1<<20)
+	lease, err := fs.Broker().Request("batch", 1<<20)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rev, err := broker.Revoke(context.Background(), lease.Node, qos.RevokeOptions{EvacDeadline: 30 * time.Second})
+	start := time.Now()
+	rev, err := fs.Revoke(context.Background(), lease.Node, core.RevokeOptions{EvacDeadline: 30 * time.Second})
+	took := time.Since(start)
 	if err != nil {
 		log.Fatalf("tenants: revocation of %s failed: %v", lease.Node, err)
 	}
@@ -196,9 +197,8 @@ func runTenants(ownN, victimN, tasks int, size, qosBW int64) {
 			}
 		}
 	}
-	fmt.Printf("tenants: revoked %s: notice %v (SLO %v, met=%v), evacuated=%v in %v; prod verified, zero loss\n",
-		rev.Node, rev.Notice.Round(time.Millisecond), rev.SLO, rev.SLOMet, rev.Evacuated,
-		rev.Elapsed.Round(time.Millisecond))
+	fmt.Printf("tenants: revoked %s: notice %v (SLO %v, met=%v), evacuated in %v; prod verified, zero loss\n",
+		rev.Node, rev.Notice.Round(time.Millisecond), rev.SLO, rev.SLOMet, took.Round(time.Millisecond))
 	if !rev.SLOMet {
 		log.Fatal("tenants: eviction-notice SLO violated")
 	}

@@ -77,11 +77,11 @@ type Topology struct {
 	Health        core.HealthPolicy
 	Repair        core.RepairPolicy
 	// Tenants, when non-empty, builds a QoS registry, saves each spec,
-	// applies victim caps, and starts a lease broker.
+	// applies victim caps, and advertises victim capacity for leases.
 	Tenants []qos.TenantSpec
 	// QoSBandwidth caps registry bandwidth (0 = uncapped).
 	QoSBandwidth int64
-	// LeaseNoticeSLO is the broker advertise notice (default 200ms) used
+	// LeaseNoticeSLO is the advertised lease notice (default 200ms) used
 	// when Tenants is set.
 	LeaseNoticeSLO time.Duration
 	// Mutate, when set, gets the final Config before core.New — the

@@ -15,6 +15,7 @@ import (
 	"memfss/internal/kvstore"
 	"memfss/internal/obs"
 	"memfss/internal/obs/trace"
+	"memfss/internal/qos"
 	"memfss/internal/stripe"
 )
 
@@ -57,9 +58,15 @@ type FileSystem struct {
 	healthEvStop   chan struct{}
 	healthEvCancel func()
 
-	// reclaims holds one reclamation record per victim node (reclaim.go).
+	// reclaims holds one reclamation record per victim node (reclaim.go);
+	// monitor is the last Monitor started; while it runs it logs every
+	// background run.
 	reclaimMu sync.Mutex
 	reclaims  map[string]*reclaim
+	monitor   *Monitor
+
+	// leases is the lease book Revoke gives notice through.
+	leases *qos.Broker
 }
 
 // New connects to the stores described by cfg and returns a FileSystem.
@@ -146,6 +153,7 @@ func New(cfg Config) (*FileSystem, error) {
 		obs:       newFSObs(reg, cfg.Obs),
 		reclaims:  make(map[string]*reclaim),
 	}
+	fs.leases = qos.NewBroker(reg, fs.obs.journal, fs.kick)
 	reg.Gauge("memfss_fs_draining_nodes",
 		"Nodes currently fenced for revocation drain.", nil,
 		func() float64 { return float64(len(fs.Draining())) })

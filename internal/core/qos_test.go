@@ -340,7 +340,7 @@ func TestPriorityReclaimStoreWide(t *testing.T) {
 	}
 }
 
-// TestAdvertiseCapacity: victim headroom becomes broker supply.
+// TestAdvertiseCapacity: victim headroom becomes lease supply.
 func TestAdvertiseCapacity(t *testing.T) {
 	tenants := qos.NewRegistry(qos.Options{})
 	defer tenants.Close()
@@ -348,8 +348,7 @@ func TestAdvertiseCapacity(t *testing.T) {
 	if err := d.fs.ApplyVictimCaps(); err != nil {
 		t.Fatal(err)
 	}
-	b := qos.NewBroker(qos.BrokerOptions{Evac: d.fs, Journal: d.fs.Events()})
-	if err := d.fs.AdvertiseCapacity(b, 100*time.Millisecond); err != nil {
+	if err := d.fs.AdvertiseCapacity(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// The broker journals each advertisement: node, bytes and notice SLO.

@@ -6,9 +6,8 @@
 //
 // The package is deliberately below internal/core in the import graph:
 // core threads a *Registry through its data path (attribution, quota,
-// pacing) and the Broker calls back into core only through the small
-// Evacuator interface, so the marketplace rides the graduated revocation
-// protocol without an import cycle.
+// pacing) and keeps a Broker as its lease book, which only keeps accounts
+// — core's Revoke gives notice through it and carries out the eviction.
 package qos
 
 import (
