@@ -675,8 +675,8 @@ type ecGather struct {
 }
 
 // release returns the gather's pooled shard buffers; no payload may be
-// used afterwards. A fetch the gather abandoned never delivered its
-// buffer, so it is not among them: the straggler stays its sole owner.
+// used afterwards. A fetch the gather abandoned is not among them: the
+// straggler, or the gather as it returns, put that buffer back.
 func (g *ecGather) release(fs *FileSystem) {
 	for i := range g.slots {
 		if s := &g.slots[i]; s.buf != nil {
@@ -822,13 +822,40 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	}
 	order = append(order, rest...)
 	// Buffered to n so abandoned stragglers can always deliver and exit.
+	// A fetch that finishes after the gather returned (gone) gives its
+	// pooled buffer back instead, and the gather returns those delivered
+	// but never received: a hedged read abandons a shard buffer per
+	// straggler, which would otherwise go to the GC.
 	ch := make(chan fetch, n)
+	var gone struct {
+		sync.Mutex
+		returned bool
+	}
+	defer func() {
+		gone.Lock()
+		gone.returned = true
+		gone.Unlock()
+		for len(ch) > 0 {
+			if r := <-ch; r.buf != nil {
+				f.fs.shardBufs.Put(r.buf)
+			}
+		}
+	}()
 	launched, received := 0, 0
 	launch := func(c int) {
 		for ; c > 0 && launched < n; c-- {
 			i := order[launched]
 			launched++
-			go func() { ch <- get(i) }()
+			go func() {
+				r := get(i)
+				gone.Lock()
+				defer gone.Unlock()
+				if !gone.returned {
+					ch <- r // buffered: never blocks
+				} else if r.buf != nil {
+					f.fs.shardBufs.Put(r.buf)
+				}
+			}()
 		}
 	}
 	start := time.Now()

@@ -12,9 +12,10 @@ import (
 // benchmark-measured numbers — they exist to catch a reintroduced
 // per-command allocation (a lost pooled buffer, a resurrected string
 // conversion), not to pin exact counts. The remaining inherent
-// allocations: the buffer the server reads a SET value into (the store
-// keeps it), GET's caller-owned result slice, and the pipeline's per-Run
-// reply arena.
+// allocations: GET's caller-owned result slice and the pipeline's per-Run
+// reply arena. The buffer the server reads a SET value into is not among
+// them: a SET over a key reads its value into the buffer the previous one
+// freed, which the store recycles (a 4 KiB value is pooled).
 func TestHotPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI gate")

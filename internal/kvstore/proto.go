@@ -174,7 +174,13 @@ func readBulk(br *bufio.Reader) ([]byte, bool, error) {
 // readPayload reads the n-byte payload of a bulk whose header is consumed,
 // and its CRLF, into an exact-size allocation the caller owns.
 func readPayload(br *bufio.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, n)
+	return fillPayload(br, make([]byte, n))
+}
+
+// fillPayload is readPayload into buf, whose every byte io.ReadFull
+// overwrites: buf may be a recycled buffer still holding another value's
+// bytes. On error it returns nil, so a failed read leaves nothing to store.
+func fillPayload(br *bufio.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}

@@ -116,8 +116,10 @@ func (s *Server) dropConn(conn net.Conn) {
 //
 // The one exception is a value the store keeps: the value of SET, SETNX
 // and a whole-value VSET is read into kept, which dispatch hands to the
-// store as is — one exact-size payload allocation, and no copy. A SET or
-// SETNX value that starts with a stripe header leaves the header in
+// store as is — an exact-size payload buffer, and no copy. The buffer is
+// one the store recycled when a pooled one of that size is free (an
+// overwrite reuses the buffer it replaces), else a new allocation. A SET
+// or SETNX value that starts with a stripe header leaves the header in
 // kept.hdr, so a page-sized stripe is a page-sized buffer; a VSET's value
 // is a payload (the store stamps its header). Its argument is kept.val.
 type cmdReader struct {
@@ -143,8 +145,10 @@ func keeps(verb string, n, i int) bool {
 }
 
 // readKept reads a kept value of n bytes (its bulk header consumed),
-// first splitting off a stripe header when split is set. The test peeks
-// at buffered bytes, so a value without a header costs only the read.
+// first splitting off a stripe header when split is set, into a pooled
+// payload buffer (pooledPayload) that fillPayload overwrites whole. The
+// test peeks at buffered bytes, so a value without a header costs only
+// the read.
 func readKept(br *bufio.Reader, n int64, split bool) (e entry, err error) {
 	if split && n >= erasure.HeaderSize {
 		h, err := br.Peek(erasure.HeaderSize)
@@ -157,7 +161,7 @@ func readKept(br *bufio.Reader, n int64, split bool) (e entry, err error) {
 			n -= erasure.HeaderSize
 		}
 	}
-	e.val, err = readPayload(br, n)
+	e.val, err = fillPayload(br, pooledPayload(n))
 	return e, err
 }
 

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"memfss/internal/erasure"
 )
@@ -173,6 +175,12 @@ func (e entry) matches(value []byte) bool {
 // byte never changes and no reader sees a torn range. Header bytes are
 // never lent: a whole VSET restamps them in place.
 //
+// A payload buffer that leaves the store — a DEL, a DELVAL, a whole-value
+// replacement, a grown copy that supersedes it, a refused write's value —
+// is recycled for the next kept wire value (drop), unless a reply has it
+// on loan: that one the GC takes once the reply is out. FlushAll recycles
+// nothing.
+//
 // Every stripe value holds a slot in stripes, the scan order: a key takes
 // a free slot (or a new one at the end) when it becomes a stripe value,
 // keeps it while it stays one, rewritten or not, and frees it when it
@@ -229,12 +237,14 @@ func (s *Store) Set(key string, value []byte) error {
 
 // set is Set for a value the store keeps as given — the server hands it the
 // entry a SET was read into, so no payload byte is copied under the lock.
-// The caller must not touch value's payload afterwards.
+// The caller must not touch value's payload afterwards: a refused value is
+// recycled (drop), like a stored one the store frees later.
 func (s *Store) set(key string, value entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
 	if _, isSet := s.sets[key]; isSet {
+		s.drop(value.val, nil)
 		return ErrWrongType
 	}
 	old, exists := s.data[key]
@@ -250,6 +260,7 @@ func (s *Store) put(key string, old entry, exists bool, next entry) error {
 		delta += int64(len(key)) + EntryOverhead
 	}
 	if delta > 0 && s.wouldOverflow(delta) {
+		s.drop(next.val, old.val)
 		return ErrOOM
 	}
 	switch {
@@ -263,6 +274,7 @@ func (s *Store) put(key string, old entry, exists bool, next entry) error {
 	}
 	s.data[key] = next
 	s.used += delta
+	s.drop(old.val, next.val)
 	return nil
 }
 
@@ -274,6 +286,17 @@ func (s *Store) remove(key string, v entry) {
 	}
 	s.used -= v.size() + int64(len(key)) + EntryOverhead
 	delete(s.data, key)
+	s.drop(v.val, nil)
+}
+
+// drop recycles payload buffer v, which the store does not hold, unless it
+// is keep's buffer (an in-place write keeps old's) or loans holds a count
+// for it: a lent buffer is still being written to a client, and the GC
+// takes it once the reply is out. Called with mu held.
+func (s *Store) drop(v, keep []byte) {
+	if k := loanKey(v); k != loanKey(keep) && s.loans[k] == 0 {
+		recycle(v)
+	}
 }
 
 // list gives key a slot in the scan order. Called with mu held.
@@ -305,6 +328,79 @@ func grow(v []byte, end int64) []byte {
 	return next
 }
 
+// Payload buffers the store drops are pooled process-wide, one sync.Pool
+// per exact capacity, for readKept to read the next kept wire value into:
+// an overwrite then reuses the buffer it replaces instead of leaving it
+// for the GC, and resident memory stays near what the stores hold. The GC
+// empties the pools, so a spare never outlives two collections. Only
+// capacities of minPooledPayload bytes or more are pooled, and at most
+// maxPayloadClasses distinct ones: a capacity first seen after that is
+// left to the GC, so values of arbitrary client-chosen sizes cannot grow
+// the class table without bound. A pool entry is a pointer to the
+// buffer's first byte; its class gives the length.
+const (
+	minPooledPayload  = 4 << 10
+	maxPayloadClasses = 256
+)
+
+var (
+	payloadMu      sync.Mutex // serializes adding a class
+	payloadClasses atomic.Pointer[map[int]*sync.Pool]
+)
+
+func init() { payloadClasses.Store(&map[int]*sync.Pool{}) }
+
+// payloadPool returns the pool of buffers of capacity c, adding the class
+// when add is set and the table has room; nil when c is not pooled.
+func payloadPool(c int, add bool) *sync.Pool {
+	if c < minPooledPayload {
+		return nil
+	}
+	if p := (*payloadClasses.Load())[c]; p != nil || !add {
+		return p
+	}
+	payloadMu.Lock()
+	defer payloadMu.Unlock()
+	classes := *payloadClasses.Load()
+	if p := classes[c]; p != nil || len(classes) == maxPayloadClasses {
+		return p
+	}
+	// Copy on write: lookups take no lock.
+	next := make(map[int]*sync.Pool, len(classes)+1)
+	for k, p := range classes {
+		next[k] = p
+	}
+	next[c] = new(sync.Pool)
+	payloadClasses.Store(&next)
+	return next[c]
+}
+
+// pooledPayload returns an n-byte buffer, a recycled one when a buffer of
+// capacity n is pooled. Its bytes are arbitrary: the caller overwrites
+// every one of them before anything reads it.
+func pooledPayload(n int64) []byte {
+	if p := payloadPool(int(n), false); p != nil {
+		if b, _ := p.Get().(*byte); b != nil {
+			return unsafe.Slice(b, n)
+		}
+	}
+	return make([]byte, n)
+}
+
+// recycle pools b, a payload buffer nothing reads any more, under its
+// capacity. The poisonPooled test hook scribbles it first, so a reader
+// that still held it would see 0xDB.
+func recycle(b []byte) {
+	p := payloadPool(cap(b), true)
+	if p == nil {
+		return
+	}
+	if poisonPooled.Load() {
+		poisonBuf(b)
+	}
+	p.Put(unsafe.SliceData(b))
+}
+
 // MGet returns a copy of each key's value, aligned with keys; missing keys
 // (and keys holding sets) yield nil entries.
 func (s *Store) MGet(keys []string) [][]byte {
@@ -321,16 +417,15 @@ func (s *Store) MGet(keys []string) [][]byte {
 }
 
 // setNX stores value under key only if the key does not exist (in either
-// namespace), keeping the value as given, like set. It reports whether the
-// value was stored.
+// namespace), keeping the value as given, like set, and recycling it when
+// it loses. It reports whether the value was stored.
 func (s *Store) setNX(key string, value entry) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp()
-	if _, isSet := s.sets[key]; isSet {
-		return false, nil
-	}
-	if _, exists := s.data[key]; exists {
+	_, isSet := s.sets[key]
+	if _, exists := s.data[key]; exists || isSet {
+		s.drop(value.val, nil)
 		return false, nil
 	}
 	if err := s.put(key, entry{}, false, value); err != nil {
@@ -499,12 +594,13 @@ func (s *Store) Del(keys ...string) int {
 // missed a write stays a generation behind even after later writes land on
 // it. A header already naming write id keeps g: a retried burst replays
 // the write it carries, and must not count it twice. kept, when non-nil,
-// is a whole new payload that replaces the old one and is kept as given.
-// Otherwise value is written at payload offset off: in place when the
-// range lies inside the payload (after unlent, as for SetRange),
-// zero-extending it otherwise. An offset write on an absent key writes
-// nothing and returns 0: the stripe it patches lives elsewhere, or is
-// not written yet, and only the writer can tell which.
+// is a whole new payload that replaces the old one and is kept as given
+// (recycled if refused, like set's). Otherwise value is written at payload
+// offset off: in place when the range lies inside the payload (after
+// unlent, as for SetRange), zero-extending it otherwise. An offset write
+// on an absent key writes nothing and returns 0: the stripe it patches
+// lives elsewhere, or is not written yet, and only the writer can tell
+// which.
 func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint64, error) {
 	switch {
 	case kept != nil:
@@ -520,6 +616,7 @@ func (s *Store) vset(key string, id uint64, off int64, value, kept []byte) (uint
 	defer s.mu.Unlock()
 	s.countOp()
 	if _, isSet := s.sets[key]; isSet {
+		s.drop(kept, nil)
 		return 0, ErrWrongType
 	}
 	old, exists := s.data[key]
@@ -749,7 +846,9 @@ func (s *Store) DelIfEquals(key string, value []byte) bool {
 	return true
 }
 
-// FlushAll removes every key.
+// FlushAll removes every key. It recycles no buffer: FLUSHALL is the
+// evacuated victim's flush, whose memory goes back to the GC, and so to
+// its tenant, not into a pool this process keeps.
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
