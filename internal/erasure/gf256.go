@@ -3,6 +3,15 @@
 // work in progress (§III-E): with k data shards and m parity shards, any k
 // of the k+m shards reconstruct a stripe, at a storage overhead of m/k
 // instead of replication's (R-1)x.
+//
+// Two kernels code shards, and both write the same bytes. Where CPUID
+// reports AVX2 and the OS saves the YMM registers (decided once at init),
+// shards of at least 32 bytes go to an AVX2 split-nibble kernel in
+// assembly (gf256_amd64.s), which writes up to 8 output shards in one pass
+// over the sources. Everything else (other architectures, CPUs without
+// AVX2, shorter shards) runs codeInto, the portable packed-row kernel,
+// which is also the AVX2 kernel's test oracle. Nothing configures the
+// choice.
 package erasure
 
 // GF(2^8) arithmetic with the AES/Rijndael-compatible polynomial 0x11d,
@@ -128,6 +137,51 @@ func gather(a []uint64, t *[4][256]uint64, srcs [][]byte, j, base int, o [2][]by
 		w := t[0][d0[i]] ^ t[1][d1[i]] ^ t[2][d2[i]] ^ t[3][d3[i]]
 		o1[i], o0[i] = byte(w>>8), byte(w) // o1 may be o0: row 0 lands last
 	}
+}
+
+// avx2Step is the bytes of each row one step of the AVX2 kernel codes.
+const avx2Step = 32
+
+// useAVX2 reports whether shards of n bytes go to the AVX2 kernel: where
+// the CPU has it and they hold at least one step. Anything else, and every
+// other machine, runs codeInto.
+func useAVX2(n int) bool { return haveAVX2 && n >= avx2Step }
+
+// nibbles lays rows out for the AVX2 kernel: per group of up to 8 rows
+// (one pass over the sources), per source j, per row r of the group, 16
+// bytes rows[r][j]·x and 16 bytes rows[r][j]·(x<<4) for x < 16. Their
+// XOR at a byte's low and high nibble is its product: 32 B per
+// coefficient, against pack's 2 KiB per source for 8 rows. As in pack, an
+// entry is the XOR of those for its bits.
+func nibbles(rows [][]byte) []byte {
+	k := len(rows[0])
+	nib := make([]byte, 2*16*k*len(rows))
+	t := nib
+	for g := 0; g < len(rows); g += 8 {
+		for j := 0; j < k; j++ {
+			for _, row := range rows[g:min(g+8, len(rows))] {
+				lo, hi := t[:16], t[16:32]
+				for b := 1; b < 16; b <<= 1 {
+					pl, ph := gfMul(row[j], byte(b)), gfMul(row[j], byte(b<<4))
+					for x := b; x < 2*b; x++ {
+						lo[x], hi[x] = lo[x-b]^pl, hi[x-b]^ph
+					}
+				}
+				t = t[32:]
+			}
+		}
+	}
+	return nib
+}
+
+// codeRows computes dsts[r] = Σ_j rows[r][j]·srcs[j] for rows used once,
+// such as a decode's: it lays out only the tables its kernel reads.
+func codeRows(rows, srcs, dsts [][]byte) {
+	if useAVX2(len(dsts[0])) {
+		codeAVX2(nibbles(rows), srcs, dsts)
+		return
+	}
+	codeInto(pack(rows), srcs, dsts)
 }
 
 // invertMatrix inverts an n×n matrix over GF(256) in place using

@@ -224,3 +224,146 @@ func TestJoinIntoWindows(t *testing.T) {
 		t.Fatal("JoinInto accepted k-1 shards")
 	}
 }
+
+// randomRows draws an r×k coefficient matrix, a quarter of its entries 0
+// and a quarter 1: the products a kernel is likeliest to special-case.
+func randomRows(rng *rand.Rand, r, k int) [][]byte {
+	rows := make([][]byte, r)
+	for i := range rows {
+		rows[i] = make([]byte, k)
+		for j := range rows[i] {
+			switch rng.Intn(4) {
+			case 0:
+				rows[i][j] = 0
+			case 1:
+				rows[i][j] = 1
+			default:
+				rows[i][j] = byte(rng.Intn(256))
+			}
+		}
+	}
+	return rows
+}
+
+// checkKernel codes srcs by rows with the dispatch the coder runs
+// (codeRows) and with codeInto over tabs, pack(rows), each into
+// destinations cut at byte off of buffers whose other bytes are a canary,
+// and fails unless both write the same bytes and neither touches a canary.
+func checkKernel(t *testing.T, rows [][]byte, tabs []packed, srcs [][]byte, off int) {
+	t.Helper()
+	n := len(srcs[0])
+	stride := off + n + avx2Step // each row's window and the canary after it
+	cut := func() ([]byte, [][]byte) {
+		buf, dsts := bytes.Repeat([]byte{0xA5}, len(rows)*stride), make([][]byte, len(rows))
+		for r := range dsts {
+			dsts[r] = buf[r*stride+off:][:n]
+		}
+		return buf, dsts
+	}
+	wantBuf, want := cut()
+	gotBuf, got := cut()
+	codeInto(tabs, srcs, want)
+	codeRows(rows, srcs, got)
+	if !bytes.Equal(gotBuf, wantBuf) {
+		i := 0
+		for gotBuf[i] == wantBuf[i] {
+			i++
+		}
+		t.Fatalf("k=%d rows=%d n=%d off=%d: row %d differs from codeInto at its byte %d (window %d..%d): %#x, want %#x",
+			len(srcs), len(rows), n, off, i/stride, i%stride, off, off+n, gotBuf[i], wantBuf[i])
+	}
+}
+
+// oddSources returns k random n-byte sources, each cut at an odd offset
+// of its own stretch of one buffer so no load is aligned.
+func oddSources(rng *rand.Rand, k, n int) [][]byte {
+	buf, srcs := make([]byte, k*(n+avx2Step)), make([][]byte, k)
+	rng.Read(buf)
+	for j := range srcs {
+		srcs[j] = buf[j*(n+avx2Step)+1+2*rng.Intn(16):][:n]
+	}
+	return srcs
+}
+
+// TestSIMDKernelMatchesScalar is the AVX2 kernel's differential test: for
+// k = 1..16 sources and 1..10 rows (past the 8 one pass codes, and past
+// RS(4,2)'s 4 sources and 2 rows), lengths 0..300 (whole steps, tails,
+// and shards shorter than one step, which stay on codeInto) plus 1 MiB/4
+// for a few shapes, on sources and destinations at odd offsets and random
+// coefficients including 0 and 1, it must write exactly codeInto's bytes
+// and nothing outside the destinations. RS(4,2)'s encode and one-shard
+// decode see every length; every other shape every 7th from its own
+// start, which still meets all 32 tail lengths and keeps the race
+// build's run short.
+func TestSIMDKernelMatchesScalar(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU: codeInto is the only kernel")
+	}
+	if !useAVX2(avx2Step) {
+		t.Fatal("shards of one step do not reach the AVX2 kernel")
+	}
+	rng := rand.New(rand.NewSource(45))
+	for k := 1; k <= 16; k++ {
+		for r := 1; r <= 10; r++ {
+			rows := randomRows(rng, r, k)
+			tabs := pack(rows)
+			step := 7
+			if k == 4 && r <= 2 {
+				step = 1
+			}
+			for n := (k + r) % step; n <= 300; n += step {
+				checkKernel(t, rows, tabs, oddSources(rng, k, n), 1+2*rng.Intn(16))
+			}
+		}
+	}
+	for _, shape := range [][2]int{{4, 2}, {4, 1}, {5, 9}, {16, 10}} {
+		rows := randomRows(rng, shape[1], shape[0])
+		checkKernel(t, rows, pack(rows), oddSources(rng, shape[0], 1<<18), 7)
+	}
+}
+
+// FuzzCodeKernel is TestSIMDKernelMatchesScalar's comparison on shapes,
+// lengths, offsets and coefficients drawn from the input: the sources are
+// consecutive cuts of data, 1..16 of them, coded by 1..10 rows.
+func FuzzCodeKernel(f *testing.F) {
+	f.Add([]byte("scientific workflow intermediate data, coded in 32-byte steps"), uint8(3), uint8(1), uint8(1), int64(1))
+	f.Add(bytes.Repeat([]byte{0xff, 0x0f, 0xf0, 0x01}, 80), uint8(0), uint8(0), uint8(0), int64(2))
+	f.Add(bytes.Repeat([]byte("odd tails "), 200), uint8(15), uint8(9), uint8(31), int64(3))
+	f.Add(bytes.Repeat([]byte{0x1d}, 33), uint8(0), uint8(8), uint8(5), int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, kIn, rIn, offIn uint8, seed int64) {
+		k, r := 1+int(kIn)%16, 1+int(rIn)%10
+		n := len(data) / k
+		srcs := make([][]byte, k)
+		for j := range srcs {
+			srcs[j] = data[j*n : (j+1)*n]
+		}
+		rows := randomRows(rand.New(rand.NewSource(seed)), r, k)
+		checkKernel(t, rows, pack(rows), srcs, int(offIn)%avx2Step)
+	})
+}
+
+// TestAVX2KernelChecksLengths pins the wrapper's checks, the assembly
+// having none: a source or destination shorter than the first destination
+// and tables for the wrong shape panic instead of touching memory.
+func TestAVX2KernelChecksLengths(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	rows := [][]byte{{1, 2}, {3, 4}}
+	buf := func(n int) []byte { return make([]byte, n) }
+	for name, call := range map[string]func(){
+		"short source":      func() { codeAVX2(nibbles(rows), [][]byte{buf(64), buf(63)}, [][]byte{buf(64), buf(64)}) },
+		"short destination": func() { codeAVX2(nibbles(rows), [][]byte{buf(64), buf(64)}, [][]byte{buf(64), buf(40)}) },
+		"one row's tables":  func() { codeAVX2(nibbles(rows[:1]), [][]byte{buf(64), buf(64)}, [][]byte{buf(64), buf(64)}) },
+		"shorter than step": func() { codeAVX2(nibbles(rows), [][]byte{buf(31), buf(31)}, [][]byte{buf(31), buf(31)}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: codeAVX2 did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

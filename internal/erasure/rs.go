@@ -12,6 +12,7 @@ type Coder struct {
 	k, m   int
 	parity [][]byte // m×k Cauchy coefficient matrix
 	enc    []packed // parity, packed for codeInto
+	nib    []byte   // parity's nibble tables where the AVX2 kernel runs
 }
 
 // coders memoizes one Coder per (k, m), whose packing every open reuses.
@@ -41,8 +42,22 @@ func NewCoder(k, m int) (*Coder, error) {
 			parity[i][j] = gfInv(byte(i+k) ^ byte(j))
 		}
 	}
-	c, _ := coders.LoadOrStore([2]int{k, m}, &Coder{k: k, m: m, parity: parity, enc: pack(parity)})
+	coder := &Coder{k: k, m: m, parity: parity, enc: pack(parity)}
+	if haveAVX2 {
+		coder.nib = nibbles(parity)
+	}
+	c, _ := coders.LoadOrStore([2]int{k, m}, coder)
 	return c.(*Coder), nil
+}
+
+// encode computes the m parity shards of data into parity with the
+// tables NewCoder laid out.
+func (c *Coder) encode(data, parity [][]byte) {
+	if useAVX2(len(parity[0])) {
+		codeAVX2(c.nib, data, parity)
+		return
+	}
+	codeInto(c.enc, data, parity)
 }
 
 // K returns the number of data shards.
@@ -121,7 +136,7 @@ func (c *Coder) Encode(data [][]byte) ([][]byte, error) {
 	for i := range parity {
 		parity[i] = make([]byte, size)
 	}
-	codeInto(c.enc, data, parity)
+	c.encode(data, parity)
 	return parity, nil
 }
 
@@ -142,7 +157,7 @@ func (c *Coder) SplitEncode(payload []byte, parity [][]byte) [][]byte {
 			copy(data[i], payload[min(start, len(payload)):])
 		}
 	}
-	codeInto(c.enc, data, parity)
+	c.encode(data, parity)
 	return data
 }
 
@@ -240,6 +255,6 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 		out[i] = make([]byte, size)
 		rows, rebuilt = append(rows, row), append(rebuilt, out[i])
 	}
-	codeInto(pack(rows), survivors, rebuilt)
+	codeRows(rows, survivors, rebuilt)
 	return out, nil
 }

@@ -277,12 +277,20 @@ func BenchmarkSplitEncodeRS42_1MiB(b *testing.B) {
 // benchShards keeps the compiler from discarding a benchmarked call.
 var benchShards [][]byte
 
-func BenchmarkReconstructRS42_1MiB(b *testing.B) {
+func BenchmarkReconstructRS42_1MiB(b *testing.B) { benchReconstruct(b, 1<<20) }
+
+// BenchmarkReconstructRS42_4KiB is the same decode of a 4 KiB stripe, where
+// laying out the decode rows' tables, per call, weighs against 1 KiB shards.
+func BenchmarkReconstructRS42_4KiB(b *testing.B) { benchReconstruct(b, 4<<10) }
+
+// benchReconstruct rebuilds data shards 1 and 3 of a size-byte RS(4,2)
+// stripe from the other four.
+func benchReconstruct(b *testing.B, size int) {
 	c, _ := NewCoder(4, 2)
-	data := c.Split(benchPayload())
+	data := c.Split(benchPayload()[:size])
 	parity, _ := c.Encode(data)
 	all := make([][]byte, 6)
-	b.SetBytes(1 << 20)
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
