@@ -348,7 +348,7 @@ type stripeCheck struct {
 func (f *File) inspect(idx int64, mode gatherMode) *stripeCheck {
 	c := &stripeCheck{idx: idx, sk: stripe.Key(f.rec.ID, idx)}
 	untraced := &opTrace{o: f.fs.obs} // a census is no operation: nothing to trace
-	c.g = f.gatherStripe(untraced, c.sk, idx, f.layout.StripeLen(f.size, idx), mode)
+	c.g = f.gatherStripe(untraced, c.sk, idx, f.layout.StripeLen(f.size, idx), mode, false)
 	if c.g.mixed {
 		f.fs.stats.ecGenConflicts.Add(1)
 	}

@@ -121,18 +121,22 @@ type Redundancy struct {
 	ParityShards int
 	// ReadSpare is how many spare shards an erasure read may fetch as a
 	// hedge against slow nodes (default 1; only ParityShards spares exist).
-	// A read starts with exactly DataShards fetches — the data shards,
-	// which join without decoding — and launches the spares only once
-	// they could stand in for every fetch still in flight and those have
-	// taken as long again as the shards already in hand (within 500µs to
-	// 5ms; the delay is derived per read, not configured). Reconstruction
-	// then starts as soon as any k shards of one write are in, so a
-	// slow-not-dead node costs the hedge delay, not its own latency.
-	// Shards a read *needs* — a slot answered miss, error or a stale
-	// write — are fetched at once and do not count against the spares.
-	// Negative means no spares: a read never hedges on slowness. A
-	// replicated span the read burst did not serve is gathered the same
-	// way, as k = 1 over its R copies.
+	// A read starts with exactly DataShards fetches per stripe — the data
+	// shards, which land in the caller's buffer without decoding, carried
+	// by one burst per node beside the read's other stripes — and hedges
+	// only once the spares could stand in for every burst or fetch still
+	// out and those have taken as long again as the ones already in
+	// (within 500µs to 5ms; the delay is derived per read, not
+	// configured). A straggling burst is then aborted and its stripes are
+	// gathered with their spares at once; a gather's straggling fetch
+	// gets the spares. Reconstruction starts as soon as any k shards of
+	// one write are in, so a slow-not-dead node costs the hedge delay,
+	// not its own latency. Shards a read *needs* — a slot answered miss,
+	// error or a stale write — are fetched at once and do not count
+	// against the spares. Negative means no spares: a read never hedges
+	// on slowness. A replicated span the read burst did not serve is
+	// gathered the same way, as k = 1 over its R copies; the replicated
+	// burst itself does not hedge.
 	ReadSpare int
 }
 

@@ -831,6 +831,98 @@ func TestErasureGrayHolderReadsOwnTheirBuffers(t *testing.T) {
 	}
 }
 
+// TestErasureGrayHolderMultiStripeRead is the gray-holder read with other
+// bursts in flight: an 8-stripe ReadAt, one burst per node, beside one
+// victim that answers every reply 40 ms late while it stays Up. The burst
+// to it is aborted once it is the last one out and its spans go to the
+// gather; no read waits the node out, the bytes are exact, and nothing
+// lands in the caller's buffer after ReadAt returned. Run under -race.
+func TestErasureGrayHolderMultiStripeRead(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	d, proxies := newChaosFS(t, 6, 6, faultwrap.Plan{}, withRedundancy(rs42))
+	data, other := randomBytes(58, 8*4096), randomBytes(59, 4096)
+	if err := d.fs.WriteFile("/other", other); err != nil {
+		t.Fatal(err)
+	}
+	// The gray node holds a data shard of at least one victim-class stripe.
+	path, gray := "", -1
+	for i := 0; gray < 0; i++ {
+		path = fmt.Sprintf("/gray%d", i)
+		if err := d.fs.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		for idx := int64(0); idx < 8 && gray < 0; idx++ {
+			_, nodes := stripeTargets(t, d, path, idx)
+			for v, n := range d.victims.Nodes {
+				if n.ID == nodes[0] {
+					gray = v
+				}
+			}
+		}
+	}
+	proxies[gray].SetPlan(faultwrap.Plan{Reply: faultwrap.DirPlan{DelayProb: 1, Delay: delay}})
+
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if got, err := d.fs.ReadFile("/other"); err != nil || !bytes.Equal(got, other) {
+				done <- fmt.Errorf("concurrent reader: err %v, or bytes of another read", err)
+				return
+			}
+		}
+	}()
+
+	f, err := d.fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const reads = 100
+	slow := hedgedBy(d.fs, "slow")
+	bufs := make([][]byte, reads)
+	lat := make([]time.Duration, reads)
+	for i := range bufs {
+		p := make([]byte, len(data))
+		start := time.Now()
+		_, err := f.ReadAt(p, 0)
+		lat[i] = time.Since(start)
+		if err != nil || !bytes.Equal(p, data) {
+			t.Fatalf("8-stripe read %d beside a gray shard holder: err %v", i, err)
+		}
+		for j := range p {
+			p[j] = byte(i)
+		}
+		bufs[i] = p
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	t.Logf("8-stripe reads: p50 %v, p90 %v, max %v", lat[reads/2], lat[reads*9/10], lat[reads-1])
+	if p50 := lat[reads/2]; p50 >= delay/2 {
+		t.Fatalf("8-stripe reads beside a node %v slow: p50 %v, want well under the delay", delay, p50)
+	}
+	time.Sleep(delay + 20*time.Millisecond)
+	for i, p := range bufs {
+		if !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, len(p))) {
+			t.Fatalf("buffer of read %d was written after ReadAt returned", i)
+		}
+	}
+	if st := d.fs.Health()[d.victims.Nodes[gray].ID]; st.State != health.Up {
+		t.Fatalf("gray node was condemned (%s): the failure was supposed to be gray", st.State)
+	}
+	if n := hedgedBy(d.fs, "slow") - slow; n < reads {
+		t.Fatalf("%d slow hedges over %d reads that each had a burst to abort", n, reads)
+	}
+}
+
 // storedTags parses the (generation, write ID) of every slot of a stripe
 // straight from the stores; a slot that is empty or unparseable fails.
 func storedTags(t *testing.T, stores map[string]*kvstore.Store, sk string, nodes []string) [][2]uint64 {

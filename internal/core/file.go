@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -363,6 +364,8 @@ func (f *File) coversStripe(span stripe.Span) bool {
 // phaseOutcome names a store op's result for a trace phase.
 func phaseOutcome(err error, attempts int) string {
 	switch {
+	case errors.Is(err, kvstore.ErrAborted):
+		return "aborted" // the reader's hedge, not the node's failure
 	case err != nil:
 		return "error"
 	case attempts > 1:
@@ -460,7 +463,7 @@ func (f *File) planErasure(tr *opTrace, span stripe.Span, data []byte) (stripePl
 		if whole {
 			mode = gatherHeaders
 		}
-		g := f.gatherStripe(tr, sk, span.Index, curLen, mode)
+		g := f.gatherStripe(tr, sk, span.Index, curLen, mode, false)
 		gen = g.maxGen
 		if !whole && g.found >= k {
 			shards, err := f.gatherData(tr, g)
@@ -538,8 +541,10 @@ func (f *File) getInto(nodeID, key string, off, length int64, dst []byte, st *kv
 // Each slot the gather asks is served by its node or, past a node that
 // lacks the key, by its successors (serve). Short of k, a stripe more
 // than n-k of whose slots answer "absent" is a hole; fewer than k slots
-// of one write is data loss.
-func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte) (err error) {
+// of one write is data loss. hedged says the span's burst was aborted as
+// a straggler: that was the span's first hedge, and counts as its slow
+// one.
+func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte, hedged bool) (err error) {
 	degraded := false
 	defer func() {
 		outcome := "ok"
@@ -556,7 +561,10 @@ func (f *File) readSpan(tr *opTrace, span stripe.Span, dst []byte) (err error) {
 	if f.fs.repairs.holds(sk) && 2*f.k <= f.n {
 		mode = gatherAll
 	}
-	g := f.gatherStripe(tr, sk, span.Index, stripeLen, mode)
+	if hedged {
+		f.fs.stats.ecHedged["slow"].Inc()
+	}
+	g := f.gatherStripe(tr, sk, span.Index, stripeLen, mode, hedged)
 	defer g.release(f.fs)
 	switch {
 	case g.found >= f.k:
@@ -730,12 +738,19 @@ func hedgeDelay(landed time.Duration) time.Duration {
 // two modes are not hedged reads: they feed no hedge counter, hedge leg or
 // read latency histogram.
 //
+// A read gathers only the spans readSpans' per-node bursts did not serve
+// (readSpan): the burst serves a healthy stripe, and the gather is the
+// pooled, hedged fallback for everything else, down to the span whose
+// burst a read's hedge aborted. counted says that read has counted the
+// span's hedge already: the gather then counts none of its own, and
+// launches its spares with the first wave instead of waiting out a second
+// hedge delay.
+//
 // A replicated stripe is the k = 1 case: its R copies are the slots, and
-// one copy of the newest write makes it readable. A read the burst did not
-// serve gathers it like a shard set (readSpan) — a stripe the repair queue
-// holds with gatherAll — and repair inspects it with the same two
-// every-slot modes.
-func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode) *ecGather {
+// one copy of the newest write makes it readable. A read gathers it like
+// a shard set — a stripe the repair queue holds with gatherAll — and
+// repair inspects it with the same two every-slot modes.
+func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode gatherMode, counted bool) *ecGather {
 	nodes := f.targets(sk)
 	k, n := f.k, len(nodes)
 	o := f.fs.obs
@@ -817,7 +832,13 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 		}
 	}
 	first, spares := len(order), 0
-	if !probeAll {
+	switch {
+	case probeAll:
+	case counted:
+		// The read's burst waited out the hedge delay on this span once
+		// already: its spares go out with the first wave.
+		first = k + f.fs.ecSpare
+	default:
 		first, spares = k, f.fs.ecSpare
 	}
 	order = append(order, rest...)
@@ -861,8 +882,8 @@ func (f *File) gatherStripe(tr *opTrace, sk string, idx, stripeLen int64, mode g
 	start := time.Now()
 	launch(first)
 	// hedge records why this gather went beyond its first wave: a trace
-	// leg per launch, the counter once per gather.
-	counted := false
+	// leg per launch, the counter once per gather — never when the read
+	// counted this span's hedge already (counted).
 	hedge := func(reason string) {
 		tr.hedgeLeg(idx, time.Since(start), reason)
 		if !counted {

@@ -299,7 +299,7 @@ func TestECEncodeVisible(t *testing.T) {
 // benchFS mounts the benchmark deployment over in-process stores: two
 // victims and one own node — or, per class, as many as the redundancy
 // mode needs (one per replica, k+m for erasure).
-func benchFS(b *testing.B, red Redundancy, stripeSize int64) *FileSystem {
+func benchFS(b *testing.B, red Redundancy, stripeSize int64, opts ...deployOpt) *FileSystem {
 	const password = "bench-secret"
 	width := max(red.Replicas, red.DataShards+red.ParityShards)
 	own, err := StartLocalStores(max(1, width), "own", password, 0)
@@ -312,7 +312,7 @@ func benchFS(b *testing.B, red Redundancy, stripeSize int64) *FileSystem {
 		b.Fatal(err)
 	}
 	b.Cleanup(victims.Close)
-	fs, err := New(Config{
+	cfg := Config{
 		Classes: []ClassSpec{
 			{Name: "own", Nodes: own.Nodes},
 			{Name: "victim", Nodes: victims.Nodes, Victim: true},
@@ -320,7 +320,11 @@ func benchFS(b *testing.B, red Redundancy, stripeSize int64) *FileSystem {
 		StripeSize: stripeSize,
 		Redundancy: red,
 		Password:   password,
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	fs, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,7 +350,12 @@ func BenchmarkWriteTelemetryOn(b *testing.B) {
 // handle — the data path alone, no namespace ops — for the allocs/op
 // gate in scripts/bench_gate.sh.
 func benchCoreAt(b *testing.B, red Redundancy, stripeSize int64, spans int, read bool) {
-	fs := benchFS(b, red, stripeSize)
+	benchCoreOn(b, benchFS(b, red, stripeSize), stripeSize, spans, read, nil)
+}
+
+// benchCoreOn is benchCoreAt on fs, calling degrade, when not nil, once
+// the file is written.
+func benchCoreOn(b *testing.B, fs *FileSystem, stripeSize int64, spans int, read bool, degrade func(fs *FileSystem)) {
 	f, err := fs.OpenFile("/bench", O_CREATE|O_RDWR)
 	if err != nil {
 		b.Fatal(err)
@@ -355,6 +364,9 @@ func benchCoreAt(b *testing.B, red Redundancy, stripeSize int64, spans int, read
 	buf := randomBytes(19, spans*int(stripeSize))
 	if _, err := f.WriteAt(buf, 0); err != nil {
 		b.Fatal(err)
+	}
+	if degrade != nil {
+		degrade(fs)
 	}
 	op := f.WriteAt
 	if read {
@@ -386,6 +398,27 @@ func BenchmarkCoreReadAt16Span(b *testing.B)  { benchCoreAt(b, benchR2, 16<<10, 
 // allocs/op: shard fetches land in pooled buffers, so a read allocates
 // bookkeeping, not payload.
 func BenchmarkCoreReadAtEC8Span(b *testing.B) { benchCoreAt(b, rs42, 1<<20, 8, true) }
+
+// BenchmarkCoreReadAtEC8SpanDegraded is the same read with one victim
+// store flushed and repair off, so every stripe placed on the victims
+// misses one slot for good: its span is the gather's whenever the slot
+// held a data shard, and a read reconstructs it.
+func BenchmarkCoreReadAtEC8SpanDegraded(b *testing.B) {
+	fs := benchFS(b, rs42, 1<<20, withRepair(RepairPolicy{Disable: true}))
+	var before int64
+	benchCoreOn(b, fs, 1<<20, 8, true, func(fs *FileSystem) {
+		cli, err := fs.conns.client(fs.cfg.Classes[1].Nodes[0].ID)
+		if err == nil {
+			err = cli.FlushAll()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		before = fs.Counters().ECReconstructs
+	})
+	// Counted from the untimed first read on: slightly over per timed op.
+	b.ReportMetric(float64(fs.Counters().ECReconstructs-before)/float64(b.N), "reconstructs/op")
+}
 
 // BenchmarkCoreWriteAtEC8Span writes 8 whole 1 MiB RS(4,2) stripes — the
 // benchmark's ec-stream write op: per span a headers gather, one encode

@@ -165,6 +165,9 @@ func TestTruncateShrinkAndGrow(t *testing.T) {
 		{"RS32", func(t *testing.T) *testDeploy {
 			return newTestFS(t, 5, 0, withRedundancy(Redundancy{Mode: RedundancyErasure, DataShards: 3, ParityShards: 2}))
 		}, 9_000, 5_000, 8_000},
+		// Grown back to whole stripes, which the read's bursts serve only
+		// from shards of the stripe's full length.
+		{"RS42", func(t *testing.T) *testDeploy { return newTestFS(t, 6, 0, withRedundancy(rs42)) }, 12_288, 6_000, 12_288},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := tc.deploy(t).fs

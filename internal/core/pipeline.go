@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"memfss/internal/erasure"
 	"memfss/internal/health"
@@ -27,14 +28,14 @@ import (
 type spanCmd struct {
 	slot int   // where the caller files this command's outcome
 	idx  int64 // stripe index, for trace attribution
-	op   byte  // opSet, opVSet, opSetNX or opGetRange
+	op   byte  // opSet, opVSet, opSetNX, opGetRange or opGetShard
 	key  string
 	id   uint64 // VSET write ID
 	off  int64  // VSET payload offset (kvstore.Whole replaces) or GETRANGE offset
 	n    int64  // payload/read bytes, for victim throttling
-	hdr  []byte // shard header sent before data (opSet)
+	hdr  []byte // shard header sent before data (opSet) or read before dst (opGetShard)
 	data []byte // write payload (opSet, opVSet, opSetNX)
-	dst  []byte // read destination (opGetRange); len(dst) == n
+	dst  []byte // read destination (opGetRange: len(dst) == n; opGetShard: the shard body)
 }
 
 const (
@@ -42,6 +43,7 @@ const (
 	opVSet                 // a replica, its header stamped by the store
 	opSetNX                // a replica hole's first bytes, header included (vsetMoved)
 	opGetRange             // a replica's payload range
+	opGetShard             // an erasure data shard, header and body
 )
 
 func (c *spanCmd) verb() string {
@@ -66,6 +68,8 @@ func (c *spanCmd) queue(pl *kvstore.Pipeline) {
 		pl.VSet(c.key, c.id, c.off, c.data)
 	case opSetNX:
 		pl.SetNX(c.key, c.data)
+	case opGetShard:
+		pl.GetShardInto(c.key, c.hdr, c.dst)
 	default:
 		pl.GetRangeInto(c.key, c.off, c.n, c.dst)
 	}
@@ -101,10 +105,11 @@ func splitBursts(perNode map[string][]spanCmd, nodeOrder []string, depth int) []
 // command's own reply (error, miss); a longer burst is one anonymous span
 // (stripe -1): per-stripe attribution inside a wire pipeline is
 // meaningless, but the node, class, attempt count, and burst duration are
-// exactly what a slow multi-stripe op needs named. It returns the replies
+// exactly what a slow multi-stripe op needs named. abort, when not nil,
+// may cancel the burst (kvstore.ErrAborted). It returns the replies
 // aligned with nb.cmds, whether the burst took more than one attempt, and
 // the burst-level transport error.
-func (f *File) runBurst(tr *opTrace, op string, nb nodeBurst) ([]*kvstore.Reply, bool, error) {
+func (f *File) runBurst(tr *opTrace, op string, nb nodeBurst, abort *kvstore.Abort) ([]*kvstore.Reply, bool, error) {
 	cls := f.fs.conns.class(nb.node)
 	idx := int64(-1)
 	if len(nb.cmds) == 1 {
@@ -125,7 +130,7 @@ func (f *File) runBurst(tr *opTrace, op string, nb nodeBurst) ([]*kvstore.Reply,
 		for i := range nb.cmds {
 			nb.cmds[i].queue(pl)
 		}
-		replies, err = pl.RunStat(&st)
+		replies, err = pl.RunAbortable(abort, &st)
 		f.fs.obs.stripeHist(op, cls).Observe(st.Dur)
 	}
 	outcome := phaseOutcome(err, st.Attempts)
@@ -242,7 +247,7 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 	// quorum decision needs the complete per-slot outcome.
 	_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
 		nb := bursts[k]
-		replies, retried, err := f.runBurst(tr, "write", nb)
+		replies, retried, err := f.runBurst(tr, "write", nb, nil)
 		for j, c := range nb.cmds {
 			res := &results[c.slot]
 			res.retried = retried
@@ -324,7 +329,7 @@ func (f *File) shipWrites(tr *opTrace, plans []stripePlan) (int, error) {
 // the generation the write stamped.
 func (f *File) vsetMoved(tr *opTrace, pl *stripePlan, i int) (int64, error) {
 	one := func(node string, c spanCmd) (int64, error) {
-		replies, _, err := f.runBurst(tr, "write", nodeBurst{node: node, cmds: []spanCmd{c}})
+		replies, _, err := f.runBurst(tr, "write", nodeBurst{node: node, cmds: []spanCmd{c}}, nil)
 		if err == nil {
 			err = replies[0].Err()
 		}
@@ -384,33 +389,77 @@ func (f *File) settleWrite(landed, total, quorum int, split bool, storeErr, tran
 	return false, transErr
 }
 
-// errUnread is readSpans' per-span result for a span no burst has served:
-// readSpan replaces it.
-var errUnread = errors.New("memfss: span not read")
+// errUnread is readSpans' per-span result for a span no burst has served,
+// and errHedged for one whose burst the read's hedge aborted: readSpan
+// replaces either.
+var (
+	errUnread = errors.New("memfss: span not read")
+	errHedged = errors.New("memfss: span's burst aborted by the read's hedge")
+)
 
-// readSpans fetches every span of a read. A span of a replicated stripe
-// the repair queue does not hold is one GETRANGE to its first healthy
-// copy, past the header, in pipelined bursts decoded straight into p (no
-// intermediate copies). Every other span — erasure-coded, held, or missed
-// by the burst (absent key, error reply, unreachable node) — is read by
-// readSpan, through the gather. Returns the leading-success count and the
-// first error in span order.
+// burstShard is one erasure data-shard read a readSpans burst carries: the
+// header the reply's first bytes land in (the body lands in p), and what
+// the reply gave.
+type burstShard struct {
+	hdr [erasure.HeaderSize]byte
+	// got is the value bytes the reply gave, header included: 0 for no
+	// usable reply, -1 while the read is queued and its burst has not
+	// finished (never, when the hedge aborted it).
+	got     int64
+	retried bool // the burst carrying the read took more than one attempt
+}
+
+// readSpans fetches every span of a read from per-node bursts, each reply
+// decoded straight into p (no intermediate copies), and leaves every span
+// they did not serve to readSpan's gather. A span whose stripe the repair
+// queue holds is the gather's from the start. Otherwise:
+//   - a replicated span is one GETRANGE of its window, past the header, to
+//     its first Up copy;
+//   - an erasure span whose window is the whole stripe at the layout's full
+//     length, in k equal shards, with every slot Up, is k GETRANGEs, one per
+//     data shard, each landing in its part of the window (burstable).
+//
+// A replicated span is served when its reply holds the key. An erasure
+// span is served only when all k replies are full-length shards of one
+// write; any other outcome — a miss, an error, a short shard, mixed tags,
+// an aborted burst — leaves it to the gather. Returns the leading-success
+// count and the first error in span order.
 func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byte) (int, error) {
 	errs := make([]error, len(spans))
+	var shards []burstShard // k per erasure span, in span order
+	if f.coder != nil {
+		shards = make([]burstShard, len(spans)*f.k)
+	}
 	perNode := make(map[string][]spanCmd)
 	var nodeOrder []string
+	queue := func(node string, c spanCmd) {
+		if _, ok := perNode[node]; !ok {
+			nodeOrder = append(nodeOrder, node)
+		}
+		perNode[node] = append(perNode[node], c)
+	}
 	for i, span := range spans {
 		errs[i] = errUnread
-		if f.coder != nil {
-			continue // every erasure span is readSpan's
-		}
 		sk := stripe.Key(f.rec.ID, span.Index)
 		if f.fs.repairs.holds(sk) {
 			continue
 		}
 		dst := p[starts[i] : starts[i]+int(span.Length)]
-		cmd := spanCmd{slot: i, idx: span.Index, op: opGetRange, key: dataKey(sk),
-			off: erasure.HeaderSize + span.Offset, n: span.Length, dst: dst}
+		if f.coder != nil {
+			targets := f.burstTargets(span, sk)
+			if targets == nil {
+				continue
+			}
+			size := int(span.Length) / f.k
+			for j := 0; j < f.k; j++ {
+				sh := &shards[i*f.k+j]
+				sh.got = -1
+				queue(targets[j], spanCmd{slot: i*f.k + j, idx: span.Index, op: opGetShard,
+					key: shardKey(dataKey(sk), j), n: int64(erasure.HeaderSize + size),
+					hdr: sh.hdr[:], dst: dst[j*size : (j+1)*size]})
+			}
+			continue
+		}
 		// First *healthy* target, not blindly rank 0: bursting GETRANGEs
 		// at a Down primary would stall every span in the burst behind its
 		// retry budget before falling back.
@@ -419,43 +468,167 @@ func (f *File) readSpans(tr *opTrace, spans []stripe.Span, starts []int, p []byt
 		if i := slices.IndexFunc(targets, func(n string) bool { return f.fs.nodeState(n) == health.Up }); i > 0 {
 			node = targets[i]
 		}
-		if _, ok := perNode[node]; !ok {
-			nodeOrder = append(nodeOrder, node)
-		}
-		perNode[node] = append(perNode[node], cmd)
+		queue(node, spanCmd{slot: i, idx: span.Index, op: opGetRange, key: dataKey(sk),
+			off: erasure.HeaderSize + span.Offset, n: span.Length, dst: dst})
 	}
-	if bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth); len(bursts) > 0 {
-		// Each span appears in exactly one burst, so the burst goroutines
-		// write disjoint errs entries and disjoint regions of p (each span's
-		// reply decodes into its own dst window).
+	bursts := splitBursts(perNode, nodeOrder, f.fs.pipeDepth)
+	if len(bursts) > 1 && shards != nil && f.fs.ecSpare > 0 {
+		f.hedgeBursts(tr, bursts, errs, shards)
+	} else {
 		_ = fanoutN(f.fs.ioPar, len(bursts), func(k int) error {
-			nb := bursts[k]
-			replies, retried, err := f.runBurst(tr, "read", nb)
-			outcome := "ok"
-			if retried {
-				outcome = "retry"
-			}
-			for j, c := range nb.cmds {
-				// An absent key (moved to a successor, or a hole), an error
-				// reply or a failed burst leaves the span to readSpan.
-				// Otherwise the payload is already in place (Bulk aliases
-				// c.dst), and a short stripe reads as zeros past its end.
-				if err == nil && replies[j].Err() == nil && !replies[j].Nil {
-					clear(c.dst[len(replies[j].Bulk):])
-					errs[c.slot] = nil
-					f.fs.obs.outcome("read", outcome).Inc()
-				}
-			}
+			replies, retried, err := f.runBurst(tr, "read", bursts[k], nil)
+			f.recordBurst(errs, shards, bursts[k], replies, retried, err)
 			return nil
 		})
 	}
-	if slices.Contains(errs, errUnread) {
+	for i := 0; shards != nil && i < len(spans); i++ {
+		sh := shards[i*f.k : (i+1)*f.k]
+		if retried, ok := oneWrite(sh, spans[i].Length/int64(f.k)); ok {
+			errs[i] = nil
+			f.fs.obs.outcome("read", readOutcome(retried)).Inc()
+		} else if slices.ContainsFunc(sh, func(s burstShard) bool { return s.got < 0 }) {
+			errs[i] = errHedged
+		}
+	}
+	if slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
 		_ = fanoutN(f.fs.ioPar, len(spans), func(i int) error {
 			if errs[i] != nil { // a span the burst served costs nothing here
-				errs[i] = f.readSpan(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)])
+				errs[i] = f.readSpan(tr, spans[i], p[starts[i]:starts[i]+int(spans[i].Length)], errs[i] == errHedged)
 			}
 			return nil
 		})
 	}
 	return leadingOK(errs)
+}
+
+// burstTargets returns the slots of stripe sk when readSpans' bursts may
+// serve its erasure span, else nil: the window is the whole stripe, the
+// stripe is at the layout's full length — a shorter one may sit on
+// shards written for a longer stripe, which a fixed-length read cannot
+// tell — the k data shards are of equal length, and every slot's node is
+// Up, so the data shards are the ones to ask and nothing the gather would
+// note for repair is off.
+func (f *File) burstTargets(span stripe.Span, sk string) []string {
+	if span.Offset != 0 || span.Length != f.layout.Size() || span.Length%int64(f.k) != 0 {
+		return nil
+	}
+	targets := f.targets(sk)
+	for _, node := range targets {
+		if f.fs.nodeState(node) != health.Up {
+			return nil
+		}
+	}
+	return targets
+}
+
+// oneWrite reports whether an erasure span's k data-shard replies serve
+// it: every reply a full-length shard (size body bytes), every header
+// parseable and all of one (generation, write ID) — the gather's winner
+// rule, checked on the bytes the store returned. retried reports whether
+// any of them took a retry.
+func oneWrite(shards []burstShard, size int64) (retried, ok bool) {
+	var tag [2]uint64
+	for j := range shards {
+		sh := &shards[j]
+		if sh.got != erasure.HeaderSize+size {
+			return false, false
+		}
+		gen, id, _, err := erasure.ParseShard(sh.hdr[:])
+		if err != nil || (j > 0 && [2]uint64{gen, id} != tag) {
+			return false, false
+		}
+		tag, retried = [2]uint64{gen, id}, retried || sh.retried
+	}
+	return retried, true
+}
+
+// recordBurst files one finished readSpans burst's replies into errs (a
+// replicated span: nil once served) and shards (an erasure data-shard
+// read: what its reply gave). Each span's commands ride bursts of their
+// own, so two bursts write disjoint entries and disjoint regions of p.
+func (f *File) recordBurst(errs []error, shards []burstShard, nb nodeBurst, replies []*kvstore.Reply, retried bool, err error) {
+	for j, c := range nb.cmds {
+		// An absent key (moved to a successor, or a hole), an error reply
+		// or a failed burst leaves the span to readSpan.
+		served := err == nil && replies[j].Err() == nil && !replies[j].Nil
+		if c.op == opGetShard {
+			shards[c.slot].got, shards[c.slot].retried = 0, retried
+			if served {
+				shards[c.slot].got = replies[j].Int
+			}
+			continue
+		}
+		if !served {
+			continue
+		}
+		// The payload is already in place (Bulk aliases c.dst), and a short
+		// stripe reads as zeros past its end.
+		clear(c.dst[len(replies[j].Bulk):])
+		errs[c.slot] = nil
+		f.fs.obs.outcome("read", readOutcome(retried)).Inc()
+	}
+}
+
+// readOutcome names a served span's read outcome.
+func readOutcome(retried bool) string {
+	if retried {
+		return "retry"
+	}
+	return "ok"
+}
+
+// hedgeBursts runs an erasure read's bursts, IOParallelism at a time,
+// and records each finished one on this goroutine. Once no more bursts
+// are out than the read has spares (ReadSpare) and they have taken
+// hedgeDelay longer, it aborts them and returns as soon as none of them
+// can write p any more; their spans fall to the gather, which fetches the
+// spares and counts each span's slow hedge. Their replies are never
+// recorded, so nothing they read is trusted.
+func (f *File) hedgeBursts(tr *opTrace, bursts []nodeBurst, errs []error, shards []burstShard) {
+	type result struct {
+		k       int
+		replies []*kvstore.Reply
+		retried bool
+		err     error
+	}
+	// Buffered for every burst, so an aborted one can always deliver and exit.
+	done := make(chan result, len(bursts))
+	abort := new(kvstore.Abort)
+	launched, finished := 0, 0
+	launch := func() {
+		for ; launched < len(bursts) && launched-finished < f.fs.ioPar; launched++ {
+			go func(k int) {
+				r := result{k: k}
+				r.replies, r.retried, r.err = f.runBurst(tr, "read", bursts[k], abort)
+				done <- r
+			}(launched)
+		}
+	}
+	start := time.Now()
+	launch()
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for finished < len(bursts) {
+		if timer == nil && len(bursts)-finished <= f.fs.ecSpare {
+			timer = time.NewTimer(hedgeDelay(time.Since(start)))
+		}
+		var expired <-chan time.Time
+		if timer != nil {
+			expired = timer.C
+		}
+		select {
+		case r := <-done:
+			finished++
+			f.recordBurst(errs, shards, bursts[r.k], r.replies, r.retried, r.err)
+			launch()
+		case <-expired:
+			abort.Abort()
+			tr.hedgeLeg(-1, time.Since(start), "slow")
+			return
+		}
+	}
 }

@@ -154,8 +154,13 @@ func useAVX2(n int) bool { return haveAVX2 && n >= avx2Step }
 // coefficient, against pack's 2 KiB per source for 8 rows. As in pack, an
 // entry is the XOR of those for its bits.
 func nibbles(rows [][]byte) []byte {
+	return nibblesInto(make([]byte, 2*16*len(rows[0])*len(rows)), rows)
+}
+
+// nibblesInto is nibbles into nib, which must hold exactly 32 bytes per
+// coefficient of rows.
+func nibblesInto(nib []byte, rows [][]byte) []byte {
 	k := len(rows[0])
-	nib := make([]byte, 2*16*k*len(rows))
 	t := nib
 	for g := 0; g < len(rows); g += 8 {
 		for j := 0; j < k; j++ {
@@ -175,30 +180,34 @@ func nibbles(rows [][]byte) []byte {
 }
 
 // codeRows computes dsts[r] = Σ_j rows[r][j]·srcs[j] for rows used once,
-// such as a decode's: it lays out only the tables its kernel reads.
-func codeRows(rows, srcs, dsts [][]byte) {
+// such as a decode's: it lays out only the tables its kernel reads, the
+// AVX2 kernel's into nib, which holds 32 bytes per coefficient of rows
+// where that kernel runs.
+func codeRows(rows, srcs, dsts [][]byte, nib []byte) {
 	if useAVX2(len(dsts[0])) {
-		codeAVX2(nibbles(rows), srcs, dsts)
+		codeAVX2(nibblesInto(nib, rows), srcs, dsts)
 		return
 	}
 	codeInto(pack(rows), srcs, dsts)
 }
 
 // invertMatrix inverts an n×n matrix over GF(256) in place using
-// Gauss–Jordan elimination, returning false if singular.
-func invertMatrix(m [][]byte) bool {
+// Gauss–Jordan elimination, returning false if singular. aug is its
+// scratch: the n×2n augmented matrix, row after row.
+func invertMatrix(m [][]byte, aug []byte) bool {
 	n := len(m)
+	w := 2 * n
+	row := func(r int) []byte { return aug[r*w : (r+1)*w] }
 	// Augment with identity.
-	aug := make([][]byte, n)
-	for i := range aug {
-		aug[i] = make([]byte, 2*n)
-		copy(aug[i], m[i])
-		aug[i][n+i] = 1
+	clear(aug)
+	for i := range m {
+		copy(row(i), m[i])
+		row(i)[n+i] = 1
 	}
 	for col := 0; col < n; col++ {
 		pivot := -1
 		for r := col; r < n; r++ {
-			if aug[r][col] != 0 {
+			if row(r)[col] != 0 {
 				pivot = r
 				break
 			}
@@ -206,23 +215,27 @@ func invertMatrix(m [][]byte) bool {
 		if pivot < 0 {
 			return false
 		}
-		aug[col], aug[pivot] = aug[pivot], aug[col]
-		inv := gfInv(aug[col][col])
-		for j := 0; j < 2*n; j++ {
-			aug[col][j] = gfMul(aug[col][j], inv)
+		pc, pp := row(col), row(pivot)
+		for j := range pc {
+			pc[j], pp[j] = pp[j], pc[j]
+		}
+		inv := gfInv(pc[col])
+		for j := range pc {
+			pc[j] = gfMul(pc[j], inv)
 		}
 		for r := 0; r < n; r++ {
-			if r == col || aug[r][col] == 0 {
+			rr := row(r)
+			if r == col || rr[col] == 0 {
 				continue
 			}
-			f := aug[r][col]
-			for j := 0; j < 2*n; j++ {
-				aug[r][j] ^= gfMul(f, aug[col][j])
+			f := rr[col]
+			for j := range rr {
+				rr[j] ^= gfMul(f, pc[j])
 			}
 		}
 	}
 	for i := range m {
-		copy(m[i], aug[i][n:])
+		copy(m[i], row(i)[n:])
 	}
 	return true
 }

@@ -263,7 +263,7 @@ func checkKernel(t *testing.T, rows [][]byte, tabs []packed, srcs [][]byte, off 
 	wantBuf, want := cut()
 	gotBuf, got := cut()
 	codeInto(tabs, srcs, want)
-	codeRows(rows, srcs, got)
+	codeRows(rows, srcs, got, make([]byte, 2*16*len(rows[0])*len(rows)))
 	if !bytes.Equal(gotBuf, wantBuf) {
 		i := 0
 		for gotBuf[i] == wantBuf[i] {

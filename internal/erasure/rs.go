@@ -166,25 +166,30 @@ func (c *Coder) SplitEncode(payload []byte, parity [][]byte) [][]byte {
 // and k..k+m-1 parity shards. The returned slice holds the k data shards;
 // shards that survived are returned as-is (aliased, not copied).
 func (c *Coder) Reconstruct(shards [][]byte) ([][]byte, error) {
-	want := make([]int, c.k)
-	for i := range want {
-		want[i] = i
-	}
-	return c.ReconstructShards(shards, want)
+	return c.ReconstructShards(shards, dataShards[:c.k])
 }
+
+// dataShards is 0, 1, 2, ...: Reconstruct's want, the first k indices.
+var dataShards = func() (idx [256]int) {
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}()
 
 // ReconstructShards recovers exactly the shards named in want (data or
 // parity indices) from any k survivors, returning them in want order.
 // This is the repair path's tool: one pass over the survivors rebuilds
 // every lost shard, at one matrix row each instead of a full-stripe
 // decode+re-encode. Present shards requested in want are returned aliased.
+// Besides the result and the rebuilt shards, a decode makes two scratch
+// allocations: one for its matrices and tables, one for slice headers.
 func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error) {
 	if len(shards) != c.k+c.m {
 		return nil, fmt.Errorf("erasure: Reconstruct needs %d shard slots, got %d", c.k+c.m, len(shards))
 	}
-	present := make([]int, 0, c.k)
-	size := -1
-	for idx, s := range shards {
+	size, present := -1, 0
+	for _, s := range shards {
 		if s == nil {
 			continue
 		}
@@ -193,47 +198,60 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 		} else if len(s) != size {
 			return nil, errors.New("erasure: surviving shards differ in length")
 		}
-		present = append(present, idx)
+		present++
 	}
 	out := make([][]byte, len(want))
-	missing := false
+	missing := 0
 	for i, w := range want {
 		if w < 0 || w >= c.k+c.m {
 			return nil, fmt.Errorf("erasure: shard index %d out of range", w)
 		}
-		if shards[w] != nil {
-			out[i] = shards[w]
-		} else {
-			missing = true
+		if out[i] = shards[w]; out[i] == nil {
+			missing++
 		}
 	}
-	if !missing {
+	if missing == 0 {
 		return out, nil
 	}
-	if len(present) < c.k {
-		return nil, fmt.Errorf("%w: have %d of %d needed", ErrTooFewShards, len(present), c.k)
+	if present < c.k {
+		return nil, fmt.Errorf("%w: have %d of %d needed", ErrTooFewShards, present, c.k)
 	}
-	present = present[:c.k]
+	k := c.k
+	nib := 0
+	if useAVX2(size) {
+		nib = 2 * 16 * k * missing
+	}
+	// The scratch: the k×k survivor matrix, its k×2k Gauss–Jordan
+	// augmentation, a composed row per rebuilt parity shard and the
+	// kernel's tables; then the rows' and the shards' slice headers.
+	buf := make([]byte, k*k+2*k*k+missing*k+nib)
+	buf, tables := buf[:len(buf)-nib], buf[len(buf)-nib:]
+	hdrs := make([][]byte, 2*k+2*missing)
+	mat, survivors := hdrs[:k:k], hdrs[k:2*k:2*k]
+	rows, rebuilt := hdrs[2*k:2*k:2*k+missing], hdrs[2*k+missing:2*k+missing]
 
-	// Build the k×k matrix mapping data shards to the chosen survivors:
+	// Build the k×k matrix mapping data shards to the first k survivors:
 	// row for data shard i is the identity row e_i; row for parity shard p
 	// is the parity coefficient row. Its inverse maps survivors back to
 	// data shards.
-	mat := make([][]byte, c.k)
-	survivors := make([][]byte, c.k)
-	for r, idx := range present {
-		survivors[r] = shards[idx]
-		mat[r] = make([]byte, c.k)
-		if idx < c.k {
+	r := 0
+	for idx, s := range shards {
+		if s == nil || r == k {
+			continue
+		}
+		survivors[r], mat[r] = s, buf[r*k:(r+1)*k:(r+1)*k]
+		if idx < k {
 			mat[r][idx] = 1
 		} else {
-			copy(mat[r], c.parity[idx-c.k])
+			copy(mat[r], c.parity[idx-k])
 		}
+		r++
 	}
-	if !invertMatrix(mat) {
+	buf = buf[k*k:]
+	if !invertMatrix(mat, buf[:2*k*k]) {
 		return nil, errors.New("erasure: survivor matrix singular (corrupt coder state)")
 	}
-	rows, rebuilt := make([][]byte, 0, len(want)), make([][]byte, 0, len(want))
+	buf = buf[2*k*k:]
 	for i, w := range want {
 		if out[i] != nil {
 			continue
@@ -242,11 +260,11 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 		// shard it is a row of the inverse; for parity shard p it is the
 		// parity coefficient row composed with the inverse.
 		var row []byte
-		if w < c.k {
+		if w < k {
 			row = mat[w]
 		} else {
-			row = make([]byte, c.k)
-			for j, coef := range c.parity[w-c.k] {
+			row, buf = buf[:k:k], buf[k:]
+			for j, coef := range c.parity[w-k] {
 				for r, v := range mat[j] {
 					row[r] ^= gfMul(coef, v)
 				}
@@ -255,6 +273,6 @@ func (c *Coder) ReconstructShards(shards [][]byte, want []int) ([][]byte, error)
 		out[i] = make([]byte, size)
 		rows, rebuilt = append(rows, row), append(rebuilt, out[i])
 	}
-	codeRows(rows, survivors, rebuilt)
+	codeRows(rows, survivors, rebuilt, tables)
 	return out, nil
 }

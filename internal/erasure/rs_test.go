@@ -51,7 +51,7 @@ func TestGFDivByZeroPanics(t *testing.T) {
 
 func TestInvertMatrixIdentity(t *testing.T) {
 	m := [][]byte{{1, 0}, {0, 1}}
-	if !invertMatrix(m) {
+	if !invertMatrix(m, make([]byte, 8)) {
 		t.Fatal("identity reported singular")
 	}
 	if m[0][0] != 1 || m[0][1] != 0 || m[1][0] != 0 || m[1][1] != 1 {
@@ -61,7 +61,7 @@ func TestInvertMatrixIdentity(t *testing.T) {
 
 func TestInvertMatrixSingular(t *testing.T) {
 	m := [][]byte{{1, 1}, {1, 1}}
-	if invertMatrix(m) {
+	if invertMatrix(m, make([]byte, 8)) {
 		t.Fatal("singular matrix inverted")
 	}
 }

@@ -394,16 +394,17 @@ func (c *Client) withRetry(op string, burst int, st *OpStat, fn func(cc *clientC
 				}
 				return nil
 			}
-			c.putConn(cc, true)
+			c.putConn(cc, err != errUnsent)
 		}
 		elapsed := time.Since(attStart)
 		if attempts <= StatAttemptCap {
 			attDur[attempts-1] = elapsed
 		}
 		c.attemptHist.Observe(elapsed)
-		if errors.Is(err, ErrClosed) {
-			// Client torn down on purpose: retrying is pointless, and
-			// teardown is neither detector evidence nor an error outcome.
+		if errors.Is(err, ErrClosed) || errors.Is(err, ErrAborted) {
+			// Client torn down, or the run aborted, on purpose: retrying is
+			// pointless, and neither is detector evidence nor an error
+			// outcome.
 			fillStat(st, attempts, time.Since(opStart), attDur)
 			return err
 		}
@@ -659,7 +660,7 @@ func (c *Client) GetRangeIntoStat(key string, offset, length int64, dst []byte, 
 		if err := cc.sendGetRange(c.timeout, key, offset, length); err != nil {
 			return err
 		}
-		rn, k, msg, err := readBulkReplyInto(cc.br, dst)
+		rn, k, msg, err := readBulkReplyInto(cc.br, nil, dst)
 		if err != nil {
 			return err
 		}

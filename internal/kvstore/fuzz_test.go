@@ -208,7 +208,7 @@ func FuzzReadReply(f *testing.F) {
 		const canary = 0xC5
 		backing := bytes.Repeat([]byte{canary}, int(dstLen)+64)
 		dst := backing[:dstLen]
-		n, ok, msg, err := readBulkReplyInto(reader(), dst)
+		n, ok, msg, err := readBulkReplyInto(reader(), nil, dst)
 		for i, b := range backing[dstLen:] {
 			if b != canary {
 				t.Fatalf("readBulkReplyInto wrote %d bytes past a %d-byte destination", i+1, dstLen)

@@ -1,7 +1,11 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -14,8 +18,8 @@ import (
 // re-marshaled at Run: queueing a 4 KiB stripe write costs a few header
 // bytes, and the payload itself is referenced zero-copy. Payload slices
 // passed to Set/SetRange/VSet and destination buffers passed to
-// GetRangeInto must therefore stay valid — and unmodified — until Run
-// returns.
+// GetRangeInto/GetShardInto must therefore stay valid — and unmodified —
+// until Run returns.
 //
 // A Pipeline is not safe for concurrent use (build and Run it from one
 // goroutine), but independent pipelines on the same Client are: each Run
@@ -31,10 +35,11 @@ type Pipeline struct {
 }
 
 // pipeSink records where one queued command's reply payload should be
-// decoded; into=false means generic Reply decoding.
+// decoded — its first len(hdr) bytes into hdr, the rest into dst;
+// into=false means generic Reply decoding.
 type pipeSink struct {
-	dst  []byte
-	into bool
+	hdr, dst []byte
+	into     bool
 }
 
 // Pipeline starts an empty command pipeline on the client.
@@ -50,8 +55,8 @@ func (p *Pipeline) tape() *wireEnc {
 	return p.enc
 }
 
-func (p *Pipeline) endCmd(dst []byte, into bool) {
-	p.sinks = append(p.sinks, pipeSink{dst: dst, into: into})
+func (p *Pipeline) endCmd(hdr, dst []byte, into bool) {
+	p.sinks = append(p.sinks, pipeSink{hdr: hdr, dst: dst, into: into})
 	p.n++
 }
 
@@ -64,7 +69,7 @@ func (p *Pipeline) Set(key string, value ...[]byte) {
 	e.argString("SET")
 	e.argString(key)
 	e.argBytes(value...)
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
 }
 
 // SetNX queues a SETNX.
@@ -74,7 +79,7 @@ func (p *Pipeline) SetNX(key string, value []byte) {
 	e.argString("SETNX")
 	e.argString(key)
 	e.argBytes(value)
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
 }
 
 // GetRangeInto queues a GETRANGE whose reply payload decodes directly
@@ -89,7 +94,26 @@ func (p *Pipeline) GetRangeInto(key string, offset, length int64, dst []byte) {
 	e.argString(key)
 	e.argInt(offset)
 	e.argInt(length)
-	p.endCmd(dst[:length], true)
+	p.endCmd(nil, dst[:length], true)
+}
+
+// GetShardInto queues one GETRANGE of key from offset 0 for
+// len(hdr)+len(dst) bytes whose reply is split: its first len(hdr) bytes
+// decode into hdr, the rest into dst — a stripe shard's header and body,
+// read as one command, so both are one read under the store lock. The
+// reply's Int is how many bytes the value gave (header included; fewer
+// than len(hdr) when it is shorter than the header) and its Bulk aliases
+// dst, truncated to the body bytes returned. A reply longer than
+// len(hdr)+len(dst) is a protocol error. Both buffers must stay valid
+// until Run returns; on a failed Run their contents are undefined.
+func (p *Pipeline) GetShardInto(key string, hdr, dst []byte) {
+	e := p.tape()
+	e.beginCommand(4)
+	e.argString("GETRANGE")
+	e.argString(key)
+	e.argInt(0)
+	e.argInt(int64(len(hdr) + len(dst)))
+	p.endCmd(hdr, dst, true)
 }
 
 // SetRange queues a SETRANGE.
@@ -100,7 +124,7 @@ func (p *Pipeline) SetRange(key string, offset int64, value []byte) {
 	e.argString(key)
 	e.argInt(offset)
 	e.argBytes(value)
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
 }
 
 // VSet queues a VSET, the versioned stripe write: it writes value into
@@ -121,7 +145,7 @@ func (p *Pipeline) VSet(key string, id uint64, off int64, value []byte) {
 		e.argInt(off)
 	}
 	e.argBytes(value)
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
 }
 
 // Del queues a DEL of one batch of keys (a single multi-key command).
@@ -132,7 +156,7 @@ func (p *Pipeline) Del(keys ...string) {
 	for _, k := range keys {
 		e.argString(k)
 	}
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
 }
 
 // DelVal queues a DELVAL (compare-and-delete: remove key only if it still
@@ -145,7 +169,82 @@ func (p *Pipeline) DelVal(key string, value []byte) {
 	e.argString("DELVAL")
 	e.argString(key)
 	e.argBytes(value)
-	p.endCmd(nil, false)
+	p.endCmd(nil, nil, false)
+}
+
+// ErrAborted is returned by a pipeline run its Abort canceled. The abort
+// is the caller's decision, not evidence against the node: the run is not
+// retried and not reported to the Observer.
+var ErrAborted = errors.New("kvstore: run aborted")
+
+// errUnsent is ErrAborted for a run aborted before it sent its burst: its
+// connection was never used and goes back to the pool.
+var errUnsent = fmt.Errorf("%w before it was sent", ErrAborted)
+
+// Abort cancels the pipeline runs that carry it (RunAbortable). The zero
+// value is ready to use, and one Abort may carry many concurrent runs.
+type Abort struct {
+	mu      sync.Mutex
+	aborted bool
+	conns   []net.Conn     // the connections runs are sending on or reading from
+	busy    sync.WaitGroup // one per entry of conns
+	inline  [8]net.Conn    // conns' first backing array
+}
+
+// Abort cancels every run that carries a. A run reading its replies is
+// interrupted through a past deadline on its connection, which it then
+// discards; a run that has not sent its burst yet — still waiting for a
+// pooled connection, dialing or authenticating — never sends it. Each
+// returns ErrAborted. Abort returns once no run that carries a can write
+// a destination buffer any more; it does not wait for a dial.
+func (a *Abort) Abort() {
+	a.mu.Lock()
+	a.aborted = true
+	for _, conn := range a.conns {
+		_ = conn.SetDeadline(time.Unix(1, 0))
+	}
+	a.mu.Unlock()
+	a.busy.Wait()
+}
+
+// enter arms conn's deadline for one round trip and, unless a was
+// aborted (errUnsent), counts conn as in use until exit. A nil a only
+// arms the deadline.
+func (a *Abort) enter(conn net.Conn, deadline time.Time) error {
+	if a == nil {
+		return conn.SetDeadline(deadline)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.aborted {
+		return errUnsent
+	}
+	if err := conn.SetDeadline(deadline); err != nil {
+		return err
+	}
+	if a.conns == nil {
+		a.conns = a.inline[:0]
+	}
+	a.conns = append(a.conns, conn)
+	a.busy.Add(1)
+	return nil
+}
+
+// exit ends the round trip enter began on conn and reports whether a was
+// aborted before it ended.
+func (a *Abort) exit(conn net.Conn) bool {
+	if a == nil {
+		return false
+	}
+	a.mu.Lock()
+	last := len(a.conns) - 1
+	a.conns[slices.Index(a.conns, conn)] = a.conns[last]
+	a.conns[last] = nil
+	a.conns = a.conns[:last]
+	aborted := a.aborted
+	a.mu.Unlock()
+	a.busy.Done()
+	return aborted
 }
 
 // Run flushes the queued commands in one burst and reads their replies,
@@ -160,7 +259,10 @@ func (p *Pipeline) Run() ([]*Reply, error) { return p.RunStat(nil) }
 
 // RunStat is Run with an optional OpStat out-param receiving the burst's
 // final attempt count and duration for trace attribution.
-func (p *Pipeline) RunStat(st *OpStat) ([]*Reply, error) {
+func (p *Pipeline) RunStat(st *OpStat) ([]*Reply, error) { return p.RunAbortable(nil, st) }
+
+// RunAbortable is RunStat that a may cancel (nil for none): see Abort.
+func (p *Pipeline) RunAbortable(a *Abort, st *OpStat) ([]*Reply, error) {
 	if p.n == 0 {
 		return nil, nil
 	}
@@ -171,7 +273,13 @@ func (p *Pipeline) RunStat(st *OpStat) ([]*Reply, error) {
 	c := p.c
 	var replies []*Reply
 	err := c.withRetry("PIPELINE", p.n, st, func(cc *clientConn) error {
-		rs, err := p.roundTrip(cc, c.timeout)
+		if err := a.enter(cc.conn, time.Now().Add(c.timeout)); err != nil {
+			return err
+		}
+		rs, err := p.roundTrip(cc)
+		if a.exit(cc.conn) {
+			return ErrAborted
+		}
 		if err != nil {
 			return err
 		}
@@ -197,12 +305,10 @@ func (p *Pipeline) reset() {
 }
 
 // roundTrip replays the encoded tape as one vectored write, then reads
-// the same number of replies. Replies share one arena allocation; sinked
-// GETRANGEs decode straight into their destination buffers.
-func (p *Pipeline) roundTrip(cc *clientConn, timeout time.Duration) ([]*Reply, error) {
-	if err := cc.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
+// the same number of replies, within the deadline the caller armed.
+// Replies share one arena allocation; sinked GETRANGEs decode straight
+// into their destination buffers.
+func (p *Pipeline) roundTrip(cc *clientConn) ([]*Reply, error) {
 	if err := p.enc.writeTo(cc.conn); err != nil {
 		return nil, err
 	}
@@ -211,7 +317,7 @@ func (p *Pipeline) roundTrip(cc *clientConn, timeout time.Duration) ([]*Reply, e
 	for i := 0; i < p.n; i++ {
 		r := &arena[i]
 		if s := p.sinks[i]; s.into {
-			n, ok, errMsg, err := readBulkReplyInto(cc.br, s.dst)
+			n, ok, errMsg, err := readBulkReplyInto(cc.br, s.hdr, s.dst)
 			if err != nil {
 				return nil, fmt.Errorf("kvstore: pipeline reply %d of %d: %w", i+1, p.n, err)
 			}
@@ -224,7 +330,8 @@ func (p *Pipeline) roundTrip(cc *clientConn, timeout time.Duration) ([]*Reply, e
 				r.Nil = true
 			default:
 				r.Kind = '$'
-				r.Bulk = s.dst[:n]
+				r.Int = int64(n)
+				r.Bulk = s.dst[:max(n-len(s.hdr), 0)]
 			}
 		} else if err := readReplyInto(cc.br, r); err != nil {
 			return nil, fmt.Errorf("kvstore: pipeline reply %d of %d: %w", i+1, p.n, err)

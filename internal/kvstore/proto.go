@@ -190,20 +190,25 @@ func fillPayload(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// readBulkInto decodes a bulk payload directly into dst — the zero-copy
-// read path. It returns the payload length (which may be shorter than dst
-// for a truncated range read). A payload larger than dst means the server
-// answered more than was asked for; that is a protocol error and the
-// connection is treated as broken.
-func readBulkInto(br *bufio.Reader, dst []byte) (n int, isNil bool, err error) {
+// readBulkInto decodes a bulk payload directly into hdr and dst — the
+// zero-copy read path: the first len(hdr) bytes land in hdr (nil for
+// none), the rest in dst. It returns the payload length (which may be
+// shorter than hdr+dst for a truncated range read). A payload larger than
+// hdr+dst means the server answered more than was asked for; that is a
+// protocol error and the connection is treated as broken.
+func readBulkInto(br *bufio.Reader, hdr, dst []byte) (n int, isNil bool, err error) {
 	ln, isNil, err := readBulkHeader(br)
 	if err != nil || isNil {
 		return 0, isNil, err
 	}
-	if ln > int64(len(dst)) {
-		return 0, false, fmt.Errorf("%w: bulk length %d exceeds destination %d", errProtocol, ln, len(dst))
+	if ln > int64(len(hdr)+len(dst)) {
+		return 0, false, fmt.Errorf("%w: bulk length %d exceeds destination %d", errProtocol, ln, len(hdr)+len(dst))
 	}
-	if _, err := io.ReadFull(br, dst[:ln]); err != nil {
+	h := min(int(ln), len(hdr))
+	if _, err := io.ReadFull(br, hdr[:h]); err != nil {
+		return 0, false, err
+	}
+	if _, err := io.ReadFull(br, dst[:int(ln)-h]); err != nil {
 		return 0, false, err
 	}
 	if err := discardCRLF(br); err != nil {
@@ -247,8 +252,8 @@ func readStatusReply(br *bufio.Reader) (errMsg string, err error) {
 }
 
 // readBulkReplyInto consumes one bulk (or -error) reply, decoding the
-// payload into dst.
-func readBulkReplyInto(br *bufio.Reader, dst []byte) (n int, ok bool, errMsg string, err error) {
+// payload into hdr and dst as readBulkInto does.
+func readBulkReplyInto(br *bufio.Reader, hdr, dst []byte) (n int, ok bool, errMsg string, err error) {
 	prefix, err := br.Peek(1)
 	if err != nil {
 		return 0, false, "", err
@@ -260,7 +265,7 @@ func readBulkReplyInto(br *bufio.Reader, dst []byte) (n int, ok bool, errMsg str
 		}
 		return 0, false, string(line[1:]), nil
 	}
-	n, isNil, err := readBulkInto(br, dst)
+	n, isNil, err := readBulkInto(br, hdr, dst)
 	if err != nil {
 		return 0, false, "", err
 	}
