@@ -185,14 +185,6 @@ func main() {
 			fmt.Print(eval.FormatWorkflowSweep(rows))
 			return nil
 		})
-		section("Extension: revocation storm", func() error {
-			rows, err := eval.RevocationSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(eval.FormatRevocationSweep(rows))
-			return nil
-		})
 	}
 
 	if !all && len(want) == 0 {

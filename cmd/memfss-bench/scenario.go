@@ -10,11 +10,10 @@ import (
 	"memfss/internal/chaos"
 )
 
-// runScenarios is the -scenario leg: execute named scenarios from the
-// internal/chaos library, print one trajectory point per scenario, append
-// each result to the JSON trajectory file, and exit nonzero if any SLO
-// was violated. Each scenario builds (and tears down) its own cluster, so
-// this leg ignores the topology/redundancy flags of the throughput modes.
+// runScenarios executes named scenarios from the internal/chaos library,
+// prints one trajectory point per scenario, appends each result to the
+// JSON trajectory file, and exits nonzero if any SLO was violated. Each
+// scenario builds (and tears down) its own cluster.
 func runScenarios(spec, out string) {
 	var scs []chaos.Scenario
 	if spec == "all" {
@@ -85,6 +84,13 @@ func printScenarioPoint(res *chaos.Result) {
 	for _, ev := range res.Evacs {
 		fmt.Printf("  evac %s: moved=%d deferred=%d at_risk=%d in %.0fms\n",
 			ev.Node, ev.Moved, ev.Deferred, ev.AtRisk, ev.ElapsedMs)
+	}
+	for _, rv := range res.Revokes {
+		fmt.Printf("  revoke %s: leases=%d notice=%.0fms (slo %.0fms, met=%v) leave=%.0fms\n",
+			rv.Node, rv.Leases, rv.NoticeMs, rv.NoticeSLOMs, rv.SLOMet, rv.LeaveMs)
+	}
+	if len(res.Measured) > 0 {
+		fmt.Printf("  measured: %v\n", res.Measured)
 	}
 	fmt.Printf("  loss: fsck_damaged=%d mismatches=%d verified=%d tainted=%d scrub(restored=%d unrepairable=%d)\n",
 		res.FsckDamaged, res.LossMismatches, res.VerifiedPaths, res.TaintedPaths,

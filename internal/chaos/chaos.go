@@ -55,16 +55,13 @@ type Scenario struct {
 }
 
 // Topology declares the cluster a scenario runs against: own + victim
-// store counts, placement fraction, redundancy, and the chaos-proxy plan
-// every victim sits behind. Zero fields take the same defaults the core
-// test deployments use.
+// store counts, redundancy, and the chaos-proxy plan every victim sits
+// behind. Zero fields take the same defaults the core test deployments
+// use; the own-data fraction is 0.25 and each victim's container memory
+// limit 1 GiB.
 type Topology struct {
 	OwnNodes    int
 	VictimNodes int
-	// OwnFraction is the HRW own-data fraction alpha (default 0.25).
-	OwnFraction float64
-	// VictimMem is the per-victim container memory limit (default 1 GiB).
-	VictimMem int64
 	// Plan is the initial faultwrap plan installed on every victim proxy
 	// (per-proxy seeds derive from Plan.Seed + index).
 	Plan       faultwrap.Plan
@@ -79,14 +76,9 @@ type Topology struct {
 	// Tenants, when non-empty, builds a QoS registry, saves each spec,
 	// applies victim caps, and advertises victim capacity for leases.
 	Tenants []qos.TenantSpec
-	// QoSBandwidth caps registry bandwidth (0 = uncapped).
-	QoSBandwidth int64
 	// LeaseNoticeSLO is the advertised lease notice (default 200ms) used
 	// when Tenants is set.
 	LeaseNoticeSLO time.Duration
-	// Mutate, when set, gets the final Config before core.New — the
-	// escape hatch for fields Topology does not surface.
-	Mutate func(*core.Config)
 }
 
 // Workload is the traffic a scenario sustains while faults fire.
@@ -177,6 +169,10 @@ const (
 	// ActEvacuate runs the full revocation protocol against victim
 	// Nodes[0], retrying failed passes up to Retries times.
 	ActEvacuate
+	// ActRevoke takes victim Nodes[0] back through FileSystem.Revoke:
+	// notice to its lessees, then the leave, bounded by Timeout from the
+	// eviction's fence.
+	ActRevoke
 	// ActWaitState polls until victim Nodes[0]'s detector state equals
 	// State (or Timeout expires — a violation).
 	ActWaitState
@@ -248,6 +244,13 @@ func planIsClean(p faultwrap.Plan) bool {
 // is idempotent).
 func Evacuate(node, retries int) Action {
 	return Action{Kind: ActEvacuate, Nodes: []int{node}, Retries: retries}
+}
+
+// Revoke takes victim node back through FileSystem.Revoke, the one
+// revocation front door: its lessees get their notice, then the node
+// leaves within evacDeadline of the eviction's fence.
+func Revoke(node int, evacDeadline time.Duration) Action {
+	return Action{Kind: ActRevoke, Nodes: []int{node}, Timeout: evacDeadline}
 }
 
 // WaitState waits until victim node's detector state equals state.

@@ -88,15 +88,7 @@ func buildCluster(topo Topology) (*Cluster, error) {
 		proxied[i] = core.NodeSpec{ID: n.ID, Addr: proxies[i].Addr()}
 	}
 
-	frac := topo.OwnFraction
-	if frac == 0 {
-		frac = 0.25
-	}
-	victimMem := topo.VictimMem
-	if victimMem == 0 {
-		victimMem = 1 << 30
-	}
-	classes, err := core.OwnVictimClasses(own.Nodes, proxied, frac, container.Limits{MemoryBytes: victimMem})
+	classes, err := core.OwnVictimClasses(own.Nodes, proxied, 0.25, container.Limits{MemoryBytes: 1 << 30})
 	if err != nil {
 		return fail(fmt.Errorf("chaos: own fraction: %w", err))
 	}
@@ -118,15 +110,9 @@ func buildCluster(topo Topology) (*Cluster, error) {
 	c.Obs = obs.NewRegistry()
 	cfg.Obs.Registry = c.Obs
 	if len(topo.Tenants) > 0 {
-		c.Tenants = qos.NewRegistry(qos.Options{
-			TotalBandwidth: topo.QoSBandwidth,
-			Obs:            c.Obs,
-		})
+		c.Tenants = qos.NewRegistry(qos.Options{Obs: c.Obs})
 		c.closers = append(c.closers, func() { c.Tenants.Close() })
 		cfg.QoS.Tenants = c.Tenants
-	}
-	if topo.Mutate != nil {
-		topo.Mutate(&cfg)
 	}
 	fs, err := core.New(cfg)
 	if err != nil {

@@ -34,11 +34,16 @@ type Result struct {
 	RecoveryMs       float64 `json:"recovery_ms"`
 	RecoveryTimedOut bool    `json:"recovery_timed_out,omitempty"`
 
-	Evacs []EvacSummary `json:"evacs,omitempty"`
+	Evacs   []EvacSummary   `json:"evacs,omitempty"`
+	Revokes []RevokeSummary `json:"revokes,omitempty"`
 
 	// Loss ledger: damaged files per Fsck, scrub leftovers, content
 	// mismatches on acknowledged writes, and the verify census.
-	FsckDamaged       int `json:"fsck_damaged"`
+	FsckDamaged int `json:"fsck_damaged"`
+	// FsckOrphans and FsckStrays are the census's counts of stripe values
+	// no read asks for: of no live file, or off every slot of a live one.
+	FsckOrphans       int `json:"fsck_orphans"`
+	FsckStrays        int `json:"fsck_strays"`
 	ScrubRestored     int `json:"scrub_restored"`
 	ScrubUnrepairable int `json:"scrub_unrepairable"`
 	ScrubDeferred     int `json:"scrub_deferred"`
@@ -61,6 +66,10 @@ type Result struct {
 	RepairStats core.RepairStats `json:"repair"`
 	Faults      faultwrap.Stats  `json:"faults"`
 
+	// Measured holds counts a scenario's Check takes from the cluster
+	// beyond the fields above, by name.
+	Measured map[string]int `json:"measured,omitempty"`
+
 	Violations []string `json:"violations"`
 	Passed     bool     `json:"passed"`
 }
@@ -80,6 +89,18 @@ type EvacSummary struct {
 	Passes    int     `json:"passes"`
 	Forced    bool    `json:"forced"`
 	ElapsedMs float64 `json:"elapsed_ms"`
+}
+
+// RevokeSummary condenses one revocation: the leases it noticed, the
+// notice they got before the eviction's fence, and the leave, from that
+// fence until the node was released.
+type RevokeSummary struct {
+	Node        string  `json:"node"`
+	Leases      int     `json:"leases"`
+	NoticeSLOMs float64 `json:"notice_slo_ms"`
+	NoticeMs    float64 `json:"notice_ms"`
+	SLOMet      bool    `json:"slo_met"`
+	LeaveMs     float64 `json:"leave_ms"`
 }
 
 // StreamResult is one stream's availability and latency summary.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,6 +76,7 @@ type run struct {
 	healAt  time.Time                // last heal action
 	healed  map[string]bool          // nodes expected back Up after a heal
 	evacs   []EvacSummary
+	revokes []RevokeSummary
 	stepErr []string
 
 	asyncWG sync.WaitGroup
@@ -225,6 +227,7 @@ func (r *run) execute(ctx context.Context) (*Result, error) {
 		}
 	}
 	res.Evacs = append(res.Evacs, r.evacs...)
+	res.Revokes = append(res.Revokes, r.revokes...)
 	stepErrs := append([]string(nil), r.stepErr...)
 	r.mu.Unlock()
 	sort.Slice(res.Detection, func(i, j int) bool { return res.Detection[i].Node < res.Detection[j].Node })
@@ -245,6 +248,7 @@ func (r *run) execute(ctx context.Context) (*Result, error) {
 		res.Violations = append(res.Violations, fmt.Sprintf("fsck failed: %v", err))
 	} else {
 		res.FsckDamaged = len(rep.Damaged)
+		res.FsckOrphans, res.FsckStrays = rep.OrphanStripes, rep.StrayKeys
 	}
 	r.finalVerify(res)
 
@@ -425,21 +429,12 @@ func (ws *workerState) writeOp(i int, rmwDue bool) (time.Duration, error) {
 		return dur, err
 	}
 	ws.vers[path] = v
-	if ws.expect[path] == nil && !contains(ws.order, path) {
+	if ws.expect[path] == nil && !slices.Contains(ws.order, path) {
 		ws.order = append(ws.order, path)
 	}
 	ws.expect[path] = data
 	ws.taint[path] = false
 	return dur, nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // readOp reads a previously-written path and verifies its content.
@@ -585,13 +580,6 @@ func (r *run) findStream(name string) *streamRun {
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -18,8 +18,8 @@ import (
 
 func TestScenarioRegistry(t *testing.T) {
 	names := Names()
-	if len(names) < 6 {
-		t.Fatalf("scenario library has %d entries, want >= 6: %v", len(names), names)
+	if len(names) < 8 {
+		t.Fatalf("scenario library has %d entries, want >= 8: %v", len(names), names)
 	}
 	for _, name := range names {
 		sc, ok := Lookup(name)
@@ -374,4 +374,28 @@ func TestScenarioPartitionHealRejoin(t *testing.T) {
 	if res.RecoveryTimedOut {
 		t.Fatal("recovery timed out")
 	}
+}
+
+func TestScenarioRevocationStorm(t *testing.T) {
+	logStorm(t, runNamed(t, "revocation-storm"))
+}
+
+func TestScenarioRevocationStormRS42(t *testing.T) {
+	logStorm(t, runNamed(t, "revocation-storm-rs42"))
+}
+
+// logStorm logs what a revocation storm measured: each revocation's
+// notice and leave, each stream's error rate and tails, and the stripe
+// listing's counts.
+func logStorm(t *testing.T, res *Result) {
+	t.Helper()
+	for _, rv := range res.Revokes {
+		t.Logf("storm revoke %s: leases %d, notice %.1fms (SLO %.0fms), leave %.1fms",
+			rv.Node, rv.Leases, rv.NoticeMs, rv.NoticeSLOMs, rv.LeaveMs)
+	}
+	for _, s := range res.Streams {
+		t.Logf("storm stream %s: ops %d, error rate %.4f, write p99 %.1fms, read p99 %.1fms",
+			s.Name, s.Ops, s.WorstWindowRate, s.WriteP99Ms, s.ReadP99Ms)
+	}
+	t.Logf("storm stripes %v, fsck orphans %d, strays %d", res.Measured, res.FsckOrphans, res.FsckStrays)
 }

@@ -1,13 +1,19 @@
 package chaos
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"memfss/internal/core"
+	"memfss/internal/erasure"
 	"memfss/internal/faultwrap"
 	"memfss/internal/health"
+	"memfss/internal/obs"
 	"memfss/internal/qos"
 	"memfss/internal/workflow"
 )
@@ -37,6 +43,10 @@ func Scenarios() []Scenario {
 		RackFailureRS42(),
 		FlashCrowdQuota(),
 		PartitionHealRejoin(),
+		RevocationStorm("revocation-storm",
+			core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2}),
+		RevocationStorm("revocation-storm-rs42",
+			core.Redundancy{Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2}),
 	}
 }
 
@@ -209,7 +219,7 @@ func GrayNodeECRead() Scenario {
 			OwnNodes: 6, VictimNodes: 6,
 			Plan: faultwrap.Plan{Seed: 31},
 			Redundancy: core.Redundancy{
-				Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2, ReadSpare: 1,
+				Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2,
 			},
 			PipelineDepth: 8,
 			Retry:         chaosRetry,
@@ -261,7 +271,7 @@ func RackFailureRS42() Scenario {
 			OwnNodes: 6, VictimNodes: 6,
 			Plan: faultwrap.Plan{Seed: 41},
 			Redundancy: core.Redundancy{
-				Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2, ReadSpare: 1,
+				Mode: core.RedundancyErasure, DataShards: 4, ParityShards: 2,
 			},
 			PipelineDepth: 8,
 			Retry:         chaosRetry,
@@ -420,4 +430,200 @@ func PartitionHealRejoin() Scenario {
 			return v
 		},
 	}
+}
+
+// RevocationStorm takes K = 2 victims back, 50 ms apart, through
+// FileSystem.Revoke (paper §III-A: the monitor reclaims a victim whenever
+// its tenant needs the memory) while two tenants stream writes and a
+// reader re-reads a preload. Each revoked victim holds a broker lease
+// under a 200 ms notice. The own class is exactly as wide as a stripe (R
+// copies, or k+m shards), and the victim class starts one node wider: the
+// first revocation leaves it at that width, and the second takes it one
+// below, so every run also measures what happens past that point. Check
+// pins the outcome: every notice met, every leave within its bound, slots
+// of the victim class passed to own nodes through slots' probe order, and
+// no stripe with two slots of its winning write on one node.
+func RevocationStorm(name string, red core.Redundancy) Scenario {
+	const notice, maxLeave = 200 * time.Millisecond, 3 * time.Second
+	width := max(red.Replicas, red.DataShards+red.ParityShards)
+	return Scenario{
+		Name:     name,
+		Describe: fmt.Sprintf("2 leased victims revoked 50 ms apart under two tenants' writes; the victim class ends one below stripe width %d", width),
+		Topology: Topology{
+			OwnNodes: width, VictimNodes: width + 1,
+			Redundancy:     red,
+			PipelineDepth:  8,
+			Retry:          chaosRetry,
+			Repair:         core.RepairPolicy{QueueCap: 4096},
+			LeaseNoticeSLO: notice,
+			Tenants: []qos.TenantSpec{
+				{Name: "prod", Weight: 3, Priority: qos.PriorityHigh},
+				{Name: "batch", Weight: 1, Priority: qos.PriorityLow},
+			},
+		},
+		Workload: Workload{
+			Duration: 2 * time.Second,
+			Preload:  &Stream{Name: "dataset", Workers: 2, Files: 8, Ops: 16, FileSize: 64 << 10, Seed: 81},
+			Streams: []Stream{
+				{Name: "prod", Tenant: "prod", Workers: 2, Files: 8, FileSize: 32 << 10,
+					Profile: workflow.Steady{OpsPerSec: 100}, VerifyEachWrite: true, Seed: 82},
+				{Name: "batch", Tenant: "batch", Workers: 1, Files: 16, FileSize: 32 << 10,
+					Profile: workflow.Steady{OpsPerSec: 50}, Seed: 83},
+				{Name: "readers", Workers: 1, ReadFrom: "dataset",
+					Profile: workflow.Steady{OpsPerSec: 50}, Seed: 84},
+			},
+		},
+		Timeline: []Step{
+			// Offers are advertised at build time on empty victims, so
+			// the broker grants the first lease on victim-0 and, with that
+			// offer now the smaller, the second on victim-1.
+			{Name: "lease", Action: Do(func(_ context.Context, c *Cluster) error {
+				for i := range 2 {
+					if l, err := c.FS.Broker().Request("batch", 1<<20); err != nil || l.Node != c.VictimID(i) {
+						return fmt.Errorf("lease %+v, %v: want one on %s", l, err, c.VictimID(i))
+					}
+				}
+				return nil
+			})},
+			{Name: "revoke-0", At: 500 * time.Millisecond, Async: true, Action: Revoke(0, 10*time.Second)},
+			{Name: "revoke-1", At: 550 * time.Millisecond, Async: true, Action: Revoke(1, 10*time.Second)},
+		},
+		SLO: SLO{
+			ZeroLoss:           true,
+			MaxRecovery:        15 * time.Second,
+			CleanScrub:         true,
+			NoDeferred:         true,
+			TargetedRepairOnly: true,
+			Streams: []StreamSLO{
+				{Stream: "prod", MaxErrorRate: 0.05, MaxWriteP99: 3 * time.Second, MaxReadP99: 3 * time.Second, MinOps: 50},
+				{Stream: "batch", MaxErrorRate: 0.05, MinOps: 25},
+				{Stream: "readers", MaxErrorRate: 0.05, MaxReadP99: 3 * time.Second, MinOps: 25},
+			},
+		},
+		Check: func(c *Cluster, r *Result) []string {
+			var v []string
+			if len(r.Revokes) != 2 {
+				v = append(v, fmt.Sprintf("%d of 2 revocations returned", len(r.Revokes)))
+			}
+			for _, rv := range r.Revokes {
+				if rv.Leases < 1 || !rv.SLOMet || min(rv.NoticeMs, rv.NoticeSLOMs) < ms(notice) || rv.LeaveMs > ms(maxLeave) {
+					v = append(v, fmt.Sprintf("revocation %+v: want a lease noticed >= %v and a leave within %v", rv, notice, maxLeave))
+				}
+			}
+			for i := range 2 {
+				if st := c.Victims.Server(i).Store().Stats(); st.BytesUsed != 0 {
+					v = append(v, fmt.Sprintf("revoked store %s still holds %d bytes", c.VictimID(i), st.BytesUsed))
+				}
+			}
+			for _, f := range c.Obs.Snapshot() {
+				if s := f.Find(obs.L("outcome", "met")); f.Name == "memfss_qos_lease_revocations_total" && (s == nil || s.Value != 2) {
+					v = append(v, fmt.Sprintf("%s{outcome=\"met\"} = %+v, want 2", f.Name, s))
+				}
+			}
+			passed, shared, err := listStripes(c, max(red.DataShards, 1))
+			r.Measured = map[string]int{"passed_to_own": passed, "shared_node": shared}
+			if err != nil {
+				v = append(v, err.Error())
+			}
+			if passed == 0 {
+				v = append(v, "past the class's width no victim-class slot passed to an own node")
+			}
+			if shared > 0 {
+				v = append(v, fmt.Sprintf("%d stripes hold two slots of their winning write on one node", shared))
+			}
+			return v
+		},
+	}
+}
+
+// listStripes lists every store still in the deployment and reads each
+// stripe value's header. It counts readable stripes only: those whose
+// winning write (the write ID holding the highest generation any of its
+// values carries) fills at least k slots. passedToOwn counts those whose
+// winning write spans own and victim nodes: an own-class stripe never
+// leaves the own class, so these are victim-class slots passed on to own
+// nodes. sharedNode counts those whose slots (shard indices, or holders
+// under replication) cannot each be given a node of its own among the
+// nodes holding it; a copy no read asks for, which an overlapping
+// evacuation can leave behind, does not make two slots share its node.
+func listStripes(c *Cluster, k int) (passedToOwn, sharedNode int, err error) {
+	type value struct {
+		node, slot string
+		own        bool
+		gen, id    uint64
+	}
+	live := map[string]bool{}
+	for _, cs := range c.FS.Classes() {
+		for _, n := range cs.Nodes {
+			live[n.ID] = true
+		}
+	}
+	values := map[string][]value{} // stripe key -> every value held of it
+	for _, ls := range []*core.LocalStores{c.Own, c.Victims} {
+		for i, n := range ls.Nodes {
+			st := ls.Server(i).Store()
+			for cursor, more := int64(0), live[n.ID]; more; more = cursor != 0 {
+				var keys []string
+				keys, cursor = st.Scan(cursor, 256)
+				for _, key := range keys {
+					hdr, _, _ := st.GetRangeAppend(nil, key, 0, erasure.HeaderSize)
+					gen, id, _, err := erasure.ParseShard(hdr)
+					if err != nil {
+						return 0, 0, fmt.Errorf("stripe value %s on %s: %w", key, n.ID, err)
+					}
+					sk, slot := strings.TrimPrefix(key, "data:"), n.ID
+					if j := strings.LastIndex(sk, "/s"); j >= 0 && k > 1 {
+						sk, slot = sk[:j], sk[j:]
+					}
+					values[sk] = append(values[sk], value{n.ID, slot, ls == c.Own, gen, id})
+				}
+			}
+		}
+	}
+	for _, vs := range values {
+		win := slices.MaxFunc(vs, func(a, b value) int { return cmp.Compare(a.gen, b.gen) })
+		holders := map[string][]string{} // slot -> the nodes holding it
+		var own, victim bool
+		for _, v := range vs {
+			if v.id == win.id {
+				holders[v.slot] = append(holders[v.slot], v.node)
+				own, victim = own || v.own, victim || !v.own
+			}
+		}
+		if len(holders) < k {
+			continue // no file's readable stripe: Result.FsckOrphans counts it
+		}
+		if own && victim {
+			passedToOwn++
+		}
+		if !distinctNodes(holders) {
+			sharedNode++
+		}
+	}
+	return passedToOwn, sharedNode, nil
+}
+
+// distinctNodes reports whether every slot can be given its own node
+// among those holding it: a bipartite matching by augmenting paths.
+func distinctNodes(holders map[string][]string) bool {
+	owner := map[string]string{} // node -> the slot it serves
+	var seat func(slot string, seen map[string]bool) bool
+	seat = func(slot string, seen map[string]bool) bool {
+		for _, n := range holders[slot] {
+			if !seen[n] {
+				seen[n] = true
+				if o, taken := owner[n]; !taken || seat(o, seen) {
+					owner[n] = slot
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for slot := range holders {
+		if !seat(slot, map[string]bool{}) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,7 @@
 package chaos
 
-// The four chaos soaks that grew up alongside the subsystems they test
-// (health, erasure, revocation, QoS) live here now, rewritten on the
+// The chaos soaks that grew up alongside the subsystems they test
+// (health, erasure, revocation) live here now, rewritten on the
 // scenario runner. Test names are unchanged so CI history and -run
 // patterns keep working; the assertions are the originals', expressed as
 // SLOs plus Check hooks, with every fixed sleep replaced by condition
@@ -16,7 +16,6 @@ import (
 
 	"memfss/internal/core"
 	"memfss/internal/faultwrap"
-	"memfss/internal/qos"
 	"memfss/internal/workflow"
 )
 
@@ -370,99 +369,4 @@ func TestErasureEvacuationChaos(t *testing.T) {
 		t.Fatalf("erasure evacuation: %v", res.Violations)
 	}
 	t.Logf("evacuations %+v; repair %+v", res.Evacs, res.RepairStats)
-}
-
-// TestQoSChaosSoak runs two tenants flat out while a victim node revokes
-// its lease mid-soak: the broker must give the contracted notice, the
-// graduated evacuation must complete, the high-priority tenant's files
-// must all verify, its p99 must stay bounded, and the met revocation must
-// be visible in the qos metric families.
-func TestQoSChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second soak")
-	}
-	const noticeSLO = 200 * time.Millisecond
-	var revokeNode string
-	sc := Scenario{
-		Name: "qos-soak",
-		Topology: Topology{
-			OwnNodes: 2, VictimNodes: 3,
-			Redundancy:     core.Redundancy{Mode: core.RedundancyReplicate, Replicas: 2},
-			Retry:          chaosRetry,
-			LeaseNoticeSLO: noticeSLO,
-			Tenants: []qos.TenantSpec{
-				{Name: "prod", Weight: 3, Priority: qos.PriorityHigh},
-				{Name: "batch", Weight: 1, Priority: qos.PriorityLow},
-			},
-		},
-		Workload: Workload{
-			Duration: 2 * time.Second,
-			Streams: []Stream{
-				{Name: "prod", Tenant: "prod", Workers: 1, Files: 256, FileSize: 32 << 10,
-					VerifyEachWrite: true, Seed: 71},
-				{Name: "batch", Tenant: "batch", Workers: 1, Files: 256, FileSize: 32 << 10,
-					Seed: 72},
-			},
-		},
-		Timeline: []Step{
-			{Name: "lease", Action: Do(func(ctx context.Context, c *Cluster) error {
-				lease, err := c.FS.Broker().Request("batch", 1<<20)
-				if err != nil {
-					return fmt.Errorf("lease request: %w", err)
-				}
-				// Pin the revocation to a node we know holds a lease.
-				revokeNode = lease.Node
-				return nil
-			})},
-			{Name: "revoke", At: 500 * time.Millisecond,
-				Action: Do(func(ctx context.Context, c *Cluster) error {
-					rep, err := c.FS.Revoke(ctx, revokeNode,
-						core.RevokeOptions{EvacDeadline: 10 * time.Second})
-					if err != nil {
-						return fmt.Errorf("revoke: %w", err)
-					}
-					if !rep.SLOMet || rep.Notice < noticeSLO {
-						return fmt.Errorf("notice %v < SLO %v (report %+v)", rep.Notice, noticeSLO, rep)
-					}
-					return nil
-				})},
-		},
-		SLO: SLO{
-			ZeroLoss: true,
-			Streams: []StreamSLO{{
-				// Transient unavailability mid-revocation is the storm this
-				// soak exists to ride out; the bound is on loss and latency,
-				// not a spotless error count.
-				Stream: "prod", MaxErrorRate: 0.2,
-				MaxWriteP99: 3 * time.Second, MaxReadP99: 3 * time.Second,
-				MinOps: 10,
-			}},
-		},
-		Check: func(c *Cluster, r *Result) []string {
-			var v []string
-			var met int64
-			for _, f := range c.Obs.Snapshot() {
-				if f.Name != "memfss_qos_lease_revocations_total" {
-					continue
-				}
-				for _, s := range f.Series {
-					if s.Labels.Get("outcome") == "met" {
-						met = s.Value
-					}
-				}
-			}
-			if met < 1 {
-				v = append(v, "no met revocation recorded in memfss_qos_lease_revocations_total")
-			}
-			return v
-		},
-	}
-	res, err := Run(context.Background(), sc, RunOptions{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed {
-		t.Fatalf("qos soak: %v", res.Violations)
-	}
-	t.Logf("prod stream %+v; revocation node %s", res.Streams[0], revokeNode)
 }

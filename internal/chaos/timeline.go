@@ -137,6 +137,8 @@ func actionString(a Action, nodes []string) string {
 		return "set plan on " + target
 	case ActEvacuate:
 		return "evacuate " + target
+	case ActRevoke:
+		return "revoke " + target
 	case ActWaitState:
 		return fmt.Sprintf("wait %s state %s", target, a.State)
 	case ActWaitRepairIdle:
@@ -194,6 +196,21 @@ func (r *run) applyAction(ctx context.Context, a Action) error {
 			r.logf("chaos %s: evacuate %s attempt %d: %v", r.sc.Name, id, try+1, err)
 		}
 		return fmt.Errorf("evacuate %s: %w", id, lastErr)
+	case ActRevoke:
+		id := c.VictimID(a.Nodes[0])
+		start := time.Now()
+		rep, err := c.FS.Revoke(ctx, id, core.RevokeOptions{EvacDeadline: a.Timeout})
+		took := time.Since(start)
+		r.mu.Lock()
+		r.revokes = append(r.revokes, RevokeSummary{
+			Node: id, Leases: rep.Leases, NoticeSLOMs: ms(rep.SLO), NoticeMs: ms(rep.Notice),
+			SLOMet: rep.SLOMet, LeaveMs: ms(took - rep.Notice),
+		})
+		r.healAt = time.Now() // redundancy work restarts from release
+		r.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("revoke %s: %w", id, err)
+		}
 	case ActWaitState:
 		return r.waitState(ctx, c.VictimID(a.Nodes[0]), a.State, a.Timeout)
 	case ActWaitRepairIdle:

@@ -322,9 +322,18 @@ func (fs *FileSystem) snapshot() []fsmeta.ClassSnapshot {
 // detector (released, or never configured here), or named in gone — keeps
 // its position and passes its slot to the next node of the probe order
 // that is still known and holds no slot. That node is the position's
-// successor (File.serve).
+// successor (File.serve). A class narrower than n (a release shrank it
+// before the snapshot was taken) has positions none of its nodes fills;
+// they go to the probe order first, as if their nodes had left.
 func (fs *FileSystem) slots(pl *hrw.Placer, sk string, n int, gone ...string) []string {
 	nodes := pl.PlaceK(sk, n)
+	if len(nodes) < n {
+		for _, c := range pl.ProbeOrder(sk) {
+			if len(nodes) < n && !slices.Contains(nodes, c) {
+				nodes = append(nodes, c)
+			}
+		}
+	}
 	left := func(node string) bool { return slices.Contains(gone, node) || !fs.detector.Known(node) }
 	if !slices.ContainsFunc(nodes, left) {
 		return nodes

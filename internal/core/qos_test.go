@@ -384,5 +384,5 @@ func percentile(ds []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-// TestQoSChaosSoak moved to internal/chaos (runner-based), keeping its
-// name and assertion strength.
+// Two tenants under a lease revocation are the revocation-storm scenarios
+// of internal/chaos (TestScenarioRevocationStorm*).

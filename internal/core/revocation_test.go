@@ -832,10 +832,10 @@ func TestDrainNodePreservesRacingWrite(t *testing.T) {
 	}
 }
 
-// TestReadDuringMoveNeverSeesHole is the regression for the hole race
-// (ROADMAP 4d): a reader that probed a move's destination before the copy
-// landed and its source after the release saw the stripe nowhere and
-// returned zeros with a nil error. Readers byte-verify a fixed file set at
+// TestReadDuringMoveNeverSeesHole is the regression for the hole race: a
+// reader that probed a move's destination before the copy landed and its
+// source after the release saw the stripe nowhere and returned zeros with
+// a nil error. Copy-before-delete and the successor walk close it. Readers byte-verify a fixed file set at
 // R=1 while partial drains ping-pong every stripe between the two victims,
 // then an evacuation removes one; nothing may ever read back wrong.
 func TestReadDuringMoveNeverSeesHole(t *testing.T) {

@@ -379,3 +379,55 @@ func TestPaperAlphaWeights(t *testing.T) {
 		t.Fatalf("round trip alpha = %v", got)
 	}
 }
+
+// TestNarrowClassFillsEveryPosition pins the placement of a file created
+// after an evacuation left its victim class narrower than the stripe
+// width (R copies, or k+m shards): the positions no class node fills go
+// to the probe order, so the write keeps full width, Fsck counts it whole,
+// and losing the store that holds the most of it still leaves it readable.
+// Without the fill an RS(4,2) file has five shard slots, and a read that
+// must reconstruct fails ("Reconstruct needs 6 shard slots, got 5").
+func TestNarrowClassFillsEveryPosition(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		red   Redundancy
+		own   int
+		width int
+	}{
+		{"R=2", Redundancy{Mode: RedundancyReplicate, Replicas: 2}, 2, 2},
+		{"RS(4,2)", Redundancy{Mode: RedundancyErasure, DataShards: 4, ParityShards: 2}, 6, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestFS(t, tc.own, tc.width, withRedundancy(tc.red))
+			if _, err := d.fs.Evacuate(context.Background(), d.victims.Nodes[0].ID, EvacOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			want := randomBytes(4700, 64<<10)
+			if err := d.fs.WriteFile("/narrow", want); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := d.fs.Fsck()
+			if err != nil || rep.Short != 0 || rep.StrayKeys != 0 || len(rep.Damaged) != 0 {
+				t.Fatalf("Fsck = %+v, %v; want every slot filled", rep, err)
+			}
+			keys, most := 0, d.own.Server(0).Store()
+			held := 0
+			for _, ls := range []*LocalStores{d.own, d.victims} {
+				for i := range ls.Nodes {
+					k, _ := ls.Server(i).Store().Scan(0, 1<<20)
+					keys += len(k)
+					if len(k) > held {
+						most, held = ls.Server(i).Store(), len(k)
+					}
+				}
+			}
+			if stripes := (64 << 10) / (4 << 10); keys != tc.width*stripes {
+				t.Fatalf("%d stripe values for %d stripes, want %d each", keys, stripes, tc.width)
+			}
+			most.FlushAll()
+			if got, err := d.fs.ReadFile("/narrow"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("read after losing %d values: %v (bytes equal %v)", held, err, bytes.Equal(got, want))
+			}
+		})
+	}
+}

@@ -397,39 +397,3 @@ func TestFigure2SeriesAndCSV(t *testing.T) {
 		t.Error("empty series should still render the summary line")
 	}
 }
-
-// Extension: mid-run revocations must never break the workflow and cost
-// only modest runtime overhead.
-func TestRevocationSweepShapes(t *testing.T) {
-	rows, err := RevocationSweep(Config{Scale: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[0].Revoked != 0 {
-		t.Fatal("first row must be the baseline")
-	}
-	prev := -1.0
-	for _, r := range rows {
-		if !r.DrainedAll {
-			t.Errorf("K=%d: drain incomplete", r.Revoked)
-		}
-		if r.RuntimeSeconds <= 0 {
-			t.Errorf("K=%d: zero runtime", r.Revoked)
-		}
-		if r.Revoked > 0 && r.OverheadPct < -2 {
-			t.Errorf("K=%d: negative overhead %.1f%%", r.Revoked, r.OverheadPct)
-		}
-		_ = prev
-	}
-	// Losing half the victims should cost well under a doubling.
-	last := rows[len(rows)-1]
-	if last.OverheadPct > 100 {
-		t.Errorf("K=%d overhead %.1f%% implausibly high", last.Revoked, last.OverheadPct)
-	}
-	if !strings.Contains(FormatRevocationSweep(rows), "revocation storm") {
-		t.Error("format missing title")
-	}
-}

@@ -17,9 +17,11 @@
 package hrw
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // fnv64a hashes a pair of strings with FNV-1a, mixing in a separator so that
@@ -111,11 +113,8 @@ func Rank(nodes []string, key string) []string {
 	for i, n := range nodes {
 		ss[i] = scored{n, Score(n, key)}
 	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].node < ss[j].node
+	slices.SortFunc(ss, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.node, b.node))
 	})
 	out := make([]string, len(ss))
 	for i, s := range ss {
@@ -242,11 +241,8 @@ func (p *Placer) ProbeOrder(key string) []string {
 	for i := range p.classes {
 		scs[i] = scoredClass{&p.classes[i], p.classes[i].score(key)}
 	}
-	sort.Slice(scs, func(i, j int) bool {
-		if scs[i].s != scs[j].s {
-			return scs[i].s > scs[j].s
-		}
-		return scs[i].c.Name < scs[j].c.Name
+	slices.SortFunc(scs, func(a, b scoredClass) int {
+		return cmp.Or(cmp.Compare(b.s, a.s), strings.Compare(a.c.Name, b.c.Name))
 	})
 	out := make([]string, 0, p.NumNodes())
 	for _, sc := range scs {

@@ -87,15 +87,14 @@ type IO struct {
 // FS is the simulated MemFSS deployment: own nodes run tasks and store
 // data; victim nodes only store data (paper §III-A).
 type FS struct {
-	cls         *cluster.Cluster
-	own         []*cluster.Node
-	victims     []*cluster.Node
-	placer      *hrw.Placer
-	layout      stripe.Layout
-	costs       CostModel
-	victimCap   int64 // per-victim-node scavenged memory cap
-	ownFraction float64
-	nextFileID  int
+	cls        *cluster.Cluster
+	own        []*cluster.Node
+	victims    []*cluster.Node
+	placer     *hrw.Placer
+	layout     stripe.Layout
+	costs      CostModel
+	victimCap  int64 // per-victim-node scavenged memory cap
+	nextFileID int
 
 	nodeByID map[string]*cluster.Node
 	// stored tracks bytes resident per node for occupancy accounting.
@@ -178,7 +177,6 @@ func New(cls *cluster.Cluster, own, victims []*cluster.Node, cfg Config) (*FS, e
 		layout:      layout,
 		costs:       costs,
 		victimCap:   cfg.VictimMemCap,
-		ownFraction: cfg.OwnFraction,
 		nodeByID:    make(map[string]*cluster.Node),
 		stored:      make(map[string]int64),
 		storeThread: make(map[string]*simnet.Constraint),

@@ -195,83 +195,3 @@ func TestRelease(t *testing.T) {
 	fs.Release(1 << 40) // over-release clamps
 	fs.Release(1)       // empty store: no panic
 }
-
-func TestRevokeVictim(t *testing.T) {
-	e, _, fs := build(t, 2, 4, Config{OwnFraction: 0.25})
-	for i := 0; i < 8; i++ {
-		fs.Write(fs.own[i%2], IO{Bytes: 32 << 20, RequestBytes: 1 << 20}, nil)
-	}
-	e.Run()
-	victimID := fs.victims[0].ID
-	before := fs.StoredBytes(victimID)
-	if before == 0 {
-		t.Skip("placement left first victim empty")
-	}
-	var total int64
-	for _, n := range append(append([]*cluster.Node{}, fs.own...), fs.victims...) {
-		total += fs.StoredBytes(n.ID)
-	}
-
-	drained := false
-	if err := fs.RevokeVictim(victimID, func() { drained = true }); err != nil {
-		t.Fatal(err)
-	}
-	if fs.StoredBytes(victimID) != 0 {
-		t.Fatal("revoked victim still accounted")
-	}
-	if len(fs.Victims()) != 3 {
-		t.Fatalf("victims = %d, want 3", len(fs.Victims()))
-	}
-	e.Run()
-	if !drained {
-		t.Fatal("drain completion never fired")
-	}
-	// Bytes are conserved across the drain.
-	var after int64
-	for _, n := range append(append([]*cluster.Node{}, fs.own...), fs.Victims()...) {
-		after += fs.StoredBytes(n.ID)
-	}
-	if after != total {
-		t.Fatalf("drain lost bytes: %d -> %d", total, after)
-	}
-	// New writes avoid the revoked node.
-	fs.Write(fs.own[0], IO{Bytes: 32 << 20, RequestBytes: 1 << 20}, nil)
-	e.Run()
-	if fs.StoredBytes(victimID) != 0 {
-		t.Fatal("new data landed on revoked victim")
-	}
-	// Unknown node is an error; double revoke too.
-	if err := fs.RevokeVictim(victimID, nil); err == nil {
-		t.Fatal("double revoke accepted")
-	}
-	if err := fs.RevokeVictim("ghost", nil); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-}
-
-func TestRevokeLastVictim(t *testing.T) {
-	e, _, fs := build(t, 2, 1, Config{OwnFraction: 0.25})
-	fs.Write(fs.own[0], IO{Bytes: 32 << 20, RequestBytes: 1 << 20}, nil)
-	e.Run()
-	done := false
-	if err := fs.RevokeVictim(fs.victims[0].ID, func() { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if !done {
-		t.Fatal("drain of last victim never completed")
-	}
-	if len(fs.Victims()) != 0 {
-		t.Fatal("victim list not empty")
-	}
-	// Everything must now land on own nodes.
-	fs.Write(fs.own[0], IO{Bytes: 16 << 20, RequestBytes: 1 << 20}, nil)
-	e.Run()
-	var ownB int64
-	for _, n := range fs.own {
-		ownB += fs.StoredBytes(n.ID)
-	}
-	if ownB < 48<<20-1 {
-		t.Fatalf("own nodes hold %d, want all data", ownB)
-	}
-}

@@ -127,8 +127,8 @@ for name in sorted(latest):
           % (name, p.get("recovery_ms", 0), len(p.get("streams") or []), status))
     fail = fail or bool(probs)
 
-if len(latest) < 6:
-    print("scenario gate FAILED: only %d scenario(s) in %s, want the full 6-point matrix" % (len(latest), path))
+if len(latest) < 8:
+    print("scenario gate FAILED: only %d scenario(s) in %s, want the full 8-point matrix" % (len(latest), path))
     fail = True
 if fail:
     print()
